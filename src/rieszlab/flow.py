@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gamma, ndtri
-from scipy.stats import qmc
 
 from .errors import DomainError, NumericalError
 from .riesz import INF, KernelSpec, kernel
@@ -96,6 +95,8 @@ class SphereQuad:
         if _points is not None:
             self.points = _points
         else:
+            from scipy.stats import qmc  # deferred: costly import, used only here
+
             sob = qmc.Sobol(d=n, scramble=True, seed=self.seed)
             u = sob.random(self.size)
             u = np.clip(u, 1e-15, 1.0 - 1e-15)

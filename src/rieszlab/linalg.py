@@ -2,7 +2,9 @@
 
 Everything here is a pure function of its inputs; random constructors
 take an explicit seed and never touch global RNG state.  Matrices are
-small (n <= 16 in practice) and dense.
+small (n <= 16 in practice) and dense.  Spectra come from LAPACK
+through ``np.linalg.eigvalsh`` / ``np.linalg.eigh``, which are
+deterministic for a given input on a given machine and BLAS build.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _accel
-from .errors import DomainError, InvariantError, NumericalError
+from .errors import DomainError, InvariantError, NumericalError, SolverError
 
 UNIT_NORM_TOL = 1e-12
 FRAME_TOL = 1e-10
@@ -42,6 +43,16 @@ def fro(a) -> float:
     return float(np.linalg.norm(as_matrix(a)))
 
 
+def _eigensolve(solver, a: np.ndarray):
+    """Run a LAPACK symmetric eigensolver on finite entries only."""
+    if not np.all(np.isfinite(a)):
+        raise DomainError("matrix entries must be finite")
+    try:
+        return solver(a)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"symmetric eigensolver failed: {exc}") from exc
+
+
 class SymMatrix:
     """n-by-n real symmetric matrix with cached ascending spectrum.
 
@@ -68,13 +79,13 @@ class SymMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         if self._vals is None:
-            self._vals = _accel.eigvals_ascending(self.a)
+            self._vals = _eigensolve(np.linalg.eigvalsh, self.a)
             self._vals.flags.writeable = False
         return self._vals
 
     def eigen_system(self):
         if self._vecs is None:
-            vals, vecs = _accel.eigh_ascending(self.a)
+            vals, vecs = _eigensolve(np.linalg.eigh, self.a)
             self._vals = vals
             self._vals.flags.writeable = False
             self._vecs = vecs
@@ -88,7 +99,7 @@ def ordered_eigenvalues(a) -> np.ndarray:
     """Ascending eigenvalues lambda_1 <= ... <= lambda_n."""
     if isinstance(a, SymMatrix):
         return a.eigenvalues()
-    return _accel.eigvals_ascending(as_matrix(a))
+    return _eigensolve(np.linalg.eigvalsh, as_matrix(a))
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +315,7 @@ def reduced_eigenvalues(a, structure) -> np.ndarray:
 
 def elementary_symmetric(lams: Sequence[float], k: int) -> float:
     """k-th elementary symmetric function, exact for integer inputs."""
-    lams = np.asarray(lams, dtype=float).reshape(-1)
-    n = lams.size
-    if not 1 <= k <= n:
-        raise DomainError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    e = np.zeros(k + 1)
-    e[0] = 1.0
-    for i, lam in enumerate(lams):
-        top = min(i + 1, k)
-        for j in range(top, 0, -1):
-            e[j] += lam * e[j - 1]
-    return float(e[k])
+    return float(elementary_symmetric_all(lams, k)[-1])
 
 
 def elementary_symmetric_all(lams: Sequence[float], k: int) -> np.ndarray:

@@ -24,7 +24,8 @@ from .linalg import (
     random_unit_vector,
     unit_vector,
 )
-from .subeq import BOUNDARY_BAND, MEMBER_TOL, PropertyReport, Subequation, builtin, dual
+from .subeq import (BOUNDARY_BAND, MEMBER_TOL, PropertyReport, Subequation, builtin, dual,
+                    require_samples)
 
 P_BRACKET_MAX = 64.0
 P_BRACKET_HARD_MAX = 128.0
@@ -195,8 +196,10 @@ def increasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL,
     """Increasing characteristic of F and the final bracket width.
 
     Returns (inf, 0.0) when -P_e is a member (both the membership form
-    and its dual restatement are evaluated and must agree).  Otherwise
-    bisection runs on [1, 64], widening once to 128 before failing.
+    and its dual restatement are evaluated and must agree), and (1, 0.0)
+    when margin(P_perp) is negative only within the membership band.
+    Otherwise bisection runs on [1, 64], widening once to 128 before
+    failing.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -220,15 +223,19 @@ def increasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL,
     def g(pbar):
         return _pencil_margin(f, p_perp, p_line, pbar)
 
-    result = _bisect_decreasing(g, 1.0, P_BRACKET_MAX, tol)
-    if result is None:
-        result = _bisect_decreasing(g, 1.0, P_BRACKET_HARD_MAX, tol)
-    if result is None:
-        raise SolverError(
-            f"no boundary crossing for {f.name} in [1, {P_BRACKET_HARD_MAX}] "
-            "although -P_e is not a member"
-        )
-    value, bracket = result
+    if -band <= g(1.0) < 0.0:
+        # P_perp on the boundary up to rounding: the characteristic is 1
+        value, bracket = 1.0, 0.0
+    else:
+        result = _bisect_decreasing(g, 1.0, P_BRACKET_MAX, tol)
+        if result is None:
+            result = _bisect_decreasing(g, 1.0, P_BRACKET_HARD_MAX, tol)
+        if result is None:
+            raise SolverError(
+                f"no boundary crossing for {f.name} in [1, {P_BRACKET_HARD_MAX}] "
+                "although -P_e is not a member"
+            )
+        value, bracket = result
 
     if check_directions:
         rng = np.random.default_rng(seed)
@@ -350,6 +357,7 @@ def sandwich_check(f: Subequation, p: float, sample_count: int = 1000, seed=0,
     boundary of F along the identity ray, where a wrong characteristic
     shows up immediately.
     """
+    require_samples(sample_count)
     lower = builtin("min-2", f.n, p=p)
     upper = builtin("min-max", f.n, p=p)
     rng = np.random.default_rng(seed)

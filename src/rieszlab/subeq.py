@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
-from . import _accel
 from .errors import DomainError, InvariantError, SolverError
 from .linalg import (
     ComplexStructure,
@@ -544,16 +541,15 @@ def shift_into(f: Subequation, a: np.ndarray, budget: int = 64) -> np.ndarray:
     raise SolverError(f"could not shift a sample into {f.name}")
 
 
-def _map_samples(fn, count):
-    workers = _accel.worker_count()
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+def require_samples(sample_count: int) -> None:
+    """Sampling suites need at least one sample to report a worst case."""
+    if sample_count < 1:
+        raise DomainError(f"sample count must be >= 1, got {sample_count}")
 
 
 def check_positivity(f: Subequation, sample_count: int = 200, seed=0) -> PropertyReport:
     """Members stay members after adding a PSD matrix."""
+    require_samples(sample_count)
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, 2**63 - 1, size=(sample_count, 2))
 
@@ -562,12 +558,13 @@ def check_positivity(f: Subequation, sample_count: int = 200, seed=0) -> Propert
         psd = random_psd(f.n, int(seeds[i, 1]))
         return max(0.0, -f.margin(a + psd))
 
-    worst = max(_map_samples(one, sample_count))
+    worst = max(one(i) for i in range(sample_count))
     return _report("positivity", sample_count, worst, MEMBER_TOL)
 
 
 def check_cone(f: Subequation, sample_count: int = 200, seed=0) -> PropertyReport:
     """Members stay members under scaling by t >= 0."""
+    require_samples(sample_count)
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, 2**63 - 1, size=sample_count)
     scales = (0.0, 0.5, 2.0, 10.0)
@@ -576,12 +573,14 @@ def check_cone(f: Subequation, sample_count: int = 200, seed=0) -> PropertyRepor
         a = shift_into(f, random_symmetric(f.n, int(seeds[i])))
         return max(max(0.0, -f.margin(t * a)) for t in scales)
 
-    worst = max(_map_samples(one, sample_count))
+    worst = max(one(i) for i in range(sample_count))
     return _report("cone", sample_count, worst, MEMBER_TOL)
 
 
 def _unitary_rotation(n_complex: int, seed=0) -> np.ndarray:
     """Rotation of R^{2n} commuting with the standard J (image of U(n))."""
+    import scipy.linalg  # deferred: only the U(n) and Sp(n) samplers need it
+
     rng = np.random.default_rng(seed)
     dim = 2 * n_complex
     j = ComplexStructure.standard(n_complex).j
@@ -593,6 +592,8 @@ def _unitary_rotation(n_complex: int, seed=0) -> np.ndarray:
 
 def _symplectic_rotation(n_quaternion: int, seed=0) -> np.ndarray:
     """Rotation of R^{4n} commuting with I, J, K (image of Sp(n))."""
+    import scipy.linalg
+
     rng = np.random.default_rng(seed)
     dim = 4 * n_quaternion
     s = QuaternionStructure.standard(n_quaternion)
@@ -618,6 +619,7 @@ def check_st_invariance(f: Subequation, sample_count: int = 100, seed=0) -> Prop
     For sampled-Grassmannian subequations a finite plane sample breaks
     exact invariance, so the check is skipped with a warning.
     """
+    require_samples(sample_count)
     if f.invariance in ("sampled-ST", "none"):
         return _report(
             "st-invariance", 0, 0.0, 0.0, skipped=True,
@@ -632,7 +634,7 @@ def check_st_invariance(f: Subequation, sample_count: int = 100, seed=0) -> Prop
         rel = abs(f.margin(g @ a @ g.T) - f.margin(a)) / (1.0 + fro(a))
         return rel
 
-    worst = max(_map_samples(one, sample_count))
+    worst = max(one(i) for i in range(sample_count))
     return _report("st-invariance", sample_count, worst, 1e-8)
 
 
@@ -649,6 +651,7 @@ def check_uniform_ellipticity(delta: float, n: int, sample_count: int = 1000,
     Checks (delta/n) tr(P) <= F(A+P) - F(A) <= (1 + delta/n) tr(P) on
     seeded samples with P PSD.
     """
+    require_samples(sample_count)
     if delta <= 0:
         raise DomainError("delta must be > 0")
     d = delta / n
@@ -666,7 +669,7 @@ def check_uniform_ellipticity(delta: float, n: int, sample_count: int = 1000,
         tr = float(np.trace(psd))
         return max(0.0, d * tr - diff, diff - (1.0 + d) * tr)
 
-    worst = max(_map_samples(one, sample_count))
+    worst = max(one(i) for i in range(sample_count))
     return _report("uniform-ellipticity", sample_count, worst, 1e-9,
                    note=f"delta={delta:g}, n={n}")
 
@@ -675,6 +678,7 @@ def margin_monotonicity_check(f: Subequation, sample_count: int = 100, seed=0,
                               t_grid: Sequence[float] = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)) -> PropertyReport:
     """margin(A + t Id) must be nondecreasing along the identity ray from
     members; this is what makes the characteristic bisection well posed."""
+    require_samples(sample_count)
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, 2**63 - 1, size=sample_count)
     eye = np.eye(f.n)
@@ -686,7 +690,7 @@ def margin_monotonicity_check(f: Subequation, sample_count: int = 100, seed=0,
             max(0.0, values[j] - values[j + 1]) for j in range(len(values) - 1)
         )
 
-    worst = max(_map_samples(one, sample_count))
+    worst = max(one(i) for i in range(sample_count))
     return _report("margin-monotonicity", sample_count, worst, 1e-9)
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rieszlab
 from rieszlab import cli
 
 
@@ -58,6 +63,16 @@ def test_charx_solver_error_exit_code(capsys):
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_nonpositive_samples(capsys, samples):
+    code = cli.main(["verify", "sigma-k", "--n", "4", "--k", "2", "--samples", samples,
+                     "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_verify_pdelta_uniform_ellipticity(capsys):
@@ -246,3 +261,13 @@ def test_verify_default_handles_infinite_characteristic(capsys):
     assert code == 0
     sandwich = [r for r in payload["reports"] if r["property"] == "sandwich"][0]
     assert sandwich["skipped"] is True
+
+
+def test_import_defers_heavy_scipy_modules():
+    # scipy.stats (Sobol points) and scipy.linalg (expm) are imported on
+    # first use, so plain commands do not pay for them at start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(rieszlab.__file__).parents[1]))
+    probe = "import sys, rieszlab; print(sorted({'scipy.stats', 'scipy.linalg'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"

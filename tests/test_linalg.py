@@ -54,6 +54,25 @@ def test_nonfinite_entries_rejected():
         sym([[np.nan, 0.0], [0.0, 1.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ordered_eigenvalues_rejects_nonfinite(bad):
+    with pytest.raises(DomainError, match="finite"):
+        linalg.ordered_eigenvalues(np.diag([bad, 1.0]))
+
+
+def test_ordered_eigenvalues_match_general_solver():
+    # np.linalg.eigvals runs the nonsymmetric LAPACK routine: an independent reference
+    for seed in range(12):
+        a = linalg.random_symmetric(7, seed)
+        reference = np.sort(np.linalg.eigvals(a).real)
+        assert np.allclose(linalg.ordered_eigenvalues(a), reference, atol=1e-11)
+
+
+def test_ordered_eigenvalues_repeat_runs_are_bit_identical():
+    a = linalg.random_symmetric(6, 5)
+    assert np.array_equal(linalg.ordered_eigenvalues(a), linalg.ordered_eigenvalues(a))
+
+
 # ---------------------------------------------------------------------------
 # projectors and radial Hessians
 # ---------------------------------------------------------------------------

@@ -116,6 +116,19 @@ def test_direction_independence():
     assert p == pytest.approx(2.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("seed", range(30))
+@pytest.mark.parametrize("family,params,n", [
+    ("sigma-k", {"k": 10}, 10),
+    ("sigma-k", {"k": 6}, 6),
+    ("p-convex", {"p": 1.0}, 5),
+])
+def test_characteristic_one_in_random_directions(family, params, n, seed):
+    # margin(P_perp) is zero only up to rounding when the characteristic is 1
+    f = subeq.builtin(family, n, **params)
+    pair = riesz.characteristic_pair(f, check_directions=1, seed=seed)
+    assert pair.p == pytest.approx(1.0, abs=1e-8)
+
+
 def test_characteristic_certificate():
     f = subeq.builtin("pdelta", 3, delta=1.0)
     p, _ = riesz.increasing_characteristic(f)

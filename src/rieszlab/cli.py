@@ -560,19 +560,45 @@ def apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.N
     unknown = [k for k in raw if k.replace("-", "_") not in known]
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    defaults = {}
-    for action in parser._subparsers._group_actions[0].choices[args.command]._actions:
-        if action.dest != "help":
-            defaults[action.dest] = action.default
+    actions = {action.dest: action
+               for action in parser._subparsers._group_actions[0].choices[args.command]._actions
+               if action.dest != "help"}
     explicit = {
         key: value for key, value in vars(args).items()
-        if key in defaults and value != defaults.get(key)
+        if key in actions and value != actions[key].default
     }
     for key, value in raw.items():
         dest = key.replace("-", "_")
         if dest not in explicit:
-            setattr(args, dest, value)
+            setattr(args, dest, _config_value(actions[dest], key, value))
     return args
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """Convert a config value as argparse converts the flag's strings:
+    through the action's `type` (applied to `str(value)`, so 2.5 is not an
+    int), `nargs` (a list for multi-valued flags) and `choices`."""
+    if action.nargs == 0:  # store_true
+        if not isinstance(value, bool):
+            raise ConfigError(f"config key {key!r} must be true or false")
+        return value
+    many = action.nargs in ("+", "*") or isinstance(action, argparse._AppendAction)
+    if many != isinstance(value, list) or (many and action.nargs == "+" and not value):
+        shape = "a non-empty list" if many else "a single value"
+        raise ConfigError(f"config key {key!r} must be {shape}")
+    convert = action.type or str
+    out = []
+    for item in value if many else [value]:
+        if isinstance(item, (bool, list, dict)) or item is None:
+            raise ConfigError(f"config key {key!r}: bad value {item!r}")
+        try:
+            item = convert(str(item))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config key {key!r}: bad value {item!r}") from exc
+        if action.choices is not None and item not in action.choices:
+            raise ConfigError(f"config key {key!r}: {item!r} is not one of {list(action.choices)}")
+        out.append(item)
+    return out if many else out[0]
 
 
 def main(argv=None) -> int:

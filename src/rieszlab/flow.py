@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gamma, ndtri
 
 from .errors import DomainError, NumericalError
 from .riesz import INF, KernelSpec, kernel
@@ -25,17 +24,22 @@ from .subeq import PropertyReport
 CLIP_FLOOR = -1e12
 MAX_CLIPPED_FRACTION = 1e-3
 GL_NODES = 32
+NN_BLOCK_ROWS = 16
 
 
 def unit_ball_volume(k: float) -> float:
     """Volume of the unit ball in dimension k (real k >= 0 allowed)."""
     if k < 0:
         raise DomainError("dimension must be >= 0")
+    from scipy.special import gamma  # deferred: costly import
+
     return math.pi ** (k / 2.0) / gamma(k / 2.0 + 1.0)
 
 
 def sphere_surface_area(n: int) -> float:
     """Surface area of the unit sphere in R^n."""
+    from scipy.special import gamma  # deferred: costly import
+
     return 2.0 * math.pi ** (n / 2.0) / gamma(n / 2.0)
 
 
@@ -95,7 +99,8 @@ class SphereQuad:
         if _points is not None:
             self.points = _points
         else:
-            from scipy.stats import qmc  # deferred: costly import, used only here
+            from scipy.special import ndtri  # deferred: costly imports, used only here
+            from scipy.stats import qmc
 
             sob = qmc.Sobol(d=n, scramble=True, seed=self.seed)
             u = sob.random(self.size)
@@ -115,11 +120,14 @@ class SphereQuad:
         """(indices, distances) of nearest neighbors for a 256-point subset."""
         if self._nn_cache is None:
             k = min(256, self.size)
-            sub = self.points[:k]
-            d2 = ((sub[:, None, :] - self.points[None, :, :]) ** 2).sum(axis=2)
-            d2[np.arange(k), np.arange(k)] = np.inf
-            idx = d2.argmin(axis=1)
-            dist = np.sqrt(d2[np.arange(k), idx])
+            idx = np.empty(k, dtype=np.intp)
+            dist = np.empty(k)
+            for lo in range(0, k, NN_BLOCK_ROWS):  # bounds the difference tensor
+                rows = np.arange(lo, min(lo + NN_BLOCK_ROWS, k))
+                d2 = ((self.points[rows, None, :] - self.points[None, :, :]) ** 2).sum(axis=2)
+                d2[rows - lo, rows] = np.inf
+                idx[rows] = d2.argmin(axis=1)
+                dist[rows] = np.sqrt(d2[rows - lo, idx[rows]])
             self._nn_cache = (idx, dist)
         return self._nn_cache
 
@@ -196,9 +204,31 @@ def _require_inside(field: ScalarField, x0: np.ndarray, r: float):
         raise DomainError("ball leaves the field's domain")
 
 
-def _sphere_values(field: ScalarField, x0: np.ndarray, r: float, quad: SphereQuad):
-    pts = x0[None, :] + r * quad.points
-    return field.values(pts)
+def _shell(field: ScalarField, x0: np.ndarray, r: float, quad: SphereQuad):
+    """Clipped field values on the sphere of radius r and their clip count."""
+    return _clipped(field.values(x0[None, :] + r * quad.points))
+
+
+def _max_from_shell(field: ScalarField, x0: np.ndarray, r: float, quad: SphereQuad,
+                    vals: np.ndarray | None) -> float:
+    """M(u, x0; r) from the clipped shell values; None skips the cross-check
+    of a closed form."""
+    if field.analytic_max is not None:
+        exact = float(field.analytic_max(x0, r))
+        if vals is not None:
+            sampled = float(vals.max())
+            if sampled > exact + 1e-6 * (1.0 + abs(exact)):
+                raise NumericalError(
+                    f"sampled spherical max {sampled} exceeds closed form {exact}"
+                )
+        return exact
+    idx, dist = quad.neighbor_stats()
+    sub = vals[: idx.size]
+    gaps = np.abs(sub - vals[idx])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lipschitz = float(np.max(np.where(dist > 0, gaps / dist, 0.0)))
+    covering = 2.0 * float(dist.max())
+    return float(vals.max()) + lipschitz * covering
 
 
 def spherical_max(field: ScalarField, x0, r: float, quad: SphereQuad | None = None,
@@ -212,33 +242,19 @@ def spherical_max(field: ScalarField, x0, r: float, quad: SphereQuad | None = No
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     _require_inside(field, x0, r)
-    if field.analytic_max is not None:
-        exact = float(field.analytic_max(x0, r))
-        if cross_check and quad is not None:
-            vals, _ = _clipped(_sphere_values(field, x0, r, quad))
-            sampled = float(vals.max())
-            if sampled > exact + 1e-6 * (1.0 + abs(exact)):
-                raise NumericalError(
-                    f"sampled spherical max {sampled} exceeds closed form {exact}"
-                )
-        return exact
+    if field.analytic_max is not None and not (cross_check and quad is not None):
+        return _max_from_shell(field, x0, r, quad, None)
     if quad is None:
         quad = sphere_quad(field.n)
-    vals, _ = _clipped(_sphere_values(field, x0, r, quad))
-    idx, dist = quad.neighbor_stats()
-    sub = vals[: idx.size]
-    gaps = np.abs(sub - vals[idx])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lipschitz = float(np.max(np.where(dist > 0, gaps / dist, 0.0)))
-    covering = 2.0 * float(dist.max())
-    return float(vals.max()) + lipschitz * covering
+    return _max_from_shell(field, x0, r, quad, _shell(field, x0, r, quad)[0])
 
 
-def _spherical_average_stats(field, x0, r, quad):
-    vals, nclip = _clipped(_sphere_values(field, x0, r, quad))
+def _shell_means(vals: np.ndarray, nclip: int, half: int) -> tuple[float, float]:
+    """Mean over the shell and over its leading `half` points, which are the
+    points of `SphereQuad.half()`."""
     if nclip == vals.size:
         raise DomainError("all sphere samples hit the singular set")
-    return float(vals.mean()), nclip, vals.size
+    return float(vals.mean()), float(vals[:half].mean())
 
 
 def spherical_average(field: ScalarField, x0, r: float,
@@ -247,21 +263,26 @@ def spherical_average(field: ScalarField, x0, r: float,
     _require_inside(field, x0, r)
     if quad is None:
         quad = sphere_quad(field.n)
-    return _spherical_average_stats(field, x0, r, quad)[0]
+    return _shell_means(*_shell(field, x0, r, quad), quad.size // 2)[0]
 
 
-def _volume_average_stats(field, x0, r, quad):
+def _volume_stats(field, x0, r, quad):
+    """(ball average, leading-half ball average, clipped, count) via the
+    radial reduction n * int_0^1 S(rho r) rho^(n-1) drho."""
     rho, w = _gl_nodes()
     n = field.n
-    total = 0.0
+    total = half_total = 0.0
     nclip = 0
     count = 0
     for rho_i, w_i in zip(rho, w):
-        s_i, c_i, m_i = _spherical_average_stats(field, x0, rho_i * r, quad)
-        total += w_i * n * rho_i ** (n - 1) * s_i
+        vals, c_i = _shell(field, x0, rho_i * r, quad)
+        s_i, half_i = _shell_means(vals, c_i, quad.size // 2)
+        weight = w_i * n * rho_i ** (n - 1)
+        total += weight * s_i
+        half_total += weight * half_i
         nclip += c_i
-        count += m_i
-    return float(total), nclip, count
+        count += vals.size
+    return float(total), float(half_total), nclip, count
 
 
 def volume_average(field: ScalarField, x0, r: float,
@@ -271,7 +292,7 @@ def volume_average(field: ScalarField, x0, r: float,
     _require_inside(field, x0, r)
     if quad is None:
         quad = sphere_quad(field.n)
-    return _volume_average_stats(field, x0, r, quad)[0]
+    return _volume_stats(field, x0, r, quad)[0]
 
 
 @dataclass
@@ -306,40 +327,59 @@ class AverageCurve:
         return rows
 
 
+def _average_curves(field: ScalarField, kinds: Sequence[str], x0: np.ndarray,
+                    radii: np.ndarray, quad: SphereQuad) -> dict:
+    """kind -> (AverageCurve, leading-half values) over one evaluation per
+    sphere shell: M and S share the shell at each radius, and the
+    leading-half values (None for M) are what the same curve gives on
+    `quad.half()`."""
+    for kind in kinds:
+        if kind not in ("M", "S", "V"):
+            raise DomainError(f"unknown average kind {kind!r}")
+    half = quad.size // 2
+    if "M" in kinds:
+        for r in radii:
+            _require_inside(field, x0, r)
+    shells = [_shell(field, x0, r, quad) for r in radii] if {"M", "S"} & set(kinds) else []
+    out = {}
+    for kind in kinds:
+        clipped = total = 0
+        half_values = None
+        if kind == "M":
+            values = [_max_from_shell(field, x0, r, quad, vals)
+                      for r, (vals, _) in zip(radii, shells)]
+        elif kind == "S":
+            means = [_shell_means(vals, nclip, half) for vals, nclip in shells]
+            values = [v for v, _ in means]
+            half_values = [h for _, h in means]
+            clipped = sum(nclip for _, nclip in shells)
+            total = sum(vals.size for vals, _ in shells)
+        else:
+            stats = [_volume_stats(field, x0, r, quad) for r in radii]
+            values = [v for v, _, _, _ in stats]
+            half_values = [h for _, h, _, _ in stats]
+            clipped = sum(c for _, _, c, _ in stats)
+            total = sum(m for _, _, _, m in stats)
+        curve = AverageCurve(
+            kind=kind,
+            center=x0,
+            radii=radii,
+            values=np.asarray(values),
+            quad_size=quad.size,
+            quad_seed=quad.seed,
+            clipped_fraction=clipped / total if total else 0.0,
+        )
+        out[kind] = (curve, None if half_values is None else np.asarray(half_values))
+    return out
+
+
 def average_curve(field: ScalarField, kind: str, x0, radii,
                   quad: SphereQuad | None = None) -> AverageCurve:
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     radii = np.asarray(radii, dtype=float)
     if quad is None:
         quad = sphere_quad(field.n)
-    clipped = 0
-    total = 0
-    values = []
-    for r in radii:
-        if kind == "M":
-            values.append(spherical_max(field, x0, r, quad))
-        elif kind == "S":
-            v, nclip, count = _spherical_average_stats(field, x0, r, quad)
-            clipped += nclip
-            total += count
-            values.append(v)
-        elif kind == "V":
-            v, nclip, count = _volume_average_stats(field, x0, r, quad)
-            clipped += nclip
-            total += count
-            values.append(v)
-        else:
-            raise DomainError(f"unknown average kind {kind!r}")
-    frac = clipped / total if total else 0.0
-    return AverageCurve(
-        kind=kind,
-        center=x0,
-        radii=radii,
-        values=np.asarray(values),
-        quad_size=quad.size,
-        quad_seed=quad.seed,
-        clipped_fraction=frac,
-    )
+    return _average_curves(field, (kind,), x0, radii, quad)[kind][0]
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +537,10 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     residuals; quotient monotonicity failures are flagged rather than
     raised, since they usually mean the field is not subharmonic for the
     intended constraint or the quadrature is too coarse.
+
+    Each sphere shell is evaluated once: the M and S curves share the
+    shell at each radius, and the half-sample noise bound takes the
+    leading half of the same values (that half is `quad.half()`).
     """
     if math.isinf(p):
         raise DomainError("no density is defined at p = inf")
@@ -508,12 +552,8 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     spec = KernelSpec(p=p)
     kvals = np.asarray(kernel(spec, radii), dtype=float)
 
-    curves = {}
-    clipped = 0.0
-    for kind in kinds:
-        curve = average_curve(field, kind, x0, radii, quad)
-        curves[kind] = curve
-        clipped = max(clipped, curve.clipped_fraction)
+    curves = _average_curves(field, kinds, x0, radii, quad)
+    clipped = max((curve.clipped_fraction for curve, _ in curves.values()), default=0.0)
     if clipped > MAX_CLIPPED_FRACTION:
         raise NumericalError(
             f"clipped sample fraction {clipped:.2e} exceeds {MAX_CLIPPED_FRACTION:.0e}"
@@ -521,21 +561,18 @@ def densities(field: ScalarField, x0, p: float, radii=None,
 
     # noise bound via the half sample
     noise = 0.0
-    if any(k in kinds for k in ("S", "V")):
-        half = quad.half()
-        for kind in ("S", "V"):
-            if kind not in kinds:
-                continue
-            full_q = _quotients(curves[kind].values, kvals)
-            half_curve = average_curve(field, kind, x0, radii, half)
-            half_q = _quotients(half_curve.values, kvals)
+    for kind in ("S", "V"):
+        if kind in kinds:
+            curve, half_values = curves[kind]
+            full_q = _quotients(curve.values, kvals)
+            half_q = _quotients(half_values, kvals)
             noise = max(noise, float(np.abs(full_q - half_q).max()))
 
     theta, bracket, quotients = {}, {}, {}
     mono_defect = 0.0
     tol_mono = 1e-6 + noise
     for kind in kinds:
-        q = _quotients(curves[kind].values, kvals)
+        q = _quotients(curves[kind][0].values, kvals)
         quotients[kind] = q
         theta[kind] = float(q[-1])
         bracket[kind] = float(max(q[-2] - q[-1], 0.0)) if q.size >= 2 else 0.0
@@ -642,11 +679,13 @@ def mass_density(field: ScalarField, x0, p: float, radii=None,
     area = sphere_surface_area(n)
 
     masses = []
+    s_curve = []
     for r in radii:
         s_hi = spherical_average(field, x0, r, quad)
         s_lo = spherical_average(field, x0, r * (1.0 - fd_step), quad)
         deriv = (s_hi - s_lo) / (r * fd_step)
         masses.append(area * r ** (n - 1) * deriv)
+        s_curve.append(s_hi)
     masses = np.asarray(masses)
 
     alpha = unit_ball_volume(k)
@@ -662,9 +701,8 @@ def mass_density(field: ScalarField, x0, p: float, radii=None,
 
     # spherical density from the same curve for the cross-relation
     spec = KernelSpec(p=p)
-    s_curve = average_curve(field, "S", x0, radii, quad)
     kvals = np.asarray(kernel(spec, radii), dtype=float)
-    theta_s = float(_quotients(s_curve.values, kvals)[-1])
+    theta_s = float(_quotients(np.asarray(s_curve), kvals)[-1])
     const = alpha / (n * abs(p - 2.0) * unit_ball_volume(n)) if p != 2.0 else alpha / (
         n * unit_ball_volume(n)
     )

@@ -347,6 +347,8 @@ def default_plane_count(n: int) -> int:
 
 def sample_grassmannian(n: int, p: int, count: int | None = None, seed=0,
                         angle_tol: float = 1e-3) -> GrassmannSample:
+    if not 1 <= p <= n:
+        raise DomainError(f"Grassmannian G(p, R^n) needs 1 <= p <= n, got p={p}, n={n}")
     if count is None:
         count = default_plane_count(n)
     rng = np.random.default_rng(seed)
@@ -709,8 +711,12 @@ class TransitivityResult:
         return {"found": self.found, "chain": list(self.chain), "reason": self.reason}
 
 
-def _containing_planes(sample: GrassmannSample, x: np.ndarray) -> np.ndarray:
+def _containing_planes(sample: GrassmannSample, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != sample.n:
+        raise DomainError(f"transitivity endpoints must have length {sample.n}, got {x.size}")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("transitivity endpoints must be finite")
     norm = np.linalg.norm(x)
     if norm == 0.0:
         raise DomainError("transitivity endpoints must be nonzero")
@@ -729,7 +735,16 @@ def smallest_principal_angle(w1: Frame, w2: Frame) -> float:
 def transitivity_check(sample: GrassmannSample, x, y) -> TransitivityResult:
     """BFS for a chain of sampled planes from one containing x to one
     containing y, stepping only between planes whose smallest principal
-    angle is below the sample tolerance."""
+    angle is below the sample tolerance.
+
+    Adjacency is built one row at a time, for the nodes the search
+    expands: a row is a (k, p, p) Gram stack and k small SVDs, so memory
+    is O(k p^2) and a chain of length d costs about d rows rather than the
+    whole k x k graph.  Goals are checked when a node is discovered; the
+    first goal discovered while expanding depth d - 1 is the first goal a
+    level-order BFS would pop at depth d, so the chain is the same as the
+    one from the dense graph.
+    """
     starts = _containing_planes(sample, x)
     goals = _containing_planes(sample, y)
     if starts.size == 0:
@@ -737,30 +752,32 @@ def transitivity_check(sample: GrassmannSample, x, y) -> TransitivityResult:
     if goals.size == 0:
         return TransitivityResult(False, (), "no sampled plane contains y")
     goal_set = set(goals.tolist())
-
-    # adjacency via pairwise largest singular value of W_i^T W_j
     stack = sample.stacked()
-    k = stack.shape[0]
     cos_tol = math.cos(sample.angle_tol)
-    grams = np.einsum("inp,jnq->ijpq", stack, stack)
-    svals = np.linalg.svd(grams.reshape(k * k, sample.p, sample.p), compute_uv=False)
-    adjacent = (svals.max(axis=1) >= cos_tol).reshape(k, k)
-    np.fill_diagonal(adjacent, False)
 
-    parent = {int(s): -1 for s in starts}
+    def chain_to(node: int) -> TransitivityResult:
+        chain = [node]
+        while parent[chain[-1]] != -1:
+            chain.append(parent[chain[-1]])
+        return TransitivityResult(True, tuple(reversed(chain)))
+
     frontier = [int(s) for s in starts]
+    parent = {s: -1 for s in frontier}
+    for s in frontier:
+        if s in goal_set:
+            return chain_to(s)
     while frontier:
         nxt = []
         for node in frontier:
-            if node in goal_set:
-                chain = [node]
-                while parent[chain[-1]] != -1:
-                    chain.append(parent[chain[-1]])
-                return TransitivityResult(True, tuple(reversed(chain)))
-            for nbr in np.flatnonzero(adjacent[node]):
+            # angle below tol <=> largest singular value of W_node^T W_j >= cos(tol)
+            grams = np.einsum("np,jnq->jpq", stack[node], stack)
+            adjacent = np.linalg.svd(grams, compute_uv=False).max(axis=1) >= cos_tol
+            for nbr in np.flatnonzero(adjacent):
                 nbr = int(nbr)
                 if nbr not in parent:
                     parent[nbr] = node
+                    if nbr in goal_set:
+                        return chain_to(nbr)
                     nxt.append(nbr)
         frontier = nxt
     return TransitivityResult(False, (), "plane graph disconnected between x and y")

@@ -154,6 +154,19 @@ def test_grassmann_transitivity(capsys):
     assert payload["transitivity"]["found"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["g2r3", "--transitivity", "--x", "1", "0"],
+    ["g2r3", "--transitivity", "--y", "1", "nan", "0"],
+    ["g5r3"],
+])
+def test_grassmann_bad_input_is_one_error_line(capsys, argv):
+    code = cli.main(["grassmann", *argv, "--planes", "16", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_grassmann_charx(capsys):
     code, payload = run_json(capsys, "grassmann", "g2r4", "--charx", "--planes", "64")
     assert code == 0
@@ -215,6 +228,34 @@ def test_unknown_config_keys_rejected(tmp_path):
     assert cli.main(["charx", "p", "--config", str(cfg)]) == 4
 
 
+@pytest.mark.parametrize("config", [
+    {"n": "abc", "k": 2},
+    {"n": 4, "k": 2.5},
+    {"n": True, "k": 2},
+    {"n": [4], "k": 2},
+    {"n": 4, "k": 2, "format": "xml"},
+    {"n": 4, "k": 2, "no-timestamp": 1},
+])
+def test_config_values_are_typed(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["charx", "sigma-k", "--config", str(cfg)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+
+
+def test_config_values_convert_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"quad": "256", "theta": 2, "radii": [1, 0.5, 0.25],
+                               "center": [0, 0, 0]}))
+    from_config = run(capsys, "density", "riesz", "--p", "3", "--config", str(cfg),
+                      "--no-timestamp")
+    from_flags = run(capsys, "density", "riesz", "--p", "3", "--quad", "256", "--theta", "2",
+                     "--radii", "1", "0.5", "0.25", "--center", "0", "0", "0", "--no-timestamp")
+    assert from_config == from_flags
+
+
 def test_missing_config_file(tmp_path):
     assert cli.main(["charx", "p", "--config", str(tmp_path / "nope.json")]) == 4
 
@@ -264,10 +305,12 @@ def test_verify_default_handles_infinite_characteristic(capsys):
 
 
 def test_import_defers_heavy_scipy_modules():
-    # scipy.stats (Sobol points) and scipy.linalg (expm) are imported on
-    # first use, so plain commands do not pay for them at start-up
+    # scipy.stats (Sobol points), scipy.linalg (expm) and scipy.special
+    # (gamma, ndtri) are imported on first use, so plain commands do not
+    # pay for them at start-up
     env = dict(os.environ, PYTHONPATH=str(Path(rieszlab.__file__).parents[1]))
-    probe = "import sys, rieszlab; print(sorted({'scipy.stats', 'scipy.linalg'} & set(sys.modules)))"
+    heavy = "{'scipy.stats', 'scipy.linalg', 'scipy.special'}"
+    probe = f"import sys, rieszlab; print(sorted({heavy} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -210,6 +211,54 @@ def test_density_rejects_heavy_clipping(quad3):
 def test_density_rejects_infinite_p(quad3):
     with pytest.raises(DomainError):
         flow.densities(flow.zero_field(3), np.zeros(3), math.inf, quad=quad3)
+
+
+def _counted(field, x0):
+    """The field with `values` wrapped to record the radius and size of
+    every sphere shell it is evaluated on."""
+    calls = []
+    base = field.values
+
+    def values(pts):
+        pts = np.asarray(pts, dtype=float)
+        radius = np.linalg.norm(pts - x0[None, :], axis=1)
+        calls.append((round(float(radius.mean()), 12), pts.shape[0]))
+        return base(pts)
+
+    return dataclasses.replace(field, values=values), calls
+
+
+@pytest.mark.parametrize("field", [
+    flow.newtonian_potential_field(3.0, [(1.5, np.zeros(3)), (0.5, np.array([2.5, 0.0, 0.0]))], 3),
+    flow.riesz_kernel_field(2.0, 2.5, 3),
+], ids=["sampled-max", "closed-form-max"])
+def test_densities_evaluate_each_shell_once(field, quad3):
+    x0 = np.zeros(3)
+    radii = flow.default_radii()
+    counted, calls = _counted(field, x0)
+    rep = flow.densities(counted, x0, 3.0, quad=quad3)
+    # M and S share one shell per radius; V adds one per Gauss-Legendre node
+    assert len(calls) == radii.size * (1 + flow.GL_NODES)
+    assert {size for _, size in calls} == {quad3.size}
+    assert len({radius for radius, _ in calls}) == len(calls)
+
+    # the noise bound is the one the half quadrature gives
+    kvals = np.asarray(riesz.kernel(riesz.KernelSpec(p=3.0), radii), dtype=float)
+    noise = 0.0
+    for kind in ("S", "V"):
+        half_curve = flow.average_curve(field, kind, x0, radii, quad3.half())
+        half_q = (half_curve.values[:-1] - half_curve.values[1:]) / (kvals[:-1] - kvals[1:])
+        noise = max(noise, float(np.abs(rep.quotients[kind] - half_q).max()))
+    assert rep.noise_bound == noise
+
+
+def test_mass_density_evaluates_two_shells_per_radius(quad3):
+    x0 = np.zeros(3)
+    radii = 0.5 ** np.arange(1, 7)
+    counted, calls = _counted(flow.newtonian_potential_field(3.0, [(1.0, x0)], 3), x0)
+    flow.mass_density(counted, x0, 3.0, radii=radii, quad=quad3)
+    assert len(calls) == 2 * radii.size
+    assert len({radius for radius, _ in calls}) == len(calls)
 
 
 def test_harnack_constants():

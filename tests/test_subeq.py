@@ -374,3 +374,121 @@ def test_transitivity_rejects_zero_vector():
     gs = subeq.sample_grassmannian(3, 2, count=4, seed=0)
     with pytest.raises(DomainError):
         subeq.transitivity_check(gs, np.zeros(3), np.ones(3))
+
+
+def _dense_adjacency(sample):
+    stack = sample.stacked()
+    k, _, p = stack.shape
+    grams = np.einsum("inp,jnq->ijpq", stack, stack).reshape(k * k, p, p)
+    adjacent = (np.linalg.svd(grams, compute_uv=False).max(axis=1)
+                >= np.cos(sample.angle_tol)).reshape(k, k)
+    np.fill_diagonal(adjacent, False)
+    return adjacent
+
+
+def _dense_transitivity(sample, x, y, adjacent=None):
+    """Reference: the whole k x k adjacency, goals checked when popped."""
+    stack = sample.stacked()
+    if adjacent is None:
+        adjacent = _dense_adjacency(sample)
+
+    def containing(v):
+        vh = np.asarray(v, dtype=float) / np.linalg.norm(v)
+        proj = np.einsum("knp,kp->kn", stack, np.einsum("knp,n->kp", stack, vh))
+        residual = np.linalg.norm(vh[None, :] - proj, axis=1)
+        return np.flatnonzero(residual <= sample.angle_tol)
+
+    starts, goals = containing(x), set(containing(y).tolist())
+    if starts.size == 0:
+        return subeq.TransitivityResult(False, (), "no sampled plane contains x")
+    if not goals:
+        return subeq.TransitivityResult(False, (), "no sampled plane contains y")
+    parent = {int(s): -1 for s in starts}
+    frontier = [int(s) for s in starts]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            if node in goals:
+                chain = [node]
+                while parent[chain[-1]] != -1:
+                    chain.append(parent[chain[-1]])
+                return subeq.TransitivityResult(True, tuple(reversed(chain)))
+            for nbr in np.flatnonzero(adjacent[node]).tolist():
+                if nbr not in parent:
+                    parent[nbr] = node
+                    nxt.append(nbr)
+        frontier = nxt
+    return subeq.TransitivityResult(False, (), "plane graph disconnected between x and y")
+
+
+@pytest.mark.parametrize("p,n,tols", [
+    (2, 3, (0.08, 0.2)),
+    (2, 4, (1e-3, 0.01, 0.05, 0.2)),
+    (3, 5, (0.08, 0.2)),
+])
+def test_transitivity_matches_dense_pop_order_bfs(p, n, tols):
+    lengths = set()
+    for seed in range(3):
+        for tol in tols:
+            gs = subeq.sample_grassmannian(n, p, count=256, seed=seed, angle_tol=tol)
+            adjacent = _dense_adjacency(gs)
+            rng = np.random.default_rng(seed)
+            for _ in range(3):
+                i, j = rng.choice(256, size=2, replace=False)
+                x = gs.planes[i].columns @ rng.standard_normal(p)
+                y = gs.planes[j].columns @ rng.standard_normal(p)
+                res = subeq.transitivity_check(gs, x, y)
+                assert res == _dense_transitivity(gs, x, y, adjacent)
+                lengths.add(len(res.chain) if res.found else res.reason)
+            # an endpoint off every sampled plane
+            off = rng.standard_normal(n)
+            assert subeq.transitivity_check(gs, x, off) == _dense_transitivity(gs, x, off, adjacent)
+    if n == 4:
+        assert max(v for v in lengths if isinstance(v, int)) >= 3
+        assert "plane graph disconnected between x and y" in lengths
+
+
+def test_transitivity_disconnected_pair():
+    e = np.eye(4)
+    gs = subeq.GrassmannSample([linalg.Frame(e[:, :2]), linalg.Frame(e[:, 2:])], angle_tol=1e-3)
+    res = subeq.transitivity_check(gs, e[0], e[3])
+    assert res == _dense_transitivity(gs, e[0], e[3])
+    assert not res.found and "disconnected" in res.reason
+
+
+def test_transitivity_memory_is_per_row():
+    import tracemalloc
+
+    gs = subeq.sample_grassmannian(5, 2, count=2048, seed=4, angle_tol=0.15)
+    rng = np.random.default_rng(4)
+    x = gs.planes[3].columns @ rng.standard_normal(2)
+    y = gs.planes[1500].columns @ rng.standard_normal(2)
+    tracemalloc.start()
+    try:
+        res = subeq.transitivity_check(gs, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.found
+    assert peak < 32 * 2**20  # the dense Gram tensor alone is 134 MB
+
+
+@pytest.mark.parametrize("endpoint", [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [1.0, np.nan, 0.0],
+                                      [np.inf, 0.0, 0.0]])
+def test_transitivity_rejects_bad_endpoints(endpoint):
+    gs = subeq.sample_grassmannian(3, 2, count=8, seed=0)
+    with pytest.raises(DomainError):
+        subeq.transitivity_check(gs, np.asarray(endpoint), np.ones(3))
+    with pytest.raises(DomainError):
+        subeq.transitivity_check(gs, np.ones(3), np.asarray(endpoint))
+
+
+@pytest.mark.parametrize("n,p", [(3, 5), (3, 0), (4, -1)])
+def test_grassmannian_needs_p_between_1_and_n(n, p):
+    with pytest.raises(DomainError):
+        subeq.sample_grassmannian(n, p, count=4)
+
+
+def test_grassmannian_p_equals_n_allowed():
+    gs = subeq.sample_grassmannian(3, 3, count=4, seed=0)
+    assert (gs.n, gs.p) == (3, 3)

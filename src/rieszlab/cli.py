@@ -443,7 +443,8 @@ def _add_common(sub):
     sub.add_argument("--n", type=int, default=3, help="ambient dimension")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--tol", type=float, default=1e-9)
-    sub.add_argument("--quad", type=int, default=None, help="sphere sample size")
+    sub.add_argument("--quad", type=int, default=None,
+                     help="sphere sample size, a power of two >= 8")
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--no-timestamp", action="store_true")

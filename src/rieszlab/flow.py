@@ -95,6 +95,9 @@ class SphereQuad:
         self.size = default_quad_size(n) if size is None else int(size)
         if self.size < 8:
             raise DomainError("quadrature size too small")
+        if self.size & (self.size - 1):
+            raise DomainError(f"quadrature size must be a power of two (Sobol balance), "
+                              f"got {self.size}")
         self.seed = int(seed)
         if _points is not None:
             self.points = _points

@@ -4,12 +4,15 @@ Everything here is a pure function of its inputs; random constructors
 take an explicit seed and never touch global RNG state.  Matrices are
 small (n <= 16 in practice) and dense.  Spectra come from LAPACK
 through ``np.linalg.eigvalsh`` / ``np.linalg.eigh``, which are
-deterministic for a given input on a given machine and BLAS build.
+deterministic for a given input on a given machine and BLAS build.  The
+spectral helpers also take (..., n, n) stacks and give, row by row, the
+same floats as one matrix at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,18 +28,28 @@ DEFAULT_FD_STEP = 1e-4
 
 
 def symmetrize(a) -> np.ndarray:
+    """Symmetric part of a matrix or of each matrix in a (..., n, n) stack."""
     a = np.asarray(a, dtype=float)
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def as_matrices(a) -> np.ndarray:
+    """Unwrap a SymMatrix or coerce a matrix or a (..., n, n) stack to
+    symmetric ndarrays."""
+    if isinstance(a, SymMatrix):
+        return a.a
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InvariantError(f"expected square matrices, got shape {a.shape}")
+    return symmetrize(a)
 
 
 def as_matrix(a) -> np.ndarray:
     """Unwrap a SymMatrix or coerce an array-like to a symmetric ndarray."""
-    if isinstance(a, SymMatrix):
-        return a.a
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = as_matrices(a)
+    if a.ndim != 2:
         raise InvariantError(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + a.T)
+    return a
 
 
 def fro(a) -> float:
@@ -45,7 +58,7 @@ def fro(a) -> float:
 
 def _eigensolve(solver, a: np.ndarray):
     """Run a LAPACK symmetric eigensolver on finite entries only."""
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")
     try:
         return solver(a)
@@ -96,10 +109,11 @@ class SymMatrix:
 
 
 def ordered_eigenvalues(a) -> np.ndarray:
-    """Ascending eigenvalues lambda_1 <= ... <= lambda_n."""
+    """Ascending eigenvalues lambda_1 <= ... <= lambda_n of a matrix, or of
+    each matrix in a (..., n, n) stack along the last axis."""
     if isinstance(a, SymMatrix):
         return a.eigenvalues()
-    return _eigensolve(np.linalg.eigvalsh, as_matrix(a))
+    return _eigensolve(np.linalg.eigvalsh, as_matrices(a))
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +201,11 @@ def trace_over_subspace(a, w) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _check_orthogonal_square_minus_id(j: np.ndarray, label: str):
     n = j.shape[0]
     if float(np.abs(j @ j + np.eye(n)).max()) > STRUCTURE_TOL:
@@ -213,10 +232,11 @@ class ComplexStructure:
         return self.j.shape[0]
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def standard(n: int) -> "ComplexStructure":
         z = np.zeros((n, n))
         eye = np.eye(n)
-        return ComplexStructure(np.block([[z, -eye], [eye, z]]))
+        return ComplexStructure(_frozen(np.block([[z, -eye], [eye, z]])))
 
 
 def _quaternion_left_blocks(n: int):
@@ -255,22 +275,23 @@ class QuaternionStructure:
         return self.i.shape[0]
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def standard(n: int) -> "QuaternionStructure":
-        li, lj, lk = _quaternion_left_blocks(n)
-        return QuaternionStructure(li, lj, lk)
+        return QuaternionStructure(*map(_frozen, _quaternion_left_blocks(n)))
 
 
 def hermitian_part(a, structure) -> np.ndarray:
     """Hermitian symmetric part of A with respect to a complex or
-    quaternionic structure: (A - JAJ)/2, resp. (A - IAI - JAJ - KAK)/4."""
-    a = as_matrix(a)
+    quaternionic structure: (A - JAJ)/2, resp. (A - IAI - JAJ - KAK)/4.
+    A may be a (..., n, n) stack."""
+    a = as_matrices(a)
     if isinstance(structure, ComplexStructure):
-        if structure.dim != a.shape[0]:
+        if structure.dim != a.shape[-1]:
             raise DomainError("matrix and structure dimensions differ")
         j = structure.j
         return 0.5 * (a - j @ a @ j)
     if isinstance(structure, QuaternionStructure):
-        if structure.dim != a.shape[0]:
+        if structure.dim != a.shape[-1]:
             raise DomainError("matrix and structure dimensions differ")
         li, lj, lk = structure.i, structure.j, structure.k
         return 0.25 * (a - li @ a @ li - lj @ a @ lj - lk @ a @ lk)
@@ -278,22 +299,23 @@ def hermitian_part(a, structure) -> np.ndarray:
 
 
 def cluster_reduce(vals: np.ndarray, multiplicity: int) -> np.ndarray:
-    """Collapse an ascending spectrum into clusters of the given size.
+    """Collapse an ascending spectrum (or each row of a (..., n) stack of
+    spectra) into clusters of the given size.
 
     Cluster widths beyond 1e-8 * (1 + spectral radius) mean the spectrum
     does not have the expected degeneracy; that is a numerical error.
     """
     vals = np.asarray(vals, dtype=float)
-    if vals.size % multiplicity:
+    if vals.shape[-1] % multiplicity:
         raise DomainError("spectrum length not divisible by the multiplicity")
-    tol = CLUSTER_TOL * (1.0 + float(np.abs(vals).max(initial=0.0)))
-    groups = vals.reshape(-1, multiplicity)
-    worst = float((groups.max(axis=1) - groups.min(axis=1)).max(initial=0.0))
-    if worst > tol:
+    tol = CLUSTER_TOL * (1.0 + np.abs(vals).max(axis=-1, initial=0.0))
+    groups = vals.reshape(*vals.shape[:-1], -1, multiplicity)
+    widths = (groups.max(axis=-1) - groups.min(axis=-1)).max(axis=-1, initial=0.0)
+    if (widths > tol).any():
         raise NumericalError(
-            f"spectrum not {multiplicity}-fold degenerate: cluster width {worst:.3e}"
+            f"spectrum not {multiplicity}-fold degenerate: cluster width {widths.max():.3e}"
         )
-    return groups.mean(axis=1)
+    return groups.sum(axis=-1) / multiplicity  # the mean, without np.mean's overhead
 
 
 def reduced_eigenvalues(a, structure) -> np.ndarray:
@@ -318,19 +340,25 @@ def elementary_symmetric(lams: Sequence[float], k: int) -> float:
     return float(elementary_symmetric_all(lams, k)[-1])
 
 
-def elementary_symmetric_all(lams: Sequence[float], k: int) -> np.ndarray:
-    """sigma_1, ..., sigma_k in one pass."""
-    lams = np.asarray(lams, dtype=float).reshape(-1)
-    n = lams.size
+def elementary_symmetric_all(lams, k: int) -> np.ndarray:
+    """sigma_1, ..., sigma_k of a spectrum, or of each row of a (..., n)
+    stack, along the last axis.
+
+    One update per eigenvalue, e_j += lam * e_{j-1} for all j at once;
+    the right side is formed before the update, as in the descending
+    scalar recurrence, and entries above the current degree stay 0.  The
+    degree axis comes first so that a 1-D spectrum updates by scalars.
+    """
+    lams = np.asarray(lams, dtype=float)
+    n = lams.shape[-1]
     if not 1 <= k <= n:
         raise DomainError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    e = np.zeros(k + 1)
+    e = np.zeros((k + 1, *lams.shape[-2::-1]))
     e[0] = 1.0
-    for i, lam in enumerate(lams):
-        top = min(i + 1, k)
-        for j in range(top, 0, -1):
-            e[j] += lam * e[j - 1]
-    return e[1:]
+    lower, upper = e[:-1], e[1:]
+    for lam in lams.T:
+        upper += lam * lower
+    return upper.T
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +436,20 @@ def random_psd(n: int, seed=0) -> np.ndarray:
     return g @ g.T / n
 
 
+def random_rotations(n: int, seeds) -> np.ndarray:
+    """Stack of Haar-ish rotations, one per seed, via sign-fixed QR; det
+    fixed to +1."""
+    g = np.stack([_rng(seed).standard_normal((n, n)) for seed in seeds])
+    q, r = np.linalg.qr(g)
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    flip = np.linalg.det(q) < 0
+    q[flip, :, -1] = -q[flip, :, -1]
+    return q
+
+
 def random_rotation(n: int, seed=0) -> np.ndarray:
     """Haar-ish rotation via sign-fixed QR; det fixed to +1."""
-    g = _rng(seed).standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, -1] = -q[:, -1]
-    return q
+    return random_rotations(n, [seed])[0]
 
 
 def random_symmetric(n: int, seed=0) -> np.ndarray:

@@ -25,7 +25,7 @@ from .linalg import (
     unit_vector,
 )
 from .subeq import (BOUNDARY_BAND, MEMBER_TOL, PropertyReport, Subequation, builtin, dual,
-                    require_samples)
+                    require_samples, worst_case)
 
 P_BRACKET_MAX = 64.0
 P_BRACKET_HARD_MAX = 128.0
@@ -331,22 +331,32 @@ def radial_harmonic_check(f: Subequation, theta: float, p: float, radii,
     if not math.isfinite(p):
         raise DomainError("needs a finite characteristic")
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    count = 0
-    for r in radii:
-        for _ in range(directions):
-            x = r * random_unit_vector(f.n, rng)
-            h = kernel_hessian(theta, p, x)
-            worst = max(worst, abs(f.margin(h)))
-            count += 1
+    hessians = [kernel_hessian(theta, p, r * random_unit_vector(f.n, rng))
+                for r in radii for _ in range(directions)]
+    stack = np.reshape(hessians, (-1, f.n, f.n))
+    worst = worst_case(np.abs(f.margin_batch(stack)))
     return PropertyReport(
         name="radial-harmonic",
-        sample_count=count,
+        sample_count=len(hessians),
         worst_violation=worst,
         tolerance=tol,
         passed=worst <= tol,
         note=f"theta={theta:g}, p={p:g}",
     )
+
+
+def _boundary_shifts(f: Subequation, a: np.ndarray, steps: int = 60) -> np.ndarray:
+    """Upper ends of the bisection brackets, started at [-10, 10], for the
+    t with A + t Id on the boundary of F, one per matrix of the stack."""
+    eye = np.eye(f.n)
+    lo = np.full(len(a), -10.0)
+    hi = np.full(len(a), 10.0)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        inside = f.margin_batch(a + mid[:, None, None] * eye) >= 0.0
+        hi = np.where(inside, mid, hi)
+        lo = np.where(inside, lo, mid)
+    return hi
 
 
 def sandwich_check(f: Subequation, p: float, sample_count: int = 1000, seed=0,
@@ -361,35 +371,26 @@ def sandwich_check(f: Subequation, p: float, sample_count: int = 1000, seed=0,
     lower = builtin("min-2", f.n, p=p)
     upper = builtin("min-max", f.n, p=p)
     rng = np.random.default_rng(seed)
-    eye = np.eye(f.n)
-    worst = 0.0
-    lower_hits = 0
-    member_hits = 0
+    a = np.empty((sample_count, f.n, f.n))
+    jitter = np.empty(sample_count // 2)
     for i in range(sample_count):
-        a = random_symmetric(f.n, rng)
+        a[i] = random_symmetric(f.n, rng)
         if i % 2 == 1:
-            # slide to the F-boundary along the identity ray, then jitter
-            lo, hi = -10.0, 10.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if f.margin(a + mid * eye) >= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            a = a + (hi + rng.uniform(-0.05, 0.05)) * eye
-        m_f = f.margin(a)
-        if lower.margin(a) >= 0.0:
-            lower_hits += 1
-            worst = max(worst, -m_f)
-        if m_f >= 0.0:
-            member_hits += 1
-            worst = max(worst, -upper.margin(a))
-    worst = max(0.0, worst)
+            jitter[i // 2] = rng.uniform(-0.05, 0.05)
+    # slide the odd samples to the F-boundary along the identity ray, then jitter
+    odd = a[1::2]
+    a[1::2] = odd + (_boundary_shifts(f, odd) + jitter)[:, None, None] * np.eye(f.n)
+    m_f = f.margin_batch(a)
+    lower_hit = lower.margin_batch(a) >= 0.0
+    member = m_f >= 0.0
+    worst = worst_case([np.where(lower_hit, -m_f, 0.0),
+                        np.where(member, -upper.margin_batch(a), 0.0)])
     return PropertyReport(
         name="sandwich",
         sample_count=sample_count,
         worst_violation=worst,
         tolerance=tol,
         passed=worst <= tol,
-        note=f"p={p:g}, lower premise hit {lower_hits}, member hit {member_hits}",
+        note=f"p={p:g}, lower premise hit {int(lower_hit.sum())}, "
+             f"member hit {int(member.sum())}",
     )

@@ -4,7 +4,9 @@ Garding constructions, and structural property checks.
 A subequation is represented through a continuous margin function m with
 member(A) <=> m(A) >= 0, interior {m > 0} and boundary {m = 0}.  All the
 built-in families are functions of the ordered eigenvalues, so their
-margins are rotation invariant up to eigensolver rounding.
+margins are rotation invariant up to eigensolver rounding.  Every margin
+also has a batched form over (m, n, n) stacks that gives the same floats
+row by row; the property suites evaluate whole sample stacks with it.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ from .linalg import (
     ComplexStructure,
     Frame,
     QuaternionStructure,
-    as_matrix,
+    as_matrices,
     coordinate_direction,
     elementary_symmetric_all,
     fro,
     ordered_eigenvalues,
     random_psd,
-    random_rotation,
+    random_rotations,
     random_symmetric,
     reduced_eigenvalues,
 )
@@ -40,10 +42,13 @@ BOUNDARY_BAND = 1e-7
 class Subequation:
     """Named margin function plus metadata.
 
-    ``margin`` maps a symmetric matrix to a real number; ``eig_margin``
-    is the same constraint expressed on an ascending eigenvalue list and
-    is present exactly for the orthogonally-invariant families (it is
-    what the complex/quaternionic lifts reuse).
+    ``margin`` maps a symmetric matrix to a real number and
+    ``margin_batch`` maps an (..., n, n) stack to the (...) margins, with
+    the same floats row by row.  ``eig_margin`` is the same constraint
+    expressed on ascending spectra, one list or an (..., n) stack, and is
+    present exactly for the orthogonally-invariant families (it is what
+    the complex/quaternionic lifts reuse).  Without a ``margin_batch``,
+    stacks are evaluated one matrix at a time through ``margin``.
     """
 
     name: str
@@ -54,6 +59,11 @@ class Subequation:
     eig_margin: Callable | None = None
     preferred_direction: np.ndarray | None = None
     params: dict = field(default_factory=dict)
+    margin_batch: Callable | None = None
+
+    def __post_init__(self):
+        if self.margin_batch is None:
+            object.__setattr__(self, "margin_batch", _one_at_a_time(self.margin))
 
     def member(self, a) -> bool:
         return self.margin(a) >= -MEMBER_TOL * (1.0 + fro(a))
@@ -67,67 +77,98 @@ class Subequation:
         return coordinate_direction(self.n)
 
 
-def _from_eigs(name, n, eig_margin, convex, params, invariance="O(n)"):
-    def margin(a) -> float:
-        return float(eig_margin(ordered_eigenvalues(a)))
+def _one_at_a_time(margin: Callable) -> Callable:
+    def margin_batch(stack) -> np.ndarray:
+        stack = as_matrices(stack)
+        flat = stack.reshape(-1, *stack.shape[-2:])
+        return np.array([margin(a) for a in flat], dtype=float).reshape(stack.shape[:-2])
 
+    return margin_batch
+
+
+def _margins(values: Callable) -> dict:
+    """Scalar and batched margins from one function on (..., n, n) arrays."""
+
+    def margin(a) -> float:
+        return float(values(a))
+
+    return {"margin": margin, "margin_batch": values}
+
+
+def _from_eigs(name, n, eig_margin, convex, params, invariance="O(n)"):
     return Subequation(
         name=name,
         n=n,
-        margin=margin,
         convex=convex,
         invariance=invariance,
         eig_margin=eig_margin,
         params=dict(params),
+        **_margins(lambda a: eig_margin(ordered_eigenvalues(a))),
     )
 
 
 # ---------------------------------------------------------------------------
 # built-in families
 # ---------------------------------------------------------------------------
+#
+# Each builder checks its parameters and returns one margin on ascending
+# spectra of shape (..., n); the scalar margin applies it to a 1-D spectrum.
+
+
+def _branch(i):
+    return lambda lams: lams[..., i]
+
+
+def _pair(i, j, c):
+    return lambda lams: lams[..., i] + c * lams[..., j]
+
+
+def _shifted_branch(i, c):
+    return lambda lams: lams[..., i] + c * lams.sum(axis=-1)
+
+
+def _fractional_sum(p):
+    """Sum of the first floor(p) entries plus the fractional part of p
+    times the next one."""
+    k = int(math.floor(p))
+    frac = p - k
+
+    def m(values):
+        s = values[..., :k].sum(axis=-1)
+        if frac > 0.0:
+            s = s + frac * values[..., k]
+        return s
+
+    return m
 
 
 def _psd_eig_margin(n):
-    return lambda lams: float(lams[0])
+    return _branch(0)
 
 
 def _p_convex_eig_margin(n, p):
     if not 1.0 <= p <= n:
         raise DomainError(f"p-convex needs 1 <= p <= n, got p={p}")
-    k = int(math.floor(p))
-    frac = p - k
-
-    def m(lams):
-        s = float(lams[:k].sum())
-        if frac > 0.0:
-            s += frac * float(lams[k])
-        return s
-
-    return m
+    return _fractional_sum(p)
 
 
 def _sigma_k_eig_margin(n, k):
     k = int(k)
     if not 1 <= k <= n:
         raise DomainError(f"sigma-k needs 1 <= k <= n, got k={k}")
-
-    def m(lams):
-        return float(elementary_symmetric_all(lams, k).min())
-
-    return m
+    return lambda lams: elementary_symmetric_all(lams, k).min(axis=-1)
 
 
 def _pdelta_eig_margin(n, delta):
     if delta <= 0:
         raise DomainError(f"pdelta needs delta > 0, got {delta}")
-    c = delta / n
-    return lambda lams: float(lams[0] + c * lams.sum())
+    return _shifted_branch(0, delta / n)
 
 
 def _min_max_eig_margin(n, p):
     if p < 1:
         raise DomainError(f"min-max needs p >= 1, got {p}")
-    return lambda lams: float(lams[0] + (p - 1.0) * lams[-1])
+    return _pair(0, -1, p - 1.0)
 
 
 def _min_2_eig_margin(n, p):
@@ -135,13 +176,13 @@ def _min_2_eig_margin(n, p):
         raise DomainError(f"min-2 needs p >= 1, got {p}")
     if n < 2:
         raise DomainError("min-2 needs n >= 2")
-    return lambda lams: float(lams[0] + (p - 1.0) * lams[1])
+    return _pair(0, 1, p - 1.0)
 
 
 def _dual_min_max_eig_margin(n, p):
     if p < 1:
         raise DomainError(f"dual-min-max needs p >= 1, got {p}")
-    return lambda lams: float(lams[-1] + (p - 1.0) * lams[0])
+    return _pair(-1, 0, p - 1.0)
 
 
 def _dual_min_2_eig_margin(n, p):
@@ -149,7 +190,7 @@ def _dual_min_2_eig_margin(n, p):
         raise DomainError(f"dual-min-2 needs p >= 1, got {p}")
     if n < 2:
         raise DomainError("dual-min-2 needs n >= 2")
-    return lambda lams: float(lams[-1] + (p - 1.0) * lams[-2])
+    return _pair(-1, -2, p - 1.0)
 
 
 def _signed_power(t: np.ndarray, q: float) -> np.ndarray:
@@ -161,32 +202,22 @@ def _trace_power_eig_margin(n, k, q):
         raise DomainError(f"trace-power needs 1 <= k <= n, got k={k}")
     if q <= 0:
         raise DomainError(f"trace-power needs q > 0, got q={q}")
-    kk = int(math.floor(k))
-    frac = k - kk
-
-    def m(lams):
-        powers = _signed_power(lams, q)
-        s = float(powers[:kk].sum())
-        if frac > 0.0:
-            s += frac * float(powers[kk])
-        return s
-
-    return m
+    head = _fractional_sum(k)
+    return lambda lams: head(_signed_power(lams, q))
 
 
 def _subaffine_eig_margin(n):
-    return lambda lams: float(lams[-1])
+    return _branch(-1)
 
 
 def _largest_convex_eig_margin(n, p):
     if not 1.0 <= p < n:
         raise DomainError(f"largest-convex needs 1 <= p < n, got p={p}")
-    c = (p - 1.0) / (n - p)
-    return lambda lams: float(lams[0] + c * lams.sum())
+    return _shifted_branch(0, (p - 1.0) / (n - p))
 
 
 def _full_space_eig_margin(n):
-    return lambda lams: 1.0
+    return lambda lams: np.ones(lams.shape[:-1])
 
 
 _FAMILIES = {
@@ -230,6 +261,10 @@ def builtin(family: str, n: int, **params) -> Subequation:
     extra = [p for p in params if p not in required]
     if extra:
         raise DomainError(f"family {family!r} got unknown parameters {extra}")
+    nonfinite = [k for k, v in sorted(params.items()) if not math.isfinite(v)]
+    if nonfinite:
+        raise DomainError(f"family {family!r} needs finite parameters, got "
+                          + ", ".join(f"{k}={params[k]}" for k in nonfinite))
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
     eig_margin = builder(n, **params)
@@ -244,21 +279,17 @@ def builtin(family: str, n: int, **params) -> Subequation:
 
 def dual(f: Subequation) -> Subequation:
     """Dual subequation: margin_dual(A) = -margin(-A); an exact involution."""
-
-    def margin(a) -> float:
-        return -f.margin(-as_matrix(a))
-
     eig_margin = None
     if f.eig_margin is not None:
         base = f.eig_margin
 
         def eig_margin(lams):
-            return -base(-lams[::-1])
+            return -base(-lams[..., ::-1])
 
     return Subequation(
         name=f"dual({f.name})",
         n=f.n,
-        margin=margin,
+        **_margins(lambda a: -f.margin_batch(-as_matrices(a))),
         convex=False,
         invariance=f.invariance,
         eig_margin=eig_margin,
@@ -267,47 +298,32 @@ def dual(f: Subequation) -> Subequation:
     )
 
 
+def _lift(kind: str, structure_type, invariance: str, family: str, n: int,
+          params: dict) -> Subequation:
+    """The base eigenvalue constraint applied to the reduced spectrum of
+    the hermitian part with respect to the standard structure."""
+    base = builtin(family, n, **params)
+    base_eig = base.eig_margin
+    structure = structure_type.standard(n)
+    return Subequation(
+        name=f"{kind}({base.name})",
+        n=structure.dim,
+        convex=base.convex,
+        invariance=invariance,
+        params=dict(base.params),
+        **_margins(lambda a: base_eig(reduced_eigenvalues(a, structure))),
+    )
+
+
 def complex_lift(family: str, n: int, **params) -> Subequation:
     """Complex analogue on R^{2n}: the base eigenvalue constraint applied
     to the spectrum of the hermitian part (A - JAJ)/2."""
-    base = builtin(family, n, **params)
-    if base.eig_margin is None:
-        raise DomainError("complex lift needs an eigenvalue-defined base family")
-    structure = ComplexStructure.standard(n)
-    base_eig = base.eig_margin
-
-    def margin(a) -> float:
-        return float(base_eig(reduced_eigenvalues(a, structure)))
-
-    return Subequation(
-        name=f"complex({base.name})",
-        n=2 * n,
-        margin=margin,
-        convex=base.convex,
-        invariance="U(n)",
-        params=dict(base.params),
-    )
+    return _lift("complex", ComplexStructure, "U(n)", family, n, params)
 
 
 def quaternionic_lift(family: str, n: int, **params) -> Subequation:
     """Quaternionic analogue on R^{4n} via (A - IAI - JAJ - KAK)/4."""
-    base = builtin(family, n, **params)
-    if base.eig_margin is None:
-        raise DomainError("quaternionic lift needs an eigenvalue-defined base family")
-    structure = QuaternionStructure.standard(n)
-    base_eig = base.eig_margin
-
-    def margin(a) -> float:
-        return float(base_eig(reduced_eigenvalues(a, structure)))
-
-    return Subequation(
-        name=f"quaternionic({base.name})",
-        n=4 * n,
-        margin=margin,
-        convex=base.convex,
-        invariance="Sp(n)",
-        params=dict(base.params),
-    )
+    return _lift("quaternionic", QuaternionStructure, "Sp(n)", family, n, params)
 
 
 @dataclass
@@ -367,16 +383,15 @@ def geometric(sample: GrassmannSample) -> Subequation:
     adding planes never increases it."""
     stack = sample.stacked()  # (k, n, p)
 
-    def margin(a) -> float:
-        a = as_matrix(a)
-        traces = np.einsum("kip,ij,kjp->k", stack, a, stack)
-        return float(traces.min())
+    def values(a) -> np.ndarray:
+        traces = np.einsum("kip,...ij,kjp->...k", stack, as_matrices(a), stack)
+        return traces.min(axis=-1)
 
     e = sample.planes[0].columns[:, 0].copy()
     return Subequation(
         name=f"geometric(G({sample.p},R^{sample.n}))#{len(sample.planes)}",
         n=sample.n,
-        margin=margin,
+        **_margins(values),
         convex=True,
         invariance="sampled-ST",
         preferred_direction=e,
@@ -396,10 +411,7 @@ def garding_branch(operator: str, k: int, n: int, p: int | None = None,
     if operator == "det":
         if not 1 <= k <= n:
             raise DomainError(f"det branch index must be in [1, {n}], got {k}")
-
-        def eig_margin(lams, _k=k):
-            return float(lams[_k - 1])
-
+        eig_margin = _branch(k - 1)
         label = f"garding(det,k={k})"
     elif operator == "p-fold-sum":
         if p is None or int(p) != p or not 1 <= p <= n:
@@ -410,22 +422,17 @@ def garding_branch(operator: str, k: int, n: int, p: int | None = None,
             raise DomainError(f"branch index must be in [1, {count}], got {k}")
         subsets = np.array(list(itertools.combinations(range(n), p)))
 
-        def eig_margin(lams, _k=k, _subsets=subsets):
-            sums = lams[_subsets].sum(axis=1)
-            sums.sort()
-            return float(sums[_k - 1])
+        def eig_margin(lams):
+            sums = np.sort(lams[..., subsets].sum(axis=-1), axis=-1)
+            return sums[..., k - 1]
 
         label = f"garding(p-fold-sum,p={p},k={k})"
     elif operator == "pdelta":
-        if delta is None or delta <= 0:
-            raise DomainError("pdelta operator needs delta > 0")
+        if delta is None or not math.isfinite(delta) or delta <= 0:
+            raise DomainError(f"pdelta operator needs a finite delta > 0, got {delta}")
         if not 1 <= k <= n:
             raise DomainError(f"branch index must be in [1, {n}], got {k}")
-        c = delta / n
-
-        def eig_margin(lams, _k=k, _c=c):
-            return float(lams[_k - 1] + _c * lams.sum())
-
+        eig_margin = _shifted_branch(k - 1, delta / n)
         label = f"garding(pdelta,delta={delta:g},k={k})"
     else:
         raise DomainError(f"unknown Garding operator {operator!r}")
@@ -434,25 +441,26 @@ def garding_branch(operator: str, k: int, n: int, p: int | None = None,
 
 def uniform_elliptic_regularization(f: Subequation, delta: float) -> Subequation:
     """Shifted family A -> A + (delta/n) tr(A) Id fed through F's margin."""
-    if delta <= 0:
-        raise DomainError(f"regularization needs delta > 0, got {delta}")
+    if not math.isfinite(delta) or delta <= 0:
+        raise DomainError(f"regularization needs a finite delta > 0, got {delta}")
     c = delta / f.n
+    eye = np.eye(f.n)
 
-    def margin(a) -> float:
-        a = as_matrix(a)
-        return f.margin(a + c * np.trace(a) * np.eye(f.n))
+    def values(a) -> np.ndarray:
+        a = as_matrices(a)
+        return f.margin_batch(a + c * np.trace(a, axis1=-2, axis2=-1)[..., None, None] * eye)
 
     eig_margin = None
     if f.eig_margin is not None:
         base = f.eig_margin
 
         def eig_margin(lams):
-            return base(lams + c * lams.sum())
+            return base(lams + c * lams.sum(axis=-1, keepdims=True))
 
     return Subequation(
         name=f"regularized({f.name},delta={delta:g})",
         n=f.n,
-        margin=margin,
+        **_margins(values),
         convex=f.convex,
         invariance=f.invariance,
         eig_margin=eig_margin,
@@ -469,7 +477,7 @@ def intersection(f: Subequation, g: Subequation) -> Subequation:
     return Subequation(
         name=f"intersect({f.name},{g.name})",
         n=f.n,
-        margin=lambda a: min(f.margin(a), g.margin(a)),
+        **_margins(lambda a: np.minimum(f.margin_batch(a), g.margin_batch(a))),
         convex=f.convex and g.convex,
         invariance=inv,
     )
@@ -483,7 +491,7 @@ def union(f: Subequation, g: Subequation) -> Subequation:
     return Subequation(
         name=f"union({f.name},{g.name})",
         n=f.n,
-        margin=lambda a: max(f.margin(a), g.margin(a)),
+        **_margins(lambda a: np.maximum(f.margin_batch(a), g.margin_batch(a))),
         convex=False,
         invariance=inv,
     )
@@ -528,19 +536,34 @@ def _report(name, count, worst, tol, skipped=False, note="") -> PropertyReport:
     )
 
 
+def worst_case(violations) -> float:
+    """Largest violation, at least 0.  A NaN violation propagates, so the
+    report fails instead of passing on a margin that could not be read;
+    adding 0.0 turns a -0.0 from the reduction into 0.0."""
+    return float(np.max(violations, initial=0.0)) + 0.0
+
+
 def shift_into(f: Subequation, a: np.ndarray, budget: int = 64) -> np.ndarray:
-    """Return A + t Id with margin >= 0, moving along the identity ray."""
-    a = as_matrix(a)
-    if f.margin(a) >= 0.0:
-        return a
+    """Return A + t Id with margin >= 0, moving along the identity ray:
+    t = 0 for members, otherwise the first of 1, 2, 4, ... that works.
+    A may be a (..., n, n) stack; each matrix gets its own t."""
+    a = as_matrices(a)
+    stack = a.reshape(-1, *a.shape[-2:])
+    out = stack.copy()
+    todo = np.flatnonzero(~(f.margin_batch(stack) >= 0.0))
     t = 1.0
     eye = np.eye(f.n)
     for _ in range(budget):
-        shifted = a + t * eye
-        if f.margin(shifted) >= 0.0:
-            return shifted
+        if not todo.size:
+            break
+        shifted = stack[todo] + t * eye
+        inside = f.margin_batch(shifted) >= 0.0
+        out[todo[inside]] = shifted[inside]
+        todo = todo[~inside]
         t *= 2.0
-    raise SolverError(f"could not shift a sample into {f.name}")
+    if todo.size:
+        raise SolverError(f"could not shift a sample into {f.name}")
+    return out.reshape(a.shape)
 
 
 def require_samples(sample_count: int) -> None:
@@ -549,70 +572,72 @@ def require_samples(sample_count: int) -> None:
         raise DomainError(f"sample count must be >= 1, got {sample_count}")
 
 
-def check_positivity(f: Subequation, sample_count: int = 200, seed=0) -> PropertyReport:
-    """Members stay members after adding a PSD matrix."""
+def _sample_seeds(seed, sample_count: int, per_sample: int) -> np.ndarray:
+    """One seed for each draw of each sample; requires sample_count >= 1."""
     require_samples(sample_count)
     rng = np.random.default_rng(seed)
-    seeds = rng.integers(0, 2**63 - 1, size=(sample_count, 2))
+    return rng.integers(0, 2**63 - 1, size=(sample_count, per_sample))
 
-    def one(i):
-        a = shift_into(f, random_symmetric(f.n, int(seeds[i, 0])))
-        psd = random_psd(f.n, int(seeds[i, 1]))
-        return max(0.0, -f.margin(a + psd))
 
-    worst = max(one(i) for i in range(sample_count))
-    return _report("positivity", sample_count, worst, MEMBER_TOL)
+def _draw(sampler, n: int, seeds) -> np.ndarray:
+    """Stack of samples, each drawn from its own seed."""
+    return np.stack([sampler(n, int(s)) for s in seeds])
+
+
+def check_positivity(f: Subequation, sample_count: int = 200, seed=0) -> PropertyReport:
+    """Members stay members after adding a PSD matrix."""
+    seeds = _sample_seeds(seed, sample_count, 2)
+    a = shift_into(f, _draw(random_symmetric, f.n, seeds[:, 0]))
+    psd = _draw(random_psd, f.n, seeds[:, 1])
+    return _report("positivity", sample_count, worst_case(-f.margin_batch(a + psd)), MEMBER_TOL)
 
 
 def check_cone(f: Subequation, sample_count: int = 200, seed=0) -> PropertyReport:
     """Members stay members under scaling by t >= 0."""
-    require_samples(sample_count)
-    rng = np.random.default_rng(seed)
-    seeds = rng.integers(0, 2**63 - 1, size=sample_count)
-    scales = (0.0, 0.5, 2.0, 10.0)
-
-    def one(i):
-        a = shift_into(f, random_symmetric(f.n, int(seeds[i])))
-        return max(max(0.0, -f.margin(t * a)) for t in scales)
-
-    worst = max(one(i) for i in range(sample_count))
-    return _report("cone", sample_count, worst, MEMBER_TOL)
+    seeds = _sample_seeds(seed, sample_count, 1)
+    a = shift_into(f, _draw(random_symmetric, f.n, seeds[:, 0]))
+    violations = [-f.margin_batch(t * a) for t in (0.0, 0.5, 2.0, 10.0)]
+    return _report("cone", sample_count, worst_case(violations), MEMBER_TOL)
 
 
-def _unitary_rotation(n_complex: int, seed=0) -> np.ndarray:
-    """Rotation of R^{2n} commuting with the standard J (image of U(n))."""
+def _skew_gaussians(dim: int, seeds) -> np.ndarray:
+    omega = np.stack([np.random.default_rng(s).standard_normal((dim, dim)) for s in seeds])
+    return 0.5 * (omega - omega.swapaxes(-1, -2))
+
+
+def _unitary_rotations(n_complex: int, seeds) -> np.ndarray:
+    """Rotations of R^{2n} commuting with the standard J (image of U(n))."""
     import scipy.linalg  # deferred: only the U(n) and Sp(n) samplers need it
 
-    rng = np.random.default_rng(seed)
-    dim = 2 * n_complex
     j = ComplexStructure.standard(n_complex).j
-    omega = rng.standard_normal((dim, dim))
-    omega = 0.5 * (omega - omega.T)
+    omega = _skew_gaussians(2 * n_complex, seeds)
     omega = 0.5 * (omega - j @ omega @ j)  # project onto the J-commutant
     return scipy.linalg.expm(omega)
 
 
-def _symplectic_rotation(n_quaternion: int, seed=0) -> np.ndarray:
-    """Rotation of R^{4n} commuting with I, J, K (image of Sp(n))."""
+def _symplectic_rotations(n_quaternion: int, seeds) -> np.ndarray:
+    """Rotations of R^{4n} commuting with I, J, K (image of Sp(n))."""
     import scipy.linalg
 
-    rng = np.random.default_rng(seed)
-    dim = 4 * n_quaternion
     s = QuaternionStructure.standard(n_quaternion)
-    omega = rng.standard_normal((dim, dim))
-    omega = 0.5 * (omega - omega.T)
+    omega = _skew_gaussians(4 * n_quaternion, seeds)
     omega = 0.25 * (omega - s.i @ omega @ s.i - s.j @ omega @ s.j - s.k @ omega @ s.k)
     return scipy.linalg.expm(omega)
 
 
-def invariance_rotation(f: Subequation, seed=0) -> np.ndarray:
+def invariance_rotations(f: Subequation, seeds) -> np.ndarray:
+    """Stack of random rotations of F's declared group, one per seed."""
     if f.invariance == "O(n)":
-        return random_rotation(f.n, seed)
+        return random_rotations(f.n, seeds)
     if f.invariance == "U(n)":
-        return _unitary_rotation(f.n // 2, seed)
+        return _unitary_rotations(f.n // 2, seeds)
     if f.invariance == "Sp(n)":
-        return _symplectic_rotation(f.n // 4, seed)
+        return _symplectic_rotations(f.n // 4, seeds)
     raise DomainError(f"no rotation sampler for invariance tag {f.invariance!r}")
+
+
+def invariance_rotation(f: Subequation, seed=0) -> np.ndarray:
+    return invariance_rotations(f, [seed])[0]
 
 
 def check_st_invariance(f: Subequation, sample_count: int = 100, seed=0) -> PropertyReport:
@@ -627,23 +652,20 @@ def check_st_invariance(f: Subequation, sample_count: int = 100, seed=0) -> Prop
             "st-invariance", 0, 0.0, 0.0, skipped=True,
             note=f"invariance tag {f.invariance!r}: finite sample breaks exact invariance",
         )
-    rng = np.random.default_rng(seed)
-    seeds = rng.integers(0, 2**63 - 1, size=(sample_count, 2))
-
-    def one(i):
-        a = random_symmetric(f.n, int(seeds[i, 0]))
-        g = invariance_rotation(f, int(seeds[i, 1]))
-        rel = abs(f.margin(g @ a @ g.T) - f.margin(a)) / (1.0 + fro(a))
-        return rel
-
-    worst = max(one(i) for i in range(sample_count))
+    seeds = _sample_seeds(seed, sample_count, 2)
+    a = _draw(random_symmetric, f.n, seeds[:, 0])
+    g = invariance_rotations(f, seeds[:, 1].tolist())
+    moved = f.margin_batch(g @ a @ g.swapaxes(-1, -2))
+    # one norm per sample: a batched norm rounds differently
+    scale = 1.0 + np.array([fro(x) for x in a])
+    worst = worst_case(np.abs(moved - f.margin_batch(a)) / scale)
     return _report("st-invariance", sample_count, worst, 1e-8)
 
 
 def check_maximum_principle(f: Subequation) -> PropertyReport:
     """0 must not be interior: margin(0) <= 0."""
     m0 = f.margin(np.zeros((f.n, f.n)))
-    return _report("maximum-principle", 1, max(0.0, m0), 1e-12)
+    return _report("maximum-principle", 1, worst_case(m0), 1e-12)
 
 
 def check_uniform_ellipticity(delta: float, n: int, sample_count: int = 1000,
@@ -654,24 +676,16 @@ def check_uniform_ellipticity(delta: float, n: int, sample_count: int = 1000,
     seeded samples with P PSD.
     """
     require_samples(sample_count)
-    if delta <= 0:
-        raise DomainError("delta must be > 0")
+    if not math.isfinite(delta) or delta <= 0:
+        raise DomainError(f"delta must be finite and > 0, got {delta}")
     d = delta / n
-    rng = np.random.default_rng(seed)
-    seeds = rng.integers(0, 2**63 - 1, size=(sample_count, 2))
-
-    def op(a):
-        lams = ordered_eigenvalues(a)
-        return float(lams[0] + d * lams.sum())
-
-    def one(i):
-        a = random_symmetric(n, int(seeds[i, 0]))
-        psd = random_psd(n, int(seeds[i, 1]))
-        diff = op(a + psd) - op(a)
-        tr = float(np.trace(psd))
-        return max(0.0, d * tr - diff, diff - (1.0 + d) * tr)
-
-    worst = max(one(i) for i in range(sample_count))
+    op = _shifted_branch(0, d)
+    seeds = _sample_seeds(seed, sample_count, 2)
+    a = _draw(random_symmetric, n, seeds[:, 0])
+    psd = _draw(random_psd, n, seeds[:, 1])
+    diff = op(ordered_eigenvalues(a + psd)) - op(ordered_eigenvalues(a))
+    tr = np.trace(psd, axis1=-2, axis2=-1)
+    worst = worst_case([d * tr - diff, diff - (1.0 + d) * tr])
     return _report("uniform-ellipticity", sample_count, worst, 1e-9,
                    note=f"delta={delta:g}, n={n}")
 
@@ -680,19 +694,11 @@ def margin_monotonicity_check(f: Subequation, sample_count: int = 100, seed=0,
                               t_grid: Sequence[float] = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)) -> PropertyReport:
     """margin(A + t Id) must be nondecreasing along the identity ray from
     members; this is what makes the characteristic bisection well posed."""
-    require_samples(sample_count)
-    rng = np.random.default_rng(seed)
-    seeds = rng.integers(0, 2**63 - 1, size=sample_count)
+    seeds = _sample_seeds(seed, sample_count, 1)
+    a = shift_into(f, _draw(random_symmetric, f.n, seeds[:, 0]))
     eye = np.eye(f.n)
-
-    def one(i):
-        a = shift_into(f, random_symmetric(f.n, int(seeds[i])))
-        values = [f.margin(a + t * eye) for t in t_grid]
-        return max(
-            max(0.0, values[j] - values[j + 1]) for j in range(len(values) - 1)
-        )
-
-    worst = max(one(i) for i in range(sample_count))
+    values = np.array([f.margin_batch(a + t * eye) for t in t_grid])
+    worst = worst_case(values[:-1] - values[1:])
     return _report("margin-monotonicity", sample_count, worst, 1e-9)
 
 

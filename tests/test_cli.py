@@ -75,6 +75,22 @@ def test_verify_rejects_nonpositive_samples(capsys, samples):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "pdelta", "--n", "3", "--delta", "{}", "--suite", "ue"],
+    ["charx", "min-max", "--n", "4", "--p", "{}"],
+    ["charx", "complex", "p-convex", "--n", "3", "--p", "{}"],
+    ["charx", "trace-power", "--n", "4", "--k", "2", "--q", "{}"],
+    ["verify", "sigma-k", "--n", "4", "--k", "2", "--regularize", "{}", "--suite", "cone"],
+])
+def test_non_finite_parameters_exit_3(capsys, argv, value):
+    code = cli.main([a.format(value) for a in argv] + ["--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "finite" in captured.err and captured.err.count("\n") == 1
+
+
 def test_verify_pdelta_uniform_ellipticity(capsys):
     code, payload = run_json(capsys, "verify", "pdelta", "--n", "3", "--delta", "1",
                              "--suite", "ue", "--samples", "300")
@@ -302,6 +318,39 @@ def test_verify_default_handles_infinite_characteristic(capsys):
     assert code == 0
     sandwich = [r for r in payload["reports"] if r["property"] == "sandwich"][0]
     assert sandwich["skipped"] is True
+
+
+def test_density_rejects_unbalanced_sobol_size(capsys):
+    code = cli.main(["density", "riesz", "--theta", "3", "--p", "3", "--n", "4",
+                     "--quad", "300", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "power of two" in captured.err and captured.err.count("\n") == 1
+
+
+def readme_commands():
+    """(argv, documented exit code) for each command of the README's
+    command-line block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.strip().splitlines():
+        command, _, comment = line.partition("#")
+        exit_code = int(comment.split("exit", 1)[1].strip(" )")) if "exit" in comment else 0
+        commands.append((command.split()[1:], exit_code))
+    return commands
+
+
+def test_readme_commands_exit_as_documented_with_empty_stderr():
+    commands = readme_commands()
+    assert len(commands) == 10
+    env = dict(os.environ, PYTHONPATH=str(Path(rieszlab.__file__).parents[1]))
+    for argv, exit_code in commands:
+        result = subprocess.run([sys.executable, "-m", "rieszlab.cli", *argv, "--no-timestamp"],
+                                env=env, capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (exit_code, ""), argv
+        assert result.stdout
 
 
 def test_import_defers_heavy_scipy_modules():

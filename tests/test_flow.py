@@ -30,6 +30,13 @@ def test_sphere_quad_deterministic():
     assert not np.array_equal(a.points, flow.SphereQuad(4, 512, seed=10).points)
 
 
+@pytest.mark.parametrize("size", [300, 1000, 12])
+def test_sphere_quad_needs_a_power_of_two(size):
+    # Sobol points are balanced only in power-of-two prefixes
+    with pytest.raises(DomainError, match="power of two"):
+        flow.SphereQuad(3, size)
+
+
 def test_sphere_quad_unit_norms(quad4):
     norms = np.linalg.norm(quad4.points, axis=1)
     assert np.abs(norms - 1.0).max() <= 1e-12

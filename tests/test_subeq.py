@@ -245,6 +245,21 @@ def test_regularization_rejects_nonpositive_delta():
         subeq.uniform_elliptic_regularization(subeq.builtin("p", 3), 0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_parameters_rejected(value):
+    for family, params in (("p-convex", {"p": value}), ("min-max", {"p": value}),
+                           ("pdelta", {"delta": value}), ("trace-power", {"k": 2, "q": value}),
+                           ("largest-convex", {"p": value})):
+        with pytest.raises(DomainError, match="finite"):
+            subeq.builtin(family, 4, **params)
+    with pytest.raises(DomainError, match="finite"):
+        subeq.uniform_elliptic_regularization(subeq.builtin("p", 3), value)
+    with pytest.raises(DomainError, match="finite"):
+        subeq.garding_branch("pdelta", 1, 3, delta=value)
+    with pytest.raises(DomainError, match="finite"):
+        subeq.check_uniform_ellipticity(value, 3, sample_count=10)
+
+
 def test_combinators_bound_margins():
     f = subeq.builtin("min-max", 4, p=3.0)
     g = subeq.dual(subeq.builtin("min-2", 4, p=1.5))

@@ -24,8 +24,8 @@ from .linalg import (
     random_unit_vector,
     unit_vector,
 )
-from .subeq import (BOUNDARY_BAND, MEMBER_TOL, PropertyReport, Subequation, builtin, dual,
-                    require_samples, worst_case)
+from .subeq import (BOUNDARY_BAND, MEMBER_TOL, SAMPLE_BLOCK_ROWS, PropertyReport, Subequation,
+                    builtin, dual, require_samples, worst_case)
 
 P_BRACKET_MAX = 64.0
 P_BRACKET_HARD_MAX = 128.0
@@ -359,21 +359,13 @@ def _boundary_shifts(f: Subequation, a: np.ndarray, steps: int = 60) -> np.ndarr
     return hi
 
 
-def sandwich_check(f: Subequation, p: float, sample_count: int = 1000, seed=0,
-                   tol: float = 1e-8) -> PropertyReport:
-    """Inclusion test min-2(p) inside F inside min-max(p) on seeded samples.
-
-    Half of the samples are raw Gaussians, half are recentred near the
-    boundary of F along the identity ray, where a wrong characteristic
-    shows up immediately.
-    """
-    require_samples(sample_count)
-    lower = builtin("min-2", f.n, p=p)
-    upper = builtin("min-max", f.n, p=p)
-    rng = np.random.default_rng(seed)
-    a = np.empty((sample_count, f.n, f.n))
-    jitter = np.empty(sample_count // 2)
-    for i in range(sample_count):
+def _sandwich_block(f: Subequation, lower: Subequation, upper: Subequation, rng,
+                    rows: int) -> tuple:
+    """Worst violation and premise hit counts of the next ``rows`` samples
+    drawn from ``rng``; the block starts on an even sample."""
+    a = np.empty((rows, f.n, f.n))
+    jitter = np.empty(rows // 2)
+    for i in range(rows):
         a[i] = random_symmetric(f.n, rng)
         if i % 2 == 1:
             jitter[i // 2] = rng.uniform(-0.05, 0.05)
@@ -385,12 +377,31 @@ def sandwich_check(f: Subequation, p: float, sample_count: int = 1000, seed=0,
     member = m_f >= 0.0
     worst = worst_case([np.where(lower_hit, -m_f, 0.0),
                         np.where(member, -upper.margin_batch(a), 0.0)])
+    return worst, int(lower_hit.sum()), int(member.sum())
+
+
+def sandwich_check(f: Subequation, p: float, sample_count: int = 1000, seed=0,
+                   tol: float = 1e-8) -> PropertyReport:
+    """Inclusion test min-2(p) inside F inside min-max(p) on seeded samples.
+
+    Half of the samples are raw Gaussians, half are recentred near the
+    boundary of F along the identity ray, where a wrong characteristic
+    shows up immediately.  Samples are drawn and checked in blocks of at
+    most SAMPLE_BLOCK_ROWS.
+    """
+    require_samples(sample_count)
+    lower = builtin("min-2", f.n, p=p)
+    upper = builtin("min-max", f.n, p=p)
+    rng = np.random.default_rng(seed)
+    blocks = [_sandwich_block(f, lower, upper, rng, min(SAMPLE_BLOCK_ROWS, sample_count - start))
+              for start in range(0, sample_count, SAMPLE_BLOCK_ROWS)]
+    worst = worst_case([b[0] for b in blocks])
     return PropertyReport(
         name="sandwich",
         sample_count=sample_count,
         worst_violation=worst,
         tolerance=tol,
         passed=worst <= tol,
-        note=f"p={p:g}, lower premise hit {int(lower_hit.sum())}, "
-             f"member hit {int(member.sum())}",
+        note=f"p={p:g}, lower premise hit {sum(b[1] for b in blocks)}, "
+             f"member hit {sum(b[2] for b in blocks)}",
     )

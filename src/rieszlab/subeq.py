@@ -36,6 +36,10 @@ from .linalg import (
 
 MEMBER_TOL = 1e-9
 BOUNDARY_BAND = 1e-7
+# The sampling suites evaluate at most this many samples at once, so their
+# memory does not grow with the sample count.  Even, so a block starts on an
+# even sample.
+SAMPLE_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -47,8 +51,8 @@ class Subequation:
     the same floats row by row.  ``eig_margin`` is the same constraint
     expressed on ascending spectra, one list or an (..., n) stack, and is
     present exactly for the orthogonally-invariant families (it is what
-    the complex/quaternionic lifts reuse).  Without a ``margin_batch``,
-    stacks are evaluated one matrix at a time through ``margin``.
+    the complex/quaternionic lifts reuse).  ``_margins`` builds both
+    margins from one function on stacks.
     """
 
     name: str
@@ -59,11 +63,7 @@ class Subequation:
     eig_margin: Callable | None = None
     preferred_direction: np.ndarray | None = None
     params: dict = field(default_factory=dict)
-    margin_batch: Callable | None = None
-
-    def __post_init__(self):
-        if self.margin_batch is None:
-            object.__setattr__(self, "margin_batch", _one_at_a_time(self.margin))
+    margin_batch: Callable = field(kw_only=True)
 
     def member(self, a) -> bool:
         return self.margin(a) >= -MEMBER_TOL * (1.0 + fro(a))
@@ -75,15 +75,6 @@ class Subequation:
         if self.preferred_direction is not None:
             return self.preferred_direction
         return coordinate_direction(self.n)
-
-
-def _one_at_a_time(margin: Callable) -> Callable:
-    def margin_batch(stack) -> np.ndarray:
-        stack = as_matrices(stack)
-        flat = stack.reshape(-1, *stack.shape[-2:])
-        return np.array([margin(a) for a in flat], dtype=float).reshape(stack.shape[:-2])
-
-    return margin_batch
 
 
 def _margins(values: Callable) -> dict:
@@ -572,11 +563,16 @@ def require_samples(sample_count: int) -> None:
         raise DomainError(f"sample count must be >= 1, got {sample_count}")
 
 
-def _sample_seeds(seed, sample_count: int, per_sample: int) -> np.ndarray:
-    """One seed for each draw of each sample; requires sample_count >= 1."""
+def _worst_over_samples(seed, sample_count: int, per_sample: int, violations) -> float:
+    """Worst case of ``violations(seeds)`` over blocks of at most
+    SAMPLE_BLOCK_ROWS samples.  Each sample has its own row of
+    ``per_sample`` seeds, so the result does not depend on the block size;
+    requires sample_count >= 1."""
     require_samples(sample_count)
     rng = np.random.default_rng(seed)
-    return rng.integers(0, 2**63 - 1, size=(sample_count, per_sample))
+    seeds = rng.integers(0, 2**63 - 1, size=(sample_count, per_sample))
+    return worst_case([worst_case(violations(seeds[i:i + SAMPLE_BLOCK_ROWS]))
+                       for i in range(0, sample_count, SAMPLE_BLOCK_ROWS)])
 
 
 def _draw(sampler, n: int, seeds) -> np.ndarray:
@@ -586,18 +582,24 @@ def _draw(sampler, n: int, seeds) -> np.ndarray:
 
 def check_positivity(f: Subequation, sample_count: int = 200, seed=0) -> PropertyReport:
     """Members stay members after adding a PSD matrix."""
-    seeds = _sample_seeds(seed, sample_count, 2)
-    a = shift_into(f, _draw(random_symmetric, f.n, seeds[:, 0]))
-    psd = _draw(random_psd, f.n, seeds[:, 1])
-    return _report("positivity", sample_count, worst_case(-f.margin_batch(a + psd)), MEMBER_TOL)
+
+    def violations(seeds):
+        a = shift_into(f, _draw(random_symmetric, f.n, seeds[:, 0]))
+        return -f.margin_batch(a + _draw(random_psd, f.n, seeds[:, 1]))
+
+    worst = _worst_over_samples(seed, sample_count, 2, violations)
+    return _report("positivity", sample_count, worst, MEMBER_TOL)
 
 
 def check_cone(f: Subequation, sample_count: int = 200, seed=0) -> PropertyReport:
     """Members stay members under scaling by t >= 0."""
-    seeds = _sample_seeds(seed, sample_count, 1)
-    a = shift_into(f, _draw(random_symmetric, f.n, seeds[:, 0]))
-    violations = [-f.margin_batch(t * a) for t in (0.0, 0.5, 2.0, 10.0)]
-    return _report("cone", sample_count, worst_case(violations), MEMBER_TOL)
+
+    def violations(seeds):
+        a = shift_into(f, _draw(random_symmetric, f.n, seeds[:, 0]))
+        return [-f.margin_batch(t * a) for t in (0.0, 0.5, 2.0, 10.0)]
+
+    worst = _worst_over_samples(seed, sample_count, 1, violations)
+    return _report("cone", sample_count, worst, MEMBER_TOL)
 
 
 def _skew_gaussians(dim: int, seeds) -> np.ndarray:
@@ -637,6 +639,7 @@ def invariance_rotations(f: Subequation, seeds) -> np.ndarray:
 
 
 def invariance_rotation(f: Subequation, seed=0) -> np.ndarray:
+    """One random rotation of F's declared group."""
     return invariance_rotations(f, [seed])[0]
 
 
@@ -652,13 +655,16 @@ def check_st_invariance(f: Subequation, sample_count: int = 100, seed=0) -> Prop
             "st-invariance", 0, 0.0, 0.0, skipped=True,
             note=f"invariance tag {f.invariance!r}: finite sample breaks exact invariance",
         )
-    seeds = _sample_seeds(seed, sample_count, 2)
-    a = _draw(random_symmetric, f.n, seeds[:, 0])
-    g = invariance_rotations(f, seeds[:, 1].tolist())
-    moved = f.margin_batch(g @ a @ g.swapaxes(-1, -2))
-    # one norm per sample: a batched norm rounds differently
-    scale = 1.0 + np.array([fro(x) for x in a])
-    worst = worst_case(np.abs(moved - f.margin_batch(a)) / scale)
+
+    def violations(seeds):
+        a = _draw(random_symmetric, f.n, seeds[:, 0])
+        g = invariance_rotations(f, seeds[:, 1].tolist())
+        moved = f.margin_batch(g @ a @ g.swapaxes(-1, -2))
+        # one norm per sample: a batched norm rounds differently
+        scale = 1.0 + np.array([fro(x) for x in a])
+        return np.abs(moved - f.margin_batch(a)) / scale
+
+    worst = _worst_over_samples(seed, sample_count, 2, violations)
     return _report("st-invariance", sample_count, worst, 1e-8)
 
 
@@ -680,12 +686,15 @@ def check_uniform_ellipticity(delta: float, n: int, sample_count: int = 1000,
         raise DomainError(f"delta must be finite and > 0, got {delta}")
     d = delta / n
     op = _shifted_branch(0, d)
-    seeds = _sample_seeds(seed, sample_count, 2)
-    a = _draw(random_symmetric, n, seeds[:, 0])
-    psd = _draw(random_psd, n, seeds[:, 1])
-    diff = op(ordered_eigenvalues(a + psd)) - op(ordered_eigenvalues(a))
-    tr = np.trace(psd, axis1=-2, axis2=-1)
-    worst = worst_case([d * tr - diff, diff - (1.0 + d) * tr])
+
+    def violations(seeds):
+        a = _draw(random_symmetric, n, seeds[:, 0])
+        psd = _draw(random_psd, n, seeds[:, 1])
+        diff = op(ordered_eigenvalues(a + psd)) - op(ordered_eigenvalues(a))
+        tr = np.trace(psd, axis1=-2, axis2=-1)
+        return [d * tr - diff, diff - (1.0 + d) * tr]
+
+    worst = _worst_over_samples(seed, sample_count, 2, violations)
     return _report("uniform-ellipticity", sample_count, worst, 1e-9,
                    note=f"delta={delta:g}, n={n}")
 
@@ -694,11 +703,14 @@ def margin_monotonicity_check(f: Subequation, sample_count: int = 100, seed=0,
                               t_grid: Sequence[float] = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)) -> PropertyReport:
     """margin(A + t Id) must be nondecreasing along the identity ray from
     members; this is what makes the characteristic bisection well posed."""
-    seeds = _sample_seeds(seed, sample_count, 1)
-    a = shift_into(f, _draw(random_symmetric, f.n, seeds[:, 0]))
     eye = np.eye(f.n)
-    values = np.array([f.margin_batch(a + t * eye) for t in t_grid])
-    worst = worst_case(values[:-1] - values[1:])
+
+    def violations(seeds):
+        a = shift_into(f, _draw(random_symmetric, f.n, seeds[:, 0]))
+        values = np.array([f.margin_batch(a + t * eye) for t in t_grid])
+        return values[:-1] - values[1:]
+
+    worst = _worst_over_samples(seed, sample_count, 1, violations)
     return _report("margin-monotonicity", sample_count, worst, 1e-9)
 
 

@@ -107,9 +107,19 @@ def test_geometric_batch_matches_scalar(n, p):
     assert_rows_match(f, sym_stack(n, 12, 2))
 
 
-def test_custom_subequation_batches_one_matrix_at_a_time():
-    f = subeq.Subequation(name="trace", n=3, margin=lambda a: float(np.trace(a)),
+def trace_values(a):
+    return np.trace(a, axis1=-2, axis2=-1)
+
+
+def test_subequation_needs_a_batched_margin():
+    with pytest.raises(TypeError):
+        subeq.Subequation(name="trace", n=3, margin=lambda a: float(np.trace(a)),
                           convex=True, invariance="O(n)")
+
+
+def test_custom_subequation_from_one_stack_function():
+    f = subeq.Subequation(name="trace", n=3, convex=True, invariance="O(n)",
+                          **subeq._margins(trace_values))
     stack = sym_stack(3, 6, 0)
     assert_rows_match(f, stack)
     assert f.margin_batch(stack.reshape(2, 3, 3, 3)).shape == (2, 3)
@@ -218,6 +228,15 @@ def ref_invariance_rotation(f, seed):
         s = linalg.QuaternionStructure.standard(f.n // 4)
         omega = 0.25 * (omega - s.i @ omega @ s.i - s.j @ omega @ s.j - s.k @ omega @ s.k)
     return scipy.linalg.expm(omega)
+
+
+@pytest.mark.parametrize("f", [subeq.builtin("p", 4), subeq.complex_lift("p", 2),
+                               subeq.quaternionic_lift("p", 1)], ids=["O", "U", "Sp"])
+def test_invariance_rotations_match_one_by_one(f):
+    stack = subeq.invariance_rotations(f, [3, 4, 5])
+    for g, seed in zip(stack, [3, 4, 5]):
+        assert np.array_equal(g, ref_invariance_rotation(f, seed))
+        assert np.array_equal(g, subeq.invariance_rotation(f, seed))
 
 
 def ref_report(name, count, worst, tol, note=""):
@@ -404,6 +423,45 @@ def test_sandwich_and_radial_match_serial_reference(seed, family, params, n):
                        ref_radial_harmonic(f, 1.5, p, [0.5, 1.0, 2.0], seed))
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_reports_do_not_depend_on_the_block_size(monkeypatch, seed):
+    # blocks of 4 rows split 11 samples into 4 + 4 + 3
+    monkeypatch.setattr(subeq, "SAMPLE_BLOCK_ROWS", 4)
+    monkeypatch.setattr(riesz, "SAMPLE_BLOCK_ROWS", 4)
+    for suite, family, params in SUITE_MIX:
+        f = subeq.builtin(family, 4, **params)
+        batched, serial = SUITES[suite]
+        assert_same_report(batched(f, 11, seed), serial(f, 11, seed))
+    assert_same_report(subeq.check_uniform_ellipticity(0.7, 4, 11, seed),
+                       ref_uniform_ellipticity(0.7, 4, 11, seed))
+    f = subeq.builtin("p-convex", 4, p=2.5)
+    assert_same_report(riesz.sandwich_check(f, 2.5, 11, seed), ref_sandwich(f, 2.5, 11, seed))
+    assert math.isnan(subeq.check_cone(nan_outside(3, 1.0, math.inf), 11, seed).worst_violation)
+
+
+def traced_peak(fn, *args):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rep = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return rep, peak
+
+
+def test_suite_memory_does_not_grow_with_the_sample_count():
+    count = 4 * subeq.SAMPLE_BLOCK_ROWS + 3
+    f = subeq.builtin("p-convex", 16, p=2.5)
+    rep, peak = traced_peak(subeq.check_positivity, f, count, 0)
+    assert rep.passed and rep.sample_count == count
+    assert peak < 16 * 2**20  # about 40 MB with every sample in one stack
+    rep, peak = traced_peak(riesz.sandwich_check, f, 2.5, count, 0)
+    assert rep.passed and rep.sample_count == count
+    assert peak < 8 * 2**20  # about 17 MB with every sample in one stack
+
+
 def test_shift_into_stack_matches_one_by_one():
     f = subeq.builtin("sigma-k", 5, k=3)
     stack = sym_stack(5, 9, 8) - 4.0 * np.eye(5)
@@ -415,8 +473,8 @@ def test_shift_into_stack_matches_one_by_one():
 
 def test_shift_into_gives_up_on_unreachable_samples():
     f = subeq.builtin("full-space", 3)
-    never = subeq.Subequation(name="never", n=3, margin=lambda a: -1.0, convex=True,
-                              invariance="O(n)")
+    never = subeq.Subequation(name="never", n=3, convex=True, invariance="O(n)",
+                              **subeq._margins(lambda a: np.full(np.shape(a)[:-2], -1.0)))
     assert np.array_equal(subeq.shift_into(f, np.zeros((2, 3, 3))), np.zeros((2, 3, 3)))
     with pytest.raises(SolverError):
         subeq.shift_into(never, np.zeros((2, 3, 3)), budget=4)
@@ -429,12 +487,12 @@ def test_shift_into_gives_up_on_unreachable_samples():
 
 def nan_outside(n, lo, hi):
     """Trace margin that reads NaN for traces outside [lo, hi]."""
-    def margin(a):
-        tr = float(np.trace(a))
-        return tr if lo <= tr <= hi else math.nan
+    def values(a):
+        tr = trace_values(a)
+        return np.where((lo <= tr) & (tr <= hi), tr, math.nan)
 
-    return subeq.Subequation(name="nan-trace", n=n, margin=margin, convex=True,
-                             invariance="O(n)")
+    return subeq.Subequation(name="nan-trace", n=n, convex=True, invariance="O(n)",
+                             **subeq._margins(values))
 
 
 def test_nan_margin_fails_the_cone_check():

@@ -35,82 +35,35 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# family / field registries addressable from the command line
+# families and fields addressable from the command line
 # ---------------------------------------------------------------------------
-
-_FAMILY_PARAMS = {
-    "p": (),
-    "p-convex": ("p",),
-    "laplacian": (),
-    "sigma-k": ("k",),
-    "pdelta": ("delta",),
-    "min-max": ("p",),
-    "min-2": ("p",),
-    "dual-min-max": ("p",),
-    "dual-min-2": ("p",),
-    "trace-power": ("k", "q"),
-    "subaffine": (),
-    "largest-convex": ("p",),
-    "full-space": (),
-}
 
 
 def build_family(name: str, n: int, variant: str | None, args) -> subeq.Subequation:
-    if name not in _FAMILY_PARAMS:
-        raise ConfigError(f"unknown family {name!r}; known: {sorted(_FAMILY_PARAMS)}")
+    """The named family, or its complex or quaternionic lift, then the
+    uniformly elliptic regularization if --regularize is given."""
+    if name not in subeq.family_names():
+        raise ConfigError(f"unknown family {name!r}; known: {subeq.family_names()}")
     params = {}
-    for key in _FAMILY_PARAMS[name]:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is None:
+    for key in subeq.family_params(name):
+        params[key] = getattr(args, key)
+        if params[key] is None:
             raise ConfigError(f"family {name!r} needs --{key}")
-        params[key] = int(value) if key == "k" else float(value)
-    if variant == "complex":
-        return subeq.complex_lift(name, n, **params)
-    if variant == "quaternionic":
-        return subeq.quaternionic_lift(name, n, **params)
-    f = subeq.builtin(name, n, **params)
-    if getattr(args, "regularize", None):
-        f = subeq.uniform_elliptic_regularization(f, float(args.regularize))
+    lift = {"complex": subeq.complex_lift, "quaternionic": subeq.quaternionic_lift}
+    f = lift.get(variant, subeq.builtin)(name, n, **params)
+    if args.regularize is not None:
+        f = subeq.uniform_elliptic_regularization(f, args.regularize)
     return f
 
 
-def closed_form_characteristic(name: str, n: int, variant: str | None, args) -> float | None:
-    """Catalog closed form for the increasing characteristic, if known."""
-    p = getattr(args, "p", None)
-    base = None
-    if name == "p":
-        base = 1.0
-    elif name == "p-convex" and p is not None:
-        base = float(p)
-    elif name == "laplacian":
-        base = float(n)
-    elif name == "sigma-k" and getattr(args, "k", None) is not None:
-        base = n / float(args.k)
-    elif name == "pdelta" and getattr(args, "delta", None) is not None:
-        d = float(args.delta)
-        base = n * (1.0 + d) / (n + d)
-    elif name == "trace-power" and getattr(args, "k", None) is not None and getattr(args, "q", None):
-        base = 1.0 + (float(args.k) - 1.0) ** (1.0 / float(args.q))
-    elif name in ("min-max", "min-2", "largest-convex") and p is not None:
-        base = float(p)
-    elif name == "subaffine":
-        base = math.inf
-    if base is None:
-        return None
-    if getattr(args, "regularize", None):
-        d = float(args.regularize)
-        base = base * n * (1.0 + d) / (n + d * base)
-    if variant == "complex":
-        base *= 2.0
-    elif variant == "quaternionic":
-        base *= 4.0
-    return base
+def _given(value, default):
+    return default if value is None else value
 
 
 def build_field(name: str, args) -> fl.ScalarField:
     n = args.n
-    theta = getattr(args, "theta", None) or 1.0
-    p = getattr(args, "p", None)
+    theta = _given(args.theta, 1.0)
+    p = args.p
     if name == "riesz":
         return fl.riesz_kernel_field(theta, float(p), n)
     if name == "radial-perturbed":
@@ -119,20 +72,19 @@ def build_field(name: str, args) -> fl.ScalarField:
     if name == "log-coord":
         return fl.log_modulus_coordinate_field(n // 2)
     if name == "partial-kernel":
-        return fl.partial_kernel_field(float(p), int(getattr(args, "m", None) or 1), n)
+        return fl.partial_kernel_field(float(p), _given(args.m, 1), n)
     if name == "newtonian":
         masses = [(theta, np.zeros(n))]
-        offset = getattr(args, "offset", None)
-        if offset:
+        if args.offset is not None:
             second = np.zeros(n)
-            second[0] = float(offset)
-            masses.append((float(getattr(args, "theta2", None) or 1.0), second))
+            second[0] = args.offset
+            masses.append((_given(args.theta2, 1.0), second))
         return fl.newtonian_potential_field(float(p), masses, n)
     if name == "smooth":
         return fl.quadratic_field(1.0, n)
     if name == "two-kernel":
         a = np.zeros(n)
-        a[0] = float(getattr(args, "offset", None) or 1.0)
+        a[0] = _given(args.offset, 1.0)
         return fl.newtonian_potential_field(float(p), [(1.0, np.zeros(n)), (1.0, a)], n)
     if name == "zero":
         return fl.zero_field(n)
@@ -232,7 +184,7 @@ def cmd_charx(args) -> int:
         "n": f.n,
         **pair.to_dict(),
     }
-    closed = closed_form_characteristic(args.family, args.n, args.variant, args)
+    closed = f.closed_form
     if closed is not None:
         record["closed_form"] = closed
         if math.isfinite(closed) and math.isfinite(pair.p):
@@ -286,41 +238,35 @@ def cmd_verify(args) -> int:
 
 
 def catalog_rows(tol: float = 1e-9):
-    """Closed-form catalog used by the table command and the acceptance suite."""
-    entries = [
-        ("sigma-k", {"k": 2}, 4, 4 / 2),
-        ("sigma-k", {"k": 3}, 6, 6 / 3),
-        ("sigma-k", {"k": 1}, 5, 5.0),
-        ("p-convex", {"p": 1.0}, 4, 1.0),
-        ("p-convex", {"p": 2.5}, 5, 2.5),
-        ("p-convex", {"p": 4.0}, 4, 4.0),
-        ("pdelta", {"delta": 0.5}, 3, 3 * 1.5 / 3.5),
-        ("pdelta", {"delta": 1.0}, 3, 1.5),
-        ("pdelta", {"delta": 3.0}, 3, 3 * 4.0 / 6.0),
-        ("trace-power", {"k": 4, "q": 3.0}, 4, 1.0 + 3.0 ** (1.0 / 3.0)),
-        ("trace-power", {"k": 3, "q": 5.0}, 4, 1.0 + 2.0 ** (1.0 / 5.0)),
-        ("min-max", {"p": 3.0}, 4, 3.0),
-        ("min-2", {"p": 3.0}, 4, 3.0),
-        ("largest-convex", {"p": 2.0}, 4, 2.0),
+    """Closed-form catalog used by the table command and the acceptance
+    suite: (label, params, n, computed p, closed form) rows."""
+    entries = [(family, params, n, subeq.builtin(family, n, **params))
+               for family, params, n in [
+                   ("sigma-k", {"k": 2}, 4),
+                   ("sigma-k", {"k": 3}, 6),
+                   ("sigma-k", {"k": 1}, 5),
+                   ("p-convex", {"p": 1.0}, 4),
+                   ("p-convex", {"p": 2.5}, 5),
+                   ("p-convex", {"p": 4.0}, 4),
+                   ("pdelta", {"delta": 0.5}, 3),
+                   ("pdelta", {"delta": 1.0}, 3),
+                   ("pdelta", {"delta": 3.0}, 3),
+                   ("trace-power", {"k": 4, "q": 3.0}, 4),
+                   ("trace-power", {"k": 3, "q": 5.0}, 4),
+                   ("min-max", {"p": 3.0}, 4),
+                   ("min-2", {"p": 3.0}, 4),
+                   ("largest-convex", {"p": 2.0}, 4),
+               ]]
+    entries += [
+        ("regularized(p-convex)", {"p": 2.0, "delta": 1.0}, 4,
+         subeq.uniform_elliptic_regularization(subeq.builtin("p-convex", 4, p=2.0), 1.0)),
+        ("complex(p-convex)", {"p": 1.0}, 3, subeq.complex_lift("p-convex", 3, p=1.0)),
+        ("quaternionic(p)", {}, 2, subeq.quaternionic_lift("p", 2)),
     ]
     rows = []
-    for family, params, n, closed in entries:
-        f = subeq.builtin(family, n, **params)
+    for label, params, n, f in entries:
         p, _ = riesz.increasing_characteristic(f, tol=tol)
-        rows.append((family, params, n, p, closed))
-    # uniformly elliptic regularization of p-convex
-    base = subeq.builtin("p-convex", 4, p=2.0)
-    reg = subeq.uniform_elliptic_regularization(base, 1.0)
-    p, _ = riesz.increasing_characteristic(reg, tol=tol)
-    rows.append(("regularized(p-convex)", {"p": 2.0, "delta": 1.0}, 4,
-                 p, 2.0 * 4 * 2.0 / (4 + 1.0 * 2.0)))
-    # complex and quaternionic lifts
-    cf = subeq.complex_lift("p-convex", 3, p=1.0)
-    p, _ = riesz.increasing_characteristic(cf, tol=tol)
-    rows.append(("complex(p-convex)", {"p": 1.0}, 3, p, 2.0))
-    qf = subeq.quaternionic_lift("p", 2)
-    p, _ = riesz.increasing_characteristic(qf, tol=tol)
-    rows.append(("quaternionic(p)", {}, 2, p, 4.0))
+        rows.append((label, params, n, p, f.closed_form))
     return rows
 
 
@@ -406,8 +352,8 @@ def cmd_grassmann(args) -> int:
     if args.charx:
         f = subeq.geometric(sample)
         value, bracket = riesz.increasing_characteristic(f, tol=args.tol)
-        payload["charx"] = {"p": value, "bracket": bracket, "closed_form": float(p),
-                            "residual": abs(value - p)}
+        payload["charx"] = {"p": value, "bracket": bracket, "closed_form": f.closed_form,
+                            "residual": abs(value - f.closed_form)}
     emit(payload, args)
     return status
 

@@ -1037,8 +1037,8 @@ def infinitesimal_holder(field: ScalarField, x0, p: float, radii=None,
 
 def riesz_kernel_field(theta: float, p: float, n: int, center=None) -> ScalarField:
     """theta * K_p(|x - c|) in the standard normalization."""
-    if theta < 0:
-        raise DomainError("theta must be >= 0")
+    if not (math.isfinite(theta) and theta >= 0):
+        raise DomainError(f"theta must be finite and >= 0, got {theta}")
     spec = KernelSpec(p=p)
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float).reshape(-1)
 
@@ -1166,8 +1166,8 @@ def newtonian_potential_field(p: float, masses, n: int) -> ScalarField:
         raise DomainError("potential needs p <= n for subharmonicity")
     spec = KernelSpec(p=p)
     weights = np.asarray([m[0] for m in masses], dtype=float)
-    if np.any(weights < 0):
-        raise DomainError("masses must be >= 0")
+    if not np.all(np.isfinite(weights) & (weights >= 0)):
+        raise DomainError(f"masses must be finite and >= 0, got {weights.tolist()}")
     centers = np.asarray([np.asarray(m[1], dtype=float) for m in masses])
 
     def values(pts):

@@ -201,8 +201,8 @@ def increasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL,
     Otherwise bisection runs on [1, 64], widening once to 128 before
     failing.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
     e = unit_vector(e if e is not None else f.direction())
     p_line = projector_onto(e)
     p_perp = projector_perp(e)
@@ -257,8 +257,8 @@ def decreasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL,
     Finite exactly when P_e is interior.  Cross-checked against the
     increasing characteristic of the dual subequation.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
     e = unit_vector(e if e is not None else f.direction())
     p_line = projector_onto(e)
     p_perp = projector_perp(e)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,7 +52,8 @@ class Subequation:
     expressed on ascending spectra, one list or an (..., n) stack, and is
     present exactly for the orthogonally-invariant families (it is what
     the complex/quaternionic lifts reuse).  ``_margins`` builds both
-    margins from one function on stacks.
+    margins from one function on stacks.  ``closed_form`` is the catalog's
+    increasing characteristic, set by the constructors that know it.
     """
 
     name: str
@@ -63,6 +64,7 @@ class Subequation:
     eig_margin: Callable | None = None
     preferred_direction: np.ndarray | None = None
     params: dict = field(default_factory=dict)
+    closed_form: float | None = None
     margin_batch: Callable = field(kw_only=True)
 
     def member(self, a) -> bool:
@@ -86,14 +88,15 @@ def _margins(values: Callable) -> dict:
     return {"margin": margin, "margin_batch": values}
 
 
-def _from_eigs(name, n, eig_margin, convex, params, invariance="O(n)"):
+def _from_eigs(name, n, eig_margin, convex, params, closed_form=None):
     return Subequation(
         name=name,
         n=n,
         convex=convex,
-        invariance=invariance,
+        invariance="O(n)",
         eig_margin=eig_margin,
         params=dict(params),
+        closed_form=closed_form,
         **_margins(lambda a: eig_margin(ordered_eigenvalues(a))),
     )
 
@@ -211,41 +214,60 @@ def _full_space_eig_margin(n):
     return lambda lams: np.ones(lams.shape[:-1])
 
 
+class Family(NamedTuple):
+    """A built-in family: its spectral-margin builder (which checks the
+    parameter ranges), convexity, parameter names and closed-form increasing
+    characteristic ``closed(n, **params)``, or None where the catalog has
+    none."""
+
+    build: Callable
+    convex: bool
+    params: tuple
+    closed: Callable | None
+
+
 _FAMILIES = {
-    # name: (builder(n, **params), convex flag, required params)
-    "p": (_psd_eig_margin, True, ()),
-    "p-convex": (_p_convex_eig_margin, True, ("p",)),
-    "sigma-k": (_sigma_k_eig_margin, True, ("k",)),
-    "pdelta": (_pdelta_eig_margin, True, ("delta",)),
-    "min-max": (_min_max_eig_margin, False, ("p",)),
-    "min-2": (_min_2_eig_margin, False, ("p",)),
-    "dual-min-max": (_dual_min_max_eig_margin, False, ("p",)),
-    "dual-min-2": (_dual_min_2_eig_margin, False, ("p",)),
-    "trace-power": (_trace_power_eig_margin, False, ("k", "q")),
-    "subaffine": (_subaffine_eig_margin, False, ()),
-    "largest-convex": (_largest_convex_eig_margin, True, ("p",)),
-    "full-space": (_full_space_eig_margin, True, ()),
+    "p": Family(_psd_eig_margin, True, (), lambda n: 1.0),
+    "p-convex": Family(_p_convex_eig_margin, True, ("p",), lambda n, p: float(p)),
+    "sigma-k": Family(_sigma_k_eig_margin, True, ("k",), lambda n, k: n / int(k)),
+    "pdelta": Family(_pdelta_eig_margin, True, ("delta",),
+                     lambda n, delta: n * (1.0 + delta) / (n + delta)),
+    # at n = 1 min-max and subaffine are the PSD cone
+    "min-max": Family(_min_max_eig_margin, False, ("p",),
+                      lambda n, p: float(p) if n > 1 else 1.0),
+    "min-2": Family(_min_2_eig_margin, False, ("p",), lambda n, p: float(p)),
+    "dual-min-max": Family(_dual_min_max_eig_margin, False, ("p",), None),
+    "dual-min-2": Family(_dual_min_2_eig_margin, False, ("p",), None),
+    "trace-power": Family(_trace_power_eig_margin, False, ("k", "q"),
+                          lambda n, k, q: 1.0 + (float(k) - 1.0) ** (1.0 / q)),
+    "subaffine": Family(_subaffine_eig_margin, False, (), lambda n: math.inf if n > 1 else 1.0),
+    "largest-convex": Family(_largest_convex_eig_margin, True, ("p",), lambda n, p: float(p)),
+    "full-space": Family(_full_space_eig_margin, True, (), None),
 }
 
-_ALIASES = {"laplacian": "p-convex", "psd": "p", "P": "p"}
+# the one alias: p-convex with p = n
+LAPLACIAN = "laplacian"
 
 
 def family_names() -> list[str]:
-    return sorted(_FAMILIES)
+    return sorted([*_FAMILIES, LAPLACIAN])
+
+
+def family_params(family: str) -> tuple:
+    """Parameter names a built-in family needs."""
+    if family == LAPLACIAN:
+        return ()
+    if family not in _FAMILIES:
+        raise DomainError(f"unknown family {family!r}; known: {family_names()}")
+    return _FAMILIES[family].params
 
 
 def builtin(family: str, n: int, **params) -> Subequation:
-    """Construct a built-in family by name.
-
-    ``laplacian`` is an alias for p-convex with p = n.
-    """
-    key = _ALIASES.get(family, family)
-    if family == "laplacian":
-        params = dict(params)
-        params.setdefault("p", float(n))
-    if key not in _FAMILIES:
-        raise DomainError(f"unknown family {family!r}; known: {family_names()}")
-    builder, convex, required = _FAMILIES[key]
+    """Construct a built-in family by name, with its closed-form
+    characteristic when the catalog has one."""
+    if family == LAPLACIAN:
+        family, params = "p-convex", {"p": float(n), **params}
+    required = family_params(family)
     missing = [r for r in required if r not in params]
     if missing:
         raise DomainError(f"family {family!r} needs parameters {missing}")
@@ -258,9 +280,11 @@ def builtin(family: str, n: int, **params) -> Subequation:
                           + ", ".join(f"{k}={params[k]}" for k in nonfinite))
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
-    eig_margin = builder(n, **params)
-    label = key if not params else key + "(" + ",".join(f"{k}={v:g}" for k, v in sorted(params.items())) + ")"
-    return _from_eigs(label, n, eig_margin, convex, params)
+    entry = _FAMILIES[family]
+    eig_margin = entry.build(n, **params)
+    closed = None if entry.closed is None else entry.closed(n, **params)
+    label = family if not params else family + "(" + ",".join(f"{k}={v:g}" for k, v in sorted(params.items())) + ")"
+    return _from_eigs(label, n, eig_margin, entry.convex, params, closed_form=closed)
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +320,14 @@ def _lift(kind: str, structure_type, invariance: str, family: str, n: int,
     base = builtin(family, n, **params)
     base_eig = base.eig_margin
     structure = structure_type.standard(n)
+    closed = base.closed_form
     return Subequation(
         name=f"{kind}({base.name})",
         n=structure.dim,
         convex=base.convex,
         invariance=invariance,
         params=dict(base.params),
+        closed_form=None if closed is None else closed * (structure.dim / n),
         **_margins(lambda a: base_eig(reduced_eigenvalues(a, structure))),
     )
 
@@ -387,6 +413,7 @@ def geometric(sample: GrassmannSample) -> Subequation:
         invariance="sampled-ST",
         preferred_direction=e,
         params={"p": sample.p, "planes": len(sample.planes)},
+        closed_form=float(sample.p),
     )
 
 
@@ -431,7 +458,10 @@ def garding_branch(operator: str, k: int, n: int, p: int | None = None,
 
 
 def uniform_elliptic_regularization(f: Subequation, delta: float) -> Subequation:
-    """Shifted family A -> A + (delta/n) tr(A) Id fed through F's margin."""
+    """Shifted family A -> A + (delta/n) tr(A) Id fed through F's margin.
+    A closed form c of F becomes c n (1 + delta) / (n + delta c), or
+    n (1 + delta) / (n / c + delta) where c n (1 + delta) is not finite
+    (c = inf, or overflow)."""
     if not math.isfinite(delta) or delta <= 0:
         raise DomainError(f"regularization needs a finite delta > 0, got {delta}")
     c = delta / f.n
@@ -448,6 +478,11 @@ def uniform_elliptic_regularization(f: Subequation, delta: float) -> Subequation
         def eig_margin(lams):
             return base(lams + c * lams.sum(axis=-1, keepdims=True))
 
+    closed = f.closed_form
+    if closed is not None:
+        top = closed * f.n * (1.0 + delta)
+        closed = (top / (f.n + delta * closed) if math.isfinite(top)
+                  else f.n * (1.0 + delta) / (f.n / closed + delta))
     return Subequation(
         name=f"regularized({f.name},delta={delta:g})",
         n=f.n,
@@ -457,6 +492,7 @@ def uniform_elliptic_regularization(f: Subequation, delta: float) -> Subequation
         eig_margin=eig_margin,
         preferred_direction=f.preferred_direction,
         params={**f.params, "delta": delta},
+        closed_form=closed,
     )
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,9 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import rieszlab
-from rieszlab import cli
+from rieszlab import cli, subeq
 
 
 def run(capsys, *argv):
@@ -82,6 +85,10 @@ def test_verify_rejects_nonpositive_samples(capsys, samples):
     ["charx", "complex", "p-convex", "--n", "3", "--p", "{}"],
     ["charx", "trace-power", "--n", "4", "--k", "2", "--q", "{}"],
     ["verify", "sigma-k", "--n", "4", "--k", "2", "--regularize", "{}", "--suite", "cone"],
+    ["charx", "sigma-k", "--n", "4", "--k", "2", "--tol", "{}"],
+    ["density", "riesz", "--p", "3", "--n", "4", "--theta", "{}"],
+    ["flow", "riesz", "--p", "3", "--n", "4", "--theta", "{}"],
+    ["density", "newtonian", "--p", "3", "--n", "3", "--offset", "1", "--theta2", "{}"],
 ])
 def test_non_finite_parameters_exit_3(capsys, argv, value):
     code = cli.main([a.format(value) for a in argv] + ["--no-timestamp"])
@@ -89,6 +96,67 @@ def test_non_finite_parameters_exit_3(capsys, argv, value):
     assert code == 3
     assert captured.out == ""
     assert "finite" in captured.err and captured.err.count("\n") == 1
+
+
+def test_charx_regularizes_the_lift(capsys):
+    code, payload = run_json(capsys, "charx", "p-convex", "--n", "3", "--p", "1",
+                             "--variant", "complex", "--regularize", "1")
+    assert code == 0
+    assert payload["family"] == "regularized(complex(p-convex(p=1)),delta=1)"
+    assert payload["closed_form"] == 3.0
+    assert payload["residual"] <= 1e-6
+
+
+def test_verify_regularizes_the_lift(capsys):
+    code, payload = run_json(capsys, "verify", "p-convex", "--n", "3", "--p", "1",
+                             "--variant", "complex", "--regularize", "1",
+                             "--suite", "invariance", "--samples", "20")
+    assert code == 0
+    assert payload["family"] == "regularized(complex(p-convex(p=1)),delta=1)"
+    assert payload["n"] == 6
+
+
+def test_zero_regularization_is_rejected(capsys):
+    code = cli.main(["charx", "p", "--n", "3", "--regularize", "0", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "delta > 0" in captured.err and captured.err.count("\n") == 1
+
+
+_FUZZ_VALUES = ["nan", "inf", "-1", "0", "0.5", "1", "2", "3.5", "1e300"]
+_FUZZ_INTS = ["-1", "0", "1", "2"]  # --k is an integer flag
+
+
+@st.composite
+def charx_argv(draw):
+    argv = ["charx"]
+    variant = draw(st.sampled_from([None, "complex", "quaternionic"]))
+    if variant is not None:
+        argv.append(variant)
+    argv += [draw(st.sampled_from(subeq.family_names())), "--n", str(draw(st.integers(-1, 6)))]
+    for flag in ("p", "k", "q", "delta"):
+        if draw(st.booleans()):
+            argv += [f"--{flag}", draw(st.sampled_from(_FUZZ_INTS if flag == "k" else _FUZZ_VALUES))]
+    regularize = draw(st.sampled_from([None, "nan", "inf", "-1", "0", "0.5", "1e300"]))
+    if regularize is not None:
+        argv += ["--regularize", regularize]
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(argv=charx_argv())
+@example(argv=["charx", "complex", "p-convex", "--n", "3", "--p", "1", "--regularize", "1"])
+def test_charx_fuzz_exits_cleanly_and_matches_closed_forms(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--no-timestamp"])
+    assert code in (0, 3, 4), argv
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue(), argv
+    if code == 0:
+        payload = json.loads(out.getvalue())
+        if "closed_form" in payload:
+            assert float(payload["residual"]) <= 1e-6, (argv, payload)
 
 
 def test_verify_pdelta_uniform_ellipticity(capsys):
@@ -138,6 +206,23 @@ def test_table_covers_required_families(capsys):
 # ---------------------------------------------------------------------------
 # density / flow / grassmann / radial
 # ---------------------------------------------------------------------------
+
+
+def test_density_zero_theta_is_used_as_given(capsys):
+    code, payload = run_json(capsys, "density", "riesz", "--theta", "0", "--p", "3",
+                             "--n", "4", "--quad", "256")
+    assert code == 0
+    assert payload["field"] == "riesz(theta=0,p=3)"
+    assert payload["theta"] == {"M": 0.0, "S": 0.0, "V": 0.0}
+
+
+def test_density_zero_m_is_rejected(capsys):
+    code = cli.main(["density", "partial-kernel", "--p", "3", "--n", "4", "--m", "0",
+                     "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_density_command(capsys):

@@ -412,6 +412,14 @@ def test_max_of_kernels_certification_and_values():
     assert np.allclose(u.values(pts), expected)
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_field_masses_must_be_finite_and_nonnegative(bad):
+    with pytest.raises(DomainError):
+        flow.riesz_kernel_field(bad, 3.0, 4)
+    with pytest.raises(DomainError):
+        flow.newtonian_potential_field(3.0, [(1.0, np.zeros(3)), (bad, np.ones(3))], 3)
+
+
 def test_newtonian_single_mass_equals_kernel():
     u = flow.newtonian_potential_field(3.0, [(2.0, np.zeros(3))], 3)
     k = flow.riesz_kernel_field(2.0, 3.0, 3)

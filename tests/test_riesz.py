@@ -105,6 +105,20 @@ def test_increasing_characteristic_closed_forms(family, params, n, expected):
     assert bracket <= 1e-8
 
 
+@pytest.mark.parametrize("delta", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("lift", [subeq.complex_lift, subeq.quaternionic_lift])
+@pytest.mark.parametrize("family,params,n", [
+    ("p-convex", {"p": 1.0}, 3),
+    ("sigma-k", {"k": 2}, 3),
+    ("pdelta", {"delta": 1.0}, 2),
+    ("trace-power", {"k": 2, "q": 3.0}, 2),
+])
+def test_regularized_lift_closed_forms(family, params, n, lift, delta):
+    f = subeq.uniform_elliptic_regularization(lift(family, n, **params), delta)
+    p, _ = riesz.increasing_characteristic(f)
+    assert p == pytest.approx(f.closed_form, abs=1e-8)
+
+
 def test_subaffine_has_infinite_characteristic():
     p, bracket = riesz.increasing_characteristic(subeq.builtin("subaffine", 4))
     assert p == INF and bracket == 0.0
@@ -308,8 +322,10 @@ def test_sandwich_detects_wrong_characteristic():
 
 
 def test_characteristic_rejects_bad_tolerance():
-    with pytest.raises(DomainError):
-        riesz.increasing_characteristic(subeq.builtin("p", 3), tol=0.0)
+    for solve in (riesz.increasing_characteristic, riesz.decreasing_characteristic):
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                solve(subeq.builtin("p", 3), tol=tol)
 
 
 def test_no_crossing_inside_bracket_is_a_solver_error():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +69,50 @@ def test_builtin_parameter_validation():
 def test_laplacian_alias():
     lap = subeq.builtin("laplacian", 5)
     assert lap.params["p"] == 5.0
+    assert lap.name == "p-convex(p=5)"
+    assert lap.closed_form == 5.0
+
+
+@pytest.mark.parametrize("alias", ["psd", "P"])
+def test_laplacian_is_the_only_alias(alias):
+    assert alias not in subeq.family_names()
+    with pytest.raises(DomainError):
+        subeq.builtin(alias, 3)
+
+
+@pytest.mark.parametrize("family,params,n,closed", [
+    ("p", {}, 3, 1.0),
+    ("p-convex", {"p": 2.5}, 4, 2.5),
+    ("sigma-k", {"k": 2}, 6, 3.0),
+    ("pdelta", {"delta": 1.0}, 3, 1.5),
+    ("min-max", {"p": 3.0}, 4, 3.0),
+    ("min-max", {"p": 3.0}, 1, 1.0),
+    ("min-2", {"p": 3.0}, 4, 3.0),
+    ("trace-power", {"k": 3, "q": 5.0}, 4, 1.0 + 2.0 ** (1.0 / 5.0)),
+    ("subaffine", {}, 3, math.inf),
+    ("subaffine", {}, 1, 1.0),
+    ("largest-convex", {"p": 2.0}, 4, 2.0),
+    ("dual-min-max", {"p": 3.0}, 4, None),
+    ("dual-min-2", {"p": 3.0}, 4, None),
+    ("full-space", {}, 3, None),
+])
+def test_builtin_closed_forms(family, params, n, closed):
+    assert subeq.builtin(family, n, **params).closed_form == closed
+
+
+def test_constructions_carry_closed_forms():
+    base = subeq.builtin("sigma-k", 4, k=2)
+    assert subeq.complex_lift("sigma-k", 4, k=2).closed_form == 4.0
+    assert subeq.quaternionic_lift("sigma-k", 4, k=2).closed_form == 8.0
+    assert subeq.uniform_elliptic_regularization(base, 1.0).closed_form == \
+        pytest.approx(2.0 * 4 * 2.0 / (4 + 2.0))
+    subaffine = subeq.builtin("subaffine", 3)
+    assert subeq.uniform_elliptic_regularization(subaffine, 1.0).closed_form == 6.0
+    sample = subeq.sample_grassmannian(3, 2, count=16, seed=0)
+    assert subeq.geometric(sample).closed_form == 2.0
+    for f in (subeq.dual(base), subeq.intersection(base, base), subeq.union(base, base),
+              subeq.garding_branch("det", 1, 4)):
+        assert f.closed_form is None
 
 
 # ---------------------------------------------------------------------------

@@ -556,7 +556,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return args.func(args)
+        # a margin that overflows is read as inf or NaN, and the solver
+        # judges it; numpy's warnings would only add stderr lines
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

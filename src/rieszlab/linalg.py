@@ -3,7 +3,7 @@
 Everything here is a pure function of its inputs; random constructors
 take an explicit seed and never touch global RNG state.  Matrices are
 small (n <= 16 in practice) and dense.  Spectra come from LAPACK
-through ``np.linalg.eigvalsh`` / ``np.linalg.eigh``, which are
+through ``np.linalg.eigvalsh`` alone (no eigenvectors are needed), which is
 deterministic for a given input on a given machine and BLAS build.  The
 spectral helpers also take (..., n, n) stacks and give, row by row, the
 same floats as one matrix at a time.
@@ -34,10 +34,7 @@ def symmetrize(a) -> np.ndarray:
 
 
 def as_matrices(a) -> np.ndarray:
-    """Unwrap a SymMatrix or coerce a matrix or a (..., n, n) stack to
-    symmetric ndarrays."""
-    if isinstance(a, SymMatrix):
-        return a.a
+    """Coerce a matrix or a (..., n, n) stack to symmetric ndarrays."""
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvariantError(f"expected square matrices, got shape {a.shape}")
@@ -45,7 +42,7 @@ def as_matrices(a) -> np.ndarray:
 
 
 def as_matrix(a) -> np.ndarray:
-    """Unwrap a SymMatrix or coerce an array-like to a symmetric ndarray."""
+    """Coerce an array-like to a symmetric ndarray."""
     a = as_matrices(a)
     if a.ndim != 2:
         raise InvariantError(f"expected a square matrix, got shape {a.shape}")
@@ -56,64 +53,17 @@ def fro(a) -> float:
     return float(np.linalg.norm(as_matrix(a)))
 
 
-def _eigensolve(solver, a: np.ndarray):
-    """Run a LAPACK symmetric eigensolver on finite entries only."""
+def ordered_eigenvalues(a) -> np.ndarray:
+    """Ascending eigenvalues lambda_1 <= ... <= lambda_n of a matrix, or of
+    each matrix in a (..., n, n) stack along the last axis, from LAPACK on
+    finite entries only."""
+    a = as_matrices(a)
     if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")
     try:
-        return solver(a)
+        return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"symmetric eigensolver failed: {exc}") from exc
-
-
-class SymMatrix:
-    """n-by-n real symmetric matrix with cached ascending spectrum.
-
-    Entries are symmetrized at construction so ``a[i, j] == a[j, i]``
-    holds exactly.  Instances are treated as immutable.
-    """
-
-    __slots__ = ("a", "_vals", "_vecs")
-
-    def __init__(self, entries):
-        a = np.asarray(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvariantError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("matrix entries must be finite")
-        self.a = 0.5 * (a + a.T)
-        self.a.flags.writeable = False
-        self._vals = None
-        self._vecs = None
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        if self._vals is None:
-            self._vals = _eigensolve(np.linalg.eigvalsh, self.a)
-            self._vals.flags.writeable = False
-        return self._vals
-
-    def eigen_system(self):
-        if self._vecs is None:
-            vals, vecs = _eigensolve(np.linalg.eigh, self.a)
-            self._vals = vals
-            self._vals.flags.writeable = False
-            self._vecs = vecs
-        return self._vals, self._vecs
-
-    def __repr__(self):
-        return f"SymMatrix(n={self.n})"
-
-
-def ordered_eigenvalues(a) -> np.ndarray:
-    """Ascending eigenvalues lambda_1 <= ... <= lambda_n of a matrix, or of
-    each matrix in a (..., n, n) stack along the last axis."""
-    if isinstance(a, SymMatrix):
-        return a.eigenvalues()
-    return _eigensolve(np.linalg.eigvalsh, as_matrices(a))
 
 
 # ---------------------------------------------------------------------------

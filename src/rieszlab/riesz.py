@@ -146,11 +146,6 @@ def kernel_inverse(spec: KernelSpec, s):
     return out if out.ndim else float(out)
 
 
-def kernel_jet(spec: KernelSpec, t: float) -> tuple[float, float]:
-    """(first, second) derivative pair of the kernel at radius t."""
-    return kernel_deriv1(spec, t), kernel_deriv2(spec, t)
-
-
 def kernel_hessian(theta: float, p: float, x) -> np.ndarray:
     """Hessian of theta * K_barred_p(|x|): theta |x|^-p (P_perp - (p-1) P)."""
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -171,8 +166,17 @@ def _membership_band(norm: float) -> float:
     return MEMBER_TOL * (1.0 + norm)
 
 
+def _margin_at(f: Subequation, a: np.ndarray) -> float:
+    """f.margin(a) for the solver: a NaN margin (a family formula that
+    overflows) is on neither side of the boundary, so it is an error."""
+    m = f.margin(a)
+    if math.isnan(m):
+        raise SolverError(f"margin of {f.name} is NaN: its formula overflows here")
+    return m
+
+
 def _pencil_margin(f: Subequation, p_perp: np.ndarray, p_line: np.ndarray, pbar: float) -> float:
-    return f.margin(p_perp - (pbar - 1.0) * p_line)
+    return _margin_at(f, p_perp - (pbar - 1.0) * p_line)
 
 
 def _bisect_decreasing(g, lo: float, hi: float, tol: float):
@@ -207,8 +211,8 @@ def increasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL,
     p_line = projector_onto(e)
     p_perp = projector_perp(e)
 
-    m_minus = f.margin(-p_line)
-    m_dual = dual(f).margin(p_line)  # equals -m_minus by construction
+    m_minus = _margin_at(f, -p_line)
+    m_dual = _margin_at(dual(f), p_line)  # equals -m_minus by construction
     band = _membership_band(1.0)
     infinite_primal = m_minus >= -band
     infinite_dual = not (m_dual > band)
@@ -264,12 +268,12 @@ def decreasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL,
     p_perp = projector_perp(e)
 
     band = _membership_band(1.0)
-    if f.margin(p_line) <= band:
+    if _margin_at(f, p_line) <= band:
         value, bracket = INF, 0.0
     else:
 
         def h(qbar):
-            return f.margin(-p_perp + (qbar - 1.0) * p_line)
+            return _margin_at(f, -p_perp + (qbar - 1.0) * p_line)
 
         if h(1.0) >= -band:
             value, bracket = 1.0, 0.0
@@ -293,6 +297,9 @@ def decreasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL,
 
 def characteristic_pair(f: Subequation, tol: float = DEFAULT_TOL,
                         check_directions: int = 0, seed=0) -> CharacteristicPair:
+    if f.n == 1:
+        raise DomainError("characteristic pair needs n >= 2: at n = 1, P_perp = 0 and "
+                          "(p-1)(q-1) >= 1 cannot hold")
     p, pb = increasing_characteristic(f, tol=tol, check_directions=check_directions, seed=seed)
     q, qb = decreasing_characteristic(f, tol=tol)
     return CharacteristicPair(p=p, q=q, p_bracket=pb, q_bracket=qb)

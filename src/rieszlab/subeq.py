@@ -4,9 +4,11 @@ Garding constructions, and structural property checks.
 A subequation is represented through a continuous margin function m with
 member(A) <=> m(A) >= 0, interior {m > 0} and boundary {m = 0}.  All the
 built-in families are functions of the ordered eigenvalues, so their
-margins are rotation invariant up to eigensolver rounding.  Every margin
-also has a batched form over (m, n, n) stacks that gives the same floats
-row by row; the property suites evaluate whole sample stacks with it.
+margins are rotation invariant up to eigensolver rounding.  They, the
+Garding branches, the lifts and their duals and regularizations are
+spectral: m(A) = eig_margin(spectrum(A)).  Every margin also has a batched
+form over (m, n, n) stacks that gives the same floats row by row; the
+property suites evaluate whole sample stacks with it.
 """
 
 from __future__ import annotations
@@ -48,12 +50,19 @@ class Subequation:
 
     ``margin`` maps a symmetric matrix to a real number and
     ``margin_batch`` maps an (..., n, n) stack to the (...) margins, with
-    the same floats row by row.  ``eig_margin`` is the same constraint
-    expressed on ascending spectra, one list or an (..., n) stack, and is
-    present exactly for the orthogonally-invariant families (it is what
-    the complex/quaternionic lifts reuse).  ``_margins`` builds both
-    margins from one function on stacks.  ``closed_form`` is the catalog's
-    increasing characteristic, set by the constructors that know it.
+    the same floats row by row; ``_margins`` builds both from one function
+    on stacks.
+
+    A spectral subequation also carries ``spectrum``, which maps an
+    (..., n, n) stack to ascending (..., k) spectra (the ordered
+    eigenvalues, or the reduced spectrum of a lift), and ``eig_margin``,
+    the constraint on such spectra; its margins are
+    ``eig_margin(spectrum(A))``, built only by ``_spectral``.  The
+    spectrum map is linear along the identity: for all A and real s, t,
+    spectrum(s Id + t A) = sort(s spectrum(Id) + t spectrum(A)), and
+    spectrum(Id) is a constant vector.  Both fields are None for the
+    other subequations.  ``closed_form`` is the catalog's increasing
+    characteristic, set by the constructors that know it.
     """
 
     name: str
@@ -61,6 +70,7 @@ class Subequation:
     margin: Callable
     convex: bool
     invariance: str  # one of "O(n)", "U(n)", "Sp(n)", "sampled-ST", "none"
+    spectrum: Callable | None = None
     eig_margin: Callable | None = None
     preferred_direction: np.ndarray | None = None
     params: dict = field(default_factory=dict)
@@ -88,17 +98,11 @@ def _margins(values: Callable) -> dict:
     return {"margin": margin, "margin_batch": values}
 
 
-def _from_eigs(name, n, eig_margin, convex, params, closed_form=None):
-    return Subequation(
-        name=name,
-        n=n,
-        convex=convex,
-        invariance="O(n)",
-        eig_margin=eig_margin,
-        params=dict(params),
-        closed_form=closed_form,
-        **_margins(lambda a: eig_margin(ordered_eigenvalues(a))),
-    )
+def _spectral(spectrum: Callable, eig_margin: Callable, **meta) -> Subequation:
+    """Spectral subequation with margins eig_margin(spectrum(A)); ``meta``
+    holds the other constructor fields."""
+    return Subequation(spectrum=spectrum, eig_margin=eig_margin,
+                       **_margins(lambda a: eig_margin(spectrum(a))), **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +288,8 @@ def builtin(family: str, n: int, **params) -> Subequation:
     eig_margin = entry.build(n, **params)
     closed = None if entry.closed is None else entry.closed(n, **params)
     label = family if not params else family + "(" + ",".join(f"{k}={v:g}" for k, v in sorted(params.items())) + ")"
-    return _from_eigs(label, n, eig_margin, entry.convex, params, closed_form=closed)
+    return _spectral(ordered_eigenvalues, eig_margin, name=label, n=n, convex=entry.convex,
+                     invariance="O(n)", params=dict(params), closed_form=closed)
 
 
 # ---------------------------------------------------------------------------
@@ -293,24 +298,14 @@ def builtin(family: str, n: int, **params) -> Subequation:
 
 
 def dual(f: Subequation) -> Subequation:
-    """Dual subequation: margin_dual(A) = -margin(-A); an exact involution."""
-    eig_margin = None
-    if f.eig_margin is not None:
-        base = f.eig_margin
-
-        def eig_margin(lams):
-            return -base(-lams[..., ::-1])
-
-    return Subequation(
-        name=f"dual({f.name})",
-        n=f.n,
-        **_margins(lambda a: -f.margin_batch(-as_matrices(a))),
-        convex=False,
-        invariance=f.invariance,
-        eig_margin=eig_margin,
-        preferred_direction=f.preferred_direction,
-        params=dict(f.params),
-    )
+    """Dual subequation: margin_dual(A) = -margin(-A); an exact involution.
+    A spectral F keeps its spectrum map: the spectrum of -A is the reversed,
+    negated spectrum of A."""
+    meta = dict(name=f"dual({f.name})", n=f.n, convex=False, invariance=f.invariance,
+                preferred_direction=f.preferred_direction, params=dict(f.params))
+    if f.spectrum is not None:
+        return _spectral(f.spectrum, lambda lams: -f.eig_margin(-lams[..., ::-1]), **meta)
+    return Subequation(**_margins(lambda a: -f.margin_batch(-as_matrices(a))), **meta)
 
 
 def _lift(kind: str, structure_type, invariance: str, family: str, n: int,
@@ -318,17 +313,17 @@ def _lift(kind: str, structure_type, invariance: str, family: str, n: int,
     """The base eigenvalue constraint applied to the reduced spectrum of
     the hermitian part with respect to the standard structure."""
     base = builtin(family, n, **params)
-    base_eig = base.eig_margin
     structure = structure_type.standard(n)
     closed = base.closed_form
-    return Subequation(
+    return _spectral(
+        lambda a: reduced_eigenvalues(a, structure),
+        base.eig_margin,
         name=f"{kind}({base.name})",
         n=structure.dim,
         convex=base.convex,
         invariance=invariance,
         params=dict(base.params),
         closed_form=None if closed is None else closed * (structure.dim / n),
-        **_margins(lambda a: base_eig(reduced_eigenvalues(a, structure))),
     )
 
 
@@ -454,46 +449,36 @@ def garding_branch(operator: str, k: int, n: int, p: int | None = None,
         label = f"garding(pdelta,delta={delta:g},k={k})"
     else:
         raise DomainError(f"unknown Garding operator {operator!r}")
-    return _from_eigs(label, n, eig_margin, convex=(k == 1), params={"k": k})
+    return _spectral(ordered_eigenvalues, eig_margin, name=label, n=n, convex=(k == 1),
+                     invariance="O(n)", params={"k": k})
 
 
 def uniform_elliptic_regularization(f: Subequation, delta: float) -> Subequation:
     """Shifted family A -> A + (delta/n) tr(A) Id fed through F's margin.
-    A closed form c of F becomes c n (1 + delta) / (n + delta c), or
-    n (1 + delta) / (n / c + delta) where c n (1 + delta) is not finite
+    A spectral F keeps its eig_margin and reads the spectrum of the shifted
+    matrix.  A closed form c of F becomes c n (1 + delta) / (n + delta c),
+    or n (1 + delta) / (n / c + delta) where c n (1 + delta) is not finite
     (c = inf, or overflow)."""
     if not math.isfinite(delta) or delta <= 0:
         raise DomainError(f"regularization needs a finite delta > 0, got {delta}")
     c = delta / f.n
     eye = np.eye(f.n)
 
-    def values(a) -> np.ndarray:
+    def shifted(a) -> np.ndarray:
         a = as_matrices(a)
-        return f.margin_batch(a + c * np.trace(a, axis1=-2, axis2=-1)[..., None, None] * eye)
-
-    eig_margin = None
-    if f.eig_margin is not None:
-        base = f.eig_margin
-
-        def eig_margin(lams):
-            return base(lams + c * lams.sum(axis=-1, keepdims=True))
+        return a + c * np.trace(a, axis1=-2, axis2=-1)[..., None, None] * eye
 
     closed = f.closed_form
     if closed is not None:
         top = closed * f.n * (1.0 + delta)
         closed = (top / (f.n + delta * closed) if math.isfinite(top)
                   else f.n * (1.0 + delta) / (f.n / closed + delta))
-    return Subequation(
-        name=f"regularized({f.name},delta={delta:g})",
-        n=f.n,
-        **_margins(values),
-        convex=f.convex,
-        invariance=f.invariance,
-        eig_margin=eig_margin,
-        preferred_direction=f.preferred_direction,
-        params={**f.params, "delta": delta},
-        closed_form=closed,
-    )
+    meta = dict(name=f"regularized({f.name},delta={delta:g})", n=f.n, convex=f.convex,
+                invariance=f.invariance, preferred_direction=f.preferred_direction,
+                params={**f.params, "delta": delta}, closed_form=closed)
+    if f.spectrum is not None:
+        return _spectral(lambda a: f.spectrum(shifted(a)), f.eig_margin, **meta)
+    return Subequation(**_margins(lambda a: f.margin_batch(shifted(a))), **meta)
 
 
 def intersection(f: Subequation, g: Subequation) -> Subequation:
@@ -721,12 +706,12 @@ def check_uniform_ellipticity(delta: float, n: int, sample_count: int = 1000,
     if not math.isfinite(delta) or delta <= 0:
         raise DomainError(f"delta must be finite and > 0, got {delta}")
     d = delta / n
-    op = _shifted_branch(0, d)
+    op = builtin("pdelta", n, delta=delta).margin_batch
 
     def violations(seeds):
         a = _draw(random_symmetric, n, seeds[:, 0])
         psd = _draw(random_psd, n, seeds[:, 1])
-        diff = op(ordered_eigenvalues(a + psd)) - op(ordered_eigenvalues(a))
+        diff = op(a + psd) - op(a)
         tr = np.trace(psd, axis1=-2, axis2=-1)
         return [d * tr - diff, diff - (1.0 + d) * tr]
 

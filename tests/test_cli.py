@@ -159,6 +159,25 @@ def test_charx_fuzz_exits_cleanly_and_matches_closed_forms(argv):
             assert float(payload["residual"]) <= 1e-6, (argv, payload)
 
 
+@pytest.mark.parametrize("argv,exit_code,err_lines,reason", [
+    # the signed powers overflow and the margin turns NaN mid-bisection
+    (["charx", "trace-power", "--n", "8", "--k", "2", "--q", "1e300", "--regularize", "0.5"],
+     3, 1, "NaN"),
+    # overflow to inf is read correctly and prints no numpy warning
+    (["charx", "quaternionic", "sigma-k", "--n", "4", "--k", "2", "--regularize", "1e300"],
+     0, 0, ""),
+    (["charx", "min-2", "--n", "5", "--p", "1e300", "--regularize", "1e300"], 0, 0, ""),
+    (["charx", "p", "--n", "1"], 3, 1, "n >= 2"),
+])
+def test_charx_overflow_and_n1_exit_codes(argv, exit_code, err_lines, reason):
+    env = dict(os.environ, PYTHONPATH=str(Path(rieszlab.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-m", "rieszlab.cli", *argv, "--no-timestamp"],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == exit_code
+    assert result.stderr.count("\n") == err_lines and reason in result.stderr
+    assert bool(result.stdout) == (exit_code == 0)
+
+
 def test_verify_pdelta_uniform_ellipticity(capsys):
     code, payload = run_json(capsys, "verify", "pdelta", "--n", "3", "--delta", "1",
                              "--suite", "ue", "--samples", "300")

@@ -334,3 +334,16 @@ def test_no_crossing_inside_bracket_is_a_solver_error():
     f = subeq.builtin("min-max", 3, p=200.0)
     with pytest.raises(SolverError):
         riesz.increasing_characteristic(f)
+
+
+def test_nan_margin_is_a_solver_error():
+    # the signed powers overflow to +-inf and their sum is NaN inside the bracket
+    f = subeq.uniform_elliptic_regularization(subeq.builtin("trace-power", 8, k=2, q=1e300), 0.5)
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match="NaN"):
+        riesz.increasing_characteristic(f)
+
+
+@pytest.mark.parametrize("family", ["p", "laplacian", "full-space"])
+def test_characteristic_pair_needs_two_dimensions(family):
+    with pytest.raises(DomainError, match="n >= 2"):
+        riesz.characteristic_pair(subeq.builtin(family, 1))

@@ -185,13 +185,19 @@ def cmd_charx(args) -> int:
         **pair.to_dict(),
     }
     closed = f.closed_form
-    if closed is not None:
-        record["closed_form"] = closed
-        if math.isfinite(closed) and math.isfinite(pair.p):
-            record["residual"] = abs(pair.p - closed)
-        else:
-            record["residual"] = 0.0 if closed == pair.p else math.inf
-    emit(record, args)
+    if closed is None:
+        emit(record, args)
+        return EXIT_OK
+    if math.isfinite(closed) and math.isfinite(pair.p):
+        residual = abs(pair.p - closed)
+    else:
+        residual = 0.0 if closed == pair.p else math.inf
+    emit({**record, "closed_form": closed, "residual": residual}, args)
+    if residual > 10.0 * args.tol:
+        # the computed p misses the catalog's closed form
+        print(f"check failed: p = {pair.p}, closed_form = {closed}, residual = {residual}",
+              file=sys.stderr)
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 

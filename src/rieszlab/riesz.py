@@ -1,9 +1,21 @@
 """Riesz characteristics and kernels.
 
 The increasing characteristic of a spherically-transitive cone
-subequation is the unique p with P_{e-perp} - (p-1) P_e on the boundary;
-it is found by bisection on the margin along that matrix pencil.  The
-decreasing characteristic is the increasing characteristic of the dual.
+subequation is the unique p with P_{e-perp} - (p-1) P_e = Id - p P_e on
+the boundary; it is found by bisection on the margin along that pencil,
+on [1, hi] with hi = 64 doubled while the margin there is still >= 0.
+The decreasing characteristic is the same root for -(Id - q P_e), and
+it is cross-checked against the increasing characteristic of the dual.
+
+For a spectral F the bisection runs on spectra: spec(Id - t P_e) is
+spectrum(Id) - t spectrum(P_e), reversed, so two spectra serve a whole
+direction and one vector call evaluates the 31 interior points of a
+dyadic 32-section, on which the steps of plain bisection are replayed
+(same points, same bracket).  Two matrix margins must then confirm the
+final bracket, or the solver raises.  Everything that checks an answer
+stays on matrix margins, one per step: the infinity and t = 1 tests,
+``check_directions``, the dual cross-check, ``bisection_certificate`` and
+every subequation without a spectrum.
 Kernels come in two normalizations: the `standard` one (plain powers /
 log) and the `barred` one whose first derivative is exactly r^(1-p).
 """
@@ -17,7 +29,6 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, SolverError
 from .linalg import (
-    fro,
     projector_onto,
     projector_perp,
     random_symmetric,
@@ -27,8 +38,12 @@ from .linalg import (
 from .subeq import (BOUNDARY_BAND, MEMBER_TOL, SAMPLE_BLOCK_ROWS, PropertyReport, Subequation,
                     builtin, dual, require_samples, worst_case)
 
+# The characteristic bracket starts as [1, 64]; its upper end doubles while
+# the margin there is still >= 0.
 P_BRACKET_MAX = 64.0
-P_BRACKET_HARD_MAX = 128.0
+# A spectral bisection call evaluates the 31 interior points of a dyadic
+# 32-section of the bracket.
+SECTION_LEVELS = 5
 DEFAULT_TOL = 1e-9
 
 INF = math.inf
@@ -166,51 +181,129 @@ def _membership_band(norm: float) -> float:
     return MEMBER_TOL * (1.0 + norm)
 
 
+def _nan_margin(f: Subequation) -> SolverError:
+    return SolverError(f"margin of {f.name} is NaN: its formula overflows here")
+
+
 def _margin_at(f: Subequation, a: np.ndarray) -> float:
     """f.margin(a) for the solver: a NaN margin (a family formula that
     overflows) is on neither side of the boundary, so it is an error."""
     m = f.margin(a)
     if math.isnan(m):
-        raise SolverError(f"margin of {f.name} is NaN: its formula overflows here")
+        raise _nan_margin(f)
     return m
 
 
-def _pencil_margin(f: Subequation, p_perp: np.ndarray, p_line: np.ndarray, pbar: float) -> float:
-    return _margin_at(f, p_perp - (pbar - 1.0) * p_line)
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
+
+
+def _matrix_pencil(f: Subequation, e: np.ndarray, side: int):
+    """t -> side * margin(side * (Id - t P_e)), one matrix margin per t.
+    Id - t P_e is P_perp - (t-1) P_e; side +1 gives the increasing
+    characteristic's pencil and side -1 the decreasing one's, and either
+    way the root sought is where the map turns negative."""
+    p_line = projector_onto(e)
+    p_perp = projector_perp(e)
+    if side > 0:
+        return lambda t: _margin_at(f, p_perp - (t - 1.0) * p_line)
+    return lambda t: -_margin_at(f, -p_perp + (t - 1.0) * p_line)
+
+
+def _spectral_pencil(f: Subequation, e: np.ndarray, side: int):
+    """The same map on an array of t >= 1, from two spectra: for t > 0 the
+    spectrum of Id - t P_e is spectrum(Id) - t spectrum(P_e) reversed, since
+    spectrum(Id) is constant and spectrum(P_e) ascending."""
+    spec_id = f.spectrum(np.eye(f.n))
+    spec_e = f.spectrum(projector_onto(e))
+
+    def g(ts):
+        lams = spec_id - np.multiply.outer(ts, spec_e)
+        values = f.eig_margin(lams[..., ::-1] if side > 0 else -lams)
+        if np.isnan(values).any():
+            raise _nan_margin(f)
+        return side * values
+
+    return g
+
+
+def _check_inside(lo: float, mid: float, hi: float) -> None:
+    """A bisection whose midpoint rounds to an end of its bracket would
+    never end: tol is below the float spacing there."""
+    if not lo < mid < hi:
+        raise SolverError(f"bisection stalls at {mid!r}, where floats are {math.ulp(mid):.2g} "
+                          "apart: tol is smaller")
 
 
 def _bisect_decreasing(g, lo: float, hi: float, tol: float):
-    """Root of a decreasing g with g(lo) >= 0 > g(hi)."""
-    glo, ghi = g(lo), g(hi)
-    if glo < 0.0:
-        raise SolverError(f"no sign change: margin already negative at {lo}")
-    if ghi > 0.0:
-        return None
+    """Final bracket [lo, hi] of plain bisection for a decreasing g with
+    g(lo) >= 0 > g(hi)."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        _check_inside(lo, mid, hi)
         if g(mid) >= 0.0:
             lo = mid
         else:
             hi = mid
+    return lo, hi
+
+
+def _bisect_sections(g, lo: float, hi: float, tol: float):
+    """The bracket of ``_bisect_decreasing``, for any g, from one call of g
+    per dyadic section: g maps the array of the section's interior points,
+    each the midpoint plain bisection computes, to their values, and plain
+    bisection's steps are replayed on those values."""
+    parts = 1 << SECTION_LEVELS
+    while hi - lo > tol:
+        x = [lo] * parts + [hi]
+        step = parts
+        while step > 1:
+            for k in range(step // 2, parts, step):
+                x[k] = 0.5 * (x[k - step // 2] + x[k + step // 2])
+            step //= 2
+        values = g(np.array(x[1:-1])).tolist()
+        i, j = 0, parts
+        while j - i > 1 and x[j] - x[i] > tol:
+            k = (i + j) // 2
+            _check_inside(x[i], x[k], x[j])
+            if values[k - 1] >= 0.0:
+                i = k
+            else:
+                j = k
+        lo, hi = x[i], x[j]
+    return lo, hi
+
+
+def _pencil_root(f: Subequation, e: np.ndarray, side: int, tol: float, spectral: bool,
+                 what: str):
+    """Root and bracket width of the decreasing map of ``_matrix_pencil``,
+    whose value at 1 is >= 0.  The bracket [1, hi] starts at hi = 64 and
+    doubles while the value at hi is >= 0, up to the last hi whose float
+    spacing is below tol.  A spectral F is bisected on its spectra, 31
+    points per call, and two matrix margins must then confirm the final
+    bracket."""
+    g = _matrix_pencil(f, e, side)
+    sections = _spectral_pencil(f, e, side) if spectral else None
+    at = g if sections is None else (lambda t: sections(np.array([t]))[0])
+    hi = P_BRACKET_MAX
+    while at(hi) >= 0.0:
+        if math.ulp(2.0 * hi) >= tol:
+            raise SolverError(f"no {what} crossing for {f.name} in [1, {hi:.0f}]: a wider "
+                              f"bracket would not resolve tol = {tol:g}")
+        hi *= 2.0
+    if sections is None:
+        lo, hi = _bisect_decreasing(g, 1.0, hi, tol)
+    else:
+        lo, hi = _bisect_sections(sections, 1.0, hi, tol)
+        if not g(lo) >= 0.0 > g(hi):
+            raise SolverError(f"matrix margins of {f.name} do not confirm its spectral "
+                              f"bracket [{lo!r}, {hi!r}]")
     return 0.5 * (lo + hi), hi - lo
 
 
-def increasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL,
-                              check_directions: int = 0, seed=0):
-    """Increasing characteristic of F and the final bracket width.
-
-    Returns (inf, 0.0) when -P_e is a member (both the membership form
-    and its dual restatement are evaluated and must agree), and (1, 0.0)
-    when margin(P_perp) is negative only within the membership band.
-    Otherwise bisection runs on [1, 64], widening once to 128 before
-    failing.
-    """
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and > 0, got {tol}")
-    e = unit_vector(e if e is not None else f.direction())
+def _increasing(f: Subequation, e: np.ndarray, tol: float, spectral: bool):
     p_line = projector_onto(e)
-    p_perp = projector_perp(e)
-
     m_minus = _margin_at(f, -p_line)
     m_dual = _margin_at(dual(f), p_line)  # equals -m_minus by construction
     band = _membership_band(1.0)
@@ -223,29 +316,32 @@ def increasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL,
         )
     if infinite_primal:
         return INF, 0.0
-
-    def g(pbar):
-        return _pencil_margin(f, p_perp, p_line, pbar)
-
-    if -band <= g(1.0) < 0.0:
+    g1 = _matrix_pencil(f, e, 1)(1.0)
+    if -band <= g1 < 0.0:
         # P_perp on the boundary up to rounding: the characteristic is 1
-        value, bracket = 1.0, 0.0
-    else:
-        result = _bisect_decreasing(g, 1.0, P_BRACKET_MAX, tol)
-        if result is None:
-            result = _bisect_decreasing(g, 1.0, P_BRACKET_HARD_MAX, tol)
-        if result is None:
-            raise SolverError(
-                f"no boundary crossing for {f.name} in [1, {P_BRACKET_HARD_MAX}] "
-                "although -P_e is not a member"
-            )
-        value, bracket = result
+        return 1.0, 0.0
+    if g1 < 0.0:
+        raise SolverError("no sign change: margin already negative at 1.0")
+    return _pencil_root(f, e, 1, tol, spectral, "boundary")
 
+
+def increasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL,
+                              check_directions: int = 0, seed=0):
+    """Increasing characteristic of F and the final bracket width.
+
+    Returns (inf, 0.0) when -P_e is a member (both the membership form
+    and its dual restatement are evaluated and must agree), and (1, 0.0)
+    when margin(P_perp) is negative only within the membership band.
+    Otherwise bisection runs on [1, hi], hi = 64 doubled while needed.
+    The ``check_directions`` random directions are solved on matrices.
+    """
+    _check_tol(tol)
+    e = unit_vector(e if e is not None else f.direction())
+    value, bracket = _increasing(f, e, tol, spectral=f.spectrum is not None)
     if check_directions:
         rng = np.random.default_rng(seed)
         for _ in range(check_directions):
-            e2 = random_unit_vector(f.n, rng)
-            v2, _ = increasing_characteristic(f, e2, tol)
+            v2, _ = _increasing(f, random_unit_vector(f.n, rng), tol, spectral=False)
             if not math.isclose(v2, value, abs_tol=10.0 * tol):
                 raise SolverError(
                     f"characteristic depends on direction for {f.name}: "
@@ -259,34 +355,21 @@ def decreasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL,
     """Decreasing (dual) characteristic of F and the bracket width.
 
     Finite exactly when P_e is interior.  Cross-checked against the
-    increasing characteristic of the dual subequation.
+    increasing characteristic of the dual subequation, solved on matrices.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and > 0, got {tol}")
+    _check_tol(tol)
     e = unit_vector(e if e is not None else f.direction())
-    p_line = projector_onto(e)
-    p_perp = projector_perp(e)
-
     band = _membership_band(1.0)
-    if _margin_at(f, p_line) <= band:
+    if _margin_at(f, projector_onto(e)) <= band:
         value, bracket = INF, 0.0
+    elif _matrix_pencil(f, e, -1)(1.0) <= band:
+        value, bracket = 1.0, 0.0
     else:
-
-        def h(qbar):
-            return _margin_at(f, -p_perp + (qbar - 1.0) * p_line)
-
-        if h(1.0) >= -band:
-            value, bracket = 1.0, 0.0
-        else:
-            result = _bisect_decreasing(lambda q: -h(q), 1.0, P_BRACKET_MAX, tol)
-            if result is None:
-                result = _bisect_decreasing(lambda q: -h(q), 1.0, P_BRACKET_HARD_MAX, tol)
-            if result is None:
-                raise SolverError(f"no decreasing-boundary crossing for {f.name}")
-            value, bracket = result
+        value, bracket = _pencil_root(f, e, -1, tol, f.spectrum is not None,
+                                      "decreasing-boundary")
 
     if cross_check:
-        dual_p, _ = increasing_characteristic(dual(f), e, tol)
+        dual_p, _ = _increasing(dual(f), e, tol, spectral=False)
         both_inf = math.isinf(value) and math.isinf(dual_p)
         if not both_inf and not math.isclose(dual_p, value, abs_tol=10.0 * tol):
             raise SolverError(
@@ -306,22 +389,21 @@ def characteristic_pair(f: Subequation, tol: float = DEFAULT_TOL,
 
 
 def bisection_certificate(f: Subequation, p: float, e=None, tol: float = DEFAULT_TOL) -> dict:
-    """Margin values at p and p -/+ tol: a monotone-crossing witness."""
-    e = unit_vector(e if e is not None else f.direction())
-    p_line = projector_onto(e)
-    p_perp = projector_perp(e)
-    at = _pencil_margin(f, p_perp, p_line, p)
-    below = _pencil_margin(f, p_perp, p_line, p - tol) if p - tol >= 1.0 else None
-    above = _pencil_margin(f, p_perp, p_line, p + tol)
-    scale = 1.0 + fro(p_perp - (p - 1.0) * p_line)
+    """Matrix margins at p and p -/+ tol: a monotone-crossing witness.  It
+    holds when the margin changes sign across [p - tol, p + tol], with the
+    band as rounding slack; the margin at p itself is reported, not judged,
+    since its size is the slope of the margin times the distance to the
+    root."""
+    g = _matrix_pencil(f, unit_vector(e if e is not None else f.direction()), 1)
+    below = g(p - tol) if p - tol >= 1.0 else None
+    above = g(p + tol)
+    band = BOUNDARY_BAND * (1.0 + math.sqrt(f.n - 1.0 + (p - 1.0) ** 2))  # |Id - p P_e|
     return {
-        "margin_at": at,
+        "margin_at": g(p),
         "margin_below": below,
         "margin_above": above,
-        "band": BOUNDARY_BAND * scale,
-        "ok": abs(at) <= BOUNDARY_BAND * scale
-        and (below is None or below >= -BOUNDARY_BAND * scale)
-        and above <= BOUNDARY_BAND * scale,
+        "band": band,
+        "ok": (below is None or below >= -band) and above <= band,
     }
 
 
@@ -354,13 +436,26 @@ def radial_harmonic_check(f: Subequation, theta: float, p: float, radii,
 
 def _boundary_shifts(f: Subequation, a: np.ndarray, steps: int = 60) -> np.ndarray:
     """Upper ends of the bisection brackets, started at [-10, 10], for the
-    t with A + t Id on the boundary of F, one per matrix of the stack."""
-    eye = np.eye(f.n)
+    t with A + t Id on the boundary of F, one per matrix of the stack.  A
+    spectral F is bisected on spectra: the spectrum of A + t Id is
+    spectrum(A) + t spectrum(Id), in the same order."""
+    if f.spectrum is not None:
+        lams = f.spectrum(a)
+        spec_id = f.spectrum(np.eye(f.n))
+
+        def margins(t):
+            return f.eig_margin(lams + np.multiply.outer(t, spec_id))
+    else:
+        eye = np.eye(f.n)
+
+        def margins(t):
+            return f.margin_batch(a + t[:, None, None] * eye)
+
     lo = np.full(len(a), -10.0)
     hi = np.full(len(a), 10.0)
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        inside = f.margin_batch(a + mid[:, None, None] * eye) >= 0.0
+        inside = margins(mid) >= 0.0
         hi = np.where(inside, mid, hi)
         lo = np.where(inside, lo, mid)
     return hi

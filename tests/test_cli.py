@@ -178,6 +178,45 @@ def test_charx_overflow_and_n1_exit_codes(argv, exit_code, err_lines, reason):
     assert bool(result.stdout) == (exit_code == 0)
 
 
+@pytest.mark.parametrize("argv,q", [
+    # p-convex with n - 1 < p < n: q = p / (p - n + 1)
+    (["charx", "p-convex", "--n", "3", "--p", "2.01"], 201.0),
+    # the complex lift doubles it
+    (["charx", "complex", "p-convex", "--n", "3", "--p", "2.01"], 402.0),
+    # largest-convex: q = p (n - 1) / (p - 1)
+    (["charx", "largest-convex", "--n", "4", "--p", "1.01"], 303.0),
+])
+def test_charx_decreasing_characteristic_above_128(capsys, argv, q):
+    # exit 0 means the dual cross-check agreed as well
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    assert payload["q"] == pytest.approx(q, abs=1e-6)
+    assert float(payload["residual"]) <= 1e-8
+
+
+def _charx_subprocess(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(rieszlab.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "rieszlab.cli", *argv, "--no-timestamp"],
+                          env=env, capture_output=True, text=True)
+
+
+def test_charx_residual_above_tolerance_is_a_failed_check():
+    # the signed powers overflow, the margin underflows to 0 and -P_e reads
+    # as a member: p = inf against the closed form 8
+    result = _charx_subprocess(["charx", "quaternionic", "trace-power", "--n", "2", "--k", "2",
+                                "--q", "1e300", "--regularize", "0.5"])
+    assert result.returncode == 2
+    assert result.stderr.count("\n") == 1
+    assert all(word in result.stderr for word in ("p = inf", "closed_form = 8.0", "residual = inf"))
+    assert json.loads(result.stdout)["residual"] == "inf"
+
+
+def test_charx_residual_within_tolerance_exits_0():
+    result = _charx_subprocess(["charx", "sigma-k", "--n", "4", "--k", "2"])
+    assert result.returncode == 0 and result.stderr == ""
+    assert float(json.loads(result.stdout)["residual"]) <= 1e-8
+
+
 def test_verify_pdelta_uniform_ellipticity(capsys):
     code, payload = run_json(capsys, "verify", "pdelta", "--n", "3", "--delta", "1",
                              "--suite", "ue", "--samples", "300")

@@ -329,11 +329,25 @@ def test_characteristic_rejects_bad_tolerance():
 
 
 def test_no_crossing_inside_bracket_is_a_solver_error():
-    # the min-max family with p = 200 crosses the boundary far beyond the
-    # widened bracket, so the solve must fail loudly
-    f = subeq.builtin("min-max", 3, p=200.0)
-    with pytest.raises(SolverError):
+    # the min-max family with p = 1e7 crosses the boundary beyond the largest
+    # bracket, [1, 2**22], whose float spacing still resolves tol = 1e-9
+    f = subeq.builtin("min-max", 3, p=1e7)
+    with pytest.raises(SolverError, match=r"\[1, 4194304\]: a wider bracket would not resolve"):
         riesz.increasing_characteristic(f)
+
+
+@pytest.mark.parametrize("p", [65.0, 200.0, 4e6])
+def test_bracket_doubles_past_64(p):
+    f = subeq.builtin("min-max", 3, p=p)
+    value, bracket = riesz.increasing_characteristic(f)
+    assert value == pytest.approx(p, abs=1e-8) and bracket <= 1e-9
+
+
+def test_tolerance_below_float_spacing_is_a_solver_error():
+    # near p = 40 floats are 7.1e-15 apart, so bisection to 1e-15 would stall
+    f = subeq.builtin("min-max", 3, p=40.0)
+    with pytest.raises(SolverError, match="stalls"):
+        riesz.increasing_characteristic(f, tol=1e-15)
 
 
 def test_nan_margin_is_a_solver_error():

@@ -34,6 +34,15 @@ class ConfigError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config error: one stderr line and exit 4, not
+    argparse's usage text and exit 2, which means a failed check here.
+    Subparsers are built from the same class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 # ---------------------------------------------------------------------------
 # families and fields addressable from the command line
 # ---------------------------------------------------------------------------
@@ -62,6 +71,8 @@ def _given(value, default):
 
 def build_field(name: str, args) -> fl.ScalarField:
     n = args.n
+    if n < 2:
+        raise DomainError(f"fields are averaged over spheres in R^n, n >= 2; got --n {n}")
     theta = _given(args.theta, 1.0)
     p = args.p
     if name == "riesz":
@@ -70,6 +81,8 @@ def build_field(name: str, args) -> fl.ScalarField:
         base = fl.riesz_kernel_field(theta, float(p), n)
         return fl.plus_quadratic_field(base, 2.0)
     if name == "log-coord":
+        if n % 2:
+            raise DomainError(f"log-coord lives on C^(n/2) and needs an even --n, got {n}")
         return fl.log_modulus_coordinate_field(n // 2)
     if name == "partial-kernel":
         return fl.partial_kernel_field(float(p), _given(args.m, 1), n)
@@ -415,7 +428,7 @@ def _add_family_params(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rieszlab",
         description="Characteristics, verification suites and flow/density experiments "
                     "for cone subequations",

@@ -6,6 +6,12 @@ radii of a run.  Sharing the point set makes quotients of exactly
 scale-homogeneous fields exact (the quadrature error cancels), and the
 reported noise bound comes from comparing against the first half of the
 sample.
+
+Every average (M, S and V, the scalar calls as well as the curves) goes
+through one shell path, `_average_curves`: it checks that each ball is
+inside the field's domain, evaluates each sphere shell once, and always
+samples the spherical maximum, so a closed-form max is checked against
+the sampled one.
 """
 
 from __future__ import annotations
@@ -201,8 +207,8 @@ def _clipped(vals: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _require_inside(field: ScalarField, x0: np.ndarray, r: float):
-    if r <= 0.0:
-        raise DomainError("radius must be positive")
+    if not 0.0 < r < INF:
+        raise DomainError(f"radius must be positive and finite, got {r}")
     if float(np.linalg.norm(x0)) + r > field.domain_radius:
         raise DomainError("ball leaves the field's domain")
 
@@ -213,17 +219,18 @@ def _shell(field: ScalarField, x0: np.ndarray, r: float, quad: SphereQuad):
 
 
 def _max_from_shell(field: ScalarField, x0: np.ndarray, r: float, quad: SphereQuad,
-                    vals: np.ndarray | None) -> float:
-    """M(u, x0; r) from the clipped shell values; None skips the cross-check
-    of a closed form."""
+                    vals: np.ndarray) -> float:
+    """M(u, x0; r) from the clipped shell values: the field's closed form,
+    which the sampled maximum must not exceed, or else the sample maximum
+    inflated by a nearest-neighbor Lipschitz estimate to cover the gap
+    between the sample and the true supremum."""
     if field.analytic_max is not None:
         exact = float(field.analytic_max(x0, r))
-        if vals is not None:
-            sampled = float(vals.max())
-            if sampled > exact + 1e-6 * (1.0 + abs(exact)):
-                raise NumericalError(
-                    f"sampled spherical max {sampled} exceeds closed form {exact}"
-                )
+        sampled = float(vals.max())
+        if sampled > exact + 1e-6 * (1.0 + abs(exact)):
+            raise NumericalError(
+                f"sampled spherical max {sampled} exceeds closed form {exact}"
+            )
         return exact
     idx, dist = quad.neighbor_stats()
     sub = vals[: idx.size]
@@ -234,24 +241,6 @@ def _max_from_shell(field: ScalarField, x0: np.ndarray, r: float, quad: SphereQu
     return float(vals.max()) + lipschitz * covering
 
 
-def spherical_max(field: ScalarField, x0, r: float, quad: SphereQuad | None = None,
-                  cross_check: bool = True) -> float:
-    """Spherical maximum M(u, x0; r).
-
-    Uses the field's closed form when available (cross-checking the
-    sampled maximum against it); otherwise the sample maximum is
-    inflated by a nearest-neighbor Lipschitz estimate to cover the gap
-    between the sample and the true supremum.
-    """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    _require_inside(field, x0, r)
-    if field.analytic_max is not None and not (cross_check and quad is not None):
-        return _max_from_shell(field, x0, r, quad, None)
-    if quad is None:
-        quad = sphere_quad(field.n)
-    return _max_from_shell(field, x0, r, quad, _shell(field, x0, r, quad)[0])
-
-
 def _shell_means(vals: np.ndarray, nclip: int, half: int) -> tuple[float, float]:
     """Mean over the shell and over its leading `half` points, which are the
     points of `SphereQuad.half()`."""
@@ -260,23 +249,13 @@ def _shell_means(vals: np.ndarray, nclip: int, half: int) -> tuple[float, float]
     return float(vals.mean()), float(vals[:half].mean())
 
 
-def spherical_average(field: ScalarField, x0, r: float,
-                      quad: SphereQuad | None = None) -> float:
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    _require_inside(field, x0, r)
-    if quad is None:
-        quad = sphere_quad(field.n)
-    return _shell_means(*_shell(field, x0, r, quad), quad.size // 2)[0]
-
-
 def _volume_stats(field, x0, r, quad):
-    """(ball average, leading-half ball average, clipped, count) via the
+    """(ball average, leading-half ball average, clipped count) via the
     radial reduction n * int_0^1 S(rho r) rho^(n-1) drho."""
     rho, w = _gl_nodes()
     n = field.n
     total = half_total = 0.0
     nclip = 0
-    count = 0
     for rho_i, w_i in zip(rho, w):
         vals, c_i = _shell(field, x0, rho_i * r, quad)
         s_i, half_i = _shell_means(vals, c_i, quad.size // 2)
@@ -284,18 +263,7 @@ def _volume_stats(field, x0, r, quad):
         total += weight * s_i
         half_total += weight * half_i
         nclip += c_i
-        count += vals.size
-    return float(total), float(half_total), nclip, count
-
-
-def volume_average(field: ScalarField, x0, r: float,
-                   quad: SphereQuad | None = None) -> float:
-    """Ball average via the radial reduction n * int_0^1 S(rho r) rho^(n-1) drho."""
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    _require_inside(field, x0, r)
-    if quad is None:
-        quad = sphere_quad(field.n)
-    return _volume_stats(field, x0, r, quad)[0]
+    return float(total), float(half_total), nclip
 
 
 @dataclass
@@ -330,19 +298,24 @@ class AverageCurve:
         return rows
 
 
-def _average_curves(field: ScalarField, kinds: Sequence[str], x0: np.ndarray,
-                    radii: np.ndarray, quad: SphereQuad) -> dict:
+def _average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
+                    quad: SphereQuad | None = None) -> dict:
     """kind -> (AverageCurve, leading-half values) over one evaluation per
     sphere shell: M and S share the shell at each radius, and the
     leading-half values (None for M) are what the same curve gives on
-    `quad.half()`."""
+    `quad.half()`.  Every average reads its shells here, after checking
+    that each ball lies inside the field's domain."""
     for kind in kinds:
         if kind not in ("M", "S", "V"):
             raise DomainError(f"unknown average kind {kind!r}")
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.size != field.n or not np.all(np.isfinite(x0)):
+        raise DomainError(f"center must be {field.n} finite coordinates, got {x0.tolist()}")
+    radii = np.asarray(radii, dtype=float)
+    for r in radii:
+        _require_inside(field, x0, r)
+    quad = quad or sphere_quad(field.n)
     half = quad.size // 2
-    if "M" in kinds:
-        for r in radii:
-            _require_inside(field, x0, r)
     shells = [_shell(field, x0, r, quad) for r in radii] if {"M", "S"} & set(kinds) else []
     out = {}
     for kind in kinds:
@@ -351,18 +324,15 @@ def _average_curves(field: ScalarField, kinds: Sequence[str], x0: np.ndarray,
         if kind == "M":
             values = [_max_from_shell(field, x0, r, quad, vals)
                       for r, (vals, _) in zip(radii, shells)]
-        elif kind == "S":
-            means = [_shell_means(vals, nclip, half) for vals, nclip in shells]
-            values = [v for v, _ in means]
-            half_values = [h for _, h in means]
-            clipped = sum(nclip for _, nclip in shells)
-            total = sum(vals.size for vals, _ in shells)
         else:
-            stats = [_volume_stats(field, x0, r, quad) for r in radii]
-            values = [v for v, _, _, _ in stats]
-            half_values = [h for _, h, _, _ in stats]
-            clipped = sum(c for _, _, c, _ in stats)
-            total = sum(m for _, _, _, m in stats)
+            if kind == "S":
+                stats = [(*_shell_means(vals, nclip, half), nclip) for vals, nclip in shells]
+            else:
+                stats = [_volume_stats(field, x0, r, quad) for r in radii]
+            values = [v for v, _, _ in stats]
+            half_values = [h for _, h, _ in stats]
+            clipped = sum(c for _, _, c in stats)
+            total = len(stats) * quad.size * (1 if kind == "S" else GL_NODES)
         curve = AverageCurve(
             kind=kind,
             center=x0,
@@ -378,11 +348,25 @@ def _average_curves(field: ScalarField, kinds: Sequence[str], x0: np.ndarray,
 
 def average_curve(field: ScalarField, kind: str, x0, radii,
                   quad: SphereQuad | None = None) -> AverageCurve:
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    radii = np.asarray(radii, dtype=float)
-    if quad is None:
-        quad = sphere_quad(field.n)
     return _average_curves(field, (kind,), x0, radii, quad)[kind][0]
+
+
+def spherical_max(field: ScalarField, x0, r: float, quad: SphereQuad | None = None) -> float:
+    """Spherical maximum M(u, x0; r): the field's closed form when it has
+    one, checked against the sampled maximum; otherwise the sample maximum
+    inflated to cover the gap to the true supremum."""
+    return float(average_curve(field, "M", x0, [r], quad).values[0])
+
+
+def spherical_average(field: ScalarField, x0, r: float,
+                      quad: SphereQuad | None = None) -> float:
+    return float(average_curve(field, "S", x0, [r], quad).values[0])
+
+
+def volume_average(field: ScalarField, x0, r: float,
+                   quad: SphereQuad | None = None) -> float:
+    """Ball average via the radial reduction n * int_0^1 S(rho r) rho^(n-1) drho."""
+    return float(average_curve(field, "V", x0, [r], quad).values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -394,38 +378,30 @@ def tangent_flow(field: ScalarField, p: float, r: float,
                  quad: SphereQuad | None = None) -> ScalarField:
     """One step of the tangential flow at scale r.
 
-    u_r(x) = r^(p-2) u(rx) for p > 2, r^(p-2) (u(rx) - u(0)) for p < 2
-    (which needs u(0) finite), and u(rx) - M(u, r) for p = 2.
+    u_r(x) = r^(p-2) (u(rx) - c) with c = 0 for p > 2, c = u(0) for p < 2
+    (which needs u(0) finite) and c = M(u, r) for p = 2, where the factor
+    is exactly 1.  The closed-form max and the value at the origin follow
+    the same formula.
     """
-    if r <= 0.0:
-        raise DomainError("flow scale must be positive")
+    if not 0.0 < r < INF:
+        raise DomainError(f"flow scale must be positive and finite, got {r}")
     if math.isinf(p):
         raise DomainError("flow undefined at p = inf")
     n = field.n
     factor = r ** (p - 2.0)
-    origin = np.zeros(n)
-
     if p == 2.0:
-        m_r = spherical_max(field, origin, r, quad or sphere_quad(n))
-        shift = m_r
-        offset = 0.0
+        offset = spherical_max(field, np.zeros(n), r, quad)
     elif p < 2.0:
         if field.reference_value is None or not math.isfinite(field.reference_value):
             raise DomainError("flow with p < 2 needs a finite value at the origin")
-        shift = 0.0
         offset = field.reference_value
     else:
-        shift = 0.0
         offset = 0.0
 
     base_values = field.values
 
     def values(pts):
-        pts = np.asarray(pts, dtype=float)
-        raw = base_values(r * pts)
-        if p == 2.0:
-            return raw - shift
-        return factor * (raw - offset)
+        return factor * (base_values(r * np.asarray(pts, dtype=float)) - offset)
 
     singular = tuple(np.asarray(s, dtype=float) / r for s in field.singular_points)
     sing_dist = None
@@ -440,16 +416,10 @@ def tangent_flow(field: ScalarField, p: float, r: float,
         base_max = field.analytic_max
 
         def analytic(x0, rr):
-            raw = base_max(x0 * r, rr * r)
-            if p == 2.0:
-                return raw - shift
-            return factor * (raw - offset)
+            return factor * (base_max(x0 * r, rr * r) - offset)
 
-    reference = None
-    if p < 2.0:
-        reference = 0.0
-    elif field.reference_value is not None and math.isfinite(field.reference_value):
-        reference = factor * field.reference_value if p > 2.0 else field.reference_value - shift
+    ref = field.reference_value
+    reference = factor * (ref - offset) if ref is not None and math.isfinite(ref) else None
 
     return ScalarField(
         n=n,
@@ -529,6 +499,14 @@ def default_radii(levels: int = 6, r0: float = 1.0) -> np.ndarray:
     return r0 * 0.5 ** np.arange(levels)
 
 
+def _density_radii(radii) -> np.ndarray:
+    """Given or default radii, strictly decreasing and at least three."""
+    radii = default_radii() if radii is None else np.asarray(radii, dtype=float)
+    if radii.size < 3 or np.any(np.diff(radii) >= 0.0):
+        raise DomainError("radii must be strictly decreasing, at least three")
+    return radii
+
+
 def densities(field: ScalarField, x0, p: float, radii=None,
               quad: SphereQuad | None = None,
               kinds: Sequence[str] = ("M", "S", "V")) -> DensityReport:
@@ -548,14 +526,9 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     if math.isinf(p):
         raise DomainError("no density is defined at p = inf")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    radii = default_radii() if radii is None else np.asarray(radii, dtype=float)
-    if radii.size < 3 or np.any(np.diff(radii) >= 0.0):
-        raise DomainError("radii must be strictly decreasing, at least three")
-    quad = quad or sphere_quad(field.n)
-    spec = KernelSpec(p=p)
-    kvals = np.asarray(kernel(spec, radii), dtype=float)
-
+    radii = _density_radii(radii)
     curves = _average_curves(field, kinds, x0, radii, quad)
+    kvals = np.asarray(kernel(KernelSpec(p=p), radii), dtype=float)
     clipped = max((curve.clipped_fraction for curve, _ in curves.values()), default=0.0)
     if clipped > MAX_CLIPPED_FRACTION:
         raise NumericalError(
@@ -586,15 +559,10 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     notes = []
     n = field.n
     if "S" in kinds and "V" in kinds:
-        if p != 2.0:
-            predicted = (n - p + 2.0) / n * theta["V"]
-            residuals["spherical_vs_volume"] = abs(theta["S"] - predicted) / max(
-                abs(theta["S"]), 1e-30
-            )
-        else:
-            residuals["spherical_vs_volume"] = abs(theta["S"] - theta["V"]) / max(
-                abs(theta["S"]), 1e-30
-            )
+        predicted = (n - p + 2.0) / n * theta["V"]  # the factor is exactly 1 at p = 2
+        residuals["spherical_vs_volume"] = abs(theta["S"] - predicted) / max(
+            abs(theta["S"]), 1e-30
+        )
     if "M" in kinds and "S" in kinds:
         if p == 2.0:
             residuals["max_vs_spherical"] = abs(theta["M"] - theta["S"]) / max(
@@ -668,7 +636,6 @@ def mass_density(field: ScalarField, x0, p: float, radii=None,
     The spherical residual compares against the universal constant
     linking the spherical and mass densities.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
     n = field.n
     if n < 3:
         raise DomainError("mass density needs n >= 3")
@@ -677,35 +644,27 @@ def mass_density(field: ScalarField, x0, p: float, radii=None,
     k = n - p
     if k < 0:
         raise DomainError("mass density needs p <= n")
-    radii = default_radii() if radii is None else np.asarray(radii, dtype=float)
-    quad = quad or sphere_quad(n)
-    area = sphere_surface_area(n)
-
-    masses = []
-    s_curve = []
-    for r in radii:
-        s_hi = spherical_average(field, x0, r, quad)
-        s_lo = spherical_average(field, x0, r * (1.0 - fd_step), quad)
-        deriv = (s_hi - s_lo) / (r * fd_step)
-        masses.append(area * r ** (n - 1) * deriv)
-        s_curve.append(s_hi)
-    masses = np.asarray(masses)
+    radii = _density_radii(radii)
+    s_curve = average_curve(field, "S", x0, radii, quad).values
+    s_lo = average_curve(field, "S", x0, radii * (1.0 - fd_step), quad).values
+    deriv = (s_curve - s_lo) / (radii * fd_step)
+    masses = sphere_surface_area(n) * radii ** (n - 1) * deriv
 
     alpha = unit_ball_volume(k)
     estimates = masses / (alpha * radii**k)
     theta_mass = float(estimates[-1])
-    tail = estimates[-3:] if estimates.size >= 3 else estimates
+    tail = estimates[-3:]
     bracket = float(tail.max() - tail.min())
     warning = ""
     diffs = np.diff(estimates)
-    if estimates.size >= 3 and np.any(diffs[:-1] * diffs[1:] < 0):
+    if np.any(diffs[:-1] * diffs[1:] < 0):
         warning = "oscillating finite-difference derivative; bracket widened"
         bracket = float(estimates.max() - estimates.min())
 
     # spherical density from the same curve for the cross-relation
     spec = KernelSpec(p=p)
     kvals = np.asarray(kernel(spec, radii), dtype=float)
-    theta_s = float(_quotients(np.asarray(s_curve), kvals)[-1])
+    theta_s = float(_quotients(s_curve, kvals)[-1])
     const = alpha / (n * abs(p - 2.0) * unit_ball_volume(n)) if p != 2.0 else alpha / (
         n * unit_ball_volume(n)
     )
@@ -743,6 +702,9 @@ class FlowSpec:
         if self.radii is None:
             self.radii = 0.5 ** np.arange(11)
         self.radii = np.asarray(self.radii, dtype=float)
+        if self.radii.size == 0 or not np.all((self.radii > 0.0) & (self.radii < INF)):
+            raise DomainError(f"flow radii must be positive and finite, got "
+                              f"{self.radii.tolist()}")
         if np.any(np.diff(self.radii) >= 0.0):
             raise DomainError("flow radii must be strictly decreasing")
 
@@ -767,8 +729,6 @@ def _grid_distance(u_vals, v_vals, pts, metric: str, beta: float | None, rng) ->
     if metric == "sup":
         return float(np.abs(diff).max())
     if metric == "holder":
-        if beta is None:
-            raise DomainError("holder metric needs beta")
         k = pts.shape[0]
         ii = rng.integers(0, k, size=512)
         jj = rng.integers(0, k, size=512)
@@ -833,6 +793,8 @@ def tangent_experiment(field: ScalarField, spec: FlowSpec, candidate: ScalarFiel
     recorded together with the asymptotic bound by the max-density.
     """
     p = spec.p
+    if candidate.n != field.n:
+        raise DomainError(f"candidate lives on R^{candidate.n}, the field on R^{field.n}")
     if metric == "holder":
         if not p < 2.0:
             raise DomainError("the Hoelder metric needs p < 2")
@@ -885,37 +847,37 @@ def averages_of_tangent_check(tangent: ScalarField, p: float, radii=None,
         raise DomainError("needs finite p")
     n = tangent.n
     radii = default_radii() if radii is None else np.asarray(radii, dtype=float)
-    quad = quad or sphere_quad(n)
-    defect = flow_invariance_defect(tangent, p, quad=quad)
+    defect = flow_invariance_defect(tangent, p, quad=quad or sphere_quad(n))
     worst = 0.0
     note_parts = [f"flow-invariance defect {defect:.2e}"]
     spec = KernelSpec(p=p)
     kvals = np.asarray(kernel(spec, radii), dtype=float)
     count = 0
     if p != 2.0:
+        curves = _average_curves(tangent, kinds, np.zeros(n), radii, quad)
         for kind in kinds:
-            curve = average_curve(tangent, kind, np.zeros(n), radii, quad)
+            curve = curves[kind][0]
             theta_k = curve.values[0] / kvals[0]
             rel = np.abs(curve.values - theta_k * kvals) / np.maximum(np.abs(kvals), 1e-30)
             worst = max(worst, float(rel.max()))
             count += radii.size
             note_parts.append(f"theta_{kind}={theta_k:.6g}")
     else:
+        windows = [kind for kind in ("S", "V") if kind in kinds]
+        curves = _average_curves(tangent, ("M", *windows), np.zeros(n), radii, quad)
         c_const = harnack_constant(n)
-        m_curve = average_curve(tangent, "M", np.zeros(n), radii, quad)
+        m_curve = curves["M"][0]
         theta = _quotients(m_curve.values, kvals)[-1]
         worst = max(worst, float(np.abs(m_curve.values - theta * kvals).max()))
         count += radii.size
         note_parts.append(f"theta={theta:.6g}")
         for kind, floor in (("S", -c_const * theta), ("V", -(c_const + 1.0) * theta)):
-            if kind not in kinds:
+            if kind not in windows:
                 continue
-            curve = average_curve(tangent, kind, np.zeros(n), radii, quad)
-            consts = curve.values - theta * kvals
-            spread = float(consts.max() - consts.min())
-            worst = max(worst, spread)
-            worst = max(worst, float(max(0.0, consts.max() - 0.0)))
-            worst = max(worst, float(max(0.0, floor - consts.min())))
+            consts = curves[kind][0].values - theta * kvals
+            # constant across scales, at most 0 and at least the floor
+            worst = max(worst, float(consts.max() - consts.min()), float(consts.max()),
+                        float(floor - consts.min()))
             count += radii.size
             note_parts.append(f"{kind}-const={consts.mean():.6g} floor={floor:.6g}")
     worst = max(worst, defect)
@@ -962,7 +924,6 @@ def density_decay_check(field: ScalarField, x0, path_points, p: float,
     within brackets.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    quad = quad or sphere_quad(field.n)
     thetas = []
     norms = []
     for x in path_points:
@@ -1007,11 +968,10 @@ def holder_estimate(field: ScalarField, x0, rho: float, big_r: float, p: float,
     alpha = 2.0 - p
     if not (0.0 < 3.0 * rho <= big_r):
         raise DomainError("need 0 < 3 rho <= R")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
     u0 = field.at(x0)
     if not math.isfinite(u0):
         raise DomainError("field must be finite at the center")
-    m_r = spherical_max(field, x0, big_r, quad or sphere_quad(field.n))
+    m_r = spherical_max(field, x0, big_r, quad)
     lead = big_r**alpha / ((big_r - rho) ** alpha - rho**alpha)
     return float(lead * (m_r - u0) / big_r**alpha)
 
@@ -1022,9 +982,7 @@ def infinitesimal_holder(field: ScalarField, x0, p: float, radii=None,
     if not 1.0 <= p < 2.0:
         raise DomainError("needs 1 <= p < 2")
     alpha = 2.0 - p
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
     radii = default_radii() if radii is None else np.asarray(radii, dtype=float)
-    quad = quad or sphere_quad(field.n)
     u0 = field.at(x0)
     r = float(radii[-1])
     return float((spherical_max(field, x0, r, quad) - u0) / r**alpha)
@@ -1035,6 +993,16 @@ def infinitesimal_holder(field: ScalarField, x0, p: float, radii=None,
 # ---------------------------------------------------------------------------
 
 
+def _kernel_of_radius(spec: KernelSpec, weight: float, r: np.ndarray) -> np.ndarray:
+    """weight * K(r) pointwise, with the kernel's value at r = 0: -inf, or 0
+    when p < 2."""
+    out = np.full(r.shape, 0.0 if spec.p < 2.0 else -np.inf)
+    pos = r > 0.0
+    with np.errstate(divide="ignore"):
+        out[pos] = weight * np.asarray(kernel(spec, r[pos]))
+    return out
+
+
 def riesz_kernel_field(theta: float, p: float, n: int, center=None) -> ScalarField:
     """theta * K_p(|x - c|) in the standard normalization."""
     if not (math.isfinite(theta) and theta >= 0):
@@ -1043,15 +1011,8 @@ def riesz_kernel_field(theta: float, p: float, n: int, center=None) -> ScalarFie
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float).reshape(-1)
 
     def values(pts):
-        pts = np.asarray(pts, dtype=float)
-        r = np.linalg.norm(pts - c[None, :], axis=1)
-        out = np.full(r.shape, -np.inf)
-        pos = r > 0.0
-        with np.errstate(divide="ignore"):
-            out[pos] = theta * np.asarray(kernel(spec, r[pos]))
-        if p < 2.0:
-            out[~pos] = 0.0
-        return out
+        r = np.linalg.norm(np.asarray(pts, dtype=float) - c, axis=1)
+        return _kernel_of_radius(spec, theta, r)
 
     def analytic_max(x0, r):
         return theta * kernel(spec, r + float(np.linalg.norm(np.asarray(x0) - c)))
@@ -1110,14 +1071,8 @@ def partial_kernel_field(p: float, m: int, n: int) -> ScalarField:
     spec = KernelSpec(p=p, normalization="barred")
 
     def values(pts):
-        pts = np.asarray(pts, dtype=float)
-        r = np.linalg.norm(pts[:, :m], axis=1)
-        out = np.full(r.shape, -np.inf)
-        pos = r > 0.0
-        out[pos] = np.asarray(kernel(spec, r[pos]))
-        if p < 2.0:
-            out[~pos] = 0.0
-        return out
+        r = np.linalg.norm(np.asarray(pts, dtype=float)[:, :m], axis=1)
+        return _kernel_of_radius(spec, 1.0, r)
 
     def singular_distance(pts):
         return np.linalg.norm(np.asarray(pts, dtype=float)[:, :m], axis=1)
@@ -1174,14 +1129,7 @@ def newtonian_potential_field(p: float, masses, n: int) -> ScalarField:
         pts = np.asarray(pts, dtype=float)
         out = np.zeros(pts.shape[0])
         for w, c in zip(weights, centers):
-            r = np.linalg.norm(pts - c[None, :], axis=1)
-            term = np.full(r.shape, -np.inf)
-            pos = r > 0.0
-            with np.errstate(divide="ignore"):
-                term[pos] = w * np.asarray(kernel(spec, r[pos]))
-            if p < 2.0:
-                term[~pos] = 0.0
-            out = out + term
+            out = out + _kernel_of_radius(spec, w, np.linalg.norm(pts - c, axis=1))
         return out
 
     singular = tuple(centers[i] for i in range(centers.shape[0]) if weights[i] > 0)

@@ -383,6 +383,10 @@ def characteristic_pair(f: Subequation, tol: float = DEFAULT_TOL,
     if f.n == 1:
         raise DomainError("characteristic pair needs n >= 2: at n = 1, P_perp = 0 and "
                           "(p-1)(q-1) >= 1 cannot hold")
+    if _margin_at(f, -np.eye(f.n)) >= 0.0:
+        # a cone subequation with F + P in F contains -Id only if F = Sym(n)
+        raise DomainError(f"{f.name} contains -Id, so it is all of Sym(n): its dual is "
+                          "empty and has no characteristic")
     p, pb = increasing_characteristic(f, tol=tol, check_directions=check_directions, seed=seed)
     q, qb = decreasing_characteristic(f, tol=tol)
     return CharacteristicPair(p=p, q=q, p_bracket=pb, q_bracket=qb)

@@ -159,6 +159,108 @@ def test_charx_fuzz_exits_cleanly_and_matches_closed_forms(argv):
             assert float(payload["residual"]) <= 1e-6, (argv, payload)
 
 
+_FIELDS = ("riesz", "radial-perturbed", "log-coord", "partial-kernel", "newtonian", "smooth",
+           "two-kernel", "zero")
+# two draws in three are usable values, one is non-finite, zero, negative or
+# huge; hypothesis tries the first entries of each list most often
+_USABLE = st.sampled_from(["3", "2", "1.5", "1", "0.25"])
+_FIELD_VALUE = st.one_of(_USABLE, _USABLE,
+                         st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e300"]))
+
+
+@st.composite
+def field_argv(draw):
+    command = draw(st.sampled_from(["density", "flow"]))
+    n = draw(st.one_of(st.sampled_from([3, 4, 2]), st.sampled_from(range(-1, 10))))
+    argv = [command, draw(st.sampled_from(_FIELDS)), "--n", str(n),
+            "--p", draw(_FIELD_VALUE), "--quad", draw(st.sampled_from(["64", "256", "100"]))]
+    for flag in ("theta", "radii", "center", "beta"):
+        if (flag, command) in {("center", "flow"), ("beta", "density")} or not draw(st.booleans()):
+            continue
+        if flag in ("radii", "center"):
+            argv += [f"--{flag}", *draw(st.lists(_FIELD_VALUE, min_size=1, max_size=max(n, 1)))]
+        else:
+            argv += [f"--{flag}", draw(_FIELD_VALUE)]
+    if command == "density":
+        if draw(st.booleans()):
+            argv.append("--mass")
+    else:
+        argv += ["--candidate", draw(st.sampled_from(_FIELDS)),
+                 "--metric", draw(st.sampled_from(["sup", "l1", "holder"]))]
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(argv=field_argv())
+@example(argv=["density", "newtonian", "--p", "3", "--n", "3", "--center", "1", "0"])
+@example(argv=["flow", "log-coord", "--n", "3", "--p", "2", "--candidate", "smooth"])
+@example(argv=["density", "newtonian", "--p", "3", "--n", "3", "--mass", "--radii", "1", "0.5",
+               "inf"])
+@example(argv=["flow", "riesz", "--p", "3", "--n", "4", "--radii", "1", "nan", "0.25"])
+@example(argv=["density", "riesz", "--theta", "3", "--p", "3", "--n", "4", "--radii", "1",
+               "0.5", "nan"])
+@example(argv=["density", "smooth", "--n", "-1", "--p", "2"])
+@example(argv=["density", "smooth", "--n", "3", "--p", "1", "--radii", "3", "1", "1", "--mass"])
+@example(argv=["flow", "two-kernel", "--n", "0", "--p", "2.5"])
+@example(argv=["density", "riesz", "--p", "3", "--n", "4", "--theta", "-inf"])
+def test_density_and_flow_fuzz_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--no-timestamp"])
+    assert code in (0, 2, 3, 4), argv
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue(), argv
+    if code == 0:
+        assert "nan" not in out.getvalue(), argv
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["density", "newtonian", "--p", "3", "--n", "3", "--center", "1", "0"],
+     "center must be 3 finite coordinates"),
+    (["flow", "log-coord", "--n", "3", "--p", "2", "--candidate", "smooth"], "even --n"),
+    (["density", "newtonian", "--p", "3", "--n", "3", "--mass", "--radii", "1", "0.5", "inf"],
+     "strictly decreasing"),
+    (["density", "newtonian", "--p", "3", "--n", "3", "--mass", "--radii", "inf", "1", "0.5"],
+     "radius must be positive and finite, got inf"),
+    (["flow", "riesz", "--p", "3", "--n", "4", "--radii", "1", "nan", "0.25"],
+     "flow radii must be positive and finite"),
+    (["density", "riesz", "--theta", "3", "--p", "3", "--n", "4", "--radii", "1", "0.5", "nan"],
+     "radius must be positive and finite, got nan"),
+    (["density", "smooth", "--n", "-1", "--p", "2"], "n >= 2"),
+    (["density", "newtonian", "--p", "3", "--n", "3", "--mass", "--radii", "1"],
+     "strictly decreasing, at least three"),
+    (["flow", "two-kernel", "--n", "0", "--p", "2.5"], "n >= 2"),
+    (["charx", "full-space", "--n", "3"], "contains -Id"),
+])
+def test_bad_field_inputs_exit_3_with_their_reason(capsys, argv, reason):
+    code = cli.main(argv + ["--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and reason in captured.err
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["charx", "p", "--n", "3", "--bogus"], "unrecognized arguments: --bogus"),
+    (["density", "riesz", "--p", "3", "--n", "4", "--theta", "-inf"],
+     "argument --theta: expected one argument"),
+    (["density", "riesz", "--n", "4"], "required: --p"),
+    (["charx", "p", "--n", "three"], "invalid int value"),
+    (["frobnicate"], "invalid choice"),
+])
+def test_usage_errors_are_config_errors(argv, reason):
+    result = _charx_subprocess(argv)
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert result.stderr.startswith("config error:") and result.stderr.count("\n") == 1
+    assert reason in result.stderr
+
+
+def test_help_still_exits_0():
+    result = _charx_subprocess(["density", "-h"])
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: rieszlab density") and result.stderr == ""
+
+
 @pytest.mark.parametrize("argv,exit_code,err_lines,reason", [
     # the signed powers overflow and the margin turns NaN mid-bisection
     (["charx", "trace-power", "--n", "8", "--k", "2", "--q", "1e300", "--regularize", "0.5"],

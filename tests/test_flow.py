@@ -112,6 +112,44 @@ def test_average_rejects_domain_overflow(quad3):
         flow.spherical_average(u, np.zeros(3), 2.0, quad3)
 
 
+_BOUNDED = flow.ScalarField(n=3, values=lambda pts: np.zeros(np.asarray(pts).shape[0]),
+                           domain_radius=1.0)
+_AVERAGE_ROUTES = {
+    "densities-S-V": lambda u, x0, radii, q: flow.densities(u, x0, 3.0, radii=radii, quad=q,
+                                                            kinds=("S", "V")),
+    "mass-density": lambda u, x0, radii, q: flow.mass_density(u, x0, 3.0, radii=radii, quad=q),
+    **{f"curve-{kind}": (lambda u, x0, radii, q, kind=kind:
+                         flow.average_curve(u, kind, x0, radii, q)) for kind in "MSV"},
+    **{fn.__name__: (lambda u, x0, radii, q, fn=fn: [fn(u, x0, r, q) for r in radii])
+       for fn in (flow.spherical_max, flow.spherical_average, flow.volume_average)},
+}
+
+
+@pytest.mark.parametrize("route", sorted(_AVERAGE_ROUTES))
+@pytest.mark.parametrize("radii,center,reason", [
+    ([0.8, 0.4, 0.2], [0.5, 0.0, 0.0], "leaves the field's domain"),
+    ([0.8, 0.4, 0.0], [0.0, 0.0, 0.0], "positive and finite"),
+    ([0.8, 0.4, -0.2], [0.0, 0.0, 0.0], "positive and finite"),
+    ([0.8, math.nan, 0.2], [0.0, 0.0, 0.0], "positive and finite"),
+    ([0.8, 0.4, 0.2], [0.0, 0.0], "3 finite coordinates"),
+    ([0.8, 0.4, 0.2], [0.0, math.inf, 0.0], "3 finite coordinates"),
+])
+def test_every_average_route_checks_its_balls(quad3, route, radii, center, reason):
+    # each ball of every route goes through the same checks, whatever the kind
+    with pytest.raises(DomainError, match=reason):
+        _AVERAGE_ROUTES[route](_BOUNDED, np.asarray(center), np.asarray(radii), quad3)
+
+
+@pytest.mark.parametrize("quad", [None, flow.sphere_quad(3, 256)], ids=["default", "given"])
+def test_spherical_max_always_checks_a_closed_form(quad):
+    # a closed form below the field: the sampled shell exposes it with or
+    # without a given quadrature
+    u = dataclasses.replace(flow.riesz_kernel_field(1.0, 3.0, 3),
+                            analytic_max=lambda x0, r: -10.0)
+    with pytest.raises(NumericalError, match="exceeds closed form"):
+        flow.spherical_max(u, np.zeros(3), 0.5, quad)
+
+
 # ---------------------------------------------------------------------------
 # tangential flow
 # ---------------------------------------------------------------------------
@@ -163,6 +201,32 @@ def test_flow_needs_finite_origin_value_below_two():
     u = flow.log_modulus_coordinate_field(2)  # -inf at the origin
     with pytest.raises(DomainError):
         flow.tangent_flow(u, 1.5, 0.5)
+
+
+def test_log_flow_matches_the_shifted_formula_bit_for_bit(quad4):
+    # at p = 2 the one flow formula r^0 (u(rx) - M(u, r)) is u(rx) - M(u, r)
+    # exactly, for the values, the closed-form max and the origin value
+    u = dataclasses.replace(flow.riesz_kernel_field(1.5, 2.0, 4), reference_value=0.25)
+    pts = 1.5 * quad4.points[:64]
+    for r in (0.3, 1.0, 2.5):
+        m_r = flow.spherical_max(u, np.zeros(4), r, quad4)
+        flowed = flow.tangent_flow(u, 2.0, r, quad4)
+        assert np.array_equal(flowed.values(pts), u.values(r * pts) - m_r)
+        for x0, rr in ((np.zeros(4), 0.7), (np.array([0.1, 0.0, 0.2, 0.0]), 1.3)):
+            assert flowed.analytic_max(x0, rr) == u.analytic_max(x0 * r, rr * r) - m_r
+        assert flowed.reference_value == u.reference_value - m_r
+
+
+@pytest.mark.parametrize("radii", [[1.0, math.nan, 0.25], [1.0, 0.5, 0.0], [math.inf, 1.0], []])
+def test_flow_spec_needs_finite_positive_radii(radii):
+    with pytest.raises(DomainError, match="positive and finite"):
+        flow.FlowSpec(p=3.0, radii=radii)
+
+
+def test_tangent_experiment_needs_a_candidate_on_the_same_space():
+    with pytest.raises(DomainError, match="R\\^3, the field on R\\^4"):
+        flow.tangent_experiment(flow.riesz_kernel_field(1.0, 3.0, 4), flow.FlowSpec(p=3.0),
+                                flow.zero_field(3))
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +329,22 @@ def test_mass_density_evaluates_two_shells_per_radius(quad3):
     counted, calls = _counted(flow.newtonian_potential_field(3.0, [(1.0, x0)], 3), x0)
     flow.mass_density(counted, x0, 3.0, radii=radii, quad=quad3)
     assert len(calls) == 2 * radii.size
+    assert len({radius for radius, _ in calls}) == len(calls)
+
+
+@pytest.mark.parametrize("p,field", [
+    (3.0, flow.riesz_kernel_field(1.0, 3.0, 3)),
+    (2.0, flow.newtonian_potential_field(2.0, [(1.0, np.zeros(3))], 3)),
+], ids=["p=3", "p=2"])
+def test_averages_of_tangent_evaluate_each_shell_once(monkeypatch, quad3, p, field):
+    # the flow-invariance defect samples its own grid; only the averages count
+    monkeypatch.setattr(flow, "flow_invariance_defect", lambda *args, **kwargs: 0.0)
+    x0 = np.zeros(3)
+    radii = flow.default_radii()
+    counted, calls = _counted(field, x0)
+    report = flow.averages_of_tangent_check(counted, p, quad=quad3)
+    assert report.passed
+    assert len(calls) == radii.size * (1 + flow.GL_NODES)
     assert len({radius for radius, _ in calls}) == len(calls)
 
 

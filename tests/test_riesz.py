@@ -267,6 +267,17 @@ def test_full_space_direction_tests_agree():
     assert p == INF
 
 
+@pytest.mark.parametrize("f", [
+    subeq.builtin("full-space", 3),
+    subeq.complex_lift("full-space", 2),
+    subeq.uniform_elliptic_regularization(subeq.builtin("full-space", 4), 1.0),
+], ids=lambda f: f.name)
+def test_characteristic_pair_of_all_of_sym_n_is_a_domain_error(f):
+    # F = Sym(n) has an empty dual, so the dual cross-check has nothing to bisect
+    with pytest.raises(DomainError, match="contains -Id, so it is all of Sym"):
+        riesz.characteristic_pair(f)
+
+
 # ---------------------------------------------------------------------------
 # radial harmonic and sandwich checks
 # ---------------------------------------------------------------------------

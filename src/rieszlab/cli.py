@@ -322,8 +322,8 @@ def cmd_density(args) -> int:
 
 def _write_curve_csv(path: str, field, center, radii, quad, p: float) -> None:
     lines = ["kind,r,value,quotient"]
-    for kind in ("M", "S", "V"):
-        curve = fl.average_curve(field, kind, center, radii, quad)
+    for kind, (curve, _) in fl._average_curves(field, ("M", "S", "V"), center, radii,
+                                               quad).items():
         for r, value, quotient in curve.to_csv_rows(p):
             lines.append(f"{kind},{_fmt(r)},{_fmt(value)},{_fmt(quotient)}")
     with open(path, "w") as handle:
@@ -509,9 +509,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_parser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    return parser._subparsers._group_actions[0].choices[command]
+
+
+def _explicit_dests(argv: list[str], command: str) -> set:
+    """The destinations argv sets itself, default or not: argv parsed again
+    with every default of its subcommand suppressed."""
+    probe = build_parser()
+    for action in _command_parser(probe, command)._actions:
+        action.default = argparse.SUPPRESS
+    return set(vars(probe.parse_args(argv)))
+
+
 def apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse argv, then fill unset values from --config.  Unknown config
-    keys are rejected; explicit flags win over file values."""
+    """Parse argv, then fill the values argv does not set from --config.
+    Unknown config keys are rejected; explicit flags win over file values,
+    also where they equal the default."""
     args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
@@ -526,13 +540,9 @@ def apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.N
     unknown = [k for k in raw if k.replace("-", "_") not in known]
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    actions = {action.dest: action
-               for action in parser._subparsers._group_actions[0].choices[args.command]._actions
+    actions = {action.dest: action for action in _command_parser(parser, args.command)._actions
                if action.dest != "help"}
-    explicit = {
-        key: value for key, value in vars(args).items()
-        if key in actions and value != actions[key].default
-    }
+    explicit = _explicit_dests(argv, args.command)
     for key, value in raw.items():
         dest = key.replace("-", "_")
         if dest not in explicit:

@@ -846,7 +846,7 @@ def averages_of_tangent_check(tangent: ScalarField, p: float, radii=None,
     if math.isinf(p):
         raise DomainError("needs finite p")
     n = tangent.n
-    radii = default_radii() if radii is None else np.asarray(radii, dtype=float)
+    radii = _density_radii(radii)
     defect = flow_invariance_defect(tangent, p, quad=quad or sphere_quad(n))
     worst = 0.0
     note_parts = [f"flow-invariance defect {defect:.2e}"]
@@ -982,7 +982,7 @@ def infinitesimal_holder(field: ScalarField, x0, p: float, radii=None,
     if not 1.0 <= p < 2.0:
         raise DomainError("needs 1 <= p < 2")
     alpha = 2.0 - p
-    radii = default_radii() if radii is None else np.asarray(radii, dtype=float)
+    radii = _density_radii(radii)
     u0 = field.at(x0)
     r = float(radii[-1])
     return float((spherical_max(field, x0, r, quad) - u0) / r**alpha)

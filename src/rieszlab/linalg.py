@@ -259,7 +259,7 @@ def cluster_reduce(vals: np.ndarray, multiplicity: int) -> np.ndarray:
     if vals.shape[-1] % multiplicity:
         raise DomainError("spectrum length not divisible by the multiplicity")
     tol = CLUSTER_TOL * (1.0 + np.abs(vals).max(axis=-1, initial=0.0))
-    groups = vals.reshape(*vals.shape[:-1], -1, multiplicity)
+    groups = vals.reshape(*vals.shape[:-1], vals.shape[-1] // multiplicity, multiplicity)
     widths = (groups.max(axis=-1) - groups.min(axis=-1)).max(axis=-1, initial=0.0)
     if (widths > tol).any():
         raise NumericalError(

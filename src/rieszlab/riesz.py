@@ -4,8 +4,8 @@ The increasing characteristic of a spherically-transitive cone
 subequation is the unique p with P_{e-perp} - (p-1) P_e = Id - p P_e on
 the boundary; it is found by bisection on the margin along that pencil,
 on [1, hi] with hi = 64 doubled while the margin there is still >= 0.
-The decreasing characteristic is the same root for -(Id - q P_e), and
-it is cross-checked against the increasing characteristic of the dual.
+The decreasing characteristic is the increasing one of the dual, whose
+margin is -margin(-A): one solver serves both.
 
 For a spectral F the bisection runs on spectra: spec(Id - t P_e) is
 spectrum(Id) - t spectrum(P_e), reversed, so two spectra serve a whole
@@ -14,8 +14,8 @@ dyadic 32-section, on which the steps of plain bisection are replayed
 (same points, same bracket).  Two matrix margins must then confirm the
 final bracket, or the solver raises.  Everything that checks an answer
 stays on matrix margins, one per step: the infinity and t = 1 tests,
-``check_directions``, the dual cross-check, ``bisection_certificate`` and
-every subequation without a spectrum.
+``check_directions``, the matrix-route check of a spectral dual,
+``bisection_certificate`` and every subequation without a spectrum.
 Kernels come in two normalizations: the `standard` one (plain powers /
 log) and the `barred` one whose first derivative is exactly r^(1-p).
 """
@@ -199,19 +199,15 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol must be finite and > 0, got {tol}")
 
 
-def _matrix_pencil(f: Subequation, e: np.ndarray, side: int):
-    """t -> side * margin(side * (Id - t P_e)), one matrix margin per t.
-    Id - t P_e is P_perp - (t-1) P_e; side +1 gives the increasing
-    characteristic's pencil and side -1 the decreasing one's, and either
-    way the root sought is where the map turns negative."""
+def _matrix_pencil(f: Subequation, e: np.ndarray):
+    """t -> margin(Id - t P_e), one matrix margin per t; Id - t P_e is
+    P_perp - (t-1) P_e.  The root sought is where the map turns negative."""
     p_line = projector_onto(e)
     p_perp = projector_perp(e)
-    if side > 0:
-        return lambda t: _margin_at(f, p_perp - (t - 1.0) * p_line)
-    return lambda t: -_margin_at(f, -p_perp + (t - 1.0) * p_line)
+    return lambda t: _margin_at(f, p_perp - (t - 1.0) * p_line)
 
 
-def _spectral_pencil(f: Subequation, e: np.ndarray, side: int):
+def _spectral_pencil(f: Subequation, e: np.ndarray):
     """The same map on an array of t >= 1, from two spectra: for t > 0 the
     spectrum of Id - t P_e is spectrum(Id) - t spectrum(P_e) reversed, since
     spectrum(Id) is constant and spectrum(P_e) ascending."""
@@ -219,11 +215,10 @@ def _spectral_pencil(f: Subequation, e: np.ndarray, side: int):
     spec_e = f.spectrum(projector_onto(e))
 
     def g(ts):
-        lams = spec_id - np.multiply.outer(ts, spec_e)
-        values = f.eig_margin(lams[..., ::-1] if side > 0 else -lams)
+        values = f.eig_margin((spec_id - np.multiply.outer(ts, spec_e))[..., ::-1])
         if np.isnan(values).any():
             raise _nan_margin(f)
-        return side * values
+        return values
 
     return g
 
@@ -275,21 +270,20 @@ def _bisect_sections(g, lo: float, hi: float, tol: float):
     return lo, hi
 
 
-def _pencil_root(f: Subequation, e: np.ndarray, side: int, tol: float, spectral: bool,
-                 what: str):
+def _pencil_root(f: Subequation, e: np.ndarray, tol: float, spectral: bool):
     """Root and bracket width of the decreasing map of ``_matrix_pencil``,
     whose value at 1 is >= 0.  The bracket [1, hi] starts at hi = 64 and
     doubles while the value at hi is >= 0, up to the last hi whose float
     spacing is below tol.  A spectral F is bisected on its spectra, 31
     points per call, and two matrix margins must then confirm the final
     bracket."""
-    g = _matrix_pencil(f, e, side)
-    sections = _spectral_pencil(f, e, side) if spectral else None
+    g = _matrix_pencil(f, e)
+    sections = _spectral_pencil(f, e) if spectral else None
     at = g if sections is None else (lambda t: sections(np.array([t]))[0])
     hi = P_BRACKET_MAX
     while at(hi) >= 0.0:
         if math.ulp(2.0 * hi) >= tol:
-            raise SolverError(f"no {what} crossing for {f.name} in [1, {hi:.0f}]: a wider "
+            raise SolverError(f"no boundary crossing for {f.name} in [1, {hi:.0f}]: a wider "
                               f"bracket would not resolve tol = {tol:g}")
         hi *= 2.0
     if sections is None:
@@ -302,79 +296,53 @@ def _pencil_root(f: Subequation, e: np.ndarray, side: int, tol: float, spectral:
     return 0.5 * (lo + hi), hi - lo
 
 
-def _increasing(f: Subequation, e: np.ndarray, tol: float, spectral: bool):
-    p_line = projector_onto(e)
-    m_minus = _margin_at(f, -p_line)
-    m_dual = _margin_at(dual(f), p_line)  # equals -m_minus by construction
+def _characteristic(f: Subequation, e: np.ndarray, tol: float, spectral: bool):
+    """Increasing characteristic of F along e: inf when -P_e is a member,
+    exactly 1 when P_perp is on the boundary up to the membership band,
+    a SolverError when P_perp is outside beyond it, else the pencil root."""
     band = _membership_band(1.0)
-    infinite_primal = m_minus >= -band
-    infinite_dual = not (m_dual > band)
-    if infinite_primal != infinite_dual:
-        raise SolverError(
-            "infinity tests disagree: margin(-P_e) = "
-            f"{m_minus:.3e}, dual margin(P_e) = {m_dual:.3e}"
-        )
-    if infinite_primal:
+    if _margin_at(f, -projector_onto(e)) >= -band:
         return INF, 0.0
-    g1 = _matrix_pencil(f, e, 1)(1.0)
-    if -band <= g1 < 0.0:
-        # P_perp on the boundary up to rounding: the characteristic is 1
+    g1 = _matrix_pencil(f, e)(1.0)
+    if abs(g1) <= band:
         return 1.0, 0.0
     if g1 < 0.0:
-        raise SolverError("no sign change: margin already negative at 1.0")
-    return _pencil_root(f, e, 1, tol, spectral, "boundary")
+        raise SolverError(f"no sign change for {f.name}: margin already negative at 1.0")
+    return _pencil_root(f, e, tol, spectral)
 
 
 def increasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL,
                               check_directions: int = 0, seed=0):
-    """Increasing characteristic of F and the final bracket width.
-
-    Returns (inf, 0.0) when -P_e is a member (both the membership form
-    and its dual restatement are evaluated and must agree), and (1, 0.0)
-    when margin(P_perp) is negative only within the membership band.
-    Otherwise bisection runs on [1, hi], hi = 64 doubled while needed.
-    The ``check_directions`` random directions are solved on matrices.
-    """
+    """Increasing characteristic of F and the final bracket width (see
+    ``_characteristic``).  The ``check_directions`` random directions are
+    solved again on matrices and must agree within 10 tol."""
     _check_tol(tol)
     e = unit_vector(e if e is not None else f.direction())
-    value, bracket = _increasing(f, e, tol, spectral=f.spectrum is not None)
+    value, bracket = _characteristic(f, e, tol, spectral=f.spectrum is not None)
     if check_directions:
         rng = np.random.default_rng(seed)
         for _ in range(check_directions):
-            v2, _ = _increasing(f, random_unit_vector(f.n, rng), tol, spectral=False)
+            v2, _ = _characteristic(f, random_unit_vector(f.n, rng), tol, spectral=False)
             if not math.isclose(v2, value, abs_tol=10.0 * tol):
-                raise SolverError(
-                    f"characteristic depends on direction for {f.name}: "
-                    f"{value} vs {v2}"
-                )
+                raise SolverError(f"characteristic depends on direction for {f.name}: "
+                                  f"{value} vs {v2}")
     return value, bracket
 
 
-def decreasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL,
-                              cross_check: bool = True):
-    """Decreasing (dual) characteristic of F and the bracket width.
-
-    Finite exactly when P_e is interior.  Cross-checked against the
-    increasing characteristic of the dual subequation, solved on matrices.
-    """
+def decreasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL):
+    """Decreasing characteristic of F and the bracket width: the increasing
+    characteristic of the dual, finite exactly when P_e is interior to F.
+    A spectral dual is solved again on matrices; the two must agree within
+    10 tol."""
     _check_tol(tol)
     e = unit_vector(e if e is not None else f.direction())
-    band = _membership_band(1.0)
-    if _margin_at(f, projector_onto(e)) <= band:
-        value, bracket = INF, 0.0
-    elif _matrix_pencil(f, e, -1)(1.0) <= band:
-        value, bracket = 1.0, 0.0
-    else:
-        value, bracket = _pencil_root(f, e, -1, tol, f.spectrum is not None,
-                                      "decreasing-boundary")
-
-    if cross_check:
-        dual_p, _ = _increasing(dual(f), e, tol, spectral=False)
-        both_inf = math.isinf(value) and math.isinf(dual_p)
-        if not both_inf and not math.isclose(dual_p, value, abs_tol=10.0 * tol):
-            raise SolverError(
-                f"dual route disagrees for {f.name}: q = {value}, p_dual = {dual_p}"
-            )
+    f_dual = dual(f)
+    value, bracket = _characteristic(f_dual, e, tol, spectral=f_dual.spectrum is not None)
+    if f_dual.spectrum is not None:
+        matrix_value, _ = _characteristic(f_dual, e, tol, spectral=False)
+        if not math.isclose(matrix_value, value, abs_tol=10.0 * tol):
+            raise SolverError(f"matrix route disagrees for {f.name}: q = {value}, "
+                              f"matrix route q = {matrix_value}")
     return value, bracket
 
 
@@ -398,7 +366,7 @@ def bisection_certificate(f: Subequation, p: float, e=None, tol: float = DEFAULT
     band as rounding slack; the margin at p itself is reported, not judged,
     since its size is the slope of the margin times the distance to the
     root."""
-    g = _matrix_pencil(f, unit_vector(e if e is not None else f.direction()), 1)
+    g = _matrix_pencil(f, unit_vector(e if e is not None else f.direction()))
     below = g(p - tol) if p - tol >= 1.0 else None
     above = g(p + tol)
     band = BOUNDARY_BAND * (1.0 + math.sqrt(f.n - 1.0 + (p - 1.0) ** 2))  # |Id - p P_e|

@@ -348,6 +348,8 @@ class GrassmannSample:
     angle_tol: float = 1e-3
 
     def __post_init__(self):
+        if not (math.isfinite(self.angle_tol) and self.angle_tol > 0):
+            raise DomainError(f"angle_tol must be finite and > 0, got {self.angle_tol}")
         if not self.planes:
             raise DomainError("Grassmann sample must be non-empty")
         frames = [w if isinstance(w, Frame) else Frame(w) for w in self.planes]

@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -124,6 +126,21 @@ def test_zero_regularization_is_rejected(capsys):
     assert "delta > 0" in captured.err and captured.err.count("\n") == 1
 
 
+def _main(argv):
+    """Exit code, stdout and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _exits_cleanly(argv, code, out, err):
+    assert code in (0, 2, 3, 4), argv
+    assert err.count("\n") <= 1 and "Traceback" not in err, argv
+    if code == 0:
+        assert "nan" not in out, argv
+
+
 _FUZZ_VALUES = ["nan", "inf", "-1", "0", "0.5", "1", "2", "3.5", "1e300"]
 _FUZZ_INTS = ["-1", "0", "1", "2"]  # --k is an integer flag
 
@@ -135,6 +152,11 @@ def charx_argv(draw):
     if variant is not None:
         argv.append(variant)
     argv += [draw(st.sampled_from(subeq.family_names())), "--n", str(draw(st.integers(-1, 6)))]
+    return argv + _family_flags(draw)
+
+
+def _family_flags(draw):
+    argv = []
     for flag in ("p", "k", "q", "delta"):
         if draw(st.booleans()):
             argv += [f"--{flag}", draw(st.sampled_from(_FUZZ_INTS if flag == "k" else _FUZZ_VALUES))]
@@ -148,13 +170,11 @@ def charx_argv(draw):
 @given(argv=charx_argv())
 @example(argv=["charx", "complex", "p-convex", "--n", "3", "--p", "1", "--regularize", "1"])
 def test_charx_fuzz_exits_cleanly_and_matches_closed_forms(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv + ["--no-timestamp"])
+    code, out, err = _main(argv + ["--no-timestamp"])
     assert code in (0, 3, 4), argv
-    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue(), argv
+    assert err.count("\n") <= 1 and "Traceback" not in err, argv
     if code == 0:
-        payload = json.loads(out.getvalue())
+        payload = json.loads(out)
         if "closed_form" in payload:
             assert float(payload["residual"]) <= 1e-6, (argv, payload)
 
@@ -204,13 +224,145 @@ def field_argv(draw):
 @example(argv=["flow", "two-kernel", "--n", "0", "--p", "2.5"])
 @example(argv=["density", "riesz", "--p", "3", "--n", "4", "--theta", "-inf"])
 def test_density_and_flow_fuzz_exit_cleanly(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv + ["--no-timestamp"])
-    assert code in (0, 2, 3, 4), argv
-    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue(), argv
-    if code == 0:
-        assert "nan" not in out.getvalue(), argv
+    _exits_cleanly(argv, *_main(argv + ["--no-timestamp"]))
+
+
+# usable family parameters, drawn two times in three: most verify runs
+# reach the suites
+_FAMILY_VALUES = {"p": ["2", "1.5", "1"], "k": ["2", "1"], "q": ["2", "1.5"], "delta": ["0.7", "1"]}
+
+
+@st.composite
+def verify_argv(draw):
+    family = draw(st.sampled_from(subeq.family_names()))
+    n = draw(st.one_of(st.sampled_from([3, 4, 2]), st.sampled_from(range(-1, 6))))
+    argv = ["verify", family, "--n", str(n),
+            "--samples", draw(st.sampled_from(["20", "7", "20", "1", "0", "-1"]))]
+    for flag in subeq.family_params(family):
+        junk = _FUZZ_INTS if flag == "k" else _FUZZ_VALUES
+        usable = st.sampled_from(_FAMILY_VALUES[flag])
+        argv += [f"--{flag}", draw(st.one_of(usable, usable, st.sampled_from(junk)))]
+    for suite in draw(st.lists(st.sampled_from(cli._SUITES), max_size=2)):
+        argv += ["--suite", suite]
+    variant = draw(st.sampled_from([None, None, "complex", "quaternionic"]))
+    if variant is not None:
+        argv += ["--variant", variant]
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--regularize", draw(st.sampled_from(["0.5", "nan", "0", "1e300"]))]
+    return argv
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(argv=verify_argv())
+@example(argv=["verify", "laplacian", "--n", "1", "--samples", "1", "--variant", "complex"])
+def test_verify_fuzz_exits_cleanly(argv):
+    _exits_cleanly(argv, *_main(argv + ["--no-timestamp"]))
+
+
+_USABLE_ANGLE_TOL = st.sampled_from(["0.15", "0.3", "1e-3"])
+
+
+@st.composite
+def grassmann_argv(draw):
+    usable = st.sampled_from(["g2r3", "g1r3", "g2r4", "g1r2", "g3r3"])
+    spec = draw(st.one_of(usable, usable, st.sampled_from(
+        ["g0r3", "g4r3", "g-1r2", "g2", "r3", "gar3", "g2r", "g2r3x"])))
+    argv = ["grassmann", spec,
+            "--planes", draw(st.sampled_from(["64", "16", "64", "16", "1", "0", "-1"])),
+            "--angle-tol", draw(st.one_of(_USABLE_ANGLE_TOL, _USABLE_ANGLE_TOL, st.sampled_from(
+                ["nan", "inf", "-inf", "0", "-1", "1e300"])))]
+    for flag in ("transitivity", "charx"):
+        if draw(st.booleans()):
+            argv.append(f"--{flag}")
+    for flag in ("x", "y"):
+        if draw(st.integers(0, 3)) == 0:
+            argv += [f"--{flag}", *draw(st.lists(_FIELD_VALUE, min_size=1, max_size=5))]
+    return argv
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(argv=grassmann_argv())
+@example(argv=["grassmann", "g2r3", "--transitivity", "--planes", "64", "--angle-tol", "nan"])
+@example(argv=["grassmann", "g2r3", "--transitivity", "--planes", "64", "--angle-tol", "-1"])
+def test_grassmann_fuzz_exits_cleanly(argv):
+    code, out, err = _main(argv + ["--no-timestamp"])
+    _exits_cleanly(argv, code, out, err)
+    angle_tol = float(argv[argv.index("--angle-tol") + 1])
+    if not (math.isfinite(angle_tol) and angle_tol > 0):
+        # an unusable tolerance is a domain error, not a failed check
+        assert code in (3, 4), argv
+
+
+# config values: mostly usable ones, then values of the wrong type
+_CONFIG_JUNK = st.sampled_from([None, True, [], {}, "abc", 2.5, -1])
+_CONFIG_VALUES = {
+    "n": st.sampled_from([5, 3, 2, 0]),
+    "samples": st.sampled_from([10, 3, 0]),
+    "seed": st.sampled_from([7, 0]),
+    "tol": st.sampled_from([1e-6, 1e-9, 0, "nan"]),
+    "p": st.sampled_from([2.5, 1, 0.5, "inf"]),
+    "k": st.sampled_from([2, 1, 0]),
+    "delta": st.sampled_from([0.7, 0]),
+    "suite": st.lists(st.sampled_from([*cli._SUITES, "bogus"]), max_size=2),
+    "variant": st.sampled_from(["complex", "real"]),
+    "format": st.sampled_from(["json", "csv", "xml"]),
+    "no-timestamp": st.sampled_from([True, False]),
+    "check-directions": st.sampled_from([1, 0]),
+    "bogus": st.just(1),
+}
+
+
+@st.composite
+def config_case(draw):
+    """A charx or verify argv and the text of its --config file."""
+    command = draw(st.sampled_from(["verify", "charx"]))
+    argv = [command, draw(st.sampled_from(["p", "sigma-k", "p-convex", "pdelta", "laplacian"]))]
+    for flag, values in (("n", ["3", "4"]), ("samples", ["200", "20"]), ("k", ["2"]),
+                         ("p", ["2.5"]), ("seed", ["0", "3"])):
+        if (command, flag) != ("charx", "samples") and draw(st.booleans()):
+            argv += [f"--{flag}", draw(st.sampled_from(values))]
+    keys = draw(st.lists(st.sampled_from(sorted(_CONFIG_VALUES)), max_size=4, unique=True))
+    config = {key: draw(st.one_of(_CONFIG_VALUES[key], _CONFIG_VALUES[key], _CONFIG_JUNK))
+              for key in keys
+              if (command, key) not in {("charx", "samples"), ("charx", "suite"),
+                                        ("verify", "check-directions")}}
+    return argv, json.dumps(config) if draw(st.integers(0, 9)) else draw(
+        st.sampled_from(["[]", "{", "3", ""]))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(case=config_case())
+@example(case=(["verify", "p", "--n", "3"], '{"n": 5}'))
+@example(case=(["verify", "p", "--samples", "200"], '{"samples": 10}'))
+def test_config_fuzz_exits_cleanly_and_flags_win(case):
+    argv, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(text)
+        run_config = _main(argv + ["--config", str(path), "--no-timestamp"])
+        _exits_cleanly(argv, *run_config)
+        try:
+            config = json.loads(text)
+        except json.JSONDecodeError:
+            return
+        if not isinstance(config, dict):
+            return
+        # a key that argv sets is never read: dropping it changes nothing
+        path.write_text(json.dumps({k: v for k, v in config.items() if f"--{k}" not in argv}))
+        run_rest = _main(argv + ["--config", str(path), "--no-timestamp"])
+    assert run_config[:2] == run_rest[:2], (argv, text)
+
+
+@pytest.mark.parametrize("argv,config,key,value", [
+    (["verify", "p", "--n", "3", "--suite", "cone"], {"n": 5}, "n", 3),
+    (["verify", "p", "--samples", "200", "--suite", "cone"], {"samples": 10}, "samples", 200),
+])
+def test_explicit_flags_win_even_at_their_default(tmp_path, capsys, argv, config, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, payload = run_json(capsys, *argv, "--config", str(cfg))
+    assert code == 0
+    assert (payload if key == "n" else payload["reports"][0])[key] == value
 
 
 @pytest.mark.parametrize("argv,reason", [
@@ -289,7 +441,7 @@ def test_charx_overflow_and_n1_exit_codes(argv, exit_code, err_lines, reason):
     (["charx", "largest-convex", "--n", "4", "--p", "1.01"], 303.0),
 ])
 def test_charx_decreasing_characteristic_above_128(capsys, argv, q):
-    # exit 0 means the dual cross-check agreed as well
+    # exit 0 means the matrix route of the spectral dual agreed as well
     code, payload = run_json(capsys, *argv)
     assert code == 0
     assert payload["q"] == pytest.approx(q, abs=1e-6)
@@ -419,6 +571,7 @@ def test_grassmann_transitivity(capsys):
     ["g2r3", "--transitivity", "--x", "1", "0"],
     ["g2r3", "--transitivity", "--y", "1", "nan", "0"],
     ["g5r3"],
+    *(["g2r3", "--transitivity", "--angle-tol", tol] for tol in ("nan", "-1", "0", "inf")),
 ])
 def test_grassmann_bad_input_is_one_error_line(capsys, argv):
     code = cli.main(["grassmann", *argv, "--planes", "16", "--no-timestamp"])

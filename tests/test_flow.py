@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab import flow, linalg, riesz, subeq
+from rieszlab import cli, flow, linalg, riesz, subeq
 from rieszlab.errors import DomainError, NumericalError
 
 
@@ -346,6 +346,30 @@ def test_averages_of_tangent_evaluate_each_shell_once(monkeypatch, quad3, p, fie
     assert report.passed
     assert len(calls) == radii.size * (1 + flow.GL_NODES)
     assert len({radius for radius, _ in calls}) == len(calls)
+
+
+@pytest.mark.parametrize("radii", [[1.0], [], [1.0, 0.5], [0.25, 0.5, 1.0], [1.0, 0.5, 0.5]])
+def test_tangent_check_and_holder_need_decreasing_radii(radii):
+    # one radius, none, or radii that do not decrease are a domain error,
+    # as for the densities, not an IndexError or a silent answer
+    with pytest.raises(DomainError, match="strictly decreasing, at least three"):
+        flow.averages_of_tangent_check(flow.riesz_kernel_field(1.0, 2.0, 3), 2.0, radii=radii)
+    with pytest.raises(DomainError, match="strictly decreasing, at least three"):
+        flow.infinitesimal_holder(flow.quadratic_field(1.0, 3), np.zeros(3), 1.5, radii=radii)
+
+
+def test_curve_csv_evaluates_each_shell_once(tmp_path, quad3):
+    x0 = np.zeros(3)
+    radii = flow.default_radii()
+    field = flow.riesz_kernel_field(1.0, 3.0, 3)
+    counted, calls = _counted(field, x0)
+    target = tmp_path / "curves.csv"
+    cli._write_curve_csv(str(target), counted, x0, radii, quad3, 3.0)
+    # M and S share one shell per radius; V adds one per Gauss-Legendre node
+    assert len(calls) == radii.size * (1 + flow.GL_NODES)
+    rows = [f"{kind},{cli._fmt(r)},{cli._fmt(v)},{cli._fmt(q)}" for kind in "MSV"
+            for r, v, q in flow.average_curve(field, kind, x0, radii, quad3).to_csv_rows(3.0)]
+    assert target.read_text() == "\n".join(["kind,r,value,quotient", *rows]) + "\n"
 
 
 def test_harnack_constants():

@@ -143,6 +143,13 @@ def test_characteristic_one_in_random_directions(family, params, n, seed):
     assert pair.p == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("family,params,n", [("p", {}, 3), ("p-convex", {"p": 1.0}, 4),
+                                             ("sigma-k", {"k": 5}, 5)])
+def test_characteristic_one_is_exact(family, params, n):
+    # P_perp lies on the boundary: p is exactly 1, with no bisection
+    assert riesz.increasing_characteristic(subeq.builtin(family, n, **params)) == (1.0, 0.0)
+
+
 def test_characteristic_certificate():
     f = subeq.builtin("pdelta", 3, delta=1.0)
     p, _ = riesz.increasing_characteristic(f)
@@ -186,6 +193,13 @@ def test_laplacian_decreasing_characteristic():
 def test_psd_cone_decreasing_is_infinite():
     q, _ = riesz.decreasing_characteristic(subeq.builtin("p", 3))
     assert q == INF
+
+
+def test_full_space_decreasing_is_a_solver_error():
+    # dual(Sym(n)) is empty: its margin at P_perp is far below zero, so the
+    # solve of the dual refuses rather than answering q = 1
+    with pytest.raises(SolverError, match=r"no sign change for dual\(full-space\)"):
+        riesz.decreasing_characteristic(subeq.builtin("full-space", 3))
 
 
 def test_min_max_decreasing_characteristic():

@@ -2,8 +2,10 @@
 
 A spectral subequation is bisected on spectrum(Id) - t spectrum(P_e), 31
 points per call; every answer must be the matrix route's, bit for bit,
-and the checks (infinity and t = 1 tests, check_directions, the dual
-cross-check, the bracket guard) must still read matrix margins.
+and the checks (infinity and t = 1 tests, check_directions, the matrix
+route of a spectral dual, the bracket guard) must still read matrix
+margins.  The decreasing characteristic is the increasing one of the dual,
+so its margins are those of ``riesz.dual``.
 """
 
 import dataclasses
@@ -82,9 +84,8 @@ def test_spectral_solver_equals_matrix_route_bitwise(base, construction):
     for e in directions(f.n):
         spectral = outcome(lambda: riesz.increasing_characteristic(f, e))
         assert spectral == outcome(lambda: riesz.increasing_characteristic(g, e)), e
-        spectral = outcome(lambda: riesz.decreasing_characteristic(f, e, cross_check=False))
-        assert spectral == outcome(
-            lambda: riesz.decreasing_characteristic(g, e, cross_check=False)), e
+        spectral = outcome(lambda: riesz.decreasing_characteristic(f, e))
+        assert spectral == outcome(lambda: riesz.decreasing_characteristic(g, e)), e
 
 
 def test_bracket_past_128_equals_matrix_route():
@@ -130,15 +131,17 @@ def test_section_replay_is_plain_bisection(lo, hi, tol):
     assert set(calls) == {31}
 
 
-def test_swapped_eig_margin_fails_the_bracket_guard():
+def test_swapped_eig_margin_fails_the_bracket_guard(monkeypatch):
     # the spectra say p = 3.7 and q = 3.7 / 0.7, the matrix margins p = 3.5 and
     # q = 7: the two matrix margins at each final bracket disagree with it
     f = subeq.builtin("p-convex", 4, p=3.5)
     wrong = dataclasses.replace(f, eig_margin=subeq.builtin("p-convex", 4, p=3.7).eig_margin)
     with pytest.raises(SolverError, match="do not confirm"):
         riesz.increasing_characteristic(wrong)
+    monkeypatch.setattr(riesz, "dual", lambda g: dataclasses.replace(
+        subeq.dual(g), eig_margin=subeq.dual(wrong).eig_margin))
     with pytest.raises(SolverError, match="do not confirm"):
-        riesz.decreasing_characteristic(wrong, cross_check=False)
+        riesz.decreasing_characteristic(f)
 
 
 def counted(f, calls):
@@ -149,7 +152,7 @@ def counted(f, calls):
     return dataclasses.replace(f, margin=margin)
 
 
-def test_checks_read_matrix_margins():
+def test_checks_read_matrix_margins(monkeypatch):
     f = subeq.builtin("p-convex", 4, p=3.5)
     calls = []
     riesz.increasing_characteristic(counted(f, calls))
@@ -159,20 +162,34 @@ def test_checks_read_matrix_margins():
     riesz.increasing_characteristic(counted(f, calls), check_directions=2, seed=3)
     assert len(calls) >= 4 + 2 * 30
     calls.clear()
-    riesz.decreasing_characteristic(counted(f, calls), cross_check=False)
-    # margin(P_e) and margin(-P_perp), then the two ends of the bracket
-    assert len(calls) == 4
+    riesz.increasing_characteristic(counted(matrix_route(subeq.dual(f)), calls))
+    matrix = len(calls)
+    calls.clear()
+    monkeypatch.setattr(riesz, "dual", lambda g: counted(subeq.dual(g), calls))
+    riesz.decreasing_characteristic(f)
+    # margin(-P_e) and margin(P_perp) of dual(F), the two ends of its
+    # spectral bracket, then the whole matrix route
+    assert len(calls) == 4 + matrix
 
 
 def test_dual_cross_check_reads_matrix_margins(monkeypatch):
+    # a spectral dual is solved again on matrices
     calls = []
     monkeypatch.setattr(riesz, "dual", lambda f: counted(subeq.dual(f), calls))
-    f = subeq.builtin("p-convex", 4, p=3.5)
-    riesz.decreasing_characteristic(f, cross_check=False)
-    assert calls == []
-    q, _ = riesz.decreasing_characteristic(f)
+    q, _ = riesz.decreasing_characteristic(subeq.builtin("p-convex", 4, p=3.5))
     assert q == pytest.approx(3.5 / 0.5, abs=1e-8)
     assert len(calls) >= 30
+
+
+def test_non_spectral_decreasing_pencil_is_bisected_once(monkeypatch):
+    # without a spectrum the matrix route is the only route: no second solve
+    f = subeq.intersection(subeq.builtin("p-convex", 4, p=3.5), subeq.builtin("laplacian", 4))
+    assert f.spectrum is None
+    plain, runs = riesz._bisect_decreasing, []
+    monkeypatch.setattr(riesz, "_bisect_decreasing", lambda *args: runs.append(args) or plain(*args))
+    q, _ = riesz.decreasing_characteristic(f)
+    assert q == pytest.approx(7.0, abs=1e-8)  # the larger of 3.5 / 2.5 and 4
+    assert len(runs) == 1
 
 
 @pytest.mark.parametrize("family,params,n", [("p-convex", {"p": 2.5}, 4),

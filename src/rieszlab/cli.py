@@ -10,6 +10,7 @@ suppresses.  Exit codes: 0 ok, 2 check failure, 3 solver/domain error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -127,8 +128,21 @@ _PROFILES = {
 # ---------------------------------------------------------------------------
 
 
+# Report fields whose JSON key differs from the field name (schema 1).
+_RENAMES = {subeq.PropertyReport: {"name": "property", "sample_count": "samples",
+                                   "passed": "pass"}}
+
+
 def _sanitize(obj):
-    """Strict-JSON floats: non-finite values become strings."""
+    """The JSON form of a report: a dataclass becomes an object of its
+    fields (keys renamed by _RENAMES), arrays and tuples become lists,
+    numpy scalars Python ones, and non-finite floats strings."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        names = _RENAMES.get(type(obj), {})
+        return {names.get(f.name, f.name): _sanitize(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return _sanitize(obj.tolist())
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -139,6 +153,8 @@ def _sanitize(obj):
         return float(obj)
     if isinstance(obj, np.integer):
         return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     return obj
 
 
@@ -195,7 +211,7 @@ def cmd_charx(args) -> int:
         "command": "charx",
         "family": f.name,
         "n": f.n,
-        **pair.to_dict(),
+        **_sanitize(pair),
     }
     closed = f.closed_form
     if closed is None:
@@ -252,7 +268,7 @@ def cmd_verify(args) -> int:
         else:
             raise ConfigError(f"unknown suite {suite!r}; known: {_SUITES}")
     emit({"command": "verify", "family": f.name, "n": f.n,
-          "reports": [r.to_dict() for r in reports]}, args)
+          "reports": reports}, args)
     return EXIT_OK if all(r.passed or r.skipped for r in reports) else EXIT_CHECK_FAILED
 
 
@@ -305,18 +321,15 @@ def cmd_table(args) -> int:
 
 def cmd_density(args) -> int:
     field = build_field(args.field, args)
-    radii = np.asarray(args.radii, dtype=float) if args.radii else fl.default_radii()
     quad = fl.sphere_quad(field.n, args.quad, args.seed)
     center = np.zeros(field.n)
     if args.center is not None:
         center = np.asarray(args.center, dtype=float)
-    if args.mass:
-        report = fl.mass_density(field, center, args.p, radii=radii, quad=quad)
-    else:
-        report = fl.densities(field, center, args.p, radii=radii, quad=quad)
+    density = fl.mass_density if args.mass else fl.densities
+    report = density(field, center, args.p, radii=args.radii, quad=quad)
     if args.curve_out:
-        _write_curve_csv(args.curve_out, field, center, radii, quad, args.p)
-    emit({"command": "density", "field": field.name, **report.to_dict()}, args)
+        _write_curve_csv(args.curve_out, field, center, report.radii, quad, args.p)
+    emit({"command": "density", "field": field.name, **_sanitize(report)}, args)
     return EXIT_OK
 
 
@@ -333,13 +346,13 @@ def _write_curve_csv(path: str, field, center, radii, quad, p: float) -> None:
 def cmd_flow(args) -> int:
     field = build_field(args.field, args)
     candidate = build_field(args.candidate, args)
-    radii = np.asarray(args.radii, dtype=float) if args.radii else 0.5 ** np.arange(11)
-    spec = fl.FlowSpec(p=args.p, radii=radii)
+    spec = fl.FlowSpec(p=args.p, radii=args.radii)
     quad = fl.sphere_quad(field.n, args.quad, args.seed)
     record = fl.tangent_experiment(field, spec, candidate, metric=args.metric,
                                    tol=args.conv_tol, beta=args.beta, quad=quad)
-    emit({"command": "flow", "field": field.name, "candidate": candidate.name,
-          **record.to_dict()}, args)
+    # the Hoelder fields are None for p >= 2 and left out
+    fields = {k: v for k, v in _sanitize(record).items() if v is not None}
+    emit({"command": "flow", "field": field.name, "candidate": candidate.name, **fields}, args)
     return EXIT_OK if record.converged else EXIT_CHECK_FAILED
 
 
@@ -366,7 +379,7 @@ def cmd_grassmann(args) -> int:
         x = np.asarray(args.x, dtype=float) if args.x else rng.standard_normal(n)
         y = np.asarray(args.y, dtype=float) if args.y else rng.standard_normal(n)
         result = subeq.transitivity_check(sample, x, y)
-        payload["transitivity"] = result.to_dict()
+        payload["transitivity"] = result
         status = EXIT_OK if result.found else EXIT_CHECK_FAILED
     if args.charx:
         f = subeq.geometric(sample)
@@ -387,10 +400,10 @@ def cmd_radial(args) -> int:
         "command": "radial",
         "profile": profile.name,
         "p": args.p,
-        "classification": classification.to_dict(),
+        "classification": classification,
     }
     convexity = rad.kp_convexity_test(profile, args.p, grid)
-    payload["kp_convexity"] = convexity.to_dict()
+    payload["kp_convexity"] = convexity
     if convexity.passed:
         radii = rad.geometric_radii(args.grid_max / 2.0, 8)
         theta, bracket = rad.one_var_density(profile, args.p, radii)

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError
+from .radial import density_estimate, density_radii, geometric_radii, quotients
 from .riesz import INF, KernelSpec, kernel
 from .subeq import PropertyReport
 
@@ -31,6 +32,8 @@ CLIP_FLOOR = -1e12
 MAX_CLIPPED_FRACTION = 1e-3
 GL_NODES = 32
 NN_BLOCK_ROWS = 16
+# relative radius step of the backward difference behind the mass density
+MASS_FD_STEP = 1e-3
 
 
 def unit_ball_volume(k: float) -> float:
@@ -166,8 +169,6 @@ class ScalarField:
     ``values`` maps an (m, n) array of points to m values; -inf marks a
     hit on the singular set.  ``analytic_max(x0, r)`` returns the exact
     spherical maximum when a closed form is known (None means sample).
-    ``certified_for`` names the subequations whose subharmonicity the
-    construction guarantees.
     """
 
     n: int
@@ -178,7 +179,6 @@ class ScalarField:
     reference_value: float | None = None
     domain_radius: float = INF
     analytic_max: Callable | None = None
-    certified_for: tuple = ()
 
     def at(self, x) -> float:
         x = np.asarray(x, dtype=float).reshape(1, -1)
@@ -276,26 +276,11 @@ class AverageCurve:
     quad_seed: int
     clipped_fraction: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "center": [float(c) for c in self.center],
-            "samples": [[float(r), float(v)] for r, v in zip(self.radii, self.values)],
-            "quad": {"size": self.quad_size, "seed": self.quad_seed},
-            "clipped_fraction": self.clipped_fraction,
-        }
-
     def to_csv_rows(self, p: float):
-        spec = KernelSpec(p=p)
-        rows = []
-        for j, (r, v) in enumerate(zip(self.radii, self.values)):
-            if j + 1 < len(self.radii):
-                r2, v2 = self.radii[j + 1], self.values[j + 1]
-                quot = (v - v2) / (kernel(spec, r) - kernel(spec, r2))
-            else:
-                quot = ""
-            rows.append((float(r), float(v), quot))
-        return rows
+        """(r, value, quotient to the next radius) rows; the last radius has
+        no quotient."""
+        quots = [*quotients(self.values, self.radii, p), ""]
+        return [(float(r), float(v), q) for r, v, q in zip(self.radii, self.values, quots)]
 
 
 def _average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
@@ -430,19 +415,18 @@ def tangent_flow(field: ScalarField, p: float, r: float,
         reference_value=reference,
         domain_radius=field.domain_radius / r,
         analytic_max=analytic,
-        certified_for=field.certified_for,
     )
 
 
-def flow_invariance_defect(field: ScalarField, p: float, scales=(0.5, 2.0),
-                           quad: SphereQuad | None = None,
-                           shells=(0.5, 1.0, 2.0)) -> float:
-    """sup |u_r - u| over a shell grid, for each scale; 0 for exact fixpoints."""
+def flow_invariance_defect(field: ScalarField, p: float,
+                           quad: SphereQuad | None = None) -> float:
+    """sup |u_r - u| over the spheres of radius 0.5, 1 and 2, for the
+    scales r = 0.5 and 2; 0 for exact fixpoints."""
     quad = quad or sphere_quad(field.n, size=256, seed=3)
     worst = 0.0
-    for s in scales:
+    for s in (0.5, 2.0):
         flowed = tangent_flow(field, p, s, quad)
-        for shell in shells:
+        for shell in (0.5, 1.0, 2.0):
             pts = shell * quad.points
             a, _ = _clipped(field.values(pts))
             b, _ = _clipped(flowed.values(pts))
@@ -472,39 +456,14 @@ class DensityReport:
     monotone_ok: bool
     notes: list = dc_field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "center": [float(c) for c in self.center],
-            "radii": [float(r) for r in self.radii],
-            "theta": {k: float(v) for k, v in self.theta.items()},
-            "bracket": {k: float(v) for k, v in self.bracket.items()},
-            "quotients": {k: [float(x) for x in v] for k, v in self.quotients.items()},
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "harnack_c": self.harnack_c,
-            "noise_bound": self.noise_bound,
-            "clipped_fraction": self.clipped_fraction,
-            "monotone_defect": self.monotone_defect,
-            "monotone_ok": self.monotone_ok,
-            "notes": list(self.notes),
-        }
-
-
-def _quotients(values: np.ndarray, kvals: np.ndarray) -> np.ndarray:
-    return (values[:-1] - values[1:]) / (kvals[:-1] - kvals[1:])
-
 
 def default_radii(levels: int = 6, r0: float = 1.0) -> np.ndarray:
-    return r0 * 0.5 ** np.arange(levels)
+    return geometric_radii(r0, levels)
 
 
 def _density_radii(radii) -> np.ndarray:
     """Given or default radii, strictly decreasing and at least three."""
-    radii = default_radii() if radii is None else np.asarray(radii, dtype=float)
-    if radii.size < 3 or np.any(np.diff(radii) >= 0.0):
-        raise DomainError("radii must be strictly decreasing, at least three")
-    return radii
+    return density_radii(default_radii() if radii is None else radii)
 
 
 def densities(field: ScalarField, x0, p: float, radii=None,
@@ -512,8 +471,8 @@ def densities(field: ScalarField, x0, p: float, radii=None,
               kinds: Sequence[str] = ("M", "S", "V")) -> DensityReport:
     """Monotone-quotient density estimates for the requested averages.
 
-    Each estimate is the deepest quotient with the gap to the previous
-    scale as bracket.  Cross-relations between the spherical and volume
+    Each estimate is `radial.density_estimate` of the curve's quotients:
+    the deepest quotient with the gap to the previous scale as bracket.  Cross-relations between the spherical and volume
     densities (and the max/spherical comparison) are reported as
     residuals; quotient monotonicity failures are flagged rather than
     raised, since they usually mean the field is not subharmonic for the
@@ -528,7 +487,7 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     radii = _density_radii(radii)
     curves = _average_curves(field, kinds, x0, radii, quad)
-    kvals = np.asarray(kernel(KernelSpec(p=p), radii), dtype=float)
+    quots = {kind: quotients(curve.values, radii, p) for kind, (curve, _) in curves.items()}
     clipped = max((curve.clipped_fraction for curve, _ in curves.values()), default=0.0)
     if clipped > MAX_CLIPPED_FRACTION:
         raise NumericalError(
@@ -539,21 +498,15 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     noise = 0.0
     for kind in ("S", "V"):
         if kind in kinds:
-            curve, half_values = curves[kind]
-            full_q = _quotients(curve.values, kvals)
-            half_q = _quotients(half_values, kvals)
-            noise = max(noise, float(np.abs(full_q - half_q).max()))
+            half_q = quotients(curves[kind][1], radii, p)
+            noise = max(noise, float(np.abs(quots[kind] - half_q).max()))
 
-    theta, bracket, quotients = {}, {}, {}
+    theta, bracket = {}, {}
     mono_defect = 0.0
     tol_mono = 1e-6 + noise
     for kind in kinds:
-        q = _quotients(curves[kind][0].values, kvals)
-        quotients[kind] = q
-        theta[kind] = float(q[-1])
-        bracket[kind] = float(max(q[-2] - q[-1], 0.0)) if q.size >= 2 else 0.0
-        if q.size >= 2:
-            mono_defect = max(mono_defect, float(np.max(q[1:] - q[:-1], initial=0.0)))
+        theta[kind], bracket[kind], defect = density_estimate(quots[kind])
+        mono_defect = max(mono_defect, defect)
 
     residuals = {}
     notes = []
@@ -587,7 +540,7 @@ def densities(field: ScalarField, x0, p: float, radii=None,
         radii=radii,
         theta=theta,
         bracket=bracket,
-        quotients=quotients,
+        quotients=quots,
         residuals=residuals,
         harnack_c=harnack_constant(n),
         noise_bound=noise,
@@ -614,25 +567,14 @@ class MassDensityReport:
     spherical_residual: float
     warning: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "radii": [float(r) for r in self.radii],
-            "ball_masses": [float(m) for m in self.ball_masses],
-            "theta_mass": self.theta_mass,
-            "bracket": self.bracket,
-            "spherical_residual": self.spherical_residual,
-            "warning": self.warning,
-        }
-
 
 def mass_density(field: ScalarField, x0, p: float, radii=None,
-                 quad: SphereQuad | None = None, fd_step: float = 1e-3) -> MassDensityReport:
+                 quad: SphereQuad | None = None) -> MassDensityReport:
     """Mass density of the distributional Laplacian via the flux formula.
 
     The ball mass is mu(B_r) = |S^(n-1)| r^(n-1) dS/dr with S the
-    spherical average; the (n-p)-density divides by alpha(n-p) r^(n-p).
+    spherical average, dS/dr a backward difference of relative step
+    MASS_FD_STEP; the (n-p)-density divides by alpha(n-p) r^(n-p).
     The spherical residual compares against the universal constant
     linking the spherical and mass densities.
     """
@@ -646,8 +588,8 @@ def mass_density(field: ScalarField, x0, p: float, radii=None,
         raise DomainError("mass density needs p <= n")
     radii = _density_radii(radii)
     s_curve = average_curve(field, "S", x0, radii, quad).values
-    s_lo = average_curve(field, "S", x0, radii * (1.0 - fd_step), quad).values
-    deriv = (s_curve - s_lo) / (radii * fd_step)
+    s_lo = average_curve(field, "S", x0, radii * (1.0 - MASS_FD_STEP), quad).values
+    deriv = (s_curve - s_lo) / (radii * MASS_FD_STEP)
     masses = sphere_surface_area(n) * radii ** (n - 1) * deriv
 
     alpha = unit_ball_volume(k)
@@ -662,9 +604,7 @@ def mass_density(field: ScalarField, x0, p: float, radii=None,
         bracket = float(estimates.max() - estimates.min())
 
     # spherical density from the same curve for the cross-relation
-    spec = KernelSpec(p=p)
-    kvals = np.asarray(kernel(spec, radii), dtype=float)
-    theta_s = float(_quotients(s_curve, kvals)[-1])
+    theta_s = float(quotients(s_curve, radii, p)[-1])
     const = alpha / (n * abs(p - 2.0) * unit_ball_volume(n)) if p != 2.0 else alpha / (
         n * unit_ball_volume(n)
     )
@@ -690,17 +630,14 @@ def mass_density(field: ScalarField, x0, p: float, radii=None,
 
 @dataclass
 class FlowSpec:
-    """Schedule and comparison grid for tangent experiments."""
+    """Exponent and flow-scale schedule of a tangent experiment."""
 
     p: float
     radii: np.ndarray = None
-    shells: int = 8
-    grid_sphere_size: int = 256
-    grid_seed: int = 7
 
     def __post_init__(self):
         if self.radii is None:
-            self.radii = 0.5 ** np.arange(11)
+            self.radii = geometric_radii(1.0, 11)
         self.radii = np.asarray(self.radii, dtype=float)
         if self.radii.size == 0 or not np.all((self.radii > 0.0) & (self.radii < INF)):
             raise DomainError(f"flow radii must be positive and finite, got "
@@ -710,12 +647,14 @@ class FlowSpec:
 
 
 def comparison_grid(spec: FlowSpec, n: int) -> np.ndarray:
-    """Annulus grid 0.5 <= |x| <= 2 for p >= 2; ball grid for p < 2."""
-    quad = sphere_quad(n, size=spec.grid_sphere_size, seed=spec.grid_seed)
+    """Eight geometric shells of 256 sphere points each: the annulus
+    0.5 <= |x| <= 2 for p >= 2; for p < 2 the shells 0.05 <= |x| <= 1 and
+    the origin."""
+    quad = sphere_quad(n, size=256, seed=7)
     if spec.p >= 2.0:
-        shells = np.geomspace(0.5, 2.0, spec.shells)
+        shells = np.geomspace(0.5, 2.0, 8)
     else:
-        shells = np.geomspace(0.05, 1.0, spec.shells)
+        shells = np.geomspace(0.05, 1.0, 8)
     pts = (shells[:, None, None] * quad.points[None, :, :]).reshape(-1, n)
     if spec.p < 2.0:
         pts = np.vstack([pts, np.zeros(n)])
@@ -740,13 +679,13 @@ def _grid_distance(u_vals, v_vals, pts, metric: str, beta: float | None, rng) ->
     raise DomainError(f"unknown metric {metric!r}")
 
 
-def holder_seminorm(values: np.ndarray, pts: np.ndarray, alpha: float,
-                    pairs: int = 2048, seed: int = 11) -> float:
-    """Max sampled two-point quotient |u(x)-u(y)| / |x-y|^alpha."""
-    rng = np.random.default_rng(seed)
+def holder_seminorm(values: np.ndarray, pts: np.ndarray, alpha: float) -> float:
+    """Max two-point quotient |u(x)-u(y)| / |x-y|^alpha over 2048 seeded
+    pairs of grid points."""
+    rng = np.random.default_rng(11)
     k = pts.shape[0]
-    ii = rng.integers(0, k, size=pairs)
-    jj = rng.integers(0, k, size=pairs)
+    ii = rng.integers(0, k, size=2048)
+    jj = rng.integers(0, k, size=2048)
     keep = ii != jj
     ii, jj = ii[keep], jj[keep]
     gaps = np.linalg.norm(pts[ii] - pts[jj], axis=1)
@@ -766,20 +705,6 @@ class ConvergenceRecord:
     holder_seminorms: np.ndarray | None = None
     holder_bound: float | None = None
     holder_bound_ok: bool | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "metric": self.metric,
-            "radii": [float(r) for r in self.radii],
-            "distances": [float(d) for d in self.distances],
-            "converged": bool(self.converged),
-            "tolerance": self.tolerance,
-        }
-        if self.holder_seminorms is not None:
-            out["holder_seminorms"] = [float(h) for h in self.holder_seminorms]
-            out["holder_bound"] = self.holder_bound
-            out["holder_bound_ok"] = bool(self.holder_bound_ok)
-        return out
 
 
 def tangent_experiment(field: ScalarField, spec: FlowSpec, candidate: ScalarField,
@@ -850,8 +775,7 @@ def averages_of_tangent_check(tangent: ScalarField, p: float, radii=None,
     defect = flow_invariance_defect(tangent, p, quad=quad or sphere_quad(n))
     worst = 0.0
     note_parts = [f"flow-invariance defect {defect:.2e}"]
-    spec = KernelSpec(p=p)
-    kvals = np.asarray(kernel(spec, radii), dtype=float)
+    kvals = np.asarray(kernel(KernelSpec(p=p), radii), dtype=float)
     count = 0
     if p != 2.0:
         curves = _average_curves(tangent, kinds, np.zeros(n), radii, quad)
@@ -867,7 +791,7 @@ def averages_of_tangent_check(tangent: ScalarField, p: float, radii=None,
         curves = _average_curves(tangent, ("M", *windows), np.zeros(n), radii, quad)
         c_const = harnack_constant(n)
         m_curve = curves["M"][0]
-        theta = _quotients(m_curve.values, kvals)[-1]
+        theta = quotients(m_curve.values, radii, p)[-1]
         worst = max(worst, float(np.abs(m_curve.values - theta * kvals).max()))
         count += radii.size
         note_parts.append(f"theta={theta:.6g}")
@@ -904,15 +828,6 @@ class DecayReport:
     center_bracket: float
     usc_ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "path_norms": [float(x) for x in self.path_norms],
-            "path_thetas": [float(x) for x in self.path_thetas],
-            "center_theta": self.center_theta,
-            "center_bracket": self.center_bracket,
-            "usc_ok": bool(self.usc_ok),
-        }
-
 
 def density_decay_check(field: ScalarField, x0, path_points, p: float,
                         quad: SphereQuad | None = None, levels: int = 6) -> DecayReport:
@@ -931,8 +846,8 @@ def density_decay_check(field: ScalarField, x0, path_points, p: float,
         d = field.distance_to_singular(x)
         if d <= 0.0:
             raise DomainError("path point lies on the singular set")
-        radii = (d / 2.0) * 0.5 ** np.arange(levels)
-        rep = densities(field, x, p, radii=radii, quad=quad, kinds=("V",))
+        rep = densities(field, x, p, radii=geometric_radii(d / 2.0, levels), quad=quad,
+                        kinds=("V",))
         thetas.append(rep.theta["V"])
         norms.append(float(np.linalg.norm(x - x0)))
 
@@ -941,8 +856,8 @@ def density_decay_check(field: ScalarField, x0, path_points, p: float,
          if np.linalg.norm(np.asarray(s) - x0) > 0.0),
         default=1.0,
     )
-    radii0 = (d0 / 2.0) * 0.5 ** np.arange(levels)
-    rep0 = densities(field, x0, p, radii=radii0, quad=quad, kinds=("V",))
+    rep0 = densities(field, x0, p, radii=geometric_radii(d0 / 2.0, levels), quad=quad,
+                     kinds=("V",))
     theta0 = rep0.theta["V"]
     bracket0 = rep0.bracket["V"]
     usc_ok = max(thetas) <= theta0 + bracket0 + 1e-6
@@ -989,7 +904,7 @@ def infinitesimal_holder(field: ScalarField, x0, p: float, radii=None,
 
 
 # ---------------------------------------------------------------------------
-# catalog fields
+# built-in example fields
 # ---------------------------------------------------------------------------
 
 
@@ -1020,7 +935,6 @@ def riesz_kernel_field(theta: float, p: float, n: int, center=None) -> ScalarFie
     reference = None
     if p < 2.0:
         reference = float(theta * kernel(spec, np.linalg.norm(c))) if np.linalg.norm(c) > 0 else 0.0
-    certified = ("min-max",) if p > n else ("p-convex", "min-max")
     return ScalarField(
         n=n,
         values=values,
@@ -1028,7 +942,6 @@ def riesz_kernel_field(theta: float, p: float, n: int, center=None) -> ScalarFie
         singular_points=(c,),
         reference_value=reference,
         analytic_max=analytic_max,
-        certified_for=certified,
     )
 
 
@@ -1059,7 +972,6 @@ def log_modulus_coordinate_field(n_complex: int = 2, slot: int = 0) -> ScalarFie
         singular_distance=singular_distance,
         reference_value=None,
         analytic_max=analytic_max,
-        certified_for=("complex(p-convex)",),
     )
 
 
@@ -1088,7 +1000,6 @@ def partial_kernel_field(p: float, m: int, n: int) -> ScalarField:
         singular_distance=singular_distance,
         reference_value=0.0 if p < 2.0 else None,
         analytic_max=analytic_max,
-        certified_for=("min-max",),
     )
 
 
@@ -1146,12 +1057,11 @@ def newtonian_potential_field(p: float, masses, n: int) -> ScalarField:
         singular_points=singular,
         reference_value=None,
         analytic_max=analytic,
-        certified_for=("laplacian",),
     )
 
 
 def max_of_fields(*fields: ScalarField) -> ScalarField:
-    """Pointwise maximum; subharmonicity tags propagate by intersection."""
+    """Pointwise maximum."""
     if not fields:
         raise DomainError("need at least one field")
     n = fields[0].n
@@ -1179,7 +1089,6 @@ def max_of_fields(*fields: ScalarField) -> ScalarField:
     reference = None
     if all(r is not None and math.isfinite(r) for r in refs):
         reference = max(refs)
-    certified = tuple(set.intersection(*(set(f.certified_for) for f in fields)))
     return ScalarField(
         n=n,
         values=values,
@@ -1189,7 +1098,6 @@ def max_of_fields(*fields: ScalarField) -> ScalarField:
         reference_value=reference,
         domain_radius=min(f.domain_radius for f in fields),
         analytic_max=analytic,
-        certified_for=certified,
     )
 
 
@@ -1214,7 +1122,6 @@ def plus_quadratic_field(base: ScalarField, quadratic) -> ScalarField:
         singular_distance=base.singular_distance,
         reference_value=reference,
         domain_radius=base.domain_radius,
-        certified_for=base.certified_for,
     )
 
 
@@ -1236,7 +1143,6 @@ def quadratic_field(a, n: int | None = None) -> ScalarField:
         values=values,
         name="quadratic",
         reference_value=0.0,
-        certified_for=("smooth",),
     )
 
 
@@ -1247,23 +1153,4 @@ def zero_field(n: int) -> ScalarField:
         name="zero",
         reference_value=0.0,
         analytic_max=lambda x0, r: 0.0,
-        certified_for=("smooth",),
     )
-
-
-_CATALOG = {
-    "riesz_kernel": riesz_kernel_field,
-    "log_modulus_coord": log_modulus_coordinate_field,
-    "partial_kernel": partial_kernel_field,
-    "newtonian_potential": newtonian_potential_field,
-    "max_of": max_of_fields,
-    "plus_quadratic": plus_quadratic_field,
-    "quadratic": quadratic_field,
-    "zero": zero_field,
-}
-
-
-def catalog_field(name: str, *args, **kwargs) -> ScalarField:
-    if name not in _CATALOG:
-        raise DomainError(f"unknown catalog field {name!r}; known: {sorted(_CATALOG)}")
-    return _CATALOG[name](*args, **kwargs)

@@ -122,20 +122,51 @@ def rf_membership(p: float, q: float, jet: OneVarJet) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def quotients(values, radii, p: float, normalization: str = "standard") -> np.ndarray:
+    """Monotone quotients (v_j - v_{j+1}) / (K(r_j) - K(r_{j+1})) of the
+    values v_j at adjacent radii r_j; the one place they are computed."""
+    values = np.asarray(values, dtype=float)
+    k = np.asarray(kernel(KernelSpec(p=p, normalization=normalization), radii), dtype=float)
+    return (values[:-1] - values[1:]) / (k[:-1] - k[1:])
+
+
+def density_estimate(q) -> tuple[float, float, float]:
+    """(theta, bracket, monotone_defect) from the quotients over strictly
+    decreasing radii: the deepest quotient, its gap to the quotient one
+    scale up, and the largest increase between adjacent quotients, which
+    is 0 when they decrease with the radii as they must."""
+    q = np.asarray(q, dtype=float)
+    return (float(q[-1]), float(max(q[-2] - q[-1], 0.0)),
+            float(np.max(q[1:] - q[:-1], initial=0.0)))
+
+
+def density_radii(radii) -> np.ndarray:
+    """The radii of a density estimate: strictly decreasing, at least three."""
+    radii = np.asarray(radii, dtype=float)
+    if radii.size < 3 or np.any(np.diff(radii) >= 0.0):
+        raise DomainError("radii must be strictly decreasing, at least three")
+    return radii
+
+
+def geometric_radii(r0: float, levels: int, ratio: float = 0.5) -> np.ndarray:
+    """The radius schedule r0 * ratio^j, j < levels, strictly decreasing."""
+    if not 0.0 < ratio < 1.0:
+        raise DomainError("ratio must be in (0, 1)")
+    return r0 * ratio ** np.arange(levels)
+
+
 def kp_convexity_test(profile: RadialProfile, p: float, grid,
                       normalization: str = "standard") -> PropertyReport:
     """Secant-slope monotonicity of psi as a function of s = K_p(r).
 
     Convexity in the pulled-back variable is what makes the monotone
-    quotients (and hence densities) exist.
+    quotients (and hence densities) exist.  The slopes are the quotients
+    over the ascending grid, so they must increase.
     """
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size < 3:
         raise DomainError("need at least three grid radii")
-    spec = KernelSpec(p=p, normalization=normalization)
-    s = np.asarray(kernel(spec, grid), dtype=float)
-    v = np.asarray(profile(grid), dtype=float)
-    slopes = np.diff(v) / np.diff(s)
+    slopes = quotients(profile(grid), grid, p, normalization)
     worst = float(np.max(np.maximum(0.0, slopes[:-1] - slopes[1:]), initial=0.0))
     return PropertyReport(
         name="kp-convexity",
@@ -154,9 +185,12 @@ def monotone_quotient(profile: RadialProfile, p: float, r: float, t: float,
         raise DomainError("quotients are undefined at p = inf")
     if r == t:
         raise DomainError("quotient needs distinct radii")
-    spec = KernelSpec(p=p, normalization=normalization)
-    dk = kernel(spec, r) - kernel(spec, t)
-    return float((profile(r) - profile(t)) / dk)
+    return float(quotients([profile(r), profile(t)], [r, t], p, normalization)[0])
+
+
+def quotient_curve(profile: RadialProfile, p: float, radii) -> np.ndarray:
+    """Quotients of the profile over adjacent radii."""
+    return quotients(profile(radii), radii, p)
 
 
 def one_var_density(profile: RadialProfile, p: float, radii) -> tuple[float, float]:
@@ -164,32 +198,12 @@ def one_var_density(profile: RadialProfile, p: float, radii) -> tuple[float, flo
 
     `radii` must be strictly decreasing; the bracket is the gap to the
     quotient one scale up (quotients decrease as both radii shrink, so
-    no extrapolation is attempted).
+    no extrapolation is attempted).  Only the three deepest radii are read.
     """
     if math.isinf(p):
         raise DomainError("no density at p = inf")
-    radii = np.asarray(radii, dtype=float)
-    if radii.size < 3:
-        raise DomainError("need at least three radii")
-    if np.any(np.diff(radii) >= 0.0):
-        raise DomainError("radii must be strictly decreasing")
-    q_deep = monotone_quotient(profile, p, radii[-2], radii[-1])
-    q_up = monotone_quotient(profile, p, radii[-3], radii[-2])
-    return q_deep, max(q_up - q_deep, 0.0)
-
-
-def quotient_curve(profile: RadialProfile, p: float, radii) -> np.ndarray:
-    radii = np.asarray(radii, dtype=float)
-    return np.array(
-        [monotone_quotient(profile, p, radii[j], radii[j + 1]) for j in range(radii.size - 1)]
-    )
-
-
-def geometric_radii(r0: float, levels: int, ratio: float = 0.5) -> np.ndarray:
-    """Default strictly-decreasing radius schedule r0 * ratio^j."""
-    if not 0.0 < ratio < 1.0:
-        raise DomainError("ratio must be in (0, 1)")
-    return r0 * ratio ** np.arange(levels)
+    theta, bracket, _ = density_estimate(quotient_curve(profile, p, density_radii(radii)[-3:]))
+    return theta, bracket
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +220,6 @@ NOT_SUBAFFINE_RADIAL = "not-subaffine-radial"
 class ProfileClass:
     kind: str
     breakpoint: float | None = None
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "breakpoint": self.breakpoint}
 
 
 def _secant_convex(values: np.ndarray, xs: np.ndarray, tol: float) -> bool:

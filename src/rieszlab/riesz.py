@@ -67,14 +67,6 @@ class CharacteristicPair:
                     f"pair constraint violated: (p-1)(q-1) = {(self.p - 1) * (self.q - 1):.9f}"
                 )
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "p_bracket": self.p_bracket,
-            "q_bracket": self.q_bracket,
-        }
-
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -406,11 +398,11 @@ def radial_harmonic_check(f: Subequation, theta: float, p: float, radii,
     )
 
 
-def _boundary_shifts(f: Subequation, a: np.ndarray, steps: int = 60) -> np.ndarray:
-    """Upper ends of the bisection brackets, started at [-10, 10], for the
-    t with A + t Id on the boundary of F, one per matrix of the stack.  A
-    spectral F is bisected on spectra: the spectrum of A + t Id is
-    spectrum(A) + t spectrum(Id), in the same order."""
+def _boundary_shifts(f: Subequation, a: np.ndarray) -> np.ndarray:
+    """Upper ends of the bisection brackets, started at [-10, 10] and halved
+    60 times, for the t with A + t Id on the boundary of F, one per matrix
+    of the stack.  A spectral F is bisected on spectra: the spectrum of
+    A + t Id is spectrum(A) + t spectrum(Id), in the same order."""
     if f.spectrum is not None:
         lams = f.spectrum(a)
         spec_id = f.spectrum(np.eye(f.n))
@@ -425,7 +417,7 @@ def _boundary_shifts(f: Subequation, a: np.ndarray, steps: int = 60) -> np.ndarr
 
     lo = np.full(len(a), -10.0)
     hi = np.full(len(a), 10.0)
-    for _ in range(steps):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         inside = margins(mid) >= 0.0
         hi = np.where(inside, mid, hi)

@@ -8,11 +8,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rieszlab
-from rieszlab import cli, subeq
+from rieszlab import cli, flow, radial, riesz, subeq
 
 
 def run(capsys, *argv):
@@ -761,3 +762,192 @@ def test_import_defers_heavy_scipy_modules():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# the report serializer
+# ---------------------------------------------------------------------------
+#
+# The JSON objects the reports' own `to_dict` methods built before
+# `cli._sanitize` became the one serializer, kept as the reference.
+
+
+def ref_characteristic_pair(pair):
+    return {"p": pair.p, "q": pair.q, "p_bracket": pair.p_bracket, "q_bracket": pair.q_bracket}
+
+
+def ref_property_report(report):
+    return {
+        "property": report.name,
+        "samples": report.sample_count,
+        "worst_violation": report.worst_violation,
+        "tolerance": report.tolerance,
+        "pass": bool(report.passed),
+        "skipped": bool(report.skipped),
+        "note": report.note,
+    }
+
+
+def ref_transitivity_result(result):
+    return {"found": result.found, "chain": list(result.chain), "reason": result.reason}
+
+
+def ref_profile_class(classification):
+    return {"kind": classification.kind, "breakpoint": classification.breakpoint}
+
+
+def ref_average_curve(curve):
+    return {
+        "kind": curve.kind,
+        "center": [float(c) for c in curve.center],
+        "samples": [[float(r), float(v)] for r, v in zip(curve.radii, curve.values)],
+        "quad": {"size": curve.quad_size, "seed": curve.quad_seed},
+        "clipped_fraction": curve.clipped_fraction,
+    }
+
+
+def ref_density_report(report):
+    return {
+        "p": report.p,
+        "n": report.n,
+        "center": [float(c) for c in report.center],
+        "radii": [float(r) for r in report.radii],
+        "theta": {k: float(v) for k, v in report.theta.items()},
+        "bracket": {k: float(v) for k, v in report.bracket.items()},
+        "quotients": {k: [float(x) for x in v] for k, v in report.quotients.items()},
+        "residuals": {k: float(v) for k, v in report.residuals.items()},
+        "harnack_c": report.harnack_c,
+        "noise_bound": report.noise_bound,
+        "clipped_fraction": report.clipped_fraction,
+        "monotone_defect": report.monotone_defect,
+        "monotone_ok": report.monotone_ok,
+        "notes": list(report.notes),
+    }
+
+
+def ref_mass_density_report(report):
+    return {
+        "p": report.p,
+        "n": report.n,
+        "radii": [float(r) for r in report.radii],
+        "ball_masses": [float(m) for m in report.ball_masses],
+        "theta_mass": report.theta_mass,
+        "bracket": report.bracket,
+        "spherical_residual": report.spherical_residual,
+        "warning": report.warning,
+    }
+
+
+def ref_convergence_record(record):
+    out = {
+        "metric": record.metric,
+        "radii": [float(r) for r in record.radii],
+        "distances": [float(d) for d in record.distances],
+        "converged": bool(record.converged),
+        "tolerance": record.tolerance,
+    }
+    if record.holder_seminorms is not None:
+        out["holder_seminorms"] = [float(h) for h in record.holder_seminorms]
+        out["holder_bound"] = record.holder_bound
+        out["holder_bound_ok"] = bool(record.holder_bound_ok)
+    return out
+
+
+def ref_decay_report(report):
+    return {
+        "path_norms": [float(x) for x in report.path_norms],
+        "path_thetas": [float(x) for x in report.path_thetas],
+        "center_theta": report.center_theta,
+        "center_bracket": report.center_bracket,
+        "usc_ok": bool(report.usc_ok),
+    }
+
+
+def _json_text(obj):
+    return json.dumps(cli._sanitize(obj), indent=2, sort_keys=True)
+
+
+def _seeded_reports():
+    quad = flow.sphere_quad(3, 512, seed=1)
+    kernel3 = flow.riesz_kernel_field(2.0, 3.0, 3)
+    kernel15 = flow.riesz_kernel_field(1.0, 1.5, 3)
+    sample = subeq.sample_grassmannian(3, 2, count=64, seed=3, angle_tol=0.15)
+    x = np.array([1.0, 0.2, -0.3])
+    short = flow.FlowSpec(p=1.5, radii=[1.0, 0.5, 0.25])
+    return [
+        (ref_characteristic_pair, riesz.characteristic_pair(subeq.builtin("sigma-k", 4, k=2))),
+        (ref_characteristic_pair, riesz.characteristic_pair(subeq.builtin("subaffine", 3))),
+        (ref_property_report, subeq.check_cone(subeq.builtin("min-max", 3, p=2.5), 20, 4)),
+        (ref_property_report, subeq.check_maximum_principle(subeq.builtin("full-space", 3))),
+        (ref_property_report, subeq.check_st_invariance(subeq.geometric(sample), 5, 0)),
+        (ref_transitivity_result, subeq.transitivity_check(sample, x, x[::-1])),
+        (ref_transitivity_result, subeq.transitivity_check(
+            subeq.sample_grassmannian(3, 2, count=2, seed=0, angle_tol=1e-3), x, x[::-1])),
+        (ref_profile_class, radial.classify_profile(radial.kernel_profile(3.0),
+                                                    np.geomspace(0.05, 2.0, 16))),
+        (ref_profile_class, radial.classify_profile(
+            radial.profile_from_callable(lambda r: (np.asarray(r) - 1.0) ** 2),
+            np.geomspace(0.05, 2.0, 16))),
+        (ref_density_report, flow.densities(kernel3, np.zeros(3), 3.0, quad=quad)),
+        (ref_density_report, flow.densities(kernel15, np.array([0.1, 0.0, 0.0]), 1.5,
+                                            radii=[0.05, 0.025, 0.0125], quad=quad)),
+        (ref_mass_density_report, flow.mass_density(
+            flow.newtonian_potential_field(3.0, [(1.0, np.zeros(3))], 3), np.zeros(3), 3.0,
+            quad=quad)),
+        (ref_convergence_record, flow.tangent_experiment(kernel15, short, kernel15, quad=quad)),
+        (ref_convergence_record, flow.tangent_experiment(
+            kernel3, flow.FlowSpec(p=3.0, radii=[1.0, 0.5]), kernel3, metric="l1", quad=quad)),
+        (ref_decay_report, flow.density_decay_check(
+            kernel3, np.zeros(3), [[0.5, 0.0, 0.0], [0.25, 0.0, 0.0]], 3.0, quad=quad,
+            levels=4)),
+    ]
+
+
+def test_serializer_gives_the_reports_json():
+    reports = _seeded_reports()
+    assert {type(report).__name__ for _, report in reports} == {
+        "CharacteristicPair", "PropertyReport", "TransitivityResult", "ProfileClass",
+        "DensityReport", "MassDensityReport", "ConvergenceRecord", "DecayReport"}
+    assert any(getattr(report, "breakpoint", 0) is None for _, report in reports)
+    assert {report.holder_bound is None for _, report in reports
+            if type(report).__name__ == "ConvergenceRecord"} == {True, False}
+    for ref, report in reports:
+        fields = cli._sanitize(report)
+        if type(report).__name__ == "ConvergenceRecord":
+            # cmd_flow leaves out the Hoelder fields, which are None for p >= 2
+            fields = {k: v for k, v in fields.items() if v is not None}
+        assert (json.dumps(fields, indent=2, sort_keys=True)
+                == json.dumps(cli._sanitize(ref(report)), indent=2, sort_keys=True)), ref
+
+
+def test_serializer_gives_an_average_curve_its_fields():
+    # the curve's old JSON was never emitted; its fields carry the same numbers
+    curve = flow.average_curve(flow.riesz_kernel_field(1.0, 3.0, 3), "S", np.zeros(3),
+                               flow.default_radii(4), flow.sphere_quad(3, 512))
+    fields, ref = cli._sanitize(curve), cli._sanitize(ref_average_curve(curve))
+    assert [[r, v] for r, v in zip(fields["radii"], fields["values"])] == ref["samples"]
+    assert {"size": fields["quad_size"], "seed": fields["quad_seed"]} == ref["quad"]
+    assert all(fields[k] == ref[k] for k in ("kind", "center", "clipped_fraction"))
+
+
+def test_serializer_converts_numpy_values():
+    assert cli._sanitize({"a": np.array([1.0, np.inf]), "b": np.bool_(False),
+                          "c": (np.int64(3), np.float64(-np.inf))}) == {
+        "a": [1.0, "inf"], "b": False, "c": [3, "-inf"]}
+
+
+@pytest.mark.parametrize("p,holder", [("1.5", True), ("3", False)])
+def test_flow_command_reports_hoelder_fields_only_below_2(capsys, p, holder):
+    code, payload = run_json(capsys, "flow", "riesz", "--p", p, "--n", "3", "--radii", "1", "0.5",
+                             "0.25", "--quad", "512")
+    assert code == 0
+    keys = {"holder_seminorms", "holder_bound", "holder_bound_ok"}
+    assert (keys <= set(payload)) if holder else not keys & set(payload)
+
+
+def test_st_invariance_at_huge_parameter_exits_0(capsys):
+    # rounding of margins near 1e300 used to read as a violation of 4.3e284
+    code, payload = run_json(capsys, "verify", "dual-min-max", "--n", "3", "--samples", "20",
+                             "--p", "1e300", "--suite", "invariance")
+    assert code == 0
+    assert payload["reports"][0]["pass"] is True

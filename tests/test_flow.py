@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab import cli, flow, linalg, riesz, subeq
+from rieszlab import cli, flow, linalg, radial, riesz, subeq
 from rieszlab.errors import DomainError, NumericalError
 
 
@@ -176,7 +176,7 @@ def test_partial_kernel_flow_invariance_pointwise():
 
 
 def test_flow_semigroup_power_case():
-    u = flow.catalog_field("plus_quadratic", flow.riesz_kernel_field(1.0, 3.0, 3), 1.0)
+    u = flow.plus_quadratic_field(flow.riesz_kernel_field(1.0, 3.0, 3), 1.0)
     rng = np.random.default_rng(4)
     pts = rng.standard_normal((50, 3))
     r, s = 0.5, 0.25
@@ -268,6 +268,27 @@ def test_density_quotients_monotone_across_scales():
     for kind in ("M", "S", "V"):
         q = rep.quotients[kind]
         assert np.all(np.diff(q) <= 1e-6 + rep.noise_bound)
+
+
+@pytest.mark.parametrize("field,p", [
+    (flow.riesz_kernel_field(2.0, 3.0, 3), 3.0),
+    (flow.newtonian_potential_field(1.5, [(1.0, np.zeros(3)), (0.5, np.array([2.0, 0, 0]))], 3),
+     1.5),
+    (flow.log_modulus_coordinate_field(2), 2.0),
+])
+def test_densities_are_the_radial_estimate_of_each_curve(quad3, quad4, field, p):
+    quad = quad3 if field.n == 3 else quad4
+    x0 = np.zeros(field.n)
+    radii = flow.default_radii()
+    rep = flow.densities(field, x0, p, quad=quad)
+    defects = []
+    for kind in ("M", "S", "V"):
+        q = radial.quotients(flow.average_curve(field, kind, x0, radii, quad).values, radii, p)
+        theta, bracket, defect = radial.density_estimate(q)
+        assert np.array_equal(rep.quotients[kind], q)
+        assert (rep.theta[kind], rep.bracket[kind]) == (theta, bracket)
+        defects.append(defect)
+    assert rep.monotone_defect == max(0.0, *defects)
 
 
 def test_density_rejects_heavy_clipping(quad3):
@@ -505,12 +526,11 @@ def test_partial_kernel_hessian_on_min_max_boundary():
     assert np.linalg.norm(fd - exact) <= 1e-6 * (1.0 + np.linalg.norm(exact))
 
 
-def test_max_of_kernels_certification_and_values():
+def test_max_of_kernels_values():
     a = np.array([1.0, 0.0, 0.0])
     k0 = flow.riesz_kernel_field(1.0, 1.5, 3)
     k1 = flow.riesz_kernel_field(1.0, 1.5, 3, center=a)
     u = flow.max_of_fields(k0, k1)
-    assert set(u.certified_for) == set(k0.certified_for) & set(k1.certified_for)
     pts = np.array([[0.2, 0.0, 0.0], [0.9, 0.0, 0.0]])
     expected = np.maximum(k0.values(pts), k1.values(pts))
     assert np.allclose(u.values(pts), expected)
@@ -529,11 +549,6 @@ def test_newtonian_single_mass_equals_kernel():
     k = flow.riesz_kernel_field(2.0, 3.0, 3)
     pts = np.random.default_rng(0).standard_normal((40, 3))
     assert np.allclose(u.values(pts), k.values(pts), atol=1e-12)
-
-
-def test_catalog_lookup_errors():
-    with pytest.raises(DomainError):
-        flow.catalog_field("no-such-field")
 
 
 # ---------------------------------------------------------------------------

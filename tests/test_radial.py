@@ -120,6 +120,41 @@ def test_quotient_of_scaled_kernel_is_constant():
         assert radial.monotone_quotient(prof, 3.0, r, t) == pytest.approx(3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("normalization", ["standard", "barred"])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.000000001, 3.0, 7.5])
+def test_quotients_match_pairwise_quotients_bit_for_bit(p, normalization):
+    prof = kernel_plus_square(p)
+    spec = riesz.KernelSpec(p=p, normalization=normalization)
+    radii = radial.geometric_radii(1.5, 9, 0.4)
+    q = radial.quotients(prof(radii), radii, p, normalization)
+    for j in range(radii.size - 1):
+        r, t = radii[j], radii[j + 1]
+        scalar = (prof(r) - prof(t)) / (riesz.kernel(spec, r) - riesz.kernel(spec, t))
+        assert q[j] == radial.monotone_quotient(prof, p, r, t, normalization) == scalar
+
+
+def test_density_estimate_reads_the_deepest_quotients():
+    theta, bracket, defect = radial.density_estimate([5.0, 4.0, 4.5, 3.0])
+    assert (theta, bracket, defect) == (3.0, 1.5, 0.5)
+    assert radial.density_estimate([1.0, 2.0, 3.0]) == (3.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("radii", [[1.0], [], [1.0, 0.5], [0.25, 0.5, 1.0], [1.0, 0.5, 0.5]])
+def test_density_radii_are_strictly_decreasing_and_at_least_three(radii):
+    with pytest.raises(DomainError, match="strictly decreasing, at least three"):
+        radial.density_radii(radii)
+    prof = radial.kernel_profile(3.0)
+    with pytest.raises(DomainError, match="strictly decreasing, at least three"):
+        radial.one_var_density(prof, 3.0, radii)
+
+
+def test_one_var_density_reads_only_the_three_deepest_radii():
+    prof = radial.kernel_profile(3.0, theta=2.0)
+    radii = radial.geometric_radii(1.0, 7)
+    assert (radial.one_var_density(prof, 3.0, radii)
+            == radial.one_var_density(prof, 3.0, radii[-3:]))
+
+
 def test_density_of_scaled_kernel():
     prof = radial.kernel_profile(2.5, theta=3.0)
     theta, bracket = radial.one_var_density(prof, 2.5, radial.geometric_radii(1.0, 6))

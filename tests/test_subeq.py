@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rieszlab import linalg, subeq
+from rieszlab import cli, linalg, subeq
 from rieszlab.errors import DomainError
 
 
@@ -68,7 +69,6 @@ def test_builtin_parameter_validation():
 
 def test_laplacian_alias():
     lap = subeq.builtin("laplacian", 5)
-    assert lap.params["p"] == 5.0
     assert lap.name == "p-convex(p=5)"
     assert lap.closed_form == 5.0
 
@@ -366,6 +366,19 @@ def test_st_invariance_unitary_and_symplectic():
     assert subeq.check_st_invariance(fq, sample_count=15, seed=0).passed
 
 
+def test_st_invariance_is_relative_to_huge_margins():
+    # rounding of margins near 1e300 is not a violation ...
+    for f in (subeq.builtin("dual-min-max", 3, p=1e300), subeq.builtin("min-max", 3, p=1e300),
+              subeq.builtin("trace-power", 3, k=2, q=50.0)):
+        assert subeq.check_st_invariance(f, sample_count=20, seed=0).passed
+    # ... while a margin that is not invariant fails at any scale
+    for scale in (1.0, 1e300):
+        corner = subeq.Subequation(name="corner", n=3, invariance="O(n)",
+                                   **subeq._margins(lambda a, s=scale: s * a[..., 0, 0]))
+        report = subeq.check_st_invariance(corner, sample_count=20, seed=0)
+        assert not report.passed and report.worst_violation > 0.1
+
+
 def test_st_invariance_sampled_grassmannian_skipped():
     gs = subeq.sample_grassmannian(4, 2, count=16, seed=0)
     report = subeq.check_st_invariance(subeq.geometric(gs))
@@ -386,7 +399,8 @@ def test_margin_monotone_along_identity(family, params, n):
 
 def test_property_report_pass_definition():
     report = subeq.PropertyReport("x", 1, worst_violation=2.0, tolerance=1.0, passed=False)
-    assert report.to_dict()["pass"] is False
+    assert cli._sanitize(report)["pass"] is False
+    assert cli._sanitize(dataclasses.replace(report, passed=np.bool_(True)))["pass"] is True
 
 
 # ---------------------------------------------------------------------------

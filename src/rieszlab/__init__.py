@@ -13,18 +13,14 @@ from .linalg import (
     ComplexStructure,
     Frame,
     QuaternionStructure,
-    elementary_symmetric,
     finite_diff_hessian,
     hermitian_part,
     ordered_eigenvalues,
     projector_onto,
     projector_perp,
     radial_hessian,
-    random_orthonormal_frame,
     random_psd,
-    random_rotation,
     reduced_eigenvalues,
-    trace_over_subspace,
 )
 from .subeq import (
     GrassmannSample,
@@ -55,7 +51,6 @@ from .riesz import (
     kernel_deriv1,
     kernel_deriv2,
     kernel_hessian,
-    kernel_inverse,
     radial_harmonic_check,
     sandwich_check,
 )
@@ -65,11 +60,8 @@ from .radial import (
     classify_profile,
     kernel_profile,
     kp_convexity_test,
-    monotone_quotient,
     one_var_density,
-    rf_membership,
     rp_up_membership,
-    rq_down_membership,
 )
 from .flow import (
     DensityReport,
@@ -83,12 +75,10 @@ from .flow import (
     holder_estimate,
     infinitesimal_holder,
     mass_density,
-    spherical_average,
     spherical_max,
     sphere_quad,
     tangent_experiment,
     tangent_flow,
-    volume_average,
 )
 
 __version__ = "0.1.0"

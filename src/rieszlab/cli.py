@@ -4,7 +4,8 @@ Subcommands: charx, verify, table, density, flow, grassmann, radial.
 Reports are JSON (schema 1) or CSV; identical config + seed gives
 byte-identical output apart from the timestamp, which --no-timestamp
 suppresses.  Exit codes: 0 ok, 2 check failure, 3 solver/domain error,
-4 config error.
+4 config error, 141 stdout closed by its reader before the report was
+written (as a shell reports a writer stopped by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import dataclasses
 import datetime
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
 EXIT_SOLVER = 3
 EXIT_CONFIG = 4
+EXIT_BROKEN_PIPE = 141
 
 
 class ConfigError(Exception):
@@ -394,6 +397,9 @@ def cmd_radial(args) -> int:
     if args.profile not in _PROFILES:
         raise ConfigError(f"unknown profile {args.profile!r}; known: {sorted(_PROFILES)}")
     profile = _PROFILES[args.profile](args.p)
+    if not 0.0 < args.grid_min < args.grid_max < math.inf:
+        raise DomainError(f"the radial grid needs 0 < --grid-min < --grid-max < inf, got "
+                          f"{args.grid_min} and {args.grid_max}")
     grid = np.geomspace(args.grid_min, args.grid_max, args.grid_points)
     classification = rad.classify_profile(profile, grid)
     payload = {
@@ -601,7 +607,16 @@ def main(argv=None) -> int:
         # a margin that overflows is read as inf or NaN, and the solver
         # judges it; numpy's warnings would only add stderr lines
         with np.errstate(all="ignore"):
-            return args.func(args)
+            status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout early (`rieszlab table | head -1`): point
+        # stdout at devnull, so the flush at exit cannot fail on stderr
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

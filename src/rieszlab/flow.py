@@ -8,8 +8,8 @@ reported noise bound comes from comparing against the first half of the
 sample.
 
 Every average (M, S and V, the scalar calls as well as the curves) goes
-through one shell path, `_average_curves`: it checks that each ball is
-inside the field's domain, evaluates each sphere shell once, and always
+through one shell path, `_average_curves`: it checks that each radius is
+positive and finite, evaluates each sphere shell once, and always
 samples the spherical maximum, so a closed-form max is checked against
 the sampled one.
 """
@@ -176,8 +176,6 @@ class ScalarField:
     name: str = "field"
     singular_points: tuple = ()
     singular_distance: Callable | None = None
-    reference_value: float | None = None
-    domain_radius: float = INF
     analytic_max: Callable | None = None
 
     def at(self, x) -> float:
@@ -204,13 +202,6 @@ def _clipped(vals: np.ndarray) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 # averages
 # ---------------------------------------------------------------------------
-
-
-def _require_inside(field: ScalarField, x0: np.ndarray, r: float):
-    if not 0.0 < r < INF:
-        raise DomainError(f"radius must be positive and finite, got {r}")
-    if float(np.linalg.norm(x0)) + r > field.domain_radius:
-        raise DomainError("ball leaves the field's domain")
 
 
 def _shell(field: ScalarField, x0: np.ndarray, r: float, quad: SphereQuad):
@@ -269,11 +260,8 @@ def _volume_stats(field, x0, r, quad):
 @dataclass
 class AverageCurve:
     kind: str  # "M" | "S" | "V"
-    center: np.ndarray
     radii: np.ndarray
     values: np.ndarray
-    quad_size: int
-    quad_seed: int
     clipped_fraction: float = 0.0
 
     def to_csv_rows(self, p: float):
@@ -289,7 +277,7 @@ def _average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
     sphere shell: M and S share the shell at each radius, and the
     leading-half values (None for M) are what the same curve gives on
     `quad.half()`.  Every average reads its shells here, after checking
-    that each ball lies inside the field's domain."""
+    that each radius is positive and finite."""
     for kind in kinds:
         if kind not in ("M", "S", "V"):
             raise DomainError(f"unknown average kind {kind!r}")
@@ -298,7 +286,8 @@ def _average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
         raise DomainError(f"center must be {field.n} finite coordinates, got {x0.tolist()}")
     radii = np.asarray(radii, dtype=float)
     for r in radii:
-        _require_inside(field, x0, r)
+        if not 0.0 < r < INF:
+            raise DomainError(f"radius must be positive and finite, got {r}")
     quad = quad or sphere_quad(field.n)
     half = quad.size // 2
     shells = [_shell(field, x0, r, quad) for r in radii] if {"M", "S"} & set(kinds) else []
@@ -320,11 +309,8 @@ def _average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
             total = len(stats) * quad.size * (1 if kind == "S" else GL_NODES)
         curve = AverageCurve(
             kind=kind,
-            center=x0,
             radii=radii,
             values=np.asarray(values),
-            quad_size=quad.size,
-            quad_seed=quad.seed,
             clipped_fraction=clipped / total if total else 0.0,
         )
         out[kind] = (curve, None if half_values is None else np.asarray(half_values))
@@ -343,17 +329,6 @@ def spherical_max(field: ScalarField, x0, r: float, quad: SphereQuad | None = No
     return float(average_curve(field, "M", x0, [r], quad).values[0])
 
 
-def spherical_average(field: ScalarField, x0, r: float,
-                      quad: SphereQuad | None = None) -> float:
-    return float(average_curve(field, "S", x0, [r], quad).values[0])
-
-
-def volume_average(field: ScalarField, x0, r: float,
-                   quad: SphereQuad | None = None) -> float:
-    """Ball average via the radial reduction n * int_0^1 S(rho r) rho^(n-1) drho."""
-    return float(average_curve(field, "V", x0, [r], quad).values[0])
-
-
 # ---------------------------------------------------------------------------
 # tangential flow
 # ---------------------------------------------------------------------------
@@ -363,10 +338,10 @@ def tangent_flow(field: ScalarField, p: float, r: float,
                  quad: SphereQuad | None = None) -> ScalarField:
     """One step of the tangential flow at scale r.
 
-    u_r(x) = r^(p-2) (u(rx) - c) with c = 0 for p > 2, c = u(0) for p < 2
-    (which needs u(0) finite) and c = M(u, r) for p = 2, where the factor
-    is exactly 1.  The closed-form max and the value at the origin follow
-    the same formula.
+    u_r(x) = r^(p-2) (u(rx) - c) with c = 0 for p > 2, c = M(u, r) for
+    p = 2, where the factor is exactly 1, and c = u(0) for p < 2, read
+    from the field, which must be finite there.  The closed-form max
+    follows the same formula.
     """
     if not 0.0 < r < INF:
         raise DomainError(f"flow scale must be positive and finite, got {r}")
@@ -377,9 +352,9 @@ def tangent_flow(field: ScalarField, p: float, r: float,
     if p == 2.0:
         offset = spherical_max(field, np.zeros(n), r, quad)
     elif p < 2.0:
-        if field.reference_value is None or not math.isfinite(field.reference_value):
+        offset = field.at(np.zeros(n))
+        if not math.isfinite(offset):
             raise DomainError("flow with p < 2 needs a finite value at the origin")
-        offset = field.reference_value
     else:
         offset = 0.0
 
@@ -403,17 +378,12 @@ def tangent_flow(field: ScalarField, p: float, r: float,
         def analytic(x0, rr):
             return factor * (base_max(x0 * r, rr * r) - offset)
 
-    ref = field.reference_value
-    reference = factor * (ref - offset) if ref is not None and math.isfinite(ref) else None
-
     return ScalarField(
         n=n,
         values=values,
         name=f"flow({field.name},p={p:g},r={r:g})",
         singular_points=singular,
         singular_distance=sing_dist,
-        reference_value=reference,
-        domain_radius=field.domain_radius / r,
         analytic_max=analytic,
     )
 
@@ -932,15 +902,11 @@ def riesz_kernel_field(theta: float, p: float, n: int, center=None) -> ScalarFie
     def analytic_max(x0, r):
         return theta * kernel(spec, r + float(np.linalg.norm(np.asarray(x0) - c)))
 
-    reference = None
-    if p < 2.0:
-        reference = float(theta * kernel(spec, np.linalg.norm(c))) if np.linalg.norm(c) > 0 else 0.0
     return ScalarField(
         n=n,
         values=values,
         name=f"riesz(theta={theta:g},p={p:g})",
         singular_points=(c,),
-        reference_value=reference,
         analytic_max=analytic_max,
     )
 
@@ -970,7 +936,6 @@ def log_modulus_coordinate_field(n_complex: int = 2, slot: int = 0) -> ScalarFie
         values=values,
         name=f"log|z_{slot + 1}| on C^{n_complex}",
         singular_distance=singular_distance,
-        reference_value=None,
         analytic_max=analytic_max,
     )
 
@@ -998,7 +963,6 @@ def partial_kernel_field(p: float, m: int, n: int) -> ScalarField:
         values=values,
         name=f"partial-kernel(p={p:g},m={m})",
         singular_distance=singular_distance,
-        reference_value=0.0 if p < 2.0 else None,
         analytic_max=analytic_max,
     )
 
@@ -1055,7 +1019,6 @@ def newtonian_potential_field(p: float, masses, n: int) -> ScalarField:
         values=values,
         name=f"potential(p={p:g},{len(masses)} masses)",
         singular_points=singular,
-        reference_value=None,
         analytic_max=analytic,
     )
 
@@ -1085,18 +1048,12 @@ def max_of_fields(*fields: ScalarField) -> ScalarField:
         def sing_dist(pts):
             return np.min(np.stack([d(pts) for d in dists]), axis=0)
 
-    refs = [f.reference_value for f in fields]
-    reference = None
-    if all(r is not None and math.isfinite(r) for r in refs):
-        reference = max(refs)
     return ScalarField(
         n=n,
         values=values,
         name="max(" + ",".join(f.name for f in fields) + ")",
         singular_points=singular,
         singular_distance=sing_dist,
-        reference_value=reference,
-        domain_radius=min(f.domain_radius for f in fields),
         analytic_max=analytic,
     )
 
@@ -1113,15 +1070,12 @@ def plus_quadratic_field(base: ScalarField, quadratic) -> ScalarField:
         pts = np.asarray(pts, dtype=float)
         return base_values(pts) + 0.5 * np.einsum("mi,ij,mj->m", pts, a, pts)
 
-    reference = base.reference_value
     return ScalarField(
         n=base.n,
         values=values,
         name=f"{base.name}+quadratic",
         singular_points=base.singular_points,
         singular_distance=base.singular_distance,
-        reference_value=reference,
-        domain_radius=base.domain_radius,
     )
 
 
@@ -1142,7 +1096,6 @@ def quadratic_field(a, n: int | None = None) -> ScalarField:
         n=n,
         values=values,
         name="quadratic",
-        reference_value=0.0,
     )
 
 
@@ -1151,6 +1104,5 @@ def zero_field(n: int) -> ScalarField:
         n=n,
         values=lambda pts: np.zeros(np.asarray(pts).shape[0]),
         name="zero",
-        reference_value=0.0,
         analytic_max=lambda x0, r: 0.0,
     )

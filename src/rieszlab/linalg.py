@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -135,15 +135,6 @@ class Frame:
     @property
     def p(self) -> int:
         return self.columns.shape[1]
-
-
-def trace_over_subspace(a, w) -> float:
-    """Trace of A restricted to the plane spanned by the frame W."""
-    a = as_matrix(a)
-    cols = w.columns if isinstance(w, Frame) else Frame(w).columns
-    if cols.shape[0] != a.shape[0]:
-        raise InvariantError("frame and matrix dimensions differ")
-    return float(np.einsum("ip,ij,jp->", cols, a, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +276,6 @@ def reduced_eigenvalues(a, structure) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def elementary_symmetric(lams: Sequence[float], k: int) -> float:
-    """k-th elementary symmetric function, exact for integer inputs."""
-    return float(elementary_symmetric_all(lams, k)[-1])
-
-
 def elementary_symmetric_all(lams, k: int) -> np.ndarray:
     """sigma_1, ..., sigma_k of a spectrum, or of each row of a (..., n)
     stack, along the last axis.
@@ -371,16 +357,6 @@ def _rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
-def random_orthonormal_frame(n: int, p: int, seed=0) -> Frame:
-    """Frame via QR of a Gaussian sample; deterministic given the seed."""
-    if not 1 <= p <= n:
-        raise DomainError(f"need 1 <= p <= n, got p={p}, n={n}")
-    g = _rng(seed).standard_normal((n, p))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
-    return Frame(q)
-
-
 def random_psd(n: int, seed=0) -> np.ndarray:
     g = _rng(seed).standard_normal((n, n))
     return g @ g.T / n
@@ -395,11 +371,6 @@ def random_rotations(n: int, seeds) -> np.ndarray:
     flip = np.linalg.det(q) < 0
     q[flip, :, -1] = -q[flip, :, -1]
     return q
-
-
-def random_rotation(n: int, seed=0) -> np.ndarray:
-    """Haar-ish rotation via sign-fixed QR; det fixed to +1."""
-    return random_rotations(n, [seed])[0]
 
 
 def random_symmetric(n: int, seed=0) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvariantError
+from .errors import DomainError
 from .riesz import INF, KernelSpec, kernel
 from .subeq import PropertyReport
 
@@ -36,48 +36,18 @@ class OneVarJet:
 
 @dataclass
 class RadialProfile:
-    """Scalar profile psi on (0, r_max), optionally with analytic derivatives."""
+    """Scalar profile psi on (0, r_max)."""
 
     fn: Callable
     r_max: float = INF
-    d1: Callable | None = None
-    d2: Callable | None = None
     name: str = ""
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0) or np.any(r >= self.r_max):
+        if not np.all((r > 0.0) & (r < self.r_max)):
             raise DomainError(f"radius outside (0, {self.r_max})")
         out = np.asarray(self.fn(r), dtype=float)
         return out if out.ndim else float(out)
-
-    def jet(self, t: float) -> OneVarJet:
-        if self.d1 is None or self.d2 is None:
-            raise DomainError("profile has no analytic derivatives")
-        return OneVarJet(t=t, lam=float(self.d1(t)), a=float(self.d2(t)))
-
-    def derivative_defect(self, grid) -> float:
-        """Worst relative mismatch between analytic derivatives and
-        central differences on the grid (construction invariant)."""
-        if self.d1 is None and self.d2 is None:
-            return 0.0
-        worst = 0.0
-        for t in np.asarray(grid, dtype=float):
-            h = 1e-5 * (1.0 + t)
-            up, dn, mid = self(t + h), self(t - h), self(t)
-            if self.d1 is not None:
-                fd1 = (up - dn) / (2.0 * h)
-                worst = max(worst, abs(fd1 - self.d1(t)) / (1.0 + abs(fd1)))
-            if self.d2 is not None:
-                fd2 = (up - 2.0 * mid + dn) / h**2
-                worst = max(worst, abs(fd2 - self.d2(t)) / (1.0 + abs(fd2)))
-        return worst
-
-
-def validate_profile(profile: RadialProfile, grid, tol: float = 1e-6) -> None:
-    defect = profile.derivative_defect(grid)
-    if defect > tol:
-        raise InvariantError(f"declared derivatives mismatch: defect {defect:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -100,21 +70,6 @@ def rp_up_membership(p: float, jet: OneVarJet) -> bool:
     if p < 1.0:
         raise DomainError(f"p must be in [1, inf], got {p}")
     return jet.lam >= -tol and jet.a + (p - 1.0) * jet.lam / jet.t >= -tol
-
-
-def rq_down_membership(q: float, jet: OneVarJet) -> bool:
-    """Decreasing constraint: a + (q-1) lam / t >= 0, lam <= 0."""
-    tol = _jet_tol(jet)
-    if math.isinf(q):
-        return jet.lam <= tol
-    if q < 1.0:
-        raise DomainError(f"q must be in [1, inf], got {q}")
-    return jet.lam <= tol and jet.a + (q - 1.0) * jet.lam / jet.t >= -tol
-
-
-def rf_membership(p: float, q: float, jet: OneVarJet) -> bool:
-    """Full radial constraint: union of increasing and decreasing halves."""
-    return rp_up_membership(p, jet) or rq_down_membership(q, jet)
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +96,14 @@ def density_estimate(q) -> tuple[float, float, float]:
 
 
 def density_radii(radii) -> np.ndarray:
-    """The radii of a density estimate: strictly decreasing, at least three."""
+    """The radii of a density estimate: strictly decreasing, at least
+    three, positive and finite."""
     radii = np.asarray(radii, dtype=float)
     if radii.size < 3 or np.any(np.diff(radii) >= 0.0):
         raise DomainError("radii must be strictly decreasing, at least three")
+    bad = radii[~(np.isfinite(radii) & (radii > 0.0))]
+    if bad.size:
+        raise DomainError(f"radius must be positive and finite, got {bad[0]}")
     return radii
 
 
@@ -176,16 +135,6 @@ def kp_convexity_test(profile: RadialProfile, p: float, grid,
         passed=worst <= SECANT_TOL,
         note=f"p={p:g}",
     )
-
-
-def monotone_quotient(profile: RadialProfile, p: float, r: float, t: float,
-                      normalization: str = "standard") -> float:
-    """(psi(r) - psi(t)) / (K(r) - K(t)); jointly nondecreasing in (r, t)."""
-    if math.isinf(p):
-        raise DomainError("quotients are undefined at p = inf")
-    if r == t:
-        raise DomainError("quotient needs distinct radii")
-    return float(quotients([profile(r), profile(t)], [r, t], p, normalization)[0])
 
 
 def quotient_curve(profile: RadialProfile, p: float, radii) -> np.ndarray:
@@ -264,13 +213,9 @@ def classify_profile(profile: RadialProfile, grid) -> ProfileClass:
 
 
 def kernel_profile(p: float, theta: float = 1.0, normalization: str = "standard") -> RadialProfile:
-    from .riesz import kernel_deriv1, kernel_deriv2
-
     spec = KernelSpec(p=p, normalization=normalization)
     return RadialProfile(
         fn=lambda r: theta * np.asarray(kernel(spec, r)),
-        d1=lambda t: theta * kernel_deriv1(spec, t),
-        d2=lambda t: theta * kernel_deriv2(spec, t),
         name=f"{theta:g}*K_{p:g}",
     )
 

@@ -129,30 +129,6 @@ def kernel_deriv2(spec: KernelSpec, t):
     return out if out.ndim else float(out)
 
 
-def kernel_range(spec: KernelSpec) -> tuple[float, float]:
-    """Open interval of attained kernel values."""
-    p = spec.p
-    if p == 2.0:
-        return (-INF, INF)
-    return (0.0, INF) if p < 2.0 else (-INF, 0.0)
-
-
-def kernel_inverse(spec: KernelSpec, s):
-    """Radius with kernel(r) = s; DomainError outside the attained range."""
-    s = np.asarray(s, dtype=float)
-    p = spec.p
-    lo, hi = kernel_range(spec)
-    if np.any(s <= lo) or np.any(s >= hi):
-        raise DomainError(f"value outside kernel range ({lo}, {hi})")
-    if p == 2.0:
-        out = np.exp(s)
-    elif spec.normalization == "standard":
-        out = s ** (1.0 / (2.0 - p)) if p < 2.0 else (-s) ** (-1.0 / (p - 2.0))
-    else:
-        out = ((2.0 - p) * s) ** (1.0 / (2.0 - p))
-    return out if out.ndim else float(out)
-
-
 def kernel_hessian(theta: float, p: float, x) -> np.ndarray:
     """Hessian of theta * K_barred_p(|x|): theta |x|^-p (P_perp - (p-1) P)."""
     x = np.asarray(x, dtype=float).reshape(-1)

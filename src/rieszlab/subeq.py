@@ -68,7 +68,7 @@ class Subequation:
     name: str
     n: int
     margin: Callable
-    invariance: str  # one of "O(n)", "U(n)", "Sp(n)", "sampled-ST", "none"
+    invariance: str  # one of "O(n)", "U(n)", "Sp(n)", "sampled-ST"
     spectrum: Callable | None = None
     eig_margin: Callable | None = None
     preferred_direction: np.ndarray | None = None
@@ -475,32 +475,6 @@ def uniform_elliptic_regularization(f: Subequation, delta: float) -> Subequation
     return Subequation(**_margins(lambda a: f.margin_batch(shifted(a))), **meta)
 
 
-def intersection(f: Subequation, g: Subequation) -> Subequation:
-    """F cap G via min of margins (invariance inherited when tags agree)."""
-    if f.n != g.n:
-        raise DomainError("dimension mismatch")
-    inv = f.invariance if f.invariance == g.invariance else "none"
-    return Subequation(
-        name=f"intersect({f.name},{g.name})",
-        n=f.n,
-        **_margins(lambda a: np.minimum(f.margin_batch(a), g.margin_batch(a))),
-        invariance=inv,
-    )
-
-
-def union(f: Subequation, g: Subequation) -> Subequation:
-    """F cup G via max of margins."""
-    if f.n != g.n:
-        raise DomainError("dimension mismatch")
-    inv = f.invariance if f.invariance == g.invariance else "none"
-    return Subequation(
-        name=f"union({f.name},{g.name})",
-        n=f.n,
-        **_margins(lambda a: np.maximum(f.margin_batch(a), g.margin_batch(a))),
-        invariance=inv,
-    )
-
-
 # ---------------------------------------------------------------------------
 # property checks
 # ---------------------------------------------------------------------------
@@ -655,7 +629,7 @@ def check_st_invariance(f: Subequation, sample_count: int = 100, seed=0) -> Prop
     exact invariance, so the check is skipped with a warning.
     """
     require_samples(sample_count)
-    if f.invariance in ("sampled-ST", "none"):
+    if f.invariance == "sampled-ST":
         return _report(
             "st-invariance", 0, 0.0, 0.0, skipped=True,
             note=f"invariance tag {f.invariance!r}: finite sample breaks exact invariance",
@@ -746,11 +720,6 @@ def _containing_planes(sample: GrassmannSample, x) -> np.ndarray:
     proj = np.einsum("knp,n->kp", stack, xh)
     residual = np.linalg.norm(xh[None, :] - np.einsum("knp,kp->kn", stack, proj), axis=1)
     return np.flatnonzero(residual <= sample.angle_tol)
-
-
-def smallest_principal_angle(w1: Frame, w2: Frame) -> float:
-    s = np.linalg.svd(w1.columns.T @ w2.columns, compute_uv=False)
-    return float(np.arccos(np.clip(s.max(), -1.0, 1.0)))
 
 
 def transitivity_check(sample: GrassmannSample, x, y) -> TransitivityResult:

@@ -595,6 +595,15 @@ def test_radial_command(capsys):
     assert payload["density"]["theta"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("grid", [["--grid-max", "nan"], ["--grid-min", "inf"],
+                                  ["--grid-min", "2", "--grid-max", "1"], ["--grid-min", "0"]])
+def test_radial_grid_must_be_finite_and_increasing(capsys, grid):
+    code = cli.main(["radial", "kernel", "--p", "3", *grid, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.count("\n") == 1 and "the radial grid needs" in captured.err
+
+
 def test_radial_dip_classification(capsys):
     code, payload = run_json(capsys, "radial", "shifted-square", "--p", "3")
     assert code == 0
@@ -799,9 +808,7 @@ def ref_profile_class(classification):
 def ref_average_curve(curve):
     return {
         "kind": curve.kind,
-        "center": [float(c) for c in curve.center],
         "samples": [[float(r), float(v)] for r, v in zip(curve.radii, curve.values)],
-        "quad": {"size": curve.quad_size, "seed": curve.quad_seed},
         "clipped_fraction": curve.clipped_fraction,
     }
 
@@ -926,8 +933,7 @@ def test_serializer_gives_an_average_curve_its_fields():
                                flow.default_radii(4), flow.sphere_quad(3, 512))
     fields, ref = cli._sanitize(curve), cli._sanitize(ref_average_curve(curve))
     assert [[r, v] for r, v in zip(fields["radii"], fields["values"])] == ref["samples"]
-    assert {"size": fields["quad_size"], "seed": fields["quad_seed"]} == ref["quad"]
-    assert all(fields[k] == ref[k] for k in ("kind", "center", "clipped_fraction"))
+    assert all(fields[k] == ref[k] for k in ("kind", "clipped_fraction"))
 
 
 def test_serializer_converts_numpy_values():
@@ -943,6 +949,31 @@ def test_flow_command_reports_hoelder_fields_only_below_2(capsys, p, holder):
     assert code == 0
     keys = {"holder_seminorms", "holder_bound", "holder_bound_ok"}
     assert (keys <= set(payload)) if holder else not keys & set(payload)
+
+
+def test_potential_flows_below_2_subtract_their_value_at_the_origin(capsys):
+    # one mass at the origin is the kernel field, 0 at the origin; the second
+    # mass of two-kernel is finite there too, and its flow leaves the kernel
+    code, newtonian = run_json(capsys, "flow", "newtonian", "--p", "1.5", "--n", "3")
+    assert code == 0
+    _, kernel = run_json(capsys, "flow", "riesz", "--p", "1.5", "--n", "3")
+    assert newtonian["distances"] == kernel["distances"]
+    code, _ = run_json(capsys, "flow", "two-kernel", "--p", "1.5", "--n", "3")
+    assert code == 2
+
+
+def test_closed_stdout_exits_141_with_empty_stderr():
+    # the reader is gone before the report is written, as in
+    # `rieszlab table | head -1` once head has exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(rieszlab.__file__).parents[1]))
+    try:
+        result = subprocess.run([sys.executable, "-m", "rieszlab.cli", "table", "--no-timestamp"],
+                                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (cli.EXIT_BROKEN_PIPE, "")
 
 
 def test_st_invariance_at_huge_parameter_exits_0(capsys):

@@ -18,6 +18,11 @@ def quad4():
     return flow.sphere_quad(4, 4096, seed=0)
 
 
+def average(kind, u, x0, r, quad):
+    """The M, S or V average of u at one radius, read off its curve."""
+    return float(flow.average_curve(u, kind, x0, [r], quad).values[0])
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -46,8 +51,8 @@ def test_sphere_quad_doubling_self_consistency(quad4):
     # averaging a smooth non-radial function with the half sample moves the
     # result by less than a conservative noise bound
     u = flow.quadratic_field(np.diag([1.0, -0.5, 2.0, 0.25]))
-    full = flow.spherical_average(u, np.zeros(4), 1.0, quad4)
-    half = flow.spherical_average(u, np.zeros(4), 1.0, quad4.half())
+    full = average("S", u, np.zeros(4), 1.0, quad4)
+    half = average("S", u, np.zeros(4), 1.0, quad4.half())
     assert abs(full - half) <= 5e-3
 
 
@@ -58,10 +63,10 @@ def test_sphere_quad_doubling_self_consistency(quad4):
 
 def test_constant_field_averages(quad3):
     c = 2.5
-    u = flow.ScalarField(n=3, values=lambda pts: np.full(np.asarray(pts).shape[0], c),
-                         reference_value=c)
-    for fn in (flow.spherical_max, flow.spherical_average, flow.volume_average):
-        assert fn(u, np.zeros(3), 0.7, quad3) == pytest.approx(c, abs=1e-12)
+    u = flow.ScalarField(n=3, values=lambda pts: np.full(np.asarray(pts).shape[0], c))
+    assert flow.spherical_max(u, np.zeros(3), 0.7, quad3) == pytest.approx(c, abs=1e-12)
+    for kind in "SV":
+        assert average(kind, u, np.zeros(3), 0.7, quad3) == pytest.approx(c, abs=1e-12)
 
 
 def test_kernel_averages_match_radial_reduction(quad4):
@@ -69,10 +74,10 @@ def test_kernel_averages_match_radial_reduction(quad4):
     u = flow.riesz_kernel_field(1.0, 3.0, 4)
     spec = riesz.KernelSpec(p=3.0)
     for r in (0.25, 1.0, 2.0):
-        assert flow.spherical_average(u, np.zeros(4), r, quad4) == pytest.approx(
+        assert average("S", u, np.zeros(4), r, quad4) == pytest.approx(
             riesz.kernel(spec, r), rel=1e-12
         )
-        assert flow.volume_average(u, np.zeros(4), r, quad4) == pytest.approx(
+        assert average("V", u, np.zeros(4), r, quad4) == pytest.approx(
             4.0 / 3.0 * riesz.kernel(spec, r), rel=1e-6
         )
 
@@ -86,7 +91,7 @@ def test_log_modulus_max_is_exact(quad4):
 def test_log_modulus_spherical_constant(quad4):
     # mean of log|z_1| over the unit 3-sphere is -1/2
     u = flow.log_modulus_coordinate_field(2)
-    assert flow.spherical_average(u, np.zeros(4), 1.0, quad4) == pytest.approx(-0.5, abs=2e-3)
+    assert average("S", u, np.zeros(4), 1.0, quad4) == pytest.approx(-0.5, abs=2e-3)
 
 
 def test_sampled_max_inflation_covers_supremum(quad3):
@@ -102,32 +107,21 @@ def test_sampled_max_inflation_covers_supremum(quad3):
 def test_average_requires_positive_radius(quad3):
     u = flow.zero_field(3)
     with pytest.raises(DomainError):
-        flow.spherical_average(u, np.zeros(3), 0.0, quad3)
+        average("S", u, np.zeros(3), 0.0, quad3)
 
 
-def test_average_rejects_domain_overflow(quad3):
-    u = flow.ScalarField(n=3, values=lambda pts: np.zeros(np.asarray(pts).shape[0]),
-                         domain_radius=1.0)
-    with pytest.raises(DomainError):
-        flow.spherical_average(u, np.zeros(3), 2.0, quad3)
-
-
-_BOUNDED = flow.ScalarField(n=3, values=lambda pts: np.zeros(np.asarray(pts).shape[0]),
-                           domain_radius=1.0)
 _AVERAGE_ROUTES = {
     "densities-S-V": lambda u, x0, radii, q: flow.densities(u, x0, 3.0, radii=radii, quad=q,
                                                             kinds=("S", "V")),
     "mass-density": lambda u, x0, radii, q: flow.mass_density(u, x0, 3.0, radii=radii, quad=q),
     **{f"curve-{kind}": (lambda u, x0, radii, q, kind=kind:
                          flow.average_curve(u, kind, x0, radii, q)) for kind in "MSV"},
-    **{fn.__name__: (lambda u, x0, radii, q, fn=fn: [fn(u, x0, r, q) for r in radii])
-       for fn in (flow.spherical_max, flow.spherical_average, flow.volume_average)},
+    "spherical_max": lambda u, x0, radii, q: [flow.spherical_max(u, x0, r, q) for r in radii],
 }
 
 
 @pytest.mark.parametrize("route", sorted(_AVERAGE_ROUTES))
 @pytest.mark.parametrize("radii,center,reason", [
-    ([0.8, 0.4, 0.2], [0.5, 0.0, 0.0], "leaves the field's domain"),
     ([0.8, 0.4, 0.0], [0.0, 0.0, 0.0], "positive and finite"),
     ([0.8, 0.4, -0.2], [0.0, 0.0, 0.0], "positive and finite"),
     ([0.8, math.nan, 0.2], [0.0, 0.0, 0.0], "positive and finite"),
@@ -137,7 +131,7 @@ _AVERAGE_ROUTES = {
 def test_every_average_route_checks_its_balls(quad3, route, radii, center, reason):
     # each ball of every route goes through the same checks, whatever the kind
     with pytest.raises(DomainError, match=reason):
-        _AVERAGE_ROUTES[route](_BOUNDED, np.asarray(center), np.asarray(radii), quad3)
+        _AVERAGE_ROUTES[route](flow.zero_field(3), np.asarray(center), np.asarray(radii), quad3)
 
 
 @pytest.mark.parametrize("quad", [None, flow.sphere_quad(3, 256)], ids=["default", "given"])
@@ -203,10 +197,21 @@ def test_flow_needs_finite_origin_value_below_two():
         flow.tangent_flow(u, 1.5, 0.5)
 
 
+def test_flow_below_two_subtracts_the_origin_value_read_from_the_field():
+    # r^(p-2) (u(rx) - u(0)): two masses, so u(0) is the second kernel's value
+    p, r = 1.5, 0.5
+    u = flow.newtonian_potential_field(p, [(1.0, np.zeros(3)), (1.0, [1.0, 0.0, 0.0])], 3)
+    u0 = u.at(np.zeros(3))
+    assert u0 == riesz.kernel(riesz.KernelSpec(p=p), 1.0)
+    pts = np.random.default_rng(6).standard_normal((50, 3))
+    flowed = flow.tangent_flow(u, p, r)
+    assert np.array_equal(flowed.values(pts), r ** (p - 2.0) * (u.values(r * pts) - u0))
+
+
 def test_log_flow_matches_the_shifted_formula_bit_for_bit(quad4):
     # at p = 2 the one flow formula r^0 (u(rx) - M(u, r)) is u(rx) - M(u, r)
-    # exactly, for the values, the closed-form max and the origin value
-    u = dataclasses.replace(flow.riesz_kernel_field(1.5, 2.0, 4), reference_value=0.25)
+    # exactly, for the values and the closed-form max
+    u = flow.riesz_kernel_field(1.5, 2.0, 4)
     pts = 1.5 * quad4.points[:64]
     for r in (0.3, 1.0, 2.5):
         m_r = flow.spherical_max(u, np.zeros(4), r, quad4)
@@ -214,7 +219,6 @@ def test_log_flow_matches_the_shifted_formula_bit_for_bit(quad4):
         assert np.array_equal(flowed.values(pts), u.values(r * pts) - m_r)
         for x0, rr in ((np.zeros(4), 0.7), (np.array([0.1, 0.0, 0.2, 0.0]), 1.3)):
             assert flowed.analytic_max(x0, rr) == u.analytic_max(x0 * r, rr * r) - m_r
-        assert flowed.reference_value == u.reference_value - m_r
 
 
 @pytest.mark.parametrize("radii", [[1.0, math.nan, 0.25], [1.0, 0.5, 0.0], [math.inf, 1.0], []])
@@ -415,7 +419,7 @@ def test_newtonian_mass_density(quad3):
 
 def test_harmonic_field_has_no_mass(quad3):
     # a coordinate function is harmonic: the flux vanishes
-    u = flow.ScalarField(n=3, values=lambda pts: np.asarray(pts)[:, 0], reference_value=0.0)
+    u = flow.ScalarField(n=3, values=lambda pts: np.asarray(pts)[:, 0])
     rep = flow.mass_density(u, np.zeros(3), 3.0, radii=0.5 ** np.arange(1, 5), quad=quad3)
     assert np.abs(rep.ball_masses).max() <= 5e-3  # pure quadrature bias
 
@@ -462,10 +466,9 @@ def test_average_stability_along_flow(quad4):
     for r in (0.25, 0.0625, 0.015625):
         flowed = flow.tangent_flow(u, 3.0, r)
         gap = 0.0
-        for kind, fn in (("M", flow.spherical_max), ("S", flow.spherical_average),
-                         ("V", flow.volume_average)):
-            gap = max(gap, abs(fn(flowed, np.zeros(4), 1.0, quad4)
-                               - fn(limit, np.zeros(4), 1.0, quad4)))
+        for kind in "MSV":
+            gap = max(gap, abs(average(kind, flowed, np.zeros(4), 1.0, quad4)
+                               - average(kind, limit, np.zeros(4), 1.0, quad4)))
         gaps.append(gap)
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[-1] <= 1e-4
@@ -579,7 +582,7 @@ def test_decay_rejects_singular_path_point(quad3):
 
 def test_holder_estimate_constant_field(quad3):
     u = flow.ScalarField(n=3, values=lambda pts: np.full(np.asarray(pts).shape[0], 3.0),
-                         reference_value=3.0, analytic_max=lambda x0, r: 3.0)
+                         analytic_max=lambda x0, r: 3.0)
     assert flow.holder_estimate(u, np.zeros(3), 0.2, 1.0, 1.5, quad3) == pytest.approx(0.0)
 
 
@@ -656,7 +659,7 @@ def test_holder_metric_validates_beta():
 def test_average_of_fully_singular_sphere_rejected(quad3):
     u = flow.ScalarField(n=3, values=lambda pts: np.full(np.asarray(pts).shape[0], -np.inf))
     with pytest.raises(DomainError):
-        flow.spherical_average(u, np.zeros(3), 1.0, quad3)
+        average("S", u, np.zeros(3), 1.0, quad3)
 
 
 def test_max_curve_nondecreasing_for_subharmonic_fields(quad4):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rieszlab import radial, riesz
-from rieszlab.errors import DomainError, InvariantError
+from rieszlab.errors import DomainError
 
 INF = math.inf
 
@@ -26,6 +26,11 @@ def max_kernel_const(p, c):
     )
 
 
+def pair_quotient(prof, p, r, t, normalization="standard"):
+    """(psi(r) - psi(t)) / (K(r) - K(t)), the quotient over two radii."""
+    return float(radial.quotients([prof(r), prof(t)], [r, t], p, normalization)[0])
+
+
 # ---------------------------------------------------------------------------
 # jets and membership
 # ---------------------------------------------------------------------------
@@ -44,22 +49,6 @@ def test_positive_jet_in_all_increasing_cones():
     jet = radial.OneVarJet(t=1.0, lam=1.0, a=1.0)
     for p in (1.0, 1.5, 2.0, 5.0, INF):
         assert radial.rp_up_membership(p, jet)
-
-
-def test_decreasing_membership_counterexample():
-    jet = radial.OneVarJet(t=1.0, lam=-1.0, a=0.0)
-    assert not radial.rq_down_membership(2.0, jet)  # a + (q-1) lam / t = -1
-
-
-def test_decreasing_membership_positive_case():
-    jet = radial.OneVarJet(t=1.0, lam=-1.0, a=2.0)
-    assert radial.rq_down_membership(2.0, jet)
-    assert radial.rf_membership(3.0, 2.0, jet)
-
-
-def test_infinite_q_is_first_order():
-    assert radial.rq_down_membership(INF, radial.OneVarJet(1.0, -0.5, -9.0))
-    assert not radial.rq_down_membership(INF, radial.OneVarJet(1.0, 0.5, 9.0))
 
 
 def test_jet_requires_positive_radius():
@@ -97,18 +86,6 @@ def test_strictly_concave_profile_fails():
     assert not rep.passed
 
 
-def test_profile_derivative_validation():
-    good = radial.kernel_profile(2.5)
-    radial.validate_profile(good, (0.3, 1.0, 2.0))
-    bad = radial.RadialProfile(
-        fn=lambda r: np.asarray(r) ** 2,
-        d1=lambda t: 7.0,  # wrong on purpose
-        d2=lambda t: 2.0,
-    )
-    with pytest.raises(InvariantError):
-        radial.validate_profile(bad, (0.5, 1.0))
-
-
 # ---------------------------------------------------------------------------
 # quotients and one-variable densities
 # ---------------------------------------------------------------------------
@@ -117,7 +94,7 @@ def test_profile_derivative_validation():
 def test_quotient_of_scaled_kernel_is_constant():
     prof = radial.kernel_profile(3.0, theta=3.0)
     for r, t in ((1.0, 0.5), (0.25, 0.125), (2.0, 0.01)):
-        assert radial.monotone_quotient(prof, 3.0, r, t) == pytest.approx(3.0, rel=1e-12)
+        assert pair_quotient(prof, 3.0, r, t) == pytest.approx(3.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("normalization", ["standard", "barred"])
@@ -130,7 +107,7 @@ def test_quotients_match_pairwise_quotients_bit_for_bit(p, normalization):
     for j in range(radii.size - 1):
         r, t = radii[j], radii[j + 1]
         scalar = (prof(r) - prof(t)) / (riesz.kernel(spec, r) - riesz.kernel(spec, t))
-        assert q[j] == radial.monotone_quotient(prof, p, r, t, normalization) == scalar
+        assert q[j] == pair_quotient(prof, p, r, t, normalization) == scalar
 
 
 def test_density_estimate_reads_the_deepest_quotients():
@@ -171,7 +148,7 @@ def test_density_of_perturbed_kernel():
     assert abs(theta - 1.0) <= bracket + 1e-9
     # oracle from the spec example: the quotient at r ~ 1e-4 is within
     # O(r^2 / K) of 1
-    q = radial.monotone_quotient(prof, 3.0, 2e-4, 1e-4)
+    q = pair_quotient(prof, 3.0, 2e-4, 1e-4)
     assert q == pytest.approx(1.0, abs=1e-10)
 
 
@@ -181,16 +158,24 @@ def test_density_of_constant_profile():
     assert theta == 0.0 and bracket == 0.0
 
 
-def test_quotient_rejects_equal_radii():
-    prof = radial.kernel_profile(3.0)
-    with pytest.raises(DomainError):
-        radial.monotone_quotient(prof, 3.0, 1.0, 1.0)
-
-
 def test_density_rejects_infinite_p():
     prof = radial.kernel_profile(3.0)
     with pytest.raises(DomainError):
         radial.one_var_density(prof, INF, radial.geometric_radii(1.0, 5))
+
+
+@pytest.mark.parametrize("radii", [[1.0, math.nan, 0.25], [1.0, 0.5, -INF], [INF, 1.0, 0.5]])
+def test_density_radii_must_be_positive_and_finite(radii):
+    with pytest.raises(DomainError, match="positive and finite"):
+        radial.density_radii(radii)
+    with pytest.raises(DomainError, match="positive and finite"):
+        radial.one_var_density(radial.kernel_profile(3.0), 3.0, radii)
+
+
+@pytest.mark.parametrize("r", [math.nan, INF])
+def test_profile_rejects_radii_outside_its_interval(r):
+    with pytest.raises(DomainError, match="radius outside"):
+        radial.kernel_profile(3.0)([1.0, r])
 
 
 def test_density_requires_decreasing_radii():
@@ -214,8 +199,8 @@ def test_quotient_double_monotonicity(p, log2_t1, step1, step2):
     r1 = t1 * (1.0 + step1)
     t2 = t1 * (1.0 + step2)
     r2 = r1 * (1.0 + step2)
-    q_small = radial.monotone_quotient(prof, p, r1, t1)
-    q_big = radial.monotone_quotient(prof, p, r2, t2)
+    q_small = pair_quotient(prof, p, r1, t1)
+    q_big = pair_quotient(prof, p, r2, t2)
     assert q_small <= q_big + 1e-9
 
 
@@ -228,7 +213,7 @@ def test_lipschitz_bound_from_endpoint_quotients():
     spec = riesz.KernelSpec(p=p)
     grid = np.linspace(a, b, 30)
     vals = prof(grid)
-    top_quotient = radial.monotone_quotient(prof, p, b * 1.5, b)
+    top_quotient = pair_quotient(prof, p, b * 1.5, b)
     k_slope = float(np.max(np.asarray(riesz.kernel_deriv1(spec, grid))))
     for i in range(len(grid) - 1):
         for j in range(i + 1, len(grid)):

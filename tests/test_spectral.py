@@ -124,7 +124,5 @@ def test_dual_is_the_negated_margin_of_minus_a(base, regularize):
 
 def test_non_spectral_constructions_carry_no_spectrum():
     g = subeq.geometric(subeq.sample_grassmannian(3, 2, count=32, seed=1))
-    f = subeq.builtin("p", 3)
-    for h in (g, subeq.dual(g), subeq.uniform_elliptic_regularization(g, DELTA),
-              subeq.intersection(f, g), subeq.union(f, f)):
+    for h in (g, subeq.dual(g), subeq.uniform_elliptic_regularization(g, DELTA)):
         assert h.spectrum is None and h.eig_margin is None

@@ -183,12 +183,11 @@ def test_dual_cross_check_reads_matrix_margins(monkeypatch):
 
 def test_non_spectral_decreasing_pencil_is_bisected_once(monkeypatch):
     # without a spectrum the matrix route is the only route: no second solve
-    f = subeq.intersection(subeq.builtin("p-convex", 4, p=3.5), subeq.builtin("laplacian", 4))
-    assert f.spectrum is None
+    f = matrix_route(subeq.builtin("p-convex", 4, p=3.5))
     plain, runs = riesz._bisect_decreasing, []
     monkeypatch.setattr(riesz, "_bisect_decreasing", lambda *args: runs.append(args) or plain(*args))
     q, _ = riesz.decreasing_characteristic(f)
-    assert q == pytest.approx(7.0, abs=1e-8)  # the larger of 3.5 / 2.5 and 4
+    assert q == pytest.approx(3.5 / 0.5, abs=1e-8)
     assert len(runs) == 1
 
 

@@ -962,14 +962,16 @@ def test_potential_flows_below_2_subtract_their_value_at_the_origin(capsys):
     assert code == 2
 
 
-def test_closed_stdout_exits_141_with_empty_stderr():
+@pytest.mark.parametrize("argv", [["table"], ["radial", "kernel", "--p", "3"]],
+                         ids=["table", "radial"])
+def test_closed_stdout_exits_141_with_empty_stderr(argv):
     # the reader is gone before the report is written, as in
     # `rieszlab table | head -1` once head has exited
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = dict(os.environ, PYTHONPATH=str(Path(rieszlab.__file__).parents[1]))
     try:
-        result = subprocess.run([sys.executable, "-m", "rieszlab.cli", "table", "--no-timestamp"],
+        result = subprocess.run([sys.executable, "-m", "rieszlab.cli", *argv, "--no-timestamp"],
                                 env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
     finally:
         os.close(write_end)

@@ -125,8 +125,11 @@ _AVERAGE_ROUTES = {
     ([0.8, 0.4, 0.0], [0.0, 0.0, 0.0], "positive and finite"),
     ([0.8, 0.4, -0.2], [0.0, 0.0, 0.0], "positive and finite"),
     ([0.8, math.nan, 0.2], [0.0, 0.0, 0.0], "positive and finite"),
+    ([math.inf, 0.4, 0.2], [0.0, 0.0, 0.0], "positive and finite"),
     ([0.8, 0.4, 0.2], [0.0, 0.0], "3 finite coordinates"),
+    ([0.8, 0.4, 0.2], [0.0, 0.0, 0.0, 0.0], "3 finite coordinates"),
     ([0.8, 0.4, 0.2], [0.0, math.inf, 0.0], "3 finite coordinates"),
+    ([0.8, 0.4, 0.2], [math.nan, 0.0, 0.0], "3 finite coordinates"),
 ])
 def test_every_average_route_checks_its_balls(quad3, route, radii, center, reason):
     # each ball of every route goes through the same checks, whatever the kind
@@ -195,6 +198,12 @@ def test_flow_needs_finite_origin_value_below_two():
     u = flow.log_modulus_coordinate_field(2)  # -inf at the origin
     with pytest.raises(DomainError):
         flow.tangent_flow(u, 1.5, 0.5)
+
+
+@pytest.mark.parametrize("r", [0.0, -0.5, math.nan, math.inf])
+def test_flow_scale_must_be_positive_and_finite(r):
+    with pytest.raises(DomainError, match="flow scale must be positive and finite"):
+        flow.tangent_flow(flow.riesz_kernel_field(1.0, 3.0, 3), 3.0, r)
 
 
 def test_flow_below_two_subtracts_the_origin_value_read_from_the_field():

@@ -172,10 +172,17 @@ def test_density_radii_must_be_positive_and_finite(radii):
         radial.one_var_density(radial.kernel_profile(3.0), 3.0, radii)
 
 
-@pytest.mark.parametrize("r", [math.nan, INF])
+@pytest.mark.parametrize("r", [math.nan, INF, 0.0, -1.0])
 def test_profile_rejects_radii_outside_its_interval(r):
     with pytest.raises(DomainError, match="radius outside"):
         radial.kernel_profile(3.0)([1.0, r])
+
+
+def test_profile_interval_is_open_at_its_finite_end():
+    prof = radial.profile_from_callable(lambda r: 1.0 - r, r_max=2.0)
+    assert prof(1.5) == -0.5
+    with pytest.raises(DomainError, match=r"radius outside \(0, 2.0\)"):
+        prof(2.0)
 
 
 def test_density_requires_decreasing_radii():

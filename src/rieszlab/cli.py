@@ -311,7 +311,7 @@ def catalog_rows(tol: float = 1e-9):
 def cmd_table(args) -> int:
     rows = []
     for family, params, n, computed, closed in catalog_rows(args.tol):
-        label = ";".join(f"{k}={v:g}" for k, v in sorted(params.items()))
+        label = ";".join(f"{k}={subeq.fmt_param(v)}" for k, v in sorted(params.items()))
         rows.append((family, label, n, computed, closed, abs(computed - closed)))
     payload = {
         "command": "table",

@@ -23,10 +23,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._numerics import gamma, ndtri, sobol
 from .errors import DomainError, NumericalError
 from .radial import density_estimate, density_radii, geometric_radii, quotients
 from .riesz import INF, KernelSpec, kernel
-from .subeq import PropertyReport
+from .subeq import PropertyReport, fmt_param
 
 CLIP_FLOOR = -1e12
 MAX_CLIPPED_FRACTION = 1e-3
@@ -40,15 +41,11 @@ def unit_ball_volume(k: float) -> float:
     """Volume of the unit ball in dimension k (real k >= 0 allowed)."""
     if k < 0:
         raise DomainError("dimension must be >= 0")
-    from scipy.special import gamma  # deferred: costly import
-
     return math.pi ** (k / 2.0) / gamma(k / 2.0 + 1.0)
 
 
 def sphere_surface_area(n: int) -> float:
     """Surface area of the unit sphere in R^n."""
-    from scipy.special import gamma  # deferred: costly import
-
     return 2.0 * math.pi ** (n / 2.0) / gamma(n / 2.0)
 
 
@@ -111,12 +108,7 @@ class SphereQuad:
         if _points is not None:
             self.points = _points
         else:
-            from scipy.special import ndtri  # deferred: costly imports, used only here
-            from scipy.stats import qmc
-
-            sob = qmc.Sobol(d=n, scramble=True, seed=self.seed)
-            u = sob.random(self.size)
-            u = np.clip(u, 1e-15, 1.0 - 1e-15)
+            u = np.clip(sobol(n, self.size, self.seed), 1e-15, 1.0 - 1e-15)
             g = ndtri(u)
             norms = np.linalg.norm(g, axis=1)
             norms[norms == 0.0] = 1.0
@@ -381,7 +373,7 @@ def tangent_flow(field: ScalarField, p: float, r: float,
     return ScalarField(
         n=n,
         values=values,
-        name=f"flow({field.name},p={p:g},r={r:g})",
+        name=f"flow({field.name},p={fmt_param(p)},r={fmt_param(r)})",
         singular_points=singular,
         singular_distance=sing_dist,
         analytic_max=analytic,
@@ -905,7 +897,7 @@ def riesz_kernel_field(theta: float, p: float, n: int, center=None) -> ScalarFie
     return ScalarField(
         n=n,
         values=values,
-        name=f"riesz(theta={theta:g},p={p:g})",
+        name=f"riesz(theta={fmt_param(theta)},p={fmt_param(p)})",
         singular_points=(c,),
         analytic_max=analytic_max,
     )
@@ -961,7 +953,7 @@ def partial_kernel_field(p: float, m: int, n: int) -> ScalarField:
     return ScalarField(
         n=n,
         values=values,
-        name=f"partial-kernel(p={p:g},m={m})",
+        name=f"partial-kernel(p={fmt_param(p)},m={m})",
         singular_distance=singular_distance,
         analytic_max=analytic_max,
     )
@@ -1017,7 +1009,7 @@ def newtonian_potential_field(p: float, masses, n: int) -> ScalarField:
     return ScalarField(
         n=n,
         values=values,
-        name=f"potential(p={p:g},{len(masses)} masses)",
+        name=f"potential(p={fmt_param(p)},{len(masses)} masses)",
         singular_points=singular,
         analytic_max=analytic,
     )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .riesz import INF, KernelSpec, kernel
-from .subeq import PropertyReport
+from .subeq import PropertyReport, fmt_param
 
 JET_TOL = 1e-12
 SECANT_TOL = 1e-9
@@ -216,7 +216,7 @@ def kernel_profile(p: float, theta: float = 1.0, normalization: str = "standard"
     spec = KernelSpec(p=p, normalization=normalization)
     return RadialProfile(
         fn=lambda r: theta * np.asarray(kernel(spec, r)),
-        name=f"{theta:g}*K_{p:g}",
+        name=f"{fmt_param(theta)}*K_{fmt_param(p)}",
     )
 
 

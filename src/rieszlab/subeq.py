@@ -44,6 +44,13 @@ BOUNDARY_BAND = 1e-7
 SAMPLE_BLOCK_ROWS = 1024
 
 
+def fmt_param(x: float) -> str:
+    """A parameter as names print it: `:g` (6 digits) when that
+    reads back as the same float, else the shortest round-trip repr."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 @dataclass(frozen=True)
 class Subequation:
     """Named margin function plus metadata.
@@ -199,7 +206,31 @@ def _trace_power_eig_margin(n, k, q):
     if q <= 0:
         raise DomainError(f"trace-power needs q > 0, got q={q}")
     head = _fractional_sum(k)
-    return lambda lams: head(_signed_power(lams, q))
+    width = math.ceil(k)
+    normal = np.finfo(float)
+
+    def eig_margin(lams):
+        # The sign is invariant under positive scaling of the spectrum.  Where
+        # the largest power of the head leaves the normal floats (q near
+        # 1e300), the sum would over- or underflow, so those rows take the
+        # powers of their head divided by its largest entry; what then
+        # underflows is negligible against that entry's power 1.
+        lams = lams[..., :width]
+        top = np.abs(lams).max(axis=-1, keepdims=True)
+        with np.errstate(over="ignore", under="ignore"):
+            peak = top**q
+            rescale = (top > 0.0) & ~((peak >= normal.tiny) & (peak <= normal.max / width))
+            scaled = np.where(rescale, lams / np.where(rescale, top, 1.0), lams)
+            return head(_signed_power(scaled, q))
+
+    return eig_margin
+
+
+def _trace_power_closed(n, k, q):
+    try:
+        return 1.0 + (float(k) - 1.0) ** (1.0 / q)
+    except OverflowError:  # q near 0: the characteristic is beyond every float
+        return math.inf
 
 
 def _subaffine_eig_margin(n):
@@ -239,8 +270,7 @@ _FAMILIES = {
     "min-2": Family(_min_2_eig_margin, ("p",), lambda n, p: float(p)),
     "dual-min-max": Family(_dual_min_max_eig_margin, ("p",), None),
     "dual-min-2": Family(_dual_min_2_eig_margin, ("p",), None),
-    "trace-power": Family(_trace_power_eig_margin, ("k", "q"),
-                          lambda n, k, q: 1.0 + (float(k) - 1.0) ** (1.0 / q)),
+    "trace-power": Family(_trace_power_eig_margin, ("k", "q"), _trace_power_closed),
     "subaffine": Family(_subaffine_eig_margin, (), lambda n: math.inf if n > 1 else 1.0),
     "largest-convex": Family(_largest_convex_eig_margin, ("p",), lambda n, p: float(p)),
     "full-space": Family(_full_space_eig_margin, (), None),
@@ -284,7 +314,8 @@ def builtin(family: str, n: int, **params) -> Subequation:
     entry = _FAMILIES[family]
     eig_margin = entry.build(n, **params)
     closed = None if entry.closed is None else entry.closed(n, **params)
-    label = family if not params else family + "(" + ",".join(f"{k}={v:g}" for k, v in sorted(params.items())) + ")"
+    label = family if not params else family + "(" + ",".join(
+        f"{k}={fmt_param(v)}" for k, v in sorted(params.items())) + ")"
     return _spectral(ordered_eigenvalues, eig_margin, name=label, n=n, invariance="O(n)",
                      closed_form=closed)
 
@@ -441,7 +472,7 @@ def garding_branch(operator: str, k: int, n: int, p: int | None = None,
         if not 1 <= k <= n:
             raise DomainError(f"branch index must be in [1, {n}], got {k}")
         eig_margin = _shifted_branch(k - 1, delta / n)
-        label = f"garding(pdelta,delta={delta:g},k={k})"
+        label = f"garding(pdelta,delta={fmt_param(delta)},k={k})"
     else:
         raise DomainError(f"unknown Garding operator {operator!r}")
     return _spectral(ordered_eigenvalues, eig_margin, name=label, n=n, invariance="O(n)")
@@ -467,7 +498,7 @@ def uniform_elliptic_regularization(f: Subequation, delta: float) -> Subequation
         top = closed * f.n * (1.0 + delta)
         closed = (top / (f.n + delta * closed) if math.isfinite(top)
                   else f.n * (1.0 + delta) / (f.n / closed + delta))
-    meta = dict(name=f"regularized({f.name},delta={delta:g})", n=f.n,
+    meta = dict(name=f"regularized({f.name},delta={fmt_param(delta)})", n=f.n,
                 invariance=f.invariance, preferred_direction=f.preferred_direction,
                 closed_form=closed)
     if f.spectrum is not None:
@@ -583,24 +614,27 @@ def _skew_gaussians(dim: int, seeds) -> np.ndarray:
     return 0.5 * (omega - omega.swapaxes(-1, -2))
 
 
+def _cayley(omega: np.ndarray) -> np.ndarray:
+    """(I - omega/2)^-1 (I + omega/2): a rotation for skew omega, and one
+    commuting with every matrix that commutes with omega."""
+    eye = np.eye(omega.shape[-1])
+    return np.linalg.solve(eye - 0.5 * omega, eye + 0.5 * omega)
+
+
 def _unitary_rotations(n_complex: int, seeds) -> np.ndarray:
     """Rotations of R^{2n} commuting with the standard J (image of U(n))."""
-    import scipy.linalg  # deferred: only the U(n) and Sp(n) samplers need it
-
     j = ComplexStructure.standard(n_complex).j
     omega = _skew_gaussians(2 * n_complex, seeds)
     omega = 0.5 * (omega - j @ omega @ j)  # project onto the J-commutant
-    return scipy.linalg.expm(omega)
+    return _cayley(omega)
 
 
 def _symplectic_rotations(n_quaternion: int, seeds) -> np.ndarray:
     """Rotations of R^{4n} commuting with I, J, K (image of Sp(n))."""
-    import scipy.linalg
-
     s = QuaternionStructure.standard(n_quaternion)
     omega = _skew_gaussians(4 * n_quaternion, seeds)
     omega = 0.25 * (omega - s.i @ omega @ s.i - s.j @ omega @ s.j - s.k @ omega @ s.k)
-    return scipy.linalg.expm(omega)
+    return _cayley(omega)
 
 
 def invariance_rotations(f: Subequation, seeds) -> np.ndarray:

@@ -415,9 +415,9 @@ def test_help_still_exits_0():
 
 
 @pytest.mark.parametrize("argv,exit_code,err_lines,reason", [
-    # the signed powers overflow and the margin turns NaN mid-bisection
+    # the signed powers are taken of the rescaled spectrum, so they stay finite
     (["charx", "trace-power", "--n", "8", "--k", "2", "--q", "1e300", "--regularize", "0.5"],
-     3, 1, "NaN"),
+     0, 0, ""),
     # overflow to inf is read correctly and prints no numpy warning
     (["charx", "quaternionic", "sigma-k", "--n", "4", "--k", "2", "--regularize", "1e300"],
      0, 0, ""),
@@ -456,14 +456,57 @@ def _charx_subprocess(argv):
 
 
 def test_charx_residual_above_tolerance_is_a_failed_check():
-    # the signed powers overflow, the margin underflows to 0 and -P_e reads
-    # as a member: p = inf against the closed form 8
-    result = _charx_subprocess(["charx", "quaternionic", "trace-power", "--n", "2", "--k", "2",
-                                "--q", "1e300", "--regularize", "0.5"])
+    # the regularized margin at -P_e is about -1e-300, inside the membership
+    # band, so -P_e reads as a member: p = inf against the closed form 8e300
+    result = _charx_subprocess(["charx", "subaffine", "--n", "8", "--regularize", "1e-300"])
     assert result.returncode == 2
     assert result.stderr.count("\n") == 1
-    assert all(word in result.stderr for word in ("p = inf", "closed_form = 8.0", "residual = inf"))
+    assert all(word in result.stderr
+               for word in ("p = inf", "closed_form = 7.999999999999999e+300", "residual = inf"))
     assert json.loads(result.stdout)["residual"] == "inf"
+
+
+@pytest.mark.parametrize("argv,closed_form", [
+    (["charx", "quaternionic", "trace-power", "--n", "2", "--k", "2", "--q", "1e300",
+      "--regularize", "0.5"], 8.0),
+    (["charx", "trace-power", "--n", "8", "--k", "2", "--q", "1e300", "--regularize", "0.5"],
+     8.0 / 3.0),
+])
+def test_charx_trace_power_at_huge_q_answers_its_closed_form(capsys, argv, closed_form):
+    # |lambda|^q over- or underflows for every |lambda| != 1; the sign of the
+    # margin is read from the spectrum divided by its largest head entry
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    assert payload["closed_form"] == closed_form
+    assert payload["p"] == pytest.approx(closed_form, abs=1e-8)
+
+
+@pytest.mark.parametrize("argv,key,name", [
+    # 6 digits would print p=2 for each of these
+    (["charx", "p-convex", "--n", "3", "--p", "2.0000001"], None,
+     "no boundary crossing for dual(p-convex(p=2.0000001))"),
+    (["density", "riesz", "--p", "2.000000001", "--theta", "3", "--n", "4", "--quad", "256"],
+     "field", "riesz(theta=3,p=2.000000001)"),
+    (["radial", "kernel", "--p", "3.0000001"], "profile", "1*K_3.0000001"),
+    # ... while names that round-trip in 6 digits keep them
+    (["density", "riesz", "--p", "2.5", "--theta", "0.1", "--n", "4", "--quad", "256"],
+     "field", "riesz(theta=0.1,p=2.5)"),
+])
+def test_names_keep_every_digit_of_their_parameters(capsys, argv, key, name):
+    if key is None:
+        result = _charx_subprocess(argv)
+        assert result.returncode == 3 and name in result.stderr
+    else:
+        code, payload = run_json(capsys, *argv)
+        assert code == 0 and payload[key] == name
+
+
+def test_charx_trace_power_at_tiny_q_refuses_in_one_line():
+    # 1 + (k - 1)^(1/q) overflows the closed form: inf, and no bracket holds it
+    result = _charx_subprocess(["charx", "trace-power", "--n", "4", "--k", "3", "--q", "1e-300"])
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith("error: no boundary crossing for trace-power(k=3,q=1e-300)")
+    assert result.stderr.count("\n") == 1
 
 
 def test_charx_residual_within_tolerance_exits_0():
@@ -761,16 +804,20 @@ def test_readme_commands_exit_as_documented_with_empty_stderr():
         assert result.stdout
 
 
-def test_import_defers_heavy_scipy_modules():
-    # scipy.stats (Sobol points), scipy.linalg (expm) and scipy.special
-    # (gamma, ndtri) are imported on first use, so plain commands do not
-    # pay for them at start-up
+def test_readme_commands_run_with_scipy_blocked(capsys):
+    # the runtime needs numpy only: with `import scipy` made to fail, each
+    # README command (and a lifted invariance suite, which samples U(n)
+    # rotations) prints what it prints in-process
+    blocked = "import sys; sys.modules['scipy'] = None; from rieszlab.cli import main; " \
+              "sys.exit(main())"
+    lifted = ["verify", "sigma-k", "--n", "2", "--k", "1", "--variant", "complex",
+              "--suite", "invariance"]
     env = dict(os.environ, PYTHONPATH=str(Path(rieszlab.__file__).parents[1]))
-    heavy = "{'scipy.stats', 'scipy.linalg', 'scipy.special'}"
-    probe = f"import sys, rieszlab; print(sorted({heavy} & set(sys.modules)))"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    for argv in [argv for argv, _ in readme_commands()] + [lifted]:
+        result = subprocess.run([sys.executable, "-c", blocked, *argv, "--no-timestamp"],
+                                env=env, capture_output=True, text=True)
+        assert result.stderr == "", argv
+        assert (result.returncode, result.stdout) == run(capsys, *argv, "--no-timestamp"), argv
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab import riesz, subeq
+from rieszlab import linalg, riesz, subeq
 from rieszlab.errors import DomainError, NumericalError, SolverError
 
 INF = math.inf
@@ -360,9 +360,13 @@ def test_tolerance_below_float_spacing_is_a_solver_error():
 
 
 def test_nan_margin_is_a_solver_error():
-    # the signed powers overflow to +-inf and their sum is NaN inside the bracket
-    f = subeq.uniform_elliptic_regularization(subeq.builtin("trace-power", 8, k=2, q=1e300), 0.5)
-    with np.errstate(all="ignore"), pytest.raises(SolverError, match="NaN"):
+    # a margin formula that overflows to NaN inside the bracket [1, 64]
+    def eig_margin(lams):
+        return np.where(lams[..., 0] < -10.0, math.nan, lams[..., 0] + 2.0 * lams[..., 1])
+
+    f = subeq._spectral(linalg.ordered_eigenvalues, eig_margin, name="nan-below-11", n=3,
+                        invariance="O(n)")
+    with pytest.raises(SolverError, match="NaN"):
         riesz.increasing_characteristic(f)
 
 

@@ -13,6 +13,37 @@ def random_sym(seed, n=4):
     return linalg.random_symmetric(n, seed)
 
 
+@pytest.mark.parametrize("x,label", [
+    (2.0, "2"), (0.5, "0.5"), (1e300, "1e+300"), (3, "3"), (math.inf, "inf"),
+    (2.0000001, "2.0000001"), (0.25 + 0.8 * 3, "2.6500000000000004"),
+])
+def test_parameters_print_short_only_when_that_round_trips(x, label):
+    assert subeq.fmt_param(x) == label
+    assert float(label) == x
+
+
+def test_trace_power_margin_is_the_plain_power_sum_where_floats_hold_it():
+    # rows whose powers are normal floats keep the unscaled formula bit for bit
+    f = subeq.builtin("trace-power", 5, k=3, q=3.0)
+    lams = np.sort(np.random.default_rng(0).standard_normal((200, 5)) * 10.0, axis=-1)
+    plain = (np.sign(lams) * np.abs(lams) ** 3.0)[:, :3].sum(axis=-1)
+    assert np.array_equal(f.eig_margin(lams), plain)
+
+
+@pytest.mark.parametrize("q", [1e300, 1e-300, 400.0])
+def test_trace_power_margin_sign_survives_over_and_underflow(q):
+    # the sign of the head's power sum is that of its largest entry, ties aside
+    f = subeq.builtin("trace-power", 4, k=2, q=q)
+    lams = np.sort(np.random.default_rng(1).standard_normal((200, 4)) * 10.0 ** np.arange(-3, 5)
+                   .repeat(25)[:, None], axis=-1)
+    values = f.eig_margin(lams)
+    assert np.isfinite(values).all()
+    if q > 1.0:
+        head = lams[:, :2]
+        expected = np.sign(head[np.arange(200), np.abs(head).argmax(axis=1)])
+        assert np.array_equal(np.sign(values), expected)
+
+
 # ---------------------------------------------------------------------------
 # built-in margins
 # ---------------------------------------------------------------------------
@@ -383,6 +414,29 @@ def test_st_invariance_unitary_and_symplectic():
     assert subeq.check_st_invariance(fc, sample_count=25, seed=0).passed
     fq = subeq.quaternionic_lift("p", 2)
     assert subeq.check_st_invariance(fq, sample_count=15, seed=0).passed
+
+
+def _group_defect(g, structures):
+    eye = np.eye(g.shape[-1])
+    orthogonal = np.abs(g @ g.swapaxes(-1, -2) - eye).max()
+    commutes = max(np.abs(g @ s - s @ g).max() for s in structures)
+    return max(orthogonal, commutes)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_unitary_rotations_lie_in_u_n(n):
+    # Cayley transforms of skew matrices in the J-commutant
+    g = subeq.invariance_rotations(subeq.complex_lift("p", n), list(range(20)))
+    assert _group_defect(g, [linalg.ComplexStructure.standard(n).j]) <= 1e-13
+    assert (np.linalg.det(g) > 0.0).all()
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_symplectic_rotations_lie_in_sp_n(n):
+    s = linalg.QuaternionStructure.standard(n)
+    g = subeq.invariance_rotations(subeq.quaternionic_lift("p", n), list(range(20)))
+    assert _group_defect(g, [s.i, s.j, s.k]) <= 1e-13
+    assert (np.linalg.det(g) > 0.0).all()
 
 
 def test_st_invariance_is_relative_to_huge_margins():

@@ -10,9 +10,8 @@ from .errors import (
     SolverError,
 )
 from .linalg import (
-    ComplexStructure,
     Frame,
-    QuaternionStructure,
+    Structure,
     finite_diff_hessian,
     hermitian_part,
     ordered_eigenvalues,
@@ -34,7 +33,6 @@ from .subeq import (
     check_uniform_ellipticity,
     complex_lift,
     dual,
-    garding_branch,
     geometric,
     quaternionic_lift,
     sample_grassmannian,

@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: charx, verify, table, density, flow, grassmann, radial.
-Reports are JSON (schema 1) or CSV; identical config + seed gives
-byte-identical output apart from the timestamp, which --no-timestamp
-suppresses.  Exit codes: 0 ok, 2 check failure, 3 solver/domain error,
-4 config error, 141 stdout closed by its reader before the report was
-written (as a shell reports a writer stopped by SIGPIPE).
+Reports are JSON (schema 1), or CSV for table alone; identical config +
+seed gives byte-identical output apart from the timestamp, which
+--no-timestamp suppresses.  Exit codes: 0 ok, 2 check failure, 3
+solver/domain error, 4 config error, 141 stdout closed by its reader
+before the report was written (as a shell reports a writer stopped by
+SIGPIPE).
 """
 
 from __future__ import annotations
@@ -183,12 +184,8 @@ def _fmt(x) -> str:
 
 
 def _to_csv(payload: dict) -> str:
-    rows = payload.get("rows")
-    if rows is None:
-        raise ConfigError("csv output is only available for tabular commands")
-    header = payload["columns"]
-    lines = [",".join(header)]
-    for row in rows:
+    lines = [",".join(payload["columns"])]
+    for row in payload["rows"]:
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines)
 
@@ -264,7 +261,7 @@ def cmd_verify(args) -> int:
             p, _ = riesz.increasing_characteristic(f, tol=args.tol)
             if math.isinf(p):
                 reports.append(subeq.PropertyReport(
-                    "sandwich", 0, 0.0, 0.0, passed=True, skipped=True,
+                    "sandwich", 0, 0.0, 0.0, skipped=True,
                     note="infinite characteristic: no finite sandwich"))
             else:
                 reports.append(riesz.sandwich_check(f, p, args.samples, args.seed))
@@ -415,6 +412,11 @@ def cmd_radial(args) -> int:
         theta, bracket = rad.one_var_density(profile, args.p, radii)
         payload["density"] = {"theta": theta, "bracket": bracket}
     emit(payload, args)
+    if not convexity.passed:
+        # the classification is a diagnostic; K_p-convexity is the check
+        print(f"check failed: kp-convexity worst_violation = {convexity.worst_violation}, "
+              f"tolerance = {convexity.tolerance}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
@@ -600,6 +602,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = apply_config(parser, sys.argv[1:] if argv is None else list(argv))
+        if args.format == "csv" and args.command != "table":
+            raise ConfigError("csv output is only available for tabular commands")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

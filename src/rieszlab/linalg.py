@@ -142,44 +142,6 @@ class Frame:
 # ---------------------------------------------------------------------------
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _check_orthogonal_square_minus_id(j: np.ndarray, label: str):
-    n = j.shape[0]
-    if float(np.abs(j @ j + np.eye(n)).max()) > STRUCTURE_TOL:
-        raise InvariantError(f"{label}^2 != -Id")
-    if float(np.abs(j.T @ j - np.eye(n)).max()) > STRUCTURE_TOL:
-        raise InvariantError(f"{label} is not orthogonal")
-
-
-@dataclass(frozen=True)
-class ComplexStructure:
-    """Orthogonal J on R^{2n} with J^2 = -Id; J(x, y) = (-y, x) in block form."""
-
-    j: np.ndarray
-
-    def __post_init__(self):
-        j = np.asarray(self.j, dtype=float)
-        if j.ndim != 2 or j.shape[0] != j.shape[1] or j.shape[0] % 2:
-            raise InvariantError("complex structure must be square of even dimension")
-        _check_orthogonal_square_minus_id(j, "J")
-        object.__setattr__(self, "j", j)
-
-    @property
-    def dim(self) -> int:
-        return self.j.shape[0]
-
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def standard(n: int) -> "ComplexStructure":
-        z = np.zeros((n, n))
-        eye = np.eye(n)
-        return ComplexStructure(_frozen(np.block([[z, -eye], [eye, z]])))
-
-
 def _quaternion_left_blocks(n: int):
     """Left multiplication by i, j, k on H^n in stacked (a, b, c, d) coordinates."""
     z = np.zeros((n, n))
@@ -191,52 +153,73 @@ def _quaternion_left_blocks(n: int):
 
 
 @dataclass(frozen=True)
-class QuaternionStructure:
-    """Orthogonal I, J, K on R^{4n} with I^2 = J^2 = K^2 = -Id and IJ = K."""
+class Structure:
+    """A complex structure (J,) on R^{2n} or a quaternionic one (I, J, K)
+    on R^{4n}: orthogonal units with square -Id, and IJ = K.  The units
+    are stored read-only."""
 
-    i: np.ndarray
-    j: np.ndarray
-    k: np.ndarray
+    units: tuple
 
     def __post_init__(self):
-        mats = {}
-        for label in ("i", "j", "k"):
-            m = np.asarray(getattr(self, label), dtype=float)
-            if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 4:
-                raise InvariantError("quaternion structure needs dimension divisible by 4")
-            _check_orthogonal_square_minus_id(m, label.upper())
-            mats[label] = m
-        if float(np.abs(mats["i"] @ mats["j"] - mats["k"]).max()) > STRUCTURE_TOL:
+        if len(self.units) not in (1, 3):
+            raise InvariantError("a structure has one unit (J) or three (I, J, K)")
+        units = tuple(np.array(u, dtype=float) for u in self.units)
+        dim = units[0].shape[0] if units[0].ndim else 0
+        eye = np.eye(dim)
+        for label, u in zip("J" if len(units) == 1 else "IJK", units):
+            if u.shape != (dim, dim) or not dim or dim % self.multiplicity:
+                raise InvariantError(f"structure units must be square, of one positive "
+                                     f"dimension divisible by {self.multiplicity}")
+            if float(np.abs(u @ u + eye).max()) > STRUCTURE_TOL:
+                raise InvariantError(f"{label}^2 != -Id")
+            if float(np.abs(u.T @ u - eye).max()) > STRUCTURE_TOL:
+                raise InvariantError(f"{label} is not orthogonal")
+            u.flags.writeable = False
+        if len(units) == 3 and float(np.abs(units[0] @ units[1] - units[2]).max()) > STRUCTURE_TOL:
             raise InvariantError("IJ != K")
-        for label, m in mats.items():
-            object.__setattr__(self, label, m)
+        object.__setattr__(self, "units", units)
 
     @property
     def dim(self) -> int:
-        return self.i.shape[0]
+        return self.units[0].shape[0]
+
+    @property
+    def multiplicity(self) -> int:
+        """How often the average of a symmetric matrix repeats each eigenvalue."""
+        return len(self.units) + 1
+
+    def average(self, a: np.ndarray) -> np.ndarray:
+        """(A - sum of u A u over the units) / multiplicity: the part of A,
+        or of each matrix in a (..., d, d) stack, that commutes with every
+        unit."""
+        out = a
+        for u in self.units:
+            out = out - u @ a @ u
+        return out / self.multiplicity
 
     @staticmethod
     @lru_cache(maxsize=None)
-    def standard(n: int) -> "QuaternionStructure":
-        return QuaternionStructure(*map(_frozen, _quaternion_left_blocks(n)))
+    def complex(n: int) -> "Structure":
+        """The standard J(x, y) = (-y, x) on R^{2n}, built once per n."""
+        z = np.zeros((n, n))
+        eye = np.eye(n)
+        return Structure((np.block([[z, -eye], [eye, z]]),))
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def quaternionic(n: int) -> "Structure":
+        """Left multiplication by i, j, k on H^n = R^{4n}, built once per n."""
+        return Structure(_quaternion_left_blocks(n))
 
 
-def hermitian_part(a, structure) -> np.ndarray:
+def hermitian_part(a, structure: Structure) -> np.ndarray:
     """Hermitian symmetric part of A with respect to a complex or
     quaternionic structure: (A - JAJ)/2, resp. (A - IAI - JAJ - KAK)/4.
     A may be a (..., n, n) stack."""
     a = as_matrices(a)
-    if isinstance(structure, ComplexStructure):
-        if structure.dim != a.shape[-1]:
-            raise DomainError("matrix and structure dimensions differ")
-        j = structure.j
-        return 0.5 * (a - j @ a @ j)
-    if isinstance(structure, QuaternionStructure):
-        if structure.dim != a.shape[-1]:
-            raise DomainError("matrix and structure dimensions differ")
-        li, lj, lk = structure.i, structure.j, structure.k
-        return 0.25 * (a - li @ a @ li - lj @ a @ lj - lk @ a @ lk)
-    raise DomainError(f"unsupported structure {type(structure).__name__}")
+    if structure.dim != a.shape[-1]:
+        raise DomainError("matrix and structure dimensions differ")
+    return structure.average(a)
 
 
 def cluster_reduce(vals: np.ndarray, multiplicity: int) -> np.ndarray:
@@ -266,9 +249,8 @@ def reduced_eigenvalues(a, structure) -> np.ndarray:
     eigenvalue with multiplicity 2 (resp. 4); the reduced list keeps one
     representative per cluster.
     """
-    h = hermitian_part(a, structure)
-    mult = 2 if isinstance(structure, ComplexStructure) else 4
-    return cluster_reduce(ordered_eigenvalues(h), mult)
+    return cluster_reduce(ordered_eigenvalues(hermitian_part(a, structure)),
+                          structure.multiplicity)
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,6 @@ def kp_convexity_test(profile: RadialProfile, p: float, grid,
         sample_count=int(grid.size),
         worst_violation=worst,
         tolerance=SECANT_TOL,
-        passed=worst <= SECANT_TOL,
         note=f"p={p:g}",
     )
 

@@ -369,7 +369,6 @@ def radial_harmonic_check(f: Subequation, theta: float, p: float, radii,
         sample_count=len(hessians),
         worst_violation=worst,
         tolerance=tol,
-        passed=worst <= tol,
         note=f"theta={theta:g}, p={p:g}",
     )
 
@@ -443,7 +442,6 @@ def sandwich_check(f: Subequation, p: float, sample_count: int = 1000, seed=0,
         sample_count=sample_count,
         worst_violation=worst,
         tolerance=tol,
-        passed=worst <= tol,
         note=f"p={p:g}, lower premise hit {sum(b[1] for b in blocks)}, "
              f"member hit {sum(b[2] for b in blocks)}",
     )

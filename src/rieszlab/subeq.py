@@ -1,13 +1,14 @@
-"""Subequation algebra: built-in families, duals, lifts, geometric and
-Garding constructions, and structural property checks.
+"""Subequation algebra: built-in families (the Garding branches among
+them), duals, lifts, geometric constructions and structural property
+checks.
 
 A subequation is represented through a continuous margin function m with
 member(A) <=> m(A) >= 0, interior {m > 0} and boundary {m = 0}.  All the
 built-in families are functions of the ordered eigenvalues, so their
 margins are rotation invariant up to eigensolver rounding.  They, the
-Garding branches, the lifts and their duals and regularizations are
-spectral: m(A) = eig_margin(spectrum(A)).  Every margin also has a batched
-form over (m, n, n) stacks that gives the same floats row by row; the
+lifts and their duals and regularizations are spectral:
+m(A) = eig_margin(spectrum(A)).  Every margin also has a batched form
+over (m, n, n) stacks that gives the same floats row by row; the
 property suites evaluate whole sample stacks with it.
 """
 
@@ -22,9 +23,8 @@ import numpy as np
 
 from .errors import DomainError, InvariantError, SolverError
 from .linalg import (
-    ComplexStructure,
     Frame,
-    QuaternionStructure,
+    Structure,
     as_matrices,
     coordinate_direction,
     elementary_symmetric_all,
@@ -247,6 +247,38 @@ def _full_space_eig_margin(n):
     return lambda lams: np.ones(lams.shape[:-1])
 
 
+# The Garding branches of three hyperbolic polynomials: the k-th ascending
+# root of det, of the pdelta operator and of the product of all p-fold sums.
+
+
+def _garding_det_eig_margin(n, k):
+    k = int(k)
+    if not 1 <= k <= n:
+        raise DomainError(f"garding-det needs 1 <= k <= {n}, got k={k}")
+    return _branch(k - 1)
+
+
+def _garding_pdelta_eig_margin(n, delta, k):
+    k = int(k)
+    if delta <= 0:
+        raise DomainError(f"garding-pdelta needs delta > 0, got {delta}")
+    if not 1 <= k <= n:
+        raise DomainError(f"garding-pdelta needs 1 <= k <= {n}, got k={k}")
+    return _shifted_branch(k - 1, delta / n)
+
+
+def _garding_sum_eig_margin(n, p, k):
+    """k-th smallest sum of p eigenvalues."""
+    k = int(k)
+    if int(p) != p or not 1 <= p <= n:
+        raise DomainError(f"garding-sum needs an integer p in [1, {n}], got p={p}")
+    count = math.comb(n, int(p))
+    if not 1 <= k <= count:
+        raise DomainError(f"garding-sum needs 1 <= k <= C({n}, {int(p)}) = {count}, got k={k}")
+    subsets = np.array(list(itertools.combinations(range(n), int(p))))
+    return lambda lams: np.sort(lams[..., subsets].sum(axis=-1), axis=-1)[..., k - 1]
+
+
 class Family(NamedTuple):
     """A built-in family: its spectral-margin builder (which checks the
     parameter ranges), parameter names and closed-form increasing
@@ -274,6 +306,15 @@ _FAMILIES = {
     "subaffine": Family(_subaffine_eig_margin, (), lambda n: math.inf if n > 1 else 1.0),
     "largest-convex": Family(_largest_convex_eig_margin, ("p",), lambda n, p: float(p)),
     "full-space": Family(_full_space_eig_margin, (), None),
+    "garding-det": Family(_garding_det_eig_margin, ("k",),
+                          lambda n, k: 1.0 if int(k) == 1 else math.inf),
+    "garding-pdelta": Family(_garding_pdelta_eig_margin, ("delta", "k"),
+                             lambda n, delta, k: n * (1.0 + delta) / (
+                                 n + delta if int(k) == 1 else delta)),
+    # only the first C(n-1, p-1) branches are finite
+    "garding-sum": Family(_garding_sum_eig_margin, ("p", "k"),
+                          lambda n, p, k: float(p) if int(k) <= math.comb(n - 1, int(p) - 1)
+                          else math.inf),
 }
 
 # the one alias: p-convex with p = n
@@ -336,12 +377,9 @@ def dual(f: Subequation) -> Subequation:
     return Subequation(**_margins(lambda a: -f.margin_batch(-as_matrices(a))), **meta)
 
 
-def _lift(kind: str, structure_type, invariance: str, family: str, n: int,
-          params: dict) -> Subequation:
+def _lift(kind: str, base: Subequation, structure: Structure, invariance: str) -> Subequation:
     """The base eigenvalue constraint applied to the reduced spectrum of
-    the hermitian part with respect to the standard structure."""
-    base = builtin(family, n, **params)
-    structure = structure_type.standard(n)
+    the hermitian part with respect to the structure."""
     closed = base.closed_form
     return _spectral(
         lambda a: reduced_eigenvalues(a, structure),
@@ -349,19 +387,21 @@ def _lift(kind: str, structure_type, invariance: str, family: str, n: int,
         name=f"{kind}({base.name})",
         n=structure.dim,
         invariance=invariance,
-        closed_form=None if closed is None else closed * (structure.dim / n),
+        closed_form=None if closed is None else closed * (structure.dim / base.n),
     )
 
 
 def complex_lift(family: str, n: int, **params) -> Subequation:
     """Complex analogue on R^{2n}: the base eigenvalue constraint applied
     to the spectrum of the hermitian part (A - JAJ)/2."""
-    return _lift("complex", ComplexStructure, "U(n)", family, n, params)
+    # the base is built first: it checks n before the structure needs it
+    return _lift("complex", builtin(family, n, **params), Structure.complex(n), "U(n)")
 
 
 def quaternionic_lift(family: str, n: int, **params) -> Subequation:
     """Quaternionic analogue on R^{4n} via (A - IAI - JAJ - KAK)/4."""
-    return _lift("quaternionic", QuaternionStructure, "Sp(n)", family, n, params)
+    return _lift("quaternionic", builtin(family, n, **params), Structure.quaternionic(n),
+                 "Sp(n)")
 
 
 @dataclass
@@ -438,46 +478,6 @@ def geometric(sample: GrassmannSample) -> Subequation:
     )
 
 
-def garding_branch(operator: str, k: int, n: int, p: int | None = None,
-                   delta: float | None = None) -> Subequation:
-    """k-th ascending branch of a hyperbolic polynomial operator.
-
-    Operators: ``det`` (branches lambda_k >= 0), ``p-fold-sum`` (k-th
-    smallest sum of p eigenvalues), ``pdelta`` (lambda_k +
-    (delta/n) tr >= 0; branch 1 recovers the pdelta family).
-    """
-    k = int(k)
-    if operator == "det":
-        if not 1 <= k <= n:
-            raise DomainError(f"det branch index must be in [1, {n}], got {k}")
-        eig_margin = _branch(k - 1)
-        label = f"garding(det,k={k})"
-    elif operator == "p-fold-sum":
-        if p is None or int(p) != p or not 1 <= p <= n:
-            raise DomainError("p-fold-sum needs an integer p in [1, n]")
-        p = int(p)
-        count = math.comb(n, p)
-        if not 1 <= k <= count:
-            raise DomainError(f"branch index must be in [1, {count}], got {k}")
-        subsets = np.array(list(itertools.combinations(range(n), p)))
-
-        def eig_margin(lams):
-            sums = np.sort(lams[..., subsets].sum(axis=-1), axis=-1)
-            return sums[..., k - 1]
-
-        label = f"garding(p-fold-sum,p={p},k={k})"
-    elif operator == "pdelta":
-        if delta is None or not math.isfinite(delta) or delta <= 0:
-            raise DomainError(f"pdelta operator needs a finite delta > 0, got {delta}")
-        if not 1 <= k <= n:
-            raise DomainError(f"branch index must be in [1, {n}], got {k}")
-        eig_margin = _shifted_branch(k - 1, delta / n)
-        label = f"garding(pdelta,delta={fmt_param(delta)},k={k})"
-    else:
-        raise DomainError(f"unknown Garding operator {operator!r}")
-    return _spectral(ordered_eigenvalues, eig_margin, name=label, n=n, invariance="O(n)")
-
-
 def uniform_elliptic_regularization(f: Subequation, delta: float) -> Subequation:
     """Shifted family A -> A + (delta/n) tr(A) Id fed through F's margin.
     A spectral F keeps its eig_margin and reads the spectrum of the shifted
@@ -513,25 +513,19 @@ def uniform_elliptic_regularization(f: Subequation, delta: float) -> Subequation
 
 @dataclass(frozen=True)
 class PropertyReport:
+    """A property suite's worst violation over its samples; it passes when
+    that is at most the tolerance, so a NaN violation fails."""
+
     name: str
     sample_count: int
     worst_violation: float
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
     skipped: bool = False
     note: str = ""
 
-
-def _report(name, count, worst, tol, skipped=False, note="") -> PropertyReport:
-    return PropertyReport(
-        name=name,
-        sample_count=count,
-        worst_violation=float(worst),
-        tolerance=float(tol),
-        passed=bool(worst <= tol),
-        skipped=skipped,
-        note=note,
-    )
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.worst_violation <= self.tolerance))
 
 
 def worst_case(violations) -> float:
@@ -595,7 +589,7 @@ def check_positivity(f: Subequation, sample_count: int = 200, seed=0) -> Propert
         return -f.margin_batch(a + _draw(random_psd, f.n, seeds[:, 1]))
 
     worst = _worst_over_samples(seed, sample_count, 2, violations)
-    return _report("positivity", sample_count, worst, MEMBER_TOL)
+    return PropertyReport("positivity", sample_count, worst, MEMBER_TOL)
 
 
 def check_cone(f: Subequation, sample_count: int = 200, seed=0) -> PropertyReport:
@@ -606,7 +600,7 @@ def check_cone(f: Subequation, sample_count: int = 200, seed=0) -> PropertyRepor
         return [-f.margin_batch(t * a) for t in (0.0, 0.5, 2.0, 10.0)]
 
     worst = _worst_over_samples(seed, sample_count, 1, violations)
-    return _report("cone", sample_count, worst, MEMBER_TOL)
+    return PropertyReport("cone", sample_count, worst, MEMBER_TOL)
 
 
 def _skew_gaussians(dim: int, seeds) -> np.ndarray:
@@ -621,31 +615,19 @@ def _cayley(omega: np.ndarray) -> np.ndarray:
     return np.linalg.solve(eye - 0.5 * omega, eye + 0.5 * omega)
 
 
-def _unitary_rotations(n_complex: int, seeds) -> np.ndarray:
-    """Rotations of R^{2n} commuting with the standard J (image of U(n))."""
-    j = ComplexStructure.standard(n_complex).j
-    omega = _skew_gaussians(2 * n_complex, seeds)
-    omega = 0.5 * (omega - j @ omega @ j)  # project onto the J-commutant
-    return _cayley(omega)
-
-
-def _symplectic_rotations(n_quaternion: int, seeds) -> np.ndarray:
-    """Rotations of R^{4n} commuting with I, J, K (image of Sp(n))."""
-    s = QuaternionStructure.standard(n_quaternion)
-    omega = _skew_gaussians(4 * n_quaternion, seeds)
-    omega = 0.25 * (omega - s.i @ omega @ s.i - s.j @ omega @ s.j - s.k @ omega @ s.k)
-    return _cayley(omega)
-
-
 def invariance_rotations(f: Subequation, seeds) -> np.ndarray:
-    """Stack of random rotations of F's declared group, one per seed."""
+    """Stack of random rotations of F's declared group, one per seed.  The
+    U(n) and Sp(n) rotations are Cayley transforms of skew matrices
+    projected onto the commutant of the standard structure."""
     if f.invariance == "O(n)":
         return random_rotations(f.n, seeds)
     if f.invariance == "U(n)":
-        return _unitary_rotations(f.n // 2, seeds)
-    if f.invariance == "Sp(n)":
-        return _symplectic_rotations(f.n // 4, seeds)
-    raise DomainError(f"no rotation sampler for invariance tag {f.invariance!r}")
+        structure = Structure.complex(f.n // 2)
+    elif f.invariance == "Sp(n)":
+        structure = Structure.quaternionic(f.n // 4)
+    else:
+        raise DomainError(f"no rotation sampler for invariance tag {f.invariance!r}")
+    return _cayley(structure.average(_skew_gaussians(structure.dim, seeds)))
 
 
 def invariance_rotation(f: Subequation, seed=0) -> np.ndarray:
@@ -664,7 +646,7 @@ def check_st_invariance(f: Subequation, sample_count: int = 100, seed=0) -> Prop
     """
     require_samples(sample_count)
     if f.invariance == "sampled-ST":
-        return _report(
+        return PropertyReport(
             "st-invariance", 0, 0.0, 0.0, skipped=True,
             note=f"invariance tag {f.invariance!r}: finite sample breaks exact invariance",
         )
@@ -679,13 +661,13 @@ def check_st_invariance(f: Subequation, sample_count: int = 100, seed=0) -> Prop
         return np.abs(moved - margins) / scale
 
     worst = _worst_over_samples(seed, sample_count, 2, violations)
-    return _report("st-invariance", sample_count, worst, 1e-8)
+    return PropertyReport("st-invariance", sample_count, worst, 1e-8)
 
 
 def check_maximum_principle(f: Subequation) -> PropertyReport:
     """0 must not be interior: margin(0) <= 0."""
     m0 = f.margin(np.zeros((f.n, f.n)))
-    return _report("maximum-principle", 1, worst_case(m0), 1e-12)
+    return PropertyReport("maximum-principle", 1, worst_case(m0), 1e-12)
 
 
 def check_uniform_ellipticity(delta: float, n: int, sample_count: int = 1000,
@@ -709,8 +691,8 @@ def check_uniform_ellipticity(delta: float, n: int, sample_count: int = 1000,
         return [d * tr - diff, diff - (1.0 + d) * tr]
 
     worst = _worst_over_samples(seed, sample_count, 2, violations)
-    return _report("uniform-ellipticity", sample_count, worst, 1e-9,
-                   note=f"delta={delta:g}, n={n}")
+    return PropertyReport("uniform-ellipticity", sample_count, worst, 1e-9,
+                          note=f"delta={delta:g}, n={n}")
 
 
 def margin_monotonicity_check(f: Subequation, sample_count: int = 100, seed=0) -> PropertyReport:
@@ -725,7 +707,7 @@ def margin_monotonicity_check(f: Subequation, sample_count: int = 100, seed=0) -
         return values[:-1] - values[1:]
 
     worst = _worst_over_samples(seed, sample_count, 1, violations)
-    return _report("margin-monotonicity", sample_count, worst, 1e-9)
+    return PropertyReport("margin-monotonicity", sample_count, worst, 1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,22 @@ def test_charx_fractional_p(capsys):
     assert payload["p"] == pytest.approx(3.5, abs=1e-6)
 
 
+@pytest.mark.parametrize("argv,name,closed", [
+    (["garding-sum", "--n", "4", "--p", "2", "--k", "3"], "garding-sum(k=3,p=2)", 2.0),
+    (["garding-sum", "--n", "4", "--p", "2", "--k", "4"], "garding-sum(k=4,p=2)", "inf"),
+    (["garding-det", "--n", "3", "--k", "1"], "garding-det(k=1)", 1.0),
+    (["garding-pdelta", "--n", "3", "--delta", "1", "--k", "2"], "garding-pdelta(delta=1,k=2)",
+     6.0),
+    (["garding-det", "--n", "2", "--k", "1", "--variant", "complex"],
+     "complex(garding-det(k=1))", 2.0),
+])
+def test_charx_garding_families_print_their_closed_forms(capsys, argv, name, closed):
+    code, payload = run_json(capsys, "charx", *argv)
+    assert code == 0
+    assert (payload["family"], payload["closed_form"]) == (name, closed)
+    assert payload["residual"] <= 1e-8
+
+
 def test_charx_complex_variant(capsys):
     code, payload = run_json(capsys, "charx", "p-convex", "--n", "3", "--p", "1",
                              "--variant", "complex")
@@ -648,9 +664,23 @@ def test_radial_grid_must_be_finite_and_increasing(capsys, grid):
 
 
 def test_radial_dip_classification(capsys):
+    # the classification is a diagnostic; the failed K_p-convexity check sets exit 2
     code, payload = run_json(capsys, "radial", "shifted-square", "--p", "3")
-    assert code == 0
+    assert code == 2
     assert payload["classification"]["kind"] == "decreasing-then-increasing"
+    assert payload["kp_convexity"]["pass"] is False
+
+
+@pytest.mark.parametrize("profile,code", [("shifted-square", 2), ("kernel", 0)])
+def test_radial_exit_code_is_the_kp_convexity_check(capsys, profile, code):
+    assert cli.main(["radial", profile, "--p", "3", "--no-timestamp"]) == code
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["kp_convexity"]["pass"] is (code == 0)
+    if code:
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("check failed: kp-convexity worst_violation = ")
+    else:
+        assert captured.err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -733,6 +763,21 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(target.read_text())
     assert payload["p"] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "riesz", "--theta", "3", "--p", "3", "--n", "4"],
+    ["charx", "sigma-k", "--n", "4", "--k", "2"],
+    ["radial", "kernel", "--p", "3"],
+])
+def test_csv_format_is_refused_before_any_work(tmp_path, capsys, argv):
+    target = tmp_path / "c.csv"
+    extra = ["--curve-out", str(target)] if argv[0] == "density" else []
+    code = cli.main([*argv, "--format", "csv", *extra, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == "config error: csv output is only available for tabular commands\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_density_curve_csv_output(tmp_path, capsys):

@@ -115,7 +115,7 @@ def test_radial_hessian_rejects_origin():
 
 
 def test_hermitian_part_identity():
-    j = linalg.ComplexStructure.standard(2)
+    j = linalg.Structure.complex(2)
     assert np.allclose(linalg.hermitian_part(np.eye(4), j), np.eye(4))
     assert np.allclose(linalg.reduced_eigenvalues(np.eye(4), j), [1.0, 1.0])
 
@@ -123,11 +123,11 @@ def test_hermitian_part_identity():
 def test_complex_hermitian_part_of_pencil():
     # hermitian part of P_perp - (p-1) P_e is P_{Ce-perp} - (p/2 - 1) P_{Ce}
     n, p = 3, 2.5
-    j = linalg.ComplexStructure.standard(n)
+    j = linalg.Structure.complex(n)
     e = linalg.coordinate_direction(2 * n)
     a = linalg.projector_perp(e) - (p - 1.0) * linalg.projector_onto(e)
     ac = linalg.hermitian_part(a, j)
-    je = j.j @ e
+    je = j.units[0] @ e
     p_ce = np.outer(e, e) + np.outer(je, je)
     expected = (np.eye(2 * n) - p_ce) - (p / 2.0 - 1.0) * p_ce
     assert np.allclose(ac, expected, atol=1e-14)
@@ -136,7 +136,7 @@ def test_complex_hermitian_part_of_pencil():
 
 def test_quaternionic_hermitian_part_of_pencil():
     n, p = 2, 3.0
-    s = linalg.QuaternionStructure.standard(n)
+    s = linalg.Structure.quaternionic(n)
     e = linalg.coordinate_direction(4 * n)
     a = linalg.projector_perp(e) - (p - 1.0) * linalg.projector_onto(e)
     red = linalg.reduced_eigenvalues(a, s)
@@ -145,18 +145,18 @@ def test_quaternionic_hermitian_part_of_pencil():
 
 def test_hermitian_part_commutes_with_structure():
     rng = np.random.default_rng(7)
-    j = linalg.ComplexStructure.standard(3)
+    j = linalg.Structure.complex(3)
     for _ in range(10):
         a = linalg.random_symmetric(6, rng)
         ac = linalg.hermitian_part(a, j)
-        comm = ac @ j.j - j.j @ ac
+        comm = ac @ j.units[0] - j.units[0] @ ac
         assert np.abs(comm).max() <= 1e-10 * (1.0 + np.linalg.norm(a))
 
 
 def test_hermitian_multiplicity_pattern():
     rng = np.random.default_rng(11)
-    j = linalg.ComplexStructure.standard(4)
-    s = linalg.QuaternionStructure.standard(2)
+    j = linalg.Structure.complex(4)
+    s = linalg.Structure.quaternionic(2)
     for _ in range(10):
         a = linalg.random_symmetric(8, rng)
         linalg.reduced_eigenvalues(a, j)   # raises on a bad pattern
@@ -165,7 +165,7 @@ def test_hermitian_multiplicity_pattern():
 
 def test_hermitian_part_dimension_mismatch():
     with pytest.raises(DomainError):
-        linalg.hermitian_part(np.eye(4), linalg.ComplexStructure.standard(3))
+        linalg.hermitian_part(np.eye(4), linalg.Structure.complex(3))
 
 
 def test_multiplicity_violation_detected():
@@ -175,12 +175,55 @@ def test_multiplicity_violation_detected():
 
 
 def test_quaternion_structure_relations():
-    s = linalg.QuaternionStructure.standard(2)
+    s = linalg.Structure.quaternionic(2)
     eye = np.eye(8)
-    for m in (s.i, s.j, s.k):
+    i, j, k = s.units
+    for m in s.units:
         assert np.allclose(m @ m, -eye, atol=1e-14)
         assert np.allclose(m.T @ m, eye, atol=1e-14)
-    assert np.allclose(s.i @ s.j, s.k, atol=1e-14)
+    assert np.allclose(i @ j, k, atol=1e-14)
+
+
+def test_structure_multiplicity_and_average():
+    rng = np.random.default_rng(5)
+    for s, mult in ((linalg.Structure.complex(3), 2), (linalg.Structure.quaternionic(2), 4)):
+        assert (s.dim, s.multiplicity) == (6 if mult == 2 else 8, mult)
+        a = linalg.random_symmetric(s.dim, rng)
+        # the written-out projections, bit for bit
+        if mult == 2:
+            (j,) = s.units
+            expected = 0.5 * (a - j @ a @ j)
+        else:
+            i, j, k = s.units
+            expected = 0.25 * (a - i @ a @ i - j @ a @ j - k @ a @ k)
+        assert np.array_equal(s.average(a), expected)
+        for u in s.units:
+            assert np.abs(expected @ u - u @ expected).max() <= 1e-12
+
+
+def test_structure_rejects_bad_units():
+    j = linalg.Structure.complex(2).units[0]
+    i, jq, k = linalg.Structure.quaternionic(1).units
+    for units, match in [((), "one unit"), ((j, j), "one unit"),
+                         ((np.eye(3),), "divisible by 2"), ((np.eye(2)[:1],), "square"),
+                         ((i, jq, np.eye(8)), "divisible by 4"), ((2.0 * j,), "J\\^2"),
+                         ((np.eye(4),), "J\\^2"), ((-j @ j,), "J\\^2"),
+                         ((i, jq, -k), "IJ != K"), ((i, 2.0 * jq, k), "J\\^2")]:
+        with pytest.raises(InvariantError, match=match):
+            linalg.Structure(units)
+    # square -Id but not orthogonal: J conjugated by a non-orthogonal S
+    t = np.diag([2.0, 1.0])
+    skew = t @ np.array([[0.0, -1.0], [1.0, 0.0]]) @ np.linalg.inv(t)
+    with pytest.raises(InvariantError, match="not orthogonal"):
+        linalg.Structure((skew,))
+
+
+def test_structure_copies_its_units_read_only():
+    j = linalg.Structure.complex(1).units[0].copy()
+    s = linalg.Structure((j,))
+    assert j.flags.writeable and not s.units[0].flags.writeable
+    j[0, 1] = 5.0
+    assert s.units[0][0, 1] == -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +321,7 @@ def test_log_modulus_hermitian_part_vanishes():
     from rieszlab.flow import log_modulus_coordinate_field
 
     u = log_modulus_coordinate_field(2)
-    j = linalg.ComplexStructure.standard(2)
+    j = linalg.Structure.complex(2)
     x = np.array([0.3, -0.7, 0.4, 0.2])
     h = linalg.finite_diff_hessian(u, x)
     hc = linalg.hermitian_part(h, j)

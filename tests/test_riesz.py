@@ -147,7 +147,7 @@ def test_garding_pdelta_branches_share_characteristic():
     n, delta = 3, 1.0
     expected = n * (1.0 + 1.0 / delta)
     for k in (2, 3):
-        branch = subeq.garding_branch("pdelta", k, n, delta=delta)
+        branch = subeq.builtin("garding-pdelta", n, delta=delta, k=k)
         p, _ = riesz.increasing_characteristic(branch)
         assert p == pytest.approx(expected, abs=1e-6)
 
@@ -156,12 +156,33 @@ def test_garding_fold_sum_branches():
     # the first C(n-1, p-1) branches share characteristic p; the rest are infinite
     n, p = 4, 2
     for k in (1, 2, 3):
-        branch = subeq.garding_branch("p-fold-sum", k, n, p=p)
+        branch = subeq.builtin("garding-sum", n, p=p, k=k)
         val, _ = riesz.increasing_characteristic(branch)
         assert val == pytest.approx(2.0, abs=1e-6)
-    branch = subeq.garding_branch("p-fold-sum", 4, n, p=p)
+    branch = subeq.builtin("garding-sum", n, p=p, k=4)
     val, _ = riesz.increasing_characteristic(branch)
     assert val == INF
+
+
+def garding_cases(family, n):
+    if family == "garding-det":
+        return [{"k": k} for k in range(1, n + 1)]
+    if family == "garding-pdelta":
+        return [{"delta": d, "k": k} for d in (0.25, 1.0, 3.0) for k in range(1, n + 1)]
+    return [{"p": p, "k": k} for p in range(1, n + 1) for k in range(1, math.comb(n, p) + 1)]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("family", ["garding-det", "garding-pdelta", "garding-sum"])
+def test_garding_closed_forms_match_the_solver(family, n):
+    tol = riesz.DEFAULT_TOL
+    for params in garding_cases(family, n):
+        f = subeq.builtin(family, n, **params)
+        p, _ = riesz.increasing_characteristic(f, tol=tol)
+        if math.isinf(f.closed_form):
+            assert p == f.closed_form, params
+        else:
+            assert abs(p - f.closed_form) <= 10.0 * tol, params
 
 
 # ---------------------------------------------------------------------------

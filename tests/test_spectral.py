@@ -1,9 +1,10 @@
 """The spectral representation of invariant subequations.
 
-Every built-in family, Garding branch and lift, and every dual and
-regularization of one, has margins ``eig_margin(spectrum(A))``; its
-spectrum map is linear along the identity; and its margins are the floats
-of the matrix formulas that define the dual and the regularization.
+Every built-in family (the Garding branches among them) and lift, and
+every dual and regularization of one, has margins
+``eig_margin(spectrum(A))``; its spectrum map is linear along the
+identity; and its margins are the floats of the matrix formulas that
+define the dual and the regularization.
 """
 
 import numpy as np
@@ -33,9 +34,9 @@ BASES = {
     **{f"builtin {family}": (lambda family=family, params=params:
                               subeq.builtin(family, N, **params))
        for family, params in FAMILY_PARAMS.items()},
-    "garding det": lambda: subeq.garding_branch("det", 2, N),
-    "garding p-fold-sum": lambda: subeq.garding_branch("p-fold-sum", 3, N, p=2),
-    "garding pdelta": lambda: subeq.garding_branch("pdelta", 2, N, delta=0.5),
+    "garding det": lambda: subeq.builtin("garding-det", N, k=2),
+    "garding p-fold-sum": lambda: subeq.builtin("garding-sum", N, p=2, k=3),
+    "garding pdelta": lambda: subeq.builtin("garding-pdelta", N, delta=0.5, k=2),
     "complex sigma-k": lambda: subeq.complex_lift("sigma-k", 2, k=2),
     "complex min-max": lambda: subeq.complex_lift("min-max", 2, p=2.5),
     "quaternionic p-convex": lambda: subeq.quaternionic_lift("p-convex", 1, p=1.0),

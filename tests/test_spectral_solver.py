@@ -43,9 +43,9 @@ BASES = {
     **{f"{family} n={n}": (lambda family=family, n=n:
                            subeq.builtin(family, n, **family_params(family, n)))
        for family in FAMILIES for n in DIMENSIONS},
-    "garding det": lambda: subeq.garding_branch("det", 2, 4),
-    "garding p-fold-sum": lambda: subeq.garding_branch("p-fold-sum", 3, 4, p=2),
-    "garding pdelta": lambda: subeq.garding_branch("pdelta", 2, 4, delta=0.5),
+    "garding det": lambda: subeq.builtin("garding-det", 4, k=2),
+    "garding p-fold-sum": lambda: subeq.builtin("garding-sum", 4, p=2, k=3),
+    "garding pdelta": lambda: subeq.builtin("garding-pdelta", 4, delta=0.5, k=2),
     "complex sigma-k": lambda: subeq.complex_lift("sigma-k", 3, k=2),
     "complex min-max": lambda: subeq.complex_lift("min-max", 2, p=2.5),
     "quaternionic p-convex": lambda: subeq.quaternionic_lift("p-convex", 2, p=1.5),

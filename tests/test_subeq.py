@@ -141,8 +141,7 @@ def test_constructions_carry_closed_forms():
     assert subeq.uniform_elliptic_regularization(subaffine, 1.0).closed_form == 6.0
     sample = subeq.sample_grassmannian(3, 2, count=16, seed=0)
     assert subeq.geometric(sample).closed_form == 2.0
-    for f in (subeq.dual(base), subeq.garding_branch("det", 1, 4)):
-        assert f.closed_form is None
+    assert subeq.dual(base).closed_form is None
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +304,7 @@ def test_geometric_empty_sample_rejected():
 
 
 def test_det_branch_one_is_psd_cone():
-    b = subeq.garding_branch("det", 1, 3)
+    b = subeq.builtin("garding-det", 3, k=1)
     psd = subeq.builtin("p", 3)
     for seed in range(10):
         a = random_sym(seed, 3)
@@ -313,7 +312,7 @@ def test_det_branch_one_is_psd_cone():
 
 
 def test_p_fold_sum_branch_one_is_p_convex():
-    b = subeq.garding_branch("p-fold-sum", 1, 4, p=2)
+    b = subeq.builtin("garding-sum", 4, p=2, k=1)
     p2 = subeq.builtin("p-convex", 4, p=2.0)
     for seed in range(10):
         a = random_sym(seed)
@@ -322,11 +321,11 @@ def test_p_fold_sum_branch_one_is_p_convex():
 
 def test_branch_index_validation():
     with pytest.raises(DomainError):
-        subeq.garding_branch("det", 5, 3)
+        subeq.builtin("garding-det", 3, k=5)
     with pytest.raises(DomainError):
-        subeq.garding_branch("p-fold-sum", 7, 4, p=2)
+        subeq.builtin("garding-sum", 4, p=2, k=7)
     with pytest.raises(DomainError):
-        subeq.garding_branch("pdelta", 1, 3)  # missing delta
+        subeq.builtin("garding-pdelta", 3, k=1)  # missing delta
 
 
 def test_regularization_of_psd_matches_pdelta():
@@ -362,7 +361,7 @@ def test_non_finite_parameters_rejected(value):
     with pytest.raises(DomainError, match="finite"):
         subeq.uniform_elliptic_regularization(subeq.builtin("p", 3), value)
     with pytest.raises(DomainError, match="finite"):
-        subeq.garding_branch("pdelta", 1, 3, delta=value)
+        subeq.builtin("garding-pdelta", 3, delta=value, k=1)
     with pytest.raises(DomainError, match="finite"):
         subeq.check_uniform_ellipticity(value, 3, sample_count=10)
 
@@ -383,6 +382,9 @@ ALL_BUILTINS = [
     ("trace-power", {"k": 4, "q": 3.0}, 4),
     ("subaffine", {}, 3),
     ("largest-convex", {"p": 2.0}, 4),
+    ("garding-det", {"k": 2}, 4),
+    ("garding-pdelta", {"delta": 0.5, "k": 3}, 4),
+    ("garding-sum", {"p": 2, "k": 4}, 4),
 ]
 
 
@@ -427,15 +429,14 @@ def _group_defect(g, structures):
 def test_unitary_rotations_lie_in_u_n(n):
     # Cayley transforms of skew matrices in the J-commutant
     g = subeq.invariance_rotations(subeq.complex_lift("p", n), list(range(20)))
-    assert _group_defect(g, [linalg.ComplexStructure.standard(n).j]) <= 1e-13
+    assert _group_defect(g, linalg.Structure.complex(n).units) <= 1e-13
     assert (np.linalg.det(g) > 0.0).all()
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_symplectic_rotations_lie_in_sp_n(n):
-    s = linalg.QuaternionStructure.standard(n)
     g = subeq.invariance_rotations(subeq.quaternionic_lift("p", n), list(range(20)))
-    assert _group_defect(g, [s.i, s.j, s.k]) <= 1e-13
+    assert _group_defect(g, linalg.Structure.quaternionic(n).units) <= 1e-13
     assert (np.linalg.det(g) > 0.0).all()
 
 
@@ -471,9 +472,14 @@ def test_margin_monotone_along_identity(family, params, n):
 
 
 def test_property_report_pass_definition():
-    report = subeq.PropertyReport("x", 1, worst_violation=2.0, tolerance=1.0, passed=False)
+    report = subeq.PropertyReport("x", 1, worst_violation=2.0, tolerance=1.0)
     assert cli._sanitize(report)["pass"] is False
-    assert cli._sanitize(dataclasses.replace(report, passed=np.bool_(True)))["pass"] is True
+    at_tolerance = dataclasses.replace(report, worst_violation=np.float64(1.0))
+    assert cli._sanitize(at_tolerance)["pass"] is True
+    # a violation that could not be read fails
+    assert not dataclasses.replace(report, worst_violation=math.nan).passed
+    with pytest.raises(TypeError):
+        subeq.PropertyReport("x", 1, worst_violation=0.0, tolerance=1.0, passed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "rieszlab"
 
-# name -> why it stays without a reader
-ALLOWED = {
-    "garding_branch": "Garding cones are paper examples; whether the constructor becomes a "
-                      "charx family or a test oracle is decided with the paper-criteria command",
-}
-
-
 def _names(tree, strings: bool) -> set:
     out = set()
     for node in ast.walk(tree):
@@ -59,9 +52,5 @@ def _read_names() -> set:
 def test_every_public_name_has_a_reader():
     read = _read_names()
     unread = sorted(f"{module}: {name}" for name, module in _public_definitions().items()
-                    if name not in read and name not in ALLOWED)
+                    if name not in read)
     assert unread == [], "public names nothing reads; delete them or read them"
-
-
-def test_allowed_names_still_exist():
-    assert set(ALLOWED) <= set(_public_definitions())

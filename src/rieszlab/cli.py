@@ -269,7 +269,13 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"unknown suite {suite!r}; known: {_SUITES}")
     emit({"command": "verify", "family": f.name, "n": f.n,
           "reports": reports}, args)
-    return EXIT_OK if all(r.passed or r.skipped for r in reports) else EXIT_CHECK_FAILED
+    failed = [r for r in reports if not (r.passed or r.skipped)]
+    if failed:
+        print("check failed: " + "; ".join(
+            f"{r.name} worst_violation = {r.worst_violation}, tolerance = {r.tolerance}"
+            for r in failed), file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    return EXIT_OK
 
 
 def catalog_rows(tol: float = 1e-9):

@@ -12,6 +12,12 @@ through one shell path, `_average_curves`: it checks that each radius is
 positive and finite, evaluates each sphere shell once, and always
 samples the spherical maximum, so a closed-form max is checked against
 the sampled one.
+
+Shells are read through one evaluator per call, `s -> values(x0 + s w)`
+over the unit points w, which a field may specialise with its `shells`
+hook.  The kernel sums (`riesz_kernel_field`, `newtonian_potential_field`)
+do: they project x0 - c on every w once per call, so each shell costs
+O(m) instead of O(m n) and allocates no m-by-n array.
 """
 
 from __future__ import annotations
@@ -161,6 +167,9 @@ class ScalarField:
     ``values`` maps an (m, n) array of points to m values; -inf marks a
     hit on the singular set.  ``analytic_max(x0, r)`` returns the exact
     spherical maximum when a closed form is known (None means sample).
+    ``shells(x0, points)``, when set, returns ``s -> values(x0 + s * points)``
+    for unit ``points``, computed faster than through ``values``; every
+    sphere average reads its shells through it.
     """
 
     n: int
@@ -169,6 +178,7 @@ class ScalarField:
     singular_points: tuple = ()
     singular_distance: Callable | None = None
     analytic_max: Callable | None = None
+    shells: Callable | None = None
 
     def at(self, x) -> float:
         x = np.asarray(x, dtype=float).reshape(1, -1)
@@ -196,9 +206,17 @@ def _clipped(vals: np.ndarray) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 
 
-def _shell(field: ScalarField, x0: np.ndarray, r: float, quad: SphereQuad):
+def _shell_evaluator(field: ScalarField, x0: np.ndarray, points: np.ndarray) -> Callable:
+    """s -> field values at x0 + s * points: the field's `shells` hook, or
+    else `values` on the shell's points."""
+    if field.shells is not None:
+        return field.shells(x0, points)
+    return lambda s: field.values(x0[None, :] + s * points)
+
+
+def _shell(evaluate: Callable, r: float):
     """Clipped field values on the sphere of radius r and their clip count."""
-    return _clipped(field.values(x0[None, :] + r * quad.points))
+    return _clipped(evaluate(r))
 
 
 def _max_from_shell(field: ScalarField, x0: np.ndarray, r: float, quad: SphereQuad,
@@ -232,16 +250,15 @@ def _shell_means(vals: np.ndarray, nclip: int, half: int) -> tuple[float, float]
     return float(vals.mean()), float(vals[:half].mean())
 
 
-def _volume_stats(field, x0, r, quad):
+def _volume_stats(evaluate: Callable, n: int, r: float, half: int):
     """(ball average, leading-half ball average, clipped count) via the
     radial reduction n * int_0^1 S(rho r) rho^(n-1) drho."""
     rho, w = _gl_nodes()
-    n = field.n
     total = half_total = 0.0
     nclip = 0
     for rho_i, w_i in zip(rho, w):
-        vals, c_i = _shell(field, x0, rho_i * r, quad)
-        s_i, half_i = _shell_means(vals, c_i, quad.size // 2)
+        vals, c_i = _shell(evaluate, rho_i * r)
+        s_i, half_i = _shell_means(vals, c_i, half)
         weight = w_i * n * rho_i ** (n - 1)
         total += weight * s_i
         half_total += weight * half_i
@@ -282,7 +299,8 @@ def _average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
             raise DomainError(f"radius must be positive and finite, got {r}")
     quad = quad or sphere_quad(field.n)
     half = quad.size // 2
-    shells = [_shell(field, x0, r, quad) for r in radii] if {"M", "S"} & set(kinds) else []
+    evaluate = _shell_evaluator(field, x0, quad.points)
+    shells = [_shell(evaluate, r) for r in radii] if {"M", "S"} & set(kinds) else []
     out = {}
     for kind in kinds:
         clipped = total = 0
@@ -294,7 +312,7 @@ def _average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
             if kind == "S":
                 stats = [(*_shell_means(vals, nclip, half), nclip) for vals, nclip in shells]
             else:
-                stats = [_volume_stats(field, x0, r, quad) for r in radii]
+                stats = [_volume_stats(evaluate, field.n, r, half) for r in radii]
             values = [v for v, _, _ in stats]
             half_values = [h for _, h, _ in stats]
             clipped = sum(c for _, _, c in stats)
@@ -875,6 +893,51 @@ def _kernel_of_radius(spec: KernelSpec, weight: float, r: np.ndarray) -> np.ndar
     return out
 
 
+def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np.ndarray,
+                      **meta) -> ScalarField:
+    """The field sum_k w_k K(|x - c_k|) with its `shells` hook.
+
+    For each center the hook computes t = <w, x0 - c> and
+    h^2 = |x0 - c - t w|^2 once per (x0, points); the shell of radius s is
+    then |x - c| = sqrt((s + t)^2 + h^2), O(m) per shell.  Unlike the
+    expanded s^2 + 2 s t + |x0 - c|^2, this keeps its digits when the shell
+    passes close to c.  A center at x0 has |x - c| = s exactly: one scalar
+    term with the floats of the general formula.
+    """
+
+    def values(pts):
+        pts = np.asarray(pts, dtype=float)
+        out = np.zeros(pts.shape[0])
+        for w, c in zip(weights, centers):
+            out += _kernel_of_radius(spec, w, np.linalg.norm(pts - c, axis=1))
+        return out
+
+    def shells(x0, points):
+        projections = []
+        for c in centers:
+            a = x0 - c
+            if not a.any():
+                projections.append(None)
+                continue
+            t = points @ a
+            perp = a[None, :] - t[:, None] * points
+            projections.append((t, np.einsum("ij,ij->i", perp, perp)))
+
+        def evaluate(s):
+            out = np.zeros(points.shape[0])
+            for w, proj in zip(weights, projections):
+                if proj is None:
+                    out += _kernel_of_radius(spec, w, np.asarray(s, dtype=float))
+                else:
+                    t, h2 = proj
+                    out += _kernel_of_radius(spec, w, np.sqrt((s + t) ** 2 + h2))
+            return out
+
+        return evaluate
+
+    return ScalarField(n=n, values=values, shells=shells, **meta)
+
+
 def riesz_kernel_field(theta: float, p: float, n: int, center=None) -> ScalarField:
     """theta * K_p(|x - c|) in the standard normalization."""
     if not (math.isfinite(theta) and theta >= 0):
@@ -882,16 +945,11 @@ def riesz_kernel_field(theta: float, p: float, n: int, center=None) -> ScalarFie
     spec = KernelSpec(p=p)
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float).reshape(-1)
 
-    def values(pts):
-        r = np.linalg.norm(np.asarray(pts, dtype=float) - c, axis=1)
-        return _kernel_of_radius(spec, theta, r)
-
     def analytic_max(x0, r):
         return theta * kernel(spec, r + float(np.linalg.norm(np.asarray(x0) - c)))
 
-    return ScalarField(
-        n=n,
-        values=values,
+    return _kernel_sum_field(
+        n, spec, np.array([theta]), c[None, :],
         name=f"riesz(theta={fmt_param(theta)},p={fmt_param(p)})",
         singular_points=(c,),
         analytic_max=analytic_max,
@@ -982,13 +1040,6 @@ def newtonian_potential_field(p: float, masses, n: int) -> ScalarField:
         raise DomainError(f"masses must be finite and >= 0, got {weights.tolist()}")
     centers = np.asarray([np.asarray(m[1], dtype=float) for m in masses])
 
-    def values(pts):
-        pts = np.asarray(pts, dtype=float)
-        out = np.zeros(pts.shape[0])
-        for w, c in zip(weights, centers):
-            out = out + _kernel_of_radius(spec, w, np.linalg.norm(pts - c, axis=1))
-        return out
-
     singular = tuple(centers[i] for i in range(centers.shape[0]) if weights[i] > 0)
     analytic = None
     if len(singular) == 1 and np.allclose(centers[0], 0.0):
@@ -996,9 +1047,8 @@ def newtonian_potential_field(p: float, masses, n: int) -> ScalarField:
         def analytic(x0, r):
             return weights[0] * kernel(spec, r + float(np.linalg.norm(x0)))
 
-    return ScalarField(
-        n=n,
-        values=values,
+    return _kernel_sum_field(
+        n, spec, weights, centers,
         name=f"potential(p={fmt_param(p)},{len(masses)} masses)",
         singular_points=singular,
         analytic_max=analytic,

@@ -155,8 +155,16 @@ def _p_convex_eig_margin(n, p):
     return _fractional_sum(p)
 
 
+def _integral(family: str, name: str, value) -> int:
+    """An integer parameter as an int; a fractional value is refused, not
+    truncated."""
+    if int(value) != value:
+        raise DomainError(f"{family} needs an integer {name}, got {name}={value}")
+    return int(value)
+
+
 def _sigma_k_eig_margin(n, k):
-    k = int(k)
+    k = _integral("sigma-k", "k", k)
     if not 1 <= k <= n:
         raise DomainError(f"sigma-k needs 1 <= k <= n, got k={k}")
     return lambda lams: elementary_symmetric_all(lams, k).min(axis=-1)
@@ -252,14 +260,14 @@ def _full_space_eig_margin(n):
 
 
 def _garding_det_eig_margin(n, k):
-    k = int(k)
+    k = _integral("garding-det", "k", k)
     if not 1 <= k <= n:
         raise DomainError(f"garding-det needs 1 <= k <= {n}, got k={k}")
     return _branch(k - 1)
 
 
 def _garding_pdelta_eig_margin(n, delta, k):
-    k = int(k)
+    k = _integral("garding-pdelta", "k", k)
     if delta <= 0:
         raise DomainError(f"garding-pdelta needs delta > 0, got {delta}")
     if not 1 <= k <= n:
@@ -269,7 +277,7 @@ def _garding_pdelta_eig_margin(n, delta, k):
 
 def _garding_sum_eig_margin(n, p, k):
     """k-th smallest sum of p eigenvalues."""
-    k = int(k)
+    k = _integral("garding-sum", "k", k)
     if int(p) != p or not 1 <= p <= n:
         raise DomainError(f"garding-sum needs an integer p in [1, {n}], got p={p}")
     count = math.comb(n, int(p))

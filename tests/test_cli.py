@@ -551,6 +551,23 @@ def test_verify_full_space_fails_mp(capsys):
     assert payload["reports"][0]["pass"] is False
 
 
+def test_verify_names_the_failed_suites_on_stderr(capsys):
+    # one stderr line names every failed suite; passed and skipped ones are left out
+    code = cli.main(["verify", "full-space", "--n", "3", "--samples", "20", "--no-timestamp",
+                     *("--suite", "mp", "--suite", "positivity", "--suite", "sandwich",
+                       "--suite", "mp")])
+    captured = capsys.readouterr()
+    reports = json.loads(captured.out)["reports"]
+    assert code == 2
+    assert [(r["pass"], r["skipped"]) for r in reports] == [
+        (False, False), (True, False), (True, True), (False, False)]
+    failed = "maximum-principle worst_violation = 1.0, tolerance = 1e-12"
+    assert captured.err == f"check failed: {failed}; {failed}\n"
+    assert cli.main(["verify", "pdelta", "--n", "3", "--delta", "1", "--suite", "ue",
+                     "--no-timestamp"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
@@ -838,14 +855,20 @@ def readme_commands():
     return commands
 
 
-def test_readme_commands_exit_as_documented_with_empty_stderr():
+def test_readme_commands_exit_as_documented_and_say_why_they_fail():
+    # stderr is empty on exit 0 and one `check failed:` line on exit 2
     commands = readme_commands()
     assert len(commands) == 10
     env = dict(os.environ, PYTHONPATH=str(Path(rieszlab.__file__).parents[1]))
     for argv, exit_code in commands:
         result = subprocess.run([sys.executable, "-m", "rieszlab.cli", *argv, "--no-timestamp"],
                                 env=env, capture_output=True, text=True)
-        assert (result.returncode, result.stderr) == (exit_code, ""), argv
+        assert result.returncode == exit_code, argv
+        if exit_code:
+            assert result.stderr.startswith("check failed: "), argv
+            assert result.stderr.count("\n") == 1, argv
+        else:
+            assert result.stderr == "", argv
         assert result.stdout
 
 
@@ -861,8 +884,10 @@ def test_readme_commands_run_with_scipy_blocked(capsys):
     for argv in [argv for argv, _ in readme_commands()] + [lifted]:
         result = subprocess.run([sys.executable, "-c", blocked, *argv, "--no-timestamp"],
                                 env=env, capture_output=True, text=True)
-        assert result.stderr == "", argv
-        assert (result.returncode, result.stdout) == run(capsys, *argv, "--no-timestamp"), argv
+        code = cli.main([*argv, "--no-timestamp"])
+        captured = capsys.readouterr()
+        assert (result.returncode, result.stdout, result.stderr) == (
+            code, captured.out, captured.err), argv
 
 
 # ---------------------------------------------------------------------------

@@ -319,18 +319,21 @@ def test_density_rejects_infinite_p(quad3):
 
 
 def _counted(field, x0):
-    """The field with `values` wrapped to record the radius and size of
-    every sphere shell it is evaluated on."""
+    """The field with its shell evaluator wrapped to record the radius and
+    size of every sphere shell about x0 it is evaluated on."""
     calls = []
-    base = field.values
 
-    def values(pts):
-        pts = np.asarray(pts, dtype=float)
-        radius = np.linalg.norm(pts - x0[None, :], axis=1)
-        calls.append((round(float(radius.mean()), 12), pts.shape[0]))
-        return base(pts)
+    def shells(center, points):
+        assert np.array_equal(center, x0)
+        evaluate = flow._shell_evaluator(field, center, points)
 
-    return dataclasses.replace(field, values=values), calls
+        def counted(s):
+            calls.append((round(float(s), 12), points.shape[0]))
+            return evaluate(s)
+
+        return counted
+
+    return dataclasses.replace(field, shells=shells), calls
 
 
 @pytest.mark.parametrize("field", [
@@ -380,6 +383,82 @@ def test_averages_of_tangent_evaluate_each_shell_once(monkeypatch, quad3, p, fie
     assert report.passed
     assert len(calls) == radii.size * (1 + flow.GL_NODES)
     assert len({radius for radius, _ in calls}) == len(calls)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_kernel_sum_shells_match_values(n):
+    # off-center x0, 1-3 centers, shells at least 1e-3 s from every center
+    rng = np.random.default_rng(100 + n)
+    points = flow.sphere_quad(n, 1024, seed=n).points
+    checked = 0
+    for _ in range(8):
+        p = float(rng.choice([1.0, 1.5, 2.0, 2.5, 3.0, float(n)]))
+        k = int(rng.integers(1, 4))
+        weights = rng.uniform(0.5, 3.0, size=k)
+        centers = rng.normal(size=(k, n))
+        x0 = rng.normal(size=n)
+        fields = [flow.riesz_kernel_field(float(weights[0]), p, n, center=centers[0])]
+        if p <= n:
+            fields.append(flow.newtonian_potential_field(p, list(zip(weights, centers)), n))
+        gaps = np.linalg.norm(centers - x0, axis=1)
+        for s in np.geomspace(1e-3, 8.0, 15):
+            if np.any(np.abs(gaps - s) < 1e-3 * s):
+                continue
+            for field in fields:
+                want = field.values(x0[None, :] + s * points)
+                got = flow._shell_evaluator(field, x0, points)(s)
+                # w log d has the absolute error w * (relative error of d)
+                scale = np.abs(want) if p != 2.0 else weights.sum()
+                assert np.all(np.abs(got - want) <= 1e-13 * scale)
+                checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("delta", [3e-2, -3e-2])
+def test_kernel_sum_shells_keep_their_digits_near_a_center(delta):
+    # a sample point of the shell lies |delta| s from the center; the
+    # expanded s^2 + 2 s t + |x0 - c|^2 cancels there and misses by ~3e-13
+    for n in range(2, 9):
+        rng = np.random.default_rng(n)
+        points = flow.sphere_quad(n, 256, seed=n).points
+        for j in rng.integers(0, points.shape[0], size=4):
+            x0 = rng.normal(size=n)
+            s = float(rng.uniform(0.1, 3.0))
+            field = flow.riesz_kernel_field(1.0, 3.0, n, center=x0 + s * (1.0 + delta) * points[j])
+            want = field.values(x0[None, :] + s * points)
+            got = flow._shell_evaluator(field, x0, points)(s)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_kernel_sum_shell_about_a_center_is_the_kernel_of_s(p):
+    # |x - c| = s exactly: every point of the shell gets w K(s)
+    c = np.array([0.3, -1.2, 0.5, 2.0])
+    points = flow.sphere_quad(4, 512, seed=1).points
+    spec = riesz.KernelSpec(p=p)
+    single = flow.riesz_kernel_field(1.7, p, 4, center=c)
+    double = flow.newtonian_potential_field(p, [(1.7, c), (0.4, c)], 4)
+    for s in (1e-3, 0.37, 2.0):
+        kernel_s = riesz.kernel(spec, s)
+        assert np.array_equal(flow._shell_evaluator(single, c, points)(s),
+                              np.full(points.shape[0], 1.7 * kernel_s))
+        assert np.array_equal(flow._shell_evaluator(double, c, points)(s),
+                              np.full(points.shape[0], 1.7 * kernel_s + 0.4 * kernel_s))
+
+
+@pytest.mark.parametrize("field", [
+    flow.plus_quadratic_field(flow.riesz_kernel_field(1.0, 3.0, 3), 2.0),
+    flow.ScalarField(n=3, values=lambda pts: np.sin(np.asarray(pts)).sum(axis=1)),
+], ids=["plus-quadratic", "bare"])
+def test_fields_without_the_hook_read_shells_through_values(field, quad3):
+    assert field.shells is None
+    x0 = np.array([0.1, -0.2, 0.05])
+    radii = np.array([0.5, 0.25, 0.125])
+    curve = flow.average_curve(field, "S", x0, radii, quad3)
+    for r, value in zip(radii, curve.values):
+        shell = field.values(x0[None, :] + r * quad3.points)
+        assert np.array_equal(flow._shell_evaluator(field, x0, quad3.points)(r), shell)
+        assert value == float(flow._clipped(shell)[0].mean())
 
 
 @pytest.mark.parametrize("radii", [[1.0], [], [1.0, 0.5], [0.25, 0.5, 1.0], [1.0, 0.5, 0.5]])

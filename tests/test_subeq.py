@@ -328,6 +328,25 @@ def test_branch_index_validation():
         subeq.builtin("garding-pdelta", 3, k=1)  # missing delta
 
 
+@pytest.mark.parametrize("family,params", [
+    ("sigma-k", {}),
+    ("garding-det", {}),
+    ("garding-pdelta", {"delta": 0.5}),
+    ("garding-sum", {"p": 2}),
+])
+def test_integer_parameters_are_not_truncated(family, params):
+    # a fractional k is refused, never read as its integer part
+    for k in (2.5, 1.9, 1.0000001):
+        with pytest.raises(DomainError, match=f"{family} needs an integer k, got k={k}"):
+            subeq.builtin(family, 4, **params, k=k)
+    # an integral float is that integer: same name, closed form and margins
+    exact = subeq.builtin(family, 4, **params, k=2)
+    floated = subeq.builtin(family, 4, **params, k=2.0)
+    assert (floated.name, floated.closed_form) == (exact.name, exact.closed_form)
+    a = np.stack([random_sym(seed) for seed in range(5)])
+    assert np.array_equal(floated.margin_batch(a), exact.margin_batch(a))
+
+
 def test_regularization_of_psd_matches_pdelta():
     reg = subeq.uniform_elliptic_regularization(subeq.builtin("p", 3), 0.7)
     pd = subeq.builtin("pdelta", 3, delta=0.7)

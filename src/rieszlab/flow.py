@@ -13,11 +13,12 @@ positive and finite, evaluates each sphere shell once, and always
 samples the spherical maximum, so a closed-form max is checked against
 the sampled one.
 
-Shells are read through one evaluator per call, `s -> values(x0 + s w)`
-over the unit points w, which a field may specialise with its `shells`
-hook.  The kernel sums (`riesz_kernel_field`, `newtonian_potential_field`)
-do: they project x0 - c on every w once per call, so each shell costs
-O(m) instead of O(m n) and allocates no m-by-n array.
+Shells are read through one evaluator per call, `radii -> (k, m)` values
+`values(x0 + s w)` over the m unit points w, one row per radius s, in
+blocks of at most `SHELL_BLOCK` values.  A field may specialise it with
+its `shells` hook, as the kernel sums do: they project x0 - c on every w
+once per call, so each shell costs O(m) instead of O(m n).  Other fields
+call `values` once per shell.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ CLIP_FLOOR = -1e12
 MAX_CLIPPED_FRACTION = 1e-3
 GL_NODES = 32
 NN_BLOCK_ROWS = 16
+# field values per block of sphere shells: bounds the (k, m) arrays of a block
+SHELL_BLOCK = 1 << 16
 # relative radius step of the backward difference behind the mass density
 MASS_FD_STEP = 1e-3
 
@@ -167,9 +170,10 @@ class ScalarField:
     ``values`` maps an (m, n) array of points to m values; -inf marks a
     hit on the singular set.  ``analytic_max(x0, r)`` returns the exact
     spherical maximum when a closed form is known (None means sample).
-    ``shells(x0, points)``, when set, returns ``s -> values(x0 + s * points)``
-    for unit ``points``, computed faster than through ``values``; every
-    sphere average reads its shells through it.
+    ``shells(x0, points)``, when set, returns ``radii -> (k, m)`` values,
+    row i ``values(x0 + radii[i] * points)`` for the m unit ``points``,
+    faster than ``values``; every sphere average reads its shells through
+    it, at most `SHELL_BLOCK` values per call.
     """
 
     n: int
@@ -194,11 +198,13 @@ class ScalarField:
         return float(np.linalg.norm(pts - x[None, :], axis=1).min())
 
 
-def _clipped(vals: np.ndarray) -> tuple[np.ndarray, int]:
-    bad = ~np.isfinite(vals) | (vals < CLIP_FLOOR)
+def _clipped(vals: np.ndarray):
+    """vals with each non-finite value, a hit on the singular set, set to
+    CLIP_FLOOR, and the number of hits (per row of a 2-D array)."""
+    bad = ~np.isfinite(vals)
     if bad.any():
         vals = np.where(bad, CLIP_FLOOR, vals)
-    return vals, int(bad.sum())
+    return vals, bad.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +213,20 @@ def _clipped(vals: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _shell_evaluator(field: ScalarField, x0: np.ndarray, points: np.ndarray) -> Callable:
-    """s -> field values at x0 + s * points: the field's `shells` hook, or
-    else `values` on the shell's points."""
+    """radii -> (k, m) field values at x0 + s * points, one row per radius s:
+    the field's `shells` hook, or else `values` on each shell's points."""
     if field.shells is not None:
         return field.shells(x0, points)
-    return lambda s: field.values(x0[None, :] + s * points)
+    return lambda radii: np.stack([field.values(x0[None, :] + s * points) for s in radii])
 
 
-def _shell(evaluate: Callable, r: float):
-    """Clipped field values on the sphere of radius r and their clip count."""
-    return _clipped(evaluate(r))
+def _shell_blocks(evaluate: Callable, radii: np.ndarray, size: int):
+    """(radii, clipped (k, size) values, hits per row) over blocks of the
+    spheres of the given radii, each block at most SHELL_BLOCK values."""
+    step = max(1, SHELL_BLOCK // size)
+    for lo in range(0, radii.size, step):
+        block = radii[lo:lo + step]
+        yield (block, *_clipped(evaluate(block)))
 
 
 def _max_from_shell(field: ScalarField, x0: np.ndarray, r: float, quad: SphereQuad,
@@ -242,28 +252,28 @@ def _max_from_shell(field: ScalarField, x0: np.ndarray, r: float, quad: SphereQu
     return float(vals.max()) + lipschitz * covering
 
 
-def _shell_means(vals: np.ndarray, nclip: int, half: int) -> tuple[float, float]:
-    """Mean over the shell and over its leading `half` points, which are the
-    points of `SphereQuad.half()`."""
-    if nclip == vals.size:
+def _shell_means(vals: np.ndarray, nclip: np.ndarray, half: int) -> list:
+    """(mean, mean over the leading `half` points, clip count) of each shell
+    (row); the leading points are those of `SphereQuad.half()`."""
+    if np.any(nclip == vals.shape[1]):
         raise DomainError("all sphere samples hit the singular set")
-    return float(vals.mean()), float(vals[:half].mean())
+    return list(zip(vals.mean(axis=1), vals[:, :half].mean(axis=1), nclip))
 
 
-def _volume_stats(evaluate: Callable, n: int, r: float, half: int):
+def _volume_stats(evaluate: Callable, n: int, r: float, quad: SphereQuad):
     """(ball average, leading-half ball average, clipped count) via the
     radial reduction n * int_0^1 S(rho r) rho^(n-1) drho."""
     rho, w = _gl_nodes()
+    rows = [stats for _, vals, nclip in _shell_blocks(evaluate, rho * r, quad.size)
+            for stats in _shell_means(vals, nclip, quad.size // 2)]
     total = half_total = 0.0
     nclip = 0
-    for rho_i, w_i in zip(rho, w):
-        vals, c_i = _shell(evaluate, rho_i * r)
-        s_i, half_i = _shell_means(vals, c_i, half)
+    for rho_i, w_i, (s_i, half_i, c_i) in zip(rho, w, rows):
         weight = w_i * n * rho_i ** (n - 1)
         total += weight * s_i
         half_total += weight * half_i
         nclip += c_i
-    return float(total), float(half_total), nclip
+    return float(total), float(half_total), int(nclip)
 
 
 @dataclass
@@ -298,24 +308,28 @@ def _average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
         if not 0.0 < r < INF:
             raise DomainError(f"radius must be positive and finite, got {r}")
     quad = quad or sphere_quad(field.n)
-    half = quad.size // 2
     evaluate = _shell_evaluator(field, x0, quad.points)
-    shells = [_shell(evaluate, r) for r in radii] if {"M", "S"} & set(kinds) else []
+    maxima, spherical = [], []
+    if {"M", "S"} & set(kinds):
+        for block, vals, nclip in _shell_blocks(evaluate, radii, quad.size):
+            if "M" in kinds:
+                maxima += [_max_from_shell(field, x0, r, quad, row) for r, row in zip(block, vals)]
+            if "S" in kinds:
+                spherical += _shell_means(vals, nclip, quad.size // 2)
     out = {}
     for kind in kinds:
         clipped = total = 0
         half_values = None
         if kind == "M":
-            values = [_max_from_shell(field, x0, r, quad, vals)
-                      for r, (vals, _) in zip(radii, shells)]
+            values = maxima
         else:
             if kind == "S":
-                stats = [(*_shell_means(vals, nclip, half), nclip) for vals, nclip in shells]
+                stats = spherical
             else:
-                stats = [_volume_stats(evaluate, field.n, r, half) for r in radii]
+                stats = [_volume_stats(evaluate, field.n, r, quad) for r in radii]
             values = [v for v, _, _ in stats]
             half_values = [h for _, h, _ in stats]
-            clipped = sum(c for _, _, c in stats)
+            clipped = int(sum(c for _, _, c in stats))
             total = len(stats) * quad.size * (1 if kind == "S" else GL_NODES)
         curve = AverageCurve(
             kind=kind,
@@ -446,6 +460,11 @@ def _density_radii(radii) -> np.ndarray:
     return density_radii(default_radii() if radii is None else radii)
 
 
+def _check_volume_density(kinds: Sequence[str], p: float, n: int) -> None:
+    if "V" in kinds and p >= n + 2.0:  # the kernel's ball average diverges
+        raise DomainError(f"no volume density is defined at p >= n + 2 = {n + 2}")
+
+
 def densities(field: ScalarField, x0, p: float, radii=None,
               quad: SphereQuad | None = None,
               kinds: Sequence[str] = ("M", "S", "V")) -> DensityReport:
@@ -464,6 +483,7 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     """
     if math.isinf(p):
         raise DomainError("no density is defined at p = inf")
+    _check_volume_density(kinds, p, field.n)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     radii = _density_radii(radii)
     curves = _average_curves(field, kinds, x0, radii, quad)
@@ -567,8 +587,8 @@ def mass_density(field: ScalarField, x0, p: float, radii=None,
     if k < 0:
         raise DomainError("mass density needs p <= n")
     radii = _density_radii(radii)
-    s_curve = average_curve(field, "S", x0, radii, quad).values
-    s_lo = average_curve(field, "S", x0, radii * (1.0 - MASS_FD_STEP), quad).values
+    both = np.concatenate([radii, radii * (1.0 - MASS_FD_STEP)])
+    s_curve, s_lo = np.split(average_curve(field, "S", x0, both, quad).values, 2)
     deriv = (s_curve - s_lo) / (radii * MASS_FD_STEP)
     masses = sphere_surface_area(n) * radii ** (n - 1) * deriv
 
@@ -747,6 +767,7 @@ def averages_of_tangent_check(tangent: ScalarField, p: float, radii=None,
     if math.isinf(p):
         raise DomainError("needs finite p")
     n = tangent.n
+    _check_volume_density(kinds, p, n)
     radii = _density_radii(radii)
     defect = flow_invariance_defect(tangent, p, quad=quad or sphere_quad(n))
     worst = 0.0
@@ -886,8 +907,10 @@ def infinitesimal_holder(field: ScalarField, x0, p: float, radii=None,
 def _kernel_of_radius(spec: KernelSpec, weight: float, r: np.ndarray) -> np.ndarray:
     """weight * K(r) pointwise, with the kernel's value at r = 0: -inf, or 0
     when p < 2."""
-    out = np.full(r.shape, 0.0 if spec.p < 2.0 else -np.inf)
     pos = r > 0.0
+    if pos.all():
+        return weight * kernel(spec, r)
+    out = np.full(r.shape, 0.0 if spec.p < 2.0 else -np.inf)
     with np.errstate(divide="ignore"):
         out[pos] = weight * np.asarray(kernel(spec, r[pos]))
     return out
@@ -899,9 +922,10 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
 
     For each center the hook computes t = <w, x0 - c> and
     h^2 = |x0 - c - t w|^2 once per (x0, points); the shell of radius s is
-    then |x - c| = sqrt((s + t)^2 + h^2), O(m) per shell.  Unlike the
-    expanded s^2 + 2 s t + |x0 - c|^2, this keeps its digits when the shell
-    passes close to c.  A center at x0 has |x - c| = s exactly: one scalar
+    then |x - c| = sqrt((s + t)^2 + h^2), O(m) per shell, computed in place
+    for a block of radii at once.  Unlike the expanded
+    s^2 + 2 s t + |x0 - c|^2, this keeps its digits when the shell passes
+    close to c.  A center at x0 has |x - c| = s exactly: one scalar
     term with the floats of the general formula.
     """
 
@@ -923,14 +947,18 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
             perp = a[None, :] - t[:, None] * points
             projections.append((t, np.einsum("ij,ij->i", perp, perp)))
 
-        def evaluate(s):
-            out = np.zeros(points.shape[0])
+        def evaluate(radii):
+            radii = np.asarray(radii, dtype=float)
+            out = np.zeros((radii.size, points.shape[0]))
             for w, proj in zip(weights, projections):
                 if proj is None:
-                    out += _kernel_of_radius(spec, w, np.asarray(s, dtype=float))
+                    out += _kernel_of_radius(spec, w, radii)[:, None]
                 else:
                     t, h2 = proj
-                    out += _kernel_of_radius(spec, w, np.sqrt((s + t) ** 2 + h2))
+                    dist = radii[:, None] + t
+                    dist *= dist
+                    dist += h2
+                    out += _kernel_of_radius(spec, w, np.sqrt(dist, out=dist))
             return out
 
         return evaluate

@@ -842,6 +842,27 @@ def test_density_rejects_unbalanced_sobol_size(capsys):
     assert "power of two" in captured.err and captured.err.count("\n") == 1
 
 
+def test_density_answers_below_the_clip_floor(capsys):
+    # the innermost V shell (radius about 4.3e-5) has finite values below
+    # CLIP_FLOOR; only non-finite values are singular-set hits
+    code, payload = run_json(capsys, "density", "riesz", "--p", "5", "--n", "4")
+    assert code == 0
+    assert payload["theta"] == {"M": 1.0, "S": 1.0, "V": pytest.approx(4.0, rel=1e-12)}
+    assert payload["clipped_fraction"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "6", "--n", "4"],
+    ["--p", "40", "--n", "16", "--quad", "512"],
+])
+def test_density_refuses_a_divergent_volume_average(capsys, argv):
+    code = cli.main(["density", "riesz", *argv, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith("error: no volume density is defined at p >= n + 2")
+    assert captured.err.count("\n") == 1
+
+
 def readme_commands():
     """(argv, documented exit code) for each command of the README's
     command-line block."""

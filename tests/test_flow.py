@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -313,6 +314,24 @@ def test_density_rejects_heavy_clipping(quad3):
         flow.densities(u, np.zeros(3), 3.0, quad=quad3)
 
 
+def test_only_non_finite_values_are_clipped():
+    vals, hits = flow._clipped(np.array([[-1e13, -np.inf, np.nan, 1.0],
+                                         [np.inf, 0.0, -2e12, 3.0]]))
+    assert np.array_equal(vals, [[-1e13, flow.CLIP_FLOOR, flow.CLIP_FLOOR, 1.0],
+                                 [flow.CLIP_FLOOR, 0.0, -2e12, 3.0]])
+    assert hits.tolist() == [2, 1]
+
+
+def test_volume_density_needs_p_below_n_plus_2():
+    # the kernel's ball average diverges at p >= n + 2 (no finite V to sample)
+    u = flow.riesz_kernel_field(1.0, 7.0, 4)
+    for check in (lambda kinds: flow.densities(u, np.zeros(4), 7.0, kinds=kinds),
+                  lambda kinds: flow.averages_of_tangent_check(u, 7.0, kinds=kinds)):
+        with pytest.raises(DomainError, match="p >= n \\+ 2 = 6"):
+            check(("M", "S", "V"))
+        check(("M", "S"))
+
+
 def test_density_rejects_infinite_p(quad3):
     with pytest.raises(DomainError):
         flow.densities(flow.zero_field(3), np.zeros(3), math.inf, quad=quad3)
@@ -320,16 +339,16 @@ def test_density_rejects_infinite_p(quad3):
 
 def _counted(field, x0):
     """The field with its shell evaluator wrapped to record the radius and
-    size of every sphere shell about x0 it is evaluated on."""
+    size of every sphere shell (row) about x0 it is evaluated on."""
     calls = []
 
     def shells(center, points):
         assert np.array_equal(center, x0)
         evaluate = flow._shell_evaluator(field, center, points)
 
-        def counted(s):
-            calls.append((round(float(s), 12), points.shape[0]))
-            return evaluate(s)
+        def counted(radii):
+            calls.extend((round(float(s), 12), points.shape[0]) for s in radii)
+            return evaluate(radii)
 
         return counted
 
@@ -406,7 +425,7 @@ def test_kernel_sum_shells_match_values(n):
                 continue
             for field in fields:
                 want = field.values(x0[None, :] + s * points)
-                got = flow._shell_evaluator(field, x0, points)(s)
+                got = flow._shell_evaluator(field, x0, points)([s])[0]
                 # w log d has the absolute error w * (relative error of d)
                 scale = np.abs(want) if p != 2.0 else weights.sum()
                 assert np.all(np.abs(got - want) <= 1e-13 * scale)
@@ -426,7 +445,7 @@ def test_kernel_sum_shells_keep_their_digits_near_a_center(delta):
             s = float(rng.uniform(0.1, 3.0))
             field = flow.riesz_kernel_field(1.0, 3.0, n, center=x0 + s * (1.0 + delta) * points[j])
             want = field.values(x0[None, :] + s * points)
-            got = flow._shell_evaluator(field, x0, points)(s)
+            got = flow._shell_evaluator(field, x0, points)([s])[0]
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
@@ -440,9 +459,9 @@ def test_kernel_sum_shell_about_a_center_is_the_kernel_of_s(p):
     double = flow.newtonian_potential_field(p, [(1.7, c), (0.4, c)], 4)
     for s in (1e-3, 0.37, 2.0):
         kernel_s = riesz.kernel(spec, s)
-        assert np.array_equal(flow._shell_evaluator(single, c, points)(s),
+        assert np.array_equal(flow._shell_evaluator(single, c, points)([s])[0],
                               np.full(points.shape[0], 1.7 * kernel_s))
-        assert np.array_equal(flow._shell_evaluator(double, c, points)(s),
+        assert np.array_equal(flow._shell_evaluator(double, c, points)([s])[0],
                               np.full(points.shape[0], 1.7 * kernel_s + 0.4 * kernel_s))
 
 
@@ -457,7 +476,7 @@ def test_fields_without_the_hook_read_shells_through_values(field, quad3):
     curve = flow.average_curve(field, "S", x0, radii, quad3)
     for r, value in zip(radii, curve.values):
         shell = field.values(x0[None, :] + r * quad3.points)
-        assert np.array_equal(flow._shell_evaluator(field, x0, quad3.points)(r), shell)
+        assert np.array_equal(flow._shell_evaluator(field, x0, quad3.points)([r])[0], shell)
         assert value == float(flow._clipped(shell)[0].mean())
 
 
@@ -483,6 +502,46 @@ def test_curve_csv_evaluates_each_shell_once(tmp_path, quad3):
     rows = [f"{kind},{cli._fmt(r)},{cli._fmt(v)},{cli._fmt(q)}" for kind in "MSV"
             for r, v, q in flow.average_curve(field, kind, x0, radii, quad3).to_csv_rows(3.0)]
     assert target.read_text() == "\n".join(["kind,r,value,quotient", *rows]) + "\n"
+
+
+@pytest.mark.parametrize("field", [
+    flow.newtonian_potential_field(2.5, [(1.5, np.zeros(3)), (0.5, np.array([0.3, 0.0, 0.0]))], 3),
+    flow.plus_quadratic_field(flow.riesz_kernel_field(1.0, 3.0, 3), 2.0),
+], ids=["two-centre", "without-hook"])
+def test_shell_block_size_does_not_change_a_bit(monkeypatch, field):
+    quad = flow.sphere_quad(3, 512, seed=2)
+    x0 = np.array([0.01, -0.02, 0.0])
+
+    def reports():
+        return pickle.dumps((
+            flow.densities(field, np.zeros(3), 2.5, quad=quad),
+            flow.densities(field, x0, 3.0, quad=quad),
+            flow.mass_density(field, np.zeros(3), 2.5, quad=quad),
+            [flow.average_curve(field, kind, x0, [1.0, 0.3, 0.05], quad) for kind in "MSV"],
+        ))
+
+    at_default = reports()
+    monkeypatch.setattr(flow, "SHELL_BLOCK", 1)  # one shell per block
+    assert reports() == at_default
+
+
+def test_shell_blocks_hold_at_most_shell_block_values(monkeypatch, quad3):
+    field = flow.riesz_kernel_field(1.0, 3.0, 3, center=np.full(3, 0.1))
+    hook, sizes = field.shells, []
+
+    def shells(x0, points):
+        evaluate = hook(x0, points)
+
+        def recorded(radii):
+            sizes.append(len(radii) * points.shape[0])
+            return evaluate(radii)
+
+        return recorded
+
+    monkeypatch.setattr(flow, "SHELL_BLOCK", 3 * quad3.size)
+    flow.densities(dataclasses.replace(field, shells=shells), np.zeros(3), 3.0, quad=quad3)
+    assert max(sizes) == flow.SHELL_BLOCK
+    assert sum(sizes) == flow.default_radii().size * (1 + flow.GL_NODES) * quad3.size
 
 
 def test_harnack_constants():

@@ -33,7 +33,7 @@ import numpy as np
 from ._numerics import gamma, ndtri, sobol
 from .errors import DomainError, NumericalError
 from .radial import density_estimate, density_radii, geometric_radii, quotients
-from .riesz import INF, KernelSpec, kernel, kernel_hessian
+from .riesz import INF, KernelSpec, _weighted_kernel, kernel, kernel_hessian
 from .subeq import PropertyReport, fmt_param
 
 CLIP_FLOOR = -1e12
@@ -909,10 +909,10 @@ def _kernel_of_radius(spec: KernelSpec, weight: float, r: np.ndarray) -> np.ndar
     when p < 2."""
     pos = r > 0.0
     if pos.all():
-        return weight * kernel(spec, r)
+        return _weighted_kernel(spec, weight, r)
     out = np.full(r.shape, 0.0 if spec.p < 2.0 else -np.inf)
     with np.errstate(divide="ignore"):
-        out[pos] = weight * np.asarray(kernel(spec, r[pos]))
+        out[pos] = _weighted_kernel(spec, weight, r[pos])
     return out
 
 

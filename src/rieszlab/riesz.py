@@ -14,8 +14,8 @@ dyadic 32-section, on which the steps of plain bisection are replayed
 (same points, same bracket).  Two matrix margins must then confirm the
 final bracket, or the solver raises.  Everything that checks an answer
 stays on matrix margins, one per step: the infinity and t = 1 tests,
-``check_directions``, the matrix-route check of a spectral dual,
-``bisection_certificate`` and every subequation without a spectrum.
+``check_directions``, ``bisection_certificate`` and every subequation
+without a spectrum.
 Kernels come in two normalizations: the `standard` one (plain powers /
 log) and the `barred` one whose first derivative is exactly r^(1-p).
 """
@@ -92,16 +92,21 @@ def _check_positive(t):
     return t
 
 
+def _weighted_kernel(spec: KernelSpec, weight: float, t):
+    """weight * kernel(spec, t) for t > 0, unchecked, computed in place: the
+    sign of the standard kernel for p > 2 goes into the weight, as -w x has
+    the floats of w (-x)."""
+    p = spec.p
+    out = np.log(t) if p == 2.0 else t ** (2.0 - p)
+    if p != 2.0 and spec.normalization == "barred":
+        out /= 2.0 - p
+    out *= -weight if p > 2.0 and spec.normalization == "standard" else weight
+    return out
+
+
 def kernel(spec: KernelSpec, t):
     """Increasing radial kernel; scalar in, scalar out (arrays broadcast)."""
-    t = _check_positive(t)
-    p = spec.p
-    if p == 2.0:
-        out = np.log(t)
-    elif spec.normalization == "standard":
-        out = t ** (2.0 - p) if p < 2.0 else -(t ** (2.0 - p))
-    else:
-        out = t ** (2.0 - p) / (2.0 - p)
+    out = _weighted_kernel(spec, 1.0, _check_positive(t))
     return out if out.ndim else float(out)
 
 
@@ -299,19 +304,11 @@ def increasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL,
 
 def decreasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL):
     """Decreasing characteristic of F and the bracket width: the increasing
-    characteristic of the dual, finite exactly when P_e is interior to F.
-    A spectral dual is solved again on matrices; the two must agree within
-    10 tol."""
+    characteristic of the dual, finite exactly when P_e is interior to F."""
     _check_tol(tol)
     e = unit_vector(e if e is not None else f.direction())
     f_dual = dual(f)
-    value, bracket = _characteristic(f_dual, e, tol, spectral=f_dual.spectrum is not None)
-    if f_dual.spectrum is not None:
-        matrix_value, _ = _characteristic(f_dual, e, tol, spectral=False)
-        if not math.isclose(matrix_value, value, abs_tol=10.0 * tol):
-            raise SolverError(f"matrix route disagrees for {f.name}: q = {value}, "
-                              f"matrix route q = {matrix_value}")
-    return value, bracket
+    return _characteristic(f_dual, e, tol, spectral=f_dual.spectrum is not None)
 
 
 def characteristic_pair(f: Subequation, tol: float = DEFAULT_TOL,

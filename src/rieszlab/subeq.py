@@ -470,10 +470,13 @@ def geometric(sample: GrassmannSample) -> Subequation:
     constraints mean the margin can only overestimate membership;
     adding planes never increases it."""
     stack = sample.stacked()  # (k, n, p)
+    # tr(W^T A W) = <A, W W^T>: one row of plane projectors per plane
+    projectors = np.einsum("kip,kjp->kij", stack, stack).reshape(len(stack), -1)
 
     def values(a) -> np.ndarray:
-        traces = np.einsum("kip,...ij,kjp->...k", stack, as_matrices(a), stack)
-        return traces.min(axis=-1)
+        a = as_matrices(a)
+        rows = a.reshape(*a.shape[:-2], projectors.shape[1])
+        return np.einsum("...i,ki->...k", rows, projectors).min(axis=-1)
 
     e = sample.planes[0].columns[:, 0].copy()
     return Subequation(

@@ -458,7 +458,7 @@ def test_charx_overflow_and_n1_exit_codes(argv, exit_code, err_lines, reason):
     (["charx", "largest-convex", "--n", "4", "--p", "1.01"], 303.0),
 ])
 def test_charx_decreasing_characteristic_above_128(capsys, argv, q):
-    # exit 0 means the matrix route of the spectral dual agreed as well
+    # exit 0 means two matrix margins of the dual confirmed its spectral bracket as well
     code, payload = run_json(capsys, *argv)
     assert code == 0
     assert payload["q"] == pytest.approx(q, abs=1e-6)

@@ -55,6 +55,31 @@ def test_kernel_derivatives_match_finite_differences():
                 assert riesz.kernel_deriv2(spec, t) == pytest.approx(fd2, rel=1e-3)
 
 
+def reference_kernel(spec, t):
+    """The kernel's formulas, each a separate array expression."""
+    p = spec.p
+    if p == 2.0:
+        return np.log(t)
+    if spec.normalization == "standard":
+        return t ** (2.0 - p) if p < 2.0 else -(t ** (2.0 - p))
+    return t ** (2.0 - p) / (2.0 - p)
+
+
+@pytest.mark.parametrize("norm", ["standard", "barred"])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.5])
+def test_weighted_kernel_has_the_floats_of_weight_times_kernel(p, norm):
+    # the sign folded into the weight and the in-place product change no bit
+    spec = riesz.KernelSpec(p=p, normalization=norm)
+    t = np.random.default_rng(0).uniform(1e-3, 50.0, 1000)
+    assert np.array_equal(riesz.kernel(spec, t), reference_kernel(spec, t))
+    assert riesz.kernel(spec, 0.37) == float(reference_kernel(spec, np.float64(0.37)))
+    for w in (0.7, -1.3, 0.0):
+        weighted = riesz._weighted_kernel(spec, w, t)
+        reference = w * reference_kernel(spec, t)
+        assert np.array_equal(weighted, reference)
+        assert np.array_equal(np.signbit(weighted), np.signbit(reference))
+
+
 def test_kernel_domain_errors():
     spec = riesz.KernelSpec(p=3.0)
     with pytest.raises(DomainError):
@@ -231,7 +256,7 @@ CATALOG = [
 @pytest.mark.parametrize("family,params,n", CATALOG)
 def test_dual_route_agreement(family, params, n):
     f = subeq.builtin(family, n, **params)
-    q, _ = riesz.decreasing_characteristic(f)          # cross-checks internally
+    q, _ = riesz.decreasing_characteristic(f)
     p_dual, _ = riesz.increasing_characteristic(subeq.dual(f))
     if math.isinf(q):
         assert math.isinf(p_dual)
@@ -292,7 +317,7 @@ def test_full_space_direction_tests_agree():
     subeq.uniform_elliptic_regularization(subeq.builtin("full-space", 4), 1.0),
 ], ids=lambda f: f.name)
 def test_characteristic_pair_of_all_of_sym_n_is_a_domain_error(f):
-    # F = Sym(n) has an empty dual, so the dual cross-check has nothing to bisect
+    # F = Sym(n) has an empty dual, so its decreasing pencil has nothing to bisect
     with pytest.raises(DomainError, match="contains -Id, so it is all of Sym"):
         riesz.characteristic_pair(f)
 

@@ -2,9 +2,8 @@
 
 A spectral subequation is bisected on spectrum(Id) - t spectrum(P_e), 31
 points per call; every answer must be the matrix route's, bit for bit,
-and the checks (infinity and t = 1 tests, check_directions, the matrix
-route of a spectral dual, the bracket guard) must still read matrix
-margins.  The decreasing characteristic is the increasing one of the dual,
+and the checks (infinity and t = 1 tests, check_directions, the bracket
+guard) must still read matrix margins.  The decreasing characteristic is the increasing one of the dual,
 so its margins are those of ``riesz.dual``.
 """
 
@@ -33,6 +32,10 @@ def family_params(family, n):
         "dual-min-2": {"p": 2.3},
         "trace-power": {"k": 1.0 + 0.5 * (n - 1), "q": 1.5},
         "largest-convex": {"p": 1.0 + 0.45 * (n - 1)},
+        "laplacian": {},
+        "garding-det": {"k": 2},
+        "garding-pdelta": {"delta": 0.5, "k": 2},
+        "garding-sum": {"p": 2, "k": n - 1},
     }[family]
 
 
@@ -50,6 +53,12 @@ BASES = {
     "complex min-max": lambda: subeq.complex_lift("min-max", 2, p=2.5),
     "quaternionic p-convex": lambda: subeq.quaternionic_lift("p-convex", 2, p=1.5),
     "quaternionic sigma-k": lambda: subeq.quaternionic_lift("sigma-k", 2, k=2),
+    # every registry family lifted, on R^6 and R^8
+    **{f"{variant} {family} m={m}": (lambda lift=lift, family=family, m=m:
+                                    lift(family, m, **family_params(family, m)))
+       for variant, lift, m in (("complex", subeq.complex_lift, 3),
+                                ("quaternionic", subeq.quaternionic_lift, 2))
+       for family in subeq.family_names()},
 }
 
 CONSTRUCTIONS = {
@@ -162,23 +171,21 @@ def test_checks_read_matrix_margins(monkeypatch):
     riesz.increasing_characteristic(counted(f, calls), check_directions=2, seed=3)
     assert len(calls) >= 4 + 2 * 30
     calls.clear()
-    riesz.increasing_characteristic(counted(matrix_route(subeq.dual(f)), calls))
-    matrix = len(calls)
-    calls.clear()
     monkeypatch.setattr(riesz, "dual", lambda g: counted(subeq.dual(g), calls))
     riesz.decreasing_characteristic(f)
-    # margin(-P_e) and margin(P_perp) of dual(F), the two ends of its
-    # spectral bracket, then the whole matrix route
-    assert len(calls) == 4 + matrix
+    # margin(-P_e) and margin(P_perp) of dual(F), then the two ends of its
+    # spectral bracket
+    assert len(calls) == 4
 
 
 def test_dual_cross_check_reads_matrix_margins(monkeypatch):
-    # a spectral dual is solved again on matrices
+    # a spectral dual is bisected on spectra once; its bracket guard reads
+    # the same four matrix margins as the increasing side
     calls = []
     monkeypatch.setattr(riesz, "dual", lambda f: counted(subeq.dual(f), calls))
     q, _ = riesz.decreasing_characteristic(subeq.builtin("p-convex", 4, p=3.5))
     assert q == pytest.approx(3.5 / 0.5, abs=1e-8)
-    assert len(calls) >= 30
+    assert len(calls) == 4
 
 
 def test_non_spectral_decreasing_pencil_is_bisected_once(monkeypatch):

@@ -227,6 +227,27 @@ def test_geometric_identity_margin():
     assert f.margin(np.eye(4)) == pytest.approx(2.0, abs=1e-10)
 
 
+GEOMETRIC_SAMPLES = [(3, 2, 128), (5, 3, 128), (7, 3, 256)]
+
+
+@pytest.mark.parametrize("n,p,k", GEOMETRIC_SAMPLES)
+def test_geometric_margins_are_plane_traces(n, p, k):
+    # reference: min over W of tr(W^T A W), contracted with W on both sides
+    gs = subeq.sample_grassmannian(n, p, count=k, seed=3)
+    stack = gs.stacked()
+    a = np.stack([random_sym(seed, n) * 10.0 ** (seed % 7 - 3) for seed in range(40)])
+    traces = np.einsum("kip,...ij,kjp->...k", stack, a, stack).min(axis=-1)
+    bound = 1e-13 * (1.0 + np.linalg.norm(a, axis=(1, 2)))
+    assert np.all(np.abs(subeq.geometric(gs).margin_batch(a) - traces) <= bound)
+
+
+@pytest.mark.parametrize("n,p,k", GEOMETRIC_SAMPLES)
+def test_geometric_identity_margin_is_p(n, p, k):
+    # every plane trace of Id is p; the margin is p up to rounding
+    f = subeq.geometric(subeq.sample_grassmannian(n, p, count=k, seed=3))
+    assert f.margin(np.eye(n)) == pytest.approx(p, abs=16 * n * np.finfo(float).eps)
+
+
 def one_plane(columns):
     """The geometric subequation of one plane: its margin is the trace over it."""
     return subeq.geometric(subeq.GrassmannSample([columns]))

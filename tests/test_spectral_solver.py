@@ -3,8 +3,8 @@
 A spectral subequation is bisected on spectrum(Id) - t spectrum(P_e), 31
 points per call; every answer must be the matrix route's, bit for bit,
 and the checks (infinity and t = 1 tests, check_directions, the bracket
-guard) must still read matrix margins.  The decreasing characteristic is the increasing one of the dual,
-so its margins are those of ``riesz.dual``.
+guard) must still read matrix margins.  The decreasing characteristic is
+the increasing one of the dual, so its margins are those of ``riesz.dual``.
 """
 
 import dataclasses

@@ -112,6 +112,15 @@ def radial_hessian(lam: float, a: float, x) -> np.ndarray:
     return (lam / r) * (np.eye(x.size) - p_line) + a * p_line
 
 
+def _check_orthonormal(cols: np.ndarray) -> None:
+    """Refuse an n x p matrix, or a (k, n, p) stack of them, whose Gram
+    matrices differ from Id by more than FRAME_TOL in any entry."""
+    gram = cols.swapaxes(-1, -2) @ cols
+    defect = float(np.abs(gram - np.eye(cols.shape[-1])).max())
+    if not defect <= FRAME_TOL:  # NaN entries fail too
+        raise InvariantError(f"columns not orthonormal: defect {defect:.3e}")
+
+
 @dataclass(frozen=True)
 class Frame:
     """n x p matrix with orthonormal columns spanning a p-plane."""
@@ -122,11 +131,22 @@ class Frame:
         cols = np.asarray(self.columns, dtype=float)
         if cols.ndim != 2:
             raise InvariantError("frame columns must form a 2-d array")
-        gram = cols.T @ cols
-        defect = float(np.abs(gram - np.eye(cols.shape[1])).max())
-        if defect > FRAME_TOL:
-            raise InvariantError(f"columns not orthonormal: defect {defect:.3e}")
+        _check_orthonormal(cols)
         object.__setattr__(self, "columns", cols)
+
+    @staticmethod
+    def stack(columns) -> list:
+        """The frames of a (k, n, p) stack, checked once for the whole
+        stack.  Their columns are read-only views of one copy of it."""
+        cols = np.array(columns, dtype=float)
+        if cols.ndim != 3:
+            raise InvariantError("a frame stack must form a 3-d array")
+        _check_orthonormal(cols)
+        cols.flags.writeable = False
+        frames = [object.__new__(Frame) for _ in range(len(cols))]
+        for frame, plane in zip(frames, cols):
+            object.__setattr__(frame, "columns", plane)
+        return frames
 
     @property
     def n(self) -> int:

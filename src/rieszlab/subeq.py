@@ -156,11 +156,15 @@ def _p_convex_eig_margin(n, p):
 
 
 def _integral(family: str, name: str, value) -> int:
-    """An integer parameter as an int; a fractional value is refused, not
-    truncated."""
-    if int(value) != value:
+    """An integer parameter as an int; a fractional, non-finite or
+    non-numeric value is refused, not truncated."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
         raise DomainError(f"{family} needs an integer {name}, got {name}={value}")
-    return int(value)
+    return whole
 
 
 def _sigma_k_eig_margin(n, k):
@@ -412,14 +416,17 @@ def quaternionic_lift(family: str, n: int, **params) -> Subequation:
                  "Sp(n)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GrassmannSample:
     """Finite sample of p-planes in R^n standing in for a compact set of
     the Grassmannian; `angle_tol` drives intersection and containment
-    tests."""
+    tests.  The planes are stacked once, at construction, into the
+    read-only (k, n, p) array that `stacked()` returns; the sample is
+    frozen so that the two cannot drift apart."""
 
     planes: list
     angle_tol: float = 1e-3
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.angle_tol) and self.angle_tol > 0):
@@ -427,22 +434,23 @@ class GrassmannSample:
         if not self.planes:
             raise DomainError("Grassmann sample must be non-empty")
         frames = [w if isinstance(w, Frame) else Frame(w) for w in self.planes]
-        n, p = frames[0].n, frames[0].p
-        for w in frames:
-            if (w.n, w.p) != (n, p):
-                raise InvariantError("all planes must share the same (n, p)")
-        self.planes = frames
+        if len({w.columns.shape for w in frames}) > 1:
+            raise InvariantError("all planes must share the same (n, p)")
+        stack = np.stack([w.columns for w in frames])
+        stack.flags.writeable = False
+        object.__setattr__(self, "planes", frames)
+        object.__setattr__(self, "_stack", stack)
 
     @property
     def n(self) -> int:
-        return self.planes[0].n
+        return self._stack.shape[1]
 
     @property
     def p(self) -> int:
-        return self.planes[0].p
+        return self._stack.shape[2]
 
     def stacked(self) -> np.ndarray:
-        return np.stack([w.columns for w in self.planes])
+        return self._stack
 
 
 def default_plane_count(n: int) -> int:
@@ -451,17 +459,20 @@ def default_plane_count(n: int) -> int:
 
 def sample_grassmannian(n: int, p: int, count: int | None = None, seed=0,
                         angle_tol: float = 1e-3) -> GrassmannSample:
+    """`count` p-planes in R^n, each the span of a Gaussian n x p draw:
+    one (count, n, p) draw, one stacked QR factorization with the signs
+    of R's diagonal moved into Q, and one frame check for the stack."""
+    n, p = _integral("Grassmann sample", "n", n), _integral("Grassmann sample", "p", p)
     if not 1 <= p <= n:
         raise DomainError(f"Grassmannian G(p, R^n) needs 1 <= p <= n, got p={p}, n={n}")
     if count is None:
         count = default_plane_count(n)
-    rng = np.random.default_rng(seed)
-    planes = []
-    for _ in range(count):
-        g = rng.standard_normal((n, p))
-        q, r = np.linalg.qr(g)
-        planes.append(Frame(q * np.sign(np.diag(r))))
-    return GrassmannSample(planes, angle_tol=angle_tol)
+    count = _integral("Grassmann sample", "count", count)
+    if count < 1:
+        raise DomainError(f"Grassmann sample needs count >= 1, got count={count}")
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((count, n, p)))
+    q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    return GrassmannSample(Frame.stack(q), angle_tol=angle_tol)
 
 
 def geometric(sample: GrassmannSample) -> Subequation:

@@ -658,6 +658,14 @@ def test_grassmann_bad_input_is_one_error_line(capsys, argv):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("planes", ["0", "-1"])
+def test_grassmann_refuses_an_empty_sample(capsys, planes):
+    code = cli.main(["grassmann", "g2r3", "--planes", planes, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == f"error: Grassmann sample needs count >= 1, got count={planes}\n"
+
+
 def test_grassmann_charx(capsys):
     code, payload = run_json(capsys, "grassmann", "g2r4", "--charx", "--planes", "64")
     assert code == 0
@@ -876,14 +884,29 @@ def readme_commands():
     return commands
 
 
-def test_readme_commands_exit_as_documented_and_say_why_they_fail():
+# The runtime needs numpy only: each README command (and a lifted invariance
+# suite, which samples U(n) rotations) is launched once, through the
+# `rieszlab.cli` `__main__` entry, with `import scipy` made to fail.
+SCIPY_BLOCKED = ("import runpy, sys; sys.modules['scipy'] = None; "
+                 "runpy.run_module('rieszlab.cli', run_name='__main__', alter_sys=True)")
+LIFTED_SUITE = ["verify", "sigma-k", "--n", "2", "--k", "1", "--variant", "complex",
+                "--suite", "invariance"]
+
+
+@pytest.fixture(scope="module")
+def blocked_launches():
+    """(argv, completed process) for each README command and the lifted suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(rieszlab.__file__).parents[1]))
+    return [(argv, subprocess.run([sys.executable, "-c", SCIPY_BLOCKED, *argv, "--no-timestamp"],
+                                  env=env, capture_output=True, text=True))
+            for argv in [argv for argv, _ in readme_commands()] + [LIFTED_SUITE]]
+
+
+def test_readme_commands_exit_as_documented_and_say_why_they_fail(blocked_launches):
     # stderr is empty on exit 0 and one `check failed:` line on exit 2
     commands = readme_commands()
     assert len(commands) == 10
-    env = dict(os.environ, PYTHONPATH=str(Path(rieszlab.__file__).parents[1]))
-    for argv, exit_code in commands:
-        result = subprocess.run([sys.executable, "-m", "rieszlab.cli", *argv, "--no-timestamp"],
-                                env=env, capture_output=True, text=True)
+    for (argv, exit_code), (_, result) in zip(commands, blocked_launches):
         assert result.returncode == exit_code, argv
         if exit_code:
             assert result.stderr.startswith("check failed: "), argv
@@ -893,18 +916,9 @@ def test_readme_commands_exit_as_documented_and_say_why_they_fail():
         assert result.stdout
 
 
-def test_readme_commands_run_with_scipy_blocked(capsys):
-    # the runtime needs numpy only: with `import scipy` made to fail, each
-    # README command (and a lifted invariance suite, which samples U(n)
-    # rotations) prints what it prints in-process
-    blocked = "import sys; sys.modules['scipy'] = None; from rieszlab.cli import main; " \
-              "sys.exit(main())"
-    lifted = ["verify", "sigma-k", "--n", "2", "--k", "1", "--variant", "complex",
-              "--suite", "invariance"]
-    env = dict(os.environ, PYTHONPATH=str(Path(rieszlab.__file__).parents[1]))
-    for argv in [argv for argv, _ in readme_commands()] + [lifted]:
-        result = subprocess.run([sys.executable, "-c", blocked, *argv, "--no-timestamp"],
-                                env=env, capture_output=True, text=True)
+def test_readme_commands_run_with_scipy_blocked(capsys, blocked_launches):
+    # each launch prints what the same command prints in-process
+    for argv, result in blocked_launches:
         code = cli.main([*argv, "--no-timestamp"])
         captured = capsys.readouterr()
         assert (result.returncode, result.stdout, result.stderr) == (

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rieszlab import cli, linalg, subeq
-from rieszlab.errors import DomainError
+from rieszlab.errors import DomainError, InvariantError
 
 
 def random_sym(seed, n=4):
@@ -688,3 +688,68 @@ def test_grassmannian_needs_p_between_1_and_n(n, p):
 def test_grassmannian_p_equals_n_allowed():
     gs = subeq.sample_grassmannian(3, 3, count=4, seed=0)
     assert (gs.n, gs.p) == (3, 3)
+
+
+def per_plane_sample(n, p, count, seed):
+    """Reference: the sampler as it was, one draw, QR and sign fix per plane."""
+    rng = np.random.default_rng(seed)
+    planes = []
+    for _ in range(count):
+        q, r = np.linalg.qr(rng.standard_normal((n, p)))
+        planes.append(q * np.sign(np.diag(r)))
+    return np.stack(planes)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_batched_sampler_equals_the_per_plane_loop_bitwise(n):
+    for p in sorted({1, 2, 3, n // 2, n} & set(range(1, n + 1))):
+        for count in (1, 7, 64):
+            for seed in (0, 1, 12345):
+                stack = subeq.sample_grassmannian(n, p, count=count, seed=seed).stacked()
+                ref = per_plane_sample(n, p, count, seed)
+                # equal bytes: sign bits of zeros included
+                assert stack.shape == ref.shape and stack.tobytes() == ref.tobytes(), \
+                    (n, p, count, seed)
+
+
+def test_sample_stack_is_one_read_only_array():
+    gs = subeq.sample_grassmannian(4, 2, count=16, seed=0)
+    stack = gs.stacked()
+    assert gs.stacked() is stack and stack.shape == (16, 4, 2)
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 1.0
+    assert all(np.array_equal(w.columns, s) for w, s in zip(gs.planes, stack))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gs.planes = gs.planes[:1]
+    # the public constructor stacks its frames the same way
+    built = subeq.GrassmannSample(gs.planes[:3], angle_tol=gs.angle_tol)
+    assert built.stacked() is built.stacked() and not built.stacked().flags.writeable
+    assert np.array_equal(built.stacked(), stack[:3])
+
+
+def test_grassmann_sample_refuses_planes_of_different_shapes():
+    with pytest.raises(InvariantError, match="same"):
+        subeq.GrassmannSample([np.eye(3)[:, :2], np.eye(3)[:, :1]])
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"count": 2.5}, "integer count, got count=2.5"),
+    ({"count": math.nan}, "integer count, got count=nan"),
+    ({"count": "3"}, "integer count"),
+    ({"count": 0}, "count >= 1, got count=0"),
+    ({"count": -1}, "count >= 1, got count=-1"),
+    ({"n": 4.5}, "integer n, got n=4.5"),
+    ({"p": 1.5}, "integer p, got p=1.5"),
+    ({"n": math.inf}, "integer n, got n=inf"),
+])
+def test_grassmannian_refuses_bad_sizes(kwargs, message):
+    args = {"n": 4, "p": 2, "count": 8, **kwargs}
+    with pytest.raises(DomainError, match=message):
+        subeq.sample_grassmannian(**args)
+
+
+def test_grassmannian_takes_integral_floats_as_integers():
+    exact = subeq.sample_grassmannian(4, 2, count=8, seed=2)
+    floated = subeq.sample_grassmannian(4.0, 2.0, count=8.0, seed=2)
+    assert np.array_equal(floated.stacked(), exact.stacked())

@@ -17,8 +17,13 @@ Shells are read through one evaluator per call, `radii -> (k, m)` values
 `values(x0 + s w)` over the m unit points w, one row per radius s, in
 blocks of at most `SHELL_BLOCK` values.  A field may specialise it with
 its `shells` hook, as the kernel sums do: they project x0 - c on every w
-once per call, so each shell costs O(m) instead of O(m n).  Other fields
-call `values` once per shell.
+once per call, so each shell costs O(m) instead of O(m n), and sum their
+terms in place.  Other fields call `values` once per shell.  The block a
+hook returns may be read-only or a broadcast view (a kernel sum centred
+at x0 is constant on each shell); consumers only read it.  Each row is
+summed once: a non-finite value makes its row sum non-finite, so the
+means are the row sums over m, and the values are scanned and clipped
+(`_clipped`) only in a block with a non-finite row sum.
 """
 
 from __future__ import annotations
@@ -167,13 +172,15 @@ def _gl_nodes(count: int = GL_NODES):
 class ScalarField:
     """Evaluable function on a ball, with declared singular structure.
 
-    ``values`` maps an (m, n) array of points to m values; -inf marks a
-    hit on the singular set.  ``analytic_max(x0, r)`` returns the exact
+    ``values`` maps an (m, n) array of points to m values; a non-finite
+    value (-inf, or NaN where a zero weight meets a pole) marks a hit on
+    the singular set.  ``analytic_max(x0, r)`` returns the exact
     spherical maximum when a closed form is known (None means sample).
     ``shells(x0, points)``, when set, returns ``radii -> (k, m)`` values,
     row i ``values(x0 + radii[i] * points)`` for the m unit ``points``,
     faster than ``values``; every sphere average reads its shells through
-    it, at most `SHELL_BLOCK` values per call.
+    it, at most `SHELL_BLOCK` values per call.  The array it returns may be
+    read-only or a broadcast view: its consumers only read it.
     """
 
     n: int
@@ -221,12 +228,20 @@ def _shell_evaluator(field: ScalarField, x0: np.ndarray, points: np.ndarray) -> 
 
 
 def _shell_blocks(evaluate: Callable, radii: np.ndarray, size: int):
-    """(radii, clipped (k, size) values, hits per row) over blocks of the
-    spheres of the given radii, each block at most SHELL_BLOCK values."""
+    """(radii, clipped (k, size) values, hits per row, row sums) over blocks
+    of the spheres of the given radii, each block at most SHELL_BLOCK
+    values.  A non-finite value makes its row sum non-finite, so the values
+    are scanned and clipped only when a row sum is not finite."""
     step = max(1, SHELL_BLOCK // size)
     for lo in range(0, radii.size, step):
         block = radii[lo:lo + step]
-        yield (block, *_clipped(evaluate(block)))
+        vals = evaluate(block)
+        sums = vals.sum(axis=1)
+        if np.isfinite(sums).all():
+            yield block, vals, np.zeros(block.size, dtype=int), sums
+        else:
+            vals, nclip = _clipped(vals)
+            yield block, vals, nclip, vals.sum(axis=1)
 
 
 def _max_from_shell(field: ScalarField, x0: np.ndarray, r: float, quad: SphereQuad,
@@ -252,20 +267,24 @@ def _max_from_shell(field: ScalarField, x0: np.ndarray, r: float, quad: SphereQu
     return float(vals.max()) + lipschitz * covering
 
 
-def _shell_means(vals: np.ndarray, nclip: np.ndarray, half: int) -> list:
+def _shell_means(radii: np.ndarray, vals: np.ndarray, nclip: np.ndarray, sums: np.ndarray,
+                 half: int) -> list:
     """(mean, mean over the leading `half` points, clip count) of each shell
-    (row); the leading points are those of `SphereQuad.half()`."""
-    if np.any(nclip == vals.shape[1]):
-        raise DomainError("all sphere samples hit the singular set")
-    return list(zip(vals.mean(axis=1), vals[:, :half].mean(axis=1), nclip))
+    (row) from its row sum, with the floats of `mean`; the leading points
+    are those of `SphereQuad.half()`."""
+    lost = nclip == vals.shape[1]
+    if lost.any():
+        raise DomainError(f"every sphere sample at radius {radii[lost.argmax()]:.6g} is "
+                          f"non-finite (float overflow or the singular set)")
+    return list(zip(sums / vals.shape[1], vals[:, :half].sum(axis=1) / half, nclip))
 
 
 def _volume_stats(evaluate: Callable, n: int, r: float, quad: SphereQuad):
     """(ball average, leading-half ball average, clipped count) via the
     radial reduction n * int_0^1 S(rho r) rho^(n-1) drho."""
     rho, w = _gl_nodes()
-    rows = [stats for _, vals, nclip in _shell_blocks(evaluate, rho * r, quad.size)
-            for stats in _shell_means(vals, nclip, quad.size // 2)]
+    rows = [stats for block in _shell_blocks(evaluate, rho * r, quad.size)
+            for stats in _shell_means(*block, quad.size // 2)]
     total = half_total = 0.0
     nclip = 0
     for rho_i, w_i, (s_i, half_i, c_i) in zip(rho, w, rows):
@@ -311,11 +330,11 @@ def _average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
     evaluate = _shell_evaluator(field, x0, quad.points)
     maxima, spherical = [], []
     if {"M", "S"} & set(kinds):
-        for block, vals, nclip in _shell_blocks(evaluate, radii, quad.size):
+        for block, vals, nclip, sums in _shell_blocks(evaluate, radii, quad.size):
             if "M" in kinds:
                 maxima += [_max_from_shell(field, x0, r, quad, row) for r, row in zip(block, vals)]
             if "S" in kinds:
-                spherical += _shell_means(vals, nclip, quad.size // 2)
+                spherical += _shell_means(block, vals, nclip, sums, quad.size // 2)
     out = {}
     for kind in kinds:
         clipped = total = 0
@@ -905,15 +924,11 @@ def infinitesimal_holder(field: ScalarField, x0, p: float, radii=None,
 
 
 def _kernel_of_radius(spec: KernelSpec, weight: float, r: np.ndarray) -> np.ndarray:
-    """weight * K(r) pointwise, with the kernel's value at r = 0: -inf, or 0
-    when p < 2."""
-    pos = r > 0.0
-    if pos.all():
+    """weight * K(r) pointwise, in place on the float array r, with the
+    kernel's value at r = 0: 0 when p < 2, else non-finite (-inf, or NaN
+    when the weight is 0), a singular-set hit either way."""
+    with np.errstate(divide="ignore", invalid="ignore"):
         return _weighted_kernel(spec, weight, r)
-    out = np.full(r.shape, 0.0 if spec.p < 2.0 else -np.inf)
-    with np.errstate(divide="ignore"):
-        out[pos] = _weighted_kernel(spec, weight, r[pos])
-    return out
 
 
 def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np.ndarray,
@@ -923,10 +938,13 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
     For each center the hook computes t = <w, x0 - c> and
     h^2 = |x0 - c - t w|^2 once per (x0, points); the shell of radius s is
     then |x - c| = sqrt((s + t)^2 + h^2), O(m) per shell, computed in place
-    for a block of radii at once.  Unlike the expanded
-    s^2 + 2 s t + |x0 - c|^2, this keeps its digits when the shell passes
-    close to c.  A center at x0 has |x - c| = s exactly: one scalar
-    term with the floats of the general formula.
+    for a block of radii at once, and weighted into w K on the same buffer.
+    Unlike the expanded s^2 + 2 s t + |x0 - c|^2, this keeps its digits
+    when the shell passes close to c.  A center at x0 has |x - c| = s
+    exactly: a (k, 1) column with the floats of the general formula.  The
+    terms are summed in their order into the first full term, with the
+    floats of a sum that starts from zeros; a block of centred terms only
+    is their column, broadcast over the m points.
     """
 
     def values(pts):
@@ -949,17 +967,27 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
 
         def evaluate(radii):
             radii = np.asarray(radii, dtype=float)
-            out = np.zeros((radii.size, points.shape[0]))
+            total = None  # a (k, 1) column while every term so far is centred
             for w, proj in zip(weights, projections):
                 if proj is None:
-                    out += _kernel_of_radius(spec, w, radii)[:, None]
+                    term = _kernel_of_radius(spec, w, radii[:, None].copy())
                 else:
                     t, h2 = proj
-                    dist = radii[:, None] + t
-                    dist *= dist
-                    dist += h2
-                    out += _kernel_of_radius(spec, w, np.sqrt(dist, out=dist))
-            return out
+                    term = radii[:, None] + t
+                    term *= term
+                    term += h2
+                    _kernel_of_radius(spec, w, np.sqrt(term, out=term))
+                if total is None:
+                    term += 0.0  # the floats of 0 + term: a -0.0 comes out 0.0
+                    total = term
+                elif term.shape[1] > total.shape[1]:
+                    term += total  # b + a has the floats of a + b
+                    total = term
+                else:
+                    total += term
+            if total.shape[1] < points.shape[0]:  # every term centred: one column
+                return np.broadcast_to(total, (radii.size, points.shape[0]))
+            return total
 
         return evaluate
 

@@ -92,21 +92,26 @@ def _check_positive(t):
     return t
 
 
-def _weighted_kernel(spec: KernelSpec, weight: float, t):
-    """weight * kernel(spec, t) for t > 0, unchecked, computed in place: the
-    sign of the standard kernel for p > 2 goes into the weight, as -w x has
-    the floats of w (-x)."""
+def _weighted_kernel(spec: KernelSpec, weight: float, t: np.ndarray) -> np.ndarray:
+    """weight * kernel(spec, t) for t > 0, unchecked, computed in place on the
+    float array t, which it returns: the sign of the standard kernel for
+    p > 2 goes into the weight, as -w x has the floats of w (-x).  `**=`
+    keeps the scalar-exponent fast paths of `**` (sqrt, reciprocal), so the
+    floats are those of `t ** (2 - p)`."""
     p = spec.p
-    out = np.log(t) if p == 2.0 else t ** (2.0 - p)
-    if p != 2.0 and spec.normalization == "barred":
-        out /= 2.0 - p
-    out *= -weight if p > 2.0 and spec.normalization == "standard" else weight
-    return out
+    if p == 2.0:
+        np.log(t, out=t)
+    else:
+        t **= 2.0 - p
+        if spec.normalization == "barred":
+            t /= 2.0 - p
+    t *= -weight if p > 2.0 and spec.normalization == "standard" else weight
+    return t
 
 
 def kernel(spec: KernelSpec, t):
     """Increasing radial kernel; scalar in, scalar out (arrays broadcast)."""
-    out = _weighted_kernel(spec, 1.0, _check_positive(t))
+    out = _weighted_kernel(spec, 1.0, _check_positive(t).copy())
     return out if out.ndim else float(out)
 
 

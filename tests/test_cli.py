@@ -859,6 +859,21 @@ def test_density_answers_below_the_clip_floor(capsys):
     assert payload["clipped_fraction"] == 0.0
 
 
+def test_density_names_the_shell_whose_values_overflow(capsys):
+    # theta K(r) overflows to -inf on the innermost Gauss-Legendre shells of
+    # the V average: every sample there is non-finite, by overflow, not a
+    # singular-set hit; at theta = 1e300 the same shells stay finite
+    code = cli.main(["density", "riesz", "--theta", "1e304", "--p", "3", "--n", "4",
+                     "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == ("error: every sphere sample at radius 4.27522e-05 is non-finite "
+                            "(float overflow or the singular set)\n")
+    code, payload = run_json(capsys, "density", "riesz", "--theta", "1e300", "--p", "3",
+                             "--n", "4")
+    assert code == 0 and payload["theta"]["M"] == 1e300
+
+
 @pytest.mark.parametrize("argv", [
     ["--p", "6", "--n", "4"],
     ["--p", "40", "--n", "16", "--quad", "512"],

@@ -544,6 +544,119 @@ def test_shell_blocks_hold_at_most_shell_block_values(monkeypatch, quad3):
     assert sum(sizes) == flow.default_radii().size * (1 + flow.GL_NODES) * quad3.size
 
 
+# The kernel-sum shell path as it was before the terms were summed in place:
+# a (k, m) array of zeros plus each term in order, every value scanned by
+# `_clipped`, and numpy's `mean`.  The shell path must keep its floats.
+
+
+def _reference_term(spec, weight, r):
+    """weight * K(r), with the kernel's value where r = 0 filled in."""
+    out = np.full(r.shape, 0.0 if spec.p < 2.0 else -np.inf)
+    pos = r > 0.0
+    t = r[pos]
+    vals = np.log(t) if spec.p == 2.0 else t ** (2.0 - spec.p)
+    out[pos] = vals * (-weight if spec.p > 2.0 else weight)
+    return out
+
+
+def _reference_shells(p, masses):
+    spec = riesz.KernelSpec(p=p)
+
+    def shells(x0, points):
+        def evaluate(radii):
+            radii = np.asarray(radii, dtype=float)
+            out = np.zeros((radii.size, points.shape[0]))
+            for w, c in masses:
+                a = x0 - np.asarray(c, dtype=float)
+                if not a.any():
+                    out += _reference_term(spec, w, radii)[:, None]
+                    continue
+                t = points @ a
+                perp = a[None, :] - t[:, None] * points
+                dist = (radii[:, None] + t) ** 2 + np.einsum("ij,ij->i", perp, perp)
+                out += _reference_term(spec, w, np.sqrt(dist))
+            return out
+
+        return evaluate
+
+    return shells
+
+
+def _reference_blocks(evaluate, radii, size):
+    step = max(1, flow.SHELL_BLOCK // size)
+    for lo in range(0, radii.size, step):
+        block = radii[lo:lo + step]
+        yield (block, *flow._clipped(evaluate(block)), None)
+
+
+def _reference_means(radii, vals, nclip, sums, half):
+    if np.any(nclip == vals.shape[1]):
+        raise DomainError("all sphere samples hit the singular set")
+    return list(zip(vals.mean(axis=1), vals[:, :half].mean(axis=1), nclip))
+
+
+def _shell_reports(field, p, quad):
+    x0 = np.zeros(field.n)
+    radii = [1.0, 0.3, 0.05]
+    return pickle.dumps((flow.densities(field, x0, p, quad=quad),
+                         flow.mass_density(field, x0, p, quad=quad),
+                         [flow.average_curve(field, kind, x0, radii, quad) for kind in "MSV"]))
+
+
+E1 = np.eye(3)[0]
+
+
+def _potential(p, masses):
+    return p, masses, flow.newtonian_potential_field(p, masses, masses[0][1].size)
+
+
+@pytest.mark.parametrize("p,masses,field", [
+    *[(p, [(1.7, np.zeros(3))], flow.riesz_kernel_field(1.7, p, 3)) for p in (1.5, 2.0, 3.0)],
+    *[_potential(2.5, [(1.5, np.zeros(n)), (0.5, np.eye(n)[0] * 2.5)]) for n in (3, 6, 8)],
+    _potential(2.5, [(1.5, 2.5 * E1), (0.5, -3.0 * E1)]),
+    _potential(3.0, [(0.0, 2.5 * E1), (0.0, np.zeros(3))]),
+    _potential(2.0, [(0.0, np.zeros(3)), (0.0, 2.5 * E1)]),
+], ids=[*(f"centred-p={p}" for p in (1.5, 2, 3)), *(f"two-centre-n={n}" for n in (3, 6, 8)),
+        "far-only", "zero-weight-far-first", "zero-weight-centred-first"])
+def test_kernel_sum_shells_keep_the_floats_of_the_zeros_and_mean_path(monkeypatch, p, masses,
+                                                                        field):
+    quad = flow.sphere_quad(field.n)
+    radii = np.array([1.0, 0.3, 0.05])
+    rows = field.shells(np.zeros(field.n), quad.points)(radii)
+    want = _reference_shells(p, masses)(np.zeros(field.n), quad.points)(radii)
+    assert np.array_equal(rows, want) and np.array_equal(np.signbit(rows), np.signbit(want))
+    got = _shell_reports(field, p, quad)
+    monkeypatch.setattr(flow, "_shell_blocks", _reference_blocks)
+    monkeypatch.setattr(flow, "_shell_means", _reference_means)
+    assert got == _shell_reports(dataclasses.replace(field, shells=_reference_shells(p, masses)),
+                                 p, quad)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_a_shell_through_a_far_centre_keeps_its_hits(monkeypatch, p):
+    # x0 = 0, c = 2 e1 and the quadrature point e1: the shell of radius 2
+    # meets c, where the distance is exactly 0
+    points = flow.sphere_quad(3, 512, seed=2).points.copy()
+    points[5] = E1
+    quad = flow.SphereQuad(3, 512, 2, _points=points)
+    masses = [(1.0, np.zeros(3)), (1.0, 2.0 * E1)]
+    field = flow.newtonian_potential_field(p, masses, 3)
+    radii = np.array([2.0, 1.0])
+    evaluate = flow._shell_evaluator(field, np.zeros(3), points)
+    _, vals, hits, _ = next(flow._shell_blocks(evaluate, radii, quad.size))
+    reference = _reference_shells(p, masses)(np.zeros(3), points)
+    want_vals, want_hits = flow._clipped(reference(radii))
+    assert np.array_equal(vals, want_vals) and hits.tolist() == want_hits.tolist()
+    assert hits.tolist() == ([0, 0] if p < 2.0 else [1, 0])
+    got = pickle.dumps([flow.average_curve(field, kind, np.zeros(3), radii, quad)
+                        for kind in "MSV"])
+    monkeypatch.setattr(flow, "_shell_blocks", _reference_blocks)
+    monkeypatch.setattr(flow, "_shell_means", _reference_means)
+    field = dataclasses.replace(field, shells=_reference_shells(p, masses))
+    assert got == pickle.dumps([flow.average_curve(field, kind, np.zeros(3), radii, quad)
+                                for kind in "MSV"])
+
+
 def test_harnack_constants():
     assert flow.harnack_constant(2) == pytest.approx((math.e + 1.0) / (math.e - 1.0), abs=1e-12)
     assert flow.harnack_constant(2) == pytest.approx(2.1640, abs=1e-4)

@@ -74,7 +74,9 @@ def test_weighted_kernel_has_the_floats_of_weight_times_kernel(p, norm):
     assert np.array_equal(riesz.kernel(spec, t), reference_kernel(spec, t))
     assert riesz.kernel(spec, 0.37) == float(reference_kernel(spec, np.float64(0.37)))
     for w in (0.7, -1.3, 0.0):
-        weighted = riesz._weighted_kernel(spec, w, t)
+        buffer = t.copy()
+        weighted = riesz._weighted_kernel(spec, w, buffer)
+        assert weighted is buffer  # computed in place
         reference = w * reference_kernel(spec, t)
         assert np.array_equal(weighted, reference)
         assert np.array_equal(np.signbit(weighted), np.signbit(reference))

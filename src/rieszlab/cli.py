@@ -24,7 +24,7 @@ import numpy as np
 from . import flow as fl
 from . import radial as rad
 from . import riesz, subeq
-from .errors import DomainError, InvariantError, NumericalError, RieszlabError, SolverError
+from .errors import DomainError, RieszlabError
 
 SCHEMA_VERSION = 1
 
@@ -70,15 +70,11 @@ def build_family(name: str, n: int, variant: str | None, args) -> subeq.Subequat
     return f
 
 
-def _given(value, default):
-    return default if value is None else value
-
-
 def build_field(name: str, args) -> fl.ScalarField:
     n = args.n
     if n < 2:
         raise DomainError(f"fields are averaged over spheres in R^n, n >= 2; got --n {n}")
-    theta = _given(args.theta, 1.0)
+    theta = args.theta
     p = args.p
     if name == "riesz":
         return fl.riesz_kernel_field(theta, float(p), n)
@@ -90,19 +86,19 @@ def build_field(name: str, args) -> fl.ScalarField:
             raise DomainError(f"log-coord lives on C^(n/2) and needs an even --n, got {n}")
         return fl.log_modulus_coordinate_field(n // 2)
     if name == "partial-kernel":
-        return fl.partial_kernel_field(float(p), _given(args.m, 1), n)
+        return fl.partial_kernel_field(float(p), args.m, n)
     if name == "newtonian":
         masses = [(theta, np.zeros(n))]
         if args.offset is not None:
             second = np.zeros(n)
             second[0] = args.offset
-            masses.append((_given(args.theta2, 1.0), second))
+            masses.append((args.theta2, second))
         return fl.newtonian_potential_field(float(p), masses, n)
     if name == "smooth":
         return fl.quadratic_field(1.0, n)
     if name == "two-kernel":
         a = np.zeros(n)
-        a[0] = _given(args.offset, 1.0)
+        a[0] = 1.0 if args.offset is None else args.offset
         return fl.newtonian_potential_field(float(p), [(1.0, np.zeros(n)), (1.0, a)], n)
     if name == "zero":
         return fl.zero_field(n)
@@ -166,7 +162,7 @@ def emit(payload: dict, args) -> None:
     payload = {"schema": SCHEMA_VERSION, **payload}
     if not args.no_timestamp:
         payload["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    if args.format == "json":
+    if getattr(args, "format", "json") == "json":  # only table has --format
         text = json.dumps(_sanitize(payload), indent=2, sort_keys=True)
     else:
         text = _to_csv(payload)
@@ -196,15 +192,13 @@ def _to_csv(payload: dict) -> str:
 
 
 def cmd_charx(args) -> int:
-    tokens = args.family if isinstance(args.family, list) else [args.family]
+    tokens = args.family
     variant = args.variant
     if len(tokens) == 2 and tokens[0] in ("complex", "quaternionic"):
         variant, tokens = tokens[0], tokens[1:]
     if len(tokens) != 1:
         raise ConfigError(f"bad family spec {' '.join(tokens)!r}")
-    args.family = tokens[0]
-    args.variant = variant
-    f = build_family(args.family, args.n, args.variant, args)
+    f = build_family(tokens[0], args.n, variant, args)
     pair = riesz.characteristic_pair(f, tol=args.tol, check_directions=args.check_directions,
                                      seed=args.seed)
     record = {
@@ -257,7 +251,7 @@ def cmd_verify(args) -> int:
                 raise ConfigError("--suite ue applies to the pdelta family")
             reports.append(subeq.check_uniform_ellipticity(args.delta, args.n,
                                                            args.samples, args.seed))
-        elif suite == "sandwich":
+        else:  # sandwich
             p, _ = riesz.increasing_characteristic(f, tol=args.tol)
             if math.isinf(p):
                 reports.append(subeq.PropertyReport(
@@ -265,8 +259,6 @@ def cmd_verify(args) -> int:
                     note="infinite characteristic: no finite sandwich"))
             else:
                 reports.append(riesz.sandwich_check(f, p, args.samples, args.seed))
-        else:
-            raise ConfigError(f"unknown suite {suite!r}; known: {_SUITES}")
     emit({"command": "verify", "family": f.name, "n": f.n,
           "reports": reports}, args)
     failed = [r for r in reports if not (r.passed or r.skipped)]
@@ -432,19 +424,16 @@ def cmd_radial(args) -> int:
 
 
 def _add_common(sub):
-    sub.add_argument("--n", type=int, default=3, help="ambient dimension")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--tol", type=float, default=1e-9)
-    sub.add_argument("--quad", type=int, default=None,
-                     help="sphere sample size, a power of two >= 8")
     sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--no-timestamp", action="store_true")
     sub.add_argument("--config", type=str, default=None,
-                     help="JSON file with defaults; flags override")
+                     help="JSON file with defaults for the optional flags; flags override")
 
 
 def _add_family_params(sub):
+    sub.add_argument("--n", type=int, default=3, help="ambient dimension")
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--tol", type=float, default=1e-9)
     sub.add_argument("--p", type=float, default=None)
     sub.add_argument("--k", type=int, default=None)
     sub.add_argument("--q", type=float, default=None)
@@ -452,6 +441,25 @@ def _add_family_params(sub):
     sub.add_argument("--regularize", type=float, default=None,
                      help="wrap in the uniformly elliptic regularization")
     sub.add_argument("--variant", choices=("complex", "quaternionic"), default=None)
+
+
+def _add_field_flags(sub):
+    """The field and its sphere samples, as density and flow read them."""
+    sub.add_argument("field")
+    sub.add_argument("--n", type=int, default=3, help="ambient dimension")
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--quad", type=int, default=None,
+                     help="sphere sample size, a power of two >= 8")
+    sub.add_argument("--p", type=float, required=True)
+    sub.add_argument("--theta", type=float, default=1.0,
+                     help="weight of the kernel at the origin (default %(default)s)")
+    sub.add_argument("--m", type=int, default=1,
+                     help="partial-kernel coordinates (default %(default)s)")
+    sub.add_argument("--offset", type=float, default=None,
+                     help="first coordinate of a second centre")
+    sub.add_argument("--theta2", type=float, default=1.0,
+                     help="weight of the newtonian second mass (default %(default)s)")
+    sub.add_argument("--radii", type=float, nargs="+", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,18 +487,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_verify)
 
     sub = subparsers.add_parser("table", help="closed-form characteristic catalog")
+    sub.add_argument("--tol", type=float, default=1e-9)
+    sub.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(sub)
     sub.set_defaults(func=cmd_table)
 
     sub = subparsers.add_parser("density", help="density estimation for a field")
-    sub.add_argument("field")
-    sub.add_argument("--p", type=float, required=True)
-    sub.add_argument("--theta", type=float, default=None)
-    sub.add_argument("--m", type=int, default=None)
-    sub.add_argument("--offset", type=float, default=None)
-    sub.add_argument("--theta2", type=float, default=None)
+    _add_field_flags(sub)
     sub.add_argument("--center", type=float, nargs="+", default=None)
-    sub.add_argument("--radii", type=float, nargs="+", default=None)
     sub.add_argument("--mass", action="store_true", help="mass density via the flux formula")
     sub.add_argument("--curve-out", type=str, default=None,
                      help="dump the average curves as CSV (kind, r, value, quotient)")
@@ -498,23 +502,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_density)
 
     sub = subparsers.add_parser("flow", help="tangential flow convergence experiment")
-    sub.add_argument("field")
-    sub.add_argument("--p", type=float, required=True)
+    _add_field_flags(sub)
     sub.add_argument("--candidate", type=str, default="riesz")
     sub.add_argument("--conv-tol", type=float, default=1e-3,
                      help="distance threshold declaring convergence")
     sub.add_argument("--metric", choices=("l1", "sup", "holder"), default="sup")
     sub.add_argument("--beta", type=float, default=None)
-    sub.add_argument("--theta", type=float, default=None)
-    sub.add_argument("--m", type=int, default=None)
-    sub.add_argument("--offset", type=float, default=None)
-    sub.add_argument("--theta2", type=float, default=None)
-    sub.add_argument("--radii", type=float, nargs="+", default=None)
     _add_common(sub)
     sub.set_defaults(func=cmd_flow)
 
     sub = subparsers.add_parser("grassmann", help="plane-sample experiments")
     sub.add_argument("sample", help="spec like g2r3")
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--tol", type=float, default=1e-9)
     sub.add_argument("--planes", type=int, default=None)
     sub.add_argument("--angle-tol", type=float, default=1e-3)
     sub.add_argument("--transitivity", action="store_true")
@@ -551,10 +551,10 @@ def _explicit_dests(argv: list[str], command: str) -> set:
 
 def apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Parse argv, then fill the values argv does not set from --config.
-    Unknown config keys are rejected; explicit flags win over file values,
-    also where they equal the default."""
+    A key must name an optional flag of the command other than --config;
+    explicit flags win over file values, also where they equal the default."""
     args = parser.parse_args(argv)
-    if not getattr(args, "config", None):
+    if not args.config:
         return args
     try:
         with open(args.config) as handle:
@@ -563,12 +563,11 @@ def apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.N
         raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    known = {k for k in vars(args)} - {"func", "config", "command"}
-    unknown = [k for k in raw if k.replace("-", "_") not in known]
+    actions = {action.dest: action for action in _command_parser(parser, args.command)._actions
+               if action.option_strings and action.dest not in ("help", "config")}
+    unknown = [k for k in raw if k.replace("-", "_") not in actions]
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    actions = {action.dest: action for action in _command_parser(parser, args.command)._actions
-               if action.dest != "help"}
     explicit = _explicit_dests(argv, args.command)
     for key, value in raw.items():
         dest = key.replace("-", "_")
@@ -608,8 +607,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = apply_config(parser, sys.argv[1:] if argv is None else list(argv))
-        if args.format == "csv" and args.command != "table":
-            raise ConfigError("csv output is only available for tabular commands")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -630,10 +627,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DomainError, InvariantError, SolverError, NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except RieszlabError as exc:  # pragma: no cover - safety net
+    except RieszlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

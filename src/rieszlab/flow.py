@@ -23,7 +23,8 @@ hook returns may be read-only or a broadcast view (a kernel sum centred
 at x0 is constant on each shell); consumers only read it.  Each row is
 summed once: a non-finite value makes its row sum non-finite, so the
 means are the row sums over m, and the values are scanned and clipped
-(`_clipped`) only in a block with a non-finite row sum.
+(`_clipped`) only in a block with a non-finite row sum.  A row sum that
+is still not finite after clipping has overflowed and is refused.
 """
 
 from __future__ import annotations
@@ -155,9 +156,9 @@ def sphere_quad(n: int, size: int | None = None, seed: int = 0) -> SphereQuad:
     return SphereQuad(n, size, seed)
 
 
-@lru_cache(maxsize=8)
-def _gl_nodes(count: int = GL_NODES):
-    x, w = np.polynomial.legendre.leggauss(count)
+@lru_cache(maxsize=1)
+def _gl_nodes():
+    x, w = np.polynomial.legendre.leggauss(GL_NODES)
     ratio = 0.5 * (x + 1.0)  # map to (0, 1)
     weight = 0.5 * w
     return ratio, weight
@@ -231,7 +232,8 @@ def _shell_blocks(evaluate: Callable, radii: np.ndarray, size: int):
     """(radii, clipped (k, size) values, hits per row, row sums) over blocks
     of the spheres of the given radii, each block at most SHELL_BLOCK
     values.  A non-finite value makes its row sum non-finite, so the values
-    are scanned and clipped only when a row sum is not finite."""
+    are scanned and clipped only when a row sum is not finite; a row sum
+    that is still not finite after clipping has overflowed, and is refused."""
     step = max(1, SHELL_BLOCK // size)
     for lo in range(0, radii.size, step):
         block = radii[lo:lo + step]
@@ -241,7 +243,12 @@ def _shell_blocks(evaluate: Callable, radii: np.ndarray, size: int):
             yield block, vals, np.zeros(block.size, dtype=int), sums
         else:
             vals, nclip = _clipped(vals)
-            yield block, vals, nclip, vals.sum(axis=1)
+            sums = vals.sum(axis=1)
+            lost = ~np.isfinite(sums)
+            if lost.any():
+                raise DomainError(f"the sum of the sphere samples at radius "
+                                  f"{block[lost.argmax()]:.6g} overflows")
+            yield block, vals, nclip, sums
 
 
 def _max_from_shell(field: ScalarField, x0: np.ndarray, r: float, quad: SphereQuad,
@@ -470,8 +477,8 @@ class DensityReport:
     notes: list = dc_field(default_factory=list)
 
 
-def default_radii(levels: int = 6, r0: float = 1.0) -> np.ndarray:
-    return geometric_radii(r0, levels)
+def default_radii() -> np.ndarray:
+    return geometric_radii(1.0, 6)
 
 
 def _density_radii(radii) -> np.ndarray:

@@ -77,11 +77,11 @@ def rp_up_membership(p: float, jet: OneVarJet) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def quotients(values, radii, p: float, normalization: str = "standard") -> np.ndarray:
+def quotients(values, radii, p: float) -> np.ndarray:
     """Monotone quotients (v_j - v_{j+1}) / (K(r_j) - K(r_{j+1})) of the
     values v_j at adjacent radii r_j; the one place they are computed."""
     values = np.asarray(values, dtype=float)
-    k = np.asarray(kernel(KernelSpec(p=p, normalization=normalization), radii), dtype=float)
+    k = np.asarray(kernel(KernelSpec(p=p), radii), dtype=float)
     return (values[:-1] - values[1:]) / (k[:-1] - k[1:])
 
 
@@ -107,15 +107,12 @@ def density_radii(radii) -> np.ndarray:
     return radii
 
 
-def geometric_radii(r0: float, levels: int, ratio: float = 0.5) -> np.ndarray:
-    """The radius schedule r0 * ratio^j, j < levels, strictly decreasing."""
-    if not 0.0 < ratio < 1.0:
-        raise DomainError("ratio must be in (0, 1)")
-    return r0 * ratio ** np.arange(levels)
+def geometric_radii(r0: float, levels: int) -> np.ndarray:
+    """The radius schedule r0 * 2^-j, j < levels, strictly decreasing."""
+    return r0 * 0.5 ** np.arange(levels)
 
 
-def kp_convexity_test(profile: RadialProfile, p: float, grid,
-                      normalization: str = "standard") -> PropertyReport:
+def kp_convexity_test(profile: RadialProfile, p: float, grid) -> PropertyReport:
     """Secant-slope monotonicity of psi as a function of s = K_p(r).
 
     Convexity in the pulled-back variable is what makes the monotone
@@ -125,7 +122,7 @@ def kp_convexity_test(profile: RadialProfile, p: float, grid,
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size < 3:
         raise DomainError("need at least three grid radii")
-    slopes = quotients(profile(grid), grid, p, normalization)
+    slopes = quotients(profile(grid), grid, p)
     worst = float(np.max(np.maximum(0.0, slopes[:-1] - slopes[1:]), initial=0.0))
     return PropertyReport(
         name="kp-convexity",
@@ -211,8 +208,8 @@ def classify_profile(profile: RadialProfile, grid) -> ProfileClass:
 # ---------------------------------------------------------------------------
 
 
-def kernel_profile(p: float, theta: float = 1.0, normalization: str = "standard") -> RadialProfile:
-    spec = KernelSpec(p=p, normalization=normalization)
+def kernel_profile(p: float, theta: float = 1.0) -> RadialProfile:
+    spec = KernelSpec(p=p)
     return RadialProfile(
         fn=lambda r: theta * np.asarray(kernel(spec, r)),
         name=f"{fmt_param(theta)}*K_{fmt_param(p)}",

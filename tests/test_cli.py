@@ -1,8 +1,10 @@
 import contextlib
+import inspect
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -424,6 +426,49 @@ def test_usage_errors_are_config_errors(argv, reason):
     assert reason in result.stderr
 
 
+def test_every_flag_is_read_by_its_command():
+    # read as args.<dest> in the command's cmd_* function or in a helper it
+    # calls; build_family reads each family parameter through getattr
+    family_params = {key for name in subeq.family_names() for key in subeq.family_params(name)}
+    parser = cli.build_parser()
+    for name in parser._subparsers._group_actions[0].choices:
+        sub = cli._command_parser(parser, name)
+        source = inspect.getsource(sub.get_default("func"))
+        texts = [source, inspect.getsource(cli.apply_config)] + [
+            inspect.getsource(helper) for helper in (cli.build_family, cli.build_field, cli.emit)
+            if f"{helper.__name__}(" in source]
+        read = {dest for text in texts
+                for dest in re.findall(r'(?:\bargs\.|getattr\(args, ")(\w+)', text)}
+        if "build_family(" in source:
+            read |= family_params
+        flags = {action.dest for action in sub._actions
+                 if action.option_strings and action.dest != "help"}
+        assert flags <= read, (name, sorted(flags - read))
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["charx", "sigma-k", "--n", "4", "--k", "2", "--quad", "64"], None),
+    (["verify", "p", "--n", "3", "--format", "json"], None),
+    (["table", "--seed", "1"], None),
+    (["density", "riesz", "--p", "3", "--n", "4", "--tol", "1e-6"], None),
+    (["flow", "riesz", "--p", "3", "--n", "4", "--format", "json"], None),
+    (["grassmann", "g2r3", "--quad", "256"], None),
+    (["radial", "kernel", "--p", "3", "--seed", "1"], None),
+    (["charx", "sigma-k", "--n", "4", "--k", "2"], {"family": ["p"]}),
+    (["density", "riesz", "--p", "3", "--n", "4"], {"field": "zero"}),
+    (["grassmann", "g2r3"], {"sample": "g1r2"}),
+    (["radial", "kernel", "--p", "3"], {"profile": "linear"}),
+])
+def test_flags_and_config_keys_a_command_does_not_read_are_refused(tmp_path, argv, config):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    code, out, err = _main([*argv, "--no-timestamp"])
+    assert (code, out) == (4, ""), argv
+    assert err.startswith("config error:") and err.count("\n") == 1, argv
+
+
 def test_help_still_exits_0():
     result = _charx_subprocess(["density", "-h"])
     assert result.returncode == 0
@@ -801,7 +846,7 @@ def test_csv_format_is_refused_before_any_work(tmp_path, capsys, argv):
     code = cli.main([*argv, "--format", "csv", *extra, "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert (code, captured.out) == (4, "")
-    assert captured.err == "config error: csv output is only available for tabular commands\n"
+    assert captured.err == "config error: unrecognized arguments: --format csv\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -860,18 +905,30 @@ def test_density_answers_below_the_clip_floor(capsys):
 
 
 def test_density_names_the_shell_whose_values_overflow(capsys):
-    # theta K(r) overflows to -inf on the innermost Gauss-Legendre shells of
-    # the V average: every sample there is non-finite, by overflow, not a
-    # singular-set hit; at theta = 1e300 the same shells stay finite
+    # theta K(r) = -8e304 on the S shell of radius 0.125: every sample is
+    # finite, but their sum overflows to -inf; at theta = 1e300 the sums of
+    # every shell stay finite
     code = cli.main(["density", "riesz", "--theta", "1e304", "--p", "3", "--n", "4",
                      "--no-timestamp"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
-    assert captured.err == ("error: every sphere sample at radius 4.27522e-05 is non-finite "
-                            "(float overflow or the singular set)\n")
+    assert captured.err == "error: the sum of the sphere samples at radius 0.125 overflows\n"
     code, payload = run_json(capsys, "density", "riesz", "--theta", "1e300", "--p", "3",
                              "--n", "4")
     assert code == 0 and payload["theta"]["M"] == 1e300
+
+
+@pytest.mark.parametrize("argv,radius", [
+    (["newtonian", "--p", "3", "--n", "3", "--mass", "--theta", "1e304"], "0.125"),
+    (["newtonian", "--p", "3", "--n", "3", "--theta", "1", "--offset", "0.5", "--theta2",
+      "1e306"], "1"),
+])
+def test_density_refuses_a_shell_sum_that_overflows(capsys, argv, radius):
+    # finite samples whose sum overflows were NaN densities with exit 0
+    code = cli.main(["density", *argv, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == f"error: the sum of the sphere samples at radius {radius} overflows\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -1097,7 +1154,7 @@ def test_serializer_gives_the_reports_json():
 def test_serializer_gives_an_average_curve_its_fields():
     # the curve's old JSON was never emitted; its fields carry the same numbers
     curve = flow.average_curve(flow.riesz_kernel_field(1.0, 3.0, 3), "S", np.zeros(3),
-                               flow.default_radii(4), flow.sphere_quad(3, 512))
+                               flow.default_radii()[:4], flow.sphere_quad(3, 512))
     fields, ref = cli._sanitize(curve), cli._sanitize(ref_average_curve(curve))
     assert [[r, v] for r, v in zip(fields["radii"], fields["values"])] == ref["samples"]
     assert all(fields[k] == ref[k] for k in ("kind", "clipped_fraction"))

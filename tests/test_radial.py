@@ -26,9 +26,9 @@ def max_kernel_const(p, c):
     )
 
 
-def pair_quotient(prof, p, r, t, normalization="standard"):
+def pair_quotient(prof, p, r, t):
     """(psi(r) - psi(t)) / (K(r) - K(t)), the quotient over two radii."""
-    return float(radial.quotients([prof(r), prof(t)], [r, t], p, normalization)[0])
+    return float(radial.quotients([prof(r), prof(t)], [r, t], p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +97,16 @@ def test_quotient_of_scaled_kernel_is_constant():
         assert pair_quotient(prof, 3.0, r, t) == pytest.approx(3.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("normalization", ["standard", "barred"])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.000000001, 3.0, 7.5])
-def test_quotients_match_pairwise_quotients_bit_for_bit(p, normalization):
+def test_quotients_match_pairwise_quotients_bit_for_bit(p):
     prof = kernel_plus_square(p)
-    spec = riesz.KernelSpec(p=p, normalization=normalization)
-    radii = radial.geometric_radii(1.5, 9, 0.4)
-    q = radial.quotients(prof(radii), radii, p, normalization)
+    spec = riesz.KernelSpec(p=p)
+    radii = 1.5 * 0.4 ** np.arange(9)
+    q = radial.quotients(prof(radii), radii, p)
     for j in range(radii.size - 1):
         r, t = radii[j], radii[j + 1]
         scalar = (prof(r) - prof(t)) / (riesz.kernel(spec, r) - riesz.kernel(spec, t))
-        assert q[j] == pair_quotient(prof, p, r, t, normalization) == scalar
+        assert q[j] == pair_quotient(prof, p, r, t) == scalar
 
 
 def test_density_estimate_reads_the_deepest_quotients():

@@ -42,7 +42,11 @@ class ConfigError(Exception):
 class _Parser(argparse.ArgumentParser):
     """A usage error is a config error: one stderr line and exit 4, not
     argparse's usage text and exit 2, which means a failed check here.
-    Subparsers are built from the same class."""
+    Subparsers are built from the same class.  Flags are matched in full:
+    a prefix such as `--n` is not read as `--no-timestamp`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)

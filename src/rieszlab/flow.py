@@ -39,7 +39,8 @@ import numpy as np
 from ._numerics import gamma, ndtri, sobol
 from .errors import DomainError, NumericalError
 from .radial import density_estimate, density_radii, geometric_radii, quotients
-from .riesz import INF, KernelSpec, _weighted_kernel, kernel, kernel_hessian
+from .riesz import (INF, KernelSpec, _check_tol, _weighted_kernel, _weighted_kernel_of_square,
+                    kernel, kernel_hessian)
 from .subeq import PropertyReport, fmt_param
 
 CLIP_FLOOR = -1e12
@@ -739,6 +740,7 @@ def tangent_experiment(field: ScalarField, spec: FlowSpec, candidate: ScalarFiel
     For p < 2 the grid Hoelder seminorms of the flowed fields are
     recorded together with the asymptotic bound by the max-density.
     """
+    _check_tol(tol)
     p = spec.p
     if candidate.n != field.n:
         raise DomainError(f"candidate lives on R^{candidate.n}, the field on R^{field.n}")
@@ -944,15 +946,21 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
 
     For each center the hook computes t = <w, x0 - c> and
     h^2 = |x0 - c - t w|^2 once per (x0, points); the shell of radius s is
-    then |x - c| = sqrt((s + t)^2 + h^2), O(m) per shell, computed in place
-    for a block of radii at once, and weighted into w K on the same buffer.
-    Unlike the expanded s^2 + 2 s t + |x0 - c|^2, this keeps its digits
-    when the shell passes close to c.  A center at x0 has |x - c| = s
-    exactly: a (k, 1) column with the floats of the general formula.  The
-    terms are summed in their order into the first full term, with the
-    floats of a sum that starts from zeros; a block of centred terms only
-    is their column, broadcast over the m points.
+    then at the squared distance q = |x - c|^2 = (s + t)^2 + h^2, O(m) per
+    shell, computed in place for a block of radii at once, and turned into
+    w K(sqrt(q)) on the same buffer by one log and one exp
+    (`riesz._weighted_kernel_of_square`, no sqrt and no pow).  Unlike the
+    expanded s^2 + 2 s t + |x0 - c|^2, this keeps its digits when the
+    shell passes close to c.  A center at x0 has |x - c| = s exactly: a
+    (k, 1) column w K(s) with the floats of `riesz.kernel`.  The terms are
+    summed in their order into the first full term, with the floats of a
+    sum that starts from zeros; a block of centred terms only is their
+    column, broadcast over the m points.  `values` keeps the
+    sqrt-and-power route, the reference for the shells.
     """
+    finite = np.isfinite(centers).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"kernel center {centers[finite.argmin()].tolist()} is not finite")
 
     def values(pts):
         pts = np.asarray(pts, dtype=float)
@@ -983,7 +991,8 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
                     term = radii[:, None] + t
                     term *= term
                     term += h2
-                    _kernel_of_radius(spec, w, np.sqrt(term, out=term))
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        _weighted_kernel_of_square(spec, w, term)
                 if total is None:
                     term += 0.0  # the floats of 0 + term: a -0.0 comes out 0.0
                     total = term

@@ -87,26 +87,53 @@ class KernelSpec:
 
 def _check_positive(t):
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
+    if not np.all(t > 0.0):  # NaN fails too
         raise DomainError("kernel arguments must be positive")
+    return t
+
+
+def _normalized(spec: KernelSpec, weight: float, t: np.ndarray) -> np.ndarray:
+    """weight * kernel from t = log r (p = 2) or r^(2-p), in place: the sign
+    of the standard kernel for p > 2 goes into the weight, as -w x has the
+    floats of w (-x)."""
+    p = spec.p
+    if p != 2.0 and spec.normalization == "barred":
+        t /= 2.0 - p
+    t *= -weight if p > 2.0 and spec.normalization == "standard" else weight
     return t
 
 
 def _weighted_kernel(spec: KernelSpec, weight: float, t: np.ndarray) -> np.ndarray:
     """weight * kernel(spec, t) for t > 0, unchecked, computed in place on the
-    float array t, which it returns: the sign of the standard kernel for
-    p > 2 goes into the weight, as -w x has the floats of w (-x).  `**=`
-    keeps the scalar-exponent fast paths of `**` (sqrt, reciprocal), so the
-    floats are those of `t ** (2 - p)`."""
-    p = spec.p
-    if p == 2.0:
+    float array t, which it returns.  `**=` keeps the scalar-exponent fast
+    paths of `**` (sqrt, reciprocal), so the floats are those of
+    `t ** (2 - p)`."""
+    if spec.p == 2.0:
         np.log(t, out=t)
     else:
-        t **= 2.0 - p
-        if spec.normalization == "barred":
-            t /= 2.0 - p
-    t *= -weight if p > 2.0 and spec.normalization == "standard" else weight
-    return t
+        t **= 2.0 - spec.p
+    return _normalized(spec, weight, t)
+
+
+def _weighted_kernel_of_square(spec: KernelSpec, weight: float, q: np.ndarray) -> np.ndarray:
+    """weight * kernel(spec, sqrt(q)) for squared distances q >= 0,
+    unchecked, computed in place on the float array q, which it returns:
+    with L = ln q, w L / 2 at p = 2, else exp(a) with a = (2 - p) L / 2,
+    then the normalization and signed weight of `_weighted_kernel`.  One
+    log and one exp, no sqrt and no pow.
+
+    For the q given, the result is within (1 + |a|) eps relative of
+    w K(sqrt(q)) (eps = 2^-52; the rounding of a costs about |a| eps), and
+    at p = 2 within |w| eps (1 + |L| / 2) absolute.  q = 0 gives the
+    kernel's value at 0: 0 when p < 2, else -inf (NaN for a zero weight).
+    """
+    np.log(q, out=q)
+    if spec.p == 2.0:
+        q *= 0.5 * weight
+        return q
+    q *= 0.5 * (2.0 - spec.p)
+    np.exp(q, out=q)
+    return _normalized(spec, weight, q)
 
 
 def kernel(spec: KernelSpec, t):
@@ -295,6 +322,8 @@ def increasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL,
     ``_characteristic``).  The ``check_directions`` random directions are
     solved again on matrices and must agree within 10 tol."""
     _check_tol(tol)
+    if check_directions < 0:
+        raise DomainError(f"check_directions must be >= 0, got {check_directions}")
     e = unit_vector(e if e is not None else f.direction())
     value, bracket = _characteristic(f, e, tol, spectral=f.spectrum is not None)
     if check_directions:

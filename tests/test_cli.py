@@ -401,6 +401,16 @@ def test_explicit_flags_win_even_at_their_default(tmp_path, capsys, argv, config
      "strictly decreasing, at least three"),
     (["flow", "two-kernel", "--n", "0", "--p", "2.5"], "n >= 2"),
     (["charx", "full-space", "--n", "3"], "contains -Id"),
+    (["density", "two-kernel", "--p", "3", "--n", "4", "--offset", "nan"],
+     "kernel center [nan, 0.0, 0.0, 0.0] is not finite"),
+    (["flow", "two-kernel", "--p", "3", "--n", "4", "--offset", "inf"],
+     "kernel center [inf, 0.0, 0.0, 0.0] is not finite"),
+    (["flow", "radial-perturbed", "--p", "3", "--n", "4", "--conv-tol", "nan"],
+     "tol must be finite and > 0, got nan"),
+    (["flow", "radial-perturbed", "--p", "3", "--n", "4", "--conv-tol", "-1"],
+     "tol must be finite and > 0, got -1.0"),
+    (["charx", "sigma-k", "--n", "4", "--k", "2", "--check-directions", "-1"],
+     "check_directions must be >= 0, got -1"),
 ])
 def test_bad_field_inputs_exit_3_with_their_reason(capsys, argv, reason):
     code = cli.main(argv + ["--no-timestamp"])
@@ -467,6 +477,19 @@ def test_flags_and_config_keys_a_command_does_not_read_are_refused(tmp_path, arg
     code, out, err = _main([*argv, "--no-timestamp"])
     assert (code, out) == (4, ""), argv
     assert err.startswith("config error:") and err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["radial", "kernel", "--p", "3", "--n"], "--n"),
+    (["charx", "sigma-k", "--n", "4", "--k", "2", "--no-time"], "--no-time"),
+    (["charx", "p", "--n", "3", "--che", "1"], "--che"),
+    (["density", "riesz", "--p", "3", "--n", "4", "--the", "2"], "--the"),
+])
+def test_abbreviated_flags_are_refused_by_name(argv, flag):
+    code, out, err = _main([*argv, "--no-timestamp"])
+    assert (code, out) == (4, "")
+    assert err.startswith("config error: unrecognized arguments: " + flag)
+    assert err.count("\n") == 1
 
 
 def test_help_still_exits_0():

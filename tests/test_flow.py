@@ -243,6 +243,13 @@ def test_tangent_experiment_needs_a_candidate_on_the_same_space():
                                 flow.zero_field(3))
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_tangent_experiment_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
+    u = flow.riesz_kernel_field(1.0, 3.0, 4)
+    with pytest.raises(DomainError, match="tol must be finite and > 0"):
+        flow.tangent_experiment(u, flow.FlowSpec(p=3.0), u, tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # densities
 # ---------------------------------------------------------------------------
@@ -465,6 +472,74 @@ def test_kernel_sum_shell_about_a_center_is_the_kernel_of_s(p):
                               np.full(points.shape[0], 1.7 * kernel_s + 0.4 * kernel_s))
 
 
+EPS = np.finfo(float).eps
+# the shells against `values` stay within ACCURACY_C * EPS * (2 + |l|),
+# l = (2 - p) ln(q) / 2 at the squared distance q of each term, relative;
+# at p = 2, l = ln(q) / 2, and the error is absolute, times the weights
+ACCURACY_C = 8.0
+
+
+def _shell_gap(points, p, x0, weights, centers):
+    """ACCURACY_C * EPS * (2 + max |l|) per shell point: l as above."""
+    q = np.stack([np.sum((x0 + points - c) ** 2, axis=1) for c in centers])
+    half_log = 0.5 * np.log(q) * (1.0 if p == 2.0 else 2.0 - p)
+    gap = ACCURACY_C * EPS * (2.0 + np.abs(half_log).max(axis=0))
+    return gap * weights.sum() if p == 2.0 else gap
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_off_centre_shells_are_accurate(n):
+    # x0 at 2g from a centre, shells of radius g: every sample is between g
+    # and 3g from it (and 2g to 4g from a second centre), with coordinates
+    # of size g, so `values` (sqrt and power) is exact to a few eps there
+    rng = np.random.default_rng(300 + n)
+    points = flow.sphere_quad(n, 512, seed=n).points
+    weights = np.array([1.7, 0.6])
+    checked = 0
+    for p in sorted({1.0, 1.5, 2.0, 2.5, 3.0, float(n), n + 1.5}):
+        for g in np.geomspace(1e-4, 1e2, 7):
+            u = rng.normal(size=(3, n))
+            u /= np.linalg.norm(u, axis=1)[:, None]
+            c = g * u[0]
+            x0 = c + 2.0 * g * u[1]
+            centers = np.stack([c, x0 + 3.0 * g * u[2]])
+            cases = [(flow.riesz_kernel_field(weights[0], p, n, center=c), 1)]
+            if p <= n:
+                cases.append((flow.newtonian_potential_field(p, list(zip(weights, centers)), n),
+                              2))
+            for field, k in cases:
+                want = field.values(x0[None, :] + g * points)
+                got = flow._shell_evaluator(field, x0, points)([g])[0]
+                gap = _shell_gap(g * points, p, x0, weights[:k], centers[:k])
+                scale = 1.0 if p == 2.0 else np.abs(want)
+                assert np.all(np.abs(got - want) <= gap * scale), (p, g, k)
+                checked += 1
+    assert checked >= 60
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.0, 5.5])
+def test_an_off_centre_shell_through_its_centre_takes_the_kernel_at_zero(p):
+    # x0 = 0, c = 2 e1, the sample point e1 on the shell of radius 2: the
+    # squared distance is exactly 0, a -inf hit at p >= 2, K(0) = 0 below
+    n = 4
+    points = flow.sphere_quad(n, 256, seed=3).points.copy()
+    points[7] = np.eye(n)[0]
+    field = flow.riesz_kernel_field(1.3, p, n, center=2.0 * np.eye(n)[0])
+    got = flow._shell_evaluator(field, np.zeros(n), points)([2.0])[0]
+    assert got[7] == (-math.inf if p >= 2.0 else 0.0)
+    assert got[7] == field.values(2.0 * points)[7]
+    assert np.isfinite(np.delete(got, 7)).all()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_kernel_center_that_is_not_finite_is_refused(value):
+    c = np.array([value, 0.0, 0.0])
+    with pytest.raises(DomainError, match=r"kernel center \[.*\] is not finite"):
+        flow.riesz_kernel_field(1.0, 3.0, 3, center=c)
+    with pytest.raises(DomainError, match="is not finite"):
+        flow.newtonian_potential_field(3.0, [(1.0, np.zeros(3)), (1.0, c)], 3)
+
+
 @pytest.mark.parametrize("field", [
     flow.plus_quadratic_field(flow.riesz_kernel_field(1.0, 3.0, 3), 2.0),
     flow.ScalarField(n=3, values=lambda pts: np.sin(np.asarray(pts)).sum(axis=1)),
@@ -546,7 +621,10 @@ def test_shell_blocks_hold_at_most_shell_block_values(monkeypatch, quad3):
 
 # The kernel-sum shell path as it was before the terms were summed in place:
 # a (k, m) array of zeros plus each term in order, every value scanned by
-# `_clipped`, and numpy's `mean`.  The shell path must keep its floats.
+# `_clipped`, and numpy's `mean`.  The shell path must keep its floats.  An
+# off-centre term is w K of the squared distance, through the same kernel
+# helper as the shells; test_off_centre_shells_are_accurate pins that
+# helper against `values`.
 
 
 def _reference_term(spec, weight, r):
@@ -574,7 +652,8 @@ def _reference_shells(p, masses):
                 t = points @ a
                 perp = a[None, :] - t[:, None] * points
                 dist = (radii[:, None] + t) ** 2 + np.einsum("ij,ij->i", perp, perp)
-                out += _reference_term(spec, w, np.sqrt(dist))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    out += riesz._weighted_kernel_of_square(spec, w, dist)
             return out
 
         return evaluate

@@ -92,6 +92,14 @@ def test_kernel_domain_errors():
         riesz.KernelSpec(p=0.5)
 
 
+@pytest.mark.parametrize("fn", [riesz.kernel, riesz.kernel_deriv1, riesz.kernel_deriv2])
+@pytest.mark.parametrize("t", [math.nan, [1.0, math.nan], 0.0, [2.0, -1.0]])
+def test_kernel_arguments_that_are_not_positive_are_refused(fn, t):
+    for p in (1.5, 2.0, 3.0):
+        with pytest.raises(DomainError, match="kernel arguments must be positive"):
+            fn(riesz.KernelSpec(p=p), t)
+
+
 # ---------------------------------------------------------------------------
 # increasing characteristic: closed forms
 # ---------------------------------------------------------------------------
@@ -139,6 +147,12 @@ def test_direction_independence():
     f = subeq.builtin("sigma-k", 4, k=2)
     p, _ = riesz.increasing_characteristic(f, check_directions=8, seed=5)
     assert p == pytest.approx(2.0, abs=1e-6)
+
+
+def test_a_negative_direction_count_is_refused():
+    f = subeq.builtin("sigma-k", 4, k=2)
+    with pytest.raises(DomainError, match="check_directions must be >= 0, got -1"):
+        riesz.characteristic_pair(f, check_directions=-1)
 
 
 @pytest.mark.parametrize("seed", range(30))

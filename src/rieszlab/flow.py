@@ -7,24 +7,16 @@ scale-homogeneous fields exact (the quadrature error cancels), and the
 reported noise bound comes from comparing against the first half of the
 sample.
 
-Every average (M, S and V, the scalar calls as well as the curves) goes
-through one shell path, `_average_curves`: it checks that each radius is
-positive and finite, evaluates each sphere shell once, and always
-samples the spherical maximum, so a closed-form max is checked against
-the sampled one.
-
-Shells are read through one evaluator per call, `radii -> (k, m)` values
-`values(x0 + s w)` over the m unit points w, one row per radius s, in
-blocks of at most `SHELL_BLOCK` values.  A field may specialise it with
-its `shells` hook, as the kernel sums do: they project x0 - c on every w
-once per call, so each shell costs O(m) instead of O(m n), and sum their
-terms in place.  Other fields call `values` once per shell.  The block a
-hook returns may be read-only or a broadcast view (a kernel sum centred
-at x0 is constant on each shell); consumers only read it.  Each row is
-summed once: a non-finite value makes its row sum non-finite, so the
-means are the row sums over m, and the values are scanned and clipped
-(`_clipped`) only in a block with a non-finite row sum.  A row sum that
-is still not finite after clipping has overflowed and is refused.
+Every average (M, S and V, scalar or curve) comes from one sweep,
+`_average_curves` over `_shell_rows`: after checking each radius, it
+evaluates every shell the request needs once, in blocks of at most
+`SHELL_BLOCK` values -- the curve radii for M and S, then the GL_NODES
+Gauss-Legendre radii of each curve radius for V, which is a fixed
+weighting of their means.  Shells come from one evaluator per call,
+`radii -> (k, m)` values `values(x0 + s w)` over the m unit points w, or
+from the field's faster `shells` hook (the kernel sums).  M always
+samples its shell, so a closed-form max is checked against the sample;
+the kernel sums have one when their centres lie on one ray from x0.
 """
 
 from __future__ import annotations
@@ -46,8 +38,7 @@ from .subeq import PropertyReport, fmt_param
 CLIP_FLOOR = -1e12
 MAX_CLIPPED_FRACTION = 1e-3
 GL_NODES = 32
-NN_BLOCK_ROWS = 16
-# field values per block of sphere shells: bounds the (k, m) arrays of a block
+# values per block of sphere shells or of the neighbour search: bounds its arrays
 SHELL_BLOCK = 1 << 16
 # relative radius step of the backward difference behind the mass density
 MASS_FD_STEP = 1e-3
@@ -142,8 +133,9 @@ class SphereQuad:
             k = min(256, self.size)
             idx = np.empty(k, dtype=np.intp)
             dist = np.empty(k)
-            for lo in range(0, k, NN_BLOCK_ROWS):  # bounds the difference tensor
-                rows = np.arange(lo, min(lo + NN_BLOCK_ROWS, k))
+            step = max(1, SHELL_BLOCK // (self.size * self.n))  # rows per (rows, m, n) block
+            for lo in range(0, k, step):
+                rows = np.arange(lo, min(lo + step, k))
                 d2 = ((self.points[rows, None, :] - self.points[None, :, :]) ** 2).sum(axis=2)
                 d2[rows - lo, rows] = np.inf
                 idx[rows] = d2.argmin(axis=1)
@@ -157,12 +149,13 @@ def sphere_quad(n: int, size: int | None = None, seed: int = 0) -> SphereQuad:
     return SphereQuad(n, size, seed)
 
 
-@lru_cache(maxsize=1)
-def _gl_nodes():
+@lru_cache(maxsize=16)
+def _gl_nodes(n: int):
+    """The GL_NODES radius ratios rho_i in (0, 1) and the weights
+    w_i n rho_i^(n-1) of the ball average n int_0^1 S(rho r) rho^(n-1) drho."""
     x, w = np.polynomial.legendre.leggauss(GL_NODES)
     ratio = 0.5 * (x + 1.0)  # map to (0, 1)
-    weight = 0.5 * w
-    return ratio, weight
+    return ratio, tuple(w_i * n * rho_i ** (n - 1) for rho_i, w_i in zip(ratio, 0.5 * w))
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +169,9 @@ class ScalarField:
 
     ``values`` maps an (m, n) array of points to m values; a non-finite
     value (-inf, or NaN where a zero weight meets a pole) marks a hit on
-    the singular set.  ``analytic_max(x0, r)`` returns the exact
-    spherical maximum when a closed form is known (None means sample).
+    the singular set.  ``analytic_max(x0, r)``, when set, returns the
+    exact spherical maximum, or None where it has no closed form at
+    (x0, r); the maximum is then sampled.
     ``shells(x0, points)``, when set, returns ``radii -> (k, m)`` values,
     row i ``values(x0 + radii[i] * points)`` for the m unit ``points``,
     faster than ``values``; every sphere average reads its shells through
@@ -229,37 +223,15 @@ def _shell_evaluator(field: ScalarField, x0: np.ndarray, points: np.ndarray) -> 
     return lambda radii: np.stack([field.values(x0[None, :] + s * points) for s in radii])
 
 
-def _shell_blocks(evaluate: Callable, radii: np.ndarray, size: int):
-    """(radii, clipped (k, size) values, hits per row, row sums) over blocks
-    of the spheres of the given radii, each block at most SHELL_BLOCK
-    values.  A non-finite value makes its row sum non-finite, so the values
-    are scanned and clipped only when a row sum is not finite; a row sum
-    that is still not finite after clipping has overflowed, and is refused."""
-    step = max(1, SHELL_BLOCK // size)
-    for lo in range(0, radii.size, step):
-        block = radii[lo:lo + step]
-        vals = evaluate(block)
-        sums = vals.sum(axis=1)
-        if np.isfinite(sums).all():
-            yield block, vals, np.zeros(block.size, dtype=int), sums
-        else:
-            vals, nclip = _clipped(vals)
-            sums = vals.sum(axis=1)
-            lost = ~np.isfinite(sums)
-            if lost.any():
-                raise DomainError(f"the sum of the sphere samples at radius "
-                                  f"{block[lost.argmax()]:.6g} overflows")
-            yield block, vals, nclip, sums
-
-
 def _max_from_shell(field: ScalarField, x0: np.ndarray, r: float, quad: SphereQuad,
                     vals: np.ndarray) -> float:
     """M(u, x0; r) from the clipped shell values: the field's closed form,
-    which the sampled maximum must not exceed, or else the sample maximum
-    inflated by a nearest-neighbor Lipschitz estimate to cover the gap
-    between the sample and the true supremum."""
-    if field.analytic_max is not None:
-        exact = float(field.analytic_max(x0, r))
+    which the sampled maximum must not exceed, or, where it has none, the
+    sample maximum inflated by a nearest-neighbor Lipschitz estimate to
+    cover the gap between the sample and the true supremum."""
+    exact = None if field.analytic_max is None else field.analytic_max(x0, r)
+    if exact is not None:
+        exact = float(exact)
         sampled = float(vals.max())
         if sampled > exact + 1e-6 * (1.0 + abs(exact)):
             raise NumericalError(
@@ -275,32 +247,43 @@ def _max_from_shell(field: ScalarField, x0: np.ndarray, r: float, quad: SphereQu
     return float(vals.max()) + lipschitz * covering
 
 
-def _shell_means(radii: np.ndarray, vals: np.ndarray, nclip: np.ndarray, sums: np.ndarray,
-                 half: int) -> list:
-    """(mean, mean over the leading `half` points, clip count) of each shell
-    (row) from its row sum, with the floats of `mean`; the leading points
-    are those of `SphereQuad.half()`."""
-    lost = nclip == vals.shape[1]
-    if lost.any():
-        raise DomainError(f"every sphere sample at radius {radii[lost.argmax()]:.6g} is "
-                          f"non-finite (float overflow or the singular set)")
-    return list(zip(sums / vals.shape[1], vals[:, :half].sum(axis=1) / half, nclip))
-
-
-def _volume_stats(evaluate: Callable, n: int, r: float, quad: SphereQuad):
-    """(ball average, leading-half ball average, clipped count) via the
-    radial reduction n * int_0^1 S(rho r) rho^(n-1) drho."""
-    rho, w = _gl_nodes()
-    rows = [stats for block in _shell_blocks(evaluate, rho * r, quad.size)
-            for stats in _shell_means(*block, quad.size // 2)]
-    total = half_total = 0.0
-    nclip = 0
-    for rho_i, w_i, (s_i, half_i, c_i) in zip(rho, w, rows):
-        weight = w_i * n * rho_i ** (n - 1)
-        total += weight * s_i
-        half_total += weight * half_i
-        nclip += c_i
-    return float(total), float(half_total), int(nclip)
+def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.ndarray,
+                maxima: int):
+    """(means, leading-half means, hits, maxima) of the sphere shells about
+    x0 of the given radii, evaluated once each in one pass of blocks of at
+    most SHELL_BLOCK values; the maxima (`_max_from_shell`) are those of the
+    first `maxima` shells only, and the leading points are those of
+    `SphereQuad.half()`.  A non-finite value makes its row sum non-finite,
+    so the values are scanned and clipped only in a block with a
+    non-finite row sum.  A shell whose row sum still overflows after
+    clipping, or whose samples are all non-finite, is refused."""
+    evaluate = _shell_evaluator(field, x0, quad.points)
+    size, half = quad.size, quad.size // 2
+    means, halves = np.empty(radii.size), np.empty(radii.size)
+    hits = np.zeros(radii.size, dtype=int)
+    tops = []
+    step = max(1, SHELL_BLOCK // size)
+    for lo in range(0, radii.size, step):
+        block = radii[lo:lo + step]
+        rows = slice(lo, lo + block.size)
+        vals = evaluate(block)
+        sums = vals.sum(axis=1)
+        if not np.isfinite(sums).all():
+            vals, hits[rows] = _clipped(vals)
+            sums = vals.sum(axis=1)
+            refused = ~np.isfinite(sums) | (hits[rows] == size)
+            if refused.any():
+                i = refused.argmax()
+                if np.isfinite(sums[i]):
+                    raise DomainError(f"every sphere sample at radius {block[i]:.6g} is "
+                                      f"non-finite (float overflow or the singular set)")
+                raise DomainError(f"the sum of the sphere samples at radius {block[i]:.6g} "
+                                  f"overflows")
+        means[rows] = sums / size
+        halves[rows] = vals[:, :half].sum(axis=1) / half
+        tops += [_max_from_shell(field, x0, r, quad, row)
+                 for r, row in zip(block[:max(0, maxima - lo)], vals)]
+    return means, halves, hits, tops
 
 
 @dataclass
@@ -309,6 +292,8 @@ class AverageCurve:
     radii: np.ndarray
     values: np.ndarray
     clipped_fraction: float = 0.0
+    # the same curve on the leading half of the points (`SphereQuad.half()`); None for M
+    half_values: np.ndarray | None = None
 
     def to_csv_rows(self, p: float):
         """(r, value, quotient to the next radius) rows; the last radius has
@@ -319,11 +304,11 @@ class AverageCurve:
 
 def _average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
                     quad: SphereQuad | None = None) -> dict:
-    """kind -> (AverageCurve, leading-half values) over one evaluation per
-    sphere shell: M and S share the shell at each radius, and the
-    leading-half values (None for M) are what the same curve gives on
-    `quad.half()`.  Every average reads its shells here, after checking
-    that each radius is positive and finite."""
+    """kind -> AverageCurve, from one `_shell_rows` sweep after checking
+    that each radius is positive and finite: M and S share the shell at
+    each radius, and V weights the means of the GL_NODES shells of radius
+    rho_i r by w_i n rho_i^(n-1) (the radial reduction n int_0^1 S(rho r)
+    rho^(n-1) drho), summed in node order."""
     for kind in kinds:
         if kind not in ("M", "S", "V"):
             raise DomainError(f"unknown average kind {kind!r}")
@@ -335,42 +320,34 @@ def _average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
         if not 0.0 < r < INF:
             raise DomainError(f"radius must be positive and finite, got {r}")
     quad = quad or sphere_quad(field.n)
-    evaluate = _shell_evaluator(field, x0, quad.points)
-    maxima, spherical = [], []
-    if {"M", "S"} & set(kinds):
-        for block, vals, nclip, sums in _shell_blocks(evaluate, radii, quad.size):
-            if "M" in kinds:
-                maxima += [_max_from_shell(field, x0, r, quad, row) for r, row in zip(block, vals)]
-            if "S" in kinds:
-                spherical += _shell_means(block, vals, nclip, sums, quad.size // 2)
+    k = radii.size if {"M", "S"} & set(kinds) else 0  # the curve shells lead the sweep
+    rho, weights = _gl_nodes(field.n)
+    shells = radii[:k]
+    if "V" in kinds:
+        shells = np.concatenate([shells, np.outer(radii, rho).ravel()])
+    means, halves, hits, maxima = _shell_rows(field, x0, quad, shells, k if "M" in kinds else 0)
+
+    def curve(kind, values, half_values, nhits):
+        clipped = int(nhits.sum()) / (nhits.size * quad.size) if nhits.size else 0.0
+        return AverageCurve(kind, radii, np.asarray(values), clipped, np.asarray(half_values))
+
     out = {}
     for kind in kinds:
-        clipped = total = 0
-        half_values = None
         if kind == "M":
-            values = maxima
+            out[kind] = AverageCurve(kind, radii, np.asarray(maxima))
+        elif kind == "S":
+            out[kind] = curve(kind, means[:k], halves[:k], hits[:k])
         else:
-            if kind == "S":
-                stats = spherical
-            else:
-                stats = [_volume_stats(evaluate, field.n, r, quad) for r in radii]
-            values = [v for v, _, _ in stats]
-            half_values = [h for _, h, _ in stats]
-            clipped = int(sum(c for _, _, c in stats))
-            total = len(stats) * quad.size * (1 if kind == "S" else GL_NODES)
-        curve = AverageCurve(
-            kind=kind,
-            radii=radii,
-            values=np.asarray(values),
-            clipped_fraction=clipped / total if total else 0.0,
-        )
-        out[kind] = (curve, None if half_values is None else np.asarray(half_values))
+            means_v, halves_v = ([float(sum(w * s for w, s in zip(weights, row)))
+                                  for row in stats[k:].reshape(-1, GL_NODES)]
+                                 for stats in (means, halves))
+            out[kind] = curve(kind, means_v, halves_v, hits[k:])
     return out
 
 
 def average_curve(field: ScalarField, kind: str, x0, radii,
                   quad: SphereQuad | None = None) -> AverageCurve:
-    return _average_curves(field, (kind,), x0, radii, quad)[kind][0]
+    return _average_curves(field, (kind,), x0, radii, quad)[kind]
 
 
 def spherical_max(field: ScalarField, x0, r: float, quad: SphereQuad | None = None) -> float:
@@ -427,7 +404,8 @@ def tangent_flow(field: ScalarField, p: float, r: float,
         base_max = field.analytic_max
 
         def analytic(x0, rr):
-            return factor * (base_max(x0 * r, rr * r) - offset)
+            base = base_max(x0 * r, rr * r)
+            return None if base is None else factor * (base - offset)
 
     return ScalarField(
         n=n,
@@ -514,8 +492,8 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     radii = _density_radii(radii)
     curves = _average_curves(field, kinds, x0, radii, quad)
-    quots = {kind: quotients(curve.values, radii, p) for kind, (curve, _) in curves.items()}
-    clipped = max((curve.clipped_fraction for curve, _ in curves.values()), default=0.0)
+    quots = {kind: quotients(curve.values, radii, p) for kind, curve in curves.items()}
+    clipped = max((curve.clipped_fraction for curve in curves.values()), default=0.0)
     if clipped > MAX_CLIPPED_FRACTION:
         raise NumericalError(
             f"clipped sample fraction {clipped:.2e} exceeds {MAX_CLIPPED_FRACTION:.0e}"
@@ -525,7 +503,7 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     noise = 0.0
     for kind in ("S", "V"):
         if kind in kinds:
-            half_q = quotients(curves[kind][1], radii, p)
+            half_q = quotients(curves[kind].half_values, radii, p)
             noise = max(noise, float(np.abs(quots[kind] - half_q).max()))
 
     theta, bracket = {}, {}
@@ -805,7 +783,7 @@ def averages_of_tangent_check(tangent: ScalarField, p: float, radii=None,
     if p != 2.0:
         curves = _average_curves(tangent, kinds, np.zeros(n), radii, quad)
         for kind in kinds:
-            curve = curves[kind][0]
+            curve = curves[kind]
             theta_k = curve.values[0] / kvals[0]
             rel = np.abs(curve.values - theta_k * kvals) / np.maximum(np.abs(kvals), 1e-30)
             worst = max(worst, float(rel.max()))
@@ -815,7 +793,7 @@ def averages_of_tangent_check(tangent: ScalarField, p: float, radii=None,
         windows = [kind for kind in ("S", "V") if kind in kinds]
         curves = _average_curves(tangent, ("M", *windows), np.zeros(n), radii, quad)
         c_const = harnack_constant(n)
-        m_curve = curves["M"][0]
+        m_curve = curves["M"]
         theta = quotients(m_curve.values, radii, p)[-1]
         worst = max(worst, float(np.abs(m_curve.values - theta * kvals).max()))
         count += radii.size
@@ -823,7 +801,7 @@ def averages_of_tangent_check(tangent: ScalarField, p: float, radii=None,
         for kind, floor in (("S", -c_const * theta), ("V", -(c_const + 1.0) * theta)):
             if kind not in windows:
                 continue
-            consts = curves[kind][0].values - theta * kvals
+            consts = curves[kind].values - theta * kvals
             # constant across scales, at most 0 and at least the floor
             worst = max(worst, float(consts.max() - consts.min()), float(consts.max()),
                         float(floor - consts.min()))
@@ -957,6 +935,12 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
     sum that starts from zeros; a block of centred terms only is their
     column, broadcast over the m points.  `values` keeps the
     sqrt-and-power route, the reference for the shells.
+
+    `analytic_max` is sum_k w_k K(r + |x0 - c_k|) when every centre of
+    positive weight other than x0 lies on one ray from x0 (directions
+    within 1e-9, where the closed form's error, second order in the angle,
+    is below rounding): each term then peaks at the same point of the
+    sphere.  Off the ray it is None, and the maximum is sampled.
     """
     finite = np.isfinite(centers).all(axis=1)
     if not finite.all():
@@ -1007,24 +991,33 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
 
         return evaluate
 
-    return ScalarField(n=n, values=values, shells=shells, **meta)
+    def analytic_max(x0, r):
+        ray = None
+        for w, c in zip(weights, centers):
+            a = c - x0
+            if w > 0 and a.any():
+                a = a / np.linalg.norm(a)
+                if ray is None:
+                    ray = a
+                elif np.linalg.norm(a - ray) > 1e-9:
+                    return None
+        # summed from the first term, not from 0: one term keeps its floats
+        first, *rest = (w * kernel(spec, r + float(np.linalg.norm(x0 - c)))
+                        for w, c in zip(weights, centers))
+        return sum(rest, first)
+
+    return ScalarField(n=n, values=values, shells=shells, analytic_max=analytic_max, **meta)
 
 
 def riesz_kernel_field(theta: float, p: float, n: int, center=None) -> ScalarField:
     """theta * K_p(|x - c|) in the standard normalization."""
     if not (math.isfinite(theta) and theta >= 0):
         raise DomainError(f"theta must be finite and >= 0, got {theta}")
-    spec = KernelSpec(p=p)
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float).reshape(-1)
-
-    def analytic_max(x0, r):
-        return theta * kernel(spec, r + float(np.linalg.norm(np.asarray(x0) - c)))
-
     return _kernel_sum_field(
-        n, spec, np.array([theta]), c[None, :],
+        n, KernelSpec(p=p), np.array([theta]), c[None, :],
         name=f"riesz(theta={fmt_param(theta)},p={fmt_param(p)})",
         singular_points=(c,),
-        analytic_max=analytic_max,
     )
 
 
@@ -1113,17 +1106,10 @@ def newtonian_potential_field(p: float, masses, n: int) -> ScalarField:
     centers = np.asarray([np.asarray(m[1], dtype=float) for m in masses])
 
     singular = tuple(centers[i] for i in range(centers.shape[0]) if weights[i] > 0)
-    analytic = None
-    if len(singular) == 1 and np.allclose(centers[0], 0.0):
-
-        def analytic(x0, r):
-            return weights[0] * kernel(spec, r + float(np.linalg.norm(x0)))
-
     return _kernel_sum_field(
         n, spec, weights, centers,
         name=f"potential(p={fmt_param(p)},{len(masses)} masses)",
         singular_points=singular,
-        analytic_max=analytic,
     )
 
 
@@ -1142,7 +1128,8 @@ def max_of_fields(*fields: ScalarField) -> ScalarField:
     if all(f.analytic_max is not None for f in fields):
 
         def analytic(x0, r):
-            return max(f.analytic_max(x0, r) for f in fields)
+            maxima = [f.analytic_max(x0, r) for f in fields]
+            return None if any(m is None for m in maxima) else max(maxima)
 
     singular = tuple(s for f in fields for s in f.singular_points)
     dists = [f.singular_distance for f in fields if f.singular_distance is not None]

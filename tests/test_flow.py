@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import pickle
 
@@ -41,6 +42,18 @@ def test_sphere_quad_needs_a_power_of_two(size):
     # Sobol points are balanced only in power-of-two prefixes
     with pytest.raises(DomainError, match="power of two"):
         flow.SphereQuad(3, size)
+
+
+@pytest.mark.parametrize("block", [1, 3 * 512 * 3, 1 << 16])
+def test_neighbor_search_in_blocks_of_rows_matches_the_full_search(monkeypatch, block):
+    # blocks of at most SHELL_BLOCK // (m n) rows, one row when a row holds more
+    monkeypatch.setattr(flow, "SHELL_BLOCK", block)
+    points = flow.SphereQuad(3, 512, seed=4).points
+    d2 = ((points[:256, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    d2[np.arange(256), np.arange(256)] = np.inf
+    idx, dist = flow.SphereQuad(3, 512, seed=4).neighbor_stats()
+    assert np.array_equal(idx, d2.argmin(axis=1))
+    assert np.array_equal(dist, np.sqrt(d2.min(axis=1)))
 
 
 def test_sphere_quad_unit_norms(quad4):
@@ -136,6 +149,37 @@ def test_every_average_route_checks_its_balls(quad3, route, radii, center, reaso
     # each ball of every route goes through the same checks, whatever the kind
     with pytest.raises(DomainError, match=reason):
         _AVERAGE_ROUTES[route](flow.zero_field(3), np.asarray(center), np.asarray(radii), quad3)
+
+
+def test_two_kernels_on_one_ray_have_a_closed_form_max(capsys):
+    # M(r) = K(r) + K(r + 0.5): the shell of radius 0.5 through the second
+    # pole made the sampled maximum read as not monotone
+    spec = riesz.KernelSpec(p=3.0)
+    assert cli.main(["density", "two-kernel", "--n", "4", "--p", "3", "--offset", "0.5",
+                     "--no-timestamp"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["monotone_ok"] is True and rep["monotone_defect"] == 0.0
+    radii = np.asarray(rep["radii"])
+    exact = radial.quotients(riesz.kernel(spec, radii) + riesz.kernel(spec, radii + 0.5),
+                             radii, 3.0)
+    assert np.allclose(rep["quotients"]["M"], exact, rtol=1e-14, atol=0.0)
+    assert np.round(exact, 4).tolist() == [1.3333, 1.1667, 1.0667, 1.0222, 1.0065]
+    assert abs(rep["theta"]["M"] - 1.0) <= rep["bracket"]["M"]
+
+    e1 = np.eye(4)[0]
+    field = flow.newtonian_potential_field(3.0, [(1.0, np.zeros(4)), (1.0, 0.5 * e1)], 4)
+    # beyond both centres on the axis: still one ray, at distances 0.3 and 0.8
+    assert field.analytic_max(-0.3 * e1, 0.2) == (riesz.kernel(spec, 0.2 + 0.3)
+                                                  + riesz.kernel(spec, 0.2 + 0.8))
+    # between the centres, or off the axis, the maximum is sampled
+    quad = flow.sphere_quad(4, 1024)
+    for x0 in (0.2 * e1, np.array([0.25, 0.1, 0.0, 0.0])):
+        assert field.analytic_max(x0, 0.2) is None
+        assert flow.tangent_flow(field, 3.0, 2.0).analytic_max(x0 / 2.0, 0.1) is None
+        assert flow.max_of_fields(field, flow.zero_field(4)).analytic_max(x0, 0.2) is None
+        sampled = dataclasses.replace(field, analytic_max=None)
+        assert (flow.spherical_max(field, x0, 0.2, quad)
+                == flow.spherical_max(sampled, x0, 0.2, quad))
 
 
 @pytest.mark.parametrize("quad", [None, flow.sphere_quad(3, 256)], ids=["default", "given"])
@@ -386,6 +430,39 @@ def test_densities_evaluate_each_shell_once(field, quad3):
     assert rep.noise_bound == noise
 
 
+@pytest.mark.parametrize("kind,per_radius", [("M", 1), ("S", 1), ("V", flow.GL_NODES)])
+def test_each_kind_evaluates_only_its_shells(quad3, kind, per_radius):
+    x0 = np.zeros(3)
+    radii = flow.default_radii()
+    field = flow.newtonian_potential_field(3.0, [(1.0, x0), (0.5, np.array([0.3, 0.4, 0.0])),
+                                                 (0.5, np.array([0.0, -0.4, 0.2]))], 3)
+    counted, calls = _counted(field, x0)
+    flow.average_curve(counted, kind, x0, radii, quad3)
+    assert len(calls) == per_radius * radii.size
+    assert len({radius for radius, _ in calls}) == len(calls)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_volume_average_is_the_node_weighted_sum_of_shell_means(n):
+    # V(r) = sum_i w_i n rho_i^(n-1) S(rho_i r), summed in node order, on
+    # the whole point set and on its leading half
+    field = flow.newtonian_potential_field(2.5, [(1.5, np.zeros(n)), (0.5, 0.3 * np.eye(n)[0])], n)
+    quad = flow.sphere_quad(n, 512, seed=1)
+    x0 = np.full(n, 0.01)
+    radii = np.array([1.0, 0.3, 0.05])
+    x, w = np.polynomial.legendre.leggauss(flow.GL_NODES)
+    rho, w = 0.5 * (x + 1.0), 0.5 * w
+    volume = flow.average_curve(field, "V", x0, radii, quad)
+    for r, value, half_value in zip(radii, volume.values, volume.half_values):
+        want = []
+        for q in (quad, quad.half()):
+            total = 0.0
+            for rho_i, w_i, s_i in zip(rho, w, flow.average_curve(field, "S", x0, rho * r, q).values):
+                total += w_i * n * rho_i ** (n - 1) * s_i
+            want.append(float(total))
+        assert [value, half_value] == want
+
+
 def test_mass_density_evaluates_two_shells_per_radius(quad3):
     x0 = np.zeros(3)
     radii = 0.5 ** np.arange(1, 7)
@@ -621,7 +698,8 @@ def test_shell_blocks_hold_at_most_shell_block_values(monkeypatch, quad3):
 
 # The kernel-sum shell path as it was before the terms were summed in place:
 # a (k, m) array of zeros plus each term in order, every value scanned by
-# `_clipped`, and numpy's `mean`.  The shell path must keep its floats.  An
+# `_clipped`, and numpy's `mean` (`_reference_rows` in place of
+# `flow._shell_rows`).  The shell path must keep its floats.  An
 # off-centre term is w K of the squared distance, through the same kernel
 # helper as the shells; test_off_centre_shells_are_accurate pins that
 # helper against `values`.
@@ -661,17 +739,21 @@ def _reference_shells(p, masses):
     return shells
 
 
-def _reference_blocks(evaluate, radii, size):
-    step = max(1, flow.SHELL_BLOCK // size)
+def _reference_rows(field, x0, quad, radii, maxima):
+    evaluate = flow._shell_evaluator(field, x0, quad.points)
+    step = max(1, flow.SHELL_BLOCK // quad.size)
+    means, halves, hits, tops = [], [], [], []
     for lo in range(0, radii.size, step):
         block = radii[lo:lo + step]
-        yield (block, *flow._clipped(evaluate(block)), None)
-
-
-def _reference_means(radii, vals, nclip, sums, half):
-    if np.any(nclip == vals.shape[1]):
-        raise DomainError("all sphere samples hit the singular set")
-    return list(zip(vals.mean(axis=1), vals[:, :half].mean(axis=1), nclip))
+        vals, nclip = flow._clipped(evaluate(block))
+        if np.any(nclip == quad.size):
+            raise DomainError("all sphere samples hit the singular set")
+        means += list(vals.mean(axis=1))
+        halves += list(vals[:, :quad.size // 2].mean(axis=1))
+        hits += list(nclip)
+        tops += [flow._max_from_shell(field, x0, r, quad, row)
+                 for r, row in zip(block[:max(0, maxima - lo)], vals)]
+    return np.array(means), np.array(halves), np.array(hits, dtype=int), tops
 
 
 def _shell_reports(field, p, quad):
@@ -705,8 +787,7 @@ def test_kernel_sum_shells_keep_the_floats_of_the_zeros_and_mean_path(monkeypatc
     want = _reference_shells(p, masses)(np.zeros(field.n), quad.points)(radii)
     assert np.array_equal(rows, want) and np.array_equal(np.signbit(rows), np.signbit(want))
     got = _shell_reports(field, p, quad)
-    monkeypatch.setattr(flow, "_shell_blocks", _reference_blocks)
-    monkeypatch.setattr(flow, "_shell_means", _reference_means)
+    monkeypatch.setattr(flow, "_shell_rows", _reference_rows)
     assert got == _shell_reports(dataclasses.replace(field, shells=_reference_shells(p, masses)),
                                  p, quad)
 
@@ -721,16 +802,15 @@ def test_a_shell_through_a_far_centre_keeps_its_hits(monkeypatch, p):
     masses = [(1.0, np.zeros(3)), (1.0, 2.0 * E1)]
     field = flow.newtonian_potential_field(p, masses, 3)
     radii = np.array([2.0, 1.0])
-    evaluate = flow._shell_evaluator(field, np.zeros(3), points)
-    _, vals, hits, _ = next(flow._shell_blocks(evaluate, radii, quad.size))
+    vals, _ = flow._clipped(flow._shell_evaluator(field, np.zeros(3), points)(radii))
+    _, _, hits, _ = flow._shell_rows(field, np.zeros(3), quad, radii, 0)
     reference = _reference_shells(p, masses)(np.zeros(3), points)
     want_vals, want_hits = flow._clipped(reference(radii))
     assert np.array_equal(vals, want_vals) and hits.tolist() == want_hits.tolist()
     assert hits.tolist() == ([0, 0] if p < 2.0 else [1, 0])
     got = pickle.dumps([flow.average_curve(field, kind, np.zeros(3), radii, quad)
                         for kind in "MSV"])
-    monkeypatch.setattr(flow, "_shell_blocks", _reference_blocks)
-    monkeypatch.setattr(flow, "_shell_means", _reference_means)
+    monkeypatch.setattr(flow, "_shell_rows", _reference_rows)
     field = dataclasses.replace(field, shells=_reference_shells(p, masses))
     assert got == pickle.dumps([flow.average_curve(field, kind, np.zeros(3), radii, quad)
                                 for kind in "MSV"])
@@ -995,10 +1075,12 @@ def test_holder_metric_validates_beta():
         flow.tangent_experiment(u, flow.FlowSpec(p=3.0), u, metric="holder", beta=0.1)
 
 
-def test_average_of_fully_singular_sphere_rejected(quad3):
+@pytest.mark.parametrize("kind", "MSV")
+def test_average_of_fully_singular_sphere_rejected(quad3, kind):
+    # one rule for every evaluated shell: an M-only request is refused too
     u = flow.ScalarField(n=3, values=lambda pts: np.full(np.asarray(pts).shape[0], -np.inf))
-    with pytest.raises(DomainError):
-        average("S", u, np.zeros(3), 1.0, quad3)
+    with pytest.raises(DomainError, match=r"every sphere sample at radius \S+ is non-finite"):
+        average(kind, u, np.zeros(3), 1.0, quad3)
 
 
 def test_max_curve_nondecreasing_for_subharmonic_fields(quad4):

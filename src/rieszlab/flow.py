@@ -996,10 +996,11 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
         for w, c in zip(weights, centers):
             a = c - x0
             if w > 0 and a.any():
+                a = a / np.abs(a).max()  # a tiny offset keeps a nonzero norm
                 a = a / np.linalg.norm(a)
                 if ray is None:
                     ray = a
-                elif np.linalg.norm(a - ray) > 1e-9:
+                elif not np.linalg.norm(a - ray) <= 1e-9:
                     return None
         # summed from the first term, not from 0: one term keeps its floats
         first, *rest = (w * kernel(spec, r + float(np.linalg.norm(x0 - c)))

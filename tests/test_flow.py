@@ -182,6 +182,20 @@ def test_two_kernels_on_one_ray_have_a_closed_form_max(capsys):
                 == flow.spherical_max(sampled, x0, 0.2, quad))
 
 
+def test_a_centre_a_tiny_distance_from_x0_keeps_its_direction():
+    # |c - x0|^2 underflows at 1e-200: the direction is taken from the
+    # offset scaled by its largest entry, never from a zero norm
+    spec = riesz.KernelSpec(p=3.0)
+    e1, e2 = np.eye(3)[:2]
+    with np.errstate(divide="raise", invalid="raise"):
+        one = flow.riesz_kernel_field(1.0, 3.0, 3, center=1e-200 * e1)
+        assert one.analytic_max(np.zeros(3), 0.5) == riesz.kernel(spec, 0.5)
+        for c, on_ray in ((e1, True), (e2, False)):
+            field = flow.newtonian_potential_field(3.0, [(1.0, 1e-200 * e1), (1.0, c)], 3)
+            got = field.analytic_max(np.zeros(3), 0.5)
+            assert (got is None) is not on_ray
+
+
 @pytest.mark.parametrize("quad", [None, flow.sphere_quad(3, 256)], ids=["default", "given"])
 def test_spherical_max_always_checks_a_closed_form(quad):
     # a closed form below the field: the sampled shell exposes it with or
@@ -406,13 +420,15 @@ def _counted(field, x0):
     return dataclasses.replace(field, shells=shells), calls
 
 
-@pytest.mark.parametrize("field", [
-    flow.newtonian_potential_field(3.0, [(1.5, np.zeros(3)), (0.5, np.array([2.5, 0.0, 0.0]))], 3),
-    flow.riesz_kernel_field(2.0, 2.5, 3),
+@pytest.mark.parametrize("field,sampled", [
+    (flow.newtonian_potential_field(3.0, [(1.5, np.zeros(3)), (0.5, np.array([2.5, 0.0, 0.0])),
+                                          (0.5, np.array([0.0, 2.5, 0.0]))], 3), True),
+    (flow.riesz_kernel_field(2.0, 2.5, 3), False),
 ], ids=["sampled-max", "closed-form-max"])
-def test_densities_evaluate_each_shell_once(field, quad3):
+def test_densities_evaluate_each_shell_once(field, sampled, quad3):
     x0 = np.zeros(3)
     radii = flow.default_radii()
+    assert (field.analytic_max(x0, 0.5) is None) is sampled
     counted, calls = _counted(field, x0)
     rep = flow.densities(counted, x0, 3.0, quad=quad3)
     # M and S share one shell per radius; V adds one per Gauss-Legendre node
@@ -774,11 +790,12 @@ def _potential(p, masses):
 @pytest.mark.parametrize("p,masses,field", [
     *[(p, [(1.7, np.zeros(3))], flow.riesz_kernel_field(1.7, p, 3)) for p in (1.5, 2.0, 3.0)],
     *[_potential(2.5, [(1.5, np.zeros(n)), (0.5, np.eye(n)[0] * 2.5)]) for n in (3, 6, 8)],
+    *[_potential(2.5, [(1.5, np.eye(n)[0] * 2.5), (0.5, np.eye(n)[1] * 2.5)]) for n in (3, 6, 8)],
     _potential(2.5, [(1.5, 2.5 * E1), (0.5, -3.0 * E1)]),
     _potential(3.0, [(0.0, 2.5 * E1), (0.0, np.zeros(3))]),
     _potential(2.0, [(0.0, np.zeros(3)), (0.0, 2.5 * E1)]),
 ], ids=[*(f"centred-p={p}" for p in (1.5, 2, 3)), *(f"two-centre-n={n}" for n in (3, 6, 8)),
-        "far-only", "zero-weight-far-first", "zero-weight-centred-first"])
+        *(f"off-ray-n={n}" for n in (3, 6, 8)), "far-only", "zero-weight-far-first", "zero-weight-centred-first"])
 def test_kernel_sum_shells_keep_the_floats_of_the_zeros_and_mean_path(monkeypatch, p, masses,
                                                                         field):
     quad = flow.sphere_quad(field.n)

@@ -1,6 +1,7 @@
 """Numpy ports of the three scipy routines the runtime used to import:
 the scrambled Sobol sequence of `scipy.stats.qmc.Sobol`, and the Cephes
-`ndtri` and `Gamma` behind `scipy.special`.
+`ndtri` and `Gamma` behind `scipy.special`; and the Gauss-Jacobi rule
+of the volume averages, held to `scipy.special.roots_jacobi` by the tests.
 
 Each port repeats scipy's arithmetic operation for operation, so its
 floats equal scipy's bit for bit (the test suite keeps scipy as the
@@ -10,6 +11,7 @@ oracle); importing scipy.stats alone costs about a second per command.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -161,3 +163,22 @@ def gamma(x: float) -> float:
         return z
     x -= 2.0
     return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
+
+
+@lru_cache(maxsize=32)
+def gauss_jacobi(count: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Golub-Welsch (nodes, weights) of the count-point Gauss rule for the
+    weight rho^beta on (0, 1), beta > -1: the eigenvalues of the Jacobi
+    matrix of P^(0, beta) mapped to (0, 1), and the squared first entries
+    of their eigenvectors, scaled to the exact sum 1 / (beta + 1)."""
+    if not -1.0 < beta < math.inf:
+        raise DomainError(f"a Gauss-Jacobi rule needs a finite weight exponent > -1, got {beta}")
+    k = np.arange(1, count, dtype=float)
+    s = 2.0 * k + beta
+    diag = 0.5 + 0.5 * np.concatenate([[beta / (beta + 2.0)], beta * beta / (s * (s + 2.0))])
+    off = np.sqrt(k * k * (k + beta) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    weights = vectors[0] ** 2
+    weights *= (1.0 / (beta + 1.0)) / weights.sum()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights

@@ -337,7 +337,7 @@ def cmd_density(args) -> int:
 
 def _write_curve_csv(path: str, field, center, radii, quad, p: float) -> None:
     lines = ["kind,r,value,quotient"]
-    for kind, curve in fl._average_curves(field, ("M", "S", "V"), center, radii, quad).items():
+    for kind, curve in fl._average_curves(field, ("M", "S", "V"), center, radii, quad, p).items():
         for r, value, quotient in curve.to_csv_rows(p):
             lines.append(f"{kind},{_fmt(r)},{_fmt(value)},{_fmt(quotient)}")
     with open(path, "w") as handle:

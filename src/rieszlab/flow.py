@@ -10,9 +10,9 @@ sample.
 Every average (M, S and V, scalar or curve) comes from one sweep,
 `_average_curves` over `_shell_rows`: after checking each radius, it
 evaluates every shell the request needs once, in blocks of at most
-`SHELL_BLOCK` values -- the curve radii for M and S, then the GL_NODES
-Gauss-Legendre radii of each curve radius for V, which is a fixed
-weighting of their means.  Shells come from one evaluator per call,
+`SHELL_BLOCK` values -- the curve radii for M and S, then the node
+radii of the radius ladder behind V (`_volume_ladder`), exact for the
+kernel up to p < n + 2.  Shells come from one evaluator per call,
 `radii -> (k, m)` values `values(x0 + s w)` over the m unit points w, or
 from the field's faster `shells` hook (the kernel sums).  M always
 samples its shell, so a closed-form max is checked against the sample;
@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numerics import gamma, ndtri, sobol
+from ._numerics import gamma, gauss_jacobi, ndtri, sobol
 from .errors import DomainError, NumericalError
 from .radial import density_estimate, density_radii, geometric_radii, quotients
 from .riesz import (INF, KernelSpec, _check_tol, _weighted_kernel, _weighted_kernel_of_square,
@@ -37,7 +37,9 @@ from .subeq import PropertyReport, fmt_param
 
 CLIP_FLOOR = -1e12
 MAX_CLIPPED_FRACTION = 1e-3
-GL_NODES = 32
+# nodes of the volume ladder in the innermost ball and per annulus
+JACOBI_NODES = 32
+ANNULUS_NODES = 8
 # values per block of sphere shells or of the neighbour search: bounds its arrays
 SHELL_BLOCK = 1 << 16
 # relative radius step of the backward difference behind the mass density
@@ -149,13 +151,29 @@ def sphere_quad(n: int, size: int | None = None, seed: int = 0) -> SphereQuad:
     return SphereQuad(n, size, seed)
 
 
-@lru_cache(maxsize=16)
-def _gl_nodes(n: int):
-    """The GL_NODES radius ratios rho_i in (0, 1) and the weights
-    w_i n rho_i^(n-1) of the ball average n int_0^1 S(rho r) rho^(n-1) drho."""
-    x, w = np.polynomial.legendre.leggauss(GL_NODES)
-    ratio = 0.5 * (x + 1.0)  # map to (0, 1)
-    return ratio, tuple(w_i * n * rho_i ** (n - 1) for rho_i, w_i in zip(ratio, 0.5 * w))
+def _volume_ladder(n: int, p: float, radii: np.ndarray, inner: int, per_annulus: int):
+    """(shells, combine): the node radii of V(r_j) over the radii r_0 > r_1
+    > ..., and the map from their sphere means to V.  V(r_min) = n int_0^1
+    rho^(n+1-p) [rho^(p-2) S(rho r_min)] drho by the Gauss-Jacobi rule for
+    rho^(n+1-p), exact for the centred kernel; then V(r_j) = (r_{j+1}/r_j)^n
+    V(r_{j+1}) + n r_j^-n int t^(n-1) S(t) dt over [r_{j+1}, r_j] by
+    Gauss-Legendre (Jacobi for rho^0); each rule summed by `math.fsum`."""
+    rho, w_inner = gauss_jacobi(inner, n + 1.0 - p)
+    x, w = gauss_jacobi(per_annulus, 0.0)
+    steps = radii[1:] / radii[:-1]  # r_{j+1} / r_j
+    tau = steps[:, None] + (1.0 - steps[:, None]) * x  # annulus node t / r_j
+    shells = np.concatenate([rho * radii[-1], (radii[:-1, None] * tau).ravel()])
+    inner_weights = n * w_inner * rho ** (p - 2.0)
+    annulus_weights = n * (1.0 - steps[:, None]) * w * tau ** (n - 1)
+
+    def combine(means):
+        annuli = means[inner:].reshape(-1, per_annulus)
+        volume = [math.fsum(inner_weights * means[:inner])]
+        for j in range(radii.size - 2, -1, -1):
+            volume.append(steps[j] ** n * volume[-1] + math.fsum(annulus_weights[j] * annuli[j]))
+        return np.array(volume[::-1])
+
+    return shells, combine
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +312,8 @@ class AverageCurve:
     clipped_fraction: float = 0.0
     # the same curve on the leading half of the points (`SphereQuad.half()`); None for M
     half_values: np.ndarray | None = None
+    # V: the gap of the deepest quotient to the half-order ladder's; 0 for M and S
+    quadrature_error: float = 0.0
 
     def to_csv_rows(self, p: float):
         """(r, value, quotient to the next radius) rows; the last radius has
@@ -303,12 +323,13 @@ class AverageCurve:
 
 
 def _average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
-                    quad: SphereQuad | None = None) -> dict:
+                    quad: SphereQuad | None = None, p: float | None = None) -> dict:
     """kind -> AverageCurve, from one `_shell_rows` sweep after checking
     that each radius is positive and finite: M and S share the shell at
-    each radius, and V weights the means of the GL_NODES shells of radius
-    rho_i r by w_i n rho_i^(n-1) (the radial reduction n int_0^1 S(rho r)
-    rho^(n-1) drho), summed in node order."""
+    each radius, and V, which needs strictly decreasing radii and the
+    exponent p, is the `_volume_ladder` of their means (and half means);
+    a ladder of half the nodes on the two deepest radii gives its
+    `quadrature_error`."""
     for kind in kinds:
         if kind not in ("M", "S", "V"):
             raise DomainError(f"unknown average kind {kind!r}")
@@ -321,11 +342,19 @@ def _average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
             raise DomainError(f"radius must be positive and finite, got {r}")
     quad = quad or sphere_quad(field.n)
     k = radii.size if {"M", "S"} & set(kinds) else 0  # the curve shells lead the sweep
-    rho, weights = _gl_nodes(field.n)
-    shells = radii[:k]
+    shells = [radii[:k]]
     if "V" in kinds:
-        shells = np.concatenate([shells, np.outer(radii, rho).ravel()])
-    means, halves, hits, maxima = _shell_rows(field, x0, quad, shells, k if "M" in kinds else 0)
+        if p is None or not p < field.n + 2.0:  # the kernel's ball average diverges
+            raise DomainError(f"no volume density is defined at p >= n + 2 = {field.n + 2} "
+                              f"or without p, got p = {p}")
+        if np.any(np.diff(radii) >= 0.0):
+            raise DomainError("a volume average needs strictly decreasing radii")
+        ladder, combine = _volume_ladder(field.n, p, radii, JACOBI_NODES, ANNULUS_NODES)
+        coarse, combine_coarse = _volume_ladder(field.n, p, radii[-2:], JACOBI_NODES // 2,
+                                                ANNULUS_NODES // 2)
+        shells += [ladder, coarse]
+    means, halves, hits, maxima = _shell_rows(field, x0, quad, np.concatenate(shells),
+                                              k if "M" in kinds else 0)
 
     def curve(kind, values, half_values, nhits):
         clipped = int(nhits.sum()) / (nhits.size * quad.size) if nhits.size else 0.0
@@ -338,16 +367,19 @@ def _average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
         elif kind == "S":
             out[kind] = curve(kind, means[:k], halves[:k], hits[:k])
         else:
-            means_v, halves_v = ([float(sum(w * s for w, s in zip(weights, row)))
-                                  for row in stats[k:].reshape(-1, GL_NODES)]
-                                 for stats in (means, halves))
-            out[kind] = curve(kind, means_v, halves_v, hits[k:])
+            end = k + ladder.size
+            values = combine(means[k:end])
+            gap = (quotients(values[-2:], radii[-2:], p)
+                   - quotients(combine_coarse(means[end:]), radii[-2:], p))
+            out[kind] = curve(kind, values, combine(halves[k:end]), hits[k:])
+            out[kind].quadrature_error = float(np.abs(gap).max(initial=0.0))
     return out
 
 
 def average_curve(field: ScalarField, kind: str, x0, radii,
-                  quad: SphereQuad | None = None) -> AverageCurve:
-    return _average_curves(field, (kind,), x0, radii, quad)[kind]
+                  quad: SphereQuad | None = None, p: float | None = None) -> AverageCurve:
+    """The M, S or V curve over the radii; V needs the exponent p."""
+    return _average_curves(field, (kind,), x0, radii, quad, p)[kind]
 
 
 def spherical_max(field: ScalarField, x0, r: float, quad: SphereQuad | None = None) -> float:
@@ -465,11 +497,6 @@ def _density_radii(radii) -> np.ndarray:
     return density_radii(default_radii() if radii is None else radii)
 
 
-def _check_volume_density(kinds: Sequence[str], p: float, n: int) -> None:
-    if "V" in kinds and p >= n + 2.0:  # the kernel's ball average diverges
-        raise DomainError(f"no volume density is defined at p >= n + 2 = {n + 2}")
-
-
 def densities(field: ScalarField, x0, p: float, radii=None,
               quad: SphereQuad | None = None,
               kinds: Sequence[str] = ("M", "S", "V")) -> DensityReport:
@@ -484,14 +511,14 @@ def densities(field: ScalarField, x0, p: float, radii=None,
 
     Each sphere shell is evaluated once: the M and S curves share the
     shell at each radius, and the half-sample noise bound takes the
-    leading half of the same values (that half is `quad.half()`).
+    leading half of the same values (that half is `quad.half()`).  The V
+    bracket adds the curve's `quadrature_error`.
     """
     if math.isinf(p):
         raise DomainError("no density is defined at p = inf")
-    _check_volume_density(kinds, p, field.n)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     radii = _density_radii(radii)
-    curves = _average_curves(field, kinds, x0, radii, quad)
+    curves = _average_curves(field, kinds, x0, radii, quad, p)
     quots = {kind: quotients(curve.values, radii, p) for kind, curve in curves.items()}
     clipped = max((curve.clipped_fraction for curve in curves.values()), default=0.0)
     if clipped > MAX_CLIPPED_FRACTION:
@@ -511,6 +538,7 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     tol_mono = 1e-6 + noise
     for kind in kinds:
         theta[kind], bracket[kind], defect = density_estimate(quots[kind])
+        bracket[kind] += curves[kind].quadrature_error
         mono_defect = max(mono_defect, defect)
 
     residuals = {}
@@ -773,7 +801,6 @@ def averages_of_tangent_check(tangent: ScalarField, p: float, radii=None,
     if math.isinf(p):
         raise DomainError("needs finite p")
     n = tangent.n
-    _check_volume_density(kinds, p, n)
     radii = _density_radii(radii)
     defect = flow_invariance_defect(tangent, p, quad=quad or sphere_quad(n))
     worst = 0.0
@@ -781,7 +808,7 @@ def averages_of_tangent_check(tangent: ScalarField, p: float, radii=None,
     kvals = np.asarray(kernel(KernelSpec(p=p), radii), dtype=float)
     count = 0
     if p != 2.0:
-        curves = _average_curves(tangent, kinds, np.zeros(n), radii, quad)
+        curves = _average_curves(tangent, kinds, np.zeros(n), radii, quad, p)
         for kind in kinds:
             curve = curves[kind]
             theta_k = curve.values[0] / kvals[0]
@@ -791,7 +818,7 @@ def averages_of_tangent_check(tangent: ScalarField, p: float, radii=None,
             note_parts.append(f"theta_{kind}={theta_k:.6g}")
     else:
         windows = [kind for kind in ("S", "V") if kind in kinds]
-        curves = _average_curves(tangent, ("M", *windows), np.zeros(n), radii, quad)
+        curves = _average_curves(tangent, ("M", *windows), np.zeros(n), radii, quad, p)
         c_const = harnack_constant(n)
         m_curve = curves["M"]
         theta = quotients(m_curve.values, radii, p)[-1]

@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from rieszlab import cli, flow, linalg, radial, riesz, subeq
+from rieszlab import _numerics, cli, flow, linalg, radial, riesz, subeq
 from rieszlab.errors import DomainError, NumericalError
 
 
@@ -20,9 +20,18 @@ def quad4():
     return flow.sphere_quad(4, 4096, seed=0)
 
 
-def average(kind, u, x0, r, quad):
-    """The M, S or V average of u at one radius, read off its curve."""
-    return float(flow.average_curve(u, kind, x0, [r], quad).values[0])
+def average(kind, u, x0, r, quad, p=None):
+    """The M, S or V average of u at one radius, read off its curve (V
+    needs the exponent p)."""
+    return float(flow.average_curve(u, kind, x0, [r], quad, p).values[0])
+
+
+def volume_shells(levels):
+    """Shells of a V curve over `levels` radii: the ladder's Gauss-Jacobi
+    ball and Gauss-Legendre annuli, and its half-order companion on the
+    two deepest radii."""
+    return (flow.JACOBI_NODES + (levels - 1) * flow.ANNULUS_NODES
+            + flow.JACOBI_NODES // 2 + flow.ANNULUS_NODES // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +89,7 @@ def test_constant_field_averages(quad3):
     u = flow.ScalarField(n=3, values=lambda pts: np.full(np.asarray(pts).shape[0], c))
     assert flow.spherical_max(u, np.zeros(3), 0.7, quad3) == pytest.approx(c, abs=1e-12)
     for kind in "SV":
-        assert average(kind, u, np.zeros(3), 0.7, quad3) == pytest.approx(c, abs=1e-12)
+        assert average(kind, u, np.zeros(3), 0.7, quad3, 3.0) == pytest.approx(c, abs=1e-12)
 
 
 def test_kernel_averages_match_radial_reduction(quad4):
@@ -91,7 +100,7 @@ def test_kernel_averages_match_radial_reduction(quad4):
         assert average("S", u, np.zeros(4), r, quad4) == pytest.approx(
             riesz.kernel(spec, r), rel=1e-12
         )
-        assert average("V", u, np.zeros(4), r, quad4) == pytest.approx(
+        assert average("V", u, np.zeros(4), r, quad4, 3.0) == pytest.approx(
             4.0 / 3.0 * riesz.kernel(spec, r), rel=1e-6
         )
 
@@ -362,10 +371,13 @@ def test_densities_are_the_radial_estimate_of_each_curve(quad3, quad4, field, p)
     rep = flow.densities(field, x0, p, quad=quad)
     defects = []
     for kind in ("M", "S", "V"):
-        q = radial.quotients(flow.average_curve(field, kind, x0, radii, quad).values, radii, p)
+        curve = flow.average_curve(field, kind, x0, radii, quad, p)
+        q = radial.quotients(curve.values, radii, p)
         theta, bracket, defect = radial.density_estimate(q)
         assert np.array_equal(rep.quotients[kind], q)
-        assert (rep.theta[kind], rep.bracket[kind]) == (theta, bracket)
+        # the V bracket adds the ladder's quadrature term
+        assert (rep.theta[kind], rep.bracket[kind]) == (theta, bracket + curve.quadrature_error)
+        assert kind == "V" or curve.quadrature_error == 0.0
         defects.append(defect)
     assert rep.monotone_defect == max(0.0, *defects)
 
@@ -431,8 +443,8 @@ def test_densities_evaluate_each_shell_once(field, sampled, quad3):
     assert (field.analytic_max(x0, 0.5) is None) is sampled
     counted, calls = _counted(field, x0)
     rep = flow.densities(counted, x0, 3.0, quad=quad3)
-    # M and S share one shell per radius; V adds one per Gauss-Legendre node
-    assert len(calls) == radii.size * (1 + flow.GL_NODES)
+    # M and S share one shell per radius; V adds the shells of its ladders
+    assert len(calls) == radii.size + volume_shells(radii.size) == 98
     assert {size for _, size in calls} == {quad3.size}
     assert len({radius for radius, _ in calls}) == len(calls)
 
@@ -440,43 +452,76 @@ def test_densities_evaluate_each_shell_once(field, sampled, quad3):
     kvals = np.asarray(riesz.kernel(riesz.KernelSpec(p=3.0), radii), dtype=float)
     noise = 0.0
     for kind in ("S", "V"):
-        half_curve = flow.average_curve(field, kind, x0, radii, quad3.half())
+        half_curve = flow.average_curve(field, kind, x0, radii, quad3.half(), 3.0)
         half_q = (half_curve.values[:-1] - half_curve.values[1:]) / (kvals[:-1] - kvals[1:])
         noise = max(noise, float(np.abs(rep.quotients[kind] - half_q).max()))
     assert rep.noise_bound == noise
 
 
-@pytest.mark.parametrize("kind,per_radius", [("M", 1), ("S", 1), ("V", flow.GL_NODES)])
+@pytest.mark.parametrize("kind,per_radius", [("M", 1), ("S", 1), ("V", None)])
 def test_each_kind_evaluates_only_its_shells(quad3, kind, per_radius):
     x0 = np.zeros(3)
     radii = flow.default_radii()
     field = flow.newtonian_potential_field(3.0, [(1.0, x0), (0.5, np.array([0.3, 0.4, 0.0])),
                                                  (0.5, np.array([0.0, -0.4, 0.2]))], 3)
     counted, calls = _counted(field, x0)
-    flow.average_curve(counted, kind, x0, radii, quad3)
-    assert len(calls) == per_radius * radii.size
+    flow.average_curve(counted, kind, x0, radii, quad3, 3.0)
+    assert len(calls) == (volume_shells(radii.size) if per_radius is None
+                          else per_radius * radii.size)
     assert len({radius for radius, _ in calls}) == len(calls)
 
 
-@pytest.mark.parametrize("n", [3, 8])
-def test_volume_average_is_the_node_weighted_sum_of_shell_means(n):
-    # V(r) = sum_i w_i n rho_i^(n-1) S(rho_i r), summed in node order, on
-    # the whole point set and on its leading half
-    field = flow.newtonian_potential_field(2.5, [(1.5, np.zeros(n)), (0.5, 0.3 * np.eye(n)[0])], n)
+def _ladder(field, x0, quad, p, radii, inner, per_annulus):
+    """The volume ladder over the decreasing radii, from S curves: the
+    inner-node Gauss-Jacobi ball n int_0^r_min (t/r_min)^(n-1) S(t) dt/r_min,
+    then V(b) = (a/b)^n V(a) + n b^-n int_a^b t^(n-1) S(t) dt outwards."""
+    n = field.n
+    rho, w = _numerics.gauss_jacobi(inner, n + 1.0 - p)
+    s_inner = flow.average_curve(field, "S", x0, rho * radii[-1], quad).values
+    volume = [n * float(np.sum(w * rho ** (p - 2.0) * s_inner))]
+    x, v = np.polynomial.legendre.leggauss(per_annulus)
+    for a, b in zip(radii[::-1][:-1], radii[::-1][1:]):
+        t = a + 0.5 * (b - a) * (x + 1.0)
+        s_annulus = flow.average_curve(field, "S", x0, t, quad).values
+        annulus = n * b ** -n * 0.5 * (b - a) * float(np.sum(v * t ** (n - 1) * s_annulus))
+        volume.append((a / b) ** n * volume[-1] + annulus)
+    return np.array(volume[::-1])
+
+
+@pytest.mark.parametrize("n,p", [(3, 2.5), (8, 2.5), (4, 5.9)])
+def test_volume_average_is_the_ladder_of_shell_means(n, p):
+    # V of the innermost ball by the Gauss-Jacobi rule, then each annulus
+    # outwards by Gauss-Legendre, on the whole point set and on its
+    # leading half; the quadrature error is the gap of the deepest
+    # quotient to the half-order ladder on the two deepest radii
+    field = flow._kernel_sum_field(n, riesz.KernelSpec(p=p), np.array([1.5, 0.5]),
+                                   np.stack([np.zeros(n), 0.3 * np.eye(n)[0]]))
     quad = flow.sphere_quad(n, 512, seed=1)
     x0 = np.full(n, 0.01)
     radii = np.array([1.0, 0.3, 0.05])
-    x, w = np.polynomial.legendre.leggauss(flow.GL_NODES)
-    rho, w = 0.5 * (x + 1.0), 0.5 * w
-    volume = flow.average_curve(field, "V", x0, radii, quad)
-    for r, value, half_value in zip(radii, volume.values, volume.half_values):
-        want = []
-        for q in (quad, quad.half()):
-            total = 0.0
-            for rho_i, w_i, s_i in zip(rho, w, flow.average_curve(field, "S", x0, rho * r, q).values):
-                total += w_i * n * rho_i ** (n - 1) * s_i
-            want.append(float(total))
-        assert [value, half_value] == want
+    volume = flow.average_curve(field, "V", x0, radii, quad, p)
+    for values, q in ((volume.values, quad), (volume.half_values, quad.half())):
+        want = _ladder(field, x0, q, p, radii, flow.JACOBI_NODES, flow.ANNULUS_NODES)
+        assert values == pytest.approx(want, rel=1e-13, abs=0.0)
+    coarse = _ladder(field, x0, quad, p, radii[-2:], flow.JACOBI_NODES // 2,
+                     flow.ANNULUS_NODES // 2)
+    gap = abs(radial.quotients(volume.values[-2:], radii[-2:], p)[0]
+              - radial.quotients(coarse, radii[-2:], p)[0])
+    assert volume.quadrature_error == pytest.approx(gap, rel=1e-6)
+    assert volume.quadrature_error > 0.0
+
+
+def test_volume_average_needs_p_and_decreasing_radii(quad3):
+    # the inner rule's weight is the kernel's: no default exponent is taken
+    u = flow.riesz_kernel_field(1.0, 3.0, 3)
+    with pytest.raises(DomainError, match="or without p, got p = None"):
+        flow.average_curve(u, "V", np.zeros(3), [1.0, 0.5], quad3)
+    with pytest.raises(DomainError, match="strictly decreasing"):
+        flow.average_curve(u, "V", np.zeros(3), [0.5, 1.0], quad3, 3.0)
+    with pytest.raises(DomainError, match="p >= n \\+ 2 = 5"):
+        flow.average_curve(u, "V", np.zeros(3), [1.0, 0.5], quad3, 5.0)
+    for kind in "MS":
+        flow.average_curve(u, kind, np.zeros(3), [0.5, 1.0], quad3)
 
 
 def test_mass_density_evaluates_two_shells_per_radius(quad3):
@@ -500,7 +545,7 @@ def test_averages_of_tangent_evaluate_each_shell_once(monkeypatch, quad3, p, fie
     counted, calls = _counted(field, x0)
     report = flow.averages_of_tangent_check(counted, p, quad=quad3)
     assert report.passed
-    assert len(calls) == radii.size * (1 + flow.GL_NODES)
+    assert len(calls) == radii.size + volume_shells(radii.size)
     assert len({radius for radius, _ in calls}) == len(calls)
 
 
@@ -665,10 +710,11 @@ def test_curve_csv_evaluates_each_shell_once(tmp_path, quad3):
     counted, calls = _counted(field, x0)
     target = tmp_path / "curves.csv"
     cli._write_curve_csv(str(target), counted, x0, radii, quad3, 3.0)
-    # M and S share one shell per radius; V adds one per Gauss-Legendre node
-    assert len(calls) == radii.size * (1 + flow.GL_NODES)
+    # M and S share one shell per radius; V adds the shells of its ladders
+    assert len(calls) == radii.size + volume_shells(radii.size)
     rows = [f"{kind},{cli._fmt(r)},{cli._fmt(v)},{cli._fmt(q)}" for kind in "MSV"
-            for r, v, q in flow.average_curve(field, kind, x0, radii, quad3).to_csv_rows(3.0)]
+            for r, v, q in flow.average_curve(field, kind, x0, radii, quad3,
+                                              3.0).to_csv_rows(3.0)]
     assert target.read_text() == "\n".join(["kind,r,value,quotient", *rows]) + "\n"
 
 
@@ -685,7 +731,7 @@ def test_shell_block_size_does_not_change_a_bit(monkeypatch, field):
             flow.densities(field, np.zeros(3), 2.5, quad=quad),
             flow.densities(field, x0, 3.0, quad=quad),
             flow.mass_density(field, np.zeros(3), 2.5, quad=quad),
-            [flow.average_curve(field, kind, x0, [1.0, 0.3, 0.05], quad) for kind in "MSV"],
+            [flow.average_curve(field, kind, x0, [1.0, 0.3, 0.05], quad, 3.0) for kind in "MSV"],
         ))
 
     at_default = reports()
@@ -709,7 +755,8 @@ def test_shell_blocks_hold_at_most_shell_block_values(monkeypatch, quad3):
     monkeypatch.setattr(flow, "SHELL_BLOCK", 3 * quad3.size)
     flow.densities(dataclasses.replace(field, shells=shells), np.zeros(3), 3.0, quad=quad3)
     assert max(sizes) == flow.SHELL_BLOCK
-    assert sum(sizes) == flow.default_radii().size * (1 + flow.GL_NODES) * quad3.size
+    levels = flow.default_radii().size
+    assert sum(sizes) == (levels + volume_shells(levels)) * quad3.size
 
 
 # The kernel-sum shell path as it was before the terms were summed in place:
@@ -777,7 +824,7 @@ def _shell_reports(field, p, quad):
     radii = [1.0, 0.3, 0.05]
     return pickle.dumps((flow.densities(field, x0, p, quad=quad),
                          flow.mass_density(field, x0, p, quad=quad),
-                         [flow.average_curve(field, kind, x0, radii, quad) for kind in "MSV"]))
+                         [flow.average_curve(field, kind, x0, radii, quad, p) for kind in "MSV"]))
 
 
 E1 = np.eye(3)[0]
@@ -825,11 +872,11 @@ def test_a_shell_through_a_far_centre_keeps_its_hits(monkeypatch, p):
     want_vals, want_hits = flow._clipped(reference(radii))
     assert np.array_equal(vals, want_vals) and hits.tolist() == want_hits.tolist()
     assert hits.tolist() == ([0, 0] if p < 2.0 else [1, 0])
-    got = pickle.dumps([flow.average_curve(field, kind, np.zeros(3), radii, quad)
+    got = pickle.dumps([flow.average_curve(field, kind, np.zeros(3), radii, quad, p)
                         for kind in "MSV"])
     monkeypatch.setattr(flow, "_shell_rows", _reference_rows)
     field = dataclasses.replace(field, shells=_reference_shells(p, masses))
-    assert got == pickle.dumps([flow.average_curve(field, kind, np.zeros(3), radii, quad)
+    assert got == pickle.dumps([flow.average_curve(field, kind, np.zeros(3), radii, quad, p)
                                 for kind in "MSV"])
 
 
@@ -903,8 +950,8 @@ def test_average_stability_along_flow(quad4):
         flowed = flow.tangent_flow(u, 3.0, r)
         gap = 0.0
         for kind in "MSV":
-            gap = max(gap, abs(average(kind, flowed, np.zeros(4), 1.0, quad4)
-                               - average(kind, limit, np.zeros(4), 1.0, quad4)))
+            gap = max(gap, abs(average(kind, flowed, np.zeros(4), 1.0, quad4, 3.0)
+                               - average(kind, limit, np.zeros(4), 1.0, quad4, 3.0)))
         gaps.append(gap)
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[-1] <= 1e-4
@@ -1097,7 +1144,7 @@ def test_average_of_fully_singular_sphere_rejected(quad3, kind):
     # one rule for every evaluated shell: an M-only request is refused too
     u = flow.ScalarField(n=3, values=lambda pts: np.full(np.asarray(pts).shape[0], -np.inf))
     with pytest.raises(DomainError, match=r"every sphere sample at radius \S+ is non-finite"):
-        average(kind, u, np.zeros(3), 1.0, quad3)
+        average(kind, u, np.zeros(3), 1.0, quad3, 3.0)
 
 
 def test_max_curve_nondecreasing_for_subharmonic_fields(quad4):

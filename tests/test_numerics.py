@@ -1,4 +1,5 @@
-"""The in-repo Sobol points, ndtri and Gamma against scipy, bit for bit.
+"""The in-repo Sobol points, ndtri and Gamma against scipy, bit for bit,
+and the Gauss-Jacobi rule against scipy within rounding.
 
 The runtime does not import scipy; its three ports in `rieszlab._numerics`
 repeat scipy's arithmetic, and scipy stays the oracle here.
@@ -67,3 +68,22 @@ def test_gamma_equals_scipy_bit_for_bit():
 def test_gamma_refuses_arguments_outside_its_port(x):
     with pytest.raises(DomainError, match="0 < x < 33"):
         _numerics.gamma(x)
+
+
+@pytest.mark.parametrize("beta", [-0.99, -0.5, 0.0, 1.5, 9.9])
+def test_gauss_jacobi_matches_scipy(beta):
+    # roots_jacobi(m, 0, beta) is the rule for (1 + x)^beta on [-1, 1]
+    nodes, weights = _numerics.gauss_jacobi(32, beta)
+    x, w = special.roots_jacobi(32, 0.0, beta)
+    assert np.abs(nodes - 0.5 * (x + 1.0)).max() <= 1e-14
+    assert np.abs(weights / (w / 2.0 ** (beta + 1.0)) - 1.0).max() <= 1e-10
+    assert abs(weights.sum() - 1.0 / (beta + 1.0)) <= 1e-14
+    # exact for rho^j, j < 64, against the weight rho^beta
+    for j in (0, 1, 17, 63):
+        assert math.fsum(weights * nodes ** j) == pytest.approx(1.0 / (beta + j + 1.0), rel=1e-13)
+
+
+@pytest.mark.parametrize("beta", [-1.0, -2.0, math.inf, math.nan])
+def test_gauss_jacobi_needs_an_integrable_weight(beta):
+    with pytest.raises(DomainError, match="exponent > -1"):
+        _numerics.gauss_jacobi(16, beta)

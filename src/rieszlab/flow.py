@@ -11,8 +11,7 @@ Every average (M, S and V, scalar or curve) comes from one sweep,
 `_average_curves` over `_shell_rows`: after checking each radius, it
 evaluates every shell the request needs once, in blocks of at most
 `SHELL_BLOCK` values -- the curve radii for M and S, then the node
-radii of the radius ladder behind V (`_volume_ladder`), exact for the
-kernel up to p < n + 2.  Shells come from one evaluator per call,
+radii behind V (`_volume_ladder`).  Shells come from one evaluator per call,
 `radii -> (k, m)` values `values(x0 + s w)` over the m unit points w, or
 from the field's faster `shells` hook (the kernel sums).  M always
 samples its shell, so a closed-form max is checked against the sample;
@@ -155,9 +154,12 @@ def _volume_ladder(n: int, p: float, radii: np.ndarray, inner: int, per_annulus:
     """(shells, combine): the node radii of V(r_j) over the radii r_0 > r_1
     > ..., and the map from their sphere means to V.  V(r_min) = n int_0^1
     rho^(n+1-p) [rho^(p-2) S(rho r_min)] drho by the Gauss-Jacobi rule for
-    rho^(n+1-p), exact for the centred kernel; then V(r_j) = (r_{j+1}/r_j)^n
-    V(r_{j+1}) + n r_j^-n int t^(n-1) S(t) dt over [r_{j+1}, r_j] by
-    Gauss-Legendre (Jacobi for rho^0); each rule summed by `math.fsum`."""
+    rho^(n+1-p), exact for the centred kernel up to p < n + 2; then V(r_j)
+    = (r_{j+1}/r_j)^n V(r_{j+1}) + n r_j^-n int t^(n-1) S(t) dt over
+    [r_{j+1}, r_j] by Gauss-Legendre (Jacobi for rho^0); each rule summed
+    by `math.fsum`.  `_average_curves` also takes the ladder of half the
+    nodes on the two deepest radii: the gap of its deepest quotient to the
+    full ladder's is the curve's `quadrature_error`."""
     rho, w_inner = gauss_jacobi(inner, n + 1.0 - p)
     x, w = gauss_jacobi(per_annulus, 0.0)
     steps = radii[1:] / radii[:-1]  # r_{j+1} / r_j
@@ -326,10 +328,8 @@ def _average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
                     quad: SphereQuad | None = None, p: float | None = None) -> dict:
     """kind -> AverageCurve, from one `_shell_rows` sweep after checking
     that each radius is positive and finite: M and S share the shell at
-    each radius, and V, which needs strictly decreasing radii and the
-    exponent p, is the `_volume_ladder` of their means (and half means);
-    a ladder of half the nodes on the two deepest radii gives its
-    `quadrature_error`."""
+    each radius, and V is the `_volume_ladder` of their means (and half
+    means)."""
     for kind in kinds:
         if kind not in ("M", "S", "V"):
             raise DomainError(f"unknown average kind {kind!r}")
@@ -344,9 +344,7 @@ def _average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
     k = radii.size if {"M", "S"} & set(kinds) else 0  # the curve shells lead the sweep
     shells = [radii[:k]]
     if "V" in kinds:
-        if p is None or not p < field.n + 2.0:  # the kernel's ball average diverges
-            raise DomainError(f"no volume density is defined at p >= n + 2 = {field.n + 2} "
-                              f"or without p, got p = {p}")
+        _check_volume_density(kinds, p, field.n)
         if np.any(np.diff(radii) >= 0.0):
             raise DomainError("a volume average needs strictly decreasing radii")
         ladder, combine = _volume_ladder(field.n, p, radii, JACOBI_NODES, ANNULUS_NODES)
@@ -495,6 +493,12 @@ def default_radii() -> np.ndarray:
 def _density_radii(radii) -> np.ndarray:
     """Given or default radii, strictly decreasing and at least three."""
     return density_radii(default_radii() if radii is None else radii)
+
+
+def _check_volume_density(kinds: Sequence[str], p: float | None, n: int) -> None:
+    if "V" in kinds and (p is None or not p < n + 2.0):  # the kernel's ball average diverges
+        raise DomainError(f"no volume density is defined at p >= n + 2 = {n + 2} "
+                          f"or without p, got p = {p}")
 
 
 def densities(field: ScalarField, x0, p: float, radii=None,
@@ -801,6 +805,7 @@ def averages_of_tangent_check(tangent: ScalarField, p: float, radii=None,
     if math.isinf(p):
         raise DomainError("needs finite p")
     n = tangent.n
+    _check_volume_density(kinds, p, n)
     radii = _density_radii(radii)
     defect = flow_invariance_defect(tangent, p, quad=quad or sphere_quad(n))
     worst = 0.0

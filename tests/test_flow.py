@@ -409,6 +409,20 @@ def test_volume_density_needs_p_below_n_plus_2():
         check(("M", "S"))
 
 
+def test_volume_density_is_refused_before_any_shell_is_evaluated():
+    # a refused V request at p >= n + 2 or at p = NaN reports the refusal,
+    # not what evaluating the field would have raised first
+    def values(pts):
+        raise NumericalError("evaluated")
+
+    u = flow.ScalarField(n=4, values=values)
+    for p in (7.0, math.nan):
+        for check in (lambda: flow.densities(u, np.zeros(4), p),
+                      lambda: flow.averages_of_tangent_check(u, p)):
+            with pytest.raises(DomainError, match="p >= n \\+ 2 = 6"):
+                check()
+
+
 def test_density_rejects_infinite_p(quad3):
     with pytest.raises(DomainError):
         flow.densities(flow.zero_field(3), np.zeros(3), math.inf, quad=quad3)
@@ -518,8 +532,11 @@ def test_volume_average_needs_p_and_decreasing_radii(quad3):
         flow.average_curve(u, "V", np.zeros(3), [1.0, 0.5], quad3)
     with pytest.raises(DomainError, match="strictly decreasing"):
         flow.average_curve(u, "V", np.zeros(3), [0.5, 1.0], quad3, 3.0)
-    with pytest.raises(DomainError, match="p >= n \\+ 2 = 5"):
-        flow.average_curve(u, "V", np.zeros(3), [1.0, 0.5], quad3, 5.0)
+    for p in (5.0, math.nan):
+        with pytest.raises(DomainError, match="p >= n \\+ 2 = 5"):
+            flow.average_curve(u, "V", np.zeros(3), [1.0, 0.5], quad3, p)
+    with pytest.raises(DomainError, match="got p = nan"):
+        flow.densities(u, np.zeros(3), math.nan, quad=quad3)
     for kind in "MS":
         flow.average_curve(u, kind, np.zeros(3), [0.5, 1.0], quad3)
 

@@ -400,27 +400,21 @@ def test_only_non_finite_values_are_clipped():
 
 
 def test_volume_density_needs_p_below_n_plus_2():
-    # the kernel's ball average diverges at p >= n + 2 (no finite V to sample)
-    u = flow.riesz_kernel_field(1.0, 7.0, 4)
-    for check in (lambda kinds: flow.densities(u, np.zeros(4), 7.0, kinds=kinds),
-                  lambda kinds: flow.averages_of_tangent_check(u, 7.0, kinds=kinds)):
-        with pytest.raises(DomainError, match="p >= n \\+ 2 = 6"):
-            check(("M", "S", "V"))
-        check(("M", "S"))
-
-
-def test_volume_density_is_refused_before_any_shell_is_evaluated():
-    # a refused V request at p >= n + 2 or at p = NaN reports the refusal,
-    # not what evaluating the field would have raised first
+    # the kernel's ball average diverges at p >= n + 2 (no finite V to
+    # sample); the refusal, also at p = NaN, comes before any shell or the
+    # tangent's flow-invariance defect is evaluated
     def values(pts):
         raise NumericalError("evaluated")
 
-    u = flow.ScalarField(n=4, values=values)
-    for p in (7.0, math.nan):
-        for check in (lambda: flow.densities(u, np.zeros(4), p),
-                      lambda: flow.averages_of_tangent_check(u, p)):
+    u = flow.riesz_kernel_field(1.0, 7.0, 4)
+    checks = (lambda v, p, kinds: flow.densities(v, np.zeros(4), p, kinds=kinds),
+              lambda v, p, kinds: flow.averages_of_tangent_check(v, p, kinds=kinds))
+    for check in checks:
+        for v, p in ((u, 7.0), (flow.ScalarField(n=4, values=values), 7.0),
+                     (flow.ScalarField(n=4, values=values), math.nan)):
             with pytest.raises(DomainError, match="p >= n \\+ 2 = 6"):
-                check()
+                check(v, p, ("M", "S", "V"))
+        check(u, 7.0, ("M", "S"))
 
 
 def test_density_rejects_infinite_p(quad3):

@@ -1,7 +1,7 @@
-"""Numpy ports of the three scipy routines the runtime used to import:
-the scrambled Sobol sequence of `scipy.stats.qmc.Sobol`, and the Cephes
-`ndtri` and `Gamma` behind `scipy.special`; and the Gauss-Jacobi rule
-of the volume averages, held to `scipy.special.roots_jacobi` by the tests.
+"""Numpy ports of the two scipy routines the runtime used to import:
+the scrambled Sobol sequence of `scipy.stats.qmc.Sobol` and the Cephes
+`ndtri` behind `scipy.special`; and the Gauss-Jacobi rule of the volume
+averages, held to `scipy.special.roots_jacobi` by the tests.
 
 Each port repeats scipy's arithmetic operation for operation, so its
 floats equal scipy's bit for bit (the test suite keeps scipy as the
@@ -100,8 +100,8 @@ _log = np.frompyfunc(math.log, 1, 1)
 
 
 def _polevl(x, coefs):
-    """Horner's rule; on an array, in place on one buffer."""
-    out = np.full_like(x, coefs[0]) if isinstance(x, np.ndarray) else coefs[0]
+    """Horner's rule on an array, in place on one buffer."""
+    out = np.full_like(x, coefs[0])
     for c in coefs[1:]:
         out *= x
         out += c
@@ -133,36 +133,6 @@ def ndtri(u) -> np.ndarray:
     x1[~near] = z[~near] * _polevl(z[~near], _NDTRI_P2) / _p1evl(z[~near], _NDTRI_Q2)
     out[tail] = np.where(upper[tail], x0 - x1, x1 - x0)
     return out
-
-
-# Cephes Gamma on [2, 3): a ratio of polynomials of degree 6 and 7.
-_GAMMA_P = (1.60119522476751861407E-4, 1.19135147006586384913E-3, 1.04213797561761569935E-2,
-            4.76367800457137231464E-2, 2.07448227648435975150E-1, 4.94214826801497100753E-1,
-            9.99999999999999996796E-1)
-_GAMMA_Q = (-2.31581873324120129819E-5, 5.39605580493303397842E-4, -4.45641913851797240494E-3,
-            1.18139785222060435552E-2, 3.58236398605498653373E-2, -2.34591795718243348568E-1,
-            7.14304917030273074085E-2, 1.00000000000000000320E0)
-GAMMA_MAX_ARG = 33.0
-
-
-def gamma(x: float) -> float:
-    """Euler's Gamma on 0 < x < 33 (Cephes: recur into [2, 3), then the
-    rational approximation)."""
-    if not 0.0 < x < GAMMA_MAX_ARG:
-        raise DomainError(f"gamma is ported for 0 < x < {GAMMA_MAX_ARG:g}, got {x}")
-    z = 1.0
-    while x >= 3.0:
-        x -= 1.0
-        z *= x
-    while x < 2.0:
-        if x < 1e-9:
-            return z / ((1.0 + 0.5772156649015329 * x) * x)
-        z /= x
-        x += 1.0
-    if x == 2.0:
-        return z
-    x -= 2.0
-    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
 
 
 @lru_cache(maxsize=32)

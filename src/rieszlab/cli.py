@@ -398,6 +398,8 @@ def cmd_radial(args) -> int:
     if not 0.0 < args.grid_min < args.grid_max < math.inf:
         raise DomainError(f"the radial grid needs 0 < --grid-min < --grid-max < inf, got "
                           f"{args.grid_min} and {args.grid_max}")
+    if args.grid_points < 4:
+        raise DomainError(f"the radial grid needs --grid-points >= 4, got {args.grid_points}")
     grid = np.geomspace(args.grid_min, args.grid_max, args.grid_points)
     classification = rad.classify_profile(profile, grid)
     payload = {

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numerics import gamma, gauss_jacobi, ndtri, sobol
+from ._numerics import gauss_jacobi, ndtri, sobol
 from .errors import DomainError, NumericalError
 from .radial import density_estimate, density_radii, geometric_radii, quotients
 from .riesz import (INF, KernelSpec, _check_tol, _weighted_kernel, _weighted_kernel_of_square,
@@ -49,12 +49,12 @@ def unit_ball_volume(k: float) -> float:
     """Volume of the unit ball in dimension k (real k >= 0 allowed)."""
     if k < 0:
         raise DomainError("dimension must be >= 0")
-    return math.pi ** (k / 2.0) / gamma(k / 2.0 + 1.0)
+    return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
 
 
 def sphere_surface_area(n: int) -> float:
     """Surface area of the unit sphere in R^n."""
-    return 2.0 * math.pi ** (n / 2.0) / gamma(n / 2.0)
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def harnack_constant(n: int) -> float:
@@ -96,13 +96,12 @@ class SphereQuad:
     """Seeded low-discrepancy point set on the unit sphere, equal weights.
 
     Points come from a scrambled Sobol sequence mapped through the
-    inverse Gaussian CDF and normalized.  The first half of the set is a
-    Sobol sequence in its own right, which gives the doubling self-test
-    behind the reported noise bounds.
+    inverse Gaussian CDF and normalized.  The first half of the set is,
+    bit for bit, the set of half the size and the same seed, which gives
+    the doubling self-test behind the reported noise bounds.
     """
 
-    def __init__(self, n: int, size: int | None = None, seed: int = 0,
-                 _points: np.ndarray | None = None):
+    def __init__(self, n: int, size: int | None = None, seed: int = 0):
         if n < 2:
             raise DomainError("sphere quadrature needs n >= 2")
         self.n = n
@@ -113,20 +112,12 @@ class SphereQuad:
             raise DomainError(f"quadrature size must be a power of two (Sobol balance), "
                               f"got {self.size}")
         self.seed = int(seed)
-        if _points is not None:
-            self.points = _points
-        else:
-            u = np.clip(sobol(n, self.size, self.seed), 1e-15, 1.0 - 1e-15)
-            g = ndtri(u)
-            norms = np.linalg.norm(g, axis=1)
-            norms[norms == 0.0] = 1.0
-            self.points = g / norms[:, None]
+        u = np.clip(sobol(n, self.size, self.seed), 1e-15, 1.0 - 1e-15)
+        g = ndtri(u)
+        norms = np.linalg.norm(g, axis=1)
+        norms[norms == 0.0] = 1.0
+        self.points = g / norms[:, None]
         self._nn_cache = None
-
-    def half(self) -> "SphereQuad":
-        """The leading half of the point set (itself a Sobol sample)."""
-        return SphereQuad(self.n, self.size // 2, self.seed,
-                          _points=self.points[: self.size // 2])
 
     def neighbor_stats(self):
         """(indices, distances) of nearest neighbors for a 256-point subset."""
@@ -212,13 +203,15 @@ class ScalarField:
         return float(self.values(x)[0])
 
     def distance_to_singular(self, x) -> float:
+        """Distance to the nearer of `singular_points` and `singular_distance`."""
         x = np.asarray(x, dtype=float).reshape(-1)
+        dist = INF
         if self.singular_distance is not None:
-            return float(self.singular_distance(x.reshape(1, -1))[0])
-        if not self.singular_points:
-            return INF
-        pts = np.asarray(self.singular_points, dtype=float)
-        return float(np.linalg.norm(pts - x[None, :], axis=1).min())
+            dist = float(self.singular_distance(x.reshape(1, -1))[0])
+        if self.singular_points:
+            pts = np.asarray(self.singular_points, dtype=float)
+            dist = min(dist, float(np.linalg.norm(pts - x[None, :], axis=1).min()))
+        return dist
 
 
 def _clipped(vals: np.ndarray):
@@ -272,8 +265,8 @@ def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.
     """(means, leading-half means, hits, maxima) of the sphere shells about
     x0 of the given radii, evaluated once each in one pass of blocks of at
     most SHELL_BLOCK values; the maxima (`_max_from_shell`) are those of the
-    first `maxima` shells only, and the leading points are those of
-    `SphereQuad.half()`.  A non-finite value makes its row sum non-finite,
+    first `maxima` shells only, and the leading half of the points is the
+    set of half the size.  A non-finite value makes its row sum non-finite,
     so the values are scanned and clipped only in a block with a
     non-finite row sum.  A shell whose row sum still overflows after
     clipping, or whose samples are all non-finite, is refused."""
@@ -312,7 +305,7 @@ class AverageCurve:
     radii: np.ndarray
     values: np.ndarray
     clipped_fraction: float = 0.0
-    # the same curve on the leading half of the points (`SphereQuad.half()`); None for M
+    # the same curve on the leading half of the points; None for M
     half_values: np.ndarray | None = None
     # V: the gap of the deepest quotient to the half-order ladder's; 0 for M and S
     quadrature_error: float = 0.0
@@ -515,8 +508,8 @@ def densities(field: ScalarField, x0, p: float, radii=None,
 
     Each sphere shell is evaluated once: the M and S curves share the
     shell at each radius, and the half-sample noise bound takes the
-    leading half of the same values (that half is `quad.half()`).  The V
-    bracket adds the curve's `quadrature_error`.
+    leading half of the same values.  The V bracket adds the curve's
+    `quadrature_error`.
     """
     if math.isinf(p):
         raise DomainError("no density is defined at p = inf")

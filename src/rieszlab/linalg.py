@@ -41,18 +41,6 @@ def as_matrices(a) -> np.ndarray:
     return symmetrize(a)
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce an array-like to a symmetric ndarray."""
-    a = as_matrices(a)
-    if a.ndim != 2:
-        raise InvariantError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def fro(a) -> float:
-    return float(np.linalg.norm(as_matrix(a)))
-
-
 def ordered_eigenvalues(a) -> np.ndarray:
     """Ascending eigenvalues lambda_1 <= ... <= lambda_n of a matrix, or of
     each matrix in a (..., n, n) stack along the last axis, from LAPACK on
@@ -133,20 +121,6 @@ class Frame:
             raise InvariantError("frame columns must form a 2-d array")
         _check_orthonormal(cols)
         object.__setattr__(self, "columns", cols)
-
-    @staticmethod
-    def stack(columns) -> list:
-        """The frames of a (k, n, p) stack, checked once for the whole
-        stack.  Their columns are read-only views of one copy of it."""
-        cols = np.array(columns, dtype=float)
-        if cols.ndim != 3:
-            raise InvariantError("a frame stack must form a 3-d array")
-        _check_orthonormal(cols)
-        cols.flags.writeable = False
-        frames = [object.__new__(Frame) for _ in range(len(cols))]
-        for frame, plane in zip(frames, cols):
-            object.__setattr__(frame, "columns", plane)
-        return frames
 
     @property
     def n(self) -> int:

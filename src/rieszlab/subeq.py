@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,10 +25,10 @@ from .errors import DomainError, InvariantError, SolverError
 from .linalg import (
     Frame,
     Structure,
+    _check_orthonormal,
     as_matrices,
     coordinate_direction,
     elementary_symmetric_all,
-    fro,
     ordered_eigenvalues,
     random_psd,
     random_rotations,
@@ -81,12 +81,6 @@ class Subequation:
     preferred_direction: np.ndarray | None = None
     closed_form: float | None = None
     margin_batch: Callable = field(kw_only=True)
-
-    def member(self, a) -> bool:
-        return self.margin(a) >= -MEMBER_TOL * (1.0 + fro(a))
-
-    def on_boundary(self, a) -> bool:
-        return abs(self.margin(a)) <= BOUNDARY_BAND * (1.0 + fro(a))
 
     def direction(self) -> np.ndarray:
         if self.preferred_direction is not None:
@@ -420,24 +414,33 @@ def quaternionic_lift(family: str, n: int, **params) -> Subequation:
 class GrassmannSample:
     """Finite sample of p-planes in R^n standing in for a compact set of
     the Grassmannian; `angle_tol` drives intersection and containment
-    tests.  The planes are stacked once, at construction, into the
-    read-only (k, n, p) array that `stacked()` returns; the sample is
-    frozen so that the two cannot drift apart."""
+    tests.  The planes, a (k, n, p) array or a sequence of frames or
+    n x p arrays, are copied once into the read-only stack that
+    `stacked()` returns and checked once, with the message `Frame` gives;
+    `planes` become frames viewing that stack."""
 
-    planes: list
+    planes: Sequence
     angle_tol: float = 1e-3
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.angle_tol) and self.angle_tol > 0):
             raise DomainError(f"angle_tol must be finite and > 0, got {self.angle_tol}")
-        if not self.planes:
+        planes = self.planes
+        if len(planes) == 0:
             raise DomainError("Grassmann sample must be non-empty")
-        frames = [w if isinstance(w, Frame) else Frame(w) for w in self.planes]
-        if len({w.columns.shape for w in frames}) > 1:
-            raise InvariantError("all planes must share the same (n, p)")
-        stack = np.stack([w.columns for w in frames])
+        if not isinstance(planes, np.ndarray):
+            planes = [w.columns if isinstance(w, Frame) else w for w in planes]
+            if len({np.shape(w) for w in planes}) > 1:
+                raise InvariantError("all planes must share the same (n, p)")
+        stack = np.array(planes, dtype=float)
+        if stack.ndim != 3:
+            raise InvariantError("a frame stack must form a 3-d array")
+        _check_orthonormal(stack)
         stack.flags.writeable = False
+        frames = [object.__new__(Frame) for _ in range(len(stack))]
+        for frame, plane in zip(frames, stack):
+            object.__setattr__(frame, "columns", plane)
         object.__setattr__(self, "planes", frames)
         object.__setattr__(self, "_stack", stack)
 
@@ -472,7 +475,7 @@ def sample_grassmannian(n: int, p: int, count: int | None = None, seed=0,
         raise DomainError(f"Grassmann sample needs count >= 1, got count={count}")
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((count, n, p)))
     q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
-    return GrassmannSample(Frame.stack(q), angle_tol=angle_tol)
+    return GrassmannSample(q, angle_tol=angle_tol)
 
 
 def geometric(sample: GrassmannSample) -> Subequation:
@@ -679,7 +682,7 @@ def check_st_invariance(f: Subequation, sample_count: int = 100, seed=0) -> Prop
         moved = f.margin_batch(g @ a @ g.swapaxes(-1, -2))
         margins = f.margin_batch(a)
         # one norm per sample: a batched norm rounds differently
-        scale = np.maximum(1.0 + np.array([fro(x) for x in a]), np.abs(margins))
+        scale = np.maximum(1.0 + np.array([np.linalg.norm(x) for x in a]), np.abs(margins))
         return np.abs(moved - margins) / scale
 
     worst = _worst_over_samples(seed, sample_count, 2, violations)

@@ -205,7 +205,7 @@ def test_random_rotations_match_one_by_one():
 
 
 def ref_shift_into(f, a, budget=64):
-    a = linalg.as_matrix(a)
+    a = linalg.as_matrices(a)
     if f.margin(a) >= 0.0:
         return a
     t = 1.0
@@ -286,7 +286,7 @@ def ref_st_invariance(f, sample_count, seed):
         a = linalg.random_symmetric(f.n, int(seeds[i, 0]))
         g = ref_invariance_rotation(f, int(seeds[i, 1]))
         margin = f.margin(a)
-        return abs(f.margin(g @ a @ g.T) - margin) / max(1.0 + linalg.fro(a), abs(margin))
+        return abs(f.margin(g @ a @ g.T) - margin) / max(1.0 + np.linalg.norm(a), abs(margin))
 
     return ref_report("st-invariance", sample_count, max(one(i) for i in range(sample_count)),
                       1e-8)

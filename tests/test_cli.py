@@ -756,6 +756,14 @@ def test_radial_grid_must_be_finite_and_increasing(capsys, grid):
     assert captured.err.count("\n") == 1 and "the radial grid needs" in captured.err
 
 
+@pytest.mark.parametrize("points", ["-5", "0", "3"])
+def test_radial_grid_needs_four_points(capsys, points):
+    code = cli.main(["radial", "kernel", "--p", "3", "--grid-points", points, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.count("\n") == 1 and "--grid-points >= 4" in captured.err
+
+
 def test_radial_dip_classification(capsys):
     # the classification is a diagnostic; the failed K_p-convexity check sets exit 2
     code, payload = run_json(capsys, "radial", "shifted-square", "--p", "3")

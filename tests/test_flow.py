@@ -65,6 +65,17 @@ def test_neighbor_search_in_blocks_of_rows_matches_the_full_search(monkeypatch, 
     assert np.array_equal(dist, np.sqrt(d2.min(axis=1)))
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_leading_half_of_a_sphere_set_is_the_set_of_half_the_size(n):
+    # the doubling self-test reads the leading half of the points as the
+    # set of half the size; equal bytes, for every power-of-two size
+    for seed in (0, 1, 7):
+        full = flow.SphereQuad(n, 16384, seed).points
+        for size in (16 << j for j in range(10)):
+            half = flow.SphereQuad(n, size, seed).points
+            assert half.tobytes() == full[:size].tobytes(), (n, size, seed)
+
+
 def test_sphere_quad_unit_norms(quad4):
     norms = np.linalg.norm(quad4.points, axis=1)
     assert np.abs(norms - 1.0).max() <= 1e-12
@@ -75,7 +86,7 @@ def test_sphere_quad_doubling_self_consistency(quad4):
     # result by less than a conservative noise bound
     u = flow.quadratic_field(np.diag([1.0, -0.5, 2.0, 0.25]))
     full = average("S", u, np.zeros(4), 1.0, quad4)
-    half = average("S", u, np.zeros(4), 1.0, quad4.half())
+    half = average("S", u, np.zeros(4), 1.0, flow.sphere_quad(4, quad4.size // 2, quad4.seed))
     assert abs(full - half) <= 5e-3
 
 
@@ -460,7 +471,7 @@ def test_densities_evaluate_each_shell_once(field, sampled, quad3):
     kvals = np.asarray(riesz.kernel(riesz.KernelSpec(p=3.0), radii), dtype=float)
     noise = 0.0
     for kind in ("S", "V"):
-        half_curve = flow.average_curve(field, kind, x0, radii, quad3.half(), 3.0)
+        half_curve = flow.average_curve(field, kind, x0, radii, flow.sphere_quad(3, quad3.size // 2, quad3.seed), 3.0)
         half_q = (half_curve.values[:-1] - half_curve.values[1:]) / (kvals[:-1] - kvals[1:])
         noise = max(noise, float(np.abs(rep.quotients[kind] - half_q).max()))
     assert rep.noise_bound == noise
@@ -508,7 +519,7 @@ def test_volume_average_is_the_ladder_of_shell_means(n, p):
     x0 = np.full(n, 0.01)
     radii = np.array([1.0, 0.3, 0.05])
     volume = flow.average_curve(field, "V", x0, radii, quad, p)
-    for values, q in ((volume.values, quad), (volume.half_values, quad.half())):
+    for values, q in ((volume.values, quad), (volume.half_values, flow.sphere_quad(n, 256, seed=1))):
         want = _ladder(field, x0, q, p, radii, flow.JACOBI_NODES, flow.ANNULUS_NODES)
         assert values == pytest.approx(want, rel=1e-13, abs=0.0)
     coarse = _ladder(field, x0, quad, p, radii[-2:], flow.JACOBI_NODES // 2,
@@ -873,7 +884,8 @@ def test_a_shell_through_a_far_centre_keeps_its_hits(monkeypatch, p):
     # meets c, where the distance is exactly 0
     points = flow.sphere_quad(3, 512, seed=2).points.copy()
     points[5] = E1
-    quad = flow.SphereQuad(3, 512, 2, _points=points)
+    quad = flow.SphereQuad(3, 512, 2)
+    quad.points = points
     masses = [(1.0, np.zeros(3)), (1.0, 2.0 * E1)]
     field = flow.newtonian_potential_field(p, masses, 3)
     radii = np.array([2.0, 1.0])
@@ -1031,6 +1043,19 @@ def test_max_of_kernels_values():
     pts = np.array([[0.2, 0.0, 0.0], [0.9, 0.0, 0.0]])
     expected = np.maximum(k0.values(pts), k1.values(pts))
     assert np.allclose(u.values(pts), expected)
+
+
+def test_a_combined_field_keeps_the_poles_of_each_part():
+    # the kernel's pole is a singular point, the log field's set a distance
+    kernel = flow.riesz_kernel_field(1.0, 3.0, 4, center=[0.0, 0.0, 1.0, 0.0])
+    log = flow.log_modulus_coordinate_field(2)
+    x = np.array([0.0, 0.0, 1.001, 0.0])
+    assert log.distance_to_singular(x) == pytest.approx(1.001, rel=1e-15)
+    both = flow.max_of_fields(kernel, log)
+    assert both.distance_to_singular(x) == kernel.distance_to_singular(x)
+    assert both.distance_to_singular(x) == pytest.approx(0.001, rel=1e-12)
+    flowed = flow.tangent_flow(both, 3.0, 0.5)
+    assert flowed.distance_to_singular(x / 0.5) == pytest.approx(0.002, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])

@@ -29,7 +29,7 @@ def test_eigenvalues_projector_pencil():
 
 
 def test_symmetrization_is_exact():
-    a = linalg.as_matrix([[1.0, 2.0], [0.0, 3.0]])
+    a = linalg.as_matrices([[1.0, 2.0], [0.0, 3.0]])
     assert a[0, 1] == a[1, 0] == 1.0
 
 
@@ -239,25 +239,6 @@ def test_frame_rejects_non_orthonormal():
 def test_frame_rejects_nan_columns():
     with pytest.raises(InvariantError, match="columns not orthonormal: defect nan"):
         linalg.Frame(np.full((3, 2), np.nan))
-
-
-def test_frame_stack_checks_the_stack_once_with_the_frame_message():
-    stack = np.stack([np.eye(4)[:, :2]] * 5)
-    frames = linalg.Frame.stack(stack)
-    assert [f.columns.shape for f in frames] == [(4, 2)] * 5
-    assert all(not f.columns.flags.writeable for f in frames)
-    assert stack.flags.writeable  # the caller's array is copied, not frozen
-    # one bad plane refuses the stack, with the message Frame gives that plane
-    bad = stack.copy()
-    bad[3, :, 1] = [1.0, 1.0, 0.0, 0.0]
-    with pytest.raises(InvariantError) as one:
-        linalg.Frame(bad[3])
-    with pytest.raises(InvariantError) as batched:
-        linalg.Frame.stack(bad)
-    assert str(batched.value) == str(one.value)
-    assert str(one.value).startswith("columns not orthonormal: defect ")
-    with pytest.raises(InvariantError, match="3-d"):
-        linalg.Frame.stack(stack[0])
 
 
 # ---------------------------------------------------------------------------

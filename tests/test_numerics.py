@@ -1,7 +1,8 @@
-"""The in-repo Sobol points, ndtri and Gamma against scipy, bit for bit,
-and the Gauss-Jacobi rule against scipy within rounding.
+"""The in-repo Sobol points and ndtri against scipy, bit for bit, the
+Gauss-Jacobi rule against scipy within rounding, and the ball volumes and
+sphere areas from `math.gamma` against scipy's Gamma.
 
-The runtime does not import scipy; its three ports in `rieszlab._numerics`
+The runtime does not import scipy; its two ports in `rieszlab._numerics`
 repeat scipy's arithmetic, and scipy stays the oracle here.
 """
 
@@ -55,19 +56,18 @@ def test_ndtri_equals_scipy_bit_for_bit():
     assert np.array_equal(_numerics.ndtri(u), special.ndtri(u))
 
 
-def test_gamma_equals_scipy_bit_for_bit():
-    rng = np.random.default_rng(1408)
-    x = np.concatenate([rng.uniform(0.0, 33.0, 200_000), np.arange(1, 66) / 2.0,
-                        [1e-10, 1e-9, 2.0, 3.0, np.nextafter(33.0, 0.0)]])
-    x = x[x > 0.0]
-    ours = np.array([_numerics.gamma(float(t)) for t in x])
-    assert np.array_equal(ours, special.gamma(x))
-
-
-@pytest.mark.parametrize("x", [0.0, -1.0, 33.0, math.inf, math.nan])
-def test_gamma_refuses_arguments_outside_its_port(x):
-    with pytest.raises(DomainError, match="0 < x < 33"):
-        _numerics.gamma(x)
+def test_ball_volume_and_sphere_area_match_scipy_gamma():
+    # math.gamma against scipy's Gamma: the largest gap on this grid is 5 eps
+    tol = 8 * np.finfo(float).eps
+    for k in np.linspace(0.0, 16.0, 1601):
+        ref = math.pi ** (k / 2.0) / special.gamma(k / 2.0 + 1.0)
+        assert flow.unit_ball_volume(float(k)) == pytest.approx(ref, rel=tol, abs=0.0), k
+    for n in range(2, 17):
+        ref = 2.0 * math.pi ** (n / 2.0) / special.gamma(n / 2.0)
+        assert flow.sphere_surface_area(n) == pytest.approx(ref, rel=tol, abs=0.0), n
+    assert flow.unit_ball_volume(2) == pytest.approx(math.pi, rel=tol, abs=0.0)
+    assert flow.unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=tol, abs=0.0)
+    assert flow.sphere_surface_area(3) == pytest.approx(4.0 * math.pi, rel=tol, abs=0.0)
 
 
 @pytest.mark.parametrize("beta", [-0.99, -0.5, 0.0, 1.5, 9.9])

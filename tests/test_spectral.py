@@ -93,7 +93,7 @@ def test_spectrum_is_linear_along_the_identity(base, construction):
     for a in sym_stack(f.n, 6, 5):
         spec = f.spectrum(a)
         for t in (-7.0, 0.25, 3.0):
-            scale = 1.0 + abs(t) + linalg.fro(a)
+            scale = 1.0 + abs(t) + np.linalg.norm(a)
             assert np.abs(f.spectrum(a + t * eye) - (spec + t * at_id)).max() <= 1e-12 * scale
 
 

@@ -67,7 +67,8 @@ def test_pn_margin_is_trace():
 def test_min_max_boundary_example():
     f = subeq.builtin("min-max", 4, p=3.0)
     assert f.margin(np.diag([-2.0, 1.0, 1.0, 1.0])) == pytest.approx(0.0, abs=1e-12)
-    assert f.on_boundary(np.diag([-2.0, 1.0, 1.0, 1.0]))
+    a = np.diag([-2.0, 1.0, 1.0, 1.0])
+    assert abs(f.margin(a)) <= subeq.BOUNDARY_BAND * (1.0 + np.linalg.norm(a))
 
 
 def test_fractional_p_convex_margin():
@@ -193,13 +194,14 @@ def test_dual_min_max_boundary_maps():
 
 def test_complex_lift_identity_member():
     f = subeq.complex_lift("p", 1)
-    assert f.member(np.eye(2))
+    a = np.eye(2)
+    assert f.margin(a) >= -subeq.MEMBER_TOL * (1.0 + np.linalg.norm(a))
 
 
 def test_complex_lift_detects_negative_hermitian_part():
     f = subeq.complex_lift("p", 2)
     a = np.diag([-3.0, -3.0, 1.0, 1.0])  # hermitian part has a negative eigenvalue
-    assert not f.member(a)
+    assert f.margin(a) < -subeq.MEMBER_TOL * (1.0 + np.linalg.norm(a))
 
 
 def test_lift_margin_matches_reduced_spectrum():
@@ -726,6 +728,46 @@ def test_sample_stack_is_one_read_only_array():
     built = subeq.GrassmannSample(gs.planes[:3], angle_tol=gs.angle_tol)
     assert built.stacked() is built.stacked() and not built.stacked().flags.writeable
     assert np.array_equal(built.stacked(), stack[:3])
+
+
+def test_grassmann_sample_checks_the_stack_once_with_the_frame_message():
+    stack = np.stack([np.eye(4)[:, :2]] * 5)
+    planes = subeq.GrassmannSample(stack).planes
+    assert [w.columns.shape for w in planes] == [(4, 2)] * 5
+    assert all(not w.columns.flags.writeable for w in planes)
+    assert stack.flags.writeable  # the caller's array is copied, not frozen
+    # one bad plane refuses the stack, with the message Frame gives that plane
+    bad = stack.copy()
+    bad[3, :, 1] = [1.0, 1.0, 0.0, 0.0]
+    with pytest.raises(InvariantError) as one:
+        linalg.Frame(bad[3])
+    with pytest.raises(InvariantError) as batched:
+        subeq.GrassmannSample(bad)
+    assert str(batched.value) == str(one.value)
+    assert str(one.value).startswith("columns not orthonormal: defect ")
+    with pytest.raises(InvariantError, match="3-d"):
+        subeq.GrassmannSample(stack[0])
+
+
+def test_grassmann_sample_holds_its_own_read_only_planes():
+    # margin over span(e1, e2) and span(e2, e3) of diag(-5, 0, 1) is -5;
+    # with e3 for e1 the first plane would read 1
+    a = np.diag([-5.0, 0.0, 1.0])
+    e = np.eye(3)
+    arrays = np.stack([np.eye(3)[:, :2], np.eye(3)[:, 1:]])
+    for planes, mutate in (([linalg.Frame(e[:, :2]), linalg.Frame(np.eye(3)[:, 1:])], e),
+                           (arrays, arrays[0])):
+        gs = subeq.GrassmannSample(planes)
+        f = subeq.geometric(gs)
+        assert f.margin(a) == -5.0
+        mutate[:, 0] = [0.0, 0.0, 1.0]
+        assert np.array_equal(gs.planes[0].columns, np.eye(3)[:, :2])
+        assert np.array_equal(gs.stacked()[0], np.eye(3)[:, :2])
+        assert np.array_equal(f.preferred_direction, [1.0, 0.0, 0.0])
+        assert f.margin(a) == subeq.geometric(gs).margin(a) == -5.0
+        for w in gs.planes:
+            with pytest.raises(ValueError):
+                w.columns[0, 0] = 2.0
 
 
 def test_grassmann_sample_refuses_planes_of_different_shapes():

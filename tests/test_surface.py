@@ -6,6 +6,10 @@ attribute that refers to it in `src/`, in the acceptance suite
 (`tests/test_acceptance.py`) or in the benchmark (`perfbench/`), whose
 tracer also looks the functions it times up by their names as strings.
 Other tests do not count: a name only its own unit tests call is dead code.
+
+The same holds for every public method and property of a public class: an
+attribute of that name must be read in `src/` outside its own definition,
+in the acceptance suite, or in the benchmark.
 """
 
 import ast
@@ -54,3 +58,30 @@ def test_every_public_name_has_a_reader():
     unread = sorted(f"{module}: {name}" for name, module in _public_definitions().items()
                     if name not in read)
     assert unread == [], "public names nothing reads; delete them or read them"
+
+
+def _attributes(node, own=frozenset()) -> set:
+    """Attribute names read under node; a definition does not read its own name."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        own = own | {node.name}
+    out = {node.attr} - own if isinstance(node, ast.Attribute) else set()
+    for child in ast.iter_child_nodes(node):
+        out |= _attributes(child, own)
+    return out
+
+
+def test_every_public_method_has_an_attribute_reader():
+    read = _attributes(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    methods = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read |= _attributes(tree)
+        methods += [f"{path.name}: {cls.name}.{item.name}"
+                    for cls in tree.body
+                    if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                    for item in cls.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    for path in (ROOT / "perfbench").glob("*.py"):
+        read |= _names(ast.parse(path.read_text()), strings=True)
+    unread = [m for m in methods if m.rsplit(".", 1)[1] not in read]
+    assert unread == [], "public methods nothing reads; delete them or read them"

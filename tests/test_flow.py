@@ -470,8 +470,9 @@ def test_densities_evaluate_each_shell_once(field, sampled, quad3):
     # the noise bound is the one the half quadrature gives
     kvals = np.asarray(riesz.kernel(riesz.KernelSpec(p=3.0), radii), dtype=float)
     noise = 0.0
+    half_quad = flow.sphere_quad(3, quad3.size // 2, quad3.seed)
     for kind in ("S", "V"):
-        half_curve = flow.average_curve(field, kind, x0, radii, flow.sphere_quad(3, quad3.size // 2, quad3.seed), 3.0)
+        half_curve = flow.average_curve(field, kind, x0, radii, half_quad, 3.0)
         half_q = (half_curve.values[:-1] - half_curve.values[1:]) / (kvals[:-1] - kvals[1:])
         noise = max(noise, float(np.abs(rep.quotients[kind] - half_q).max()))
     assert rep.noise_bound == noise
@@ -519,7 +520,8 @@ def test_volume_average_is_the_ladder_of_shell_means(n, p):
     x0 = np.full(n, 0.01)
     radii = np.array([1.0, 0.3, 0.05])
     volume = flow.average_curve(field, "V", x0, radii, quad, p)
-    for values, q in ((volume.values, quad), (volume.half_values, flow.sphere_quad(n, 256, seed=1))):
+    half_quad = flow.sphere_quad(n, 256, seed=1)
+    for values, q in ((volume.values, quad), (volume.half_values, half_quad)):
         want = _ladder(field, x0, q, p, radii, flow.JACOBI_NODES, flow.ANNULUS_NODES)
         assert values == pytest.approx(want, rel=1e-13, abs=0.0)
     coarse = _ladder(field, x0, quad, p, radii[-2:], flow.JACOBI_NODES // 2,

@@ -63,6 +63,7 @@ def harnack_constant(n: int) -> float:
     return (1.0 + lam) ** (n - 1) / (1.0 - lam)
 
 
+@lru_cache(maxsize=32)
 def harnack_sup_constant(p: float, n: int) -> float:
     """Best constant in the two-sided max/spherical density comparison."""
     lams = np.linspace(1e-6, 1.0 - 1e-6, 20001)

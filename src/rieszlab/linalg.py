@@ -109,7 +109,7 @@ def _check_orthonormal(cols: np.ndarray) -> None:
         raise InvariantError(f"columns not orthonormal: defect {defect:.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
     """n x p matrix with orthonormal columns spanning a p-plane."""
 
@@ -146,7 +146,7 @@ def _quaternion_left_blocks(n: int):
     return li, lj, lk
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Structure:
     """A complex structure (J,) on R^{2n} or a quaternionic one (I, J, K)
     on R^{4n}: orthogonal units with square -Id, and IJ = K.  The units

@@ -7,15 +7,13 @@ on [1, hi] with hi = 64 doubled while the margin there is still >= 0.
 The decreasing characteristic is the increasing one of the dual, whose
 margin is -margin(-A): one solver serves both.
 
-For a spectral F the bisection runs on spectra: spec(Id - t P_e) is
-spectrum(Id) - t spectrum(P_e), reversed, so two spectra serve a whole
-direction and one vector call evaluates the 31 interior points of a
-dyadic 32-section, on which the steps of plain bisection are replayed
-(same points, same bracket).  Two matrix margins must then confirm the
-final bracket, or the solver raises.  Everything that checks an answer
-stays on matrix margins, one per step: the infinity and t = 1 tests,
-``check_directions``, ``bisection_certificate`` and every subequation
-without a spectrum.
+One bisection serves every F, replaying plain bisection on dyadic
+sections of the bracket: one matrix margin per step, or for a spectral F
+31 points per call from two spectra (spec(Id - t P_e) is spectrum(Id) -
+t spectrum(P_e), reversed), whose final bracket two matrix margins must
+confirm.  The infinity and t = 1 tests, ``bisection_certificate`` and
+``check_directions`` read matrix margins: each further direction is
+checked by two of them, not solved again.
 Kernels come in two normalizations: the `standard` one (plain powers /
 log) and the `barred` one whose first derivative is exactly r^(1-p).
 """
@@ -213,7 +211,7 @@ def _matrix_pencil(f: Subequation, e: np.ndarray):
 
 
 def _spectral_pencil(f: Subequation, e: np.ndarray):
-    """The same map on an array of t >= 1, from two spectra: for t > 0 the
+    """The same map on a list of t >= 1, from two spectra: for t > 0 the
     spectrum of Id - t P_e is spectrum(Id) - t spectrum(P_e) reversed, since
     spectrum(Id) is constant and spectrum(P_e) ascending."""
     spec_id = f.spectrum(np.eye(f.n))
@@ -223,7 +221,7 @@ def _spectral_pencil(f: Subequation, e: np.ndarray):
         values = f.eig_margin((spec_id - np.multiply.outer(ts, spec_e))[..., ::-1])
         if np.isnan(values).any():
             raise _nan_margin(f)
-        return values
+        return values.tolist()
 
     return g
 
@@ -236,25 +234,14 @@ def _check_inside(lo: float, mid: float, hi: float) -> None:
                           "apart: tol is smaller")
 
 
-def _bisect_decreasing(g, lo: float, hi: float, tol: float):
-    """Final bracket [lo, hi] of plain bisection for a decreasing g with
-    g(lo) >= 0 > g(hi)."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        _check_inside(lo, mid, hi)
-        if g(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
-def _bisect_sections(g, lo: float, hi: float, tol: float):
-    """The bracket of ``_bisect_decreasing``, for any g, from one call of g
-    per dyadic section: g maps the array of the section's interior points,
-    each the midpoint plain bisection computes, to their values, and plain
-    bisection's steps are replayed on those values."""
-    parts = 1 << SECTION_LEVELS
+def _bisect_sections(g, lo: float, hi: float, tol: float, levels: int):
+    """Final bracket [lo, hi] of plain bisection for a decreasing map with
+    value >= 0 at lo and < 0 at hi, from one call of g per dyadic section
+    of 2^levels parts: g maps the list of the section's interior points,
+    each the midpoint plain bisection computes, to the list of their
+    values, and plain bisection's steps are replayed on those values.
+    With one level this is plain bisection."""
+    parts = 1 << levels
     while hi - lo > tol:
         x = [lo] * parts + [hi]
         step = parts
@@ -262,7 +249,7 @@ def _bisect_sections(g, lo: float, hi: float, tol: float):
             for k in range(step // 2, parts, step):
                 x[k] = 0.5 * (x[k - step // 2] + x[k + step // 2])
             step //= 2
-        values = g(np.array(x[1:-1])).tolist()
+        values = g(x[1:-1])
         i, j = 0, parts
         while j - i > 1 and x[j] - x[i] > tol:
             k = (i + j) // 2
@@ -275,64 +262,65 @@ def _bisect_sections(g, lo: float, hi: float, tol: float):
     return lo, hi
 
 
-def _pencil_root(f: Subequation, e: np.ndarray, tol: float, spectral: bool):
-    """Root and bracket width of the decreasing map of ``_matrix_pencil``,
-    whose value at 1 is >= 0.  The bracket [1, hi] starts at hi = 64 and
-    doubles while the value at hi is >= 0, up to the last hi whose float
-    spacing is below tol.  A spectral F is bisected on its spectra, 31
-    points per call, and two matrix margins must then confirm the final
-    bracket."""
-    g = _matrix_pencil(f, e)
-    sections = _spectral_pencil(f, e) if spectral else None
-    at = g if sections is None else (lambda t: sections(np.array([t]))[0])
-    hi = P_BRACKET_MAX
-    while at(hi) >= 0.0:
-        if math.ulp(2.0 * hi) >= tol:
-            raise SolverError(f"no boundary crossing for {f.name} in [1, {hi:.0f}]: a wider "
-                              f"bracket would not resolve tol = {tol:g}")
-        hi *= 2.0
-    if sections is None:
-        lo, hi = _bisect_decreasing(g, 1.0, hi, tol)
-    else:
-        lo, hi = _bisect_sections(sections, 1.0, hi, tol)
-        if not g(lo) >= 0.0 > g(hi):
-            raise SolverError(f"matrix margins of {f.name} do not confirm its spectral "
-                              f"bracket [{lo!r}, {hi!r}]")
-    return 0.5 * (lo + hi), hi - lo
-
-
-def _characteristic(f: Subequation, e: np.ndarray, tol: float, spectral: bool):
-    """Increasing characteristic of F along e: inf when -P_e is a member,
-    exactly 1 when P_perp is on the boundary up to the membership band,
-    a SolverError when P_perp is outside beyond it, else the pencil root."""
+def _characteristic(f: Subequation, e: np.ndarray, tol: float):
+    """Increasing characteristic of F along e and the bracket width: inf
+    when -P_e is a member, exactly 1 when P_perp is on the boundary up to
+    the membership band, a SolverError when P_perp is outside beyond it,
+    else the root of ``_matrix_pencil`` in [1, hi], with hi = 64 doubled
+    while the value at hi is >= 0 and its float spacing is below tol."""
     band = _membership_band(1.0)
     if _margin_at(f, -projector_onto(e)) >= -band:
         return INF, 0.0
-    g1 = _matrix_pencil(f, e)(1.0)
+    g = _matrix_pencil(f, e)
+    g1 = g(1.0)
     if abs(g1) <= band:
         return 1.0, 0.0
     if g1 < 0.0:
         raise SolverError(f"no sign change for {f.name}: margin already negative at 1.0")
-    return _pencil_root(f, e, tol, spectral)
+    spectral = f.spectrum is not None
+    if spectral:
+        sections, levels = _spectral_pencil(f, e), SECTION_LEVELS
+    else:
+        sections, levels = (lambda ts: [g(t) for t in ts]), 1
+    hi = P_BRACKET_MAX
+    while sections([hi])[0] >= 0.0:
+        if math.ulp(2.0 * hi) >= tol:
+            raise SolverError(f"no boundary crossing for {f.name} in [1, {hi:.0f}]: a wider "
+                              f"bracket would not resolve tol = {tol:g}")
+        hi *= 2.0
+    lo, hi = _bisect_sections(sections, 1.0, hi, tol, levels)
+    if spectral and not g(lo) >= 0.0 > g(hi):
+        raise SolverError(f"matrix margins of {f.name} do not confirm its spectral "
+                          f"bracket [{lo!r}, {hi!r}]")
+    return 0.5 * (lo + hi), hi - lo
 
 
 def increasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL,
                               check_directions: int = 0, seed=0):
     """Increasing characteristic of F and the final bracket width (see
-    ``_characteristic``).  The ``check_directions`` random directions are
-    solved again on matrices and must agree within 10 tol."""
+    ``_characteristic``).  Each of the ``check_directions`` random
+    directions e2 is checked with matrix margins, not solved again: an
+    infinite value needs -P_e2 in F up to the membership band, a finite
+    one a pencil along e2 that is >= 0 at value - w (unless that is below
+    1) and < 0 at value + w, where w = max(10 tol, 1e-9 |value|)."""
     _check_tol(tol)
     if check_directions < 0:
         raise DomainError(f"check_directions must be >= 0, got {check_directions}")
     e = unit_vector(e if e is not None else f.direction())
-    value, bracket = _characteristic(f, e, tol, spectral=f.spectrum is not None)
+    value, bracket = _characteristic(f, e, tol)
     if check_directions:
         rng = np.random.default_rng(seed)
+        w = max(10.0 * tol, 1e-9 * abs(value))
         for _ in range(check_directions):
-            v2, _ = _characteristic(f, random_unit_vector(f.n, rng), tol, spectral=False)
-            if not math.isclose(v2, value, abs_tol=10.0 * tol):
+            e2 = random_unit_vector(f.n, rng)
+            if value == INF:
+                holds = _margin_at(f, -projector_onto(e2)) >= -_membership_band(1.0)
+            else:
+                g = _matrix_pencil(f, e2)
+                holds = (value - w < 1.0 or g(value - w) >= 0.0) and g(value + w) < 0.0
+            if not holds:
                 raise SolverError(f"characteristic depends on direction for {f.name}: "
-                                  f"{value} vs {v2}")
+                                  f"{value} does not hold along e2 = {e2.tolist()}")
     return value, bracket
 
 
@@ -341,8 +329,7 @@ def decreasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL):
     characteristic of the dual, finite exactly when P_e is interior to F."""
     _check_tol(tol)
     e = unit_vector(e if e is not None else f.direction())
-    f_dual = dual(f)
-    return _characteristic(f_dual, e, tol, spectral=f_dual.spectrum is not None)
+    return _characteristic(dual(f), e, tol)
 
 
 def characteristic_pair(f: Subequation, tol: float = DEFAULT_TOL,

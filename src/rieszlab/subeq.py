@@ -410,7 +410,7 @@ def quaternionic_lift(family: str, n: int, **params) -> Subequation:
                  "Sp(n)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrassmannSample:
     """Finite sample of p-planes in R^n standing in for a compact set of
     the Grassmannian; `angle_tol` drives intersection and containment
@@ -421,7 +421,7 @@ class GrassmannSample:
 
     planes: Sequence
     angle_tol: float = 1e-3
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.angle_tol) and self.angle_tol > 0):

@@ -241,6 +241,17 @@ def test_frame_rejects_nan_columns():
         linalg.Frame(np.full((3, 2), np.nan))
 
 
+def test_frames_and_structures_compare_by_identity():
+    # the generated == would compare the arrays through bool and raise
+    frame = linalg.Frame(np.eye(3)[:, :2])
+    j = linalg.Structure.complex(1).units[0]
+    structure = linalg.Structure((j,))
+    assert (frame == linalg.Frame(np.eye(3)[:, :2])) is False
+    assert (structure == linalg.Structure((j.copy(),))) is False
+    assert frame == frame and frame in [frame] and structure in [structure]
+    assert len({frame, structure}) == 2
+
+
 # ---------------------------------------------------------------------------
 # elementary symmetric functions
 # ---------------------------------------------------------------------------

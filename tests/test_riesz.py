@@ -149,6 +149,31 @@ def test_direction_independence():
     assert p == pytest.approx(2.0, abs=1e-6)
 
 
+def test_a_direction_dependent_characteristic_is_refused():
+    # three planes of G(2, R^4) are not spherically transitive: the
+    # characteristic along the default direction fails along another one
+    f = subeq.geometric(subeq.sample_grassmannian(4, 2, count=3, seed=1))
+    assert riesz.increasing_characteristic(f) == (2.0000000004438334, 9.167706593871117e-10)
+    with pytest.raises(SolverError, match="characteristic depends on direction for geometric"):
+        riesz.increasing_characteristic(f, check_directions=1, seed=0)
+
+
+def test_an_infinite_characteristic_is_checked_in_other_directions():
+    f = subeq.builtin("subaffine", 4)
+    assert riesz.increasing_characteristic(f, check_directions=3) == (INF, 0.0)
+
+
+def test_direction_window_grows_with_the_characteristic(monkeypatch):
+    # at p = 200 the window is 1e-9 p = 2e-7, wider than 10 tol = 1e-8
+    f = subeq.builtin("min-max", 4, p=200.0)
+    pencil, ts = riesz._matrix_pencil, []
+    monkeypatch.setattr(riesz, "_matrix_pencil",
+                        lambda f, e: lambda t: ts.append(t) or pencil(f, e)(t))
+    p, _ = riesz.increasing_characteristic(f, check_directions=4)
+    assert p == pytest.approx(200.0, abs=1e-8)
+    assert ts[-8:] == [p - 1e-9 * p, p + 1e-9 * p] * 4
+
+
 def test_a_negative_direction_count_is_refused():
     f = subeq.builtin("sigma-k", 4, k=2)
     with pytest.raises(DomainError, match="check_directions must be >= 0, got -1"):

@@ -1,10 +1,12 @@
 """The characteristic solver on spectra.
 
-A spectral subequation is bisected on spectrum(Id) - t spectrum(P_e), 31
-points per call; every answer must be the matrix route's, bit for bit,
-and the checks (infinity and t = 1 tests, check_directions, the bracket
-guard) must still read matrix margins.  The decreasing characteristic is
-the increasing one of the dual, so its margins are those of ``riesz.dual``.
+One bisection serves every subequation: one matrix margin per step, or
+for a spectral one 31 points of spectrum(Id) - t spectrum(P_e) per call.
+Every spectral answer must be the matrix route's, bit for bit, and the
+checks (infinity and t = 1 tests, the bracket guard) must still read
+matrix margins; check_directions reads two matrix margins per further
+direction.  The decreasing characteristic is the increasing one of the
+dual, so its margins are those of ``riesz.dual``.
 """
 
 import dataclasses
@@ -120,6 +122,19 @@ def test_certificate_holds_at_the_solvers_p(family, n):
         assert not riesz.bisection_certificate(f, p - 1e-3)["ok"]
 
 
+def plain_bisection(g, lo, hi, tol):
+    """Final bracket of plain bisection for g(lo) >= 0 > g(hi): the oracle
+    for the section replay."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        assert lo < mid < hi
+        if g(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 @pytest.mark.parametrize("lo,hi,tol", [(1.0, 64.0, 1e-9), (1.0, 128.0, 1e-9),
                                        (1.0, 2.0 ** 22, 1e-9), (1.0, 64.0, 0.3),
                                        (1.0, 64.0, 1e-13)])
@@ -129,15 +144,17 @@ def test_section_replay_is_plain_bisection(lo, hi, tol):
     def g(t):
         return math.sin(7.3 * t) + 0.2 * math.cos(131.0 * t) - 0.05 * (t - 20.0)
 
-    calls = []
-
-    def sections(ts):
-        calls.append(len(ts))
-        return np.array([g(t) for t in ts])
-
     assert g(lo) >= 0.0 > g(hi)
-    assert riesz._bisect_sections(sections, lo, hi, tol) == riesz._bisect_decreasing(g, lo, hi, tol)
-    assert set(calls) == {31}
+    for levels, size in ((riesz.SECTION_LEVELS, 31), (1, 1)):
+        calls = []
+
+        def sections(ts):
+            calls.append(len(ts))
+            return [g(t) for t in ts]
+
+        bracket = riesz._bisect_sections(sections, lo, hi, tol, levels)
+        assert bracket == plain_bisection(g, lo, hi, tol)
+        assert set(calls) == {size}
 
 
 def test_swapped_eig_margin_fails_the_bracket_guard(monkeypatch):
@@ -169,7 +186,8 @@ def test_checks_read_matrix_margins(monkeypatch):
     assert len(calls) == 4
     calls.clear()
     riesz.increasing_characteristic(counted(f, calls), check_directions=2, seed=3)
-    assert len(calls) >= 4 + 2 * 30
+    # each further direction: the pencil at p - w and p + w
+    assert len(calls) == 4 + 2 * 2
     calls.clear()
     monkeypatch.setattr(riesz, "dual", lambda g: counted(subeq.dual(g), calls))
     riesz.decreasing_characteristic(f)
@@ -191,11 +209,12 @@ def test_dual_cross_check_reads_matrix_margins(monkeypatch):
 def test_non_spectral_decreasing_pencil_is_bisected_once(monkeypatch):
     # without a spectrum the matrix route is the only route: no second solve
     f = matrix_route(subeq.builtin("p-convex", 4, p=3.5))
-    plain, runs = riesz._bisect_decreasing, []
-    monkeypatch.setattr(riesz, "_bisect_decreasing", lambda *args: runs.append(args) or plain(*args))
+    replay, runs = riesz._bisect_sections, []
+    monkeypatch.setattr(riesz, "_bisect_sections", lambda *args: runs.append(args) or replay(*args))
     q, _ = riesz.decreasing_characteristic(f)
     assert q == pytest.approx(3.5 / 0.5, abs=1e-8)
     assert len(runs) == 1
+    assert runs[0][-1] == 1  # one level: one matrix margin per step
 
 
 @pytest.mark.parametrize("family,params,n", [("p-convex", {"p": 2.5}, 4),

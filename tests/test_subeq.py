@@ -229,6 +229,14 @@ def test_geometric_identity_margin():
     assert f.margin(np.eye(4)) == pytest.approx(2.0, abs=1e-10)
 
 
+def test_grassmann_samples_compare_by_identity():
+    # the generated == would compare the plane stacks through bool and raise
+    gs = subeq.sample_grassmannian(3, 2, count=2, seed=0)
+    other = subeq.sample_grassmannian(3, 2, count=2, seed=0)
+    assert (gs == other) is False and (gs != other) is True
+    assert gs == gs and gs in [other, gs] and other not in [gs]
+
+
 GEOMETRIC_SAMPLES = [(3, 2, 128), (5, 3, 128), (7, 3, 256)]
 
 

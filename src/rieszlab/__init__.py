@@ -18,7 +18,6 @@ from .linalg import (
     projector_onto,
     projector_perp,
     radial_hessian,
-    random_psd,
     reduced_eigenvalues,
 )
 from .subeq import (

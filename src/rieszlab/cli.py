@@ -330,14 +330,18 @@ def cmd_density(args) -> int:
     density = fl.mass_density if args.mass else fl.densities
     report = density(field, center, args.p, radii=args.radii, quad=quad)
     if args.curve_out:
-        _write_curve_csv(args.curve_out, field, center, report.radii, quad, args.p)
+        # a mass report's spherical curve sits at other radii, so it sweeps again
+        _write_curve_csv(args.curve_out, field, center, report.radii, quad, args.p,
+                         None if args.mass else report.curves)
     emit({"command": "density", "field": field.name, **_sanitize(report)}, args)
     return EXIT_OK
 
 
-def _write_curve_csv(path: str, field, center, radii, quad, p: float) -> None:
+def _write_curve_csv(path: str, field, center, radii, quad, p: float, curves=None) -> None:
+    """The M, S and V curves as CSV rows; ``curves`` already swept, if given."""
     lines = ["kind,r,value,quotient"]
-    for kind, curve in fl._average_curves(field, ("M", "S", "V"), center, radii, quad, p).items():
+    curves = curves or fl._average_curves(field, ("M", "S", "V"), center, radii, quad, p)
+    for kind, curve in curves.items():
         for r, value, quotient in curve.to_csv_rows(p):
             lines.append(f"{kind},{_fmt(r)},{_fmt(value)},{_fmt(quotient)}")
     with open(path, "w") as handle:

@@ -510,7 +510,8 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     Each sphere shell is evaluated once: the M and S curves share the
     shell at each radius, and the half-sample noise bound takes the
     leading half of the same values.  The V bracket adds the curve's
-    `quadrature_error`.
+    `quadrature_error`.  The report keeps the curves as its `curves`
+    attribute, which is not a field, so the JSON report leaves them out.
     """
     if math.isinf(p):
         raise DomainError("no density is defined at p = inf")
@@ -564,7 +565,7 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     mono_ok = mono_defect <= tol_mono
     if not mono_ok:
         notes.append("not F-subharmonic or quadrature too coarse")
-    return DensityReport(
+    report = DensityReport(
         p=p,
         n=n,
         center=x0,
@@ -580,6 +581,8 @@ def densities(field: ScalarField, x0, p: float, radii=None,
         monotone_ok=mono_ok,
         notes=notes,
     )
+    report.curves = curves
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Dense symmetric-matrix primitives.
 
-Everything here is a pure function of its inputs; random constructors
-take an explicit seed and never touch global RNG state.  Matrices are
-small (n <= 16 in practice) and dense.  Spectra come from LAPACK
-through ``np.linalg.eigvalsh`` alone (no eigenvectors are needed), which is
-deterministic for a given input on a given machine and BLAS build.  The
-spectral helpers also take (..., n, n) stacks and give, row by row, the
-same floats as one matrix at a time.
+Everything here is a pure function of its inputs; the random symmetric
+matrix and unit vector take an explicit seed or Generator and never touch
+global RNG state.  Matrices are small (n <= 16 in practice) and dense.
+Spectra come from LAPACK through ``np.linalg.eigvalsh`` alone (no
+eigenvectors are needed), which is deterministic for a given input on a
+given machine and BLAS build.  The spectral helpers also take (..., n, n)
+stacks and give, row by row, the same floats as one matrix at a time.
 """
 
 from __future__ import annotations
@@ -331,22 +331,6 @@ def finite_diff_hessian(field: Callable, x, h: float | None = None) -> np.ndarra
 
 def _rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
-def random_psd(n: int, seed=0) -> np.ndarray:
-    g = _rng(seed).standard_normal((n, n))
-    return g @ g.T / n
-
-
-def random_rotations(n: int, seeds) -> np.ndarray:
-    """Stack of Haar-ish rotations, one per seed, via sign-fixed QR; det
-    fixed to +1."""
-    g = np.stack([_rng(seed).standard_normal((n, n)) for seed in seeds])
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
-    flip = np.linalg.det(q) < 0
-    q[flip, :, -1] = -q[flip, :, -1]
-    return q
 
 
 def random_symmetric(n: int, seed=0) -> np.ndarray:

@@ -30,10 +30,8 @@ from .linalg import (
     coordinate_direction,
     elementary_symmetric_all,
     ordered_eigenvalues,
-    random_psd,
-    random_rotations,
-    random_symmetric,
     reduced_eigenvalues,
+    symmetrize,
 )
 
 MEMBER_TOL = 1e-9
@@ -589,48 +587,44 @@ def require_samples(sample_count: int) -> None:
         raise DomainError(f"sample count must be >= 1, got {sample_count}")
 
 
-def _worst_over_samples(seed, sample_count: int, per_sample: int, violations) -> float:
-    """Worst case of ``violations(seeds)`` over blocks of at most
-    SAMPLE_BLOCK_ROWS samples.  Each sample has its own row of
-    ``per_sample`` seeds, so the result does not depend on the block size;
-    requires sample_count >= 1."""
+def _worst_over_samples(seed, sample_count: int, n: int, per_sample: int, violations) -> float:
+    """Worst case of ``violations(g)`` over blocks of at most
+    SAMPLE_BLOCK_ROWS samples, where g is the block's (rows, per_sample, n,
+    n) standard-normal draw from one ``default_rng(seed)``.  Sample i reads
+    the i-th run of per_sample * n * n Gaussians in that stream, so the
+    result does not depend on the block size and a shorter run's samples
+    are a prefix of a longer one's; requires sample_count >= 1."""
     require_samples(sample_count)
     rng = np.random.default_rng(seed)
-    seeds = rng.integers(0, 2**63 - 1, size=(sample_count, per_sample))
-    return worst_case([worst_case(violations(seeds[i:i + SAMPLE_BLOCK_ROWS]))
-                       for i in range(0, sample_count, SAMPLE_BLOCK_ROWS)])
+    return worst_case([worst_case(violations(rng.standard_normal(
+        (min(SAMPLE_BLOCK_ROWS, sample_count - i), per_sample, n, n))))
+        for i in range(0, sample_count, SAMPLE_BLOCK_ROWS)])
 
 
-def _draw(sampler, n: int, seeds) -> np.ndarray:
-    """Stack of samples, each drawn from its own seed."""
-    return np.stack([sampler(n, int(s)) for s in seeds])
+def _psd(g: np.ndarray) -> np.ndarray:
+    """G G^T / n for each Gaussian n x n matrix G of a stack."""
+    return g @ g.swapaxes(-1, -2) / g.shape[-1]
 
 
 def check_positivity(f: Subequation, sample_count: int = 200, seed=0) -> PropertyReport:
     """Members stay members after adding a PSD matrix."""
 
-    def violations(seeds):
-        a = shift_into(f, _draw(random_symmetric, f.n, seeds[:, 0]))
-        return -f.margin_batch(a + _draw(random_psd, f.n, seeds[:, 1]))
+    def violations(g):
+        return -f.margin_batch(shift_into(f, symmetrize(g[:, 0])) + _psd(g[:, 1]))
 
-    worst = _worst_over_samples(seed, sample_count, 2, violations)
+    worst = _worst_over_samples(seed, sample_count, f.n, 2, violations)
     return PropertyReport("positivity", sample_count, worst, MEMBER_TOL)
 
 
 def check_cone(f: Subequation, sample_count: int = 200, seed=0) -> PropertyReport:
     """Members stay members under scaling by t >= 0."""
 
-    def violations(seeds):
-        a = shift_into(f, _draw(random_symmetric, f.n, seeds[:, 0]))
+    def violations(g):
+        a = shift_into(f, symmetrize(g[:, 0]))
         return [-f.margin_batch(t * a) for t in (0.0, 0.5, 2.0, 10.0)]
 
-    worst = _worst_over_samples(seed, sample_count, 1, violations)
+    worst = _worst_over_samples(seed, sample_count, f.n, 1, violations)
     return PropertyReport("cone", sample_count, worst, MEMBER_TOL)
-
-
-def _skew_gaussians(dim: int, seeds) -> np.ndarray:
-    omega = np.stack([np.random.default_rng(s).standard_normal((dim, dim)) for s in seeds])
-    return 0.5 * (omega - omega.swapaxes(-1, -2))
 
 
 def _cayley(omega: np.ndarray) -> np.ndarray:
@@ -640,24 +634,30 @@ def _cayley(omega: np.ndarray) -> np.ndarray:
     return np.linalg.solve(eye - 0.5 * omega, eye + 0.5 * omega)
 
 
-def invariance_rotations(f: Subequation, seeds) -> np.ndarray:
-    """Stack of random rotations of F's declared group, one per seed.  The
-    U(n) and Sp(n) rotations are Cayley transforms of skew matrices
-    projected onto the commutant of the standard structure."""
+def invariance_rotations(f: Subequation, gaussians: np.ndarray) -> np.ndarray:
+    """Random rotations of F's declared group, one per matrix of an (m, n, n)
+    standard-normal stack.  An O(n) rotation is the sign-fixed Q of the QR
+    factorization, with det fixed to +1; the U(n) and Sp(n) rotations are
+    Cayley transforms of the skew parts projected onto the commutant of the
+    standard structure."""
     if f.invariance == "O(n)":
-        return random_rotations(f.n, seeds)
+        q, r = np.linalg.qr(gaussians)
+        q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+        flip = np.linalg.det(q) < 0
+        q[flip, :, -1] = -q[flip, :, -1]
+        return q
     if f.invariance == "U(n)":
         structure = Structure.complex(f.n // 2)
     elif f.invariance == "Sp(n)":
         structure = Structure.quaternionic(f.n // 4)
     else:
         raise DomainError(f"no rotation sampler for invariance tag {f.invariance!r}")
-    return _cayley(structure.average(_skew_gaussians(structure.dim, seeds)))
+    return _cayley(structure.average(0.5 * (gaussians - gaussians.swapaxes(-1, -2))))
 
 
 def invariance_rotation(f: Subequation, seed=0) -> np.ndarray:
     """One random rotation of F's declared group."""
-    return invariance_rotations(f, [seed])[0]
+    return invariance_rotations(f, np.random.default_rng(seed).standard_normal((1, f.n, f.n)))[0]
 
 
 def check_st_invariance(f: Subequation, sample_count: int = 100, seed=0) -> PropertyReport:
@@ -676,16 +676,16 @@ def check_st_invariance(f: Subequation, sample_count: int = 100, seed=0) -> Prop
             note=f"invariance tag {f.invariance!r}: finite sample breaks exact invariance",
         )
 
-    def violations(seeds):
-        a = _draw(random_symmetric, f.n, seeds[:, 0])
-        g = invariance_rotations(f, seeds[:, 1].tolist())
-        moved = f.margin_batch(g @ a @ g.swapaxes(-1, -2))
+    def violations(g):
+        a = symmetrize(g[:, 0])
+        rot = invariance_rotations(f, g[:, 1])
+        moved = f.margin_batch(rot @ a @ rot.swapaxes(-1, -2))
         margins = f.margin_batch(a)
         # one norm per sample: a batched norm rounds differently
         scale = np.maximum(1.0 + np.array([np.linalg.norm(x) for x in a]), np.abs(margins))
         return np.abs(moved - margins) / scale
 
-    worst = _worst_over_samples(seed, sample_count, 2, violations)
+    worst = _worst_over_samples(seed, sample_count, f.n, 2, violations)
     return PropertyReport("st-invariance", sample_count, worst, 1e-8)
 
 
@@ -708,14 +708,14 @@ def check_uniform_ellipticity(delta: float, n: int, sample_count: int = 1000,
     d = delta / n
     op = builtin("pdelta", n, delta=delta).margin_batch
 
-    def violations(seeds):
-        a = _draw(random_symmetric, n, seeds[:, 0])
-        psd = _draw(random_psd, n, seeds[:, 1])
+    def violations(g):
+        a = symmetrize(g[:, 0])
+        psd = _psd(g[:, 1])
         diff = op(a + psd) - op(a)
         tr = np.trace(psd, axis1=-2, axis2=-1)
         return [d * tr - diff, diff - (1.0 + d) * tr]
 
-    worst = _worst_over_samples(seed, sample_count, 2, violations)
+    worst = _worst_over_samples(seed, sample_count, n, 2, violations)
     return PropertyReport("uniform-ellipticity", sample_count, worst, 1e-9,
                           note=f"delta={delta:g}, n={n}")
 
@@ -726,12 +726,12 @@ def margin_monotonicity_check(f: Subequation, sample_count: int = 100, seed=0) -
     characteristic bisection well posed."""
     eye = np.eye(f.n)
 
-    def violations(seeds):
-        a = shift_into(f, _draw(random_symmetric, f.n, seeds[:, 0]))
+    def violations(g):
+        a = shift_into(f, symmetrize(g[:, 0]))
         values = np.array([f.margin_batch(a + t * eye) for t in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)])
         return values[:-1] - values[1:]
 
-    worst = _worst_over_samples(seed, sample_count, 1, violations)
+    worst = _worst_over_samples(seed, sample_count, f.n, 1, violations)
     return PropertyReport("margin-monotonicity", sample_count, worst, 1e-9)
 
 

@@ -192,10 +192,16 @@ def test_standard_structures_are_built_once_and_read_only():
             unit[0, 0] = 1.0
 
 
+def gaussian_stack(n, seeds):
+    """One n x n standard-normal draw per seed."""
+    return np.stack([np.random.default_rng(seed).standard_normal((n, n)) for seed in seeds])
+
+
 def test_random_rotations_match_one_by_one():
-    stack = linalg.random_rotations(5, [3, 4, 5])
+    f = subeq.builtin("p", 5)
+    stack = subeq.invariance_rotations(f, gaussian_stack(5, [3, 4, 5]))
     for seed, g in zip((3, 4, 5), stack):
-        assert np.array_equal(g, ref_random_rotation(5, seed))
+        assert np.array_equal(g, ref_invariance_rotation(f, seed))
         assert np.linalg.det(g) == pytest.approx(1.0)
 
 
@@ -218,22 +224,17 @@ def ref_shift_into(f, a, budget=64):
     raise SolverError(f"could not shift a sample into {f.name}")
 
 
-def ref_random_rotation(n, seed):
-    g = np.random.default_rng(seed).standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, -1] = -q[:, -1]
-    return q
-
-
-def ref_invariance_rotation(f, seed):
-    # U(n) and Sp(n): the Cayley transform of one projected skew matrix
-    rng = np.random.default_rng(seed)
+def ref_rotation(f, g):
+    """The rotation of F's group from one n x n Gaussian matrix: O(n) the
+    sign-fixed QR factor with det +1; U(n) and Sp(n) the Cayley transform
+    of one projected skew matrix."""
     if f.invariance == "O(n)":
-        return ref_random_rotation(f.n, seed)
-    omega = rng.standard_normal((f.n, f.n))
-    omega = 0.5 * (omega - omega.T)
+        q, r = np.linalg.qr(g)
+        q = q * np.sign(np.diag(r))
+        if np.linalg.det(q) < 0:
+            q[:, -1] = -q[:, -1]
+        return q
+    omega = 0.5 * (g - g.T)
     if f.invariance == "U(n)":
         omega = ref_commutant(omega, linalg.Structure.complex(f.n // 2))
     else:
@@ -242,10 +243,14 @@ def ref_invariance_rotation(f, seed):
     return np.linalg.solve(eye - 0.5 * omega, eye + 0.5 * omega)
 
 
+def ref_invariance_rotation(f, seed):
+    return ref_rotation(f, np.random.default_rng(seed).standard_normal((f.n, f.n)))
+
+
 @pytest.mark.parametrize("f", [subeq.builtin("p", 4), subeq.complex_lift("p", 2),
                                subeq.quaternionic_lift("p", 1)], ids=["O", "U", "Sp"])
 def test_invariance_rotations_match_one_by_one(f):
-    stack = subeq.invariance_rotations(f, [3, 4, 5])
+    stack = subeq.invariance_rotations(f, gaussian_stack(f.n, [3, 4, 5]))
     for g, seed in zip(stack, [3, 4, 5]):
         assert np.array_equal(g, ref_invariance_rotation(f, seed))
         assert np.array_equal(g, subeq.invariance_rotation(f, seed))
@@ -256,73 +261,78 @@ def ref_report(name, count, worst, tol, note=""):
                                 tolerance=float(tol), note=note)
 
 
+def ref_samples(seed, sample_count, per_sample, n):
+    """Each sample's (per_sample, n, n) Gaussians, read in order from one
+    stream: a symmetric matrix from the first, then a PSD matrix or a
+    rotation from the second."""
+    rng = np.random.default_rng(seed)
+    for _ in range(sample_count):
+        g = rng.standard_normal((per_sample, n, n))
+        yield (0.5 * (g[0] + g[0].T), *g[1:])
+
+
+def ref_psd(g):
+    return g @ g.T / g.shape[0]
+
+
 def ref_positivity(f, sample_count, seed):
-    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=(sample_count, 2))
+    def one(a, g):
+        a = ref_shift_into(f, a)
+        return max(0.0, -f.margin(a + ref_psd(g)))
 
-    def one(i):
-        a = ref_shift_into(f, linalg.random_symmetric(f.n, int(seeds[i, 0])))
-        psd = linalg.random_psd(f.n, int(seeds[i, 1]))
-        return max(0.0, -f.margin(a + psd))
-
-    return ref_report("positivity", sample_count, max(one(i) for i in range(sample_count)),
+    return ref_report("positivity", sample_count,
+                      max(one(*s) for s in ref_samples(seed, sample_count, 2, f.n)),
                       subeq.MEMBER_TOL)
 
 
 def ref_cone(f, sample_count, seed):
-    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=sample_count)
-
-    def one(i):
-        a = ref_shift_into(f, linalg.random_symmetric(f.n, int(seeds[i])))
+    def one(a):
+        a = ref_shift_into(f, a)
         return max(max(0.0, -f.margin(t * a)) for t in (0.0, 0.5, 2.0, 10.0))
 
-    return ref_report("cone", sample_count, max(one(i) for i in range(sample_count)),
+    return ref_report("cone", sample_count,
+                      max(one(*s) for s in ref_samples(seed, sample_count, 1, f.n)),
                       subeq.MEMBER_TOL)
 
 
 def ref_st_invariance(f, sample_count, seed):
-    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=(sample_count, 2))
-
-    def one(i):
-        a = linalg.random_symmetric(f.n, int(seeds[i, 0]))
-        g = ref_invariance_rotation(f, int(seeds[i, 1]))
+    def one(a, g):
+        g = ref_rotation(f, g)
         margin = f.margin(a)
         return abs(f.margin(g @ a @ g.T) - margin) / max(1.0 + np.linalg.norm(a), abs(margin))
 
-    return ref_report("st-invariance", sample_count, max(one(i) for i in range(sample_count)),
-                      1e-8)
+    return ref_report("st-invariance", sample_count,
+                      max(one(*s) for s in ref_samples(seed, sample_count, 2, f.n)), 1e-8)
 
 
 def ref_uniform_ellipticity(delta, n, sample_count, seed):
     d = delta / n
-    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=(sample_count, 2))
 
     def op(a):
         lams = linalg.ordered_eigenvalues(a)
         return float(lams[0] + d * lams.sum())
 
-    def one(i):
-        a = linalg.random_symmetric(n, int(seeds[i, 0]))
-        psd = linalg.random_psd(n, int(seeds[i, 1]))
+    def one(a, g):
+        psd = ref_psd(g)
         diff = op(a + psd) - op(a)
         tr = float(np.trace(psd))
         return max(0.0, d * tr - diff, diff - (1.0 + d) * tr)
 
     return ref_report("uniform-ellipticity", sample_count,
-                      max(one(i) for i in range(sample_count)), 1e-9,
+                      max(one(*s) for s in ref_samples(seed, sample_count, 2, n)), 1e-9,
                       note=f"delta={delta:g}, n={n}")
 
 
 def ref_monotonicity(f, sample_count, seed, t_grid=(0.0, 0.25, 0.5, 1.0, 2.0, 4.0)):
-    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=sample_count)
     eye = np.eye(f.n)
 
-    def one(i):
-        a = ref_shift_into(f, linalg.random_symmetric(f.n, int(seeds[i])))
+    def one(a):
+        a = ref_shift_into(f, a)
         values = [f.margin(a + t * eye) for t in t_grid]
         return max(max(0.0, values[j] - values[j + 1]) for j in range(len(values) - 1))
 
     return ref_report("margin-monotonicity", sample_count,
-                      max(one(i) for i in range(sample_count)), 1e-9)
+                      max(one(*s) for s in ref_samples(seed, sample_count, 1, f.n)), 1e-9)
 
 
 def ref_sandwich(f, p, sample_count, seed, tol=1e-8):
@@ -449,6 +459,37 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch, seed):
     f = subeq.builtin("p-convex", 4, p=2.5)
     assert_same_report(riesz.sandwich_check(f, 2.5, 11, seed), ref_sandwich(f, 2.5, 11, seed))
     assert math.isnan(subeq.check_cone(nan_outside(3, 1.0, math.inf), 11, seed).worst_violation)
+
+
+# neither positive nor a cone nor monotone, so every suite but ue reads
+# violations that differ from sample to sample
+WAVY = subeq._spectral(linalg.ordered_eigenvalues,
+                       lambda lams: lams[..., 0] - 0.5 * lams[..., -1] + np.cos(lams.sum(axis=-1)),
+                       name="wavy", n=4, invariance="O(n)")
+
+
+@pytest.mark.parametrize("suite", [
+    lambda count: subeq.check_positivity(WAVY, count, 3),
+    lambda count: subeq.check_cone(WAVY, count, 3),
+    lambda count: subeq.check_st_invariance(WAVY, count, 3),
+    lambda count: subeq.margin_monotonicity_check(WAVY, count, 3),
+    lambda count: subeq.check_uniform_ellipticity(0.7, 4, count, 3),
+], ids=["positivity", "cone", "invariance", "monotonicity", "ue"])
+def test_worst_violation_is_nondecreasing_in_the_sample_count(suite):
+    # a count-k run's samples are the first k of any longer run with the same seed
+    worst = [suite(count).worst_violation for count in (1, 7, 1024, 1025)]
+    assert worst == sorted(worst)
+
+
+def test_each_suite_call_builds_one_generator(monkeypatch):
+    calls = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: calls.append(args)
+                        or default_rng(*args))
+    subeq.check_positivity(subeq.builtin("sigma-k", 4, k=2), 300, 0)
+    assert calls == [(0,)]
+    subeq.check_st_invariance(subeq.complex_lift("sigma-k", 2, k=2), 300, 5)
+    assert calls == [(0,), (5,)]
 
 
 def traced_peak(fn, *args):

@@ -892,6 +892,25 @@ def test_density_curve_csv_output(tmp_path, capsys):
     assert lines[1].startswith("M,")
 
 
+def test_density_curve_csv_reuses_the_density_sweep(tmp_path, capsys, monkeypatch):
+    # 98 shells for the densities; the curve CSV reads the same curves
+    radii = []
+    shell_rows = flow._shell_rows
+    monkeypatch.setattr(flow, "_shell_rows", lambda *args: radii.extend(args[3])
+                        or shell_rows(*args))
+    argv = ("density", "riesz", "--theta", "3", "--p", "3", "--n", "4")
+    target = tmp_path / "curves.csv"
+    code, out = run(capsys, *argv, "--curve-out", str(target), "--no-timestamp")
+    assert code == 0 and len(radii) == 98
+    assert (code, out) == run(capsys, *argv, "--no-timestamp")
+    report = json.loads(out)
+    field = cli.build_field("riesz", cli.build_parser().parse_args([*argv]))
+    swept = tmp_path / "swept.csv"
+    cli._write_curve_csv(str(swept), field, np.zeros(4), np.array(report["radii"]),
+                         flow.sphere_quad(4, None, 0), 3.0)
+    assert target.read_text() == swept.read_text()
+
+
 def test_charx_variant_prefix_form(capsys):
     code, payload = run_json(capsys, "charx", "complex", "p-convex", "--n", "3", "--p", "1")
     assert code == 0

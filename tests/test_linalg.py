@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rieszlab import linalg
+from rieszlab import linalg, subeq
 from rieszlab.errors import DomainError, InvariantError, NumericalError
 from rieszlab.riesz import KernelSpec, kernel, kernel_hessian
 
@@ -350,18 +350,23 @@ def test_log_modulus_hermitian_part_vanishes():
 # ---------------------------------------------------------------------------
 
 
+def gaussians(n, seed, count=1):
+    return np.random.default_rng(seed).standard_normal((count, n, n))
+
+
 def test_random_constructors_deterministic():
-    assert np.array_equal(linalg.random_psd(5, seed=1), linalg.random_psd(5, seed=1))
-    assert np.array_equal(linalg.random_rotations(5, [1]), linalg.random_rotations(5, [1]))
+    assert np.array_equal(subeq._psd(gaussians(5, 1)), subeq._psd(gaussians(5, 1)))
+    f = subeq.builtin("p", 5)
+    assert np.array_equal(subeq.invariance_rotation(f, 1), subeq.invariance_rotation(f, 1))
 
 
 def test_random_psd_nonnegative_spectrum():
     for seed in range(8):
-        vals = linalg.ordered_eigenvalues(linalg.random_psd(6, seed=seed))
+        vals = linalg.ordered_eigenvalues(subeq._psd(gaussians(6, seed))[0])
         assert vals[0] >= -1e-10
 
 
 def test_random_rotation_orthogonal():
-    for g in linalg.random_rotations(6, range(8)):
+    for g in subeq.invariance_rotations(subeq.builtin("p", 6), gaussians(6, 0, 8)):
         assert np.abs(g.T @ g - np.eye(6)).max() <= 1e-10
         assert np.linalg.det(g) == pytest.approx(1.0, abs=1e-10)

@@ -284,7 +284,7 @@ def test_one_plane_margin_rotation_covariance():
     for seed in range(5):
         a = linalg.random_symmetric(5, rng)
         w = subeq.sample_grassmannian(5, 2, count=1, seed=seed).planes[0].columns
-        g = linalg.random_rotations(5, [seed + 100])[0]
+        g = subeq.invariance_rotation(subeq.builtin("p", 5), seed + 100)
         assert one_plane(g @ w).margin(g @ a @ g.T) == pytest.approx(one_plane(w).margin(a),
                                                                       abs=1e-10)
 
@@ -478,14 +478,16 @@ def _group_defect(g, structures):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_unitary_rotations_lie_in_u_n(n):
     # Cayley transforms of skew matrices in the J-commutant
-    g = subeq.invariance_rotations(subeq.complex_lift("p", n), list(range(20)))
+    gaussians = np.random.default_rng(0).standard_normal((20, 2 * n, 2 * n))
+    g = subeq.invariance_rotations(subeq.complex_lift("p", n), gaussians)
     assert _group_defect(g, linalg.Structure.complex(n).units) <= 1e-13
     assert (np.linalg.det(g) > 0.0).all()
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_symplectic_rotations_lie_in_sp_n(n):
-    g = subeq.invariance_rotations(subeq.quaternionic_lift("p", n), list(range(20)))
+    gaussians = np.random.default_rng(0).standard_normal((20, 4 * n, 4 * n))
+    g = subeq.invariance_rotations(subeq.quaternionic_lift("p", n), gaussians)
     assert _group_defect(g, linalg.Structure.quaternionic(n).units) <= 1e-13
     assert (np.linalg.det(g) > 0.0).all()
 

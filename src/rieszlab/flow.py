@@ -86,11 +86,9 @@ def harnack_sup_constant(p: float, n: int) -> float:
 
 
 def default_quad_size(n: int) -> int:
-    if n <= 4:
-        return 4096
-    if n <= 8:
-        return 16384
-    raise DomainError(f"no default quadrature for n = {n}")
+    """Sphere points per shell: 4096 up to n = 4, doubling at n = 5, 9 and 13.
+    Beyond n = 16 the Sobol table refuses the dimension."""
+    return 4096 if n <= 4 else 16384 if n <= 8 else 32768 if n <= 12 else 65536
 
 
 class SphereQuad:

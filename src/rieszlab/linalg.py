@@ -1,8 +1,8 @@
 """Dense symmetric-matrix primitives.
 
-Everything here is a pure function of its inputs; the random symmetric
-matrix and unit vector take an explicit seed or Generator and never touch
-global RNG state.  Matrices are small (n <= 16 in practice) and dense.
+Everything here is a pure function of its inputs; the random unit vector
+takes an explicit seed or Generator and never touches global RNG state.
+Matrices are small (n <= 16 in practice) and dense.
 Spectra come from LAPACK through ``np.linalg.eigvalsh`` alone (no
 eigenvectors are needed), which is deterministic for a given input on a
 given machine and BLAS build.  The spectral helpers also take (..., n, n)
@@ -325,19 +325,11 @@ def finite_diff_hessian(field: Callable, x, h: float | None = None) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# seeded random constructors
+# seeded random constructor
 # ---------------------------------------------------------------------------
 
 
-def _rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
-def random_symmetric(n: int, seed=0) -> np.ndarray:
-    g = _rng(seed).standard_normal((n, n))
-    return 0.5 * (g + g.T)
-
-
 def random_unit_vector(n: int, seed=0) -> np.ndarray:
-    v = _rng(seed).standard_normal(n)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    v = rng.standard_normal(n)
     return v / np.linalg.norm(v)

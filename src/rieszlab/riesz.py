@@ -29,12 +29,12 @@ from .errors import DomainError, NumericalError, SolverError
 from .linalg import (
     projector_onto,
     projector_perp,
-    random_symmetric,
     random_unit_vector,
+    symmetrize,
     unit_vector,
 )
-from .subeq import (BOUNDARY_BAND, MEMBER_TOL, SAMPLE_BLOCK_ROWS, PropertyReport, Subequation,
-                    builtin, dual, require_samples, worst_case)
+from .subeq import (BOUNDARY_BAND, MEMBER_TOL, PropertyReport, Subequation, _worst_over_samples,
+                    builtin, dual, worst_case)
 
 # The characteristic bracket starts as [1, 64]; its upper end doubles while
 # the margin there is still >= 0.
@@ -418,48 +418,47 @@ def _boundary_shifts(f: Subequation, a: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _sandwich_block(f: Subequation, lower: Subequation, upper: Subequation, rng,
-                    rows: int) -> tuple:
-    """Worst violation and premise hit counts of the next ``rows`` samples
-    drawn from ``rng``; the block starts on an even sample."""
-    a = np.empty((rows, f.n, f.n))
-    jitter = np.empty(rows // 2)
-    for i in range(rows):
-        a[i] = random_symmetric(f.n, rng)
-        if i % 2 == 1:
-            jitter[i // 2] = rng.uniform(-0.05, 0.05)
-    # slide the odd samples to the F-boundary along the identity ray, then jitter
-    odd = a[1::2]
-    a[1::2] = odd + (_boundary_shifts(f, odd) + jitter)[:, None, None] * np.eye(f.n)
-    m_f = f.margin_batch(a)
-    lower_hit = lower.margin_batch(a) >= 0.0
-    member = m_f >= 0.0
-    worst = worst_case([np.where(lower_hit, -m_f, 0.0),
-                        np.where(member, -upper.margin_batch(a), 0.0)])
-    return worst, int(lower_hit.sum()), int(member.sum())
-
-
 def sandwich_check(f: Subequation, p: float, sample_count: int = 1000, seed=0,
                    tol: float = 1e-8) -> PropertyReport:
     """Inclusion test min-2(p) inside F inside min-max(p) on seeded samples.
 
-    Half of the samples are raw Gaussians, half are recentred near the
-    boundary of F along the identity ray, where a wrong characteristic
-    shows up immediately.  Samples are drawn and checked in blocks of at
-    most SAMPLE_BLOCK_ROWS.
+    Sample i is A_i = sym(G_i) for the i-th Gaussian matrix of the suites'
+    one stream.  Even samples stay raw; an odd one slides along the identity
+    ray onto the boundary of F, where a wrong characteristic shows up
+    immediately, then moves off it by 0.05 erf(tr A_i / sqrt(2n)) Id.  A_i
+    is a standard Gaussian on Sym(n) in the Frobenius basis, so its trace
+    is N(0, n) and independent of its traceless part, which alone fixes the
+    boundary point: the jitter is uniform on (-0.05, 0.05) and independent
+    of that point, with no further draw.  The note counts the samples that
+    met each premise and the odd ones whose boundary was not bracketed.
     """
-    require_samples(sample_count)
     lower = builtin("min-2", f.n, p=p)
     upper = builtin("min-max", f.n, p=p)
-    rng = np.random.default_rng(seed)
-    blocks = [_sandwich_block(f, lower, upper, rng, min(SAMPLE_BLOCK_ROWS, sample_count - start))
-              for start in range(0, sample_count, SAMPLE_BLOCK_ROWS)]
-    worst = worst_case([b[0] for b in blocks])
+    eye = np.eye(f.n)
+    hits = [0, 0, 0]  # lower premise, member, unbracketed
+
+    def violations(g):
+        a = symmetrize(g[:, 0])
+        odd = a[1::2]
+        shifts = _boundary_shifts(f, odd)
+        jitter = 0.05 * np.array([math.erf(x) for x in
+                                  np.trace(odd, axis1=-2, axis2=-1) / math.sqrt(2 * f.n)])
+        a[1::2] = odd + (shifts + jitter)[:, None, None] * eye
+        m_f = f.margin_batch(a)
+        lower_hit = lower.margin_batch(a) >= 0.0
+        member = m_f >= 0.0
+        hits[0] += int(lower_hit.sum())
+        hits[1] += int(member.sum())
+        # a bracket end that never moved leaves the shift at exactly -10 or 10
+        hits[2] += int(np.count_nonzero(np.abs(shifts) == 10.0))
+        return [np.where(lower_hit, -m_f, 0.0), np.where(member, -upper.margin_batch(a), 0.0)]
+
+    worst = _worst_over_samples(seed, sample_count, f.n, 1, violations)
     return PropertyReport(
         name="sandwich",
         sample_count=sample_count,
         worst_violation=worst,
         tolerance=tol,
-        note=f"p={p:g}, lower premise hit {sum(b[1] for b in blocks)}, "
-             f"member hit {sum(b[2] for b in blocks)}",
+        note=f"p={p:g}, lower premise hit {hits[0]}, member hit {hits[1]}, "
+             f"unbracketed {hits[2]}",
     )

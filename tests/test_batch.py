@@ -338,12 +338,10 @@ def ref_monotonicity(f, sample_count, seed, t_grid=(0.0, 0.25, 0.5, 1.0, 2.0, 4.
 def ref_sandwich(f, p, sample_count, seed, tol=1e-8):
     lower = subeq.builtin("min-2", f.n, p=p)
     upper = subeq.builtin("min-max", f.n, p=p)
-    rng = np.random.default_rng(seed)
     eye = np.eye(f.n)
     worst = 0.0
-    lower_hits = member_hits = 0
-    for i in range(sample_count):
-        a = linalg.random_symmetric(f.n, rng)
+    lower_hits = member_hits = unbracketed = 0
+    for i, (a,) in enumerate(ref_samples(seed, sample_count, 1, f.n)):
         if i % 2 == 1:
             lo, hi = -10.0, 10.0
             for _ in range(60):
@@ -352,7 +350,8 @@ def ref_sandwich(f, p, sample_count, seed, tol=1e-8):
                     hi = mid
                 else:
                     lo = mid
-            a = a + (hi + rng.uniform(-0.05, 0.05)) * eye
+            unbracketed += lo == -10.0 or hi == 10.0
+            a = a + (hi + 0.05 * math.erf(np.trace(a) / math.sqrt(2 * f.n))) * eye
         m_f = f.margin(a)
         if lower.margin(a) >= 0.0:
             lower_hits += 1
@@ -363,7 +362,8 @@ def ref_sandwich(f, p, sample_count, seed, tol=1e-8):
     worst = max(0.0, worst)
     return subeq.PropertyReport(
         name="sandwich", sample_count=sample_count, worst_violation=worst, tolerance=tol,
-        note=f"p={p:g}, lower premise hit {lower_hits}, member hit {member_hits}")
+        note=f"p={p:g}, lower premise hit {lower_hits}, member hit {member_hits}, "
+             f"unbracketed {unbracketed}")
 
 
 def ref_radial_harmonic(f, theta, p, radii, seed, directions=4, tol=1e-8):
@@ -449,7 +449,6 @@ def test_sandwich_and_radial_match_serial_reference(seed, family, params, n):
 def test_reports_do_not_depend_on_the_block_size(monkeypatch, seed):
     # blocks of 4 rows split 11 samples into 4 + 4 + 3
     monkeypatch.setattr(subeq, "SAMPLE_BLOCK_ROWS", 4)
-    monkeypatch.setattr(riesz, "SAMPLE_BLOCK_ROWS", 4)
     for suite, family, params in SUITE_MIX:
         f = subeq.builtin(family, 4, **params)
         batched, serial = SUITES[suite]
@@ -474,7 +473,8 @@ WAVY = subeq._spectral(linalg.ordered_eigenvalues,
     lambda count: subeq.check_st_invariance(WAVY, count, 3),
     lambda count: subeq.margin_monotonicity_check(WAVY, count, 3),
     lambda count: subeq.check_uniform_ellipticity(0.7, 4, count, 3),
-], ids=["positivity", "cone", "invariance", "monotonicity", "ue"])
+    lambda count: riesz.sandwich_check(WAVY, 2.0, count, 3),
+], ids=["positivity", "cone", "invariance", "monotonicity", "ue", "sandwich"])
 def test_worst_violation_is_nondecreasing_in_the_sample_count(suite):
     # a count-k run's samples are the first k of any longer run with the same seed
     worst = [suite(count).worst_violation for count in (1, 7, 1024, 1025)]
@@ -490,6 +490,8 @@ def test_each_suite_call_builds_one_generator(monkeypatch):
     assert calls == [(0,)]
     subeq.check_st_invariance(subeq.complex_lift("sigma-k", 2, k=2), 300, 5)
     assert calls == [(0,), (5,)]
+    riesz.sandwich_check(subeq.builtin("sigma-k", 4, k=2), 2.0, 300, 7)
+    assert calls == [(0,), (5,), (7,)]
 
 
 def traced_peak(fn, *args):

@@ -945,6 +945,24 @@ def test_density_rejects_unbalanced_sobol_size(capsys):
     assert "power of two" in captured.err and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", [9, 12, 16])
+def test_density_has_a_default_quadrature_up_to_n_16(capsys, n):
+    code, payload = run_json(capsys, "density", "riesz", "--theta", "3", "--p", "3",
+                             "--n", str(n))
+    assert code == 0
+    exact = 3 * n / (n - 1)
+    # the bracket leaves out rounding: at n = 9 theta_V is 4 ulp off, its bracket 2 ulp
+    assert abs(payload["theta"]["V"] - exact) <= payload["bracket"]["V"] + 8 * math.ulp(exact)
+
+
+def test_density_refuses_n_beyond_the_sobol_table(capsys):
+    code = cli.main(["density", "riesz", "--theta", "3", "--p", "3", "--n", "17",
+                     "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert "d <= 16" in captured.err and captured.err.count("\n") == 1
+
+
 def test_density_answers_below_the_clip_floor(capsys):
     # the innermost V shell (radius about 4.3e-5) has finite values below
     # CLIP_FLOOR; only non-finite values are singular-set hits

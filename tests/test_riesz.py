@@ -417,6 +417,19 @@ def test_sandwich_detects_wrong_characteristic():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("offset,shift", [(-100.0, 10.0), (100.0, -10.0)])
+def test_sandwich_counts_unbracketed_boundary_shifts(offset, shift):
+    # lam_1 + offset crosses 0 outside [-10, 10] along the identity ray, so
+    # every odd sample keeps one end of its bracket
+    f = subeq._spectral(linalg.ordered_eigenvalues, lambda lams: lams[..., 0] + offset,
+                        name="far", n=4, invariance="O(n)")
+    a = linalg.symmetrize(np.random.default_rng(0).standard_normal((5, 4, 4)))
+    assert np.array_equal(riesz._boundary_shifts(f, a), np.full(5, shift))
+    assert riesz.sandwich_check(f, 2.0, 10).note.endswith(", unbracketed 5")
+    assert riesz.sandwich_check(subeq.builtin("sigma-k", 4, k=2), 2.0, 10).note.endswith(
+        ", unbracketed 0")
+
+
 def test_characteristic_rejects_bad_tolerance():
     for solve in (riesz.increasing_characteristic, riesz.decreasing_characteristic):
         for tol in (0.0, -1.0, math.nan, math.inf):

@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
+from .linalg import ordered_eigenvalues
 
 SOBOL_BITS = 30
 
@@ -150,7 +151,7 @@ def gauss_jacobi(count: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     off = np.sqrt(k * k * (k + beta) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
     # eigenvalues only: the eigenvectors' LAPACK path raised a density
     # command's peak RSS by about 0.45 MB
-    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    nodes = ordered_eigenvalues(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     q = [np.zeros(count), np.ones(count)]  # q_-1 and q_0 at the nodes, then the recurrence
     for j in range(count - 1):
         q.append(((nodes - diag[j]) * q[-1] - (off[j - 1] if j else 0.0) * q[-2]) / off[j])

@@ -171,10 +171,23 @@ def emit(payload: dict, args) -> None:
     else:
         text = _to_csv(payload)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
+        _write(args.out, text + "\n")
     else:
         print(text)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_failed(message: str) -> int:
+    """One `check failed:` line on stderr, after the report."""
+    print(f"check failed: {message}", file=sys.stderr)
+    return EXIT_CHECK_FAILED
 
 
 def _fmt(x) -> str:
@@ -222,9 +235,7 @@ def cmd_charx(args) -> int:
     emit({**record, "closed_form": closed, "residual": residual}, args)
     if residual > 10.0 * args.tol:
         # the computed p misses the catalog's closed form
-        print(f"check failed: p = {pair.p}, closed_form = {closed}, residual = {residual}",
-              file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return _check_failed(f"p = {pair.p}, closed_form = {closed}, residual = {residual}")
     return EXIT_OK
 
 
@@ -267,10 +278,9 @@ def cmd_verify(args) -> int:
           "reports": reports}, args)
     failed = [r for r in reports if not (r.passed or r.skipped)]
     if failed:
-        print("check failed: " + "; ".join(
+        return _check_failed("; ".join(
             f"{r.name} worst_violation = {r.worst_violation}, tolerance = {r.tolerance}"
-            for r in failed), file=sys.stderr)
-        return EXIT_CHECK_FAILED
+            for r in failed))
     return EXIT_OK
 
 
@@ -344,8 +354,7 @@ def _write_curve_csv(path: str, field, center, radii, quad, p: float, curves=Non
     for kind, curve in curves.items():
         for r, value, quotient in curve.to_csv_rows(p):
             lines.append(f"{kind},{_fmt(r)},{_fmt(value)},{_fmt(quotient)}")
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def cmd_flow(args) -> int:
@@ -358,7 +367,10 @@ def cmd_flow(args) -> int:
     # the Hoelder fields are None for p >= 2 and left out
     fields = {k: v for k, v in _sanitize(record).items() if v is not None}
     emit({"command": "flow", "field": field.name, "candidate": candidate.name, **fields}, args)
-    return EXIT_OK if record.converged else EXIT_CHECK_FAILED
+    if not record.converged:
+        return _check_failed(f"{record.metric} distance at r = {record.radii[-1]} is "
+                             f"{record.distances[-1]}, conv_tol = {record.tolerance}")
+    return EXIT_OK
 
 
 def _parse_grassmann_spec(spec: str):
@@ -378,21 +390,22 @@ def cmd_grassmann(args) -> int:
     sample = subeq.sample_grassmannian(n, p, count=args.planes, seed=args.seed,
                                        angle_tol=args.angle_tol)
     payload = {"command": "grassmann", "n": n, "p": p, "planes": len(sample.planes)}
-    status = EXIT_OK
+    result = None
     if args.transitivity:
         rng = np.random.default_rng(args.seed)
         x = np.asarray(args.x, dtype=float) if args.x else rng.standard_normal(n)
         y = np.asarray(args.y, dtype=float) if args.y else rng.standard_normal(n)
         result = subeq.transitivity_check(sample, x, y)
         payload["transitivity"] = result
-        status = EXIT_OK if result.found else EXIT_CHECK_FAILED
     if args.charx:
         f = subeq.geometric(sample)
         value, bracket = riesz.increasing_characteristic(f, tol=args.tol)
         payload["charx"] = {"p": value, "bracket": bracket, "closed_form": f.closed_form,
                             "residual": abs(value - f.closed_form)}
     emit(payload, args)
-    return status
+    if result is not None and not result.found:
+        return _check_failed(f"transitivity: {result.reason}")
+    return EXIT_OK
 
 
 def cmd_radial(args) -> int:
@@ -421,9 +434,8 @@ def cmd_radial(args) -> int:
     emit(payload, args)
     if not convexity.passed:
         # the classification is a diagnostic; K_p-convexity is the check
-        print(f"check failed: kp-convexity worst_violation = {convexity.worst_violation}, "
-              f"tolerance = {convexity.tolerance}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return _check_failed(f"kp-convexity worst_violation = {convexity.worst_violation}, "
+                             f"tolerance = {convexity.tolerance}")
     return EXIT_OK
 
 

@@ -3,10 +3,12 @@
 Everything here is a pure function of its inputs; the random unit vector
 takes an explicit seed or Generator and never touches global RNG state.
 Matrices are small (n <= 16 in practice) and dense.
-Spectra come from LAPACK through ``np.linalg.eigvalsh`` alone (no
-eigenvectors are needed), which is deterministic for a given input on a
-given machine and BLAS build.  The spectral helpers also take (..., n, n)
-stacks and give, row by row, the same floats as one matrix at a time.
+Every spectrum comes from ``ordered_eigenvalues``, the one call of LAPACK's
+``np.linalg.eigvalsh`` (margins, plane-graph angles as eigenvalues of Gram
+products, Gauss-Jacobi nodes); no eigenvectors are needed, and the call is
+deterministic for a given input on a given machine and BLAS build.  The
+spectral helpers also take (..., n, n) stacks and give, row by row, the
+same floats as one matrix at a time.
 """
 
 from __future__ import annotations

@@ -769,12 +769,12 @@ def transitivity_check(sample: GrassmannSample, x, y) -> TransitivityResult:
     angle is below the sample tolerance.
 
     Adjacency is built one row at a time, for the nodes the search
-    expands: a row is a (k, p, p) Gram stack and k small SVDs, so memory
-    is O(k p^2) and a chain of length d costs about d rows rather than the
-    whole k x k graph.  Goals are checked when a node is discovered; the
-    first goal discovered while expanding depth d - 1 is the first goal a
-    level-order BFS would pop at depth d, so the chain is the same as the
-    one from the dense graph.
+    expands: a row is a (k, p, p) Gram stack G and one batched eigensolve
+    of its G^T G, so memory is O(k p^2) and a chain of length d costs about
+    d rows rather than the whole k x k graph.  Goals are checked when a
+    node is discovered; the first goal discovered while expanding depth
+    d - 1 is the first goal a level-order BFS would pop at depth d, so the
+    chain is the same as the one from the dense graph.
     """
     starts = _containing_planes(sample, x)
     goals = _containing_planes(sample, y)
@@ -784,7 +784,9 @@ def transitivity_check(sample: GrassmannSample, x, y) -> TransitivityResult:
         return TransitivityResult(False, (), "no sampled plane contains y")
     goal_set = set(goals.tolist())
     stack = sample.stacked()
-    cos_tol = math.cos(sample.angle_tol)
+    # angle below tol <=> sigma_max(W_node^T W_j) >= cos(tol) <=> lambda_max of
+    # its G^T G >= cos(tol) |cos(tol)|, which every pair meets for tol >= pi/2
+    cos_sq_tol = math.cos(sample.angle_tol) * abs(math.cos(sample.angle_tol))
 
     def chain_to(node: int) -> TransitivityResult:
         chain = [node]
@@ -800,9 +802,8 @@ def transitivity_check(sample: GrassmannSample, x, y) -> TransitivityResult:
     while frontier:
         nxt = []
         for node in frontier:
-            # angle below tol <=> largest singular value of W_node^T W_j >= cos(tol)
             grams = np.einsum("np,jnq->jpq", stack[node], stack)
-            adjacent = np.linalg.svd(grams, compute_uv=False).max(axis=1) >= cos_tol
+            adjacent = ordered_eigenvalues(grams.swapaxes(1, 2) @ grams)[:, -1] >= cos_sq_tol
             for nbr in np.flatnonzero(adjacent):
                 nbr = int(nbr)
                 if nbr not in parent:

@@ -636,6 +636,22 @@ def test_verify_names_the_failed_suites_on_stderr(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["flow", "log-coord", "--n", "4", "--p", "2", "--candidate", "riesz"],
+    ["grassmann", "g2r3", "--planes", "4", "--transitivity"],
+], ids=["flow", "grassmann"])
+def test_flow_and_transitivity_failures_print_one_line_after_the_report(capsys, argv):
+    code = cli.main([*argv, "--no-timestamp"])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    if argv[0] == "flow":  # the deepest distance against --conv-tol
+        reason = (f"{payload['metric']} distance at r = {payload['radii'][-1]} is "
+                  f"{payload['distances'][-1]}, conv_tol = {payload['tolerance']}")
+    else:
+        reason = f"transitivity: {payload['transitivity']['reason']}"
+    assert (code, captured.err) == (2, f"check failed: {reason}\n")
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
@@ -879,6 +895,18 @@ def test_csv_format_is_refused_before_any_work(tmp_path, capsys, argv):
     assert (code, captured.out) == (4, "")
     assert captured.err == "config error: unrecognized arguments: --format csv\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--out"],
+    ["density", "riesz", "--p", "3", "--n", "3", "--quad", "256", "--curve-out"],
+], ids=["out", "curve-out"])
+def test_an_unwritable_output_path_exits_4_with_one_line(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "report"
+    code = cli.main([*argv, str(target), "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == f"config error: cannot write {target}: No such file or directory\n"
 
 
 def test_density_curve_csv_output(tmp_path, capsys):

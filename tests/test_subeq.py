@@ -656,6 +656,22 @@ def test_transitivity_matches_dense_pop_order_bfs(p, n, tols):
         assert "plane graph disconnected between x and y" in lengths
 
 
+@pytest.mark.parametrize("p,n,tol", [(1, 3, 0.2), (1, 4, 0.4), (2, 4, 2.0), (2, 3, 4.0)])
+def test_transitivity_matches_dense_reference_for_lines_and_wide_tolerances(p, n, tol):
+    found = set()
+    for seed in range(3):
+        gs = subeq.sample_grassmannian(n, p, count=128, seed=seed, angle_tol=tol)
+        adjacent = _dense_adjacency(gs)
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            x, y = rng.standard_normal(n), rng.standard_normal(n)
+            res = subeq.transitivity_check(gs, x, y)
+            assert res == _dense_transitivity(gs, x, y, adjacent)
+            found.add(len(res.chain) if res.found else res.reason)
+    # angle_tol >= 1 puts every endpoint in every plane: one-plane chains
+    assert (found == {1}) == (tol >= 1.0)
+
+
 def test_transitivity_disconnected_pair():
     e = np.eye(4)
     gs = subeq.GrassmannSample([linalg.Frame(e[:, :2]), linalg.Frame(e[:, 2:])], angle_tol=1e-3)

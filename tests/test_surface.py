@@ -10,9 +10,14 @@ Other tests do not count: a name only its own unit tests call is dead code.
 The same holds for every public method and property of a public class: an
 attribute of that name must be read in `src/` outside its own definition,
 in the acceptance suite, or in the benchmark.
+
+The package root binds only its modules and `__version__`, so no export
+list repeats the modules' names.  Every spectrum comes from one LAPACK
+call, `np.linalg.eigvalsh` inside `linalg.ordered_eigenvalues`.
 """
 
 import ast
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,3 +90,41 @@ def test_every_public_method_has_an_attribute_reader():
         read |= _names(ast.parse(path.read_text()), strings=True)
     unread = [m for m in methods if m.rsplit(".", 1)[1] not in read]
     assert unread == [], "public methods nothing reads; delete them or read them"
+
+
+def test_the_package_root_binds_only_its_modules():
+    import rieszlab
+
+    bound = set()
+    for stmt in ast.parse((SRC / "__init__.py").read_text()).body:
+        if isinstance(stmt, ast.ImportFrom):
+            assert stmt.level == 1 and stmt.module is None, "import the modules, not their names"
+            bound |= {alias.asname or alias.name for alias in stmt.names}
+        elif isinstance(stmt, ast.Assign):
+            bound |= {target.id for target in stmt.targets}
+        else:
+            assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)  # docstring
+    assert bound == {"flow", "linalg", "radial", "riesz", "subeq", "__version__"}
+    assert rieszlab.subeq.builtin is not None
+    assert all(isinstance(value, types.ModuleType) for name, value in vars(rieszlab).items()
+               if not name.startswith("__"))
+
+
+def _enclosing_calls(node, where, found, solvers):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        where = node.name
+    if (isinstance(node, ast.Attribute) and node.attr in solvers
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+        found.append((where, node.attr))
+    for child in ast.iter_child_nodes(node):
+        _enclosing_calls(child, where, found, solvers)
+
+
+def test_every_spectrum_comes_from_one_eigensolver_call():
+    solvers = {"eigvalsh", "eigh", "eig", "eigvals", "svd", "svdvals"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        calls = []
+        _enclosing_calls(ast.parse(path.read_text()), None, calls, solvers)
+        found += [(path.name, *call) for call in calls]
+    assert found == [("linalg.py", "ordered_eigenvalues", "eigvalsh")]

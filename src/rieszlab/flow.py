@@ -4,8 +4,8 @@ and their cross-relations, plus the built-in example fields.
 Averages use a seeded low-discrepancy sphere point set shared across all
 radii of a run.  Sharing the point set makes quotients of exactly
 scale-homogeneous fields exact (the quadrature error cancels), and the
-reported noise bound comes from comparing against the first half of the
-sample.
+reported noise bound of M, S and V alike comes from comparing against the
+first half of the sample.
 
 Every average (M, S and V, scalar or curve) comes from one sweep,
 `_average_curves` over `_shell_rows`: after checking each radius, it
@@ -13,9 +13,10 @@ evaluates every shell the request needs once, in blocks of at most
 `SHELL_BLOCK` values -- the curve radii for M and S, then the node
 radii behind V (`_volume_ladder`).  Shells come from one evaluator per call,
 `radii -> (k, m)` values `values(x0 + s w)` over the m unit points w, or
-from the field's faster `shells` hook (the kernel sums).  M always
-samples its shell, so a closed-form max is checked against the sample;
-the kernel sums have one when their centres lie on one ray from x0.
+from the field's faster `shells` hook (the kernel sums).  M is the
+field's closed-form max, checked against the sampled maximum of its
+shell, or else that sampled maximum; the kernel sums have a closed form
+when their centres lie on one ray from x0.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ MAX_CLIPPED_FRACTION = 1e-3
 # nodes of the volume ladder in the innermost ball and per annulus
 JACOBI_NODES = 32
 ANNULUS_NODES = 8
-# values per block of sphere shells or of the neighbour search: bounds its arrays
+# values per block of sphere shells: bounds their arrays
 SHELL_BLOCK = 1 << 16
 # relative radius step of the backward difference behind the mass density
 MASS_FD_STEP = 1e-3
@@ -116,23 +117,6 @@ class SphereQuad:
         norms = np.linalg.norm(g, axis=1)
         norms[norms == 0.0] = 1.0
         self.points = g / norms[:, None]
-        self._nn_cache = None
-
-    def neighbor_stats(self):
-        """(indices, distances) of nearest neighbors for a 256-point subset."""
-        if self._nn_cache is None:
-            k = min(256, self.size)
-            idx = np.empty(k, dtype=np.intp)
-            dist = np.empty(k)
-            step = max(1, SHELL_BLOCK // (self.size * self.n))  # rows per (rows, m, n) block
-            for lo in range(0, k, step):
-                rows = np.arange(lo, min(lo + step, k))
-                d2 = ((self.points[rows, None, :] - self.points[None, :, :]) ** 2).sum(axis=2)
-                d2[rows - lo, rows] = np.inf
-                idx[rows] = d2.argmin(axis=1)
-                dist[rows] = np.sqrt(d2[rows - lo, idx[rows]])
-            self._nn_cache = (idx, dist)
-        return self._nn_cache
 
 
 @lru_cache(maxsize=32)
@@ -235,40 +219,32 @@ def _shell_evaluator(field: ScalarField, x0: np.ndarray, points: np.ndarray) -> 
     return lambda radii: np.stack([field.values(x0[None, :] + s * points) for s in radii])
 
 
-def _max_from_shell(field: ScalarField, x0: np.ndarray, r: float, quad: SphereQuad,
-                    vals: np.ndarray) -> float:
-    """M(u, x0; r) from the clipped shell values: the field's closed form,
-    which the sampled maximum must not exceed, or, where it has none, the
-    sample maximum inflated by a nearest-neighbor Lipschitz estimate to
-    cover the gap between the sample and the true supremum."""
+def _max_from_shell(field: ScalarField, x0: np.ndarray, r: float, vals: np.ndarray):
+    """(M, leading-half M) of u about x0 at radius r from the clipped shell
+    values: the field's closed form for both, which the sampled maximum
+    must not exceed, or, where it has none, the maxima of the sample and
+    of its leading half, whose gap the half-set noise bound reads."""
     exact = None if field.analytic_max is None else field.analytic_max(x0, r)
-    if exact is not None:
-        exact = float(exact)
-        sampled = float(vals.max())
-        if sampled > exact + 1e-6 * (1.0 + abs(exact)):
-            raise NumericalError(
-                f"sampled spherical max {sampled} exceeds closed form {exact}"
-            )
-        return exact
-    idx, dist = quad.neighbor_stats()
-    sub = vals[: idx.size]
-    gaps = np.abs(sub - vals[idx])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lipschitz = float(np.max(np.where(dist > 0, gaps / dist, 0.0)))
-    covering = 2.0 * float(dist.max())
-    return float(vals.max()) + lipschitz * covering
+    sampled = float(vals.max())
+    if exact is None:
+        return sampled, float(vals[:vals.size // 2].max())
+    exact = float(exact)
+    if sampled > exact + 1e-6 * (1.0 + abs(exact)):
+        raise NumericalError(f"sampled spherical max {sampled} exceeds closed form {exact}")
+    return exact, exact
 
 
 def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.ndarray,
                 maxima: int):
     """(means, leading-half means, hits, maxima) of the sphere shells about
     x0 of the given radii, evaluated once each in one pass of blocks of at
-    most SHELL_BLOCK values; the maxima (`_max_from_shell`) are those of the
-    first `maxima` shells only, and the leading half of the points is the
-    set of half the size.  A non-finite value makes its row sum non-finite,
-    so the values are scanned and clipped only in a block with a
-    non-finite row sum.  A shell whose row sum still overflows after
-    clipping, or whose samples are all non-finite, is refused."""
+    most SHELL_BLOCK values; the maxima are the (M, leading-half M) pairs
+    (`_max_from_shell`) of the first `maxima` shells only, and the leading
+    half of the points is the set of half the size.  A non-finite value
+    makes its row sum non-finite, so the values are scanned and clipped
+    only in a block with a non-finite row sum.  A shell whose row sum still
+    overflows after clipping, or whose samples are all non-finite, is
+    refused."""
     evaluate = _shell_evaluator(field, x0, quad.points)
     size, half = quad.size, quad.size // 2
     means, halves = np.empty(radii.size), np.empty(radii.size)
@@ -293,7 +269,7 @@ def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.
                                   f"overflows")
         means[rows] = sums / size
         halves[rows] = vals[:, :half].sum(axis=1) / half
-        tops += [_max_from_shell(field, x0, r, quad, row)
+        tops += [_max_from_shell(field, x0, r, row)
                  for r, row in zip(block[:max(0, maxima - lo)], vals)]
     return means, halves, hits, tops
 
@@ -304,7 +280,7 @@ class AverageCurve:
     radii: np.ndarray
     values: np.ndarray
     clipped_fraction: float = 0.0
-    # the same curve on the leading half of the points; None for M
+    # the same curve on the leading half of the points (M: its closed form, if any)
     half_values: np.ndarray | None = None
     # V: the gap of the deepest quotient to the half-order ladder's; 0 for M and S
     quadrature_error: float = 0.0
@@ -353,7 +329,8 @@ def _average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
     out = {}
     for kind in kinds:
         if kind == "M":
-            out[kind] = AverageCurve(kind, radii, np.asarray(maxima))
+            values, half_values = np.array(maxima).T
+            out[kind] = AverageCurve(kind, radii, values, half_values=half_values)
         elif kind == "S":
             out[kind] = curve(kind, means[:k], halves[:k], hits[:k])
         else:
@@ -374,8 +351,8 @@ def average_curve(field: ScalarField, kind: str, x0, radii,
 
 def spherical_max(field: ScalarField, x0, r: float, quad: SphereQuad | None = None) -> float:
     """Spherical maximum M(u, x0; r): the field's closed form when it has
-    one, checked against the sampled maximum; otherwise the sample maximum
-    inflated to cover the gap to the true supremum."""
+    one, checked against the sampled maximum; otherwise the sampled
+    maximum, which is at most the true supremum."""
     return float(average_curve(field, "M", x0, [r], quad).values[0])
 
 
@@ -506,8 +483,9 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     intended constraint or the quadrature is too coarse.
 
     Each sphere shell is evaluated once: the M and S curves share the
-    shell at each radius, and the half-sample noise bound takes the
-    leading half of the same values.  The V bracket adds the curve's
+    shell at each radius, and the noise bound is the largest gap between
+    the quotients of a curve and of its leading half, over every kind
+    (0 for a closed-form M).  The V bracket adds the curve's
     `quadrature_error`.  The report keeps the curves as its `curves`
     attribute, which is not a field, so the JSON report leaves them out.
     """
@@ -524,11 +502,8 @@ def densities(field: ScalarField, x0, p: float, radii=None,
         )
 
     # noise bound via the half sample
-    noise = 0.0
-    for kind in ("S", "V"):
-        if kind in kinds:
-            half_q = quotients(curves[kind].half_values, radii, p)
-            noise = max(noise, float(np.abs(quots[kind] - half_q).max()))
+    noise = max((float(np.abs(quots[kind] - quotients(curve.half_values, radii, p)).max())
+                 for kind, curve in curves.items()), default=0.0)
 
     theta, bracket = {}, {}
     mono_defect = 0.0
@@ -772,7 +747,7 @@ def tangent_experiment(field: ScalarField, spec: FlowSpec, candidate: ScalarFiel
     if seminorms is not None:
         seminorms = np.asarray(seminorms)
         rep = densities(field, np.zeros(field.n), p, kinds=("M",), quad=quad)
-        bound = rep.theta["M"] + rep.bracket["M"] + 1e-6
+        bound = rep.theta["M"] + rep.bracket["M"] + rep.noise_bound + 1e-6
         bound_ok = bool(seminorms[-3:].max() <= bound * (1.0 + 1e-3) + 1e-9)
     return ConvergenceRecord(
         metric=metric,
@@ -906,7 +881,8 @@ def density_decay_check(field: ScalarField, x0, path_points, p: float,
 
 def holder_estimate(field: ScalarField, x0, rho: float, big_r: float, p: float,
                     quad: SphereQuad | None = None) -> float:
-    """Closed-form Hoelder-norm bound on B_rho from the max average at R."""
+    """Hoelder norm on B_rho from the max average at R: a bound where M has
+    a closed form, and an estimate from the sampled maximum otherwise."""
     if not 1.0 <= p < 2.0:
         raise DomainError("Hoelder estimates need 1 <= p < 2")
     alpha = 2.0 - p
@@ -922,7 +898,9 @@ def holder_estimate(field: ScalarField, x0, rho: float, big_r: float, p: float,
 
 def infinitesimal_holder(field: ScalarField, x0, p: float, radii=None,
                          quad: SphereQuad | None = None) -> float:
-    """(M(u, x0, r) - u(x0)) / r^alpha at the deepest radius; decreasing in r."""
+    """(M(u, x0, r) - u(x0)) / r^alpha at the deepest radius; decreasing in r.
+    A bound where M has a closed form, an estimate from the sampled
+    maximum otherwise."""
     if not 1.0 <= p < 2.0:
         raise DomainError("needs 1 <= p < 2")
     alpha = 2.0 - p

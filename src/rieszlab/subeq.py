@@ -747,7 +747,9 @@ class TransitivityResult:
     reason: str = ""
 
 
-def _containing_planes(sample: GrassmannSample, x) -> np.ndarray:
+def _containing_planes(sample: GrassmannSample, x, cos_sq_tol: float) -> np.ndarray:
+    """The planes W within `angle_tol` of the line through x, by the rule
+    of adjacency: |W^T x|^2 / |x|^2 >= cos_sq_tol = cos(tol) |cos(tol)|."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != sample.n:
         raise DomainError(f"transitivity endpoints must have length {sample.n}, got {x.size}")
@@ -756,11 +758,8 @@ def _containing_planes(sample: GrassmannSample, x) -> np.ndarray:
     norm = np.linalg.norm(x)
     if norm == 0.0:
         raise DomainError("transitivity endpoints must be nonzero")
-    xh = x / norm
-    stack = sample.stacked()
-    proj = np.einsum("knp,n->kp", stack, xh)
-    residual = np.linalg.norm(xh[None, :] - np.einsum("knp,kp->kn", stack, proj), axis=1)
-    return np.flatnonzero(residual <= sample.angle_tol)
+    proj = np.einsum("knp,n->kp", sample.stacked(), x / norm)
+    return np.flatnonzero(np.einsum("kp,kp->k", proj, proj) >= cos_sq_tol)
 
 
 def transitivity_check(sample: GrassmannSample, x, y) -> TransitivityResult:
@@ -776,17 +775,18 @@ def transitivity_check(sample: GrassmannSample, x, y) -> TransitivityResult:
     d - 1 is the first goal a level-order BFS would pop at depth d, so the
     chain is the same as the one from the dense graph.
     """
-    starts = _containing_planes(sample, x)
-    goals = _containing_planes(sample, y)
+    # angle below tol <=> sigma_max(W_node^T W_j) >= cos(tol) <=> lambda_max of
+    # its G^T G >= cos(tol) |cos(tol)|, which every pair meets for tol >= pi/2;
+    # a line is within tol of a plane by the same rule
+    cos_sq_tol = math.cos(sample.angle_tol) * abs(math.cos(sample.angle_tol))
+    starts = _containing_planes(sample, x, cos_sq_tol)
+    goals = _containing_planes(sample, y, cos_sq_tol)
     if starts.size == 0:
         return TransitivityResult(False, (), "no sampled plane contains x")
     if goals.size == 0:
         return TransitivityResult(False, (), "no sampled plane contains y")
     goal_set = set(goals.tolist())
     stack = sample.stacked()
-    # angle below tol <=> sigma_max(W_node^T W_j) >= cos(tol) <=> lambda_max of
-    # its G^T G >= cos(tol) |cos(tol)|, which every pair meets for tol >= pi/2
-    cos_sq_tol = math.cos(sample.angle_tol) * abs(math.cos(sample.angle_tol))
 
     def chain_to(node: int) -> TransitivityResult:
         chain = [node]

@@ -53,18 +53,6 @@ def test_sphere_quad_needs_a_power_of_two(size):
         flow.SphereQuad(3, size)
 
 
-@pytest.mark.parametrize("block", [1, 3 * 512 * 3, 1 << 16])
-def test_neighbor_search_in_blocks_of_rows_matches_the_full_search(monkeypatch, block):
-    # blocks of at most SHELL_BLOCK // (m n) rows, one row when a row holds more
-    monkeypatch.setattr(flow, "SHELL_BLOCK", block)
-    points = flow.SphereQuad(3, 512, seed=4).points
-    d2 = ((points[:256, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    d2[np.arange(256), np.arange(256)] = np.inf
-    idx, dist = flow.SphereQuad(3, 512, seed=4).neighbor_stats()
-    assert np.array_equal(idx, d2.argmin(axis=1))
-    assert np.array_equal(dist, np.sqrt(d2.min(axis=1)))
-
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_the_leading_half_of_a_sphere_set_is_the_set_of_half_the_size(n):
     # the doubling self-test reads the leading half of the points as the
@@ -128,14 +116,16 @@ def test_log_modulus_spherical_constant(quad4):
     assert average("S", u, np.zeros(4), 1.0, quad4) == pytest.approx(-0.5, abs=2e-3)
 
 
-def test_sampled_max_inflation_covers_supremum(quad3):
-    # non-radial smooth field: sampled max plus inflation must reach the
-    # true supremum on the sphere
-    a = np.diag([3.0, -1.0, 0.5])
-    u = flow.quadratic_field(a)
-    m = flow.spherical_max(u, np.zeros(3), 1.0, quad3)
-    assert m >= 1.5   # true sup is lam_max / 2; inflation must cover it
-    assert m <= 2.0   # without being wildly conservative
+def test_sampled_max_is_the_sample_maximum_below_the_supremum(quad3):
+    # non-radial smooth field without a closed-form max: M is the sampled
+    # maximum, at most the true supremum lam_max / 2 = 1.5 and close to it
+    u = flow.quadratic_field(np.diag([3.0, -1.0, 0.5]))
+    curve = flow.average_curve(u, "M", np.zeros(3), [1.0], quad3)
+    m = float(curve.values[0])
+    assert 1.49 < m <= 1.5
+    assert m == float(u.values(quad3.points).max())
+    # the leading-half maximum reads the half set, never above M
+    assert curve.half_values[0] == float(u.values(quad3.points[:quad3.size // 2]).max()) <= m
 
 
 def test_average_requires_positive_radius(quad3):
@@ -200,6 +190,21 @@ def test_two_kernels_on_one_ray_have_a_closed_form_max(capsys):
         sampled = dataclasses.replace(field, analytic_max=None)
         assert (flow.spherical_max(field, x0, 0.2, quad)
                 == flow.spherical_max(sampled, x0, 0.2, quad))
+
+
+@pytest.mark.parametrize("argv", [
+    ["two-kernel", "--n", "4", "--p", "3", "--offset", "0.5",
+     "--center", "0.01", "-0.02", "0.03", "-0.04"],
+    ["newtonian", "--p", "3", "--n", "4", "--offset", "0.7", "--center", "0.1", "0.2", "0", "0"],
+], ids=["two-kernel", "newtonian"])
+def test_a_density_off_the_ray_reads_monotone(capsys, argv):
+    # off the ray of centres M is the sampled maximum: its quotients are
+    # positive and decrease
+    assert cli.main(["density", *argv, "--no-timestamp"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["monotone_ok"] is True and rep["monotone_defect"] == 0.0
+    m = np.asarray(rep["quotients"]["M"])
+    assert np.all(m > 0.0) and np.all(np.diff(m) < 0.0)
 
 
 def test_a_centre_a_tiny_distance_from_x0_keeps_its_direction():
@@ -471,7 +476,7 @@ def test_densities_evaluate_each_shell_once(field, sampled, quad3):
     kvals = np.asarray(riesz.kernel(riesz.KernelSpec(p=3.0), radii), dtype=float)
     noise = 0.0
     half_quad = flow.sphere_quad(3, quad3.size // 2, quad3.seed)
-    for kind in ("S", "V"):
+    for kind in ("M", "S", "V"):
         half_curve = flow.average_curve(field, kind, x0, radii, half_quad, 3.0)
         half_q = (half_curve.values[:-1] - half_curve.values[1:]) / (kvals[:-1] - kvals[1:])
         noise = max(noise, float(np.abs(rep.quotients[kind] - half_q).max()))
@@ -838,7 +843,7 @@ def _reference_rows(field, x0, quad, radii, maxima):
         means += list(vals.mean(axis=1))
         halves += list(vals[:, :quad.size // 2].mean(axis=1))
         hits += list(nclip)
-        tops += [flow._max_from_shell(field, x0, r, quad, row)
+        tops += [flow._max_from_shell(field, x0, r, row)
                  for r, row in zip(block[:max(0, maxima - lo)], vals)]
     return np.array(means), np.array(halves), np.array(hits, dtype=int), tops
 

@@ -594,17 +594,21 @@ def _dense_adjacency(sample):
     return adjacent
 
 
+def _line_plane_angles(sample, v):
+    """Reference: the principal angle from the line through v to each
+    sampled plane, arccos of the one singular value of W^T v / |v|."""
+    vh = np.asarray(v, dtype=float) / np.linalg.norm(v)
+    cols = np.einsum("knp,n->kp", sample.stacked(), vh)[:, :, None]
+    return np.arccos(np.minimum(np.linalg.svd(cols, compute_uv=False)[:, 0], 1.0))
+
+
 def _dense_transitivity(sample, x, y, adjacent=None):
     """Reference: the whole k x k adjacency, goals checked when popped."""
-    stack = sample.stacked()
     if adjacent is None:
         adjacent = _dense_adjacency(sample)
 
     def containing(v):
-        vh = np.asarray(v, dtype=float) / np.linalg.norm(v)
-        proj = np.einsum("knp,kp->kn", stack, np.einsum("knp,n->kp", stack, vh))
-        residual = np.linalg.norm(vh[None, :] - proj, axis=1)
-        return np.flatnonzero(residual <= sample.angle_tol)
+        return np.flatnonzero(_line_plane_angles(sample, v) <= sample.angle_tol)
 
     starts, goals = containing(x), set(containing(y).tolist())
     if starts.size == 0:
@@ -668,8 +672,24 @@ def test_transitivity_matches_dense_reference_for_lines_and_wide_tolerances(p, n
             res = subeq.transitivity_check(gs, x, y)
             assert res == _dense_transitivity(gs, x, y, adjacent)
             found.add(len(res.chain) if res.found else res.reason)
-    # angle_tol >= 1 puts every endpoint in every plane: one-plane chains
-    assert (found == {1}) == (tol >= 1.0)
+    # angle_tol >= pi/2 puts every endpoint in every plane: one-plane chains
+    assert (found == {1}) == (tol >= math.pi / 2)
+
+
+@pytest.mark.parametrize("tol", [0.15, 0.9, 1.0, 1.2, 2.0])
+def test_endpoints_lie_in_the_planes_within_the_tolerance_angle(tol):
+    # containment compares the principal angle from the line to the plane
+    # with angle_tol, as adjacency compares the angle between planes
+    gs = subeq.sample_grassmannian(5, 2, count=512, seed=0, angle_tol=tol)
+    cos_sq_tol = math.cos(tol) * abs(math.cos(tol))
+    rng = np.random.default_rng(5)
+    for scale in (0.0, 0.05, 0.3, 1.0, 10.0):  # off a sampled plane by about `scale`
+        x = gs.planes[int(rng.integers(512))].columns @ rng.standard_normal(2)
+        x += scale * np.linalg.norm(x) * rng.standard_normal(5)
+        got = subeq._containing_planes(gs, x, cos_sq_tol)
+        want = np.flatnonzero(_line_plane_angles(gs, x) <= tol)
+        assert got.tolist() == want.tolist()
+        assert (got.size == 512) == (tol >= math.pi / 2)
 
 
 def test_transitivity_disconnected_pair():

@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import linalg
 from .errors import DomainError
-from .linalg import ordered_eigenvalues
 
 SOBOL_BITS = 30
 
@@ -95,9 +95,12 @@ _NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.3770209948908
              2.89247864745380683936E-6, 6.79019408009981274425E-9)
 _EXP_M2 = 0.13533528323661269189  # exp(-2)
 _SQRT_2PI = 2.50662827463100050242
-# the logarithms are taken with the C library's log, as Cephes does; np.log
-# differs from it in the last bit on a few inputs per thousand
-_log = np.frompyfunc(math.log, 1, 1)
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """The C library's log of a 1-D array, as Cephes takes it; np.log
+    differs from it in the last bit on a few inputs per thousand."""
+    return np.fromiter(map(math.log, x.tolist()), float, x.size)
 
 
 def _polevl(x, coefs):
@@ -125,8 +128,8 @@ def ndtri(u) -> np.ndarray:
     y2 = yc * yc
     out[central] = (yc + yc * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))) * _SQRT_2PI
     tail = ~central
-    x = np.sqrt(-2.0 * _log(y[tail]).astype(float))
-    x0 = x - _log(x).astype(float) / x
+    x = np.sqrt(-2.0 * _log(y[tail]))
+    x0 = x - _log(x) / x
     z = 1.0 / x
     x1 = np.empty_like(x)
     near = x < 8.0  # y > exp(-32)
@@ -149,9 +152,9 @@ def gauss_jacobi(count: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     s = 2.0 * k + beta
     diag = 0.5 + 0.5 * np.concatenate([[beta / (beta + 2.0)], beta * beta / (s * (s + 2.0))])
     off = np.sqrt(k * k * (k + beta) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
-    # eigenvalues only: the eigenvectors' LAPACK path raised a density
-    # command's peak RSS by about 0.45 MB
-    nodes = ordered_eigenvalues(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    # eigenvalues only (eigenvectors cost a density command 0.45 MB of peak
+    # RSS), looked up on `linalg` per call, so a wrapper set there later sees it
+    nodes = linalg.ordered_eigenvalues(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     q = [np.zeros(count), np.ones(count)]  # q_-1 and q_0 at the nodes, then the recurrence
     for j in range(count - 1):
         q.append(((nodes - diag[j]) * q[-1] - (off[j - 1] if j else 0.0) * q[-2]) / off[j])

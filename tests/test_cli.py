@@ -1093,6 +1093,24 @@ def test_readme_commands_run_with_scipy_blocked(capsys, blocked_launches):
             code, captured.out, captured.err), argv
 
 
+def test_only_density_and_flow_commands_import_the_numerics():
+    # the package root binds its modules lazily, so a command runs only the
+    # modules it reads; charx, table, verify, grassmann and radial never
+    # read the Sobol points or Gauss-Jacobi rules of `flow`
+    probe = ("import sys; from rieszlab.cli import main; code = main(sys.argv[1:]); "
+             "print('rieszlab._numerics' in sys.modules, file=sys.stderr); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(Path(rieszlab.__file__).parents[1]))
+    commands = readme_commands()
+    assert {argv[0] for argv, _ in commands} >= {"charx", "table", "verify", "grassmann",
+                                                  "radial", "density", "flow"}
+    for argv, exit_code in commands:
+        result = subprocess.run([sys.executable, "-c", probe, *argv, "--no-timestamp"],
+                                env=env, capture_output=True, text=True)
+        assert result.returncode == exit_code, argv
+        loaded = result.stderr.splitlines()[-1]
+        assert loaded == str(argv[0] in ("density", "flow")), argv
+
+
 # ---------------------------------------------------------------------------
 # the report serializer
 # ---------------------------------------------------------------------------

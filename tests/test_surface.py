@@ -12,12 +12,16 @@ attribute of that name must be read in `src/` outside its own definition,
 in the acceptance suite, or in the benchmark.
 
 The package root binds only its modules and `__version__`, so no export
-list repeats the modules' names.  Every spectrum comes from one LAPACK
+list repeats the modules' names; it binds them lazily, so `import rieszlab`
+runs none of them.  Every spectrum comes from one LAPACK
 call, `np.linalg.eigvalsh` inside `linalg.ordered_eigenvalues`.
 """
 
 import ast
-import types
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,22 +96,63 @@ def test_every_public_method_has_an_attribute_reader():
     assert unread == [], "public methods nothing reads; delete them or read them"
 
 
+def _fresh(code: str) -> str:
+    """stdout of `code` in a fresh interpreter that imports from `src/`."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
 def test_the_package_root_binds_only_its_modules():
+    # isinstance reads the type, not an attribute, so it runs no module
+    names = json.loads(_fresh(
+        "import json, types, rieszlab\n"
+        "print(json.dumps({name: isinstance(value, types.ModuleType)\n"
+        "                  for name, value in vars(rieszlab).items() if not name.startswith('__')}))"))
+    assert names == dict.fromkeys(["flow", "linalg", "radial", "riesz", "subeq"], True)
     import rieszlab
 
-    bound = set()
-    for stmt in ast.parse((SRC / "__init__.py").read_text()).body:
-        if isinstance(stmt, ast.ImportFrom):
-            assert stmt.level == 1 and stmt.module is None, "import the modules, not their names"
-            bound |= {alias.asname or alias.name for alias in stmt.names}
-        elif isinstance(stmt, ast.Assign):
-            bound |= {target.id for target in stmt.targets}
-        else:
-            assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)  # docstring
-    assert bound == {"flow", "linalg", "radial", "riesz", "subeq", "__version__"}
+    assert isinstance(rieszlab.__version__, str)
     assert rieszlab.subeq.builtin is not None
-    assert all(isinstance(value, types.ModuleType) for name, value in vars(rieszlab).items()
-               if not name.startswith("__"))
+
+
+def test_importing_the_package_runs_no_module():
+    # every module imports rieszlab.errors, so none of them ran
+    assert _fresh("import sys, rieszlab\nprint('rieszlab.errors' in sys.modules)") == "False\n"
+
+
+def test_a_read_of_a_registered_module_gives_the_real_function():
+    # as the benchmark tracer reads a module: vars() first, then getattr
+    read = json.loads(_fresh(
+        "import inspect, json, sys, types, rieszlab\n"
+        "module = sys.modules['rieszlab.flow']\n"
+        "held = vars(module)['densities']\n"
+        "from rieszlab.flow import densities\n"
+        "print(json.dumps([held is densities, getattr(module, 'densities') is densities,\n"
+        "                  inspect.isfunction(densities), densities.__module__,\n"
+        "                  rieszlab.flow is module, type(module) is types.ModuleType]))"))
+    assert read == [True, True, True, "rieszlab.flow", True, True]
+
+
+def test_a_wrapper_set_after_import_sees_the_gauss_jacobi_eigensolve():
+    # the tracer swaps linalg.ordered_eigenvalues in the namespaces loaded at
+    # install; `_numerics` loads later, with `flow`, and still calls the wrapper
+    calls = _fresh(
+        "import sys, rieszlab.cli\n"
+        "modules = [m for name, m in list(sys.modules.items()) if name.startswith('rieszlab')]\n"
+        "original = rieszlab.linalg.ordered_eigenvalues\n"
+        "calls = []\n"
+        "def counted(*args):\n"
+        "    calls.append(args)\n"
+        "    return original(*args)\n"
+        "for module in modules:\n"
+        "    for attr, value in list(vars(module).items()):\n"
+        "        if value is original:\n"
+        "            setattr(module, attr, counted)\n"
+        "from rieszlab import _numerics\n"
+        "_numerics.gauss_jacobi(8, 0.5)\n"
+        "print(len(calls))")
+    assert calls == "1\n"
 
 
 def _enclosing_calls(node, where, found, solvers):

@@ -88,8 +88,8 @@ def main() -> int:
     seconds = benchmark["run_seconds"]
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     revs = {"base": git("rev-parse", args.base), "change": git("rev-parse", args.change)}
-    record = {"label": args.label, "revisions": revs, "seconds": seconds,
-              "started": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+    started = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+    record = {"label": args.label, "revisions": revs, "seconds": seconds, "started": started,
               "environment": {}, "workloads": {}}
     with tempfile.TemporaryDirectory() as work:
         trees = {side: extract(rev, Path(work) / side) for side, rev in revs.items()}

@@ -13,8 +13,8 @@ in the acceptance suite, or in the benchmark.
 
 The package root binds only its modules and `__version__`, so no export
 list repeats the modules' names; it binds them lazily, so `import rieszlab`
-runs none of them.  Every spectrum comes from one LAPACK
-call, `np.linalg.eigvalsh` inside `linalg.ordered_eigenvalues`.
+runs none of them.  Every spectrum comes from one LAPACK call,
+`np.linalg.eigvalsh` inside `linalg.ordered_eigenvalues`.
 """
 
 import ast
@@ -108,7 +108,8 @@ def test_the_package_root_binds_only_its_modules():
     names = json.loads(_fresh(
         "import json, types, rieszlab\n"
         "print(json.dumps({name: isinstance(value, types.ModuleType)\n"
-        "                  for name, value in vars(rieszlab).items() if not name.startswith('__')}))"))
+        "                  for name, value in vars(rieszlab).items()\n"
+        "                  if not name.startswith('__')}))"))
     assert names == dict.fromkeys(["flow", "linalg", "radial", "riesz", "subeq"], True)
     import rieszlab
 

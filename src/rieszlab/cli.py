@@ -651,6 +651,9 @@ def main(argv=None) -> int:
     except RieszlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except MemoryError as exc:  # numpy refuses an array larger than memory up front
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

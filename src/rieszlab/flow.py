@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numerics import gauss_jacobi, ndtri, sobol
+from ._numerics import SOBOL_BITS, gauss_jacobi, ndtri, sobol
 from .errors import DomainError, NumericalError
 from .radial import density_estimate, density_radii, geometric_radii, quotients
 from .riesz import (INF, KernelSpec, _check_tol, _weighted_kernel, _weighted_kernel_of_square,
@@ -111,6 +111,9 @@ class SphereQuad:
         if self.size & (self.size - 1):
             raise DomainError(f"quadrature size must be a power of two (Sobol balance), "
                               f"got {self.size}")
+        if self.size > 1 << SOBOL_BITS:
+            raise DomainError(f"quadrature size must be at most 2^{SOBOL_BITS}, the points "
+                              f"of the {SOBOL_BITS}-bit Sobol table, got {self.size}")
         self.seed = int(seed)
         u = np.clip(sobol(n, self.size, self.seed), 1e-15, 1.0 - 1e-15)
         g = ndtri(u)
@@ -476,11 +479,12 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     """Monotone-quotient density estimates for the requested averages.
 
     Each estimate is `radial.density_estimate` of the curve's quotients:
-    the deepest quotient with the gap to the previous scale as bracket.  Cross-relations between the spherical and volume
-    densities (and the max/spherical comparison) are reported as
-    residuals; quotient monotonicity failures are flagged rather than
-    raised, since they usually mean the field is not subharmonic for the
-    intended constraint or the quadrature is too coarse.
+    the deepest quotient with the gap to the previous scale as bracket.
+    Cross-relations between the spherical and volume densities (and the
+    max/spherical comparison) are reported as residuals; quotient
+    monotonicity failures are flagged rather than raised, since they
+    usually mean the field is not subharmonic for the intended
+    constraint or the quadrature is too coarse.
 
     Each sphere shell is evaluated once: the M and S curves share the
     shell at each radius, and the noise bound is the largest gap between

@@ -189,9 +189,9 @@ def _nan_margin(f: Subequation) -> SolverError:
 
 
 def _margin_at(f: Subequation, a: np.ndarray) -> float:
-    """f.margin(a) for the solver: a NaN margin (a family formula that
-    overflows) is on neither side of the boundary, so it is an error."""
-    m = f.margin(a)
+    """float(f.margin(a)) for the solver: a NaN margin (a family formula
+    that overflows) is on neither side of the boundary, so it is an error."""
+    m = float(f.margin(a))
     if math.isnan(m):
         raise _nan_margin(f)
     return m
@@ -327,9 +327,7 @@ def increasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL,
 def decreasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL):
     """Decreasing characteristic of F and the bracket width: the increasing
     characteristic of the dual, finite exactly when P_e is interior to F."""
-    _check_tol(tol)
-    e = unit_vector(e if e is not None else f.direction())
-    return _characteristic(dual(f), e, tol)
+    return increasing_characteristic(dual(f), e, tol)
 
 
 def characteristic_pair(f: Subequation, tol: float = DEFAULT_TOL,
@@ -381,7 +379,7 @@ def radial_harmonic_check(f: Subequation, theta: float, p: float, radii,
     hessians = [kernel_hessian(theta, p, r * random_unit_vector(f.n, rng))
                 for r in radii for _ in range(directions)]
     stack = np.reshape(hessians, (-1, f.n, f.n))
-    worst = worst_case(np.abs(f.margin_batch(stack)))
+    worst = worst_case(np.abs(f.margin(stack)))
     return PropertyReport(
         name="radial-harmonic",
         sample_count=len(hessians),
@@ -406,7 +404,7 @@ def _boundary_shifts(f: Subequation, a: np.ndarray) -> np.ndarray:
         eye = np.eye(f.n)
 
         def margins(t):
-            return f.margin_batch(a + t[:, None, None] * eye)
+            return f.margin(a + t[:, None, None] * eye)
 
     lo = np.full(len(a), -10.0)
     hi = np.full(len(a), 10.0)
@@ -444,14 +442,14 @@ def sandwich_check(f: Subequation, p: float, sample_count: int = 1000, seed=0,
         jitter = 0.05 * np.array([math.erf(x) for x in
                                   np.trace(odd, axis1=-2, axis2=-1) / math.sqrt(2 * f.n)])
         a[1::2] = odd + (shifts + jitter)[:, None, None] * eye
-        m_f = f.margin_batch(a)
-        lower_hit = lower.margin_batch(a) >= 0.0
+        m_f = f.margin(a)
+        lower_hit = lower.margin(a) >= 0.0
         member = m_f >= 0.0
         hits[0] += int(lower_hit.sum())
         hits[1] += int(member.sum())
         # a bracket end that never moved leaves the shift at exactly -10 or 10
         hits[2] += int(np.count_nonzero(np.abs(shifts) == 10.0))
-        return [np.where(lower_hit, -m_f, 0.0), np.where(member, -upper.margin_batch(a), 0.0)]
+        return [np.where(lower_hit, -m_f, 0.0), np.where(member, -upper.margin(a), 0.0)]
 
     worst = _worst_over_samples(seed, sample_count, f.n, 1, violations)
     return PropertyReport(

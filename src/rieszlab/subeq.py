@@ -7,9 +7,9 @@ member(A) <=> m(A) >= 0, interior {m > 0} and boundary {m = 0}.  All the
 built-in families are functions of the ordered eigenvalues, so their
 margins are rotation invariant up to eigensolver rounding.  They, the
 lifts and their duals and regularizations are spectral:
-m(A) = eig_margin(spectrum(A)).  Every margin also has a batched form
-over (m, n, n) stacks that gives the same floats row by row; the
-property suites evaluate whole sample stacks with it.
+m(A) = eig_margin(spectrum(A)).  One margin serves a single matrix and
+any (..., n, n) stack, with the same floats row by row; the property
+suites evaluate whole sample stacks with it.
 """
 
 from __future__ import annotations
@@ -53,10 +53,9 @@ def fmt_param(x: float) -> str:
 class Subequation:
     """Named margin function plus metadata.
 
-    ``margin`` maps a symmetric matrix to a real number and
-    ``margin_batch`` maps an (..., n, n) stack to the (...) margins, with
-    the same floats row by row; ``_margins`` builds both from one function
-    on stacks.
+    ``margin`` maps one symmetric (n, n) matrix to a 0-d margin and an
+    (..., n, n) stack to the (...) margins, with the same floats row by
+    row; ``float(margin(A))`` is the real number of one matrix.
 
     A spectral subequation also carries ``spectrum``, which maps an
     (..., n, n) stack to ascending (..., k) spectra (the ordered
@@ -78,7 +77,6 @@ class Subequation:
     eig_margin: Callable | None = None
     preferred_direction: np.ndarray | None = None
     closed_form: float | None = None
-    margin_batch: Callable = field(kw_only=True)
 
     def direction(self) -> np.ndarray:
         if self.preferred_direction is not None:
@@ -86,20 +84,11 @@ class Subequation:
         return coordinate_direction(self.n)
 
 
-def _margins(values: Callable) -> dict:
-    """Scalar and batched margins from one function on (..., n, n) arrays."""
-
-    def margin(a) -> float:
-        return float(values(a))
-
-    return {"margin": margin, "margin_batch": values}
-
-
 def _spectral(spectrum: Callable, eig_margin: Callable, **meta) -> Subequation:
     """Spectral subequation with margins eig_margin(spectrum(A)); ``meta``
     holds the other constructor fields."""
     return Subequation(spectrum=spectrum, eig_margin=eig_margin,
-                       **_margins(lambda a: eig_margin(spectrum(a))), **meta)
+                       margin=lambda a: eig_margin(spectrum(a)), **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +96,7 @@ def _spectral(spectrum: Callable, eig_margin: Callable, **meta) -> Subequation:
 # ---------------------------------------------------------------------------
 #
 # Each builder checks its parameters and returns one margin on ascending
-# spectra of shape (..., n); the scalar margin applies it to a 1-D spectrum.
+# spectra of shape (..., n); one matrix's margin applies it to a 1-D spectrum.
 
 
 def _branch(i):
@@ -378,7 +367,7 @@ def dual(f: Subequation) -> Subequation:
                 preferred_direction=f.preferred_direction)
     if f.spectrum is not None:
         return _spectral(f.spectrum, lambda lams: -f.eig_margin(-lams[..., ::-1]), **meta)
-    return Subequation(**_margins(lambda a: -f.margin_batch(-as_matrices(a))), **meta)
+    return Subequation(margin=lambda a: -f.margin(-as_matrices(a)), **meta)
 
 
 def _lift(kind: str, base: Subequation, structure: Structure, invariance: str) -> Subequation:
@@ -494,7 +483,7 @@ def geometric(sample: GrassmannSample) -> Subequation:
     return Subequation(
         name=f"geometric(G({sample.p},R^{sample.n}))#{len(sample.planes)}",
         n=sample.n,
-        **_margins(values),
+        margin=values,
         invariance="sampled-ST",
         preferred_direction=e,
         closed_form=float(sample.p),
@@ -526,7 +515,7 @@ def uniform_elliptic_regularization(f: Subequation, delta: float) -> Subequation
                 closed_form=closed)
     if f.spectrum is not None:
         return _spectral(lambda a: f.spectrum(shifted(a)), f.eig_margin, **meta)
-    return Subequation(**_margins(lambda a: f.margin_batch(shifted(a))), **meta)
+    return Subequation(margin=lambda a: f.margin(shifted(a)), **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +554,14 @@ def shift_into(f: Subequation, a: np.ndarray, budget: int = 64) -> np.ndarray:
     a = as_matrices(a)
     stack = a.reshape(-1, *a.shape[-2:])
     out = stack.copy()
-    todo = np.flatnonzero(~(f.margin_batch(stack) >= 0.0))
+    todo = np.flatnonzero(~(f.margin(stack) >= 0.0))
     t = 1.0
     eye = np.eye(f.n)
     for _ in range(budget):
         if not todo.size:
             break
         shifted = stack[todo] + t * eye
-        inside = f.margin_batch(shifted) >= 0.0
+        inside = f.margin(shifted) >= 0.0
         out[todo[inside]] = shifted[inside]
         todo = todo[~inside]
         t *= 2.0
@@ -610,7 +599,7 @@ def check_positivity(f: Subequation, sample_count: int = 200, seed=0) -> Propert
     """Members stay members after adding a PSD matrix."""
 
     def violations(g):
-        return -f.margin_batch(shift_into(f, symmetrize(g[:, 0])) + _psd(g[:, 1]))
+        return -f.margin(shift_into(f, symmetrize(g[:, 0])) + _psd(g[:, 1]))
 
     worst = _worst_over_samples(seed, sample_count, f.n, 2, violations)
     return PropertyReport("positivity", sample_count, worst, MEMBER_TOL)
@@ -621,7 +610,7 @@ def check_cone(f: Subequation, sample_count: int = 200, seed=0) -> PropertyRepor
 
     def violations(g):
         a = shift_into(f, symmetrize(g[:, 0]))
-        return [-f.margin_batch(t * a) for t in (0.0, 0.5, 2.0, 10.0)]
+        return [-f.margin(t * a) for t in (0.0, 0.5, 2.0, 10.0)]
 
     worst = _worst_over_samples(seed, sample_count, f.n, 1, violations)
     return PropertyReport("cone", sample_count, worst, MEMBER_TOL)
@@ -634,7 +623,7 @@ def _cayley(omega: np.ndarray) -> np.ndarray:
     return np.linalg.solve(eye - 0.5 * omega, eye + 0.5 * omega)
 
 
-def invariance_rotations(f: Subequation, gaussians: np.ndarray) -> np.ndarray:
+def invariance_rotation(f: Subequation, gaussians: np.ndarray) -> np.ndarray:
     """Random rotations of F's declared group, one per matrix of an (m, n, n)
     standard-normal stack.  An O(n) rotation is the sign-fixed Q of the QR
     factorization, with det fixed to +1; the U(n) and Sp(n) rotations are
@@ -655,11 +644,6 @@ def invariance_rotations(f: Subequation, gaussians: np.ndarray) -> np.ndarray:
     return _cayley(structure.average(0.5 * (gaussians - gaussians.swapaxes(-1, -2))))
 
 
-def invariance_rotation(f: Subequation, seed=0) -> np.ndarray:
-    """One random rotation of F's declared group."""
-    return invariance_rotations(f, np.random.default_rng(seed).standard_normal((1, f.n, f.n)))[0]
-
-
 def check_st_invariance(f: Subequation, sample_count: int = 100, seed=0) -> PropertyReport:
     """|margin(g A g^T) - margin(A)| over random rotations of the declared
     group, relative to max(1 + |A|_F, |margin(A)|): margins that scale like
@@ -678,9 +662,9 @@ def check_st_invariance(f: Subequation, sample_count: int = 100, seed=0) -> Prop
 
     def violations(g):
         a = symmetrize(g[:, 0])
-        rot = invariance_rotations(f, g[:, 1])
-        moved = f.margin_batch(rot @ a @ rot.swapaxes(-1, -2))
-        margins = f.margin_batch(a)
+        rot = invariance_rotation(f, g[:, 1])
+        moved = f.margin(rot @ a @ rot.swapaxes(-1, -2))
+        margins = f.margin(a)
         # one norm per sample: a batched norm rounds differently
         scale = np.maximum(1.0 + np.array([np.linalg.norm(x) for x in a]), np.abs(margins))
         return np.abs(moved - margins) / scale
@@ -706,7 +690,7 @@ def check_uniform_ellipticity(delta: float, n: int, sample_count: int = 1000,
     if not math.isfinite(delta) or delta <= 0:
         raise DomainError(f"delta must be finite and > 0, got {delta}")
     d = delta / n
-    op = builtin("pdelta", n, delta=delta).margin_batch
+    op = builtin("pdelta", n, delta=delta).margin
 
     def violations(g):
         a = symmetrize(g[:, 0])
@@ -728,7 +712,7 @@ def margin_monotonicity_check(f: Subequation, sample_count: int = 100, seed=0) -
 
     def violations(g):
         a = shift_into(f, symmetrize(g[:, 0]))
-        values = np.array([f.margin_batch(a + t * eye) for t in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)])
+        values = np.array([f.margin(a + t * eye) for t in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)])
         return values[:-1] - values[1:]
 
     worst = _worst_over_samples(seed, sample_count, f.n, 1, violations)

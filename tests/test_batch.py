@@ -1,7 +1,7 @@
 """Batched margins and the stacked property suites.
 
-``margin_batch`` must give exactly the floats of ``margin`` row by row,
-and every suite must give the same ``PropertyReport`` as the serial
+``margin`` of a stack must give exactly the floats of ``margin`` of each
+of its matrices, and every suite must give the same ``PropertyReport`` as the serial
 one-sample-at-a-time loops kept below as the reference.
 """
 
@@ -37,10 +37,11 @@ def ref_commutant(a, structure):
 
 
 def assert_rows_match(f, stack):
-    batch = f.margin_batch(stack)
+    batch = f.margin(stack)
     assert batch.shape == (len(stack),)
-    scalar = np.array([f.margin(a) for a in stack])
-    assert np.array_equal(batch, scalar)
+    rows = [f.margin(a) for a in stack]
+    assert all(np.shape(m) == () for m in rows)
+    assert np.array_equal(batch, rows)
 
 
 FAMILY_PARAMS = {
@@ -124,25 +125,26 @@ def trace_values(a):
     return np.trace(a, axis1=-2, axis2=-1)
 
 
-def test_subequation_needs_a_batched_margin():
+def test_subequation_needs_one_margin():
     with pytest.raises(TypeError):
-        subeq.Subequation(name="trace", n=3, margin=lambda a: float(np.trace(a)),
+        subeq.Subequation(name="trace", n=3, invariance="O(n)")
+    with pytest.raises(TypeError):
+        subeq.Subequation(name="trace", n=3, margin=trace_values, margin_batch=trace_values,
                           invariance="O(n)")
 
 
 def test_custom_subequation_from_one_stack_function():
-    f = subeq.Subequation(name="trace", n=3, invariance="O(n)",
-                          **subeq._margins(trace_values))
+    f = subeq.Subequation(name="trace", n=3, invariance="O(n)", margin=trace_values)
     stack = sym_stack(3, 6, 0)
     assert_rows_match(f, stack)
-    assert f.margin_batch(stack.reshape(2, 3, 3, 3)).shape == (2, 3)
+    assert f.margin(stack.reshape(2, 3, 3, 3)).shape == (2, 3)
 
 
-def test_batch_of_one_matrix_is_a_scalar_array():
+def test_margin_of_one_matrix_is_a_scalar_array():
     f = subeq.builtin("sigma-k", 4, k=2)
     a = sym_stack(4, 1, 0)[0]
-    assert f.margin_batch(a).shape == ()
-    assert float(f.margin_batch(a)) == f.margin(a)
+    assert f.margin(a).shape == ()
+    assert float(f.margin(a)) == f.margin(a[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +201,7 @@ def gaussian_stack(n, seeds):
 
 def test_random_rotations_match_one_by_one():
     f = subeq.builtin("p", 5)
-    stack = subeq.invariance_rotations(f, gaussian_stack(5, [3, 4, 5]))
+    stack = subeq.invariance_rotation(f, gaussian_stack(5, [3, 4, 5]))
     for seed, g in zip((3, 4, 5), stack):
         assert np.array_equal(g, ref_invariance_rotation(f, seed))
         assert np.linalg.det(g) == pytest.approx(1.0)
@@ -250,10 +252,10 @@ def ref_invariance_rotation(f, seed):
 @pytest.mark.parametrize("f", [subeq.builtin("p", 4), subeq.complex_lift("p", 2),
                                subeq.quaternionic_lift("p", 1)], ids=["O", "U", "Sp"])
 def test_invariance_rotations_match_one_by_one(f):
-    stack = subeq.invariance_rotations(f, gaussian_stack(f.n, [3, 4, 5]))
+    stack = subeq.invariance_rotation(f, gaussian_stack(f.n, [3, 4, 5]))
     for g, seed in zip(stack, [3, 4, 5]):
         assert np.array_equal(g, ref_invariance_rotation(f, seed))
-        assert np.array_equal(g, subeq.invariance_rotation(f, seed))
+        assert np.array_equal(g, subeq.invariance_rotation(f, gaussian_stack(f.n, [seed]))[0])
 
 
 def ref_report(name, count, worst, tol, note=""):
@@ -346,19 +348,19 @@ def ref_sandwich(f, p, sample_count, seed, tol=1e-8):
             lo, hi = -10.0, 10.0
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                if f.margin(a + mid * eye) >= 0.0:
+                if float(f.margin(a + mid * eye)) >= 0.0:
                     hi = mid
                 else:
                     lo = mid
             unbracketed += lo == -10.0 or hi == 10.0
             a = a + (hi + 0.05 * math.erf(np.trace(a) / math.sqrt(2 * f.n))) * eye
-        m_f = f.margin(a)
-        if lower.margin(a) >= 0.0:
+        m_f = float(f.margin(a))
+        if float(lower.margin(a)) >= 0.0:
             lower_hits += 1
             worst = max(worst, -m_f)
         if m_f >= 0.0:
             member_hits += 1
-            worst = max(worst, -upper.margin(a))
+            worst = max(worst, -float(upper.margin(a)))
     worst = max(0.0, worst)
     return subeq.PropertyReport(
         name="sandwich", sample_count=sample_count, worst_violation=worst, tolerance=tol,
@@ -373,7 +375,7 @@ def ref_radial_harmonic(f, theta, p, radii, seed, directions=4, tol=1e-8):
     for r in radii:
         for _ in range(directions):
             h = riesz.kernel_hessian(theta, p, r * linalg.random_unit_vector(f.n, rng))
-            worst = max(worst, abs(f.margin(h)))
+            worst = max(worst, abs(float(f.margin(h))))
             count += 1
     return subeq.PropertyReport(name="radial-harmonic", sample_count=count,
                                 worst_violation=worst, tolerance=tol,
@@ -529,10 +531,35 @@ def test_shift_into_stack_matches_one_by_one():
 def test_shift_into_gives_up_on_unreachable_samples():
     f = subeq.builtin("full-space", 3)
     never = subeq.Subequation(name="never", n=3, invariance="O(n)",
-                              **subeq._margins(lambda a: np.full(np.shape(a)[:-2], -1.0)))
+                              margin=lambda a: np.full(np.shape(a)[:-2], -1.0))
     assert np.array_equal(subeq.shift_into(f, np.zeros((2, 3, 3))), np.zeros((2, 3, 3)))
     with pytest.raises(SolverError):
         subeq.shift_into(never, np.zeros((2, 3, 3)), budget=4)
+
+
+def counting(f, rows):
+    """F with a margin that records how many matrices each read covers."""
+    def margin(a):
+        rows.append(int(np.prod(np.shape(a)[:-2])))
+        return f.margin(a)
+
+    return dataclasses.replace(f, margin=margin)
+
+
+@pytest.mark.parametrize("read,first,last", [
+    (lambda f: subeq.check_positivity(f, 10, 0), [10], [10]),
+    (lambda f: subeq.check_cone(f, 10, 0), [10], [10] * 4),
+    (lambda f: subeq.check_st_invariance(f, 10, 0), [10, 10], [10, 10]),
+    (lambda f: subeq.shift_into(f, sym_stack(4, 6, 0) - 4.0 * np.eye(4)), [6], []),
+    (lambda f: riesz.sandwich_check(f, 2.5, 10, 0), [10], [10]),
+    (lambda f: riesz.radial_harmonic_check(f, 1.0, 2.5, [0.5, 1.0]), [8], [8]),
+], ids=["positivity", "cone", "st-invariance", "shift", "sandwich", "radial-harmonic"])
+def test_checks_read_stacks_through_the_one_margin(read, first, last):
+    # a margin replaced on the object sees every stack the checks evaluate
+    rows = []
+    read(counting(subeq.builtin("p-convex", 4, p=2.5), rows))
+    assert rows[:len(first)] == first
+    assert rows[len(rows) - len(last):] == last
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +573,7 @@ def nan_outside(n, lo, hi):
         tr = trace_values(a)
         return np.where((lo <= tr) & (tr <= hi), tr, math.nan)
 
-    return subeq.Subequation(name="nan-trace", n=n, invariance="O(n)",
-                             **subeq._margins(values))
+    return subeq.Subequation(name="nan-trace", n=n, invariance="O(n)", margin=values)
 
 
 def test_nan_margin_fails_the_cone_check():

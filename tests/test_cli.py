@@ -84,6 +84,30 @@ def test_charx_solver_error_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("message,line", [
+    ("Unable to allocate 48.0 TiB", "error: out of memory: Unable to allocate 48.0 TiB\n"),
+    ("", "error: out of memory\n"),
+])
+def test_out_of_memory_exits_3_with_one_line(capsys, monkeypatch, message, line):
+    def refuse(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "cmd_grassmann", refuse)
+    code = cli.main(["grassmann", "g2r3", "--planes", "1099511627776", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", line)
+
+
+def test_a_quadrature_beyond_the_sobol_table_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(flow, "sobol", lambda *args: pytest.fail("sobol was called"))
+    code = cli.main(["density", "riesz", "--p", "3", "--n", "3", "--quad", str(2**31),
+                     "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == ("error: quadrature size must be at most 2^30, the points of the "
+                            "30-bit Sobol table, got 2147483648\n")
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

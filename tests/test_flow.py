@@ -53,6 +53,14 @@ def test_sphere_quad_needs_a_power_of_two(size):
         flow.SphereQuad(3, size)
 
 
+def test_sphere_quad_refuses_more_points_than_the_sobol_table_holds(monkeypatch):
+    # refused before the Sobol draw allocates anything
+    monkeypatch.setattr(flow, "sobol", lambda *args: pytest.fail("sobol was called"))
+    with pytest.raises(DomainError, match=r"at most 2\^30, the points of the 30-bit Sobol "
+                                          r"table, got 2147483648"):
+        flow.SphereQuad(3, 2**31)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_the_leading_half_of_a_sphere_set_is_the_set_of_half_the_size(n):
     # the doubling self-test reads the leading half of the points as the

@@ -357,7 +357,8 @@ def gaussians(n, seed, count=1):
 def test_random_constructors_deterministic():
     assert np.array_equal(subeq._psd(gaussians(5, 1)), subeq._psd(gaussians(5, 1)))
     f = subeq.builtin("p", 5)
-    assert np.array_equal(subeq.invariance_rotation(f, 1), subeq.invariance_rotation(f, 1))
+    assert np.array_equal(subeq.invariance_rotation(f, gaussians(5, 1)),
+                          subeq.invariance_rotation(f, gaussians(5, 1)))
 
 
 def test_random_psd_nonnegative_spectrum():
@@ -367,6 +368,6 @@ def test_random_psd_nonnegative_spectrum():
 
 
 def test_random_rotation_orthogonal():
-    for g in subeq.invariance_rotations(subeq.builtin("p", 6), gaussians(6, 0, 8)):
+    for g in subeq.invariance_rotation(subeq.builtin("p", 6), gaussians(6, 0, 8)):
         assert np.abs(g.T @ g - np.eye(6)).max() <= 1e-10
         assert np.linalg.det(g) == pytest.approx(1.0, abs=1e-10)

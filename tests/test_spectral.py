@@ -71,7 +71,7 @@ def test_margins_are_eig_margin_of_spectrum(base, construction):
     f = CONSTRUCTIONS[construction](BASES[base]())
     assert f.spectrum is not None and f.eig_margin is not None
     stack = sym_stack(f.n, 12, 3)
-    assert np.array_equal(f.margin_batch(stack), f.eig_margin(f.spectrum(stack)))
+    assert np.array_equal(f.margin(stack), f.eig_margin(f.spectrum(stack)))
     rows = [f.eig_margin(f.spectrum(a)) for a in stack]
     assert np.array_equal([f.margin(a) for a in stack], rows)
 
@@ -104,7 +104,7 @@ def test_regularization_is_the_shifted_matrix_margin(base):
     stack = sym_stack(f.n, 12, 7)
     shifted = stack + (DELTA / f.n) * np.trace(stack, axis1=-2, axis2=-1)[..., None, None] \
         * np.eye(f.n)
-    assert np.array_equal(reg.margin_batch(stack), f.margin_batch(shifted))
+    assert np.array_equal(reg.margin(stack), f.margin(shifted))
 
 
 @pytest.mark.parametrize("regularize", [False, True])
@@ -114,8 +114,8 @@ def test_dual_is_the_negated_margin_of_minus_a(base, regularize):
     if regularize:
         f = subeq.uniform_elliptic_regularization(f, DELTA)
     stack = sym_stack(f.n, 12, 9)
-    got = subeq.dual(f).margin_batch(stack)
-    reference = -f.margin_batch(-stack)
+    got = subeq.dual(f).margin(stack)
+    reference = -f.margin(-stack)
     if is_lift(f):
         # reduced spectra of -A and A can differ in the last bits
         np.testing.assert_allclose(got, reference, rtol=1e-12, atol=1e-12)

@@ -248,7 +248,7 @@ def test_geometric_margins_are_plane_traces(n, p, k):
     a = np.stack([random_sym(seed, n) * 10.0 ** (seed % 7 - 3) for seed in range(40)])
     traces = np.einsum("kip,...ij,kjp->...k", stack, a, stack).min(axis=-1)
     bound = 1e-13 * (1.0 + np.linalg.norm(a, axis=(1, 2)))
-    assert np.all(np.abs(subeq.geometric(gs).margin_batch(a) - traces) <= bound)
+    assert np.all(np.abs(subeq.geometric(gs).margin(a) - traces) <= bound)
 
 
 @pytest.mark.parametrize("n,p,k", GEOMETRIC_SAMPLES)
@@ -284,7 +284,8 @@ def test_one_plane_margin_rotation_covariance():
     for seed in range(5):
         a = linalg.symmetrize(rng.standard_normal((5, 5)))
         w = subeq.sample_grassmannian(5, 2, count=1, seed=seed).planes[0].columns
-        g = subeq.invariance_rotation(subeq.builtin("p", 5), seed + 100)
+        gaussian = np.random.default_rng(seed + 100).standard_normal((1, 5, 5))
+        g = subeq.invariance_rotation(subeq.builtin("p", 5), gaussian)[0]
         assert one_plane(g @ w).margin(g @ a @ g.T) == pytest.approx(one_plane(w).margin(a),
                                                                       abs=1e-10)
 
@@ -375,7 +376,7 @@ def test_integer_parameters_are_not_truncated(family, params):
     floated = subeq.builtin(family, 4, **params, k=2.0)
     assert (floated.name, floated.closed_form) == (exact.name, exact.closed_form)
     a = np.stack([random_sym(seed) for seed in range(5)])
-    assert np.array_equal(floated.margin_batch(a), exact.margin_batch(a))
+    assert np.array_equal(floated.margin(a), exact.margin(a))
 
 
 def test_regularization_of_psd_matches_pdelta():
@@ -479,7 +480,7 @@ def _group_defect(g, structures):
 def test_unitary_rotations_lie_in_u_n(n):
     # Cayley transforms of skew matrices in the J-commutant
     gaussians = np.random.default_rng(0).standard_normal((20, 2 * n, 2 * n))
-    g = subeq.invariance_rotations(subeq.complex_lift("p", n), gaussians)
+    g = subeq.invariance_rotation(subeq.complex_lift("p", n), gaussians)
     assert _group_defect(g, linalg.Structure.complex(n).units) <= 1e-13
     assert (np.linalg.det(g) > 0.0).all()
 
@@ -487,7 +488,7 @@ def test_unitary_rotations_lie_in_u_n(n):
 @pytest.mark.parametrize("n", range(1, 5))
 def test_symplectic_rotations_lie_in_sp_n(n):
     gaussians = np.random.default_rng(0).standard_normal((20, 4 * n, 4 * n))
-    g = subeq.invariance_rotations(subeq.quaternionic_lift("p", n), gaussians)
+    g = subeq.invariance_rotation(subeq.quaternionic_lift("p", n), gaussians)
     assert _group_defect(g, linalg.Structure.quaternionic(n).units) <= 1e-13
     assert (np.linalg.det(g) > 0.0).all()
 
@@ -500,7 +501,7 @@ def test_st_invariance_is_relative_to_huge_margins():
     # ... while a margin that is not invariant fails at any scale
     for scale in (1.0, 1e300):
         corner = subeq.Subequation(name="corner", n=3, invariance="O(n)",
-                                   **subeq._margins(lambda a, s=scale: s * a[..., 0, 0]))
+                                   margin=lambda a, s=scale: s * a[..., 0, 0])
         report = subeq.check_st_invariance(corner, sample_count=20, seed=0)
         assert not report.passed and report.worst_violation > 0.1
 

@@ -14,12 +14,16 @@ in the acceptance suite, or in the benchmark.
 The package root binds only its modules and `__version__`, so no export
 list repeats the modules' names; it binds them lazily, so `import rieszlab`
 runs none of them.  Every spectrum comes from one LAPACK call,
-`np.linalg.eigvalsh` inside `linalg.ordered_eigenvalues`.
+`np.linalg.eigvalsh` inside `linalg.ordered_eigenvalues`.  Every margin is
+read through the one `Subequation.margin` field, on one matrix or a stack,
+and every rotation comes from the one sampler `subeq.invariance_rotation`:
+no second margin field or single-seed sampler remains in `src/`.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -164,6 +168,14 @@ def _enclosing_calls(node, where, found, solvers):
         found.append((where, node.attr))
     for child in ast.iter_child_nodes(node):
         _enclosing_calls(child, where, found, solvers)
+
+
+def test_one_margin_and_one_rotation_sampler():
+    words = set()
+    for path in SRC.glob("*.py"):
+        words |= set(re.findall(r"\w+", path.read_text()))
+    assert {"margin", "invariance_rotation"} <= words
+    assert not words & {"margin_batch", "_margins", "invariance_rotations"}
 
 
 def test_every_spectrum_comes_from_one_eigensolver_call():

@@ -209,13 +209,7 @@ def _to_csv(payload: dict) -> str:
 
 
 def cmd_charx(args) -> int:
-    tokens = args.family
-    variant = args.variant
-    if len(tokens) == 2 and tokens[0] in ("complex", "quaternionic"):
-        variant, tokens = tokens[0], tokens[1:]
-    if len(tokens) != 1:
-        raise ConfigError(f"bad family spec {' '.join(tokens)!r}")
-    f = build_family(tokens[0], args.n, variant, args)
+    f = build_family(args.family, args.n, args.variant, args)
     pair = riesz.characteristic_pair(f, tol=args.tol, check_directions=args.check_directions,
                                      seed=args.seed)
     record = {
@@ -244,12 +238,17 @@ _SUITES = ("positivity", "cone", "invariance", "mp", "ue", "sandwich")
 
 def cmd_verify(args) -> int:
     f = build_family(args.family, args.n, args.variant, args)
+    # the ellipticity suite checks pdelta on R^n itself, never a lift or regularization
+    plain_pdelta = args.family == "pdelta" and args.variant is None and args.regularize is None
+    if "ue" in (args.suite or ()) and not plain_pdelta:
+        raise ConfigError("--suite ue applies to the pdelta family, with no --variant "
+                          "or --regularize")
     suites = args.suite
     if not suites:
-        # the applicable default set: ellipticity only for pdelta, the
-        # sandwich only when the characteristic is finite
+        # the applicable default set: ellipticity only for plain pdelta; the
+        # sandwich suite skips itself when the characteristic is infinite
         suites = ["positivity", "cone", "invariance", "mp", "sandwich"]
-        if args.family == "pdelta":
+        if plain_pdelta:
             suites.append("ue")
     reports = []
     for suite in suites:
@@ -262,18 +261,11 @@ def cmd_verify(args) -> int:
         elif suite == "mp":
             reports.append(subeq.check_maximum_principle(f))
         elif suite == "ue":
-            if args.family != "pdelta":
-                raise ConfigError("--suite ue applies to the pdelta family")
             reports.append(subeq.check_uniform_ellipticity(args.delta, args.n,
                                                            args.samples, args.seed))
         else:  # sandwich
             p, _ = riesz.increasing_characteristic(f, tol=args.tol)
-            if math.isinf(p):
-                reports.append(subeq.PropertyReport(
-                    "sandwich", 0, 0.0, 0.0, skipped=True,
-                    note="infinite characteristic: no finite sandwich"))
-            else:
-                reports.append(riesz.sandwich_check(f, p, args.samples, args.seed))
+            reports.append(riesz.sandwich_check(f, p, args.samples, args.seed))
     emit({"command": "verify", "family": f.name, "n": f.n,
           "reports": reports}, args)
     failed = [r for r in reports if not (r.passed or r.skipped)]
@@ -492,8 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     sub = subparsers.add_parser("charx", help="compute the characteristic pair")
-    sub.add_argument("family", nargs="+",
-                     help="family name, optionally prefixed by 'complex' or 'quaternionic'")
+    sub.add_argument("family", help="family name; --variant lifts it")
     _add_family_params(sub)
     sub.add_argument("--check-directions", type=int, default=0)
     _add_common(sub)

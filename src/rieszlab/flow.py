@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numerics import SOBOL_BITS, gauss_jacobi, ndtri, sobol
+from ._numerics import gauss_jacobi, ndtri, sobol
 from .errors import DomainError, NumericalError
 from .radial import density_estimate, density_radii, geometric_radii, quotients
 from .riesz import (INF, KernelSpec, _check_tol, _weighted_kernel, _weighted_kernel_of_square,
@@ -42,6 +42,9 @@ JACOBI_NODES = 32
 ANNULUS_NODES = 8
 # values per block of sphere shells: bounds their arrays
 SHELL_BLOCK = 1 << 16
+# sphere points per set, 16 times the largest default: 2^20 points at n = 16
+# take about 0.9 GB while they are drawn
+QUAD_SIZE_MAX = 1 << 20
 # relative radius step of the backward difference behind the mass density
 MASS_FD_STEP = 1e-3
 
@@ -111,9 +114,9 @@ class SphereQuad:
         if self.size & (self.size - 1):
             raise DomainError(f"quadrature size must be a power of two (Sobol balance), "
                               f"got {self.size}")
-        if self.size > 1 << SOBOL_BITS:
-            raise DomainError(f"quadrature size must be at most 2^{SOBOL_BITS}, the points "
-                              f"of the {SOBOL_BITS}-bit Sobol table, got {self.size}")
+        if self.size > QUAD_SIZE_MAX:
+            raise DomainError(f"quadrature size must be at most 2^20, 16 times the largest "
+                              f"default, got {self.size}")
         self.seed = int(seed)
         u = np.clip(sobol(n, self.size, self.seed), 1e-15, 1.0 - 1e-15)
         g = ndtri(u)

@@ -124,14 +124,6 @@ class Frame:
         _check_orthonormal(cols)
         object.__setattr__(self, "columns", cols)
 
-    @property
-    def n(self) -> int:
-        return self.columns.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.columns.shape[1]
-
 
 # ---------------------------------------------------------------------------
 # complex / quaternionic structures and hermitian parts

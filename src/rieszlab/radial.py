@@ -133,11 +133,6 @@ def kp_convexity_test(profile: RadialProfile, p: float, grid) -> PropertyReport:
     )
 
 
-def quotient_curve(profile: RadialProfile, p: float, radii) -> np.ndarray:
-    """Quotients of the profile over adjacent radii."""
-    return quotients(profile(radii), radii, p)
-
-
 def one_var_density(profile: RadialProfile, p: float, radii) -> tuple[float, float]:
     """Density estimate from the deepest quotient pair plus a monotone bracket.
 
@@ -147,7 +142,8 @@ def one_var_density(profile: RadialProfile, p: float, radii) -> tuple[float, flo
     """
     if math.isinf(p):
         raise DomainError("no density at p = inf")
-    theta, bracket, _ = density_estimate(quotient_curve(profile, p, density_radii(radii)[-3:]))
+    radii = density_radii(radii)[-3:]
+    theta, bracket, _ = density_estimate(quotients(profile(radii), radii, p))
     return theta, bracket
 
 

@@ -43,6 +43,8 @@ P_BRACKET_MAX = 64.0
 # 32-section of the bracket.
 SECTION_LEVELS = 5
 DEFAULT_TOL = 1e-9
+# The solver's membership band: MEMBER_TOL (1 + |P_e|), for a unit projector P_e.
+MEMBER_BAND = 2.0 * MEMBER_TOL
 
 INF = math.inf
 
@@ -180,10 +182,6 @@ def kernel_hessian(theta: float, p: float, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _membership_band(norm: float) -> float:
-    return MEMBER_TOL * (1.0 + norm)
-
-
 def _nan_margin(f: Subequation) -> SolverError:
     return SolverError(f"margin of {f.name} is NaN: its formula overflows here")
 
@@ -268,12 +266,11 @@ def _characteristic(f: Subequation, e: np.ndarray, tol: float):
     the membership band, a SolverError when P_perp is outside beyond it,
     else the root of ``_matrix_pencil`` in [1, hi], with hi = 64 doubled
     while the value at hi is >= 0 and its float spacing is below tol."""
-    band = _membership_band(1.0)
-    if _margin_at(f, -projector_onto(e)) >= -band:
+    if _margin_at(f, -projector_onto(e)) >= -MEMBER_BAND:
         return INF, 0.0
     g = _matrix_pencil(f, e)
     g1 = g(1.0)
-    if abs(g1) <= band:
+    if abs(g1) <= MEMBER_BAND:
         return 1.0, 0.0
     if g1 < 0.0:
         raise SolverError(f"no sign change for {f.name}: margin already negative at 1.0")
@@ -314,7 +311,7 @@ def increasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL,
         for _ in range(check_directions):
             e2 = random_unit_vector(f.n, rng)
             if value == INF:
-                holds = _margin_at(f, -projector_onto(e2)) >= -_membership_band(1.0)
+                holds = _margin_at(f, -projector_onto(e2)) >= -MEMBER_BAND
             else:
                 g = _matrix_pencil(f, e2)
                 holds = (value - w < 1.0 or g(value - w) >= 0.0) and g(value + w) < 0.0
@@ -429,7 +426,11 @@ def sandwich_check(f: Subequation, p: float, sample_count: int = 1000, seed=0,
     boundary point: the jitter is uniform on (-0.05, 0.05) and independent
     of that point, with no further draw.  The note counts the samples that
     met each premise and the odd ones whose boundary was not bracketed.
+    An infinite p has no finite sandwich: its report is skipped.
     """
+    if math.isinf(p):
+        return PropertyReport("sandwich", 0, 0.0, 0.0, skipped=True,
+                              note="infinite characteristic: no finite sandwich")
     lower = builtin("min-2", f.n, p=p)
     upper = builtin("min-max", f.n, p=p)
     eye = np.eye(f.n)

@@ -443,10 +443,6 @@ class GrassmannSample:
         return self._stack
 
 
-def default_plane_count(n: int) -> int:
-    return 512 if n <= 4 else 2048
-
-
 def sample_grassmannian(n: int, p: int, count: int | None = None, seed=0,
                         angle_tol: float = 1e-3) -> GrassmannSample:
     """`count` p-planes in R^n, each the span of a Gaussian n x p draw:
@@ -456,7 +452,7 @@ def sample_grassmannian(n: int, p: int, count: int | None = None, seed=0,
     if not 1 <= p <= n:
         raise DomainError(f"Grassmannian G(p, R^n) needs 1 <= p <= n, got p={p}, n={n}")
     if count is None:
-        count = default_plane_count(n)
+        count = 512 if n <= 4 else 2048
     count = _integral("Grassmann sample", "count", count)
     if count < 1:
         raise DomainError(f"Grassmann sample needs count >= 1, got count={count}")

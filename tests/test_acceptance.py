@@ -437,7 +437,8 @@ def test_criterion_10_one_variable_suite():
             if not radial.kp_convexity_test(prof, p, grid).passed:
                 failures.append(f"convexity {label} p={p}")
             # quotient double monotonicity on nested radius pairs
-            quots = radial.quotient_curve(prof, p, radial.geometric_radii(1.0, 8))
+            nested = radial.geometric_radii(1.0, 8)
+            quots = radial.quotients(prof(nested), nested, p)
             if np.any(np.diff(quots) > 1e-9):
                 failures.append(f"double monotonicity {label} p={p}")
             # limit forms: the offset from theta * K shrinks monotonically

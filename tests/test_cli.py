@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import inspect
 import io
 import json
@@ -98,14 +99,15 @@ def test_out_of_memory_exits_3_with_one_line(capsys, monkeypatch, message, line)
     assert (code, captured.out, captured.err) == (3, "", line)
 
 
-def test_a_quadrature_beyond_the_sobol_table_exits_3(capsys, monkeypatch):
+@pytest.mark.parametrize("size", [2**21, 2**31])
+def test_a_quadrature_above_2_to_the_20_exits_3(capsys, monkeypatch, size):
     monkeypatch.setattr(flow, "sobol", lambda *args: pytest.fail("sobol was called"))
-    code = cli.main(["density", "riesz", "--p", "3", "--n", "3", "--quad", str(2**31),
+    code = cli.main(["density", "riesz", "--p", "3", "--n", "3", "--quad", str(size),
                      "--no-timestamp"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
-    assert captured.err == ("error: quadrature size must be at most 2^30, the points of the "
-                            "30-bit Sobol table, got 2147483648\n")
+    assert captured.err == ("error: quadrature size must be at most 2^20, 16 times the "
+                            f"largest default, got {size}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +129,7 @@ def test_verify_rejects_nonpositive_samples(capsys, samples):
 @pytest.mark.parametrize("argv", [
     ["verify", "pdelta", "--n", "3", "--delta", "{}", "--suite", "ue"],
     ["charx", "min-max", "--n", "4", "--p", "{}"],
-    ["charx", "complex", "p-convex", "--n", "3", "--p", "{}"],
+    ["charx", "p-convex", "--n", "3", "--p", "{}", "--variant", "complex"],
     ["charx", "trace-power", "--n", "4", "--k", "2", "--q", "{}"],
     ["verify", "sigma-k", "--n", "4", "--k", "2", "--regularize", "{}", "--suite", "cone"],
     ["charx", "sigma-k", "--n", "4", "--k", "2", "--tol", "{}"],
@@ -190,11 +192,11 @@ _FUZZ_INTS = ["-1", "0", "1", "2"]  # --k is an integer flag
 
 @st.composite
 def charx_argv(draw):
-    argv = ["charx"]
     variant = draw(st.sampled_from([None, "complex", "quaternionic"]))
+    argv = ["charx", draw(st.sampled_from(subeq.family_names())),
+            "--n", str(draw(st.integers(-1, 6)))]
     if variant is not None:
-        argv.append(variant)
-    argv += [draw(st.sampled_from(subeq.family_names())), "--n", str(draw(st.integers(-1, 6)))]
+        argv += ["--variant", variant]
     return argv + _family_flags(draw)
 
 
@@ -211,7 +213,8 @@ def _family_flags(draw):
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(argv=charx_argv())
-@example(argv=["charx", "complex", "p-convex", "--n", "3", "--p", "1", "--regularize", "1"])
+@example(argv=["charx", "p-convex", "--n", "3", "--p", "1", "--variant", "complex",
+               "--regularize", "1"])
 def test_charx_fuzz_exits_cleanly_and_matches_closed_forms(argv):
     code, out, err = _main(argv + ["--no-timestamp"])
     assert code in (0, 3, 4), argv
@@ -527,8 +530,8 @@ def test_help_still_exits_0():
     (["charx", "trace-power", "--n", "8", "--k", "2", "--q", "1e300", "--regularize", "0.5"],
      0, 0, ""),
     # overflow to inf is read correctly and prints no numpy warning
-    (["charx", "quaternionic", "sigma-k", "--n", "4", "--k", "2", "--regularize", "1e300"],
-     0, 0, ""),
+    (["charx", "sigma-k", "--n", "4", "--k", "2", "--variant", "quaternionic",
+      "--regularize", "1e300"], 0, 0, ""),
     (["charx", "min-2", "--n", "5", "--p", "1e300", "--regularize", "1e300"], 0, 0, ""),
     (["charx", "p", "--n", "1"], 3, 1, "n >= 2"),
 ])
@@ -545,7 +548,7 @@ def test_charx_overflow_and_n1_exit_codes(argv, exit_code, err_lines, reason):
     # p-convex with n - 1 < p < n: q = p / (p - n + 1)
     (["charx", "p-convex", "--n", "3", "--p", "2.01"], 201.0),
     # the complex lift doubles it
-    (["charx", "complex", "p-convex", "--n", "3", "--p", "2.01"], 402.0),
+    (["charx", "p-convex", "--n", "3", "--p", "2.01", "--variant", "complex"], 402.0),
     # largest-convex: q = p (n - 1) / (p - 1)
     (["charx", "largest-convex", "--n", "4", "--p", "1.01"], 303.0),
 ])
@@ -575,8 +578,8 @@ def test_charx_residual_above_tolerance_is_a_failed_check():
 
 
 @pytest.mark.parametrize("argv,closed_form", [
-    (["charx", "quaternionic", "trace-power", "--n", "2", "--k", "2", "--q", "1e300",
-      "--regularize", "0.5"], 8.0),
+    (["charx", "trace-power", "--n", "2", "--k", "2", "--q", "1e300",
+      "--variant", "quaternionic", "--regularize", "0.5"], 8.0),
     (["charx", "trace-power", "--n", "8", "--k", "2", "--q", "1e300", "--regularize", "0.5"],
      8.0 / 3.0),
 ])
@@ -617,6 +620,37 @@ def test_charx_trace_power_at_tiny_q_refuses_in_one_line():
     assert result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,shift,code,err", [
+    (["charx", "no-such", "--n", "3"], None, 4, "config error: unknown family 'no-such'; known: "),
+    (["density", "no-such", "--p", "3"], None, 4, "config error: unknown field 'no-such'"),
+    (["radial", "no-such"], None, 4, "config error: unknown profile 'no-such'; known: "),
+    # a family outside the closed-form catalog reports no closed_form or residual
+    (["charx", "dual-min-max", "--n", "4", "--p", "3"], None, 0, ""),
+    # a closed form moved by 1 leaves a residual of about 1: a failed check
+    (["charx", "p-convex", "--n", "3", "--p", "2"], 1.0, 2, "check failed: p = "),
+], ids=["family", "field", "profile", "no-closed-form", "residual"])
+def test_unknown_names_and_charx_closed_form_branches(monkeypatch, argv, shift, code, err):
+    if shift is not None:
+        build = cli.build_family
+
+        def moved(*args):
+            f = build(*args)
+            return dataclasses.replace(f, closed_form=f.closed_form + shift)
+
+        monkeypatch.setattr(cli, "build_family", moved)
+    got, out, stderr = _main([*argv, "--no-timestamp"])
+    assert got == code
+    assert stderr.startswith(err) and stderr.count("\n") == (code != 0)
+    if code == 4:
+        assert out == ""
+        return
+    payload = json.loads(out)
+    assert ("closed_form" in payload, "residual" in payload) == (shift is not None,) * 2
+    if shift is not None:
+        assert payload["residual"] == pytest.approx(1.0, abs=1e-8)
+        assert f"residual = {payload['residual']!r}" in stderr
+
+
 def test_charx_residual_within_tolerance_exits_0():
     result = _charx_subprocess(["charx", "sigma-k", "--n", "4", "--k", "2"])
     assert result.returncode == 0 and result.stderr == ""
@@ -628,6 +662,26 @@ def test_verify_pdelta_uniform_ellipticity(capsys):
                              "--suite", "ue", "--samples", "300")
     assert code == 0
     assert payload["reports"][0]["pass"] is True
+
+
+@pytest.mark.parametrize("family", [
+    ["pdelta", "--delta", "1", "--variant", "complex"],
+    ["pdelta", "--delta", "1", "--variant", "quaternionic"],
+    ["pdelta", "--delta", "1", "--regularize", "5"],
+    ["sigma-k", "--k", "2"],
+])
+def test_verify_ue_checks_plain_pdelta_only(capsys, family):
+    # the suite checks pdelta on R^n itself: an explicit --suite ue on any
+    # other family is refused, and the default list leaves it out
+    argv = ["verify", *family, "--n", "3"]
+    code, out, err = _main([*argv, "--suite", "ue", "--no-timestamp"])
+    assert (code, out) == (4, "")
+    assert err == ("config error: --suite ue applies to the pdelta family, with no --variant "
+                   "or --regularize\n")
+    code, payload = run_json(capsys, *argv, "--samples", "20")
+    assert code == 0
+    assert [r["property"] for r in payload["reports"]] == [
+        "positivity", "cone", "st-invariance", "maximum-principle", "sandwich"]
 
 
 def test_verify_sigma_k_sandwich(capsys):
@@ -963,13 +1017,17 @@ def test_density_curve_csv_reuses_the_density_sweep(tmp_path, capsys, monkeypatc
     assert target.read_text() == swept.read_text()
 
 
-def test_charx_variant_prefix_form(capsys):
-    code, payload = run_json(capsys, "charx", "complex", "p-convex", "--n", "3", "--p", "1")
-    assert code == 0
-    assert payload["p"] == pytest.approx(2.0, abs=1e-6)
-    code, payload = run_json(capsys, "charx", "quaternionic", "p", "--n", "2")
-    assert code == 0
-    assert payload["p"] == pytest.approx(4.0, abs=1e-6)
+@pytest.mark.parametrize("argv", [
+    ["charx", "complex", "p-convex", "--n", "3", "--p", "1"],
+    ["charx", "quaternionic", "p", "--n", "2"],
+    # the prefix no longer overrides the flag: the command is refused
+    ["charx", "complex", "p-convex", "--n", "3", "--p", "1", "--variant", "quaternionic"],
+])
+def test_charx_variant_prefix_form_is_refused(argv):
+    # --variant is the one way to lift a family
+    code, out, err = _main([*argv, "--no-timestamp"])
+    assert (code, out) == (4, "")
+    assert err.startswith("config error: unrecognized arguments: ") and err.count("\n") == 1
 
 
 def test_verify_default_suites(capsys):

@@ -53,12 +53,18 @@ def test_sphere_quad_needs_a_power_of_two(size):
         flow.SphereQuad(3, size)
 
 
-def test_sphere_quad_refuses_more_points_than_the_sobol_table_holds(monkeypatch):
+@pytest.mark.parametrize("size", [2**21, 2**31])
+def test_sphere_quad_refuses_more_than_2_to_the_20_points(monkeypatch, size):
     # refused before the Sobol draw allocates anything
     monkeypatch.setattr(flow, "sobol", lambda *args: pytest.fail("sobol was called"))
-    with pytest.raises(DomainError, match=r"at most 2\^30, the points of the 30-bit Sobol "
-                                          r"table, got 2147483648"):
-        flow.SphereQuad(3, 2**31)
+    with pytest.raises(DomainError, match=rf"at most 2\^20, 16 times the largest default, "
+                                          rf"got {size}$"):
+        flow.SphereQuad(3, size)
+
+
+def test_the_quadrature_cap_is_16_times_the_largest_default():
+    assert flow.QUAD_SIZE_MAX == 1 << 20 == 16 * max(flow.default_quad_size(n)
+                                                      for n in range(2, 17))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -949,6 +955,19 @@ def test_mass_density_requires_n_at_least_three():
     u = flow.zero_field(2)
     with pytest.raises(DomainError):
         flow.mass_density(u, np.zeros(2), 2.0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda u: flow.mass_density(u, np.zeros(3), math.inf), "mass density needs finite p"),
+    (lambda u: flow.mass_density(u, np.zeros(3), 3.5), "mass density needs p <= n"),
+    (lambda u: flow.tangent_flow(u, math.inf, 0.5), "flow undefined at p = inf"),
+    (lambda u: flow.average_curve(u, "X", np.zeros(3), [0.5]), "unknown average kind 'X'"),
+    (lambda u: flow.tangent_experiment(u, flow.FlowSpec(p=3.0, radii=[0.5]), u, metric="l2"),
+     "unknown metric 'l2'"),
+], ids=["mass-inf", "mass-above-n", "flow-inf", "average-kind", "metric"])
+def test_flow_refusals(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call(flow.riesz_kernel_field(1.0, 3.0, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,20 @@ def test_sandwich_detects_wrong_characteristic():
     assert not rep.passed
 
 
+def test_sandwich_at_an_infinite_characteristic_is_skipped(monkeypatch):
+    # no finite sandwich exists: the suite reports its own skip, building no
+    # bounding family and drawing no sample
+    monkeypatch.setattr(riesz, "builtin", lambda *args, **kw: pytest.fail("builtin called"))
+    rep = riesz.sandwich_check(subeq.builtin("subaffine", 3), math.inf, sample_count=100)
+    assert rep == subeq.PropertyReport("sandwich", 0, 0.0, 0.0, skipped=True,
+                                       note="infinite characteristic: no finite sandwich")
+    assert (rep.passed, rep.skipped) == (True, True)
+
+
+def test_the_membership_band_is_the_band_of_a_unit_projector():
+    assert riesz.MEMBER_BAND == subeq.MEMBER_TOL * (1.0 + 1.0)
+
+
 @pytest.mark.parametrize("offset,shift", [(-100.0, 10.0), (100.0, -10.0)])
 def test_sandwich_counts_unbracketed_boundary_shifts(offset, shift):
     # lam_1 + offset crosses 0 outside [-10, 10] along the identity ray, so

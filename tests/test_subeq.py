@@ -99,6 +99,28 @@ def test_builtin_parameter_validation():
         subeq.builtin("p-convex", 3)  # missing p
 
 
+@pytest.mark.parametrize("family,n,params,message", [
+    ("min-max", 3, {"p": 0.5}, "min-max needs p >= 1, got 0.5"),
+    ("min-2", 3, {"p": 0.5}, "min-2 needs p >= 1, got 0.5"),
+    ("dual-min-2", 3, {"p": 0.5}, "dual-min-2 needs p >= 1, got 0.5"),
+    ("dual-min-2", 1, {"p": 2.0}, "dual-min-2 needs n >= 2"),
+    ("trace-power", 3, {"k": 2, "q": 0.0}, "trace-power needs q > 0, got q=0.0"),
+    ("trace-power", 3, {"k": 2, "q": -1.0}, "trace-power needs q > 0, got q=-1.0"),
+    ("garding-pdelta", 3, {"delta": 0.0, "k": 1}, "garding-pdelta needs delta > 0, got 0.0"),
+    ("garding-pdelta", 3, {"delta": 1.0, "k": 4}, "garding-pdelta needs 1 <= k <= 3, got k=4"),
+    ("garding-pdelta", 3, {"delta": 1.0, "k": 0}, "garding-pdelta needs 1 <= k <= 3, got k=0"),
+    ("p-convex", 3, {"p": 1.0, "k": 2}, "family 'p-convex' got unknown parameters \\['k'\\]"),
+])
+def test_family_parameter_refusals(family, n, params, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        subeq.builtin(family, n, **params)
+
+
+@pytest.mark.parametrize("n,count", [(2, 512), (4, 512), (5, 2048)])
+def test_default_plane_count(n, count):
+    assert len(subeq.sample_grassmannian(n, 1).planes) == count
+
+
 def test_laplacian_alias():
     lap = subeq.builtin("laplacian", 5)
     assert lap.name == "p-convex(p=5)"

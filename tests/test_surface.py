@@ -17,7 +17,8 @@ runs none of them.  Every spectrum comes from one LAPACK call,
 `np.linalg.eigvalsh` inside `linalg.ordered_eigenvalues`.  Every margin is
 read through the one `Subequation.margin` field, on one matrix or a stack,
 and every rotation comes from the one sampler `subeq.invariance_rotation`:
-no second margin field or single-seed sampler remains in `src/`.
+no second margin field or single-seed sampler remains in `src/`, and no
+helper whose one reader could call its body directly.
 """
 
 import ast
@@ -176,6 +177,21 @@ def test_one_margin_and_one_rotation_sampler():
         words |= set(re.findall(r"\w+", path.read_text()))
     assert {"margin", "invariance_rotation"} <= words
     assert not words & {"margin_batch", "_margins", "invariance_rotations"}
+
+
+def test_no_one_reader_helpers_and_suites_own_their_skips():
+    words = set()
+    for path in SRC.glob("*.py"):
+        words |= set(re.findall(r"\w+", path.read_text()))
+    assert {"quotients", "sample_grassmannian", "MEMBER_BAND"} <= words
+    assert not words & {"quotient_curve", "default_plane_count", "_membership_band"}
+    defs = {node.name: node for path in SRC.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not {"n", "p"} & {node.name for node in defs["Frame"].body
+                             if isinstance(node, ast.FunctionDef)}
+    # the sandwich suite reports its own skip; verify only collects reports
+    assert "PropertyReport" not in _names(defs["cmd_verify"], False)
 
 
 def test_every_spectrum_comes_from_one_eigensolver_call():

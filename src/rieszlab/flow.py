@@ -699,12 +699,6 @@ def _two_point_quotient(values, pts, alpha: float, rng, pairs: int) -> float:
     return (np.abs(values[ii] - values[jj])[keep] / gaps[keep] ** alpha).max()
 
 
-def holder_seminorm(values: np.ndarray, pts: np.ndarray, alpha: float) -> float:
-    """Max two-point quotient |u(x)-u(y)| / |x-y|^alpha over 2048 seeded
-    pairs of grid points."""
-    return float(_two_point_quotient(values, pts, alpha, np.random.default_rng(11), 2048))
-
-
 @dataclass
 class ConvergenceRecord:
     metric: str
@@ -724,8 +718,10 @@ def tangent_experiment(field: ScalarField, spec: FlowSpec, candidate: ScalarFiel
     """Distances from the flowed field to a candidate tangent.
 
     Converged means the distance at the deepest scale is below `tol`.
-    For p < 2 the grid Hoelder seminorms of the flowed fields are
-    recorded together with the asymptotic bound by the max-density.
+    For p < 2 the grid Hoelder seminorms of the flowed fields (the max
+    two-point quotient over 2048 pairs of grid points from
+    ``default_rng(11)``) are recorded together with the asymptotic bound
+    by the max-density.
     """
     _check_tol(tol)
     p = spec.p
@@ -746,7 +742,8 @@ def tangent_experiment(field: ScalarField, spec: FlowSpec, candidate: ScalarFiel
         vals, _ = _clipped(flowed.values(pts))
         distances.append(_grid_distance(vals, cand_vals, pts, metric, beta, rng))
         if seminorms is not None:
-            seminorms.append(holder_seminorm(vals, pts, 2.0 - p))
+            seminorms.append(float(_two_point_quotient(vals, pts, 2.0 - p,
+                                                       np.random.default_rng(11), 2048)))
     distances = np.asarray(distances)
 
     bound = None
@@ -770,9 +767,9 @@ def tangent_experiment(field: ScalarField, spec: FlowSpec, candidate: ScalarFiel
 
 def averages_of_tangent_check(tangent: ScalarField, p: float, radii=None,
                               quad: SphereQuad | None = None,
-                              kinds: Sequence[str] = ("M", "S", "V"),
-                              tol: float = 1e-6) -> PropertyReport:
-    """Averages of a flow-invariant field must be exact radial harmonics.
+                              kinds: Sequence[str] = ("M", "S", "V")) -> PropertyReport:
+    """Averages of a flow-invariant field must be exact radial harmonics,
+    up to 1e-6.
 
     For p != 2 each average equals its density times the kernel; for
     p = 2 the max average is exactly theta * log r while the spherical
@@ -821,7 +818,7 @@ def averages_of_tangent_check(tangent: ScalarField, p: float, radii=None,
         name="averages-of-tangent",
         sample_count=count,
         worst_violation=worst,
-        tolerance=tol,
+        tolerance=1e-6,
         note="; ".join(note_parts),
     )
 
@@ -1034,30 +1031,28 @@ def riesz_kernel_field(theta: float, p: float, n: int, center=None) -> ScalarFie
     )
 
 
-def log_modulus_coordinate_field(n_complex: int = 2, slot: int = 0) -> ScalarField:
-    """log |z_slot| on C^nc, realized on R^(2 nc) with z_k = (x_k, x_{k+nc})."""
-    if not 0 <= slot < n_complex:
-        raise DomainError("slot out of range")
+def log_modulus_coordinate_field(n_complex: int) -> ScalarField:
+    """log |z_1| on C^nc, realized on R^(2 nc) with z_k = (x_k, x_{k+nc})."""
     n = 2 * n_complex
 
     def values(pts):
         pts = np.asarray(pts, dtype=float)
-        mod = np.hypot(pts[:, slot], pts[:, slot + n_complex])
+        mod = np.hypot(pts[:, 0], pts[:, n_complex])
         with np.errstate(divide="ignore"):
             return np.log(mod)
 
     def singular_distance(pts):
         pts = np.asarray(pts, dtype=float)
-        return np.hypot(pts[:, slot], pts[:, slot + n_complex])
+        return np.hypot(pts[:, 0], pts[:, n_complex])
 
     def analytic_max(x0, r):
         x0 = np.asarray(x0, dtype=float)
-        return math.log(math.hypot(x0[slot], x0[slot + n_complex]) + r)
+        return math.log(math.hypot(x0[0], x0[n_complex]) + r)
 
     return ScalarField(
         n=n,
         values=values,
-        name=f"log|z_{slot + 1}| on C^{n_complex}",
+        name=f"log|z_1| on C^{n_complex}",
         singular_distance=singular_distance,
         analytic_max=analytic_max,
     )
@@ -1162,17 +1157,13 @@ def max_of_fields(*fields: ScalarField) -> ScalarField:
     )
 
 
-def plus_quadratic_field(base: ScalarField, quadratic) -> ScalarField:
-    """base + (1/2) x^T A x; a scalar A means that multiple of the identity."""
-    if np.isscalar(quadratic):
-        a = float(quadratic) * np.eye(base.n)
-    else:
-        a = 0.5 * (np.asarray(quadratic, dtype=float) + np.asarray(quadratic, dtype=float).T)
+def plus_quadratic_field(base: ScalarField, c: float) -> ScalarField:
+    """base + (c/2) |x|^2, the quadratic term from `quadratic_field`."""
     base_values = base.values
+    quadratic = quadratic_field(c, base.n).values
 
     def values(pts):
-        pts = np.asarray(pts, dtype=float)
-        return base_values(pts) + 0.5 * np.einsum("mi,ij,mj->m", pts, a, pts)
+        return base_values(pts) + quadratic(pts)
 
     return ScalarField(
         n=base.n,

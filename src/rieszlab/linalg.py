@@ -1,7 +1,7 @@
 """Dense symmetric-matrix primitives.
 
 Everything here is a pure function of its inputs; the random unit vector
-takes an explicit seed or Generator and never touches global RNG state.
+draws from the Generator it is given and never touches global RNG state.
 Matrices are small (n <= 16 in practice) and dense.
 Every spectrum comes from ``ordered_eigenvalues``, the one call of LAPACK's
 ``np.linalg.eigvalsh`` (margins, plane-graph angles as eigenvalues of Gram
@@ -22,11 +22,9 @@ import numpy as np
 from .errors import DomainError, InvariantError, NumericalError, SolverError
 
 UNIT_NORM_TOL = 1e-12
-FRAME_TOL = 1e-10
 STRUCTURE_TOL = 1e-12
 CLUSTER_TOL = 1e-8
-
-DEFAULT_FD_STEP = 1e-4
+FD_STEP = 1e-4
 
 
 def symmetrize(a) -> np.ndarray:
@@ -57,7 +55,7 @@ def ordered_eigenvalues(a) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# directions, projectors, frames
+# directions and projectors
 # ---------------------------------------------------------------------------
 
 
@@ -67,12 +65,6 @@ def unit_vector(v) -> np.ndarray:
     if abs(norm - 1.0) > UNIT_NORM_TOL:
         raise InvariantError(f"|norm - 1| = {abs(norm - 1.0):.3e} exceeds {UNIT_NORM_TOL}")
     return v
-
-
-def coordinate_direction(n: int, axis: int = 0) -> np.ndarray:
-    e = np.zeros(n)
-    e[axis] = 1.0
-    return e
 
 
 def projector_onto(e) -> np.ndarray:
@@ -100,29 +92,6 @@ def radial_hessian(lam: float, a: float, x) -> np.ndarray:
     u = x / r
     p_line = np.outer(u, u)
     return (lam / r) * (np.eye(x.size) - p_line) + a * p_line
-
-
-def _check_orthonormal(cols: np.ndarray) -> None:
-    """Refuse an n x p matrix, or a (k, n, p) stack of them, whose Gram
-    matrices differ from Id by more than FRAME_TOL in any entry."""
-    gram = cols.swapaxes(-1, -2) @ cols
-    defect = float(np.abs(gram - np.eye(cols.shape[-1])).max())
-    if not defect <= FRAME_TOL:  # NaN entries fail too
-        raise InvariantError(f"columns not orthonormal: defect {defect:.3e}")
-
-
-@dataclass(frozen=True, eq=False)
-class Frame:
-    """n x p matrix with orthonormal columns spanning a p-plane."""
-
-    columns: np.ndarray
-
-    def __post_init__(self):
-        cols = np.asarray(self.columns, dtype=float)
-        if cols.ndim != 2:
-            raise InvariantError("frame columns must form a 2-d array")
-        _check_orthonormal(cols)
-        object.__setattr__(self, "columns", cols)
 
 
 # ---------------------------------------------------------------------------
@@ -272,23 +241,17 @@ def elementary_symmetric_all(lams, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_field(field, pts: np.ndarray) -> np.ndarray:
-    if hasattr(field, "values"):
-        return np.asarray(field.values(pts), dtype=float)
-    return np.asarray([float(field(p)) for p in pts], dtype=float)
+def finite_diff_hessian(values: Callable, x) -> np.ndarray:
+    """Second-order central-difference Hessian, symmetrized, with step
+    h = FD_STEP (1 + |x|).
 
-
-def finite_diff_hessian(field: Callable, x, h: float | None = None) -> np.ndarray:
-    """Second-order central-difference Hessian, symmetrized.
-
-    `field` is either a callable on a single point or an object with a
-    vectorized ``values`` method.  Evaluation at (or too near) a
-    singular point of the field surfaces as a DomainError.
+    `values` maps an (m, n) array of points to their m values, as
+    ``ScalarField.values`` does.  Evaluation at (or too near) a singular
+    point of the field surfaces as a DomainError.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     n = x.size
-    if h is None:
-        h = DEFAULT_FD_STEP * (1.0 + float(np.linalg.norm(x)))
+    h = FD_STEP * (1.0 + float(np.linalg.norm(x)))
     pts = [x]
     for i in range(n):
         ei = np.zeros(n)
@@ -301,7 +264,7 @@ def finite_diff_hessian(field: Callable, x, h: float | None = None) -> np.ndarra
             ei[i] = h
             ej[j] = h
             pts.extend((x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej))
-    vals = _evaluate_field(field, np.array(pts))
+    vals = np.asarray(values(np.array(pts)), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise DomainError("finite-difference stencil touches a singular point")
     u0 = vals[0]
@@ -323,7 +286,6 @@ def finite_diff_hessian(field: Callable, x, h: float | None = None) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def random_unit_vector(n: int, seed=0) -> np.ndarray:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(n)
     return v / np.linalg.norm(v)

@@ -34,7 +34,7 @@ from .linalg import (
     unit_vector,
 )
 from .subeq import (BOUNDARY_BAND, MEMBER_TOL, PropertyReport, Subequation, _worst_over_samples,
-                    builtin, dual, worst_case)
+                    builtin, dual, require_samples, worst_case)
 
 # The characteristic bracket starts as [1, 64]; its upper end doubles while
 # the margin there is still >= 0.
@@ -366,22 +366,23 @@ def bisection_certificate(f: Subequation, p: float, e=None, tol: float = DEFAULT
 
 
 def radial_harmonic_check(f: Subequation, theta: float, p: float, radii,
-                          seed=0, directions: int = 4, tol: float = 1e-8) -> PropertyReport:
-    """Kernel Hessians must sit on the boundary of F at every radius."""
+                          seed=0) -> PropertyReport:
+    """Kernel Hessians in 4 random directions must sit on the boundary of F
+    at every radius, up to 1e-8."""
     if theta < 0:
         raise DomainError("theta must be >= 0")
     if not math.isfinite(p):
         raise DomainError("needs a finite characteristic")
     rng = np.random.default_rng(seed)
     hessians = [kernel_hessian(theta, p, r * random_unit_vector(f.n, rng))
-                for r in radii for _ in range(directions)]
+                for r in radii for _ in range(4)]
     stack = np.reshape(hessians, (-1, f.n, f.n))
     worst = worst_case(np.abs(f.margin(stack)))
     return PropertyReport(
         name="radial-harmonic",
         sample_count=len(hessians),
         worst_violation=worst,
-        tolerance=tol,
+        tolerance=1e-8,
         note=f"theta={theta:g}, p={p:g}",
     )
 
@@ -413,9 +414,10 @@ def _boundary_shifts(f: Subequation, a: np.ndarray) -> np.ndarray:
     return hi
 
 
-def sandwich_check(f: Subequation, p: float, sample_count: int = 1000, seed=0,
-                   tol: float = 1e-8) -> PropertyReport:
-    """Inclusion test min-2(p) inside F inside min-max(p) on seeded samples.
+def sandwich_check(f: Subequation, p: float, sample_count: int = 1000,
+                   seed=0) -> PropertyReport:
+    """Inclusion test min-2(p) inside F inside min-max(p) on seeded samples,
+    up to 1e-8.
 
     Sample i is A_i = sym(G_i) for the i-th Gaussian matrix of the suites'
     one stream.  Even samples stay raw; an odd one slides along the identity
@@ -426,8 +428,10 @@ def sandwich_check(f: Subequation, p: float, sample_count: int = 1000, seed=0,
     boundary point: the jitter is uniform on (-0.05, 0.05) and independent
     of that point, with no further draw.  The note counts the samples that
     met each premise and the odd ones whose boundary was not bracketed.
-    An infinite p has no finite sandwich: its report is skipped.
+    An infinite p has no finite sandwich: its report is skipped, once the
+    sample count is checked.
     """
+    require_samples(sample_count)
     if math.isinf(p):
         return PropertyReport("sandwich", 0, 0.0, 0.0, skipped=True,
                               note="infinite characteristic: no finite sandwich")
@@ -457,7 +461,7 @@ def sandwich_check(f: Subequation, p: float, sample_count: int = 1000, seed=0,
         name="sandwich",
         sample_count=sample_count,
         worst_violation=worst,
-        tolerance=tol,
+        tolerance=1e-8,
         note=f"p={p:g}, lower premise hit {hits[0]}, member hit {hits[1]}, "
              f"unbracketed {hits[2]}",
     )

@@ -23,11 +23,8 @@ import numpy as np
 
 from .errors import DomainError, InvariantError, SolverError
 from .linalg import (
-    Frame,
     Structure,
-    _check_orthonormal,
     as_matrices,
-    coordinate_direction,
     elementary_symmetric_all,
     ordered_eigenvalues,
     reduced_eigenvalues,
@@ -36,6 +33,7 @@ from .linalg import (
 
 MEMBER_TOL = 1e-9
 BOUNDARY_BAND = 1e-7
+FRAME_TOL = 1e-10
 # The sampling suites evaluate at most this many samples at once, so their
 # memory does not grow with the sample count.  Even, so a block starts on an
 # even sample.
@@ -81,7 +79,9 @@ class Subequation:
     def direction(self) -> np.ndarray:
         if self.preferred_direction is not None:
             return self.preferred_direction
-        return coordinate_direction(self.n)
+        e = np.zeros(self.n)
+        e[0] = 1.0
+        return e
 
 
 def _spectral(spectrum: Callable, eig_margin: Callable, **meta) -> Subequation:
@@ -398,13 +398,21 @@ def quaternionic_lift(family: str, n: int, **params) -> Subequation:
 
 
 @dataclass(frozen=True, eq=False)
+class Frame:
+    """n x p matrix with orthonormal columns spanning a p-plane: a view of
+    one plane of the `GrassmannSample` that checked it."""
+
+    columns: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class GrassmannSample:
     """Finite sample of p-planes in R^n standing in for a compact set of
     the Grassmannian; `angle_tol` drives intersection and containment
-    tests.  The planes, a (k, n, p) array or a sequence of frames or
-    n x p arrays, are copied once into the read-only stack that
-    `stacked()` returns and checked once, with the message `Frame` gives;
-    `planes` become frames viewing that stack."""
+    tests.  The planes, a (k, n, p) array-like, are copied once into the
+    read-only stack that `stacked()` returns; every Gram matrix must be
+    within FRAME_TOL of Id in each entry.  `planes` become frames viewing
+    that stack."""
 
     planes: Sequence
     angle_tol: float = 1e-3
@@ -413,22 +421,16 @@ class GrassmannSample:
     def __post_init__(self):
         if not (math.isfinite(self.angle_tol) and self.angle_tol > 0):
             raise DomainError(f"angle_tol must be finite and > 0, got {self.angle_tol}")
-        planes = self.planes
-        if len(planes) == 0:
+        if len(self.planes) == 0:
             raise DomainError("Grassmann sample must be non-empty")
-        if not isinstance(planes, np.ndarray):
-            planes = [w.columns if isinstance(w, Frame) else w for w in planes]
-            if len({np.shape(w) for w in planes}) > 1:
-                raise InvariantError("all planes must share the same (n, p)")
-        stack = np.array(planes, dtype=float)
+        stack = np.array(self.planes, dtype=float)
         if stack.ndim != 3:
             raise InvariantError("a frame stack must form a 3-d array")
-        _check_orthonormal(stack)
+        defect = float(np.abs(stack.swapaxes(1, 2) @ stack - np.eye(stack.shape[2])).max())
+        if not defect <= FRAME_TOL:  # NaN entries fail too
+            raise InvariantError(f"columns not orthonormal: defect {defect:.3e}")
         stack.flags.writeable = False
-        frames = [object.__new__(Frame) for _ in range(len(stack))]
-        for frame, plane in zip(frames, stack):
-            object.__setattr__(frame, "columns", plane)
-        object.__setattr__(self, "planes", frames)
+        object.__setattr__(self, "planes", [Frame(plane) for plane in stack])
         object.__setattr__(self, "_stack", stack)
 
     @property
@@ -447,7 +449,8 @@ def sample_grassmannian(n: int, p: int, count: int | None = None, seed=0,
                         angle_tol: float = 1e-3) -> GrassmannSample:
     """`count` p-planes in R^n, each the span of a Gaussian n x p draw:
     one (count, n, p) draw, one stacked QR factorization with the signs
-    of R's diagonal moved into Q, and one frame check for the stack."""
+    of R's diagonal moved into Q, and one orthonormality check for the
+    stack."""
     n, p = _integral("Grassmann sample", "n", n), _integral("Grassmann sample", "p", p)
     if not 1 <= p <= n:
         raise DomainError(f"Grassmannian G(p, R^n) needs 1 <= p <= n, got p={p}, n={n}")
@@ -543,9 +546,9 @@ def worst_case(violations) -> float:
     return float(np.max(violations, initial=0.0)) + 0.0
 
 
-def shift_into(f: Subequation, a: np.ndarray, budget: int = 64) -> np.ndarray:
+def shift_into(f: Subequation, a: np.ndarray) -> np.ndarray:
     """Return A + t Id with margin >= 0, moving along the identity ray:
-    t = 0 for members, otherwise the first of 1, 2, 4, ... that works.
+    t = 0 for members, otherwise the first of 1, 2, 4, ..., 2^63 that works.
     A may be a (..., n, n) stack; each matrix gets its own t."""
     a = as_matrices(a)
     stack = a.reshape(-1, *a.shape[-2:])
@@ -553,7 +556,7 @@ def shift_into(f: Subequation, a: np.ndarray, budget: int = 64) -> np.ndarray:
     todo = np.flatnonzero(~(f.margin(stack) >= 0.0))
     t = 1.0
     eye = np.eye(f.n)
-    for _ in range(budget):
+    for _ in range(64):
         if not todo.size:
             break
         shifted = stack[todo] + t * eye

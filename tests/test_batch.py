@@ -534,7 +534,7 @@ def test_shift_into_gives_up_on_unreachable_samples():
                               margin=lambda a: np.full(np.shape(a)[:-2], -1.0))
     assert np.array_equal(subeq.shift_into(f, np.zeros((2, 3, 3))), np.zeros((2, 3, 3)))
     with pytest.raises(SolverError):
-        subeq.shift_into(never, np.zeros((2, 3, 3)), budget=4)
+        subeq.shift_into(never, np.zeros((2, 3, 3)))
 
 
 def counting(f, rows):
@@ -591,6 +591,6 @@ def test_nan_margin_fails_the_monotonicity_check():
 
 def test_nan_margin_fails_the_radial_check():
     f = nan_outside(3, math.inf, math.inf)  # every margin is NaN
-    rep = riesz.radial_harmonic_check(f, 1.0, 2.0, [1.0], seed=0, directions=2)
+    rep = riesz.radial_harmonic_check(f, 1.0, 2.0, [1.0], seed=0)
     assert math.isnan(rep.worst_violation)
     assert not rep.passed

@@ -1046,6 +1046,17 @@ def test_verify_default_handles_infinite_characteristic(capsys):
     assert sandwich["skipped"] is True
 
 
+@pytest.mark.parametrize("suite", ["sandwich", "invariance"])
+def test_zero_samples_exit_3_before_an_infinite_characteristic_skip(capsys, suite):
+    # subaffine has p = inf: the sandwich skips itself, but only after the count check
+    code = cli.main(["verify", "subaffine", "--n", "3", "--suite", suite, "--samples", "0",
+                     "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: sample count must be >= 1, got 0\n"
+
+
 def test_density_rejects_unbalanced_sobol_size(capsys):
     code = cli.main(["density", "riesz", "--theta", "3", "--p", "3", "--n", "4",
                      "--quad", "300", "--no-timestamp"])

@@ -964,7 +964,27 @@ def test_mass_density_requires_n_at_least_three():
     (lambda u: flow.average_curve(u, "X", np.zeros(3), [0.5]), "unknown average kind 'X'"),
     (lambda u: flow.tangent_experiment(u, flow.FlowSpec(p=3.0, radii=[0.5]), u, metric="l2"),
      "unknown metric 'l2'"),
-], ids=["mass-inf", "mass-above-n", "flow-inf", "average-kind", "metric"])
+    (lambda u: flow.unit_ball_volume(-1), "dimension must be >= 0"),
+    (lambda u: flow.SphereQuad(1), "sphere quadrature needs n >= 2"),
+    (lambda u: flow.SphereQuad(3, 4), "quadrature size too small"),
+    (lambda u: flow.averages_of_tangent_check(u, math.inf), "needs finite p"),
+    (lambda u: flow.holder_estimate(u, np.ones(3), 0.1, 1.0, 2.0),
+     "Hoelder estimates need 1 <= p < 2"),
+    (lambda u: flow.holder_estimate(u, np.ones(3), 0.5, 1.0, 1.5), "need 0 < 3 rho <= R"),
+    # K_3(0) = -inf
+    (lambda u: flow.holder_estimate(u, np.zeros(3), 0.1, 1.0, 1.5),
+     "field must be finite at the center"),
+    (lambda u: flow.infinitesimal_holder(u, np.ones(3), 2.0), "needs 1 <= p < 2"),
+    (lambda u: flow.partial_kernel_hessian(3.0, 2, [1.0]), "point has fewer than m coordinates"),
+    (lambda u: flow.partial_kernel_hessian(3.0, 2, [0.0, 0.0, 1.0]),
+     "Hessian undefined on the singular slice"),
+    (lambda u: flow.max_of_fields(), "need at least one field"),
+    (lambda u: flow.max_of_fields(u, flow.zero_field(4)), "dimension mismatch"),
+    (lambda u: flow.quadratic_field(1.0), "scalar quadratic needs n"),
+], ids=["mass-inf", "mass-above-n", "flow-inf", "average-kind", "metric", "ball-volume",
+        "quad-n1", "quad-size", "tangent-infinite-p", "holder-p", "holder-radii",
+        "holder-center", "infinitesimal-holder-p", "hessian-short-point", "hessian-on-slice",
+        "max-of-nothing", "max-mismatch", "quadratic-without-n"])
 def test_flow_refusals(call, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         call(flow.riesz_kernel_field(1.0, 3.0, 3))
@@ -1064,7 +1084,7 @@ def test_partial_kernel_hessian_on_min_max_boundary():
         assert np.allclose(vals, expected, atol=1e-10)
     # finite differences agree with the closed form
     x = np.array([0.8, -0.5, 0.3, 1.1])
-    fd = linalg.finite_diff_hessian(u, x)
+    fd = linalg.finite_diff_hessian(u.values, x)
     exact = flow.partial_kernel_hessian(p, m, x)
     assert np.linalg.norm(fd - exact) <= 1e-6 * (1.0 + np.linalg.norm(exact))
 

@@ -306,3 +306,8 @@ def test_classify_needs_enough_points():
     prof = radial.RadialProfile(fn=lambda r: np.asarray(r, dtype=float))
     with pytest.raises(DomainError):
         radial.classify_profile(prof, [0.1, 0.2, 0.3])
+
+
+def test_kp_convexity_needs_three_radii():
+    with pytest.raises(DomainError, match=r"^need at least three grid radii$"):
+        radial.kp_convexity_test(radial.kernel_profile(3.0), 3.0, [1.0, 2.0])

@@ -427,6 +427,12 @@ def test_sandwich_at_an_infinite_characteristic_is_skipped(monkeypatch):
     assert (rep.passed, rep.skipped) == (True, True)
 
 
+@pytest.mark.parametrize("p", [math.inf, 2.0])
+def test_sandwich_needs_a_sample_at_any_characteristic(p):
+    with pytest.raises(DomainError, match=r"^sample count must be >= 1, got 0$"):
+        riesz.sandwich_check(subeq.builtin("subaffine", 3), p, sample_count=0)
+
+
 def test_the_membership_band_is_the_band_of_a_unit_projector():
     assert riesz.MEMBER_BAND == subeq.MEMBER_TOL * (1.0 + 1.0)
 
@@ -488,3 +494,31 @@ def test_nan_margin_is_a_solver_error():
 def test_characteristic_pair_needs_two_dimensions(family):
     with pytest.raises(DomainError, match="n >= 2"):
         riesz.characteristic_pair(subeq.builtin(family, 1))
+
+
+PSD3 = subeq.builtin("p", 3)
+
+
+def nan_margins(a):
+    return np.full(np.shape(a)[:-2], np.nan)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: riesz.KernelSpec(3.0, "weird"), DomainError, "unknown normalization 'weird'"),
+    (lambda: riesz.kernel_hessian(1.0, 3.0, np.zeros(3)), DomainError,
+     "kernel Hessian undefined at the origin"),
+    (lambda: riesz.CharacteristicPair(0.5, 2.0, 0.0, 0.0), NumericalError,
+     "characteristics must be >= 1, got (0.5, 2.0)"),
+    (lambda: riesz.radial_harmonic_check(PSD3, -1.0, 2.0, [1.0]), DomainError,
+     "theta must be >= 0"),
+    (lambda: riesz.radial_harmonic_check(PSD3, 1.0, math.inf, [1.0]), DomainError,
+     "needs a finite characteristic"),
+    (lambda: riesz.increasing_characteristic(subeq.Subequation(
+        name="nan", n=3, invariance="O(n)", margin=nan_margins)),
+     SolverError, "margin of nan is NaN: its formula overflows here"),
+], ids=["normalization", "hessian-at-origin", "pair-below-1", "negative-theta",
+        "infinite-p", "nan-matrix-margin"])
+def test_riesz_refusals(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message

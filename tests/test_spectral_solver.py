@@ -83,7 +83,8 @@ def outcome(solve):
 
 
 def directions(n):
-    return [None, *(linalg.random_unit_vector(n, seed) for seed in (11, 12))]
+    return [None, *(linalg.random_unit_vector(n, np.random.default_rng(seed))
+                   for seed in (11, 12))]
 
 
 @pytest.mark.parametrize("construction", sorted(CONSTRUCTIONS))

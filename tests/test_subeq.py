@@ -286,7 +286,7 @@ def one_plane(columns):
 
 
 def test_one_plane_margin_of_line_projector():
-    p_e = linalg.projector_onto(linalg.coordinate_direction(4))
+    p_e = linalg.projector_onto(np.eye(4)[0])
     assert one_plane(np.eye(4)[:, :2]).margin(p_e) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -294,7 +294,7 @@ def test_one_plane_margin_pencil_expansion():
     # tr_W(P_perp - (pbar-1) P_e) = p - c * pbar with c = tr_W(P_e)
     rng = np.random.default_rng(5)
     e = linalg.random_unit_vector(6, rng)
-    f = one_plane(subeq.sample_grassmannian(6, 3, count=1, seed=9).planes[0])
+    f = one_plane(subeq.sample_grassmannian(6, 3, count=1, seed=9).planes[0].columns)
     c = f.margin(linalg.projector_onto(e))
     for pbar in (1.0, 2.5, 7.0):
         a = linalg.projector_perp(e) - (pbar - 1.0) * linalg.projector_onto(e)
@@ -339,7 +339,7 @@ def test_geometric_agrees_with_p2_margin_sign():
 
 def test_geometric_monotone_under_more_planes():
     big = subeq.sample_grassmannian(4, 2, count=128, seed=5)
-    small = subeq.GrassmannSample(big.planes[:32], angle_tol=big.angle_tol)
+    small = subeq.GrassmannSample(big.stacked()[:32], angle_tol=big.angle_tol)
     f_big = subeq.geometric(big)
     f_small = subeq.geometric(small)
     for seed in range(20):
@@ -593,8 +593,8 @@ def test_transitivity_single_plane_fails():
 
 
 def test_transitivity_two_plane_chain():
-    w1 = linalg.Frame(np.eye(3)[:, :2])          # span(e1, e2)
-    w2 = linalg.Frame(np.eye(3)[:, 1:])          # span(e2, e3)
+    w1 = np.eye(3)[:, :2]          # span(e1, e2)
+    w2 = np.eye(3)[:, 1:]          # span(e2, e3)
     gs = subeq.GrassmannSample([w1, w2], angle_tol=1e-3)
     res = subeq.transitivity_check(gs, np.array([1.0, 0, 0]), np.array([0, 0, 1.0]))
     assert res.found
@@ -717,7 +717,7 @@ def test_endpoints_lie_in_the_planes_within_the_tolerance_angle(tol):
 
 def test_transitivity_disconnected_pair():
     e = np.eye(4)
-    gs = subeq.GrassmannSample([linalg.Frame(e[:, :2]), linalg.Frame(e[:, 2:])], angle_tol=1e-3)
+    gs = subeq.GrassmannSample([e[:, :2], e[:, 2:]], angle_tol=1e-3)
     res = subeq.transitivity_check(gs, e[0], e[3])
     assert res == _dense_transitivity(gs, e[0], e[3])
     assert not res.found and "disconnected" in res.reason
@@ -793,8 +793,8 @@ def test_sample_stack_is_one_read_only_array():
     assert all(np.array_equal(w.columns, s) for w, s in zip(gs.planes, stack))
     with pytest.raises(dataclasses.FrozenInstanceError):
         gs.planes = gs.planes[:1]
-    # the public constructor stacks its frames the same way
-    built = subeq.GrassmannSample(gs.planes[:3], angle_tol=gs.angle_tol)
+    # the public constructor copies a stack the same way
+    built = subeq.GrassmannSample(gs.stacked()[:3], angle_tol=gs.angle_tol)
     assert built.stacked() is built.stacked() and not built.stacked().flags.writeable
     assert np.array_equal(built.stacked(), stack[:3])
 
@@ -805,11 +805,11 @@ def test_grassmann_sample_checks_the_stack_once_with_the_frame_message():
     assert [w.columns.shape for w in planes] == [(4, 2)] * 5
     assert all(not w.columns.flags.writeable for w in planes)
     assert stack.flags.writeable  # the caller's array is copied, not frozen
-    # one bad plane refuses the stack, with the message Frame gives that plane
+    # one bad plane refuses the stack, with the message a sample of that plane gives
     bad = stack.copy()
     bad[3, :, 1] = [1.0, 1.0, 0.0, 0.0]
     with pytest.raises(InvariantError) as one:
-        linalg.Frame(bad[3])
+        subeq.GrassmannSample(bad[3:4])
     with pytest.raises(InvariantError) as batched:
         subeq.GrassmannSample(bad)
     assert str(batched.value) == str(one.value)
@@ -824,7 +824,7 @@ def test_grassmann_sample_holds_its_own_read_only_planes():
     a = np.diag([-5.0, 0.0, 1.0])
     e = np.eye(3)
     arrays = np.stack([np.eye(3)[:, :2], np.eye(3)[:, 1:]])
-    for planes, mutate in (([linalg.Frame(e[:, :2]), linalg.Frame(np.eye(3)[:, 1:])], e),
+    for planes, mutate in (([e[:, :2], np.eye(3)[:, 1:]], e),
                            (arrays, arrays[0])):
         gs = subeq.GrassmannSample(planes)
         f = subeq.geometric(gs)
@@ -841,9 +841,14 @@ def test_grassmann_sample_holds_its_own_read_only_planes():
                 w.columns[0, 0] = 2.0
 
 
-def test_grassmann_sample_refuses_planes_of_different_shapes():
-    with pytest.raises(InvariantError, match="same"):
-        subeq.GrassmannSample([np.eye(3)[:, :2], np.eye(3)[:, :1]])
+def test_grassmann_sample_rejects_non_orthonormal():
+    with pytest.raises(InvariantError):
+        subeq.GrassmannSample([np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])])
+
+
+def test_grassmann_sample_rejects_nan_columns():
+    with pytest.raises(InvariantError, match="columns not orthonormal: defect nan"):
+        subeq.GrassmannSample([np.full((3, 2), np.nan)])
 
 
 @pytest.mark.parametrize("kwargs,message", [
@@ -866,3 +871,15 @@ def test_grassmannian_takes_integral_floats_as_integers():
     exact = subeq.sample_grassmannian(4, 2, count=8, seed=2)
     floated = subeq.sample_grassmannian(4.0, 2.0, count=8.0, seed=2)
     assert np.array_equal(floated.stacked(), exact.stacked())
+
+
+def test_an_unknown_invariance_tag_has_no_rotation_sampler():
+    f = subeq.Subequation(name="bogus", n=3, invariance="bogus",
+                          margin=lambda a: np.zeros(np.shape(a)[:-2]))
+    with pytest.raises(DomainError, match=r"^no rotation sampler for invariance tag 'bogus'$"):
+        subeq.check_st_invariance(f, 3)
+
+
+def test_trace_power_closed_form_beyond_every_float_is_inf():
+    # 1 + 2^(1/q) overflows at q = 1e-300
+    assert subeq.builtin("trace-power", 3, k=3.0, q=1e-300).closed_form == math.inf

@@ -18,10 +18,14 @@ runs none of them.  Every spectrum comes from one LAPACK call,
 read through the one `Subequation.margin` field, on one matrix or a stack,
 and every rotation comes from the one sampler `subeq.invariance_rotation`:
 no second margin field or single-seed sampler remains in `src/`, and no
-helper whose one reader could call its body directly.
+helper whose one reader could call its body directly.  An option has more
+than one value in use, and a function takes one input format: the
+signatures that lost a fixed option or a second format are pinned, and
+frames are built only by their sample, through `Frame(plane)`.
 """
 
 import ast
+import inspect
 import json
 import os
 import re
@@ -202,3 +206,30 @@ def test_every_spectrum_comes_from_one_eigensolver_call():
         _enclosing_calls(ast.parse(path.read_text()), None, calls, solvers)
         found += [(path.name, *call) for call in calls]
     assert found == [("linalg.py", "ordered_eigenvalues", "eigvalsh")]
+
+
+def test_one_value_per_option_and_one_input_format():
+    from rieszlab import flow, linalg, riesz, subeq
+
+    text = "".join(path.read_text() for path in SRC.glob("*.py"))
+    assert not set(re.findall(r"\w+", text)) & {"coordinate_direction", "holder_seminorm",
+                                                "_evaluate_field"}
+    assert "object.__new__" not in text
+    empty = inspect.Parameter.empty
+    kept = {
+        subeq.shift_into: {"f": empty, "a": empty},
+        subeq.GrassmannSample: {"planes": empty, "angle_tol": 1e-3},
+        subeq.Frame: {"columns": empty},
+        linalg.random_unit_vector: {"n": empty, "rng": empty},
+        linalg.finite_diff_hessian: {"values": empty, "x": empty},
+        flow.log_modulus_coordinate_field: {"n_complex": empty},
+        flow.plus_quadratic_field: {"base": empty, "c": empty},
+        flow.averages_of_tangent_check: {"tangent": empty, "p": empty, "radii": None,
+                                         "quad": None, "kinds": ("M", "S", "V")},
+        riesz.sandwich_check: {"f": empty, "p": empty, "sample_count": 1000, "seed": 0},
+        riesz.radial_harmonic_check: {"f": empty, "theta": empty, "p": empty, "radii": empty,
+                                      "seed": 0},
+    }
+    for function, params in kept.items():
+        signature = inspect.signature(function).parameters
+        assert {name: param.default for name, param in signature.items()} == params, function

@@ -436,6 +436,13 @@ def cmd_radial(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def seed(text: str) -> int:
+    """The type of --seed: an integer >= 0, as numpy's generators take."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
 def _add_common(sub):
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--no-timestamp", action="store_true")
@@ -445,7 +452,7 @@ def _add_common(sub):
 
 def _add_family_params(sub):
     sub.add_argument("--n", type=int, default=3, help="ambient dimension")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=seed, default=0)
     sub.add_argument("--tol", type=float, default=1e-9)
     sub.add_argument("--p", type=float, default=None)
     sub.add_argument("--k", type=int, default=None)
@@ -460,7 +467,7 @@ def _add_field_flags(sub):
     """The field and its sphere samples, as density and flow read them."""
     sub.add_argument("field")
     sub.add_argument("--n", type=int, default=3, help="ambient dimension")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=seed, default=0)
     sub.add_argument("--quad", type=int, default=None,
                      help="sphere sample size, a power of two >= 8")
     sub.add_argument("--p", type=float, required=True)
@@ -525,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("grassmann", help="plane-sample experiments")
     sub.add_argument("sample", help="spec like g2r3")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=seed, default=0)
     sub.add_argument("--tol", type=float, default=1e-9)
     sub.add_argument("--planes", type=int, default=None)
     sub.add_argument("--angle-tol", type=float, default=1e-3)

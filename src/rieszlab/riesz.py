@@ -4,18 +4,17 @@ The increasing characteristic of a spherically-transitive cone
 subequation is the unique p with P_{e-perp} - (p-1) P_e = Id - p P_e on
 the boundary; it is found by bisection on the margin along that pencil,
 on [1, hi] with hi = 64 doubled while the margin there is still >= 0.
-The decreasing characteristic is the increasing one of the dual, whose
-margin is -margin(-A): one solver serves both.
+The decreasing characteristic is that of the dual, whose margin is
+-margin(-A): one solver serves both sides, in lockstep over F alone.
 
-One bisection serves every F, replaying plain bisection on dyadic
-sections of the bracket: one matrix margin per step, or for a spectral F
-31 points per call from two spectra (spec(Id - t P_e) is spectrum(Id) -
-t spectrum(P_e), reversed), whose final bracket two matrix margins must
-confirm.  The infinity and t = 1 tests, ``bisection_certificate`` and
-``check_directions`` read matrix margins: each further direction is
-checked by two of them, not solved again.
-Kernels come in two normalizations: the `standard` one (plain powers /
-log) and the `barred` one whose first derivative is exactly r^(1-p).
+Each side replays plain bisection on dyadic sections of its bracket: one
+matrix margin per step, or for a spectral F 31 points per step from
+spectrum(Id) and spectrum(P_e), both sides' points in one eig_margin
+call, with a final bracket that matrix margins must confirm.  The tests
+at -P_e, P_perp and the pair's -Id, the confirmations and the pencils of
+``check_directions`` (two per further direction) are each one stacked
+margin call.  Kernels come in two normalizations: the `standard` one
+(plain powers / log) and the `barred` one whose derivative is r^(1-p).
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .linalg import (
     unit_vector,
 )
 from .subeq import (BOUNDARY_BAND, MEMBER_TOL, PropertyReport, Subequation, _worst_over_samples,
-                    builtin, dual, require_samples, worst_case)
+                    builtin, require_samples, worst_case)
 
 # The characteristic bracket starts as [1, 64]; its upper end doubles while
 # the margin there is still >= 0.
@@ -182,16 +181,14 @@ def kernel_hessian(theta: float, p: float, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _nan_margin(f: Subequation) -> SolverError:
-    return SolverError(f"margin of {f.name} is NaN: its formula overflows here")
+def _nan_margin(name: str) -> SolverError:
+    return SolverError(f"margin of {name} is NaN: its formula overflows here")
 
 
-def _margin_at(f: Subequation, a: np.ndarray) -> float:
-    """float(f.margin(a)) for the solver: a NaN margin (a family formula
-    that overflows) is on neither side of the boundary, so it is an error."""
-    m = float(f.margin(a))
+def _checked(name: str, m: float) -> float:
+    """A margin for the solver: NaN (an overflowing formula) is an error."""
     if math.isnan(m):
-        raise _nan_margin(f)
+        raise _nan_margin(name)
     return m
 
 
@@ -200,45 +197,25 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol must be finite and > 0, got {tol}")
 
 
-def _matrix_pencil(f: Subequation, e: np.ndarray):
-    """t -> margin(Id - t P_e), one matrix margin per t; Id - t P_e is
-    P_perp - (t-1) P_e.  The root sought is where the map turns negative."""
-    p_line = projector_onto(e)
-    p_perp = projector_perp(e)
-    return lambda t: _margin_at(f, p_perp - (t - 1.0) * p_line)
+def _side_name(f: Subequation, sign: float) -> str:
+    return f.name if sign > 0 else f"dual({f.name})"
 
 
-def _spectral_pencil(f: Subequation, e: np.ndarray):
-    """The same map on a list of t >= 1, from two spectra: for t > 0 the
-    spectrum of Id - t P_e is spectrum(Id) - t spectrum(P_e) reversed, since
-    spectrum(Id) is constant and spectrum(P_e) ascending."""
-    spec_id = f.spectrum(np.eye(f.n))
-    spec_e = f.spectrum(projector_onto(e))
-
-    def g(ts):
-        values = f.eig_margin((spec_id - np.multiply.outer(ts, spec_e))[..., ::-1])
-        if np.isnan(values).any():
-            raise _nan_margin(f)
-        return values.tolist()
-
-    return g
+def _matrix_pencil(f: Subequation, p_line: np.ndarray, p_perp: np.ndarray, sign: float = 1.0):
+    """t -> margin(Id - t P_e) = margin(P_perp - (t-1) P_e) of F (sign 1) or
+    of its dual (sign -1, margin -margin(-A)), one matrix margin per t."""
+    name = _side_name(f, sign)
+    if sign > 0:
+        return lambda t: _checked(name, float(f.margin(p_perp - (t - 1.0) * p_line)))
+    return lambda t: _checked(name, -float(f.margin(-(p_perp - (t - 1.0) * p_line))))
 
 
-def _check_inside(lo: float, mid: float, hi: float) -> None:
-    """A bisection whose midpoint rounds to an end of its bracket would
-    never end: tol is below the float spacing there."""
-    if not lo < mid < hi:
-        raise SolverError(f"bisection stalls at {mid!r}, where floats are {math.ulp(mid):.2g} "
-                          "apart: tol is smaller")
-
-
-def _bisect_sections(g, lo: float, hi: float, tol: float, levels: int):
-    """Final bracket [lo, hi] of plain bisection for a decreasing map with
-    value >= 0 at lo and < 0 at hi, from one call of g per dyadic section
-    of 2^levels parts: g maps the list of the section's interior points,
-    each the midpoint plain bisection computes, to the list of their
-    values, and plain bisection's steps are replayed on those values.
-    With one level this is plain bisection."""
+def _bisection(lo: float, hi: float, tol: float, levels: int):
+    """Plain bisection for a decreasing map with value >= 0 at lo and < 0
+    at hi, as a generator: it yields the interior points of each dyadic
+    section of 2^levels parts (each the midpoint plain bisection computes),
+    receives their values, replays plain bisection's steps on them and
+    returns the final bracket (lo, hi).  One level is plain bisection."""
     parts = 1 << levels
     while hi - lo > tol:
         x = [lo] * parts + [hi]
@@ -247,11 +224,13 @@ def _bisect_sections(g, lo: float, hi: float, tol: float, levels: int):
             for k in range(step // 2, parts, step):
                 x[k] = 0.5 * (x[k - step // 2] + x[k + step // 2])
             step //= 2
-        values = g(x[1:-1])
+        values = yield x[1:-1]
         i, j = 0, parts
         while j - i > 1 and x[j] - x[i] > tol:
             k = (i + j) // 2
-            _check_inside(x[i], x[k], x[j])
+            if not x[i] < x[k] < x[j]:  # tol is below the float spacing: no end
+                raise SolverError(f"bisection stalls at {x[k]!r}, where floats are "
+                                  f"{math.ulp(x[k]):.2g} apart: tol is smaller")
             if values[k - 1] >= 0.0:
                 i = k
             else:
@@ -260,71 +239,146 @@ def _bisect_sections(g, lo: float, hi: float, tol: float, levels: int):
     return lo, hi
 
 
-def _characteristic(f: Subequation, e: np.ndarray, tol: float):
-    """Increasing characteristic of F along e and the bracket width: inf
-    when -P_e is a member, exactly 1 when P_perp is on the boundary up to
-    the membership band, a SolverError when P_perp is outside beyond it,
-    else the root of ``_matrix_pencil`` in [1, hi], with hi = 64 doubled
-    while the value at hi is >= 0 and its float spacing is below tol."""
-    if _margin_at(f, -projector_onto(e)) >= -MEMBER_BAND:
-        return INF, 0.0
-    g = _matrix_pencil(f, e)
-    g1 = g(1.0)
-    if abs(g1) <= MEMBER_BAND:
-        return 1.0, 0.0
-    if g1 < 0.0:
-        raise SolverError(f"no sign change for {f.name}: margin already negative at 1.0")
-    spectral = f.spectrum is not None
-    if spectral:
-        sections, levels = _spectral_pencil(f, e), SECTION_LEVELS
-    else:
-        sections, levels = (lambda ts: [g(t) for t in ts]), 1
+def _search(name: str, tol: float, levels: int):
+    """The final bracket, as a generator like ``_bisection``: [1, 64], its
+    upper end doubled while the value there is >= 0 and 2 hi resolves tol."""
     hi = P_BRACKET_MAX
-    while sections([hi])[0] >= 0.0:
+    while (yield [hi])[0] >= 0.0:
         if math.ulp(2.0 * hi) >= tol:
-            raise SolverError(f"no boundary crossing for {f.name} in [1, {hi:.0f}]: a wider "
+            raise SolverError(f"no boundary crossing for {name} in [1, {hi:.0f}]: a wider "
                               f"bracket would not resolve tol = {tol:g}")
         hi *= 2.0
-    lo, hi = _bisect_sections(sections, 1.0, hi, tol, levels)
-    if spectral and not g(lo) >= 0.0 > g(hi):
-        raise SolverError(f"matrix margins of {f.name} do not confirm its spectral "
-                          f"bracket [{lo!r}, {hi!r}]")
-    return 0.5 * (lo + hi), hi - lo
+    return (yield from _bisection(1.0, hi, tol, levels))
+
+
+def _check_directions(f: Subequation, value: float, tol: float, count: int, seed):
+    """Check ``value`` along ``count`` random directions e2 by matrix margins
+    (a generator yielding their stack), not by solving again: an infinite
+    value needs -P_e2 in F up to the membership band, a finite one a
+    pencil along e2 that is >= 0 at value - w (unless that is below 1) and
+    < 0 at value + w, where w = max(10 tol, 1e-9 |value|)."""
+    rng = np.random.default_rng(seed)
+    e2s = [random_unit_vector(f.n, rng) for _ in range(count)]
+    w = max(10.0 * tol, 1e-9 * abs(value))
+    ts = [INF] if value == INF else [t for t in (value - w, value + w) if t >= 1.0]
+    margins = yield np.array([-projector_onto(e2) if value == INF
+                              else projector_perp(e2) - (t - 1.0) * projector_onto(e2)
+                              for e2 in e2s for t in ts])
+    for i, e2 in enumerate(e2s):
+        *below, above = margins[i * len(ts):(i + 1) * len(ts)]
+        holds = all(_checked(f.name, m) >= 0.0 for m in below)
+        if holds:
+            above = _checked(f.name, above)
+            holds = above >= -MEMBER_BAND if value == INF else above < 0.0
+        if not holds:
+            raise SolverError(f"characteristic depends on direction for {f.name}: "
+                              f"{value} does not hold along e2 = {e2.tolist()}")
+
+
+def _side(f: Subequation, p_line: np.ndarray, p_perp: np.ndarray, sign: float, tol: float,
+          check_directions: int, seed, whole: list):
+    """(value, width) of one side along e, sign 1 for F and -1 for its dual,
+    as a generator of requests for its margins at a stack of matrices or,
+    from spectra, at a list of points t of Id - t P_e: inf when -P_e is a
+    member, exactly 1 when P_perp is on the boundary up to the membership
+    band, a SolverError when P_perp is outside beyond it, else the root
+    found by ``_search``, one matrix margin per step or, for a spectral F,
+    31 points per step and a final bracket that two matrix margins confirm;
+    F's side of a pair refuses an F containing ``whole`` = [-Id]."""
+    name = _side_name(f, sign)
+    minus_line, perp, *minus_id = yield np.array([-p_line, p_perp, *whole])
+    if minus_id and _checked(name, minus_id[0]) >= 0.0:
+        # a cone subequation with F + P in F contains -Id only if F = Sym(n)
+        raise DomainError(f"{f.name} contains -Id, so it is all of Sym(n): its dual is "
+                          "empty and has no characteristic")
+    _check_tol(tol)
+    if check_directions < 0:
+        raise DomainError(f"check_directions must be >= 0, got {check_directions}")
+    if _checked(name, minus_line) >= -MEMBER_BAND:
+        value, width = INF, 0.0
+    elif abs(_checked(name, perp)) <= MEMBER_BAND:
+        value, width = 1.0, 0.0
+    elif perp < 0.0:
+        raise SolverError(f"no sign change for {name}: margin already negative at 1.0")
+    elif f.spectrum is None:
+        search, g = _search(name, tol, 1), _matrix_pencil(f, p_line, p_perp, sign)
+        try:
+            ts = next(search)
+            while True:
+                ts = search.send([g(t) for t in ts])
+        except StopIteration as stop:
+            lo, hi = stop.value
+        value, width = 0.5 * (lo + hi), hi - lo
+    else:
+        lo, hi = yield from _search(name, tol, SECTION_LEVELS)
+        lo_margin, hi_margin = yield np.array([p_perp - (t - 1.0) * p_line for t in (lo, hi)])
+        if not _checked(name, lo_margin) >= 0.0 > _checked(name, hi_margin):
+            raise SolverError(f"matrix margins of {name} do not confirm its spectral "
+                              f"bracket [{lo!r}, {hi!r}]")
+        value, width = 0.5 * (lo + hi), hi - lo
+    if check_directions:
+        yield from _check_directions(f, value, tol, check_directions, seed)
+    return value, width
+
+
+def _solve(f: Subequation, e, tol: float, signs: tuple, check_directions: int = 0,
+           seed=0) -> list:
+    """[value, width] of each side of ``signs`` (``_side``), in lockstep over
+    F alone: each round answers all sides' requests in one call, sections
+    before matrices.  All values are evaluated first; errors are raised in
+    the order of one side after the other: the pair's -Id refusal, F's
+    side (its direction check last), the dual's side."""
+    e = unit_vector(e if e is not None else f.direction())
+    p_line = projector_onto(e)
+    p_perp = projector_perp(e)
+    sides = {s: _side(f, p_line, p_perp, s, tol, check_directions if s > 0 else 0, seed,
+                      [-np.eye(f.n)] if len(signs) == 2 and s > 0 else []) for s in signs}
+    results, pending, replies, spectra = {}, {}, dict.fromkeys(signs), None
+    while replies:
+        for s, reply in replies.items():
+            try:
+                pending[s] = sides[s].send(reply)
+            except StopIteration as stop:
+                results[s] = stop.value
+            except SolverError as exc:
+                results[s] = exc
+        asked = {s: r for s, r in pending.items() if isinstance(r, list)}
+        if asked:
+            # spectrum(Id - t P_e) is spectrum(Id) - t spectrum(P_e) reversed; the dual's
+            # eig_margin negates F's at the negated, unreversed row, as subeq.dual's does
+            if spectra is None:
+                spectra = f.spectrum(np.array([np.eye(f.n), p_line]))
+            rows = [spectra[0] - np.multiply.outer(ts, spectra[1]) for ts in asked.values()]
+            values = f.eig_margin(np.concatenate([r[:, ::-1] if s > 0 else -r
+                                                  for s, r in zip(asked, rows)]))
+        elif pending:
+            asked = pending
+            values = f.margin(np.concatenate([r if s > 0 else -r for s, r in asked.items()]))
+        replies, start = {}, 0
+        for s in list(asked):
+            r = pending.pop(s)
+            part = values[start:start + len(r)]
+            replies[s], start = (part if s > 0 else -part).tolist(), start + len(r)
+            if isinstance(r, list) and any(map(math.isnan, replies[s])):
+                results[s] = _nan_margin(_side_name(f, s))
+                del replies[s]
+    for s in signs:
+        if isinstance(results[s], SolverError):
+            raise results[s]
+    return [x for s in signs for x in results[s]]
 
 
 def increasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL,
                               check_directions: int = 0, seed=0):
-    """Increasing characteristic of F and the final bracket width (see
-    ``_characteristic``).  Each of the ``check_directions`` random
-    directions e2 is checked with matrix margins, not solved again: an
-    infinite value needs -P_e2 in F up to the membership band, a finite
-    one a pencil along e2 that is >= 0 at value - w (unless that is below
-    1) and < 0 at value + w, where w = max(10 tol, 1e-9 |value|)."""
-    _check_tol(tol)
-    if check_directions < 0:
-        raise DomainError(f"check_directions must be >= 0, got {check_directions}")
-    e = unit_vector(e if e is not None else f.direction())
-    value, bracket = _characteristic(f, e, tol)
-    if check_directions:
-        rng = np.random.default_rng(seed)
-        w = max(10.0 * tol, 1e-9 * abs(value))
-        for _ in range(check_directions):
-            e2 = random_unit_vector(f.n, rng)
-            if value == INF:
-                holds = _margin_at(f, -projector_onto(e2)) >= -MEMBER_BAND
-            else:
-                g = _matrix_pencil(f, e2)
-                holds = (value - w < 1.0 or g(value - w) >= 0.0) and g(value + w) < 0.0
-            if not holds:
-                raise SolverError(f"characteristic depends on direction for {f.name}: "
-                                  f"{value} does not hold along e2 = {e2.tolist()}")
-    return value, bracket
+    """Increasing characteristic of F and the final bracket width along e
+    (see ``_side``), checked in further directions by ``_check_directions``."""
+    return tuple(_solve(f, e, tol, (1.0,), check_directions, seed))
 
 
 def decreasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL):
     """Decreasing characteristic of F and the bracket width: the increasing
     characteristic of the dual, finite exactly when P_e is interior to F."""
-    return increasing_characteristic(dual(f), e, tol)
+    return tuple(_solve(f, e, tol, (-1.0,)))
 
 
 def characteristic_pair(f: Subequation, tol: float = DEFAULT_TOL,
@@ -332,12 +386,7 @@ def characteristic_pair(f: Subequation, tol: float = DEFAULT_TOL,
     if f.n == 1:
         raise DomainError("characteristic pair needs n >= 2: at n = 1, P_perp = 0 and "
                           "(p-1)(q-1) >= 1 cannot hold")
-    if _margin_at(f, -np.eye(f.n)) >= 0.0:
-        # a cone subequation with F + P in F contains -Id only if F = Sym(n)
-        raise DomainError(f"{f.name} contains -Id, so it is all of Sym(n): its dual is "
-                          "empty and has no characteristic")
-    p, pb = increasing_characteristic(f, tol=tol, check_directions=check_directions, seed=seed)
-    q, qb = decreasing_characteristic(f, tol=tol)
+    p, pb, q, qb = _solve(f, None, tol, (1.0, -1.0), check_directions, seed)
     return CharacteristicPair(p=p, q=q, p_bracket=pb, q_bracket=qb)
 
 
@@ -347,7 +396,8 @@ def bisection_certificate(f: Subequation, p: float, e=None, tol: float = DEFAULT
     band as rounding slack; the margin at p itself is reported, not judged,
     since its size is the slope of the margin times the distance to the
     root."""
-    g = _matrix_pencil(f, unit_vector(e if e is not None else f.direction()))
+    e = unit_vector(e if e is not None else f.direction())
+    g = _matrix_pencil(f, projector_onto(e), projector_perp(e))
     below = g(p - tol) if p - tol >= 1.0 else None
     above = g(p + tol)
     band = BOUNDARY_BAND * (1.0 + math.sqrt(f.n - 1.0 + (p - 1.0) ** 2))  # |Id - p P_e|

@@ -519,6 +519,29 @@ def test_abbreviated_flags_are_refused_by_name(argv, flag):
     assert err.count("\n") == 1
 
 
+SEEDED_COMMANDS = [
+    ["charx", "sigma-k", "--n", "4", "--k", "2", "--check-directions", "3"],
+    ["verify", "sigma-k", "--n", "4", "--k", "2"],
+    ["density", "riesz", "--p", "3", "--n", "4"],
+    ["flow", "radial-perturbed", "--p", "3", "--n", "4"],
+    ["grassmann", "g2r3"],
+]
+
+
+@pytest.mark.parametrize("argv", SEEDED_COMMANDS, ids=lambda argv: argv[0])
+def test_a_negative_seed_is_a_config_error(tmp_path, argv):
+    # numpy's generators take integers >= 0: a negative seed was a ValueError
+    # traceback with exit 1
+    code, out, err = _main([*argv, "--seed", "-1", "--no-timestamp"])
+    assert (code, out) == (4, "")
+    assert err == "config error: argument --seed: invalid seed value: '-1'\n"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    code, out, err = _main([*argv, "--config", str(cfg), "--no-timestamp"])
+    assert (code, out) == (4, "")
+    assert err == "config error: config key 'seed': bad value -1\n"
+
+
 def test_help_still_exits_0():
     result = _charx_subprocess(["density", "-h"])
     assert result.returncode == 0

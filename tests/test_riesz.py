@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -163,15 +164,19 @@ def test_an_infinite_characteristic_is_checked_in_other_directions():
     assert riesz.increasing_characteristic(f, check_directions=3) == (INF, 0.0)
 
 
-def test_direction_window_grows_with_the_characteristic(monkeypatch):
+def test_direction_window_grows_with_the_characteristic():
     # at p = 200 the window is 1e-9 p = 2e-7, wider than 10 tol = 1e-8
     f = subeq.builtin("min-max", 4, p=200.0)
-    pencil, ts = riesz._matrix_pencil, []
-    monkeypatch.setattr(riesz, "_matrix_pencil",
-                        lambda f, e: lambda t: ts.append(t) or pencil(f, e)(t))
-    p, _ = riesz.increasing_characteristic(f, check_directions=4)
+    stacks = []
+    counted = dataclasses.replace(f, margin=lambda a: stacks.append(a) or f.margin(a))
+    p, _ = riesz.increasing_characteristic(counted, check_directions=4)
     assert p == pytest.approx(200.0, abs=1e-8)
-    assert ts[-8:] == [p - 1e-9 * p, p + 1e-9 * p] * 4
+    # the last margin call reads the pencils of the 4 directions at p -/+ 1e-9 p
+    rng = np.random.default_rng(0)
+    pencils = [linalg.projector_perp(e2) - (t - 1.0) * linalg.projector_onto(e2)
+               for e2 in (linalg.random_unit_vector(4, rng) for _ in range(4))
+               for t in (p - 1e-9 * p, p + 1e-9 * p)]
+    assert np.array_equal(stacks[-1], pencils)
 
 
 def test_a_negative_direction_count_is_refused():

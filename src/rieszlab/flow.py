@@ -427,12 +427,12 @@ def flow_invariance_defect(field: ScalarField, p: float,
     """sup |u_r - u| over the spheres of radius 0.5, 1 and 2, for the
     scales r = 0.5 and 2; 0 for exact fixpoints."""
     quad = quad or sphere_quad(field.n, size=256, seed=3)
+    shells = [shell * quad.points for shell in (0.5, 1.0, 2.0)]
+    base = [_clipped(field.values(pts))[0] for pts in shells]
     worst = 0.0
     for s in (0.5, 2.0):
         flowed = tangent_flow(field, p, s, quad)
-        for shell in (0.5, 1.0, 2.0):
-            pts = shell * quad.points
-            a, _ = _clipped(field.values(pts))
+        for pts, a in zip(shells, base):
             b, _ = _clipped(flowed.values(pts))
             worst = max(worst, float(np.abs(a - b).max()))
     return worst

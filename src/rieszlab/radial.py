@@ -212,5 +212,5 @@ def kernel_profile(p: float, theta: float = 1.0) -> RadialProfile:
     )
 
 
-def profile_from_callable(fn: Callable, name: str = "", r_max: float = INF) -> RadialProfile:
-    return RadialProfile(fn=fn, r_max=r_max, name=name)
+def profile_from_callable(fn: Callable) -> RadialProfile:
+    return RadialProfile(fn=fn)

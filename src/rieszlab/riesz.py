@@ -2,19 +2,19 @@
 
 The increasing characteristic of a spherically-transitive cone
 subequation is the unique p with P_{e-perp} - (p-1) P_e = Id - p P_e on
-the boundary; it is found by bisection on the margin along that pencil,
-on [1, hi] with hi = 64 doubled while the margin there is still >= 0.
-The decreasing characteristic is that of the dual, whose margin is
--margin(-A): one solver serves both sides, in lockstep over F alone.
+the boundary, e = F.direction(), found by bisection on the margin along
+that pencil, on [1, hi] with hi = 64 doubled while the margin there is
+still >= 0.  The decreasing characteristic is that of the dual, whose
+margin is -margin(-A): one solver serves both sides, in lockstep over F.
 
 Each side replays plain bisection on dyadic sections of its bracket: one
 matrix margin per step, or for a spectral F 31 points per step from
 spectrum(Id) and spectrum(P_e), both sides' points in one eig_margin
 call, with a final bracket that matrix margins must confirm.  The tests
-at -P_e, P_perp and the pair's -Id, the confirmations and the pencils of
-``check_directions`` (two per further direction) are each one stacked
-margin call.  Kernels come in two normalizations: the `standard` one
-(plain powers / log) and the `barred` one whose derivative is r^(1-p).
+at -P_e, P_perp and the pair's -Id, the confirmations and the pair's
+pencils in further directions (two each) are each one stacked margin
+call.  Kernels come in two normalizations: the `standard` one (plain
+powers / log) and the `barred` one whose derivative is r^(1-p).
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .linalg import (
     symmetrize,
     unit_vector,
 )
-from .subeq import (BOUNDARY_BAND, MEMBER_TOL, PropertyReport, Subequation, _worst_over_samples,
-                    builtin, require_samples, worst_case)
+from .subeq import (MEMBER_TOL, PropertyReport, Subequation, _worst_over_samples, builtin,
+                    require_samples, worst_case)
 
 # The characteristic bracket starts as [1, 64]; its upper end doubles while
 # the margin there is still >= 0.
@@ -201,15 +201,6 @@ def _side_name(f: Subequation, sign: float) -> str:
     return f.name if sign > 0 else f"dual({f.name})"
 
 
-def _matrix_pencil(f: Subequation, p_line: np.ndarray, p_perp: np.ndarray, sign: float = 1.0):
-    """t -> margin(Id - t P_e) = margin(P_perp - (t-1) P_e) of F (sign 1) or
-    of its dual (sign -1, margin -margin(-A)), one matrix margin per t."""
-    name = _side_name(f, sign)
-    if sign > 0:
-        return lambda t: _checked(name, float(f.margin(p_perp - (t - 1.0) * p_line)))
-    return lambda t: _checked(name, -float(f.margin(-(p_perp - (t - 1.0) * p_line))))
-
-
 def _bisection(lo: float, hi: float, tol: float, levels: int):
     """Plain bisection for a decreasing map with value >= 0 at lo and < 0
     at hi, as a generator: it yields the interior points of each dyadic
@@ -301,11 +292,14 @@ def _side(f: Subequation, p_line: np.ndarray, p_perp: np.ndarray, sign: float, t
     elif perp < 0.0:
         raise SolverError(f"no sign change for {name}: margin already negative at 1.0")
     elif f.spectrum is None:
-        search, g = _search(name, tol, 1), _matrix_pencil(f, p_line, p_perp, sign)
+        # one matrix margin per step, margin(A) or the dual's -margin(-A), A = Id - t P_e
+        search = _search(name, tol, 1)
         try:
-            ts = next(search)
+            (t,) = next(search)
             while True:
-                ts = search.send([g(t) for t in ts])
+                a = p_perp - (t - 1.0) * p_line
+                (t,) = search.send([_checked(name, float(f.margin(a)) if sign > 0
+                                             else -float(f.margin(-a)))])
         except StopIteration as stop:
             lo, hi = stop.value
         value, width = 0.5 * (lo + hi), hi - lo
@@ -321,14 +315,15 @@ def _side(f: Subequation, p_line: np.ndarray, p_perp: np.ndarray, sign: float, t
     return value, width
 
 
-def _solve(f: Subequation, e, tol: float, signs: tuple, check_directions: int = 0,
+def _solve(f: Subequation, tol: float, signs: tuple, check_directions: int = 0,
            seed=0) -> list:
-    """[value, width] of each side of ``signs`` (``_side``), in lockstep over
-    F alone: each round answers all sides' requests in one call, sections
-    before matrices.  All values are evaluated first; errors are raised in
-    the order of one side after the other: the pair's -Id refusal, F's
-    side (its direction check last), the dual's side."""
-    e = unit_vector(e if e is not None else f.direction())
+    """[value, width] of each side of ``signs`` (``_side``) along
+    e = F.direction(), in lockstep over F alone: each round answers all
+    sides' requests in one call, sections before matrices.  All values are
+    evaluated first; errors are raised in the order of one side after the
+    other: the pair's -Id refusal, F's side (its direction check last),
+    the dual's side."""
+    e = unit_vector(f.direction())
     p_line = projector_onto(e)
     p_perp = projector_perp(e)
     sides = {s: _side(f, p_line, p_perp, s, tol, check_directions if s > 0 else 0, seed,
@@ -368,46 +363,26 @@ def _solve(f: Subequation, e, tol: float, signs: tuple, check_directions: int = 
     return [x for s in signs for x in results[s]]
 
 
-def increasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL,
-                              check_directions: int = 0, seed=0):
-    """Increasing characteristic of F and the final bracket width along e
-    (see ``_side``), checked in further directions by ``_check_directions``."""
-    return tuple(_solve(f, e, tol, (1.0,), check_directions, seed))
+def increasing_characteristic(f: Subequation, tol: float = DEFAULT_TOL):
+    """Increasing characteristic of F and the final bracket width along
+    F.direction() (see ``_side``)."""
+    return tuple(_solve(f, tol, (1.0,)))
 
 
-def decreasing_characteristic(f: Subequation, e=None, tol: float = DEFAULT_TOL):
+def decreasing_characteristic(f: Subequation, tol: float = DEFAULT_TOL):
     """Decreasing characteristic of F and the bracket width: the increasing
     characteristic of the dual, finite exactly when P_e is interior to F."""
-    return tuple(_solve(f, e, tol, (-1.0,)))
+    return tuple(_solve(f, tol, (-1.0,)))
 
 
 def characteristic_pair(f: Subequation, tol: float = DEFAULT_TOL,
                         check_directions: int = 0, seed=0) -> CharacteristicPair:
+    """Both characteristics, p checked in further directions (``_check_directions``)."""
     if f.n == 1:
         raise DomainError("characteristic pair needs n >= 2: at n = 1, P_perp = 0 and "
                           "(p-1)(q-1) >= 1 cannot hold")
-    p, pb, q, qb = _solve(f, None, tol, (1.0, -1.0), check_directions, seed)
+    p, pb, q, qb = _solve(f, tol, (1.0, -1.0), check_directions, seed)
     return CharacteristicPair(p=p, q=q, p_bracket=pb, q_bracket=qb)
-
-
-def bisection_certificate(f: Subequation, p: float, e=None, tol: float = DEFAULT_TOL) -> dict:
-    """Matrix margins at p and p -/+ tol: a monotone-crossing witness.  It
-    holds when the margin changes sign across [p - tol, p + tol], with the
-    band as rounding slack; the margin at p itself is reported, not judged,
-    since its size is the slope of the margin times the distance to the
-    root."""
-    e = unit_vector(e if e is not None else f.direction())
-    g = _matrix_pencil(f, projector_onto(e), projector_perp(e))
-    below = g(p - tol) if p - tol >= 1.0 else None
-    above = g(p + tol)
-    band = BOUNDARY_BAND * (1.0 + math.sqrt(f.n - 1.0 + (p - 1.0) ** 2))  # |Id - p P_e|
-    return {
-        "margin_at": g(p),
-        "margin_below": below,
-        "margin_above": above,
-        "band": band,
-        "ok": (below is None or below >= -band) and above <= band,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .linalg import (
 )
 
 MEMBER_TOL = 1e-9
-BOUNDARY_BAND = 1e-7
 FRAME_TOL = 1e-10
 # The sampling suites evaluate at most this many samples at once, so their
 # memory does not grow with the sample count.  Even, so a block starts on an
@@ -360,9 +359,9 @@ def builtin(family: str, n: int, **params) -> Subequation:
 
 
 def dual(f: Subequation) -> Subequation:
-    """Dual subequation: margin_dual(A) = -margin(-A); an exact involution.
-    A spectral F keeps its spectrum map: the spectrum of -A is the reversed,
-    negated spectrum of A."""
+    """Dual subequation: margin_dual(A) = -margin(-A), an involution.  A spectral
+    F keeps its spectrum map, reading the spectrum of -A as the reversed, negated
+    spectrum of A, so its dual's margin is -margin(-A) up to eigensolver rounding."""
     meta = dict(name=f"dual({f.name})", n=f.n, invariance=f.invariance,
                 preferred_direction=f.preferred_direction)
     if f.spectrum is not None:

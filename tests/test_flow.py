@@ -261,6 +261,26 @@ def test_log_flow_invariance():
     assert flow.flow_invariance_defect(u, 2.0) <= 1e-12
 
 
+def test_flow_invariance_defect_evaluates_the_base_once_per_shell(monkeypatch):
+    # the flowed fields read an uncounted copy, so only the base's own three
+    # shells are counted; the defect is that of evaluating them per scale
+    u = flow.riesz_kernel_field(2.0, 3.0, 3)
+    quad = flow.sphere_quad(3, size=256, seed=3)
+    expected = 0.0
+    for s in (0.5, 2.0):
+        flowed = flow.tangent_flow(u, 3.0, s, quad)
+        for shell in (0.5, 1.0, 2.0):
+            a, _ = flow._clipped(u.values(shell * quad.points))
+            b, _ = flow._clipped(flowed.values(shell * quad.points))
+            expected = max(expected, float(np.abs(a - b).max()))
+    calls = []
+    counting = dataclasses.replace(u, values=lambda pts: calls.append(1) or u.values(pts))
+    tangent_flow = flow.tangent_flow
+    monkeypatch.setattr(flow, "tangent_flow", lambda field, *args: tangent_flow(u, *args))
+    assert flow.flow_invariance_defect(counting, 3.0) == expected
+    assert len(calls) == 3
+
+
 def test_partial_kernel_flow_invariance_pointwise():
     u = flow.partial_kernel_field(3.0, 2, 4)
     rng = np.random.default_rng(2)

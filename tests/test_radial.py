@@ -178,7 +178,7 @@ def test_profile_rejects_radii_outside_its_interval(r):
 
 
 def test_profile_interval_is_open_at_its_finite_end():
-    prof = radial.profile_from_callable(lambda r: 1.0 - r, r_max=2.0)
+    prof = radial.RadialProfile(fn=lambda r: 1.0 - r, r_max=2.0)
     assert prof(1.5) == -0.5
     with pytest.raises(DomainError, match=r"radius outside \(0, 2.0\)"):
         prof(2.0)

@@ -146,8 +146,8 @@ def test_subaffine_has_infinite_characteristic():
 
 def test_direction_independence():
     f = subeq.builtin("sigma-k", 4, k=2)
-    p, _ = riesz.increasing_characteristic(f, check_directions=8, seed=5)
-    assert p == pytest.approx(2.0, abs=1e-6)
+    pair = riesz.characteristic_pair(f, check_directions=8, seed=5)
+    assert pair.p == pytest.approx(2.0, abs=1e-6)
 
 
 def test_a_direction_dependent_characteristic_is_refused():
@@ -156,12 +156,13 @@ def test_a_direction_dependent_characteristic_is_refused():
     f = subeq.geometric(subeq.sample_grassmannian(4, 2, count=3, seed=1))
     assert riesz.increasing_characteristic(f) == (2.0000000004438334, 9.167706593871117e-10)
     with pytest.raises(SolverError, match="characteristic depends on direction for geometric"):
-        riesz.increasing_characteristic(f, check_directions=1, seed=0)
+        riesz.characteristic_pair(f, check_directions=1, seed=0)
 
 
 def test_an_infinite_characteristic_is_checked_in_other_directions():
     f = subeq.builtin("subaffine", 4)
-    assert riesz.increasing_characteristic(f, check_directions=3) == (INF, 0.0)
+    pair = riesz.characteristic_pair(f, check_directions=3)
+    assert (pair.p, pair.p_bracket) == (INF, 0.0)
 
 
 def test_direction_window_grows_with_the_characteristic():
@@ -169,7 +170,7 @@ def test_direction_window_grows_with_the_characteristic():
     f = subeq.builtin("min-max", 4, p=200.0)
     stacks = []
     counted = dataclasses.replace(f, margin=lambda a: stacks.append(a) or f.margin(a))
-    p, _ = riesz.increasing_characteristic(counted, check_directions=4)
+    p = riesz.characteristic_pair(counted, check_directions=4).p
     assert p == pytest.approx(200.0, abs=1e-8)
     # the last margin call reads the pencils of the 4 directions at p -/+ 1e-9 p
     rng = np.random.default_rng(0)
@@ -206,12 +207,17 @@ def test_characteristic_one_is_exact(family, params, n):
 
 
 def test_characteristic_certificate():
+    # the matrix margin of Id - t P_e changes sign across [p - tol, p + tol]
     f = subeq.builtin("pdelta", 3, delta=1.0)
     p, _ = riesz.increasing_characteristic(f)
-    cert = riesz.bisection_certificate(f, p)
-    assert cert["ok"]
-    assert cert["margin_below"] >= -cert["band"]
-    assert cert["margin_above"] <= cert["band"]
+    e = f.direction()
+    band = 1e-7 * (1.0 + math.sqrt(f.n - 1.0 + (p - 1.0) ** 2))
+
+    def margin(t):
+        return float(f.margin(linalg.projector_perp(e) - (t - 1.0) * linalg.projector_onto(e)))
+
+    assert margin(p - riesz.DEFAULT_TOL) >= -band
+    assert margin(p + riesz.DEFAULT_TOL) <= band
 
 
 def test_garding_pdelta_branches_share_characteristic():

@@ -4,10 +4,11 @@ One bisection serves every subequation: one matrix margin per step, or
 for a spectral one 31 points of spectrum(Id) - t spectrum(P_e) per call.
 Every spectral answer must be the matrix route's, bit for bit, and the
 checks (infinity and t = 1 tests, the bracket guard) must still read
-matrix margins; check_directions reads two matrix margins per further
-direction.  Both sides of a pair are solved in lockstep over F alone, the
-dual's margin being -margin(-A): each answer and each refusal must be
-those of the sequential solver kept in ``sequential_solver``.
+matrix margins; the pair's check_directions reads two matrix margins per
+further direction.  Both sides of a pair are solved in lockstep over F
+alone, the dual's margin being -margin(-A): each answer and each refusal
+must be those of the sequential solver kept in ``sequential_solver``, which
+takes the direction as its argument e where the solver reads F.direction().
 """
 
 import dataclasses
@@ -50,6 +51,7 @@ BASES = {
     **{f"{family} n={n}": (lambda family=family, n=n:
                            subeq.builtin(family, n, **family_params(family, n)))
        for family in FAMILIES for n in DIMENSIONS},
+    "pdelta n=3 delta=1": lambda: subeq.builtin("pdelta", 3, delta=1.0),
     "garding det": lambda: subeq.builtin("garding-det", 4, k=2),
     "garding p-fold-sum": lambda: subeq.builtin("garding-sum", 4, p=2, k=3),
     "garding pdelta": lambda: subeq.builtin("garding-pdelta", 4, delta=0.5, k=2),
@@ -84,9 +86,15 @@ def outcome(solve):
         return ("SolverError", str(exc))
 
 
-def directions(n):
-    return [None, *(linalg.random_unit_vector(n, np.random.default_rng(seed))
-                   for seed in (11, 12))]
+def along(f, e):
+    """f with its direction set to e: the one way to set the solver's direction."""
+    return dataclasses.replace(f, preferred_direction=e)
+
+
+def directions(f):
+    """F's own direction and two random ones."""
+    return [f.direction(), *(linalg.random_unit_vector(f.n, np.random.default_rng(seed))
+                             for seed in (11, 12))]
 
 
 @pytest.mark.parametrize("construction", sorted(CONSTRUCTIONS))
@@ -95,19 +103,26 @@ def test_spectral_solver_equals_matrix_route_bitwise(base, construction):
     f = CONSTRUCTIONS[construction](BASES[base]())
     assert f.spectrum is not None
     g = matrix_route(f)
-    for e in directions(f.n):
-        spectral = outcome(lambda: riesz.increasing_characteristic(f, e))
-        assert spectral == outcome(lambda: riesz.increasing_characteristic(g, e)), e
-        spectral = outcome(lambda: riesz.decreasing_characteristic(f, e))
-        assert spectral == outcome(lambda: riesz.decreasing_characteristic(g, e)), e
+    for e in directions(f):
+        for solve in (riesz.increasing_characteristic, riesz.decreasing_characteristic):
+            assert outcome(lambda: solve(along(f, e))) == outcome(lambda: solve(along(g, e))), e
 
 
 def test_bracket_past_128_equals_matrix_route():
     # q = 201 and p = 200: both sides bisect on a doubled bracket [1, 256]
     for f in (subeq.builtin("p-convex", 3, p=2.01), subeq.builtin("min-max", 3, p=200.0)):
-        for e in directions(3):
+        for e in directions(f):
             for solve in (riesz.increasing_characteristic, riesz.decreasing_characteristic):
-                assert solve(f, e) == solve(matrix_route(f), e)
+                assert solve(along(f, e)) == solve(along(matrix_route(f), e))
+
+
+def crossing(f, p, tol=riesz.DEFAULT_TOL):
+    """Whether the matrix margin of Id - t P_e, along F's direction, changes
+    sign across [p - tol, p + tol], with 1e-7 (1 + |Id - p P_e|) of rounding
+    slack: the monotone crossing the bracket guard checks on every solve."""
+    g = sequential._matrix_pencil(f, f.direction())
+    band = 1e-7 * (1.0 + math.sqrt(f.n - 1.0 + (p - 1.0) ** 2))
+    return (p - tol < 1.0 or g(p - tol) >= -band) and g(p + tol) <= band
 
 
 @pytest.mark.parametrize("n", DIMENSIONS)
@@ -119,10 +134,10 @@ def test_certificate_holds_at_the_solvers_p(family, n):
     p, _ = riesz.increasing_characteristic(f)
     if math.isinf(p):
         return
-    assert riesz.bisection_certificate(f, p)["ok"]
-    assert not riesz.bisection_certificate(f, p + 1e-3)["ok"]
+    assert crossing(f, p)
+    assert not crossing(f, p + 1e-3)
     if p - 1e-3 >= 1.0:
-        assert not riesz.bisection_certificate(f, p - 1e-3)["ok"]
+        assert not crossing(f, p - 1e-3)
 
 
 def plain_bisection(g, lo, hi, tol):
@@ -199,10 +214,10 @@ def test_checks_read_matrix_margins():
     # margin(-P_e) and margin(P_perp), then the two ends of the bracket
     assert sum(calls) == 4
     calls.clear()
-    riesz.increasing_characteristic(counted(f, calls), check_directions=2, seed=3)
-    # each further direction: the pencil at p - w and p + w, in one call
-    assert sum(calls) == 4 + 2 * 2
-    assert calls[-1] == 2 * 2
+    riesz.characteristic_pair(counted(f, calls), check_directions=2, seed=3)
+    # the pair's two calls, then each further direction's pencils at p - w
+    # and p + w, in one call
+    assert calls == [1 + 2 + 2, 2 + 2, 2 * 2]
 
 
 def test_dual_cross_check_reads_matrix_margins():
@@ -256,11 +271,11 @@ def same_outcome(solve, reference):
 
 
 def assert_as_sequential(f, es):
-    """Both sides along each direction of es (None for F's own) and the
-    pair, with and without further directions, as the sequential solver."""
+    """Both sides along each direction of es and the pair, with and without
+    further directions, as the sequential solver."""
     for e in es:
         for name in ("increasing_characteristic", "decreasing_characteristic"):
-            same_outcome(lambda: getattr(riesz, name)(f, e),
+            same_outcome(lambda: getattr(riesz, name)(along(f, e)),
                          lambda: getattr(sequential, name)(f, e))
     same_outcome(lambda: riesz.characteristic_pair(f),
                  lambda: sequential.characteristic_pair(f))
@@ -272,7 +287,7 @@ def assert_as_sequential(f, es):
 @pytest.mark.parametrize("base", sorted(BASES))
 def test_lockstep_solver_equals_the_sequential_one(base, construction):
     f = CONSTRUCTIONS[construction](BASES[base]())
-    assert_as_sequential(f, directions(f.n))
+    assert_as_sequential(f, directions(f))
 
 
 CATALOG = [
@@ -294,7 +309,7 @@ CATALOG = [
 def test_catalog_pairs_equal_the_sequential_solver(build):
     f = build()
     for g in (f, matrix_route(f)):
-        assert_as_sequential(g, directions(f.n))
+        assert_as_sequential(g, directions(f))
         for seed in range(3):
             same_outcome(lambda: riesz.characteristic_pair(g, check_directions=3, seed=seed),
                          lambda: sequential.characteristic_pair(g, check_directions=3, seed=seed))
@@ -304,7 +319,7 @@ def test_catalog_pairs_equal_the_sequential_solver(build):
 @pytest.mark.parametrize("planes", [3, 64])
 def test_geometric_characteristics_equal_the_sequential_solver(planes, count):
     f = subeq.geometric(subeq.sample_grassmannian(count + 2, count, count=planes, seed=1))
-    assert_as_sequential(f, directions(f.n))
+    assert_as_sequential(f, directions(f))
 
 
 def skewed_min_max(p):

@@ -213,7 +213,8 @@ def test_one_value_per_option_and_one_input_format():
 
     text = "".join(path.read_text() for path in SRC.glob("*.py"))
     assert not set(re.findall(r"\w+", text)) & {"coordinate_direction", "holder_seminorm",
-                                                "_evaluate_field"}
+                                                "_evaluate_field", "bisection_certificate",
+                                                "_matrix_pencil", "BOUNDARY_BAND"}
     assert "object.__new__" not in text
     empty = inspect.Parameter.empty
     kept = {
@@ -226,6 +227,10 @@ def test_one_value_per_option_and_one_input_format():
         flow.plus_quadratic_field: {"base": empty, "c": empty},
         flow.averages_of_tangent_check: {"tangent": empty, "p": empty, "radii": None,
                                          "quad": None, "kinds": ("M", "S", "V")},
+        # the direction is the subequation's; only the pair checks further ones
+        riesz.increasing_characteristic: {"f": empty, "tol": 1e-9},
+        riesz.decreasing_characteristic: {"f": empty, "tol": 1e-9},
+        riesz.characteristic_pair: {"f": empty, "tol": 1e-9, "check_directions": 0, "seed": 0},
         riesz.sandwich_check: {"f": empty, "p": empty, "sample_count": 1000, "seed": 0},
         riesz.radial_harmonic_check: {"f": empty, "theta": empty, "p": empty, "radii": empty,
                                       "seed": 0},

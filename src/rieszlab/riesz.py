@@ -7,14 +7,15 @@ that pencil, on [1, hi] with hi = 64 doubled while the margin there is
 still >= 0.  The decreasing characteristic is that of the dual, whose
 margin is -margin(-A): one solver serves both sides, in lockstep over F.
 
-Each side replays plain bisection on dyadic sections of its bracket: one
-matrix margin per step, or for a spectral F 31 points per step from
-spectrum(Id) and spectrum(P_e), both sides' points in one eig_margin
-call, with a final bracket that matrix margins must confirm.  The tests
-at -P_e, P_perp and the pair's -Id, the confirmations and the pair's
-pencils in further directions (two each) are each one stacked margin
-call.  Kernels come in two normalizations: the `standard` one (plain
-powers / log) and the `barred` one whose derivative is r^(1-p).
+Each side replays plain bisection along the path that regula falsi on
+its bracket's ends predicts, in rounds: a round asks for every midpoint
+of that path at once, and both sides' points make one call, eig_margin
+from spectrum(Id) and spectrum(P_e) for a spectral F, whose final bracket
+matrix margins must confirm, else a stacked margin call.  The tests at
+-P_e, P_perp and the pair's -Id, the confirmations and the pair's pencils
+in further directions (two each) are each one stacked margin call.
+Kernels come in two normalizations: the `standard` one (plain powers /
+log) and the `barred` one whose derivative is r^(1-p).
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ from .subeq import (MEMBER_TOL, PropertyReport, Subequation, _worst_over_samples
 # The characteristic bracket starts as [1, 64]; its upper end doubles while
 # the margin there is still >= 0.
 P_BRACKET_MAX = 64.0
-# A spectral bisection call evaluates the 31 interior points of a dyadic
-# 32-section of the bracket.
-SECTION_LEVELS = 5
 DEFAULT_TOL = 1e-9
 # The solver's membership band: MEMBER_TOL (1 + |P_e|), for a unit projector P_e.
 MEMBER_BAND = 2.0 * MEMBER_TOL
@@ -201,45 +199,48 @@ def _side_name(f: Subequation, sign: float) -> str:
     return f.name if sign > 0 else f"dual({f.name})"
 
 
-def _bisection(lo: float, hi: float, tol: float, levels: int):
-    """Plain bisection for a decreasing map with value >= 0 at lo and < 0
-    at hi, as a generator: it yields the interior points of each dyadic
-    section of 2^levels parts (each the midpoint plain bisection computes),
-    receives their values, replays plain bisection's steps on them and
-    returns the final bracket (lo, hi).  One level is plain bisection."""
-    parts = 1 << levels
+def _bisection(lo: float, hi: float, tol: float, lo_value: float, hi_value: float):
+    """Plain bisection for a decreasing map with value lo_value >= 0 at lo
+    and hi_value < 0 at hi, as a generator of rounds: each round predicts
+    the root by regula falsi on the bracket's ends, yields the midpoints
+    plain bisection computes on the path to that root down to tol,
+    receives their values, replays plain bisection on them up to the first
+    whose sign the prediction got wrong and starts again from there.
+    Returns the final bracket (lo, hi)."""
     while hi - lo > tol:
-        x = [lo] * parts + [hi]
-        step = parts
-        while step > 1:
-            for k in range(step // 2, parts, step):
-                x[k] = 0.5 * (x[k - step // 2] + x[k + step // 2])
-            step //= 2
-        values = yield x[1:-1]
-        i, j = 0, parts
-        while j - i > 1 and x[j] - x[i] > tol:
-            k = (i + j) // 2
-            if not x[i] < x[k] < x[j]:  # tol is below the float spacing: no end
-                raise SolverError(f"bisection stalls at {x[k]!r}, where floats are "
-                                  f"{math.ulp(x[k]):.2g} apart: tol is smaller")
-            if values[k - 1] >= 0.0:
-                i = k
+        root = lo + (hi - lo) * (lo_value / (lo_value - hi_value))
+        path, a, b = [], lo, hi
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            if not a < mid < b:  # tol is below the float spacing: no end
+                break
+            path.append(mid)
+            a, b = (mid, b) if mid <= root else (a, mid)
+        if not path:
+            raise SolverError(f"bisection stalls at {mid!r}, where floats are "
+                              f"{math.ulp(mid):.2g} apart: tol is smaller")
+        values = yield path
+        for mid, value in zip(path, values):
+            if value >= 0.0:
+                lo, lo_value = mid, value
             else:
-                j = k
-        lo, hi = x[i], x[j]
+                hi, hi_value = mid, value
+            if (value >= 0.0) != (mid <= root):
+                break
     return lo, hi
 
 
-def _search(name: str, tol: float, levels: int):
-    """The final bracket, as a generator like ``_bisection``: [1, 64], its
-    upper end doubled while the value there is >= 0 and 2 hi resolves tol."""
+def _search(name: str, tol: float, perp: float):
+    """The final bracket, as a generator like ``_bisection``, of a map with
+    value perp >= 0 at 1: [1, 64], its upper end doubled while the value
+    there is >= 0 and 2 hi resolves tol."""
     hi = P_BRACKET_MAX
-    while (yield [hi])[0] >= 0.0:
+    while (hi_value := (yield [hi])[0]) >= 0.0:
         if math.ulp(2.0 * hi) >= tol:
             raise SolverError(f"no boundary crossing for {name} in [1, {hi:.0f}]: a wider "
                               f"bracket would not resolve tol = {tol:g}")
         hi *= 2.0
-    return (yield from _bisection(1.0, hi, tol, levels))
+    return (yield from _bisection(1.0, hi, tol, perp, hi_value))
 
 
 def _check_directions(f: Subequation, value: float, tol: float, count: int, seed):
@@ -269,12 +270,11 @@ def _check_directions(f: Subequation, value: float, tol: float, count: int, seed
 def _side(f: Subequation, p_line: np.ndarray, p_perp: np.ndarray, sign: float, tol: float,
           check_directions: int, seed, whole: list):
     """(value, width) of one side along e, sign 1 for F and -1 for its dual,
-    as a generator of requests for its margins at a stack of matrices or,
-    from spectra, at a list of points t of Id - t P_e: inf when -P_e is a
-    member, exactly 1 when P_perp is on the boundary up to the membership
-    band, a SolverError when P_perp is outside beyond it, else the root
-    found by ``_search``, one matrix margin per step or, for a spectral F,
-    31 points per step and a final bracket that two matrix margins confirm;
+    as a generator of requests for its margins at a stack of matrices or at
+    a list of points t of Id - t P_e: inf when -P_e is a member, exactly 1
+    when P_perp is on the boundary up to the membership band, a SolverError
+    when P_perp is outside beyond it, else the root found by ``_search``,
+    for a spectral F with a final bracket that two matrix margins confirm;
     F's side of a pair refuses an F containing ``whole`` = [-Id]."""
     name = _side_name(f, sign)
     minus_line, perp, *minus_id = yield np.array([-p_line, p_perp, *whole])
@@ -291,24 +291,14 @@ def _side(f: Subequation, p_line: np.ndarray, p_perp: np.ndarray, sign: float, t
         value, width = 1.0, 0.0
     elif perp < 0.0:
         raise SolverError(f"no sign change for {name}: margin already negative at 1.0")
-    elif f.spectrum is None:
-        # one matrix margin per step, margin(A) or the dual's -margin(-A), A = Id - t P_e
-        search = _search(name, tol, 1)
-        try:
-            (t,) = next(search)
-            while True:
-                a = p_perp - (t - 1.0) * p_line
-                (t,) = search.send([_checked(name, float(f.margin(a)) if sign > 0
-                                             else -float(f.margin(-a)))])
-        except StopIteration as stop:
-            lo, hi = stop.value
-        value, width = 0.5 * (lo + hi), hi - lo
     else:
-        lo, hi = yield from _search(name, tol, SECTION_LEVELS)
-        lo_margin, hi_margin = yield np.array([p_perp - (t - 1.0) * p_line for t in (lo, hi)])
-        if not _checked(name, lo_margin) >= 0.0 > _checked(name, hi_margin):
-            raise SolverError(f"matrix margins of {name} do not confirm its spectral "
-                              f"bracket [{lo!r}, {hi!r}]")
+        lo, hi = yield from _search(name, tol, perp)
+        if f.spectrum is not None:
+            lo_margin, hi_margin = yield np.array([p_perp - (t - 1.0) * p_line
+                                                   for t in (lo, hi)])
+            if not _checked(name, lo_margin) >= 0.0 > _checked(name, hi_margin):
+                raise SolverError(f"matrix margins of {name} do not confirm its spectral "
+                                  f"bracket [{lo!r}, {hi!r}]")
         value, width = 0.5 * (lo + hi), hi - lo
     if check_directions:
         yield from _check_directions(f, value, tol, check_directions, seed)
@@ -319,10 +309,10 @@ def _solve(f: Subequation, tol: float, signs: tuple, check_directions: int = 0,
            seed=0) -> list:
     """[value, width] of each side of ``signs`` (``_side``) along
     e = F.direction(), in lockstep over F alone: each round answers all
-    sides' requests in one call, sections before matrices.  All values are
-    evaluated first; errors are raised in the order of one side after the
-    other: the pair's -Id refusal, F's side (its direction check last),
-    the dual's side."""
+    sides' requests in one call, a spectral F's points before matrices.
+    All values are evaluated first; errors are raised in the order of one
+    side after the other: the pair's -Id refusal, F's side (its direction
+    check last), the dual's side."""
     e = unit_vector(f.direction())
     p_line = projector_onto(e)
     p_perp = projector_perp(e)
@@ -338,7 +328,7 @@ def _solve(f: Subequation, tol: float, signs: tuple, check_directions: int = 0,
             except SolverError as exc:
                 results[s] = exc
         asked = {s: r for s, r in pending.items() if isinstance(r, list)}
-        if asked:
+        if asked and f.spectrum is not None:
             # spectrum(Id - t P_e) is spectrum(Id) - t spectrum(P_e) reversed; the dual's
             # eig_margin negates F's at the negated, unreversed row, as subeq.dual's does
             if spectra is None:
@@ -347,8 +337,12 @@ def _solve(f: Subequation, tol: float, signs: tuple, check_directions: int = 0,
             values = f.eig_margin(np.concatenate([r[:, ::-1] if s > 0 else -r
                                                   for s, r in zip(asked, rows)]))
         elif pending:
+            # without a spectrum, points t are the stack Id - t P_e = P_perp - (t-1) P_e
             asked = pending
-            values = f.margin(np.concatenate([r if s > 0 else -r for s, r in asked.items()]))
+            stacks = [p_perp - np.multiply.outer(np.subtract(r, 1.0), p_line)
+                      if isinstance(r, list) else r for r in asked.values()]
+            values = f.margin(np.concatenate([a if s > 0 else -a
+                                              for s, a in zip(asked, stacks)]))
         replies, start = {}, 0
         for s in list(asked):
             r = pending.pop(s)

@@ -17,9 +17,12 @@ import numpy as np
 
 from rieszlab.errors import DomainError, SolverError
 from rieszlab.linalg import projector_onto, projector_perp, random_unit_vector, unit_vector
-from rieszlab.riesz import (DEFAULT_TOL, INF, MEMBER_BAND, P_BRACKET_MAX, SECTION_LEVELS,
-                            CharacteristicPair)
+from rieszlab.riesz import DEFAULT_TOL, INF, MEMBER_BAND, P_BRACKET_MAX, CharacteristicPair
 from rieszlab.subeq import Subequation, dual
+
+# A spectral bisection call evaluates the 31 interior points of a dyadic
+# 32-section of the bracket.
+SECTION_LEVELS = 5
 
 
 def _nan_margin(f: Subequation) -> SolverError:

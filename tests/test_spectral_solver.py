@@ -1,7 +1,9 @@
 """The characteristic solver on spectra.
 
-One bisection serves every subequation: one matrix margin per step, or
-for a spectral one 31 points of spectrum(Id) - t spectrum(P_e) per call.
+One bisection serves every subequation: each round replays plain
+bisection along the path that regula falsi predicts, all its points in
+one call, from spectrum(Id) - t spectrum(P_e) for a spectral subequation
+and from a stack of matrix margins otherwise.
 Every spectral answer must be the matrix route's, bit for bit, and the
 checks (infinity and t = 1 tests, the bracket guard) must still read
 matrix margins; the pair's check_directions reads two matrix margins per
@@ -142,7 +144,7 @@ def test_certificate_holds_at_the_solvers_p(family, n):
 
 def plain_bisection(g, lo, hi, tol):
     """Final bracket of plain bisection for g(lo) >= 0 > g(hi): the oracle
-    for the section replay."""
+    for the predicted-path replay."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         assert lo < mid < hi
@@ -153,9 +155,10 @@ def plain_bisection(g, lo, hi, tol):
     return lo, hi
 
 
-def replay(search, g, calls):
-    """Drive a generator of point lists, like ``riesz._bisection``, with the
-    values of g; the lengths of its lists go into ``calls``."""
+def replay(g, lo, hi, tol, calls):
+    """Drive ``riesz._bisection`` on [lo, hi] with the values of g; the
+    lengths of its point lists, one per round, go into ``calls``."""
+    search = riesz._bisection(lo, hi, tol, g(lo), g(hi))
     try:
         ts = next(search)
         while True:
@@ -165,21 +168,50 @@ def replay(search, g, calls):
         return stop.value
 
 
-@pytest.mark.parametrize("lo,hi,tol", [(1.0, 64.0, 1e-9), (1.0, 128.0, 1e-9),
-                                       (1.0, 2.0 ** 22, 1e-9), (1.0, 64.0, 0.3),
-                                       (1.0, 64.0, 1e-13)])
-def test_section_replay_is_plain_bisection(lo, hi, tol):
+BRACKETS = [(1.0, 64.0, 1e-9), (1.0, 128.0, 1e-9), (1.0, 2.0 ** 22, 1e-9), (1.0, 64.0, 0.3),
+            (1.0, 64.0, 1e-13)]
+
+
+@pytest.mark.parametrize("lo,hi,tol", BRACKETS)
+def test_predicted_path_replay_is_plain_bisection(lo, hi, tol):
     # a margin with many sign changes: the replay must follow plain
     # bisection's path, not find some other root
     def g(t):
         return math.sin(7.3 * t) + 0.2 * math.cos(131.0 * t) - 0.05 * (t - 20.0)
 
     assert g(lo) >= 0.0 > g(hi)
-    for levels, size in ((riesz.SECTION_LEVELS, 31), (1, 1)):
-        calls = []
-        bracket = replay(riesz._bisection(lo, hi, tol, levels), g, calls)
-        assert bracket == plain_bisection(g, lo, hi, tol)
-        assert set(calls) == {size}
+    assert replay(g, lo, hi, tol, []) == plain_bisection(g, lo, hi, tol)
+
+
+def seeded_maps(seed):
+    """A linear, a perturbed linear and a power map, each decreasing
+    through a root r in (1, 64), from one seeded draw."""
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(1.0, 64.0)
+    slope = 10.0 ** rng.uniform(-3.0, 3.0)
+    bump = rng.uniform(-0.5, 0.5)
+    power = rng.uniform(0.2, 5.0)
+    return {
+        "linear": lambda t: slope * (r - t),
+        "perturbed": lambda t: slope * (r - t) * (1.0 + bump * math.sin(t)),
+        "power": lambda t: r ** power - t ** power,
+    }
+
+
+@pytest.mark.parametrize("lo,hi,tol", BRACKETS)
+def test_predicted_path_replay_equals_plain_bisection_on_seeded_maps(lo, hi, tol):
+    rounds = {}
+    for seed in range(134):  # 2,010 maps over the five brackets
+        for kind, g in seeded_maps(seed).items():
+            if not g(lo) >= 0.0 > g(hi):
+                continue
+            calls = []
+            assert replay(g, lo, hi, tol, calls) == plain_bisection(g, lo, hi, tol), (seed, kind)
+            rounds.setdefault(kind, []).append(len(calls))
+    # the bracket's ends predict a linear map's root: its whole path is one
+    # round, unless tol is as fine as the rounding of its values near the root
+    if tol >= riesz.DEFAULT_TOL:
+        assert set(rounds["linear"]) == {1}
 
 
 def test_swapped_eig_margin_fails_the_bracket_guard():
@@ -235,14 +267,35 @@ def test_dual_cross_check_reads_matrix_margins():
 
 
 def test_non_spectral_decreasing_pencil_is_bisected_once(monkeypatch):
-    # without a spectrum the matrix route is the only route: no second solve
+    # without a spectrum the matrix route is the only route: no second solve,
+    # started from the dual's margins -margin(-A) at the bracket's ends, which
+    # the start test and the probe have read
     f = matrix_route(subeq.builtin("p-convex", 4, p=3.5))
     bisection, runs = riesz._bisection, []
     monkeypatch.setattr(riesz, "_bisection", lambda *args: runs.append(args) or bisection(*args))
     q, _ = riesz.decreasing_characteristic(f)
     assert q == pytest.approx(3.5 / 0.5, abs=1e-8)
     assert len(runs) == 1
-    assert runs[0][-1] == 1  # one level: one matrix margin per step
+    lo, hi, tol, lo_value, hi_value = runs[0]
+    assert (lo, hi, tol) == (1.0, riesz.P_BRACKET_MAX, riesz.DEFAULT_TOL)
+    e = f.direction()
+    for t, value in ((lo, lo_value), (hi, hi_value)):
+        assert value == pytest.approx(-f.margin(-(np.eye(4) - t * np.outer(e, e))), abs=1e-12)
+
+
+def test_matrix_route_makes_at_most_three_margin_calls():
+    # the start tests, the probe at 64 and one round of the predicted path,
+    # as the pencil of p-convex is linear in t: each side's 36 midpoints
+    # from [1, 64] down to 1e-9 in one call
+    f = matrix_route(subeq.builtin("p-convex", 4, p=3.5))
+    calls = []
+    riesz.decreasing_characteristic(counted(f, calls))
+    assert len(calls) <= 3
+    assert sum(calls) == 2 + 1 + 36
+    calls.clear()
+    riesz.characteristic_pair(counted(f, calls))
+    assert len(calls) <= 3
+    assert sum(calls) == 5 + 2 + 2 * 36
 
 
 @pytest.mark.parametrize("family,params,n", [("p-convex", {"p": 2.5}, 4),
@@ -402,3 +455,26 @@ def test_a_spectral_pair_makes_at_most_three_eigensolves(name, monkeypatch):
     riesz.characteristic_pair(counted(f, margins), check_directions=3, seed=1)
     assert (len(margins), len(eigensolves)) == (plain[0] + 1, plain[1] + 1)
     assert margins[-1] == 3 * 2
+
+
+def eig_margin_calls(f):
+    """The number of eig_margin calls of F's characteristic pair."""
+    calls = []
+
+    def eig_margin(lams):
+        calls.append(1)
+        return f.eig_margin(lams)
+
+    riesz.characteristic_pair(dataclasses.replace(f, eig_margin=eig_margin))
+    return len(calls)
+
+
+@pytest.mark.parametrize("build", [build for build in CATALOG if build().eig_margin is not None],
+                         ids=lambda build: build().name)
+def test_a_spectral_pair_makes_few_eig_margin_calls(build):
+    # the probe at 64, then one round per wrong prediction: the pencils of
+    # these families are linear in t, so their ends predict the root
+    f = build()
+    linear = ("p-convex", "pdelta", "min-max", "min-2", "largest-convex")
+    bound = 2 if f.name.startswith(linear) else 6
+    assert eig_margin_calls(f) <= bound

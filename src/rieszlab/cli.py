@@ -112,11 +112,11 @@ def build_field(name: str, args) -> fl.ScalarField:
 _PROFILES = {
     "kernel": lambda p: rad.kernel_profile(p),
     "kernel-plus-square": lambda p: rad.RadialProfile(
-        fn=lambda r: np.asarray(riesz.kernel(riesz.KernelSpec(p=p), r)) + r**2,
+        fn=lambda r: np.asarray(rad.kernel(rad.KernelSpec(p=p), r)) + r**2,
         name="kernel+r^2",
     ),
     "max-kernel-const": lambda p: rad.RadialProfile(
-        fn=lambda r: np.maximum(np.asarray(riesz.kernel(riesz.KernelSpec(p=p), r)), -0.5),
+        fn=lambda r: np.maximum(np.asarray(rad.kernel(rad.KernelSpec(p=p), r)), -0.5),
         name="max(kernel,-1/2)",
     ),
     "linear": lambda p: rad.RadialProfile(fn=lambda r: np.asarray(r, dtype=float), name="t"),
@@ -342,7 +342,7 @@ def cmd_density(args) -> int:
 def _write_curve_csv(path: str, field, center, radii, quad, p: float, curves=None) -> None:
     """The M, S and V curves as CSV rows; ``curves`` already swept, if given."""
     lines = ["kind,r,value,quotient"]
-    curves = curves or fl._average_curves(field, ("M", "S", "V"), center, radii, quad, p)
+    curves = curves or fl.average_curves(field, ("M", "S", "V"), center, radii, quad, p)
     for kind, curve in curves.items():
         for r, value, quotient in curve.to_csv_rows(p):
             lines.append(f"{kind},{_fmt(r)},{_fmt(value)},{_fmt(quotient)}")

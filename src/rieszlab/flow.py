@@ -8,7 +8,7 @@ reported noise bound of M, S and V alike comes from comparing against the
 first half of the sample.
 
 Every average (M, S and V, scalar or curve) comes from one sweep,
-`_average_curves` over `_shell_rows`: after checking each radius, it
+`average_curves` over `_shell_rows`: after checking each radius, it
 evaluates every shell the request needs once, in blocks of at most
 `SHELL_BLOCK` values -- the curve radii for M and S, then the node
 radii behind V (`_volume_ladder`).  Shells come from one evaluator per call,
@@ -30,10 +30,9 @@ import numpy as np
 
 from ._numerics import gauss_jacobi, ndtri, sobol
 from .errors import DomainError, NumericalError
-from .radial import density_estimate, density_radii, geometric_radii, quotients
-from .riesz import (INF, KernelSpec, _check_tol, _weighted_kernel, _weighted_kernel_of_square,
-                    kernel, kernel_hessian)
-from .subeq import PropertyReport, fmt_param
+from .radial import (KernelSpec, density_estimate, density_radii, geometric_radii, kernel,
+                     kernel_hessian, quotients, weighted_kernel, weighted_kernel_of_square)
+from .subeq import PropertyReport, fmt_param, require_tol
 
 CLIP_FLOOR = -1e12
 MAX_CLIPPED_FRACTION = 1e-3
@@ -137,7 +136,7 @@ def _volume_ladder(n: int, p: float, radii: np.ndarray, inner: int, per_annulus:
     rho^(n+1-p), exact for the centred kernel up to p < n + 2; then V(r_j)
     = (r_{j+1}/r_j)^n V(r_{j+1}) + n r_j^-n int t^(n-1) S(t) dt over
     [r_{j+1}, r_j] by Gauss-Legendre (Jacobi for rho^0); each rule summed
-    by `math.fsum`.  `_average_curves` also takes the ladder of half the
+    by `math.fsum`.  `average_curves` also takes the ladder of half the
     nodes on the two deepest radii: the gap of its deepest quotient to the
     full ladder's is the curve's `quadrature_error`."""
     rho, w_inner = gauss_jacobi(inner, n + 1.0 - p)
@@ -194,7 +193,7 @@ class ScalarField:
     def distance_to_singular(self, x) -> float:
         """Distance to the nearer of `singular_points` and `singular_distance`."""
         x = np.asarray(x, dtype=float).reshape(-1)
-        dist = INF
+        dist = math.inf
         if self.singular_distance is not None:
             dist = float(self.singular_distance(x.reshape(1, -1))[0])
         if self.singular_points:
@@ -298,8 +297,8 @@ class AverageCurve:
         return [(float(r), float(v), q) for r, v, q in zip(self.radii, self.values, quots)]
 
 
-def _average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
-                    quad: SphereQuad | None = None, p: float | None = None) -> dict:
+def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
+                   quad: SphereQuad | None = None, p: float | None = None) -> dict:
     """kind -> AverageCurve, from one `_shell_rows` sweep after checking
     that each radius is positive and finite: M and S share the shell at
     each radius, and V is the `_volume_ladder` of their means (and half
@@ -312,7 +311,7 @@ def _average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
         raise DomainError(f"center must be {field.n} finite coordinates, got {x0.tolist()}")
     radii = np.asarray(radii, dtype=float)
     for r in radii:
-        if not 0.0 < r < INF:
+        if not 0.0 < r < math.inf:
             raise DomainError(f"radius must be positive and finite, got {r}")
     quad = quad or sphere_quad(field.n)
     k = radii.size if {"M", "S"} & set(kinds) else 0  # the curve shells lead the sweep
@@ -349,17 +348,11 @@ def _average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
     return out
 
 
-def average_curve(field: ScalarField, kind: str, x0, radii,
-                  quad: SphereQuad | None = None, p: float | None = None) -> AverageCurve:
-    """The M, S or V curve over the radii; V needs the exponent p."""
-    return _average_curves(field, (kind,), x0, radii, quad, p)[kind]
-
-
 def spherical_max(field: ScalarField, x0, r: float, quad: SphereQuad | None = None) -> float:
     """Spherical maximum M(u, x0; r): the field's closed form when it has
     one, checked against the sampled maximum; otherwise the sampled
     maximum, which is at most the true supremum."""
-    return float(average_curve(field, "M", x0, [r], quad).values[0])
+    return float(average_curves(field, ("M",), x0, [r], quad)["M"].values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +369,7 @@ def tangent_flow(field: ScalarField, p: float, r: float,
     from the field, which must be finite there.  The closed-form max
     follows the same formula.
     """
-    if not 0.0 < r < INF:
+    if not 0.0 < r < math.inf:
         raise DomainError(f"flow scale must be positive and finite, got {r}")
     if math.isinf(p):
         raise DomainError("flow undefined at p = inf")
@@ -500,7 +493,7 @@ def densities(field: ScalarField, x0, p: float, radii=None,
         raise DomainError("no density is defined at p = inf")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     radii = _density_radii(radii)
-    curves = _average_curves(field, kinds, x0, radii, quad, p)
+    curves = average_curves(field, kinds, x0, radii, quad, p)
     quots = {kind: quotients(curve.values, radii, p) for kind, curve in curves.items()}
     clipped = max((curve.clipped_fraction for curve in curves.values()), default=0.0)
     if clipped > MAX_CLIPPED_FRACTION:
@@ -602,7 +595,7 @@ def mass_density(field: ScalarField, x0, p: float, radii=None,
         raise DomainError("mass density needs p <= n")
     radii = _density_radii(radii)
     both = np.concatenate([radii, radii * (1.0 - MASS_FD_STEP)])
-    s_curve, s_lo = np.split(average_curve(field, "S", x0, both, quad).values, 2)
+    s_curve, s_lo = np.split(average_curves(field, ("S",), x0, both, quad)["S"].values, 2)
     deriv = (s_curve - s_lo) / (radii * MASS_FD_STEP)
     masses = sphere_surface_area(n) * radii ** (n - 1) * deriv
 
@@ -653,7 +646,7 @@ class FlowSpec:
         if self.radii is None:
             self.radii = geometric_radii(1.0, 11)
         self.radii = np.asarray(self.radii, dtype=float)
-        if self.radii.size == 0 or not np.all((self.radii > 0.0) & (self.radii < INF)):
+        if self.radii.size == 0 or not np.all((self.radii > 0.0) & (self.radii < math.inf)):
             raise DomainError(f"flow radii must be positive and finite, got "
                               f"{self.radii.tolist()}")
         if np.any(np.diff(self.radii) >= 0.0):
@@ -723,7 +716,7 @@ def tangent_experiment(field: ScalarField, spec: FlowSpec, candidate: ScalarFiel
     ``default_rng(11)``) are recorded together with the asymptotic bound
     by the max-density.
     """
-    _check_tol(tol)
+    require_tol(tol)
     p = spec.p
     if candidate.n != field.n:
         raise DomainError(f"candidate lives on R^{candidate.n}, the field on R^{field.n}")
@@ -787,7 +780,7 @@ def averages_of_tangent_check(tangent: ScalarField, p: float, radii=None,
     kvals = np.asarray(kernel(KernelSpec(p=p), radii), dtype=float)
     count = 0
     if p != 2.0:
-        curves = _average_curves(tangent, kinds, np.zeros(n), radii, quad, p)
+        curves = average_curves(tangent, kinds, np.zeros(n), radii, quad, p)
         for kind in kinds:
             curve = curves[kind]
             theta_k = curve.values[0] / kvals[0]
@@ -797,7 +790,7 @@ def averages_of_tangent_check(tangent: ScalarField, p: float, radii=None,
             note_parts.append(f"theta_{kind}={theta_k:.6g}")
     else:
         windows = [kind for kind in ("S", "V") if kind in kinds]
-        curves = _average_curves(tangent, ("M", *windows), np.zeros(n), radii, quad, p)
+        curves = average_curves(tangent, ("M", *windows), np.zeros(n), radii, quad, p)
         c_const = harnack_constant(n)
         m_curve = curves["M"]
         theta = quotients(m_curve.values, radii, p)[-1]
@@ -919,14 +912,6 @@ def infinitesimal_holder(field: ScalarField, x0, p: float, radii=None,
 # ---------------------------------------------------------------------------
 
 
-def _kernel_of_radius(spec: KernelSpec, weight: float, r: np.ndarray) -> np.ndarray:
-    """weight * K(r) pointwise, in place on the float array r, with the
-    kernel's value at r = 0: 0 when p < 2, else non-finite (-inf, or NaN
-    when the weight is 0), a singular-set hit either way."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _weighted_kernel(spec, weight, r)
-
-
 def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np.ndarray,
                       **meta) -> ScalarField:
     """The field sum_k w_k K(|x - c_k|) with its `shells` hook.
@@ -936,10 +921,10 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
     then at the squared distance q = |x - c|^2 = (s + t)^2 + h^2, O(m) per
     shell, computed in place for a block of radii at once, and turned into
     w K(sqrt(q)) on the same buffer by one log and one exp
-    (`riesz._weighted_kernel_of_square`, no sqrt and no pow).  Unlike the
+    (`radial.weighted_kernel_of_square`, no sqrt and no pow).  Unlike the
     expanded s^2 + 2 s t + |x0 - c|^2, this keeps its digits when the
     shell passes close to c.  A center at x0 has |x - c| = s exactly: a
-    (k, 1) column w K(s) with the floats of `riesz.kernel`.  The terms are
+    (k, 1) column w K(s) with the floats of `radial.kernel`.  The terms are
     summed in their order into the first full term, with the floats of a
     sum that starts from zeros; a block of centred terms only is their
     column, broadcast over the m points.  `values` keeps the
@@ -959,7 +944,7 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
         pts = np.asarray(pts, dtype=float)
         out = np.zeros(pts.shape[0])
         for w, c in zip(weights, centers):
-            out += _kernel_of_radius(spec, w, np.linalg.norm(pts - c, axis=1))
+            out += weighted_kernel(spec, w, np.linalg.norm(pts - c, axis=1))
         return out
 
     def shells(x0, points):
@@ -978,14 +963,13 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
             total = None  # a (k, 1) column while every term so far is centred
             for w, proj in zip(weights, projections):
                 if proj is None:
-                    term = _kernel_of_radius(spec, w, radii[:, None].copy())
+                    term = weighted_kernel(spec, w, radii[:, None].copy())
                 else:
                     t, h2 = proj
                     term = radii[:, None] + t
                     term *= term
                     term += h2
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        _weighted_kernel_of_square(spec, w, term)
+                    weighted_kernel_of_square(spec, w, term)
                 if total is None:
                     term += 0.0  # the floats of 0 + term: a -0.0 comes out 0.0
                     total = term
@@ -1067,7 +1051,7 @@ def partial_kernel_field(p: float, m: int, n: int) -> ScalarField:
 
     def values(pts):
         r = np.linalg.norm(np.asarray(pts, dtype=float)[:, :m], axis=1)
-        return _kernel_of_radius(spec, 1.0, r)
+        return weighted_kernel(spec, 1.0, r)
 
     def singular_distance(pts):
         return np.linalg.norm(np.asarray(pts, dtype=float)[:, :m], axis=1)

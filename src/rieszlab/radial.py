@@ -1,8 +1,11 @@
-"""One-variable radial theory: membership on jets, kernel-convexity,
-monotone quotients, densities and the increasing/decreasing dichotomy.
+"""One-variable radial theory: the Riesz kernels, membership on jets,
+kernel-convexity, monotone quotients, densities and the
+increasing/decreasing dichotomy.
 
-Quotients and densities use the standard kernel normalization, so the
-profile theta * K_p reports density theta.
+Kernels come in two normalizations: the `standard` one (plain powers /
+log) and the `barred` one whose derivative is r^(1-p).  Quotients and
+densities use the standard one, so the profile theta * K_p reports
+density theta.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .riesz import INF, KernelSpec, kernel
-from .subeq import PropertyReport, fmt_param
+from .linalg import random_unit_vector
+from .subeq import PropertyReport, Subequation, fmt_param, worst_case
 
 JET_TOL = 1e-12
 SECANT_TOL = 1e-9
@@ -39,7 +42,7 @@ class RadialProfile:
     """Scalar profile psi on (0, r_max)."""
 
     fn: Callable
-    r_max: float = INF
+    r_max: float = math.inf
     name: str = ""
 
     def __call__(self, r):
@@ -48,6 +51,146 @@ class RadialProfile:
             raise DomainError(f"radius outside (0, {self.r_max})")
         out = np.asarray(self.fn(r), dtype=float)
         return out if out.ndim else float(out)
+
+
+# ---------------------------------------------------------------------------
+# kernels
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class KernelSpec:
+    p: float
+    normalization: str = "standard"
+
+    def __post_init__(self):
+        if not (1.0 <= self.p < math.inf):
+            raise DomainError(f"kernel needs 1 <= p < inf, got {self.p}")
+        if self.normalization not in ("standard", "barred"):
+            raise DomainError(f"unknown normalization {self.normalization!r}")
+
+
+def _check_positive(t):
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0.0):  # NaN fails too
+        raise DomainError("kernel arguments must be positive")
+    return t
+
+
+def _normalized(spec: KernelSpec, weight: float, t: np.ndarray) -> np.ndarray:
+    """weight * kernel from t = log r (p = 2) or r^(2-p), in place: the sign
+    of the standard kernel for p > 2 goes into the weight, as -w x has the
+    floats of w (-x)."""
+    p = spec.p
+    if p != 2.0 and spec.normalization == "barred":
+        t /= 2.0 - p
+    t *= -weight if p > 2.0 and spec.normalization == "standard" else weight
+    return t
+
+
+def _weighted_kernel(spec: KernelSpec, weight: float, r: np.ndarray) -> np.ndarray:
+    """`weighted_kernel` without its error state, for radii r > 0."""
+    if spec.p == 2.0:
+        np.log(r, out=r)
+    else:
+        r **= 2.0 - spec.p
+    return _normalized(spec, weight, r)
+
+
+def weighted_kernel(spec: KernelSpec, weight: float, r: np.ndarray) -> np.ndarray:
+    """weight * kernel(spec, r) for radii r >= 0, unchecked, computed in
+    place on the float array r, which it returns.  `**=` keeps the
+    scalar-exponent fast paths of `**` (sqrt, reciprocal), so the floats are
+    those of `r ** (2 - p)`.  r = 0 gives the kernel's value at 0, without
+    a warning: 0 when p < 2, else -inf (NaN for a zero weight)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _weighted_kernel(spec, weight, r)
+
+
+def weighted_kernel_of_square(spec: KernelSpec, weight: float, q: np.ndarray) -> np.ndarray:
+    """weight * kernel(spec, sqrt(q)) for squared distances q >= 0,
+    unchecked, computed in place on the float array q, which it returns:
+    with L = ln q, w L / 2 at p = 2, else exp(a) with a = (2 - p) L / 2,
+    then the normalization and signed weight of `weighted_kernel`.  One
+    log and one exp, no sqrt and no pow.
+
+    For the q given, the result is within (1 + |a|) eps relative of
+    w K(sqrt(q)) (eps = 2^-52; the rounding of a costs about |a| eps), and
+    at p = 2 within |w| eps (1 + |L| / 2) absolute.  q = 0 gives the
+    kernel's value at 0, without a warning: 0 when p < 2, else -inf (NaN
+    for a zero weight).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(q, out=q)
+        if spec.p == 2.0:
+            q *= 0.5 * weight
+            return q
+        q *= 0.5 * (2.0 - spec.p)
+        np.exp(q, out=q)
+        return _normalized(spec, weight, q)
+
+
+def kernel(spec: KernelSpec, t):
+    """Increasing radial kernel; scalar in, scalar out (arrays broadcast)."""
+    out = _weighted_kernel(spec, 1.0, _check_positive(t).copy())  # t > 0: no error state
+    return out if out.ndim else float(out)
+
+
+def kernel_deriv1(spec: KernelSpec, t):
+    t = _check_positive(t)
+    p = spec.p
+    if p == 2.0:
+        out = 1.0 / t
+    elif spec.normalization == "standard":
+        out = abs(2.0 - p) * t ** (1.0 - p)
+    else:
+        out = t ** (1.0 - p)
+    return out if out.ndim else float(out)
+
+
+def kernel_deriv2(spec: KernelSpec, t):
+    t = _check_positive(t)
+    p = spec.p
+    if p == 2.0:
+        out = -1.0 / (t * t)
+    elif spec.normalization == "standard":
+        out = abs(2.0 - p) * (1.0 - p) * t ** (-p)
+    else:
+        out = (1.0 - p) * t ** (-p)
+    return out if out.ndim else float(out)
+
+
+def kernel_hessian(theta: float, p: float, x) -> np.ndarray:
+    """Hessian of theta * K_barred_p(|x|): theta |x|^-p (P_perp - (p-1) P)."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    r = float(np.linalg.norm(x))
+    if r == 0.0:
+        raise DomainError("kernel Hessian undefined at the origin")
+    e = x / r
+    pe = np.outer(e, e)
+    return theta * r ** (-p) * (np.eye(x.size) - pe - (p - 1.0) * pe)
+
+
+def radial_harmonic_check(f: Subequation, theta: float, p: float, radii,
+                          seed=0) -> PropertyReport:
+    """Kernel Hessians in 4 random directions must sit on the boundary of F
+    at every radius, up to 1e-8."""
+    if theta < 0:
+        raise DomainError("theta must be >= 0")
+    if not math.isfinite(p):
+        raise DomainError("needs a finite characteristic")
+    rng = np.random.default_rng(seed)
+    hessians = [kernel_hessian(theta, p, r * random_unit_vector(f.n, rng))
+                for r in radii for _ in range(4)]
+    stack = np.reshape(hessians, (-1, f.n, f.n))
+    worst = worst_case(np.abs(f.margin(stack)))
+    return PropertyReport(
+        name="radial-harmonic",
+        sample_count=len(hessians),
+        worst_violation=worst,
+        tolerance=1e-8,
+        note=f"theta={theta:g}, p={p:g}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +222,13 @@ def rp_up_membership(p: float, jet: OneVarJet) -> bool:
 
 def quotients(values, radii, p: float) -> np.ndarray:
     """Monotone quotients (v_j - v_{j+1}) / (K(r_j) - K(r_{j+1})) of the
-    values v_j at adjacent radii r_j; the one place they are computed."""
-    values = np.asarray(values, dtype=float)
-    k = np.asarray(kernel(KernelSpec(p=p), radii), dtype=float)
+    values v_j at adjacent radii r_j; the one place they are computed.  A
+    radius where the kernel overflows is refused."""
+    values, radii = np.asarray(values, dtype=float), np.asarray(radii, dtype=float)
+    k = kernel(KernelSpec(p=p), radii)
+    if not all(map(math.isfinite, k.tolist())):
+        r = radii[~np.isfinite(k)][0]
+        raise DomainError(f"the kernel K_{fmt_param(p)} at radius {r:.6g} overflows")
     return (values[:-1] - values[1:]) / (k[:-1] - k[1:])
 
 

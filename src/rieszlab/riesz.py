@@ -1,4 +1,4 @@
-"""Riesz characteristics and kernels.
+"""Riesz characteristics and the sandwich check.
 
 The increasing characteristic of a spherically-transitive cone
 subequation is the unique p with P_{e-perp} - (p-1) P_e = Id - p P_e on
@@ -13,9 +13,8 @@ of that path at once, and both sides' points make one call, eig_margin
 from spectrum(Id) and spectrum(P_e) for a spectral F, whose final bracket
 matrix margins must confirm, else a stacked margin call.  The tests at
 -P_e, P_perp and the pair's -Id, the confirmations and the pair's pencils
-in further directions (two each) are each one stacked margin call.
-Kernels come in two normalizations: the `standard` one (plain powers /
-log) and the `barred` one whose derivative is r^(1-p).
+in further directions (two each) are each one stacked margin call.  The
+kernels live in `radial`.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from .linalg import (
     symmetrize,
     unit_vector,
 )
-from .subeq import (MEMBER_TOL, PropertyReport, Subequation, _worst_over_samples, builtin,
-                    require_samples, worst_case)
+from .subeq import (MEMBER_TOL, PropertyReport, Subequation, builtin, require_samples,
+                    require_tol, worst_over_samples)
 
 # The characteristic bracket starts as [1, 64]; its upper end doubles while
 # the margin there is still >= 0.
@@ -66,115 +65,6 @@ class CharacteristicPair:
 
 
 # ---------------------------------------------------------------------------
-# kernels
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    p: float
-    normalization: str = "standard"
-
-    def __post_init__(self):
-        if not (1.0 <= self.p < INF):
-            raise DomainError(f"kernel needs 1 <= p < inf, got {self.p}")
-        if self.normalization not in ("standard", "barred"):
-            raise DomainError(f"unknown normalization {self.normalization!r}")
-
-
-def _check_positive(t):
-    t = np.asarray(t, dtype=float)
-    if not np.all(t > 0.0):  # NaN fails too
-        raise DomainError("kernel arguments must be positive")
-    return t
-
-
-def _normalized(spec: KernelSpec, weight: float, t: np.ndarray) -> np.ndarray:
-    """weight * kernel from t = log r (p = 2) or r^(2-p), in place: the sign
-    of the standard kernel for p > 2 goes into the weight, as -w x has the
-    floats of w (-x)."""
-    p = spec.p
-    if p != 2.0 and spec.normalization == "barred":
-        t /= 2.0 - p
-    t *= -weight if p > 2.0 and spec.normalization == "standard" else weight
-    return t
-
-
-def _weighted_kernel(spec: KernelSpec, weight: float, t: np.ndarray) -> np.ndarray:
-    """weight * kernel(spec, t) for t > 0, unchecked, computed in place on the
-    float array t, which it returns.  `**=` keeps the scalar-exponent fast
-    paths of `**` (sqrt, reciprocal), so the floats are those of
-    `t ** (2 - p)`."""
-    if spec.p == 2.0:
-        np.log(t, out=t)
-    else:
-        t **= 2.0 - spec.p
-    return _normalized(spec, weight, t)
-
-
-def _weighted_kernel_of_square(spec: KernelSpec, weight: float, q: np.ndarray) -> np.ndarray:
-    """weight * kernel(spec, sqrt(q)) for squared distances q >= 0,
-    unchecked, computed in place on the float array q, which it returns:
-    with L = ln q, w L / 2 at p = 2, else exp(a) with a = (2 - p) L / 2,
-    then the normalization and signed weight of `_weighted_kernel`.  One
-    log and one exp, no sqrt and no pow.
-
-    For the q given, the result is within (1 + |a|) eps relative of
-    w K(sqrt(q)) (eps = 2^-52; the rounding of a costs about |a| eps), and
-    at p = 2 within |w| eps (1 + |L| / 2) absolute.  q = 0 gives the
-    kernel's value at 0: 0 when p < 2, else -inf (NaN for a zero weight).
-    """
-    np.log(q, out=q)
-    if spec.p == 2.0:
-        q *= 0.5 * weight
-        return q
-    q *= 0.5 * (2.0 - spec.p)
-    np.exp(q, out=q)
-    return _normalized(spec, weight, q)
-
-
-def kernel(spec: KernelSpec, t):
-    """Increasing radial kernel; scalar in, scalar out (arrays broadcast)."""
-    out = _weighted_kernel(spec, 1.0, _check_positive(t).copy())
-    return out if out.ndim else float(out)
-
-
-def kernel_deriv1(spec: KernelSpec, t):
-    t = _check_positive(t)
-    p = spec.p
-    if p == 2.0:
-        out = 1.0 / t
-    elif spec.normalization == "standard":
-        out = abs(2.0 - p) * t ** (1.0 - p)
-    else:
-        out = t ** (1.0 - p)
-    return out if out.ndim else float(out)
-
-
-def kernel_deriv2(spec: KernelSpec, t):
-    t = _check_positive(t)
-    p = spec.p
-    if p == 2.0:
-        out = -1.0 / (t * t)
-    elif spec.normalization == "standard":
-        out = abs(2.0 - p) * (1.0 - p) * t ** (-p)
-    else:
-        out = (1.0 - p) * t ** (-p)
-    return out if out.ndim else float(out)
-
-
-def kernel_hessian(theta: float, p: float, x) -> np.ndarray:
-    """Hessian of theta * K_barred_p(|x|): theta |x|^-p (P_perp - (p-1) P)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise DomainError("kernel Hessian undefined at the origin")
-    e = x / r
-    pe = np.outer(e, e)
-    return theta * r ** (-p) * (np.eye(x.size) - pe - (p - 1.0) * pe)
-
-
-# ---------------------------------------------------------------------------
 # characteristic solver
 # ---------------------------------------------------------------------------
 
@@ -188,11 +78,6 @@ def _checked(name: str, m: float) -> float:
     if math.isnan(m):
         raise _nan_margin(name)
     return m
-
-
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and > 0, got {tol}")
 
 
 def _side_name(f: Subequation, sign: float) -> str:
@@ -282,7 +167,7 @@ def _side(f: Subequation, p_line: np.ndarray, p_perp: np.ndarray, sign: float, t
         # a cone subequation with F + P in F contains -Id only if F = Sym(n)
         raise DomainError(f"{f.name} contains -Id, so it is all of Sym(n): its dual is "
                           "empty and has no characteristic")
-    _check_tol(tol)
+    require_tol(tol)
     if check_directions < 0:
         raise DomainError(f"check_directions must be >= 0, got {check_directions}")
     if _checked(name, minus_line) >= -MEMBER_BAND:
@@ -384,28 +269,6 @@ def characteristic_pair(f: Subequation, tol: float = DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 
 
-def radial_harmonic_check(f: Subequation, theta: float, p: float, radii,
-                          seed=0) -> PropertyReport:
-    """Kernel Hessians in 4 random directions must sit on the boundary of F
-    at every radius, up to 1e-8."""
-    if theta < 0:
-        raise DomainError("theta must be >= 0")
-    if not math.isfinite(p):
-        raise DomainError("needs a finite characteristic")
-    rng = np.random.default_rng(seed)
-    hessians = [kernel_hessian(theta, p, r * random_unit_vector(f.n, rng))
-                for r in radii for _ in range(4)]
-    stack = np.reshape(hessians, (-1, f.n, f.n))
-    worst = worst_case(np.abs(f.margin(stack)))
-    return PropertyReport(
-        name="radial-harmonic",
-        sample_count=len(hessians),
-        worst_violation=worst,
-        tolerance=1e-8,
-        note=f"theta={theta:g}, p={p:g}",
-    )
-
-
 def _boundary_shifts(f: Subequation, a: np.ndarray) -> np.ndarray:
     """Upper ends of the bisection brackets, started at [-10, 10] and halved
     60 times, for the t with A + t Id on the boundary of F, one per matrix
@@ -475,7 +338,7 @@ def sandwich_check(f: Subequation, p: float, sample_count: int = 1000,
         hits[2] += int(np.count_nonzero(np.abs(shifts) == 10.0))
         return [np.where(lower_hit, -m_f, 0.0), np.where(member, -upper.margin(a), 0.0)]
 
-    worst = _worst_over_samples(seed, sample_count, f.n, 1, violations)
+    worst = worst_over_samples(seed, sample_count, f.n, 1, violations)
     return PropertyReport(
         name="sandwich",
         sample_count=sample_count,

@@ -574,7 +574,13 @@ def require_samples(sample_count: int) -> None:
         raise DomainError(f"sample count must be >= 1, got {sample_count}")
 
 
-def _worst_over_samples(seed, sample_count: int, n: int, per_sample: int, violations) -> float:
+def require_tol(tol: float) -> None:
+    """Tolerances must be finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
+
+
+def worst_over_samples(seed, sample_count: int, n: int, per_sample: int, violations) -> float:
     """Worst case of ``violations(g)`` over blocks of at most
     SAMPLE_BLOCK_ROWS samples, where g is the block's (rows, per_sample, n,
     n) standard-normal draw from one ``default_rng(seed)``.  Sample i reads
@@ -599,7 +605,7 @@ def check_positivity(f: Subequation, sample_count: int = 200, seed=0) -> Propert
     def violations(g):
         return -f.margin(shift_into(f, symmetrize(g[:, 0])) + _psd(g[:, 1]))
 
-    worst = _worst_over_samples(seed, sample_count, f.n, 2, violations)
+    worst = worst_over_samples(seed, sample_count, f.n, 2, violations)
     return PropertyReport("positivity", sample_count, worst, MEMBER_TOL)
 
 
@@ -610,7 +616,7 @@ def check_cone(f: Subequation, sample_count: int = 200, seed=0) -> PropertyRepor
         a = shift_into(f, symmetrize(g[:, 0]))
         return [-f.margin(t * a) for t in (0.0, 0.5, 2.0, 10.0)]
 
-    worst = _worst_over_samples(seed, sample_count, f.n, 1, violations)
+    worst = worst_over_samples(seed, sample_count, f.n, 1, violations)
     return PropertyReport("cone", sample_count, worst, MEMBER_TOL)
 
 
@@ -667,7 +673,7 @@ def check_st_invariance(f: Subequation, sample_count: int = 100, seed=0) -> Prop
         scale = np.maximum(1.0 + np.array([np.linalg.norm(x) for x in a]), np.abs(margins))
         return np.abs(moved - margins) / scale
 
-    worst = _worst_over_samples(seed, sample_count, f.n, 2, violations)
+    worst = worst_over_samples(seed, sample_count, f.n, 2, violations)
     return PropertyReport("st-invariance", sample_count, worst, 1e-8)
 
 
@@ -697,7 +703,7 @@ def check_uniform_ellipticity(delta: float, n: int, sample_count: int = 1000,
         tr = np.trace(psd, axis1=-2, axis2=-1)
         return [d * tr - diff, diff - (1.0 + d) * tr]
 
-    worst = _worst_over_samples(seed, sample_count, n, 2, violations)
+    worst = worst_over_samples(seed, sample_count, n, 2, violations)
     return PropertyReport("uniform-ellipticity", sample_count, worst, 1e-9,
                           note=f"delta={delta:g}, n={n}")
 
@@ -713,7 +719,7 @@ def margin_monotonicity_check(f: Subequation, sample_count: int = 100, seed=0) -
         values = np.array([f.margin(a + t * eye) for t in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)])
         return values[:-1] - values[1:]
 
-    worst = _worst_over_samples(seed, sample_count, f.n, 1, violations)
+    worst = worst_over_samples(seed, sample_count, f.n, 1, violations)
     return PropertyReport("margin-monotonicity", sample_count, worst, 1e-9)
 
 

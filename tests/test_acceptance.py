@@ -110,27 +110,27 @@ def test_criterion_3_kernel_calculus():
     n = 4
     # closed-form Hessian from the one-variable jet, to machine precision
     for p in (1.3, 2.0, 3.0, float(n)):
-        spec = riesz.KernelSpec(p=p, normalization="barred")
+        spec = radial.KernelSpec(p=p, normalization="barred")
         for _ in range(5):
             x = rng.standard_normal(n)
             x *= rng.uniform(0.5, 2.0) / np.linalg.norm(x)
             r = float(np.linalg.norm(x))
             via_jet = linalg.radial_hessian(
-                riesz.kernel_deriv1(spec, r), riesz.kernel_deriv2(spec, r), x
+                radial.kernel_deriv1(spec, r), radial.kernel_deriv2(spec, r), x
             )
-            direct = riesz.kernel_hessian(1.0, p, x)
+            direct = radial.kernel_hessian(1.0, p, x)
             if np.abs(via_jet - direct).max() > 1e-13 * (1.0 + np.abs(direct).max()):
                 failures.append(f"jet Hessian mismatch at p={p}")
 
         # finite differences against the closed form at 20 random points
         def field(pts, _spec=spec):
-            return np.asarray(riesz.kernel(_spec, np.linalg.norm(np.asarray(pts), axis=1)))
+            return np.asarray(radial.kernel(_spec, np.linalg.norm(np.asarray(pts), axis=1)))
 
         for _ in range(20):
             x = rng.standard_normal(n)
             x *= rng.uniform(0.6, 1.8) / np.linalg.norm(x)
             fd = linalg.finite_diff_hessian(field, x)
-            exact = riesz.kernel_hessian(1.0, p, x)
+            exact = radial.kernel_hessian(1.0, p, x)
             rel = np.linalg.norm(fd - exact) / np.linalg.norm(exact)
             if rel > 1e-6:
                 failures.append(f"FD mismatch {rel:.2e} at p={p}")
@@ -144,7 +144,7 @@ def test_criterion_3_kernel_calculus():
         ("min-max", {"p": 3.0}, 4, 3.0),
     ]:
         f = subeq.builtin(family, nn, **params)
-        rep = riesz.radial_harmonic_check(f, theta=1.0, p=p, radii=radii, seed=3)
+        rep = radial.radial_harmonic_check(f, theta=1.0, p=p, radii=radii, seed=3)
         if not rep.passed:
             failures.append(f"radial harmonic {family}: {rep.worst_violation:.2e}")
 
@@ -420,15 +420,15 @@ def test_criterion_10_one_variable_suite():
             if not radial.rp_up_membership(p, jet):
                 failures.append(f"jet membership p={p}")
 
-        spec = riesz.KernelSpec(p=p)
+        spec = radial.KernelSpec(p=p)
         profiles = {
             "kernel": radial.kernel_profile(p),
             "kernel+r2": radial.RadialProfile(
-                fn=lambda r, _s=spec: np.asarray(riesz.kernel(_s, r)) + np.asarray(r) ** 2
+                fn=lambda r, _s=spec: np.asarray(radial.kernel(_s, r)) + np.asarray(r) ** 2
             ),
             "max(kernel,c)": radial.RadialProfile(
                 fn=lambda r, _s=spec: np.maximum(
-                    np.asarray(riesz.kernel(_s, r)), -0.5 if p >= 2 else 0.5
+                    np.asarray(radial.kernel(_s, r)), -0.5 if p >= 2 else 0.5
                 )
             ),
         }
@@ -443,7 +443,7 @@ def test_criterion_10_one_variable_suite():
             # limit forms: the offset from theta * K shrinks monotonically
             radii = radial.geometric_radii(0.125, 14)
             theta, _ = radial.one_var_density(prof, p, radii)
-            kvals = np.asarray(riesz.kernel(spec, radii))
+            kvals = np.asarray(radial.kernel(spec, radii))
             values = np.asarray(prof(radii))
             if p < 2.0:
                 psi0 = float(prof(np.asarray([1e-30]))[0])

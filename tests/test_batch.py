@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab import linalg, riesz, subeq
+from rieszlab import linalg, radial, riesz, subeq
 from rieszlab.errors import DomainError, NumericalError, SolverError
 
 
@@ -374,7 +374,7 @@ def ref_radial_harmonic(f, theta, p, radii, seed, directions=4, tol=1e-8):
     count = 0
     for r in radii:
         for _ in range(directions):
-            h = riesz.kernel_hessian(theta, p, r * linalg.random_unit_vector(f.n, rng))
+            h = radial.kernel_hessian(theta, p, r * linalg.random_unit_vector(f.n, rng))
             worst = max(worst, abs(float(f.margin(h))))
             count += 1
     return subeq.PropertyReport(name="radial-harmonic", sample_count=count,
@@ -443,7 +443,7 @@ def test_sandwich_and_radial_match_serial_reference(seed, family, params, n):
     for count in (1, 2, 9):
         assert_same_report(riesz.sandwich_check(f, p, count, seed),
                            ref_sandwich(f, p, count, seed))
-    assert_same_report(riesz.radial_harmonic_check(f, 1.5, p, [0.5, 1.0, 2.0], seed),
+    assert_same_report(radial.radial_harmonic_check(f, 1.5, p, [0.5, 1.0, 2.0], seed),
                        ref_radial_harmonic(f, 1.5, p, [0.5, 1.0, 2.0], seed))
 
 
@@ -552,7 +552,7 @@ def counting(f, rows):
     (lambda f: subeq.check_st_invariance(f, 10, 0), [10, 10], [10, 10]),
     (lambda f: subeq.shift_into(f, sym_stack(4, 6, 0) - 4.0 * np.eye(4)), [6], []),
     (lambda f: riesz.sandwich_check(f, 2.5, 10, 0), [10], [10]),
-    (lambda f: riesz.radial_harmonic_check(f, 1.0, 2.5, [0.5, 1.0]), [8], [8]),
+    (lambda f: radial.radial_harmonic_check(f, 1.0, 2.5, [0.5, 1.0]), [8], [8]),
 ], ids=["positivity", "cone", "st-invariance", "shift", "sandwich", "radial-harmonic"])
 def test_checks_read_stacks_through_the_one_margin(read, first, last):
     # a margin replaced on the object sees every stack the checks evaluate
@@ -591,6 +591,6 @@ def test_nan_margin_fails_the_monotonicity_check():
 
 def test_nan_margin_fails_the_radial_check():
     f = nan_outside(3, math.inf, math.inf)  # every margin is NaN
-    rep = riesz.radial_harmonic_check(f, 1.0, 2.0, [1.0], seed=0)
+    rep = radial.radial_harmonic_check(f, 1.0, 2.0, [1.0], seed=0)
     assert math.isnan(rep.worst_violation)
     assert not rep.passed

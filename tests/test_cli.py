@@ -1155,6 +1155,19 @@ def test_density_refuses_a_divergent_volume_average(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,radius", [
+    (["radial", "kernel", "--p", "400"], "K_400 at radius 0.05"),
+    (["density", "zero", "--p", "5", "--n", "4", "--radii", "1e-110", "1e-111", "1e-112"],
+     "K_5 at radius 1e-111"),
+])
+def test_a_kernel_that_overflows_at_a_radius_is_refused(capsys, argv, radius):
+    # quotients over such a radius were NaN: a NaN convexity violation with
+    # exit 2, NaN densities with exit 0
+    code = cli.main([*argv, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: the kernel {radius} overflows\n")
+
+
 def readme_commands():
     """(argv, documented exit code) for each command of the README's
     command-line block."""
@@ -1212,9 +1225,12 @@ def test_readme_commands_run_with_scipy_blocked(capsys, blocked_launches):
 def test_only_density_and_flow_commands_import_the_numerics():
     # the package root binds its modules lazily, so a command runs only the
     # modules it reads; charx, table, verify, grassmann and radial never
-    # read the Sobol points or Gauss-Jacobi rules of `flow`
-    probe = ("import sys; from rieszlab.cli import main; code = main(sys.argv[1:]); "
-             "print('rieszlab._numerics' in sys.modules, file=sys.stderr); sys.exit(code)")
+    # read the Sobol points or Gauss-Jacobi rules of `flow`, density, flow
+    # and radial never run the solver of `riesz`, and the solver commands
+    # never run `radial`.  A lazy module becomes a plain module once it runs.
+    probe = ("import sys, types; from rieszlab.cli import main; code = main(sys.argv[1:]); "
+             "print(*(type(sys.modules.get(f'rieszlab.{name}')) is types.ModuleType "
+             "for name in ('_numerics', 'riesz', 'radial')), file=sys.stderr); sys.exit(code)")
     env = dict(os.environ, PYTHONPATH=str(Path(rieszlab.__file__).parents[1]))
     commands = readme_commands()
     assert {argv[0] for argv, _ in commands} >= {"charx", "table", "verify", "grassmann",
@@ -1223,8 +1239,12 @@ def test_only_density_and_flow_commands_import_the_numerics():
         result = subprocess.run([sys.executable, "-c", probe, *argv, "--no-timestamp"],
                                 env=env, capture_output=True, text=True)
         assert result.returncode == exit_code, argv
-        loaded = result.stderr.splitlines()[-1]
-        assert loaded == str(argv[0] in ("density", "flow")), argv
+        numerics, solver, radial_ran = result.stderr.splitlines()[-1].split()
+        assert numerics == str(argv[0] in ("density", "flow")), argv
+        if argv[0] in ("density", "flow", "radial"):
+            assert solver == "False", argv
+        else:
+            assert radial_ran == "False", argv
 
 
 # ---------------------------------------------------------------------------
@@ -1383,8 +1403,8 @@ def test_serializer_gives_the_reports_json():
 
 def test_serializer_gives_an_average_curve_its_fields():
     # the curve's old JSON was never emitted; its fields carry the same numbers
-    curve = flow.average_curve(flow.riesz_kernel_field(1.0, 3.0, 3), "S", np.zeros(3),
-                               flow.default_radii()[:4], flow.sphere_quad(3, 512))
+    curve = flow.average_curves(flow.riesz_kernel_field(1.0, 3.0, 3), ("S",), np.zeros(3),
+                                flow.default_radii()[:4], flow.sphere_quad(3, 512))["S"]
     fields, ref = cli._sanitize(curve), cli._sanitize(ref_average_curve(curve))
     assert [[r, v] for r, v in zip(fields["radii"], fields["values"])] == ref["samples"]
     assert all(fields[k] == ref[k] for k in ("kind", "clipped_fraction"))

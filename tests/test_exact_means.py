@@ -18,7 +18,7 @@ pytest.importorskip("scipy")
 from scipy.integrate import quad  # noqa: E402
 from scipy.special import hyp2f1  # noqa: E402
 
-from rieszlab import cli, flow, radial, riesz  # noqa: E402
+from rieszlab import cli, flow, radial  # noqa: E402
 
 
 def sphere_mean(n, p, d, t):
@@ -80,7 +80,7 @@ def test_two_centre_sum_beyond_p_n_plus_1(n, p):
     # (so the quotients need not be monotone); the kernel sum itself is
     # built here, with its second centre outside every ball
     centres = np.stack([np.zeros(n), 2.5 * np.eye(n)[0]])
-    field = flow._kernel_sum_field(n, riesz.KernelSpec(p=p), np.ones(2), centres)
+    field = flow._kernel_sum_field(n, radial.KernelSpec(p=p), np.ones(2), centres)
     report = flow.densities(field, np.zeros(n), p)
     want = exact_theta_v(n, p, (0.0, 2.5), report.radii)
     assert abs(report.theta["V"] - want) <= report.bracket["V"] + report.noise_bound

@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from rieszlab import _numerics, cli, flow, linalg, radial, riesz, subeq
+from rieszlab import _numerics, cli, flow, linalg, radial, subeq
 from rieszlab.errors import DomainError, NumericalError
 
 
@@ -23,7 +23,7 @@ def quad4():
 def average(kind, u, x0, r, quad, p=None):
     """The M, S or V average of u at one radius, read off its curve (V
     needs the exponent p)."""
-    return float(flow.average_curve(u, kind, x0, [r], quad, p).values[0])
+    return float(flow.average_curves(u, (kind,), x0, [r], quad, p)[kind].values[0])
 
 
 def volume_shells(levels):
@@ -108,13 +108,13 @@ def test_constant_field_averages(quad3):
 def test_kernel_averages_match_radial_reduction(quad4):
     # u = K_3 on R^4: S(r) = K_3(r) exactly, V(r) = (4/3) K_3(r)
     u = flow.riesz_kernel_field(1.0, 3.0, 4)
-    spec = riesz.KernelSpec(p=3.0)
+    spec = radial.KernelSpec(p=3.0)
     for r in (0.25, 1.0, 2.0):
         assert average("S", u, np.zeros(4), r, quad4) == pytest.approx(
-            riesz.kernel(spec, r), rel=1e-12
+            radial.kernel(spec, r), rel=1e-12
         )
         assert average("V", u, np.zeros(4), r, quad4, 3.0) == pytest.approx(
-            4.0 / 3.0 * riesz.kernel(spec, r), rel=1e-6
+            4.0 / 3.0 * radial.kernel(spec, r), rel=1e-6
         )
 
 
@@ -134,7 +134,7 @@ def test_sampled_max_is_the_sample_maximum_below_the_supremum(quad3):
     # non-radial smooth field without a closed-form max: M is the sampled
     # maximum, at most the true supremum lam_max / 2 = 1.5 and close to it
     u = flow.quadratic_field(np.diag([3.0, -1.0, 0.5]))
-    curve = flow.average_curve(u, "M", np.zeros(3), [1.0], quad3)
+    curve = flow.average_curves(u, ("M",), np.zeros(3), [1.0], quad3)["M"]
     m = float(curve.values[0])
     assert 1.49 < m <= 1.5
     assert m == float(u.values(quad3.points).max())
@@ -153,7 +153,7 @@ _AVERAGE_ROUTES = {
                                                             kinds=("S", "V")),
     "mass-density": lambda u, x0, radii, q: flow.mass_density(u, x0, 3.0, radii=radii, quad=q),
     **{f"curve-{kind}": (lambda u, x0, radii, q, kind=kind:
-                         flow.average_curve(u, kind, x0, radii, q)) for kind in "MSV"},
+                         flow.average_curves(u, (kind,), x0, radii, q)[kind]) for kind in "MSV"},
     "spherical_max": lambda u, x0, radii, q: [flow.spherical_max(u, x0, r, q) for r in radii],
 }
 
@@ -178,13 +178,13 @@ def test_every_average_route_checks_its_balls(quad3, route, radii, center, reaso
 def test_two_kernels_on_one_ray_have_a_closed_form_max(capsys):
     # M(r) = K(r) + K(r + 0.5): the shell of radius 0.5 through the second
     # pole made the sampled maximum read as not monotone
-    spec = riesz.KernelSpec(p=3.0)
+    spec = radial.KernelSpec(p=3.0)
     assert cli.main(["density", "two-kernel", "--n", "4", "--p", "3", "--offset", "0.5",
                      "--no-timestamp"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["monotone_ok"] is True and rep["monotone_defect"] == 0.0
     radii = np.asarray(rep["radii"])
-    exact = radial.quotients(riesz.kernel(spec, radii) + riesz.kernel(spec, radii + 0.5),
+    exact = radial.quotients(radial.kernel(spec, radii) + radial.kernel(spec, radii + 0.5),
                              radii, 3.0)
     assert np.allclose(rep["quotients"]["M"], exact, rtol=1e-14, atol=0.0)
     assert np.round(exact, 4).tolist() == [1.3333, 1.1667, 1.0667, 1.0222, 1.0065]
@@ -193,8 +193,8 @@ def test_two_kernels_on_one_ray_have_a_closed_form_max(capsys):
     e1 = np.eye(4)[0]
     field = flow.newtonian_potential_field(3.0, [(1.0, np.zeros(4)), (1.0, 0.5 * e1)], 4)
     # beyond both centres on the axis: still one ray, at distances 0.3 and 0.8
-    assert field.analytic_max(-0.3 * e1, 0.2) == (riesz.kernel(spec, 0.2 + 0.3)
-                                                  + riesz.kernel(spec, 0.2 + 0.8))
+    assert field.analytic_max(-0.3 * e1, 0.2) == (radial.kernel(spec, 0.2 + 0.3)
+                                                  + radial.kernel(spec, 0.2 + 0.8))
     # between the centres, or off the axis, the maximum is sampled
     quad = flow.sphere_quad(4, 1024)
     for x0 in (0.2 * e1, np.array([0.25, 0.1, 0.0, 0.0])):
@@ -224,11 +224,11 @@ def test_a_density_off_the_ray_reads_monotone(capsys, argv):
 def test_a_centre_a_tiny_distance_from_x0_keeps_its_direction():
     # |c - x0|^2 underflows at 1e-200: the direction is taken from the
     # offset scaled by its largest entry, never from a zero norm
-    spec = riesz.KernelSpec(p=3.0)
+    spec = radial.KernelSpec(p=3.0)
     e1, e2 = np.eye(3)[:2]
     with np.errstate(divide="raise", invalid="raise"):
         one = flow.riesz_kernel_field(1.0, 3.0, 3, center=1e-200 * e1)
-        assert one.analytic_max(np.zeros(3), 0.5) == riesz.kernel(spec, 0.5)
+        assert one.analytic_max(np.zeros(3), 0.5) == radial.kernel(spec, 0.5)
         for c, on_ray in ((e1, True), (e2, False)):
             field = flow.newtonian_potential_field(3.0, [(1.0, 1e-200 * e1), (1.0, c)], 3)
             got = field.analytic_max(np.zeros(3), 0.5)
@@ -329,7 +329,7 @@ def test_flow_below_two_subtracts_the_origin_value_read_from_the_field():
     p, r = 1.5, 0.5
     u = flow.newtonian_potential_field(p, [(1.0, np.zeros(3)), (1.0, [1.0, 0.0, 0.0])], 3)
     u0 = u.at(np.zeros(3))
-    assert u0 == riesz.kernel(riesz.KernelSpec(p=p), 1.0)
+    assert u0 == radial.kernel(radial.KernelSpec(p=p), 1.0)
     pts = np.random.default_rng(6).standard_normal((50, 3))
     flowed = flow.tangent_flow(u, p, r)
     assert np.array_equal(flowed.values(pts), r ** (p - 2.0) * (u.values(r * pts) - u0))
@@ -421,7 +421,7 @@ def test_densities_are_the_radial_estimate_of_each_curve(quad3, quad4, field, p)
     rep = flow.densities(field, x0, p, quad=quad)
     defects = []
     for kind in ("M", "S", "V"):
-        curve = flow.average_curve(field, kind, x0, radii, quad, p)
+        curve = flow.average_curves(field, (kind,), x0, radii, quad, p)[kind]
         q = radial.quotients(curve.values, radii, p)
         theta, bracket, defect = radial.density_estimate(q)
         assert np.array_equal(rep.quotients[kind], q)
@@ -507,11 +507,11 @@ def test_densities_evaluate_each_shell_once(field, sampled, quad3):
     assert len({radius for radius, _ in calls}) == len(calls)
 
     # the noise bound is the one the half quadrature gives
-    kvals = np.asarray(riesz.kernel(riesz.KernelSpec(p=3.0), radii), dtype=float)
+    kvals = np.asarray(radial.kernel(radial.KernelSpec(p=3.0), radii), dtype=float)
     noise = 0.0
     half_quad = flow.sphere_quad(3, quad3.size // 2, quad3.seed)
     for kind in ("M", "S", "V"):
-        half_curve = flow.average_curve(field, kind, x0, radii, half_quad, 3.0)
+        half_curve = flow.average_curves(field, (kind,), x0, radii, half_quad, 3.0)[kind]
         half_q = (half_curve.values[:-1] - half_curve.values[1:]) / (kvals[:-1] - kvals[1:])
         noise = max(noise, float(np.abs(rep.quotients[kind] - half_q).max()))
     assert rep.noise_bound == noise
@@ -524,7 +524,7 @@ def test_each_kind_evaluates_only_its_shells(quad3, kind, per_radius):
     field = flow.newtonian_potential_field(3.0, [(1.0, x0), (0.5, np.array([0.3, 0.4, 0.0])),
                                                  (0.5, np.array([0.0, -0.4, 0.2]))], 3)
     counted, calls = _counted(field, x0)
-    flow.average_curve(counted, kind, x0, radii, quad3, 3.0)
+    flow.average_curves(counted, (kind,), x0, radii, quad3, 3.0)[kind]
     assert len(calls) == (volume_shells(radii.size) if per_radius is None
                           else per_radius * radii.size)
     assert len({radius for radius, _ in calls}) == len(calls)
@@ -536,12 +536,12 @@ def _ladder(field, x0, quad, p, radii, inner, per_annulus):
     then V(b) = (a/b)^n V(a) + n b^-n int_a^b t^(n-1) S(t) dt outwards."""
     n = field.n
     rho, w = _numerics.gauss_jacobi(inner, n + 1.0 - p)
-    s_inner = flow.average_curve(field, "S", x0, rho * radii[-1], quad).values
+    s_inner = flow.average_curves(field, ("S",), x0, rho * radii[-1], quad)["S"].values
     volume = [n * float(np.sum(w * rho ** (p - 2.0) * s_inner))]
     x, v = np.polynomial.legendre.leggauss(per_annulus)
     for a, b in zip(radii[::-1][:-1], radii[::-1][1:]):
         t = a + 0.5 * (b - a) * (x + 1.0)
-        s_annulus = flow.average_curve(field, "S", x0, t, quad).values
+        s_annulus = flow.average_curves(field, ("S",), x0, t, quad)["S"].values
         annulus = n * b ** -n * 0.5 * (b - a) * float(np.sum(v * t ** (n - 1) * s_annulus))
         volume.append((a / b) ** n * volume[-1] + annulus)
     return np.array(volume[::-1])
@@ -553,12 +553,12 @@ def test_volume_average_is_the_ladder_of_shell_means(n, p):
     # outwards by Gauss-Legendre, on the whole point set and on its
     # leading half; the quadrature error is the gap of the deepest
     # quotient to the half-order ladder on the two deepest radii
-    field = flow._kernel_sum_field(n, riesz.KernelSpec(p=p), np.array([1.5, 0.5]),
+    field = flow._kernel_sum_field(n, radial.KernelSpec(p=p), np.array([1.5, 0.5]),
                                    np.stack([np.zeros(n), 0.3 * np.eye(n)[0]]))
     quad = flow.sphere_quad(n, 512, seed=1)
     x0 = np.full(n, 0.01)
     radii = np.array([1.0, 0.3, 0.05])
-    volume = flow.average_curve(field, "V", x0, radii, quad, p)
+    volume = flow.average_curves(field, ("V",), x0, radii, quad, p)["V"]
     half_quad = flow.sphere_quad(n, 256, seed=1)
     for values, q in ((volume.values, quad), (volume.half_values, half_quad)):
         want = _ladder(field, x0, q, p, radii, flow.JACOBI_NODES, flow.ANNULUS_NODES)
@@ -575,16 +575,16 @@ def test_volume_average_needs_p_and_decreasing_radii(quad3):
     # the inner rule's weight is the kernel's: no default exponent is taken
     u = flow.riesz_kernel_field(1.0, 3.0, 3)
     with pytest.raises(DomainError, match="or without p, got p = None"):
-        flow.average_curve(u, "V", np.zeros(3), [1.0, 0.5], quad3)
+        flow.average_curves(u, ("V",), np.zeros(3), [1.0, 0.5], quad3)["V"]
     with pytest.raises(DomainError, match="strictly decreasing"):
-        flow.average_curve(u, "V", np.zeros(3), [0.5, 1.0], quad3, 3.0)
+        flow.average_curves(u, ("V",), np.zeros(3), [0.5, 1.0], quad3, 3.0)["V"]
     for p in (5.0, math.nan):
         with pytest.raises(DomainError, match="p >= n \\+ 2 = 5"):
-            flow.average_curve(u, "V", np.zeros(3), [1.0, 0.5], quad3, p)
+            flow.average_curves(u, ("V",), np.zeros(3), [1.0, 0.5], quad3, p)["V"]
     with pytest.raises(DomainError, match="got p = nan"):
         flow.densities(u, np.zeros(3), math.nan, quad=quad3)
     for kind in "MS":
-        flow.average_curve(u, kind, np.zeros(3), [0.5, 1.0], quad3)
+        flow.average_curves(u, (kind,), np.zeros(3), [0.5, 1.0], quad3)[kind]
 
 
 def test_mass_density_evaluates_two_shells_per_radius(quad3):
@@ -662,11 +662,11 @@ def test_kernel_sum_shell_about_a_center_is_the_kernel_of_s(p):
     # |x - c| = s exactly: every point of the shell gets w K(s)
     c = np.array([0.3, -1.2, 0.5, 2.0])
     points = flow.sphere_quad(4, 512, seed=1).points
-    spec = riesz.KernelSpec(p=p)
+    spec = radial.KernelSpec(p=p)
     single = flow.riesz_kernel_field(1.7, p, 4, center=c)
     double = flow.newtonian_potential_field(p, [(1.7, c), (0.4, c)], 4)
     for s in (1e-3, 0.37, 2.0):
-        kernel_s = riesz.kernel(spec, s)
+        kernel_s = radial.kernel(spec, s)
         assert np.array_equal(flow._shell_evaluator(single, c, points)([s])[0],
                               np.full(points.shape[0], 1.7 * kernel_s))
         assert np.array_equal(flow._shell_evaluator(double, c, points)([s])[0],
@@ -749,7 +749,7 @@ def test_fields_without_the_hook_read_shells_through_values(field, quad3):
     assert field.shells is None
     x0 = np.array([0.1, -0.2, 0.05])
     radii = np.array([0.5, 0.25, 0.125])
-    curve = flow.average_curve(field, "S", x0, radii, quad3)
+    curve = flow.average_curves(field, ("S",), x0, radii, quad3)["S"]
     for r, value in zip(radii, curve.values):
         shell = field.values(x0[None, :] + r * quad3.points)
         assert np.array_equal(flow._shell_evaluator(field, x0, quad3.points)([r])[0], shell)
@@ -776,8 +776,8 @@ def test_curve_csv_evaluates_each_shell_once(tmp_path, quad3):
     # M and S share one shell per radius; V adds the shells of its ladders
     assert len(calls) == radii.size + volume_shells(radii.size)
     rows = [f"{kind},{cli._fmt(r)},{cli._fmt(v)},{cli._fmt(q)}" for kind in "MSV"
-            for r, v, q in flow.average_curve(field, kind, x0, radii, quad3,
-                                              3.0).to_csv_rows(3.0)]
+            for r, v, q in flow.average_curves(field, (kind,), x0, radii, quad3,
+                                               3.0)[kind].to_csv_rows(3.0)]
     assert target.read_text() == "\n".join(["kind,r,value,quotient", *rows]) + "\n"
 
 
@@ -794,7 +794,8 @@ def test_shell_block_size_does_not_change_a_bit(monkeypatch, field):
             flow.densities(field, np.zeros(3), 2.5, quad=quad),
             flow.densities(field, x0, 3.0, quad=quad),
             flow.mass_density(field, np.zeros(3), 2.5, quad=quad),
-            [flow.average_curve(field, kind, x0, [1.0, 0.3, 0.05], quad, 3.0) for kind in "MSV"],
+            [flow.average_curves(field, (kind,), x0, [1.0, 0.3, 0.05], quad, 3.0)[kind]
+             for kind in "MSV"],
         ))
 
     at_default = reports()
@@ -842,7 +843,7 @@ def _reference_term(spec, weight, r):
 
 
 def _reference_shells(p, masses):
-    spec = riesz.KernelSpec(p=p)
+    spec = radial.KernelSpec(p=p)
 
     def shells(x0, points):
         def evaluate(radii):
@@ -857,7 +858,7 @@ def _reference_shells(p, masses):
                 perp = a[None, :] - t[:, None] * points
                 dist = (radii[:, None] + t) ** 2 + np.einsum("ij,ij->i", perp, perp)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    out += riesz._weighted_kernel_of_square(spec, w, dist)
+                    out += radial.weighted_kernel_of_square(spec, w, dist)
             return out
 
         return evaluate
@@ -887,7 +888,8 @@ def _shell_reports(field, p, quad):
     radii = [1.0, 0.3, 0.05]
     return pickle.dumps((flow.densities(field, x0, p, quad=quad),
                          flow.mass_density(field, x0, p, quad=quad),
-                         [flow.average_curve(field, kind, x0, radii, quad, p) for kind in "MSV"]))
+                         [flow.average_curves(field, (kind,), x0, radii, quad, p)[kind]
+                          for kind in "MSV"]))
 
 
 E1 = np.eye(3)[0]
@@ -936,12 +938,12 @@ def test_a_shell_through_a_far_centre_keeps_its_hits(monkeypatch, p):
     want_vals, want_hits = flow._clipped(reference(radii))
     assert np.array_equal(vals, want_vals) and hits.tolist() == want_hits.tolist()
     assert hits.tolist() == ([0, 0] if p < 2.0 else [1, 0])
-    got = pickle.dumps([flow.average_curve(field, kind, np.zeros(3), radii, quad, p)
+    got = pickle.dumps([flow.average_curves(field, (kind,), np.zeros(3), radii, quad, p)[kind]
                         for kind in "MSV"])
     monkeypatch.setattr(flow, "_shell_rows", _reference_rows)
     field = dataclasses.replace(field, shells=_reference_shells(p, masses))
-    assert got == pickle.dumps([flow.average_curve(field, kind, np.zeros(3), radii, quad, p)
-                                for kind in "MSV"])
+    assert got == pickle.dumps([flow.average_curves(field, (kind,), np.zeros(3), radii, quad,
+                                                    p)[kind] for kind in "MSV"])
 
 
 def test_harnack_constants():
@@ -981,7 +983,7 @@ def test_mass_density_requires_n_at_least_three():
     (lambda u: flow.mass_density(u, np.zeros(3), math.inf), "mass density needs finite p"),
     (lambda u: flow.mass_density(u, np.zeros(3), 3.5), "mass density needs p <= n"),
     (lambda u: flow.tangent_flow(u, math.inf, 0.5), "flow undefined at p = inf"),
-    (lambda u: flow.average_curve(u, "X", np.zeros(3), [0.5]), "unknown average kind 'X'"),
+    (lambda u: flow.average_curves(u, ("X",), np.zeros(3), [0.5]), "unknown average kind 'X'"),
     (lambda u: flow.tangent_experiment(u, flow.FlowSpec(p=3.0, radii=[0.5]), u, metric="l2"),
      "unknown metric 'l2'"),
     (lambda u: flow.unit_ball_volume(-1), "dimension must be >= 0"),
@@ -1264,7 +1266,7 @@ def test_max_curve_nondecreasing_for_subharmonic_fields(quad4):
     for u in (flow.riesz_kernel_field(1.0, 3.0, 4),
               flow.log_modulus_coordinate_field(2),
               flow.partial_kernel_field(3.0, 2, 4)):
-        curve = flow.average_curve(u, "M", np.zeros(4), radii_up, quad4)
+        curve = flow.average_curves(u, ("M",), np.zeros(4), radii_up, quad4)["M"]
         assert np.all(np.diff(curve.values) <= 1e-12)  # radii descend, so M descends
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from rieszlab import linalg, subeq
 from rieszlab.errors import DomainError, InvariantError, NumericalError
-from rieszlab.riesz import KernelSpec, kernel, kernel_hessian
+from rieszlab.radial import KernelSpec, kernel, kernel_hessian
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,28 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rieszlab import radial, riesz
+from rieszlab import radial, subeq
 from rieszlab.errors import DomainError
 
 INF = math.inf
 
 
 def kernel_plus_square(p):
-    spec = riesz.KernelSpec(p=p)
+    spec = radial.KernelSpec(p=p)
     return radial.RadialProfile(
-        fn=lambda r: np.asarray(riesz.kernel(spec, r)) + np.asarray(r) ** 2,
+        fn=lambda r: np.asarray(radial.kernel(spec, r)) + np.asarray(r) ** 2,
         name="kernel+r^2",
     )
 
 
 def max_kernel_const(p, c):
-    spec = riesz.KernelSpec(p=p)
+    spec = radial.KernelSpec(p=p)
     return radial.RadialProfile(
-        fn=lambda r: np.maximum(np.asarray(riesz.kernel(spec, r)), c),
+        fn=lambda r: np.maximum(np.asarray(radial.kernel(spec, r)), c),
         name=f"max(kernel,{c})",
     )
 
@@ -29,6 +30,158 @@ def max_kernel_const(p, c):
 def pair_quotient(prof, p, r, t):
     """(psi(r) - psi(t)) / (K(r) - K(t)), the quotient over two radii."""
     return float(radial.quotients([prof(r), prof(t)], [r, t], p)[0])
+
+
+# ---------------------------------------------------------------------------
+# kernels
+# ---------------------------------------------------------------------------
+
+
+def test_log_kernel_at_e():
+    assert radial.kernel(radial.KernelSpec(p=2.0), math.e) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_standard_kernel_p3():
+    spec = radial.KernelSpec(p=3.0)
+    assert radial.kernel(spec, 2.0) == pytest.approx(-0.5, abs=1e-15)
+
+
+def test_kernel_monotone_increasing():
+    for p in (1.0, 1.5, 2.0, 3.0, 4.5):
+        spec = radial.KernelSpec(p=p)
+        t = np.geomspace(0.01, 100.0, 64)
+        vals = np.asarray(radial.kernel(spec, t))
+        assert np.all(np.diff(vals) > 0.0)
+        assert np.all(np.asarray(radial.kernel_deriv1(spec, t)) > 0.0)
+
+
+def test_barred_kernel_derivative_exact():
+    for p in (1.3, 2.0, 2.5, 4.0):
+        spec = radial.KernelSpec(p=p, normalization="barred")
+        for t in (0.1, 1.0, 7.5):
+            assert radial.kernel_deriv1(spec, t) == pytest.approx(t ** (1.0 - p), rel=1e-15)
+
+
+def test_kernel_derivatives_match_finite_differences():
+    for p in (1.4, 2.0, 3.2):
+        for norm in ("standard", "barred"):
+            spec = radial.KernelSpec(p=p, normalization=norm)
+            for t in (0.3, 1.7):
+                h = 1e-6 * t
+                fd1 = (radial.kernel(spec, t + h) - radial.kernel(spec, t - h)) / (2 * h)
+                assert radial.kernel_deriv1(spec, t) == pytest.approx(fd1, rel=1e-7)
+                fd2 = (
+                    radial.kernel(spec, t + h)
+                    - 2 * radial.kernel(spec, t)
+                    + radial.kernel(spec, t - h)
+                ) / h**2
+                assert radial.kernel_deriv2(spec, t) == pytest.approx(fd2, rel=1e-3)
+
+
+def reference_kernel(spec, t):
+    """The kernel's formulas, each a separate array expression."""
+    p = spec.p
+    if p == 2.0:
+        return np.log(t)
+    if spec.normalization == "standard":
+        return t ** (2.0 - p) if p < 2.0 else -(t ** (2.0 - p))
+    return t ** (2.0 - p) / (2.0 - p)
+
+
+@pytest.mark.parametrize("norm", ["standard", "barred"])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.5])
+def test_weighted_kernel_has_the_floats_of_weight_times_kernel(p, norm):
+    # the sign folded into the weight and the in-place product change no bit;
+    # at 0 both weighted routes give w K(0), K(0) being 0 for p < 2 and -inf
+    # otherwise (NaN at weight 0), without a warning
+    spec = radial.KernelSpec(p=p, normalization=norm)
+    t = np.random.default_rng(0).uniform(1e-3, 50.0, 1000)
+    assert np.array_equal(radial.kernel(spec, t), reference_kernel(spec, t))
+    assert radial.kernel(spec, 0.37) == float(reference_kernel(spec, np.float64(0.37)))
+    for w in (0.7, -1.3, 0.0):
+        buffer = t.copy()
+        weighted = radial.weighted_kernel(spec, w, buffer)
+        assert weighted is buffer  # computed in place
+        reference = w * reference_kernel(spec, t)
+        assert np.array_equal(weighted, reference)
+        assert np.array_equal(np.signbit(weighted), np.signbit(reference))
+        at_zero = w * (0.0 if p < 2.0 else -INF)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for route in (radial.weighted_kernel, radial.weighted_kernel_of_square):
+                assert np.array_equal(route(spec, w, np.zeros(3)), np.full(3, at_zero),
+                                      equal_nan=True), route
+
+
+def test_kernel_domain_errors():
+    spec = radial.KernelSpec(p=3.0)
+    with pytest.raises(DomainError):
+        radial.kernel(spec, 0.0)
+    with pytest.raises(DomainError):
+        radial.kernel(spec, -1.0)
+    with pytest.raises(DomainError):
+        radial.KernelSpec(p=0.5)
+
+
+@pytest.mark.parametrize("fn", [radial.kernel, radial.kernel_deriv1, radial.kernel_deriv2])
+@pytest.mark.parametrize("t", [math.nan, [1.0, math.nan], 0.0, [2.0, -1.0]])
+def test_kernel_arguments_that_are_not_positive_are_refused(fn, t):
+    for p in (1.5, 2.0, 3.0):
+        with pytest.raises(DomainError, match="kernel arguments must be positive"):
+            fn(radial.KernelSpec(p=p), t)
+
+
+PSD3 = subeq.builtin("p", 3)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: radial.KernelSpec(3.0, "weird"), "unknown normalization 'weird'"),
+    (lambda: radial.kernel_hessian(1.0, 3.0, np.zeros(3)),
+     "kernel Hessian undefined at the origin"),
+    (lambda: radial.radial_harmonic_check(PSD3, -1.0, 2.0, [1.0]), "theta must be >= 0"),
+    (lambda: radial.radial_harmonic_check(PSD3, 1.0, math.inf, [1.0]),
+     "needs a finite characteristic"),
+], ids=["normalization", "hessian-at-origin", "negative-theta", "infinite-p"])
+def test_kernel_refusals(call, message):
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+# ---------------------------------------------------------------------------
+# radial harmonic check
+# ---------------------------------------------------------------------------
+
+RADII = (0.1, 1.0, 10.0)
+
+
+def test_radial_harmonic_laplacian_exact():
+    f = subeq.builtin("laplacian", 4)
+    rep = radial.radial_harmonic_check(f, theta=1.0, p=4.0, radii=RADII, seed=0)
+    assert rep.passed
+    # the trace of the kernel Hessian vanishes identically
+    h = radial.kernel_hessian(1.0, 4.0, np.array([0.3, 0.2, -0.7, 0.1]))
+    assert np.trace(h) == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("family,params,n,p", [
+    ("p-convex", {"p": 2.5}, 4, 2.5),
+    ("sigma-k", {"k": 2}, 4, 2.0),
+    ("pdelta", {"delta": 1.0}, 3, 1.5),
+    ("min-max", {"p": 3.0}, 4, 3.0),
+])
+def test_radial_harmonic_on_boundary(family, params, n, p):
+    f = subeq.builtin(family, n, **params)
+    rep = radial.radial_harmonic_check(f, theta=1.0, p=p, radii=RADII, seed=1)
+    assert rep.passed, rep.worst_violation
+    rep2 = radial.radial_harmonic_check(f, theta=2.0, p=p, radii=RADII, seed=2)
+    assert rep2.passed
+
+
+def test_radial_harmonic_zero_multiple():
+    f = subeq.builtin("sigma-k", 4, k=2)
+    rep = radial.radial_harmonic_check(f, theta=0.0, p=2.0, radii=(1.0,), seed=0)
+    assert rep.passed and rep.worst_violation == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +253,12 @@ def test_quotient_of_scaled_kernel_is_constant():
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.000000001, 3.0, 7.5])
 def test_quotients_match_pairwise_quotients_bit_for_bit(p):
     prof = kernel_plus_square(p)
-    spec = riesz.KernelSpec(p=p)
+    spec = radial.KernelSpec(p=p)
     radii = 1.5 * 0.4 ** np.arange(9)
     q = radial.quotients(prof(radii), radii, p)
     for j in range(radii.size - 1):
         r, t = radii[j], radii[j + 1]
-        scalar = (prof(r) - prof(t)) / (riesz.kernel(spec, r) - riesz.kernel(spec, t))
+        scalar = (prof(r) - prof(t)) / (radial.kernel(spec, r) - radial.kernel(spec, t))
         assert q[j] == pair_quotient(prof, p, r, t) == scalar
 
 
@@ -216,11 +369,11 @@ def test_lipschitz_bound_from_endpoint_quotients():
     p = 3.0
     prof = kernel_plus_square(p)
     a, b = 0.5, 2.0
-    spec = riesz.KernelSpec(p=p)
+    spec = radial.KernelSpec(p=p)
     grid = np.linspace(a, b, 30)
     vals = prof(grid)
     top_quotient = pair_quotient(prof, p, b * 1.5, b)
-    k_slope = float(np.max(np.asarray(riesz.kernel_deriv1(spec, grid))))
+    k_slope = float(np.max(np.asarray(radial.kernel_deriv1(spec, grid))))
     for i in range(len(grid) - 1):
         for j in range(i + 1, len(grid)):
             dq = abs(vals[j] - vals[i]) / (grid[j] - grid[i])
@@ -249,8 +402,8 @@ def test_density_limit_forms(name, p):
     prof, _ = _limit_profile(name, p)
     radii = radial.geometric_radii(0.125, 14)
     theta, _ = radial.one_var_density(prof, p, radii)
-    spec = riesz.KernelSpec(p=p)
-    kvals = np.asarray(riesz.kernel(spec, radii))
+    spec = radial.KernelSpec(p=p)
+    kvals = np.asarray(radial.kernel(spec, radii))
     values = np.asarray(prof(radii))
     if p < 2.0:
         # (psi(r) - psi(0+)) / K(r) decreases down to the density

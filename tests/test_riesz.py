@@ -11,97 +11,6 @@ INF = math.inf
 
 
 # ---------------------------------------------------------------------------
-# kernels
-# ---------------------------------------------------------------------------
-
-
-def test_log_kernel_at_e():
-    assert riesz.kernel(riesz.KernelSpec(p=2.0), math.e) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_standard_kernel_p3():
-    spec = riesz.KernelSpec(p=3.0)
-    assert riesz.kernel(spec, 2.0) == pytest.approx(-0.5, abs=1e-15)
-
-
-def test_kernel_monotone_increasing():
-    for p in (1.0, 1.5, 2.0, 3.0, 4.5):
-        spec = riesz.KernelSpec(p=p)
-        t = np.geomspace(0.01, 100.0, 64)
-        vals = np.asarray(riesz.kernel(spec, t))
-        assert np.all(np.diff(vals) > 0.0)
-        assert np.all(np.asarray(riesz.kernel_deriv1(spec, t)) > 0.0)
-
-
-def test_barred_kernel_derivative_exact():
-    for p in (1.3, 2.0, 2.5, 4.0):
-        spec = riesz.KernelSpec(p=p, normalization="barred")
-        for t in (0.1, 1.0, 7.5):
-            assert riesz.kernel_deriv1(spec, t) == pytest.approx(t ** (1.0 - p), rel=1e-15)
-
-
-def test_kernel_derivatives_match_finite_differences():
-    for p in (1.4, 2.0, 3.2):
-        for norm in ("standard", "barred"):
-            spec = riesz.KernelSpec(p=p, normalization=norm)
-            for t in (0.3, 1.7):
-                h = 1e-6 * t
-                fd1 = (riesz.kernel(spec, t + h) - riesz.kernel(spec, t - h)) / (2 * h)
-                assert riesz.kernel_deriv1(spec, t) == pytest.approx(fd1, rel=1e-7)
-                fd2 = (
-                    riesz.kernel(spec, t + h)
-                    - 2 * riesz.kernel(spec, t)
-                    + riesz.kernel(spec, t - h)
-                ) / h**2
-                assert riesz.kernel_deriv2(spec, t) == pytest.approx(fd2, rel=1e-3)
-
-
-def reference_kernel(spec, t):
-    """The kernel's formulas, each a separate array expression."""
-    p = spec.p
-    if p == 2.0:
-        return np.log(t)
-    if spec.normalization == "standard":
-        return t ** (2.0 - p) if p < 2.0 else -(t ** (2.0 - p))
-    return t ** (2.0 - p) / (2.0 - p)
-
-
-@pytest.mark.parametrize("norm", ["standard", "barred"])
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.5])
-def test_weighted_kernel_has_the_floats_of_weight_times_kernel(p, norm):
-    # the sign folded into the weight and the in-place product change no bit
-    spec = riesz.KernelSpec(p=p, normalization=norm)
-    t = np.random.default_rng(0).uniform(1e-3, 50.0, 1000)
-    assert np.array_equal(riesz.kernel(spec, t), reference_kernel(spec, t))
-    assert riesz.kernel(spec, 0.37) == float(reference_kernel(spec, np.float64(0.37)))
-    for w in (0.7, -1.3, 0.0):
-        buffer = t.copy()
-        weighted = riesz._weighted_kernel(spec, w, buffer)
-        assert weighted is buffer  # computed in place
-        reference = w * reference_kernel(spec, t)
-        assert np.array_equal(weighted, reference)
-        assert np.array_equal(np.signbit(weighted), np.signbit(reference))
-
-
-def test_kernel_domain_errors():
-    spec = riesz.KernelSpec(p=3.0)
-    with pytest.raises(DomainError):
-        riesz.kernel(spec, 0.0)
-    with pytest.raises(DomainError):
-        riesz.kernel(spec, -1.0)
-    with pytest.raises(DomainError):
-        riesz.KernelSpec(p=0.5)
-
-
-@pytest.mark.parametrize("fn", [riesz.kernel, riesz.kernel_deriv1, riesz.kernel_deriv2])
-@pytest.mark.parametrize("t", [math.nan, [1.0, math.nan], 0.0, [2.0, -1.0]])
-def test_kernel_arguments_that_are_not_positive_are_refused(fn, t):
-    for p in (1.5, 2.0, 3.0):
-        with pytest.raises(DomainError, match="kernel arguments must be positive"):
-            fn(riesz.KernelSpec(p=p), t)
-
-
-# ---------------------------------------------------------------------------
 # increasing characteristic: closed forms
 # ---------------------------------------------------------------------------
 
@@ -375,40 +284,8 @@ def test_characteristic_pair_of_all_of_sym_n_is_a_domain_error(f):
 
 
 # ---------------------------------------------------------------------------
-# radial harmonic and sandwich checks
+# sandwich checks
 # ---------------------------------------------------------------------------
-
-RADII = (0.1, 1.0, 10.0)
-
-
-def test_radial_harmonic_laplacian_exact():
-    f = subeq.builtin("laplacian", 4)
-    rep = riesz.radial_harmonic_check(f, theta=1.0, p=4.0, radii=RADII, seed=0)
-    assert rep.passed
-    # the trace of the kernel Hessian vanishes identically
-    h = riesz.kernel_hessian(1.0, 4.0, np.array([0.3, 0.2, -0.7, 0.1]))
-    assert np.trace(h) == pytest.approx(0.0, abs=1e-14)
-
-
-@pytest.mark.parametrize("family,params,n,p", [
-    ("p-convex", {"p": 2.5}, 4, 2.5),
-    ("sigma-k", {"k": 2}, 4, 2.0),
-    ("pdelta", {"delta": 1.0}, 3, 1.5),
-    ("min-max", {"p": 3.0}, 4, 3.0),
-])
-def test_radial_harmonic_on_boundary(family, params, n, p):
-    f = subeq.builtin(family, n, **params)
-    rep = riesz.radial_harmonic_check(f, theta=1.0, p=p, radii=RADII, seed=1)
-    assert rep.passed, rep.worst_violation
-    rep2 = riesz.radial_harmonic_check(f, theta=2.0, p=p, radii=RADII, seed=2)
-    assert rep2.passed
-
-
-def test_radial_harmonic_zero_multiple():
-    f = subeq.builtin("sigma-k", 4, k=2)
-    rep = riesz.radial_harmonic_check(f, theta=0.0, p=2.0, radii=(1.0,), seed=0)
-    assert rep.passed and rep.worst_violation == 0.0
-
 
 def test_sandwich_for_p_convex_itself():
     f = subeq.builtin("p-convex", 4, p=2.5)
@@ -507,28 +384,17 @@ def test_characteristic_pair_needs_two_dimensions(family):
         riesz.characteristic_pair(subeq.builtin(family, 1))
 
 
-PSD3 = subeq.builtin("p", 3)
-
-
 def nan_margins(a):
     return np.full(np.shape(a)[:-2], np.nan)
 
 
 @pytest.mark.parametrize("call,error,message", [
-    (lambda: riesz.KernelSpec(3.0, "weird"), DomainError, "unknown normalization 'weird'"),
-    (lambda: riesz.kernel_hessian(1.0, 3.0, np.zeros(3)), DomainError,
-     "kernel Hessian undefined at the origin"),
     (lambda: riesz.CharacteristicPair(0.5, 2.0, 0.0, 0.0), NumericalError,
      "characteristics must be >= 1, got (0.5, 2.0)"),
-    (lambda: riesz.radial_harmonic_check(PSD3, -1.0, 2.0, [1.0]), DomainError,
-     "theta must be >= 0"),
-    (lambda: riesz.radial_harmonic_check(PSD3, 1.0, math.inf, [1.0]), DomainError,
-     "needs a finite characteristic"),
     (lambda: riesz.increasing_characteristic(subeq.Subequation(
         name="nan", n=3, invariance="O(n)", margin=nan_margins)),
      SolverError, "margin of nan is NaN: its formula overflows here"),
-], ids=["normalization", "hessian-at-origin", "pair-below-1", "negative-theta",
-        "infinite-p", "nan-matrix-margin"])
+], ids=["pair-below-1", "nan-matrix-margin"])
 def test_riesz_refusals(call, error, message):
     with pytest.raises(error) as caught:
         call()

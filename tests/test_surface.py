@@ -13,7 +13,8 @@ in the acceptance suite, or in the benchmark.
 
 The package root binds only its modules and `__version__`, so no export
 list repeats the modules' names; it binds them lazily, so `import rieszlab`
-runs none of them.  Every spectrum comes from one LAPACK call,
+runs none of them.  No module imports or reads a private name of another.
+Every spectrum comes from one LAPACK call,
 `np.linalg.eigvalsh` inside `linalg.ordered_eigenvalues`.  Every margin is
 read through the one `Subequation.margin` field, on one matrix or a stack,
 and every rotation comes from the one sampler `subeq.invariance_rotation`:
@@ -175,6 +176,26 @@ def _enclosing_calls(node, where, found, solvers):
         _enclosing_calls(child, where, found, solvers)
 
 
+def test_no_module_reads_a_private_name_of_another():
+    # no `from .m import _x`, and no `alias._x` on a module bound by
+    # `from . import m as alias`; the check is on the names imported, so
+    # `from ._numerics import sobol` reads a public name
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+                   for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                found += [f"{path.name}: from .{node.module} import {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr.startswith("_")):
+                found.append(f"{path.name}: {node.value.id}.{node.attr}")
+    assert found == []
+
+
 def test_one_margin_and_one_rotation_sampler():
     words = set()
     for path in SRC.glob("*.py"):
@@ -209,7 +230,7 @@ def test_every_spectrum_comes_from_one_eigensolver_call():
 
 
 def test_one_value_per_option_and_one_input_format():
-    from rieszlab import flow, linalg, riesz, subeq
+    from rieszlab import flow, linalg, radial, riesz, subeq
 
     text = "".join(path.read_text() for path in SRC.glob("*.py"))
     assert not set(re.findall(r"\w+", text)) & {"coordinate_direction", "holder_seminorm",
@@ -232,8 +253,8 @@ def test_one_value_per_option_and_one_input_format():
         riesz.decreasing_characteristic: {"f": empty, "tol": 1e-9},
         riesz.characteristic_pair: {"f": empty, "tol": 1e-9, "check_directions": 0, "seed": 0},
         riesz.sandwich_check: {"f": empty, "p": empty, "sample_count": 1000, "seed": 0},
-        riesz.radial_harmonic_check: {"f": empty, "theta": empty, "p": empty, "radii": empty,
-                                      "seed": 0},
+        radial.radial_harmonic_check: {"f": empty, "theta": empty, "p": empty, "radii": empty,
+                                       "seed": 0},
     }
     for function, params in kept.items():
         signature = inspect.signature(function).parameters

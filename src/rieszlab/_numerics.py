@@ -6,6 +6,9 @@ averages, held to `scipy.special.roots_jacobi` by the tests.
 Each port repeats scipy's arithmetic operation for operation, so its
 floats equal scipy's bit for bit (the test suite keeps scipy as the
 oracle); importing scipy.stats alone costs about a second per command.
+`sobol` draws any index range of the sequence, so a caller can draw a
+long sequence block by block and hold only one block's temporaries; the
+full range is the range from 0.
 """
 
 from __future__ import annotations
@@ -48,12 +51,11 @@ def _direction_numbers(d: int) -> np.ndarray:
     return v << np.arange(SOBOL_BITS - 1, -1, -1)
 
 
-def sobol(d: int, size: int, seed: int) -> np.ndarray:
-    """The first `size` points of `qmc.Sobol(d, scramble=True, seed=seed)`:
-    LMS + digital-shift scrambling from `default_rng(seed)`, Gray-code order."""
-    if not 1 <= d <= SOBOL_MAX_DIM:
-        raise DomainError(f"Sobol direction numbers are tabulated for 1 <= d <= {SOBOL_MAX_DIM}, "
-                          f"got d = {d}")
+@lru_cache(maxsize=32)
+def _scramble(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(shift, sv) of `qmc.Sobol(d, scramble=True, seed=seed)`: the (d,)
+    digital shift and the (d, SOBOL_BITS) direction numbers after the left
+    matrix scramble, both drawn from `default_rng(seed)` as scipy draws them."""
     rng = np.random.default_rng(seed)
     bits = SOBOL_BITS
     weights = 1 << np.arange(bits, dtype=np.uint32)
@@ -67,11 +69,31 @@ def sobol(d: int, size: int, seed: int) -> np.ndarray:
     v_bits = (v[:, :, None] >> np.arange(bits - 1, -1, -1)) & 1  # (d, j, c)
     parity = np.einsum("drc,djc->djr", ltm, v_bits) & 1
     sv = (parity << np.arange(bits - 1, -1, -1)).sum(axis=2).astype(np.uint32)
-    # point i >= 1 flips the direction number at the lowest zero bit of i - 1
-    i = np.arange(size - 1, dtype=np.int64)
+    shift.flags.writeable = sv.flags.writeable = False
+    return shift, sv
+
+
+def sobol(d: int, stop: int, seed: int, start: int = 0) -> np.ndarray:
+    """Points start..stop-1 of `qmc.Sobol(d, scramble=True, seed=seed)`:
+    LMS + digital-shift scrambling from `default_rng(seed)`, Gray-code order.
+
+    A block starts from the Gray code of its first index, so blocks drawn
+    one after another are, bit for bit, the rows of one full-range call;
+    the scramble is drawn once per (d, seed)."""
+    if not 1 <= d <= SOBOL_MAX_DIM:
+        raise DomainError(f"Sobol direction numbers are tabulated for 1 <= d <= {SOBOL_MAX_DIM}, "
+                          f"got d = {d}")
+    shift, sv = _scramble(d, seed)
+    # point i is the shift xor the direction numbers at the set bits of the
+    # Gray code i ^ (i >> 1); point i >= 1 flips the one at the lowest zero
+    # bit of i - 1
+    gray = start ^ (start >> 1)
+    first = shift ^ np.bitwise_xor.reduce(sv[:, [j for j in range(SOBOL_BITS) if gray >> j & 1]],
+                                          axis=1)
+    i = np.arange(start, stop - 1, dtype=np.int64)
     lowest_zero = np.log2((~i) & (i + 1)).astype(np.intp)
-    steps = np.concatenate([shift[None, :], sv[:, lowest_zero].T])
-    return np.bitwise_xor.accumulate(steps, axis=0) * (1.0 / 2**bits)
+    steps = np.concatenate([first[None, :], sv[:, lowest_zero].T])
+    return np.bitwise_xor.accumulate(steps, axis=0) * (1.0 / 2**SOBOL_BITS)
 
 
 # Cephes ndtri: rational approximations of the inverse normal CDF.

@@ -410,15 +410,16 @@ def cmd_radial(args) -> int:
     if args.grid_points < 4:
         raise DomainError(f"the radial grid needs --grid-points >= 4, got {args.grid_points}")
     grid = np.geomspace(args.grid_min, args.grid_max, args.grid_points)
-    classification = rad.classify_profile(profile, grid)
+    # the convexity test reads the kernel before the profile, so a kernel
+    # that overflows is refused as such
+    convexity = rad.kp_convexity_test(profile, args.p, grid)
     payload = {
         "command": "radial",
         "profile": profile.name,
         "p": args.p,
-        "classification": classification,
+        "classification": rad.classify_profile(profile, grid),
+        "kp_convexity": convexity,
     }
-    convexity = rad.kp_convexity_test(profile, args.p, grid)
-    payload["kp_convexity"] = convexity
     if convexity.passed:
         radii = rad.geometric_radii(args.grid_max / 2.0, 8)
         theta, bracket = rad.one_var_density(profile, args.p, radii)

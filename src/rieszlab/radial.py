@@ -39,7 +39,8 @@ class OneVarJet:
 
 @dataclass
 class RadialProfile:
-    """Scalar profile psi on (0, r_max)."""
+    """Scalar profile psi on (0, r_max).  Every reading of the profile
+    goes through the call, which refuses a radius where psi is not finite."""
 
     fn: Callable
     r_max: float = math.inf
@@ -50,6 +51,11 @@ class RadialProfile:
         if not np.all((r > 0.0) & (r < self.r_max)):
             raise DomainError(f"radius outside (0, {self.r_max})")
         out = np.asarray(self.fn(r), dtype=float)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            radius = np.broadcast_to(r, out.shape)[bad][0]
+            raise DomainError(f"the profile {self.name or 'psi'} at radius {radius:.6g} "
+                              f"is not finite")
         return out if out.ndim else float(out)
 
 
@@ -222,13 +228,15 @@ def rp_up_membership(p: float, jet: OneVarJet) -> bool:
 
 def quotients(values, radii, p: float) -> np.ndarray:
     """Monotone quotients (v_j - v_{j+1}) / (K(r_j) - K(r_{j+1})) of the
-    values v_j at adjacent radii r_j; the one place they are computed.  A
-    radius where the kernel overflows is refused."""
-    values, radii = np.asarray(values, dtype=float), np.asarray(radii, dtype=float)
+    values v_j at adjacent radii r_j; the one place they are computed.
+    `values` is the array of the v_j or a profile, read at the radii only
+    after the kernel: a radius where the kernel overflows is refused as such."""
+    radii = np.asarray(radii, dtype=float)
     k = kernel(KernelSpec(p=p), radii)
     if not all(map(math.isfinite, k.tolist())):
         r = radii[~np.isfinite(k)][0]
         raise DomainError(f"the kernel K_{fmt_param(p)} at radius {r:.6g} overflows")
+    values = np.asarray(values(radii) if callable(values) else values, dtype=float)
     return (values[:-1] - values[1:]) / (k[:-1] - k[1:])
 
 
@@ -269,7 +277,7 @@ def kp_convexity_test(profile: RadialProfile, p: float, grid) -> PropertyReport:
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size < 3:
         raise DomainError("need at least three grid radii")
-    slopes = quotients(profile(grid), grid, p)
+    slopes = quotients(profile, grid, p)
     worst = float(np.max(np.maximum(0.0, slopes[:-1] - slopes[1:]), initial=0.0))
     return PropertyReport(
         name="kp-convexity",
@@ -290,7 +298,7 @@ def one_var_density(profile: RadialProfile, p: float, radii) -> tuple[float, flo
     if math.isinf(p):
         raise DomainError("no density at p = inf")
     radii = density_radii(radii)[-3:]
-    theta, bracket, _ = density_estimate(quotients(profile(radii), radii, p))
+    theta, bracket, _ = density_estimate(quotients(profile, radii, p))
     return theta, bracket
 
 

@@ -1168,6 +1168,16 @@ def test_a_kernel_that_overflows_at_a_radius_is_refused(capsys, argv, radius):
     assert (code, captured.out, captured.err) == (3, "", f"error: the kernel {radius} overflows\n")
 
 
+def test_a_radial_profile_that_is_not_finite_at_a_grid_radius_is_refused(capsys):
+    # 1/t is inf at the subnormal radius 1e-320: its NaN slope was reported
+    # as worst_violation "nan" with exit 2
+    code = cli.main(["radial", "reciprocal", "--p", "1", "--grid-min", "1e-320",
+                     "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        3, "", "error: the profile 1/t at radius 9.99989e-321 is not finite\n")
+
+
 def readme_commands():
     """(argv, documented exit code) for each command of the README's
     command-line block."""

@@ -34,6 +34,33 @@ def test_sobol_refuses_dimensions_beyond_its_table():
         flow.SphereQuad(17, 256)
 
 
+@pytest.mark.parametrize("n,size,seed", [
+    (2, 8, 0), (3, 512, 7), (7, 1024, 1), (5, 2048, 601), (9, 16384, 0), (12, 32768, 0),
+    (16, 65536, 3),
+])
+def test_sphere_quad_blocks_equal_scipy_bit_for_bit(n, size, seed):
+    # below one block of flow.QUAD_BLOCK points, exactly one, and many: each
+    # block starts from the Gray code of its first index
+    u = np.clip(qmc.Sobol(n, scramble=True, seed=seed).random(size), 1e-15, 1.0 - 1e-15)
+    g = special.ndtri(u)
+    expected = g / np.linalg.norm(g, axis=1)[:, None]
+    assert np.array_equal(flow.SphereQuad(n, size, seed).points, expected)
+
+
+def test_sphere_quad_memory_is_about_its_points():
+    import tracemalloc
+
+    flow.SphereQuad(16, 8)  # loads what a build imports, outside the trace
+    tracemalloc.start()
+    try:
+        quad = flow.SphereQuad(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert quad.points.nbytes == 8 * 2**20
+    assert peak <= 1.5 * quad.points.nbytes  # 6.8 times with the set drawn at once
+
+
 def _ndtri_inputs():
     rng = np.random.default_rng(20140822)
     cutoffs = [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 0.5]

@@ -337,6 +337,23 @@ def test_profile_interval_is_open_at_its_finite_end():
         prof(2.0)
 
 
+def test_a_profile_is_refused_at_a_radius_where_it_is_not_finite():
+    # K_400 is -inf at r = 0.05: an increasing profile was classified
+    # not-subaffine-radial; 1/t is inf at a subnormal radius: its NaN slope
+    # was a NaN convexity violation
+    reciprocal = radial.RadialProfile(fn=lambda r: 1.0 / r, name="1/t")
+    with np.errstate(over="ignore", divide="ignore"):
+        with pytest.raises(DomainError, match=r"^the profile 1\*K_400 at radius 0.05 is not "
+                                              r"finite$"):
+            radial.classify_profile(radial.kernel_profile(400.0), np.geomspace(0.05, 1.0, 16))
+        with pytest.raises(DomainError, match=r"^the profile 1/t at radius 9.99989e-321 is not "
+                                              r"finite$"):
+            radial.kp_convexity_test(reciprocal, 1.0, [1e-320, 0.5, 1.0])
+    # NaN too; a profile without a name is psi
+    with pytest.raises(DomainError, match=r"^the profile psi at radius 0.5 is not finite$"):
+        radial.RadialProfile(fn=lambda r: np.where(r < 0.75, np.nan, r))([0.5, 1.0])
+
+
 def test_density_requires_decreasing_radii():
     prof = radial.kernel_profile(3.0)
     with pytest.raises(DomainError):

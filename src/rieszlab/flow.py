@@ -185,7 +185,9 @@ class ScalarField:
     row i ``values(x0 + radii[i] * points)`` for the m unit ``points``,
     faster than ``values``; every sphere average reads its shells through
     it, at most `SHELL_BLOCK` values per call.  The array it returns may be
-    read-only or a broadcast view: its consumers only read it.
+    read-only or a broadcast view, and is valid only until the next call,
+    which may reuse its memory: its consumers only read it, each before
+    they ask for the next.
     """
 
     n: int
@@ -927,10 +929,12 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
     """The field sum_k w_k K(|x - c_k|) with its `shells` hook.
 
     For each center the hook computes t = <w, x0 - c> and
-    h^2 = |x0 - c - t w|^2 once per (x0, points); the shell of radius s is
+    h^2 = |x0 - c - t w|^2 once per (x0, points), h^2 for `QUAD_BLOCK`
+    points at a time, so no (m, n) array is made; the shell of radius s is
     then at the squared distance q = |x - c|^2 = (s + t)^2 + h^2, O(m) per
-    shell, computed in place for a block of radii at once, and turned into
-    w K(sqrt(q)) on the same buffer by one log and one exp
+    shell, computed for a block of radii at once in one buffer per
+    off-centre term, reused from call to call, and turned into w K(sqrt(q))
+    in place by one log and one exp
     (`radial.weighted_kernel_of_square`, no sqrt and no pow).  Unlike the
     expanded s^2 + 2 s t + |x0 - c|^2, this keeps its digits when the
     shell passes close to c.  A center at x0 has |x - c| = s exactly: a
@@ -965,18 +969,25 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
                 projections.append(None)
                 continue
             t = points @ a
-            perp = a[None, :] - t[:, None] * points
-            projections.append((t, np.einsum("ij,ij->i", perp, perp)))
+            h2 = np.empty_like(t)
+            for lo in range(0, t.size, QUAD_BLOCK):
+                rows = slice(lo, lo + QUAD_BLOCK)
+                perp = a - t[rows, None] * points[rows]
+                np.einsum("ij,ij->i", perp, perp, out=h2[rows])
+            projections.append((t, h2))
+        buffers = [np.empty((0, points.shape[0])) for _ in centers]
 
         def evaluate(radii):
             radii = np.asarray(radii, dtype=float)
             total = None  # a (k, 1) column while every term so far is centred
-            for w, proj in zip(weights, projections):
+            for i, (w, proj) in enumerate(zip(weights, projections)):
                 if proj is None:
                     term = weighted_kernel(spec, w, radii[:, None].copy())
                 else:
                     t, h2 = proj
-                    term = radii[:, None] + t
+                    if buffers[i].shape[0] < radii.size:
+                        buffers[i] = np.empty((radii.size, t.size))
+                    term = np.add(radii[:, None], t, out=buffers[i][:radii.size])
                     term *= term
                     term += h2
                     weighted_kernel_of_square(spec, w, term)

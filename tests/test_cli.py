@@ -1178,6 +1178,16 @@ def test_a_radial_profile_that_is_not_finite_at_a_grid_radius_is_refused(capsys)
         3, "", "error: the profile 1/t at radius 9.99989e-321 is not finite\n")
 
 
+def test_a_radial_quotient_that_overflows_is_refused(capsys):
+    # 1/t and K_1 are finite at 1e-300, but their slope overflows: two -inf
+    # slopes were reported as worst_violation "nan" with exit 2
+    code = cli.main(["radial", "reciprocal", "--p", "1", "--grid-min", "1e-300",
+                     "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        3, "", "error: the quotient over the radii 1e-300 and 5.84363e-296 is not finite\n")
+
+
 def readme_commands():
     """(argv, documented exit code) for each command of the README's
     command-line block."""

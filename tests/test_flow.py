@@ -921,6 +921,44 @@ def test_kernel_sum_shells_keep_the_floats_of_the_zeros_and_mean_path(monkeypatc
                                  p, quad)
 
 
+@pytest.mark.parametrize("shell_block", [flow.SHELL_BLOCK, 1])
+def test_three_centre_shells_keep_the_floats_of_the_zeros_and_mean_path(monkeypatch,
+                                                                         shell_block):
+    # two off-centre terms, each summed from its own reused buffer, read in
+    # blocks of many shells and of one
+    monkeypatch.setattr(flow, "SHELL_BLOCK", shell_block)
+    p, masses, field = _potential(2.5, [(1.5, np.zeros(3)), (0.5, 2.5 * E1),
+                                        (0.7, -0.4 * np.eye(3)[2])])
+    quad = flow.sphere_quad(3)
+    radii = np.array([1.0, 0.3, 0.05])
+    evaluate = field.shells(np.zeros(3), quad.points)
+    want = _reference_shells(p, masses)(np.zeros(3), quad.points)
+    for block in (radii, radii[:1], radii[1:]):
+        rows = evaluate(block)
+        assert np.array_equal(rows, want(block))
+    got = _shell_reports(field, p, quad)
+    monkeypatch.setattr(flow, "_shell_rows", _reference_rows)
+    assert got == _shell_reports(dataclasses.replace(field, shells=_reference_shells(p, masses)),
+                                 p, quad)
+
+
+def test_a_two_centre_density_peaks_below_a_quarter_of_its_points():
+    import tracemalloc
+
+    e1 = np.eye(16)[0]
+    field = flow.newtonian_potential_field(3.0, [(1.0, np.zeros(16)), (1.0, 0.5 * e1)], 16)
+    quad = flow.sphere_quad(16)
+    flow.densities(field, np.zeros(16), 3.0, radii=[1.0, 0.5, 0.25], quad=quad)  # imports
+    tracemalloc.start()
+    try:
+        flow.densities(field, np.zeros(16), 3.0, quad=quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert quad.points.nbytes == 8 * 2**20
+    assert peak <= quad.points.nbytes / 4  # 2.07 times with (m, n) arrays per centre
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_a_shell_through_a_far_centre_keeps_its_hits(monkeypatch, p):
     # x0 = 0, c = 2 e1 and the quadrature point e1: the shell of radius 2

@@ -262,6 +262,19 @@ def test_quotients_match_pairwise_quotients_bit_for_bit(p):
         assert q[j] == pair_quotient(prof, p, r, t) == scalar
 
 
+def test_a_quotient_that_is_not_finite_is_refused():
+    # the values 1/r and the kernel K_1 = r are finite at every radius, but
+    # the slope -1 / (r_j r_{j+1}) overflows to -inf near 1e-300: two such
+    # slopes gave a NaN convexity violation
+    reciprocal = radial.RadialProfile(fn=lambda r: 1.0 / r, name="1/t")
+    with pytest.raises(DomainError, match=r"^the quotient over the radii 1e-300 and 1e-200 is "
+                                          r"not finite$"):
+        radial.kp_convexity_test(reciprocal, 1.0, [1e-300, 1e-200, 1e-100, 1.0])
+    with pytest.raises(DomainError, match=r"^the quotient over the radii 1e-200 and 1e-300 is "
+                                          r"not finite$"):
+        radial.quotients([1e200, 1e300], [1e-200, 1e-300], 1.0)
+
+
 def test_density_estimate_reads_the_deepest_quotients():
     theta, bracket, defect = radial.density_estimate([5.0, 4.0, 4.5, 3.0])
     assert (theta, bracket, defect) == (3.0, 1.5, 0.5)

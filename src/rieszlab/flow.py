@@ -30,6 +30,7 @@ import numpy as np
 
 from ._numerics import gauss_jacobi, ndtri, sobol
 from .errors import DomainError, NumericalError
+from .linalg import row_norms
 from .radial import (KernelSpec, density_estimate, density_radii, geometric_radii, kernel,
                      kernel_hessian, quotients, weighted_kernel, weighted_kernel_of_square)
 from .subeq import PropertyReport, fmt_param, require_tol
@@ -129,7 +130,7 @@ class SphereQuad:
             stop = min(start + QUAD_BLOCK, self.size)
             u = np.clip(sobol(n, stop, self.seed, start), 1e-15, 1.0 - 1e-15)
             g = ndtri(u)
-            norms = np.linalg.norm(g, axis=1)
+            norms = row_norms(g)
             norms[norms == 0.0] = 1.0
             np.divide(g, norms[:, None], out=self.points[start:stop])
 
@@ -210,7 +211,7 @@ class ScalarField:
             dist = float(self.singular_distance(x.reshape(1, -1))[0])
         if self.singular_points:
             pts = np.asarray(self.singular_points, dtype=float)
-            dist = min(dist, float(np.linalg.norm(pts - x[None, :], axis=1).min()))
+            dist = min(dist, float(row_norms(pts - x[None, :]).min()))
         return dist
 
 
@@ -687,21 +688,28 @@ def _grid_distance(u_vals, v_vals, pts, metric: str, beta: float | None, rng) ->
     if metric == "sup":
         return float(np.abs(diff).max())
     if metric == "holder":
-        return float(np.abs(diff).max() + _two_point_quotient(diff, pts, beta, rng, 512))
+        ii, jj, gaps = _grid_pairs(pts, rng, 512)
+        return float(np.abs(diff).max() + _pair_quotient(diff, ii, jj, gaps ** beta))
     raise DomainError(f"unknown metric {metric!r}")
 
 
-def _two_point_quotient(values, pts, alpha: float, rng, pairs: int) -> float:
-    """Max of |u(x)-u(y)| / |x-y|^alpha over `pairs` index pairs of grid
-    points drawn from rng, leaving out pairs of equal points."""
+def _grid_pairs(pts, rng, pairs: int):
+    """(ii, jj, gaps): `pairs` index pairs of grid points drawn from rng,
+    leaving out pairs of equal points, and the distances |x_i - x_j|."""
     k = pts.shape[0]
     ii = rng.integers(0, k, size=pairs)
     jj = rng.integers(0, k, size=pairs)
     keep = ii != jj
     ii, jj = ii[keep], jj[keep]
-    gaps = np.linalg.norm(pts[ii] - pts[jj], axis=1)
+    gaps = row_norms(pts[ii] - pts[jj])
     keep = gaps > 0
-    return (np.abs(values[ii] - values[jj])[keep] / gaps[keep] ** alpha).max()
+    return ii[keep], jj[keep], gaps[keep]
+
+
+def _pair_quotient(values, ii, jj, scale) -> float:
+    """Max over the pairs of |u(x_i) - u(x_j)| / scale, where scale is
+    |x_i - x_j|^alpha for a Hoelder quotient of exponent alpha."""
+    return float((np.abs(values[ii] - values[jj]) / scale).max())
 
 
 @dataclass
@@ -724,9 +732,12 @@ def tangent_experiment(field: ScalarField, spec: FlowSpec, candidate: ScalarFiel
 
     Converged means the distance at the deepest scale is below `tol`.
     For p < 2 the grid Hoelder seminorms of the flowed fields (the max
-    two-point quotient over 2048 pairs of grid points from
-    ``default_rng(11)``) are recorded together with the asymptotic bound
-    by the max-density.
+    two-point quotient of exponent 2 - p over 2048 pairs of grid points
+    from ``default_rng(11)``) are recorded together with the asymptotic
+    bound by the max-density.  The seminorm pairs, their gaps and
+    gaps^(2-p) are drawn and computed once per experiment and read at
+    every radius; the Hoelder metric draws its 512 pairs per radius from
+    the experiment's own stream, ``default_rng(13)``.
     """
     require_tol(tol)
     p = spec.p
@@ -742,13 +753,15 @@ def tangent_experiment(field: ScalarField, spec: FlowSpec, candidate: ScalarFiel
     cand_vals, _ = _clipped(candidate.values(pts))
     distances = []
     seminorms = [] if p < 2.0 else None
+    if seminorms is not None:
+        ii, jj, gaps = _grid_pairs(pts, np.random.default_rng(11), 2048)
+        scale = gaps ** (2.0 - p)
     for r in spec.radii:
         flowed = tangent_flow(field, p, r, quad)
         vals, _ = _clipped(flowed.values(pts))
         distances.append(_grid_distance(vals, cand_vals, pts, metric, beta, rng))
         if seminorms is not None:
-            seminorms.append(float(_two_point_quotient(vals, pts, 2.0 - p,
-                                                       np.random.default_rng(11), 2048)))
+            seminorms.append(_pair_quotient(vals, ii, jj, scale))
     distances = np.asarray(distances)
 
     bound = None
@@ -958,7 +971,7 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
         pts = np.asarray(pts, dtype=float)
         out = np.zeros(pts.shape[0])
         for w, c in zip(weights, centers):
-            out += weighted_kernel(spec, w, np.linalg.norm(pts - c, axis=1))
+            out += weighted_kernel(spec, w, row_norms(pts - c))
         return out
 
     def shells(x0, points):
@@ -1071,11 +1084,10 @@ def partial_kernel_field(p: float, m: int, n: int) -> ScalarField:
     spec = KernelSpec(p=p, normalization="barred")
 
     def values(pts):
-        r = np.linalg.norm(np.asarray(pts, dtype=float)[:, :m], axis=1)
-        return weighted_kernel(spec, 1.0, r)
+        return weighted_kernel(spec, 1.0, row_norms(np.asarray(pts, dtype=float)[:, :m]))
 
     def singular_distance(pts):
-        return np.linalg.norm(np.asarray(pts, dtype=float)[:, :m], axis=1)
+        return row_norms(np.asarray(pts, dtype=float)[:, :m])
 
     def analytic_max(x0, r):
         x0 = np.asarray(x0, dtype=float)

@@ -33,6 +33,9 @@ from .linalg import (
 
 MEMBER_TOL = 1e-9
 FRAME_TOL = 1e-10
+# transitivity: how far a bound on lambda_max must clear cos_sq_tol to
+# decide a Gram block without the eigensolver
+BOUND_MARGIN = 1e-12
 # The sampling suites evaluate at most this many samples at once, so their
 # memory does not grow with the sample count.  Even, so a block starts on an
 # even sample.
@@ -750,15 +753,37 @@ def _containing_planes(sample: GrassmannSample, x, cos_sq_tol: float) -> np.ndar
     return np.flatnonzero(np.einsum("kp,kp->k", proj, proj) >= cos_sq_tol)
 
 
+def _adjacency_row(stack: np.ndarray, node: int, cos_sq_tol: float) -> np.ndarray:
+    """Whether lambda_max(G^T G) >= cos_sq_tol for each Gram block
+    G = W_node^T W_j of the (k, n, p) stack: decided by the bounds of
+    `transitivity_check` where they clear cos_sq_tol by BOUND_MARGIN, by
+    one batched eigensolve of the rest."""
+    grams = np.einsum("np,jnq->jpq", stack[node], stack)
+    diagonals = np.einsum("jpq,jpq->jq", grams, grams)  # of G^T G
+    adjacent = diagonals.max(axis=1) >= cos_sq_tol + BOUND_MARGIN
+    undecided = np.flatnonzero(~adjacent & (diagonals.sum(axis=1) >= cos_sq_tol - BOUND_MARGIN))
+    if undecided.size:
+        rest = grams[undecided]
+        adjacent[undecided] = ordered_eigenvalues(rest.swapaxes(1, 2) @ rest)[:, -1] >= cos_sq_tol
+    return adjacent
+
+
 def transitivity_check(sample: GrassmannSample, x, y) -> TransitivityResult:
     """BFS for a chain of sampled planes from one containing x to one
     containing y, stepping only between planes whose smallest principal
     angle is below the sample tolerance.
 
     Adjacency is built one row at a time, for the nodes the search
-    expands: a row is a (k, p, p) Gram stack G and one batched eigensolve
-    of its G^T G, so memory is O(k p^2) and a chain of length d costs about
-    d rows rather than the whole k x k graph.  Goals are checked when a
+    expands: a row is a (k, p, p) Gram stack G, so memory is O(k p^2) and
+    a chain of length d costs about d rows rather than the whole k x k
+    graph.  Most blocks are decided by two bounds on lambda_max(G^T G),
+    both sums of G's squared entries: the largest diagonal entry of G^T G
+    from below and its trace from above.  A block whose lower bound is at
+    least cos_sq_tol + BOUND_MARGIN is adjacent, one whose upper bound is
+    below cos_sq_tol - BOUND_MARGIN is not; the margin is far beyond the
+    rounding of the bounds and of the eigensolver, so these are the
+    eigensolver's decisions.  The blocks left undecided, if any, go to one
+    batched eigensolve of their G^T G.  Goals are checked when a
     node is discovered; the first goal discovered while expanding depth
     d - 1 is the first goal a level-order BFS would pop at depth d, so the
     chain is the same as the one from the dense graph.
@@ -790,9 +815,7 @@ def transitivity_check(sample: GrassmannSample, x, y) -> TransitivityResult:
     while frontier:
         nxt = []
         for node in frontier:
-            grams = np.einsum("np,jnq->jpq", stack[node], stack)
-            adjacent = ordered_eigenvalues(grams.swapaxes(1, 2) @ grams)[:, -1] >= cos_sq_tol
-            for nbr in np.flatnonzero(adjacent):
+            for nbr in np.flatnonzero(_adjacency_row(stack, node, cos_sq_tol)):
                 nbr = int(nbr)
                 if nbr not in parent:
                     parent[nbr] = node

@@ -1254,6 +1254,68 @@ def test_holder_flow_seminorm_bound():
     assert rec.holder_seminorms.max() <= rec.holder_bound * (1.0 + 1e-6)
 
 
+def _redrawn_tangent_experiment(field, spec, candidate, metric, tol, beta=None, quad=None):
+    """Reference: the tangent experiment that redraws its 2048 seminorm
+    pairs from a fresh default_rng(11) at every radius and computes their
+    gaps each time, as numpy's row norms."""
+    def clipped(vals):
+        return np.where(np.isfinite(vals), vals, flow.CLIP_FLOOR)
+
+    def two_point_quotient(values, pts, alpha, rng, pairs):
+        ii = rng.integers(0, pts.shape[0], size=pairs)
+        jj = rng.integers(0, pts.shape[0], size=pairs)
+        keep = ii != jj
+        ii, jj = ii[keep], jj[keep]
+        gaps = np.linalg.norm(pts[ii] - pts[jj], axis=1)
+        keep = gaps > 0
+        return (np.abs(values[ii] - values[jj])[keep] / gaps[keep] ** alpha).max()
+
+    p = spec.p
+    pts = flow.comparison_grid(spec, field.n)
+    rng = np.random.default_rng(13)
+    cand_vals = clipped(candidate.values(pts))
+    distances, seminorms = [], []
+    for r in spec.radii:
+        vals = clipped(flow.tangent_flow(field, p, r, quad).values(pts))
+        diff = vals - cand_vals
+        if metric == "sup":
+            distances.append(float(np.abs(diff).max()))
+        else:
+            distances.append(float(np.abs(diff).max()
+                                   + two_point_quotient(diff, pts, beta, rng, 512)))
+        seminorms.append(float(two_point_quotient(vals, pts, 2.0 - p,
+                                                  np.random.default_rng(11), 2048)))
+    rep = flow.densities(field, np.zeros(field.n), p, kinds=("M",), quad=quad)
+    bound = rep.theta["M"] + rep.bracket["M"] + rep.noise_bound + 1e-6
+    seminorms = np.asarray(seminorms)
+    return flow.ConvergenceRecord(
+        metric=metric, radii=spec.radii, distances=np.asarray(distances),
+        converged=bool(distances[-1] <= tol), tolerance=tol, holder_seminorms=seminorms,
+        holder_bound=bound, holder_bound_ok=bool(seminorms[-3:].max() <= bound * (1.0 + 1e-3)
+                                                 + 1e-9))
+
+
+@pytest.mark.parametrize("metric", ["sup", "holder"])
+@pytest.mark.parametrize("field,p", [
+    (flow.riesz_kernel_field(1.0, 1.5, 3), 1.5),
+    (flow.riesz_kernel_field(1.7, 1.3, 3), 1.3),
+    (flow.plus_quadratic_field(flow.riesz_kernel_field(0.8, 1.6, 4), 2.0), 1.6),
+])
+def test_tangent_records_equal_those_that_redraw_the_pairs_at_every_radius(field, p, metric):
+    spec = flow.FlowSpec(p=p)
+    candidate = flow.riesz_kernel_field(1.0, p, field.n)
+    beta = 0.5 * (2.0 - p) if metric == "holder" else None
+    got = flow.tangent_experiment(field, spec, candidate, metric=metric, tol=1e-6, beta=beta)
+    want = _redrawn_tangent_experiment(field, spec, candidate, metric, 1e-6, beta)
+    for f in dataclasses.fields(flow.ConvergenceRecord):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name
+    assert got.distances.any()  # the candidate differs from some flowed fields
+
+
 def test_holder_metric_distance():
     p = 1.5
     u = flow.riesz_kernel_field(1.0, p, 3)

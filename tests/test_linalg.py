@@ -53,6 +53,43 @@ def test_ordered_eigenvalues_repeat_runs_are_bit_identical():
 
 
 # ---------------------------------------------------------------------------
+# row norms
+# ---------------------------------------------------------------------------
+
+
+def _norm_inputs(m, n, rng):
+    """Rows of m x n standard normals, each scaled by 10^u with u uniform
+    in [-160, 160], so that squares overflow and underflow in some rows,
+    as the contiguous array, a column slice of a wider one and a fancy
+    index of its rows."""
+    wide = rng.standard_normal((m, n + 3)) * 10.0 ** rng.uniform(-160.0, 160.0, size=(m, 1))
+    x = np.ascontiguousarray(wide[:, :n])
+    return x, wide[:, :n], x[rng.permutation(m)]
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_row_norms_equal_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for m in (1, 2, 7, 1024, 4099):
+        for x in _norm_inputs(m, n, rng):
+            with np.errstate(over="ignore", under="ignore"):
+                want = np.linalg.norm(x, axis=1)
+                got = linalg.row_norms(x)
+            assert got.tobytes() == want.tobytes()
+    assert np.isinf(want).any() and (want < 1e-154).any()  # squares subnormal there
+
+
+@pytest.mark.parametrize("x", [
+    np.random.default_rng(0).standard_normal((9, 16)).T,  # transposed: summed in another order
+    np.random.default_rng(1).standard_normal((5, 200)),  # beyond 128 columns
+    np.zeros((0, 4)), np.zeros((3, 0)), [[3.0, 4.0], [np.inf, 1.0], [np.nan, 0.0]],
+])
+def test_row_norms_equal_numpy_where_numpy_sums(x):
+    want = np.linalg.norm(np.asarray(x, dtype=float), axis=1)
+    assert linalg.row_norms(x).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # projectors and radial Hessians
 # ---------------------------------------------------------------------------
 

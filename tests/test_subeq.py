@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eigensolve_transitivity as eigensolved
 from rieszlab import cli, linalg, subeq
 from rieszlab.errors import DomainError, InvariantError
 
@@ -737,6 +738,69 @@ def test_transitivity_memory_is_per_row():
         tracemalloc.stop()
     assert res.found
     assert peak < 32 * 2**20  # the dense Gram tensor alone is 134 MB
+
+
+def _band_planes(n, p, tol, rng):
+    """W0 = span(e_1, ..., e_p) and planes at a smallest principal angle of
+    exactly tol and tol -+ 1e-13 to it, span(cos t e_i + sin t e_(p+i)),
+    one of them with its other angles wider; then the same planes turned
+    by one random rotation, whose Gram blocks carry rounding.  Their
+    bounds on lambda_max fall within BOUND_MARGIN of cos_sq_tol."""
+    planes = [np.eye(n)[:, :p]]
+    for t, spread in ((tol, 0.0), (tol - 1e-13, 0.0), (tol + 1e-13, 0.0), (tol, 0.2)):
+        angles = t + spread * np.arange(p)
+        w = np.zeros((n, p))
+        w[np.arange(p), np.arange(p)] = np.cos(angles)
+        w[p + np.arange(p), np.arange(p)] = np.sin(angles)
+        planes.append(w)
+    turn = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return planes + [turn @ w for w in planes]
+
+
+def _count_eigensolved_rows(monkeypatch, module):
+    """Patch module's ordered_eigenvalues to count the matrices it is given."""
+    rows = []
+
+    def counting(a):
+        rows.append(len(a))
+        return linalg.ordered_eigenvalues(a)
+
+    monkeypatch.setattr(module, "ordered_eigenvalues", counting)
+    return rows
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (2, 5), (3, 6), (3, 7)])
+@pytest.mark.parametrize("tol", [0.05, 0.15, 1.0, math.pi / 2, 2.0])
+def test_transitivity_bounds_decide_as_the_eigensolver(monkeypatch, p, n, tol):
+    rng = np.random.default_rng(p * 10 + n)
+    band = _band_planes(n, p, tol, rng) if n >= 2 * p else []  # two p-planes in R^3 meet
+    drawn = subeq.sample_grassmannian(n, p, count=384, seed=n).stacked()
+    gs = subeq.GrassmannSample([*band, *drawn], angle_tol=tol)
+    stack, cos_sq_tol = gs.stacked(), eigensolved.cos_sq(tol)
+    rows = _count_eigensolved_rows(monkeypatch, subeq)
+    for node in [*range(len(band)), *rng.choice(np.arange(len(band), len(stack)), 12)]:
+        got = subeq._adjacency_row(stack, node, cos_sq_tol)
+        assert np.array_equal(got, eigensolved.adjacency_row(stack, node, cos_sq_tol))
+    if band and tol < math.pi / 2:  # the band's blocks went to the eigensolver
+        assert sum(rows) >= len(band)
+    for _ in range(4):
+        i, j = rng.choice(len(stack), size=2, replace=False)
+        x = stack[i] @ rng.standard_normal(p)
+        y = stack[j] @ rng.standard_normal(p)
+        assert subeq.transitivity_check(gs, x, y) == eigensolved.transitivity_check(gs, x, y)
+
+
+def test_transitivity_bounds_spare_most_eigensolves(monkeypatch):
+    # the default g2r5 sample at tol 0.15; endpoints off the planes, a chain of three
+    gs = subeq.sample_grassmannian(5, 2, seed=4, angle_tol=0.15)
+    rng = np.random.default_rng(4)
+    x, y = rng.standard_normal(5), rng.standard_normal(5)
+    bounded = _count_eigensolved_rows(monkeypatch, subeq)
+    every = _count_eigensolved_rows(monkeypatch, eigensolved)
+    res = subeq.transitivity_check(gs, x, y)
+    assert len(res.chain) == 3 and res == eigensolved.transitivity_check(gs, x, y)
+    assert len(every) == 14 and sum(every) == 2048 * len(every)
+    assert 0 < sum(bounded) < 0.4 * sum(every)
 
 
 @pytest.mark.parametrize("endpoint", [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [1.0, np.nan, 0.0],

@@ -753,19 +753,29 @@ def _containing_planes(sample: GrassmannSample, x, cos_sq_tol: float) -> np.ndar
     return np.flatnonzero(np.einsum("kp,kp->k", proj, proj) >= cos_sq_tol)
 
 
-def _adjacency_row(stack: np.ndarray, node: int, cos_sq_tol: float) -> np.ndarray:
-    """Whether lambda_max(G^T G) >= cos_sq_tol for each Gram block
-    G = W_node^T W_j of the (k, n, p) stack: decided by the bounds of
-    `transitivity_check` where they clear cos_sq_tol by BOUND_MARGIN, by
-    one batched eigensolve of the rest."""
-    grams = np.einsum("np,jnq->jpq", stack[node], stack)
-    diagonals = np.einsum("jpq,jpq->jq", grams, grams)  # of G^T G
-    adjacent = diagonals.max(axis=1) >= cos_sq_tol + BOUND_MARGIN
-    undecided = np.flatnonzero(~adjacent & (diagonals.sum(axis=1) >= cos_sq_tol - BOUND_MARGIN))
-    if undecided.size:
-        rest = grams[undecided]
-        adjacent[undecided] = ordered_eigenvalues(rest.swapaxes(1, 2) @ rest)[:, -1] >= cos_sq_tol
-    return adjacent
+def _adjacency(stack: np.ndarray, cos_sq_tol: float) -> Callable[[int], np.ndarray]:
+    """node -> whether lambda_max(G^T G) >= cos_sq_tol for each Gram block
+    G = W_node^T W_j of the (k, n, p) stack.  The bounds of
+    `transitivity_check` come from one product W_node^T C with the
+    columns C of every plane; the blocks they leave undecided are formed
+    by `einsum`, with the floats of the whole row's, for one batched
+    eigensolve."""
+    k, n, p = stack.shape
+    columns = stack.transpose(1, 2, 0).reshape(n, p * k)  # column b k + j: column b of W_j
+
+    def row(node: int) -> np.ndarray:
+        blocks = (stack[node].T @ columns).reshape(p, p, k)  # [a, b, j]: entry (a, b) of G_j
+        diagonals = (blocks * blocks).sum(axis=0)  # [b, j]: entry (b, b) of G_j^T G_j
+        adjacent = diagonals.max(axis=0) >= cos_sq_tol + BOUND_MARGIN
+        undecided = np.flatnonzero(~adjacent & (diagonals.sum(axis=0)
+                                                >= cos_sq_tol - BOUND_MARGIN))
+        if undecided.size:
+            grams = np.einsum("np,jnq->jpq", stack[node], stack[undecided])
+            adjacent[undecided] = (ordered_eigenvalues(grams.swapaxes(1, 2) @ grams)[:, -1]
+                                   >= cos_sq_tol)
+        return adjacent
+
+    return row
 
 
 def transitivity_check(sample: GrassmannSample, x, y) -> TransitivityResult:
@@ -774,9 +784,9 @@ def transitivity_check(sample: GrassmannSample, x, y) -> TransitivityResult:
     angle is below the sample tolerance.
 
     Adjacency is built one row at a time, for the nodes the search
-    expands: a row is a (k, p, p) Gram stack G, so memory is O(k p^2) and
-    a chain of length d costs about d rows rather than the whole k x k
-    graph.  Most blocks are decided by two bounds on lambda_max(G^T G),
+    expands: a row is a (k, p, p) Gram stack G, so memory is O(k p^2)
+    beyond one copy of the planes' columns, and a chain of length d costs
+    about d rows rather than the whole k x k graph.  Most blocks are decided by two bounds on lambda_max(G^T G),
     both sums of G's squared entries: the largest diagonal entry of G^T G
     from below and its trace from above.  A block whose lower bound is at
     least cos_sq_tol + BOUND_MARGIN is adjacent, one whose upper bound is
@@ -799,7 +809,7 @@ def transitivity_check(sample: GrassmannSample, x, y) -> TransitivityResult:
     if goals.size == 0:
         return TransitivityResult(False, (), "no sampled plane contains y")
     goal_set = set(goals.tolist())
-    stack = sample.stacked()
+    adjacency_row = _adjacency(sample.stacked(), cos_sq_tol)
 
     def chain_to(node: int) -> TransitivityResult:
         chain = [node]
@@ -815,7 +825,7 @@ def transitivity_check(sample: GrassmannSample, x, y) -> TransitivityResult:
     while frontier:
         nxt = []
         for node in frontier:
-            for nbr in np.flatnonzero(_adjacency_row(stack, node, cos_sq_tol)):
+            for nbr in np.flatnonzero(adjacency_row(node)):
                 nbr = int(nbr)
                 if nbr not in parent:
                     parent[nbr] = node

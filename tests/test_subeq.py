@@ -778,8 +778,9 @@ def test_transitivity_bounds_decide_as_the_eigensolver(monkeypatch, p, n, tol):
     gs = subeq.GrassmannSample([*band, *drawn], angle_tol=tol)
     stack, cos_sq_tol = gs.stacked(), eigensolved.cos_sq(tol)
     rows = _count_eigensolved_rows(monkeypatch, subeq)
+    adjacency_row = subeq._adjacency(stack, cos_sq_tol)
     for node in [*range(len(band)), *rng.choice(np.arange(len(band), len(stack)), 12)]:
-        got = subeq._adjacency_row(stack, node, cos_sq_tol)
+        got = adjacency_row(node)
         assert np.array_equal(got, eigensolved.adjacency_row(stack, node, cos_sq_tol))
     if band and tol < math.pi / 2:  # the band's blocks went to the eigensolver
         assert sum(rows) >= len(band)

@@ -808,8 +808,13 @@ def transitivity_check(sample: GrassmannSample, x, y) -> TransitivityResult:
         return TransitivityResult(False, (), "no sampled plane contains x")
     if goals.size == 0:
         return TransitivityResult(False, (), "no sampled plane contains y")
-    goal_set = set(goals.tolist())
-    adjacency_row = _adjacency(sample.stacked(), cos_sq_tol)
+    stack = sample.stacked()
+    adjacency_row = _adjacency(stack, cos_sq_tol)
+    is_goal = np.zeros(len(stack), dtype=bool)
+    is_goal[goals] = True
+    seen = np.zeros(len(stack), dtype=bool)
+    seen[starts] = True
+    parent = dict.fromkeys(starts.tolist(), -1)
 
     def chain_to(node: int) -> TransitivityResult:
         chain = [node]
@@ -817,20 +822,21 @@ def transitivity_check(sample: GrassmannSample, x, y) -> TransitivityResult:
             chain.append(parent[chain[-1]])
         return TransitivityResult(True, tuple(reversed(chain)))
 
-    frontier = [int(s) for s in starts]
-    parent = {s: -1 for s in frontier}
-    for s in frontier:
-        if s in goal_set:
-            return chain_to(s)
-    while frontier:
+    hits = starts[is_goal[starts]]
+    if hits.size:
+        return chain_to(int(hits[0]))
+    # a row's new nodes come in ascending order: its first goal is the first
+    # that a scan of the row would meet
+    frontier = starts
+    while frontier.size:
         nxt = []
-        for node in frontier:
-            for nbr in np.flatnonzero(adjacency_row(node)):
-                nbr = int(nbr)
-                if nbr not in parent:
-                    parent[nbr] = node
-                    if nbr in goal_set:
-                        return chain_to(nbr)
-                    nxt.append(nbr)
-        frontier = nxt
+        for node in frontier.tolist():
+            new = np.flatnonzero(adjacency_row(node) & ~seen)
+            seen[new] = True
+            parent.update(dict.fromkeys(new.tolist(), node))
+            hits = new[is_goal[new]]
+            if hits.size:
+                return chain_to(int(hits[0]))
+            nxt.append(new)
+        frontier = np.concatenate(nxt)
     return TransitivityResult(False, (), "plane graph disconnected between x and y")

@@ -786,15 +786,16 @@ def transitivity_check(sample: GrassmannSample, x, y) -> TransitivityResult:
     Adjacency is built one row at a time, for the nodes the search
     expands: a row is a (k, p, p) Gram stack G, so memory is O(k p^2)
     beyond one copy of the planes' columns, and a chain of length d costs
-    about d rows rather than the whole k x k graph.  Most blocks are decided by two bounds on lambda_max(G^T G),
-    both sums of G's squared entries: the largest diagonal entry of G^T G
-    from below and its trace from above.  A block whose lower bound is at
-    least cos_sq_tol + BOUND_MARGIN is adjacent, one whose upper bound is
-    below cos_sq_tol - BOUND_MARGIN is not; the margin is far beyond the
-    rounding of the bounds and of the eigensolver, so these are the
-    eigensolver's decisions.  The blocks left undecided, if any, go to one
-    batched eigensolve of their G^T G.  Goals are checked when a
-    node is discovered; the first goal discovered while expanding depth
+    about d rows rather than the whole k x k graph.  Most blocks are
+    decided by two bounds on lambda_max(G^T G), both sums of G's squared
+    entries: the largest diagonal entry of G^T G from below and its trace
+    from above.  A block whose lower bound is at least cos_sq_tol +
+    BOUND_MARGIN is adjacent, one whose upper bound is below cos_sq_tol -
+    BOUND_MARGIN is not; the margin is far beyond the rounding of the
+    bounds and of the eigensolver, so these are the eigensolver's
+    decisions.  The blocks left undecided, if any, go to one batched
+    eigensolve of their G^T G.  Goals are checked when a node is
+    discovered; the first goal discovered while expanding depth
     d - 1 is the first goal a level-order BFS would pop at depth d, so the
     chain is the same as the one from the dense graph.
     """
@@ -814,12 +815,12 @@ def transitivity_check(sample: GrassmannSample, x, y) -> TransitivityResult:
     is_goal[goals] = True
     seen = np.zeros(len(stack), dtype=bool)
     seen[starts] = True
-    parent = dict.fromkeys(starts.tolist(), -1)
+    parent = np.full(len(stack), -1)
 
     def chain_to(node: int) -> TransitivityResult:
         chain = [node]
         while parent[chain[-1]] != -1:
-            chain.append(parent[chain[-1]])
+            chain.append(int(parent[chain[-1]]))
         return TransitivityResult(True, tuple(reversed(chain)))
 
     hits = starts[is_goal[starts]]
@@ -833,7 +834,7 @@ def transitivity_check(sample: GrassmannSample, x, y) -> TransitivityResult:
         for node in frontier.tolist():
             new = np.flatnonzero(adjacency_row(node) & ~seen)
             seen[new] = True
-            parent.update(dict.fromkeys(new.tolist(), node))
+            parent[new] = node
             hits = new[is_goal[new]]
             if hits.size:
                 return chain_to(int(hits[0]))

@@ -744,8 +744,9 @@ def _band_planes(n, p, tol, rng):
     """W0 = span(e_1, ..., e_p) and planes at a smallest principal angle of
     exactly tol and tol -+ 1e-13 to it, span(cos t e_i + sin t e_(p+i)),
     one of them with its other angles wider; then the same planes turned
-    by one random rotation, whose Gram blocks carry rounding.  Their
-    bounds on lambda_max fall within BOUND_MARGIN of cos_sq_tol."""
+    by one random rotation, whose Gram blocks carry rounding.  The lower
+    bound on lambda_max of a block of W0 and a plane at tol falls within
+    BOUND_MARGIN of cos_sq_tol, so the block goes to the eigensolver."""
     planes = [np.eye(n)[:, :p]]
     for t, spread in ((tol, 0.0), (tol - 1e-13, 0.0), (tol + 1e-13, 0.0), (tol, 0.2)):
         angles = t + spread * np.arange(p)

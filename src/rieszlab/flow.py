@@ -252,17 +252,43 @@ def _max_from_shell(field: ScalarField, x0: np.ndarray, r: float, vals: np.ndarr
     return exact, exact
 
 
+def _row_sums(vals: np.ndarray, half: int):
+    """(leading-half sums, full sums) of the rows of vals (k, m), with the
+    floats of numpy's `sum(axis=1)` of each, reading every value once.
+
+    numpy sums a row by pairwise summation: a block of at most 128 values
+    in eight running sums, a longer one split at its midpoint rounded down
+    to a multiple of 8, the halves summed alike and then added.  So for a
+    power of two m >= 256 the full sum is, bit for bit, the leading-half
+    sum plus the trailing-half sum; and a broadcast row, one value
+    repeated, sums to the sum of its first 128 values times m / 128, a
+    power of two, since each level doubles exactly (inf and NaN pass
+    through).  Other m keep numpy's plain sums."""
+    m = vals.shape[1]
+    if m < 256 or m & (m - 1):
+        return vals[:, :half].sum(axis=1), vals.sum(axis=1)
+    if vals.strides[1] == 0:  # broadcast rows
+        block = vals[:, :128].sum(axis=1)
+        return block * (half // 128), block * (m // 128)
+    lead = vals[:, :half].sum(axis=1)
+    return lead, lead + vals[:, half:].sum(axis=1)
+
+
 def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.ndarray,
                 maxima: int):
     """(means, leading-half means, hits, maxima) of the sphere shells about
     x0 of the given radii, evaluated once each in one pass of blocks of at
     most SHELL_BLOCK values; the maxima are the (M, leading-half M) pairs
     (`_max_from_shell`) of the first `maxima` shells only, and the leading
-    half of the points is the set of half the size.  A non-finite value
-    makes its row sum non-finite, so the values are scanned and clipped
-    only in a block with a non-finite row sum.  A shell whose row sum still
-    overflows after clipping, or whose samples are all non-finite, is
-    refused."""
+    half of the points is the set of half the size.  The row sums come
+    from `_row_sums`: for a power-of-two size of at least 256 (every
+    default) the full sum is the leading-half sum plus the trailing-half
+    sum, bit for bit, so each value is read once, and a broadcast row
+    (every term centred) sums its first 128 values only.  A non-finite
+    value makes its row sum non-finite, so the values are scanned and
+    clipped only in a block with a non-finite row sum.  A shell whose row
+    sum still overflows after clipping, or whose samples are all
+    non-finite, is refused."""
     evaluate = _shell_evaluator(field, x0, quad.points)
     size, half = quad.size, quad.size // 2
     means, halves = np.empty(radii.size), np.empty(radii.size)
@@ -273,10 +299,10 @@ def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.
         block = radii[lo:lo + step]
         rows = slice(lo, lo + block.size)
         vals = evaluate(block)
-        sums = vals.sum(axis=1)
+        lead, sums = _row_sums(vals, half)
         if not np.isfinite(sums).all():
             vals, hits[rows] = _clipped(vals)
-            sums = vals.sum(axis=1)
+            lead, sums = _row_sums(vals, half)
             refused = ~np.isfinite(sums) | (hits[rows] == size)
             if refused.any():
                 i = refused.argmax()
@@ -286,7 +312,7 @@ def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.
                 raise DomainError(f"the sum of the sphere samples at radius {block[i]:.6g} "
                                   f"overflows")
         means[rows] = sums / size
-        halves[rows] = vals[:, :half].sum(axis=1) / half
+        halves[rows] = lead / half
         tops += [_max_from_shell(field, x0, r, row)
                  for r, row in zip(block[:max(0, maxima - lo)], vals)]
     return means, halves, hits, tops
@@ -354,10 +380,10 @@ def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
         else:
             end = k + ladder.size
             values = combine(means[k:end])
-            gap = (quotients(values[-2:], radii[-2:], p)
-                   - quotients(combine_coarse(means[end:]), radii[-2:], p))
+            fine, coarse = quotients(np.stack([values[-2:], combine_coarse(means[end:])]),
+                                     radii[-2:], p)
             out[kind] = curve(kind, values, combine(halves[k:end]), hits[k:])
-            out[kind].quadrature_error = float(np.abs(gap).max(initial=0.0))
+            out[kind].quadrature_error = float(np.abs(fine - coarse).max(initial=0.0))
     return out
 
 
@@ -507,7 +533,11 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     radii = _density_radii(radii)
     curves = average_curves(field, kinds, x0, radii, quad, p)
-    quots = {kind: quotients(curve.values, radii, p) for kind, curve in curves.items()}
+    # every curve, then every half curve, in one call: one kernel evaluation
+    rows = ([curve.values for curve in curves.values()]
+            + [curve.half_values for curve in curves.values()])
+    stacked = quotients(np.stack(rows), radii, p) if rows else np.empty((0, radii.size - 1))
+    quots = dict(zip(curves, stacked))
     clipped = max((curve.clipped_fraction for curve in curves.values()), default=0.0)
     if clipped > MAX_CLIPPED_FRACTION:
         raise NumericalError(
@@ -515,8 +545,7 @@ def densities(field: ScalarField, x0, p: float, radii=None,
         )
 
     # noise bound via the half sample
-    noise = max((float(np.abs(quots[kind] - quotients(curve.half_values, radii, p)).max())
-                 for kind, curve in curves.items()), default=0.0)
+    noise = float(np.abs(stacked[:len(curves)] - stacked[len(curves):]).max(initial=0.0))
 
     theta, bracket = {}, {}
     mono_defect = 0.0
@@ -961,7 +990,8 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
     positive weight other than x0 lies on one ray from x0 (directions
     within 1e-9, where the closed form's error, second order in the angle,
     is below rounding): each term then peaks at the same point of the
-    sphere.  Off the ray it is None, and the maximum is sampled.
+    sphere.  Off the ray it is None, and the maximum is sampled.  The ray
+    test and the centre distances are made once per x0, for the x0 last read.
     """
     finite = np.isfinite(centers).all(axis=1)
     if not finite.all():
@@ -1018,7 +1048,9 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
 
         return evaluate
 
-    def analytic_max(x0, r):
+    def centre_distances(x0):
+        """|x0 - c| for every centre, or None when the centres of positive
+        weight other than x0 leave one ray from x0."""
         ray = None
         for w, c in zip(weights, centers):
             a = c - x0
@@ -1029,9 +1061,18 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
                     ray = a
                 elif not np.linalg.norm(a - ray) <= 1e-9:
                     return None
+        return [float(np.linalg.norm(x0 - c)) for c in centers]
+
+    last = [None, None]  # the x0 last read, as bytes, and its centre_distances
+
+    def analytic_max(x0, r):
+        key = np.asarray(x0, dtype=float).tobytes()
+        if last[0] != key:
+            last[:] = key, centre_distances(x0)
+        if last[1] is None:
+            return None
         # summed from the first term, not from 0: one term keeps its floats
-        first, *rest = (w * kernel(spec, r + float(np.linalg.norm(x0 - c)))
-                        for w, c in zip(weights, centers))
+        first, *rest = (w * kernel(spec, r + d) for w, d in zip(weights, last[1]))
         return sum(rest, first)
 
     return ScalarField(n=n, values=values, shells=shells, analytic_max=analytic_max, **meta)
@@ -1192,17 +1233,32 @@ def plus_quadratic_field(base: ScalarField, c: float) -> ScalarField:
 
 
 def quadratic_field(a, n: int | None = None) -> ScalarField:
-    """Smooth field (1/2) x^T A x (zero density everywhere)."""
+    """Smooth field (1/2) x^T A x (zero density everywhere).
+
+    The values are 0.5 * np.einsum("mi,ij,mj->m", x, A, x).  For a
+    diagonal A (a scalar among them) they are summed from zeros as the
+    column products (x_i a_ii) x_i over the nonzero a_ii in order, which on
+    finite points are einsum's floats: einsum adds the same products in the
+    same order, and its other terms are zeros, which leave a sum from
+    zeros unchanged.  For another A, einsum's order depends on the
+    number of points at n = 2, so einsum computes them."""
     if np.isscalar(a):
         if n is None:
             raise DomainError("scalar quadratic needs n")
         a = float(a) * np.eye(n)
     a = 0.5 * (np.asarray(a, dtype=float) + np.asarray(a, dtype=float).T)
     n = a.shape[0]
+    diagonal = np.diag(a)
+    columns = None if (a - np.diag(diagonal)).any() else np.flatnonzero(diagonal)
 
     def values(pts):
         pts = np.asarray(pts, dtype=float)
-        return 0.5 * np.einsum("mi,ij,mj->m", pts, a, pts)
+        if columns is None:
+            return 0.5 * np.einsum("mi,ij,mj->m", pts, a, pts)
+        out = np.zeros(pts.shape[0])
+        for i in columns:
+            out += pts[:, i] * diagonal[i] * pts[:, i]
+        return 0.5 * out
 
     return ScalarField(
         n=n,

@@ -229,10 +229,11 @@ def rp_up_membership(p: float, jet: OneVarJet) -> bool:
 def quotients(values, radii, p: float) -> np.ndarray:
     """Monotone quotients (v_j - v_{j+1}) / (K(r_j) - K(r_{j+1})) of the
     values v_j at adjacent radii r_j; the one place they are computed.
-    `values` is the array of the v_j or a profile, read at the radii only
-    after the kernel: a radius where the kernel overflows is refused as such,
-    and so is a quotient that is not finite, say one that overflows between
-    two tiny radii."""
+    `values` is the array of the v_j, a stack (..., k) of such curves over
+    the same k radii, which shares one kernel evaluation, or a profile, read
+    at the radii only after the kernel: a radius where the kernel overflows
+    is refused as such, and so is a quotient that is not finite, say one
+    that overflows between two tiny radii (the first in row-major order)."""
     radii = np.asarray(radii, dtype=float)
     k = kernel(KernelSpec(p=p), radii)
     if not all(map(math.isfinite, k.tolist())):
@@ -240,10 +241,10 @@ def quotients(values, radii, p: float) -> np.ndarray:
         raise DomainError(f"the kernel K_{fmt_param(p)} at radius {r:.6g} overflows")
     values = np.asarray(values(radii) if callable(values) else values, dtype=float)
     with np.errstate(all="ignore"):  # a non-finite quotient is refused below
-        q = (values[:-1] - values[1:]) / (k[:-1] - k[1:])
+        q = (values[..., :-1] - values[..., 1:]) / (k[:-1] - k[1:])
     bad = ~np.isfinite(q)
     if bad.any():
-        j = int(bad.argmax())
+        j = int(bad.argmax()) % q.shape[-1]
         raise DomainError(f"the quotient over the radii {radii[j]:.6g} and {radii[j + 1]:.6g} "
                           f"is not finite")
     return q

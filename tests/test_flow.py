@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+import plain_densities as plain
 from rieszlab import _numerics, cli, flow, linalg, radial, subeq
 from rieszlab.errors import DomainError, NumericalError
 
@@ -1395,3 +1396,127 @@ def test_partial_kernel_max_quotients_monotone(quad4):
     u = flow.partial_kernel_field(3.0, 2, 4)
     rep = flow.densities(u, np.zeros(4), 3.0, quad=quad4, kinds=("M",))
     assert rep.monotone_ok
+
+
+# ---------------------------------------------------------------------------
+# densities against the plain reference (tests/plain_densities.py)
+# ---------------------------------------------------------------------------
+
+DENSITY_P = {2: 2.0, 3: 2.5, 4: 3.0, 5: 1.5, 6: 4.0, 7: 3.5, 8: 5.0}
+
+
+def _density_fields(n, p):
+    """(name, field, reference field) pairs: the reference sets its kernel
+    sum's closed-form max up at every radius, and its quadratic by einsum."""
+    e = np.eye(n)
+    masses = {"riesz": [(1.7, np.zeros(n))],
+              "newtonian": [(1.3, np.zeros(n)), (0.6, 2.5 * e[0])],
+              "two-kernel": [(1.0, np.zeros(n)), (1.0, e[0])],
+              "three-kernel": [(1.0, np.zeros(n)), (0.8, 0.75 * e[0]),
+                               (0.5, 0.3 * e[1] - 0.2 * e[0])]}
+    out = []
+    for name, pairs in masses.items():
+        field = (flow.riesz_kernel_field(pairs[0][0], p, n) if name == "riesz"
+                 else flow.newtonian_potential_field(p, pairs, n))
+        weights, centers = zip(*pairs)
+        out.append((name, field, dataclasses.replace(
+            field, analytic_max=plain.kernel_sum_max(p, weights, centers))))
+    riesz = flow.riesz_kernel_field(1.7, p, n)
+    out.append(("radial-perturbed", flow.plus_quadratic_field(riesz, 2.0),
+                plain.plus_quadratic(riesz, 2.0)))
+    if n % 2 == 0:
+        log = flow.log_modulus_coordinate_field(n // 2)
+        out.append(("log-coord", log, log))
+    return out
+
+
+def _density_outcome(densities, field, x0, p, quad):
+    try:
+        report = densities(field, x0, p, quad=quad)
+    except (DomainError, NumericalError) as exc:
+        return type(exc).__name__, str(exc)
+    return report, report.curves
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_densities_equal_the_plain_reference_bit_for_bit(n):
+    # x0: the origin (closed-form M), off the ray of the centres (sampled
+    # M), and -e1/2 with e1 a quadrature point, whose shell of radius 1/2
+    # meets the origin (a clipped hit at p >= 2, too many for 128 points
+    # or fewer); each field is read at the three x0 in turn, then at the
+    # origin again, so a closed form set up for one x0 cannot serve another
+    p = DENSITY_P[n]
+    e1 = np.eye(n)[0]
+    off_ray = 0.3 * np.linspace(1.0, -0.5, n)
+    fields = _density_fields(n, p)
+    hits = {False: 0, True: 0}
+    for size in (8, 64, 128, 256, 4096):
+        quad = flow.SphereQuad(n, size, seed=n)
+        quad.points[0] = e1
+        for name, field, reference in fields:
+            for x0 in (np.zeros(n), off_ray, -0.5 * e1, np.zeros(n)):
+                got = _density_outcome(flow.densities, field, x0, p, quad)
+                want = _density_outcome(plain.densities, reference, x0, p, quad)
+                assert plain.same_floats(got, want), (name, size, x0)
+                if not isinstance(got[0], str):
+                    hits[got[0].clipped_fraction > 0.0] += 1
+    assert hits[False] and (hits[True] or p < 2.0)  # K(0) = 0 below p = 2
+
+
+# The row sums of `flow._row_sums` and the column products of
+# `flow.quadratic_field` rest on how numpy sums: these pin it, so that a
+# numpy release that changes its pairwise split or its einsum order fails
+# here rather than moving a report's floats.
+
+
+def _wide_rows(rng, k, m):
+    v = rng.standard_normal((k, m)) * np.exp(rng.uniform(-300.0, 300.0, (k, 1)))
+    v[0, 3], v[1, m - 1], v[2, m // 2] = math.inf, math.nan, -math.inf
+    v[3] = 5e-324 * rng.integers(-3, 4, m)  # subnormal
+    v[4] = 1e308  # the sum overflows
+    return v
+
+
+@pytest.mark.parametrize("m", [256, 512, 1024, 4096, 16384, 65536])
+def test_a_row_sum_is_its_halves_sums_bit_for_bit(m):
+    v = _wide_rows(np.random.default_rng(m), 9, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = v.sum(axis=1), v[:, :m // 2].sum(axis=1)
+        assert (want[1] + v[:, m // 2:].sum(axis=1)).tobytes() == want[0].tobytes()
+        lead, full = flow._row_sums(v, m // 2)
+    assert full.tobytes() == want[0].tobytes() and lead.tobytes() == want[1].tobytes()
+    assert not np.isfinite(want[0][[0, 1, 2, 4]]).any()  # inf, NaN and overflow rows
+
+
+@pytest.mark.parametrize("m", [8, 64, 128, 256, 1024, 4096, 65536])
+def test_a_broadcast_row_sums_as_its_first_128_values(m):
+    column = np.array([1.0 / 3.0, -2.7e-13, 0.0, -0.0, 5e-324, -1e-310, 1e306, -1e308,
+                       math.inf, -math.inf, math.nan])[:, None]
+    rows = np.broadcast_to(column, (column.size, m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = rows.sum(axis=1), rows[:, :m // 2].sum(axis=1)
+        if m >= 256:
+            block = rows[:, :128].sum(axis=1)
+            assert (block * (m // 128)).tobytes() == want[0].tobytes()
+        lead, full = flow._row_sums(rows, m // 2)
+    assert full.tobytes() == want[0].tobytes() and lead.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_quadratic_field_equals_the_einsum_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    b = rng.standard_normal((n, n))
+    diagonal = np.diag(rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n))
+    diagonal[0, 0] = 0.0
+    for a in (diagonal, 2.5, b + b.T, np.zeros((n, n))):
+        field = flow.quadratic_field(a, n)
+        a = np.asarray(a if np.ndim(a) else a * np.eye(n), dtype=float)
+        a = 0.5 * (a + a.T)
+        for m in (1, 2, 3, 257, 2049):
+            pts = rng.standard_normal((m, n)) * np.exp(rng.uniform(-20.0, 20.0, (m, 1)))
+            pts[rng.random((m, n)) < 0.2] = 0.0
+            pts[rng.random((m, n)) < 0.2] = -0.0
+            pts[m // 2] = -0.0
+            pts[-1] = 0.0  # the origin
+            want = 0.5 * np.einsum("mi,ij,mj->m", pts, a, pts)
+            assert field.values(pts).tobytes() == want.tobytes()

@@ -275,6 +275,20 @@ def test_a_quotient_that_is_not_finite_is_refused():
         radial.quotients([1e200, 1e300], [1e-200, 1e-300], 1.0)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_a_stack_of_curves_has_each_curve_s_quotients(p):
+    radii = 1.5 * 0.4 ** np.arange(6)
+    stack = np.random.default_rng(0).standard_normal((2, 3, radii.size))
+    q = radial.quotients(stack, radii, p)
+    assert q.shape == (2, 3, radii.size - 1)
+    for i, j in np.ndindex(2, 3):
+        assert q[i, j].tobytes() == radial.quotients(stack[i, j], radii, p).tobytes()
+    # a non-finite quotient is refused by the first in row-major order
+    stack[0, 2, 4] = stack[1, 0, 1] = math.inf
+    with pytest.raises(DomainError, match=f"^the quotient over the radii {radii[3]:.6g} and "):
+        radial.quotients(stack, radii, p)
+
+
 def test_density_estimate_reads_the_deepest_quotients():
     theta, bracket, defect = radial.density_estimate([5.0, 4.0, 4.5, 3.0])
     assert (theta, bracket, defect) == (3.0, 1.5, 0.5)

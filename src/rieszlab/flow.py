@@ -336,6 +336,30 @@ class AverageCurve:
         return [(float(r), float(v), q) for r, v, q in zip(self.radii, self.values, quots)]
 
 
+def _quotient_rounding(n: int, p: float, radii: np.ndarray, magnitudes: np.ndarray,
+                       q: float) -> float:
+    """A bound on the rounding in q = (V_0 - V_1) / (K_0 - K_1), the V
+    quotient over the two deepest radii, from the ladder's sums.
+
+    Each V_i is a `_volume_ladder` sum of products of a weight and a shell
+    mean; `magnitudes` is the same ladder of the means' absolute values,
+    A_i, the sum of the absolute terms behind V_i (all weights are
+    positive).  Each term's relative error is taken as at most
+    u = (n + 4) eps: its node t rounds in two operations, which the
+    weight's power t^(n-1) carries n - 1 times, and the weight, the mean
+    and their product round in a few more.  So V_i is within u A_i, each
+    kernel value within eps relative, and the subtraction and division
+    round once each:
+    |dq| <= (u (A_0 + A_1) + eps |q| (|K_0| + |K_1|)) / |K_0 - K_1| + 2 eps |q|.
+    A field that changes sign on a shell can sum to less than its terms'
+    magnitudes; there the half-set noise bound is the larger term."""
+    eps = np.finfo(float).eps
+    k = kernel(KernelSpec(p=p), radii)
+    gap = abs(float(k[0] - k[1]))
+    return float(((n + 4) * eps * magnitudes.sum() + eps * abs(q) * np.abs(k).sum()) / gap
+                 + 2.0 * eps * abs(q))
+
+
 def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
                    quad: SphereQuad | None = None, p: float | None = None) -> dict:
     """kind -> AverageCurve, from one `_shell_rows` sweep after checking
@@ -384,6 +408,9 @@ def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
                                      radii[-2:], p)
             out[kind] = curve(kind, values, combine(halves[k:end]), hits[k:])
             out[kind].quadrature_error = float(np.abs(fine - coarse).max(initial=0.0))
+            if radii.size > 1:
+                out[kind].quadrature_error += _quotient_rounding(
+                    field.n, p, radii[-2:], combine(np.abs(means[k:end]))[-2:], float(fine[0]))
     return out
 
 

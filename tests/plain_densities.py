@@ -4,8 +4,9 @@ Every quotient curve is its own ``radial.quotients`` call, so the kernel
 is computed at the radii once per curve; every shell row is summed by
 numpy's ``sum(axis=1)``, its leading half summed again on its own; and a
 kernel sum's closed-form maximum makes its ray test and centre distances
-at every radius (``kernel_sum_max``).  ``rieszlab.flow.densities`` must
-return the same report, curves included, bit for bit.
+at every radius (``kernel_sum_max``).  The V bracket's rounding term is
+``flow._quotient_rounding``'s.  ``rieszlab.flow.densities`` must return
+the same report, curves included, bit for bit.
 """
 
 from __future__ import annotations
@@ -115,10 +116,13 @@ def average_curves(field, kinds, x0, radii, quad, p):
         else:
             end = k + ladder.size
             values = combine(means[k:end])
-            gap = (quotients(values[-2:], radii[-2:], p)
-                   - quotients(combine_coarse(means[end:]), radii[-2:], p))
+            fine = quotients(values[-2:], radii[-2:], p)
+            gap = fine - quotients(combine_coarse(means[end:]), radii[-2:], p)
             out[kind] = curve(kind, values, combine(halves[k:end]), hits[k:])
             out[kind].quadrature_error = float(np.abs(gap).max(initial=0.0))
+            if radii.size > 1:
+                out[kind].quadrature_error += flow._quotient_rounding(
+                    field.n, p, radii[-2:], combine(np.abs(means[k:end]))[-2:], float(fine[0]))
     return out
 
 

@@ -1095,7 +1095,7 @@ def test_density_has_a_default_quadrature_up_to_n_16(capsys, n):
                              "--n", str(n))
     assert code == 0
     exact = 3 * n / (n - 1)
-    # the bracket leaves out rounding: at n = 9 theta_V is 4 ulp off, its bracket 2 ulp
+    # at n = 9 theta_V is 4 ulp off; the V bracket holds the ladder's rounding
     assert abs(payload["theta"]["V"] - exact) <= payload["bracket"]["V"] + 8 * math.ulp(exact)
 
 

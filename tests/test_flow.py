@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1436,6 +1437,17 @@ def _density_outcome(densities, field, x0, p, quad):
     except (DomainError, NumericalError) as exc:
         return type(exc).__name__, str(exc)
     return report, report.curves
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_the_centred_kernel_volume_density_is_within_its_bracket(n):
+    # the exact quotient is theta n / (n - p + 2), compared as a fraction;
+    # the V bracket holds the ladder's rounding (at n = 6 and 7, p = 3,
+    # theta_V reads 2.2e-15 high, beyond the monotone and quadrature gaps)
+    for p in sorted({1.5, 2.5, 3.0, float(n), n + 1.9}):
+        report = flow.densities(flow.riesz_kernel_field(3.0, p, n), np.zeros(n), p)
+        exact = Fraction(3) * n / (n - Fraction(p) + 2)
+        assert abs(Fraction(report.theta["V"]) - exact) <= Fraction(report.bracket["V"]), p
 
 
 @pytest.mark.parametrize("n", range(2, 9))

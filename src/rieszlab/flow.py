@@ -149,7 +149,9 @@ def _volume_ladder(n: int, p: float, radii: np.ndarray, inner: int, per_annulus:
     [r_{j+1}, r_j] by Gauss-Legendre (Jacobi for rho^0); each rule summed
     by `math.fsum`.  `average_curves` also takes the ladder of half the
     nodes on the two deepest radii: the gap of its deepest quotient to the
-    full ladder's is the curve's `quadrature_error`."""
+    full ladder's is the curve's `quadrature_error`, to which it adds the
+    rounding bound of `_quotient_rounding`, read from this ladder applied
+    to the means' absolute values (every weight is positive)."""
     rho, w_inner = gauss_jacobi(inner, n + 1.0 - p)
     x, w = gauss_jacobi(per_annulus, 0.0)
     steps = radii[1:] / radii[:-1]  # r_{j+1} / r_j
@@ -326,7 +328,8 @@ class AverageCurve:
     clipped_fraction: float = 0.0
     # the same curve on the leading half of the points (M: its closed form, if any)
     half_values: np.ndarray | None = None
-    # V: the gap of the deepest quotient to the half-order ladder's; 0 for M and S
+    # V: the gap of the deepest quotient to the half-order ladder's, plus the
+    # bound on its rounding (`_quotient_rounding`); 0 for M and S
     quadrature_error: float = 0.0
 
     def to_csv_rows(self, p: float):
@@ -552,7 +555,10 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     shell at each radius, and the noise bound is the largest gap between
     the quotients of a curve and of its leading half, over every kind
     (0 for a closed-form M).  The V bracket adds the curve's
-    `quadrature_error`.  The report keeps the curves as its `curves`
+    `quadrature_error`: the ladder's truncation, estimated by the
+    half-order ladder, and its rounding.  The kernel is computed at the
+    radii once, for the quotients of every curve and half curve in one
+    `radial.quotients` call.  The report keeps the curves as its `curves`
     attribute, which is not a field, so the JSON report leaves them out.
     """
     if math.isinf(p):

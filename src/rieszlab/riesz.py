@@ -309,7 +309,9 @@ def sandwich_check(f: Subequation, p: float, sample_count: int = 1000,
     is N(0, n) and independent of its traceless part, which alone fixes the
     boundary point: the jitter is uniform on (-0.05, 0.05) and independent
     of that point, with no further draw.  The note counts the samples that
-    met each premise and the odd ones whose boundary was not bracketed.
+    met each premise and the odd ones whose boundary was not bracketed;
+    when no sample met the lower premise, it says that min-2(p) in F went
+    untested (the report can still pass, on the upper inclusion alone).
     An infinite p has no finite sandwich: its report is skipped, once the
     sample count is checked.
     """
@@ -344,6 +346,7 @@ def sandwich_check(f: Subequation, p: float, sample_count: int = 1000,
         sample_count=sample_count,
         worst_violation=worst,
         tolerance=1e-8,
-        note=f"p={p:g}, lower premise hit {hits[0]}, member hit {hits[1]}, "
+        note=f"p={p:g}, lower premise hit {hits[0]}"
+             f"{'' if hits[0] else ' (min-2(p) in F untested)'}, member hit {hits[1]}, "
              f"unbracketed {hits[2]}",
     )

@@ -364,7 +364,8 @@ def ref_sandwich(f, p, sample_count, seed, tol=1e-8):
     worst = max(0.0, worst)
     return subeq.PropertyReport(
         name="sandwich", sample_count=sample_count, worst_violation=worst, tolerance=tol,
-        note=f"p={p:g}, lower premise hit {lower_hits}, member hit {member_hits}, "
+        note=f"p={p:g}, lower premise hit {lower_hits}"
+             f"{'' if lower_hits else ' (min-2(p) in F untested)'}, member hit {member_hits}, "
              f"unbracketed {unbracketed}")
 
 

@@ -321,6 +321,16 @@ def test_sandwich_needs_a_sample_at_any_characteristic(p):
         riesz.sandwich_check(subeq.builtin("subaffine", 3), p, sample_count=0)
 
 
+def test_sandwich_says_when_the_lower_inclusion_went_untested():
+    # no sample of pdelta at n = 8 lands in min-2(p): only the upper half is tested
+    f = subeq.builtin("pdelta", 8, delta=1.0)
+    rep = riesz.sandwich_check(f, riesz.increasing_characteristic(f)[0], 1000)
+    assert rep.passed
+    assert rep.note.startswith("p=1.77778, lower premise hit 0 (min-2(p) in F untested), ")
+    rep = riesz.sandwich_check(subeq.builtin("sigma-k", 4, k=2), 2.0, 1000)
+    assert "lower premise hit 8, " in rep.note and "untested" not in rep.note
+
+
 def test_the_membership_band_is_the_band_of_a_unit_projector():
     assert riesz.MEMBER_BAND == subeq.MEMBER_TOL * (1.0 + 1.0)
 

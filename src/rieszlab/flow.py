@@ -183,7 +183,10 @@ class ScalarField:
     value (-inf, or NaN where a zero weight meets a pole) marks a hit on
     the singular set.  ``analytic_max(x0, r)``, when set, returns the
     exact spherical maximum, or None where it has no closed form at
-    (x0, r); the maximum is then sampled.
+    (x0, r); the maximum is then sampled.  Its callers read it at every
+    radius about one x0 in turn, so a closed form may be set up once per
+    x0 (the kernel sums make their ray test and centre distances once, for
+    the x0 last read) and then cost one evaluation per radius.
     ``shells(x0, points)``, when set, returns ``radii -> (k, m)`` values,
     row i ``values(x0 + radii[i] * points)`` for the m unit ``points``,
     faster than ``values``; every sphere average reads its shells through
@@ -1273,8 +1276,8 @@ def quadratic_field(a, n: int | None = None) -> ScalarField:
     column products (x_i a_ii) x_i over the nonzero a_ii in order, which on
     finite points are einsum's floats: einsum adds the same products in the
     same order, and its other terms are zeros, which leave a sum from
-    zeros unchanged.  For another A, einsum's order depends on the
-    number of points at n = 2, so einsum computes them."""
+    zeros unchanged.  Any other A keeps the einsum, whose order there
+    depends on the shape (at n = 2 it differs for one or two points)."""
     if np.isscalar(a):
         if n is None:
             raise DomainError("scalar quadratic needs n")

@@ -142,7 +142,8 @@ def sphere_quad(n: int, size: int | None = None, seed: int = 0) -> SphereQuad:
 
 def _volume_ladder(n: int, p: float, radii: np.ndarray, inner: int, per_annulus: int):
     """(shells, combine): the node radii of V(r_j) over the radii r_0 > r_1
-    > ..., and the map from their sphere means to V.  V(r_min) = n int_0^1
+    > ..., the inner nodes first and then each annulus from the outermost
+    in, and the map from their sphere means to V.  V(r_min) = n int_0^1
     rho^(n+1-p) [rho^(p-2) S(rho r_min)] drho by the Gauss-Jacobi rule for
     rho^(n+1-p), exact for the centred kernel up to p < n + 2; then V(r_j)
     = (r_{j+1}/r_j)^n V(r_{j+1}) + n r_j^-n int t^(n-1) S(t) dt over
@@ -151,7 +152,7 @@ def _volume_ladder(n: int, p: float, radii: np.ndarray, inner: int, per_annulus:
     nodes on the two deepest radii: the gap of its deepest quotient to the
     full ladder's is the curve's `quadrature_error`, to which it adds the
     rounding bound of `_quotient_rounding`, read from this ladder applied
-    to the means' absolute values (every weight is positive)."""
+    to the shells' means of absolute values (every weight is positive)."""
     rho, w_inner = gauss_jacobi(inner, n + 1.0 - p)
     x, w = gauss_jacobi(per_annulus, 0.0)
     steps = radii[1:] / radii[:-1]  # r_{j+1} / r_j
@@ -183,10 +184,7 @@ class ScalarField:
     value (-inf, or NaN where a zero weight meets a pole) marks a hit on
     the singular set.  ``analytic_max(x0, r)``, when set, returns the
     exact spherical maximum, or None where it has no closed form at
-    (x0, r); the maximum is then sampled.  Its callers read it at every
-    radius about one x0 in turn, so a closed form may be set up once per
-    x0 (the kernel sums make their ray test and centre distances once, for
-    the x0 last read) and then cost one evaluation per radius.
+    (x0, r); the maximum is then sampled.
     ``shells(x0, points)``, when set, returns ``radii -> (k, m)`` values,
     row i ``values(x0 + radii[i] * points)`` for the m unit ``points``,
     faster than ``values``; every sphere average reads its shells through
@@ -279,16 +277,33 @@ def _row_sums(vals: np.ndarray, half: int):
     return lead, lead + vals[:, half:].sum(axis=1)
 
 
+def _absolute_sums(vals: np.ndarray):
+    """numpy's `np.abs(vals).sum(axis=1)` for vals (k, m), by the identities
+    of `_row_sums`: for a power of two m >= 256, a broadcast row's is the
+    absolute value of its first 128 values' sum (rounding is symmetric in
+    sign) times m / 128, and another row's is its halves' sums added, one
+    half's absolute values held at a time."""
+    m = vals.shape[1]
+    if m < 256 or m & (m - 1):
+        return np.abs(vals).sum(axis=1)
+    if vals.strides[1] == 0:  # broadcast rows
+        return np.abs(vals[:, :128].sum(axis=1)) * (m // 128)
+    return np.abs(vals[:, :m // 2]).sum(axis=1) + np.abs(vals[:, m // 2:]).sum(axis=1)
+
+
 def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.ndarray,
-                maxima: int):
-    """(means, leading-half means, hits, maxima) of the sphere shells about
-    x0 of the given radii, evaluated once each in one pass of blocks of at
-    most SHELL_BLOCK values; the maxima are the (M, leading-half M) pairs
-    (`_max_from_shell`) of the first `maxima` shells only, and the leading
-    half of the points is the set of half the size.  The row sums come
-    from `_row_sums`: for a power-of-two size of at least 256 (every
-    default) the full sum is the leading-half sum plus the trailing-half
-    sum, bit for bit, so each value is read once, and a broadcast row
+                maxima: int, absolute: np.ndarray | None = None):
+    """(means, leading-half means, means of absolute values, hits, maxima)
+    of the sphere shells about x0 of the given radii, evaluated once each
+    in one pass of blocks of at most SHELL_BLOCK values; the maxima are the
+    (M, leading-half M) pairs (`_max_from_shell`) of the first `maxima`
+    shells only, the means of absolute values (`_absolute_sums`) those of
+    the shells marked in the mask `absolute` (and of any shell between two
+    marked ones in a block; 0 elsewhere), and the leading half of the
+    points is the set of half the size.  The row sums come from
+    `_row_sums`: for a power-of-two size of at least 256 (every default)
+    the full sum is the leading-half sum plus the trailing-half sum, bit
+    for bit, so each value is read once for them, and a broadcast row
     (every term centred) sums its first 128 values only.  A non-finite
     value makes its row sum non-finite, so the values are scanned and
     clipped only in a block with a non-finite row sum.  A shell whose row
@@ -297,6 +312,7 @@ def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.
     evaluate = _shell_evaluator(field, x0, quad.points)
     size, half = quad.size, quad.size // 2
     means, halves = np.empty(radii.size), np.empty(radii.size)
+    magnitudes = np.zeros(radii.size)
     hits = np.zeros(radii.size, dtype=int)
     tops = []
     step = max(1, SHELL_BLOCK // size)
@@ -318,9 +334,13 @@ def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.
                                   f"overflows")
         means[rows] = sums / size
         halves[rows] = lead / half
+        marked = np.flatnonzero(absolute[rows]) if absolute is not None else ()
+        if len(marked):
+            part = slice(marked[0], marked[-1] + 1)
+            magnitudes[rows][part] = _absolute_sums(vals[part]) / size
         tops += [_max_from_shell(field, x0, r, row)
                  for r, row in zip(block[:max(0, maxima - lo)], vals)]
-    return means, halves, hits, tops
+    return means, halves, magnitudes, hits, tops
 
 
 @dataclass
@@ -342,28 +362,30 @@ class AverageCurve:
         return [(float(r), float(v), q) for r, v, q in zip(self.radii, self.values, quots)]
 
 
-def _quotient_rounding(n: int, p: float, radii: np.ndarray, magnitudes: np.ndarray,
+def _quotient_rounding(n: int, size: int, k: np.ndarray, magnitudes: np.ndarray,
                        q: float) -> float:
     """A bound on the rounding in q = (V_0 - V_1) / (K_0 - K_1), the V
-    quotient over the two deepest radii, from the ladder's sums.
+    quotient over the two deepest radii, whose kernel values are k, from
+    the ladder's sums over shells of `size` points.
 
     Each V_i is a `_volume_ladder` sum of products of a weight and a shell
-    mean; `magnitudes` is the same ladder of the means' absolute values,
-    A_i, the sum of the absolute terms behind V_i (all weights are
-    positive).  Each term's relative error is taken as at most
-    u = (n + 4) eps: its node t rounds in two operations, which the
-    weight's power t^(n-1) carries n - 1 times, and the weight, the mean
-    and their product round in a few more.  So V_i is within u A_i, each
-    kernel value within eps relative, and the subtraction and division
-    round once each:
-    |dq| <= (u (A_0 + A_1) + eps |q| (|K_0| + |K_1|)) / |K_0 - K_1| + 2 eps |q|.
-    A field that changes sign on a shell can sum to less than its terms'
-    magnitudes; there the half-set noise bound is the larger term."""
+    mean; `magnitudes` is the same ladder of the shells' means of absolute
+    values, A_i, which bounds the sum of the absolute terms behind V_i
+    whether or not a shell changes sign (all weights are positive).  A
+    shell mean is numpy's pairwise sum over `size` points, d additions
+    deep (d = size/8 + 2 up to 128 points, one more for each doubling
+    beyond), so within d eps of its mean of absolute values.  A product
+    with its weight is within (n + 4) eps relative: its node t rounds in
+    two operations, which the weight's power t^(n-1) carries n - 1 times,
+    and the weight, the sampled value and the product round in a few more.
+    So V_i is within u A_i, u = (n + 4 + d) eps, each kernel value within
+    eps relative, and the subtraction and division round once each:
+    |dq| <= (u (A_0 + A_1) + eps |q| (|K_0| + |K_1|)) / |K_0 - K_1| + 2 eps |q|."""
     eps = np.finfo(float).eps
-    k = kernel(KernelSpec(p=p), radii)
+    depth = size // 8 + 2 if size <= 128 else size.bit_length() + 10
     gap = abs(float(k[0] - k[1]))
-    return float(((n + 4) * eps * magnitudes.sum() + eps * abs(q) * np.abs(k).sum()) / gap
-                 + 2.0 * eps * abs(q))
+    return float(((n + 4 + depth) * eps * magnitudes.sum() + eps * abs(q) * np.abs(k).sum())
+                 / gap + 2.0 * eps * abs(q))
 
 
 def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
@@ -384,7 +406,7 @@ def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
             raise DomainError(f"radius must be positive and finite, got {r}")
     quad = quad or sphere_quad(field.n)
     k = radii.size if {"M", "S"} & set(kinds) else 0  # the curve shells lead the sweep
-    shells = [radii[:k]]
+    shells, deep = [radii[:k]], None
     if "V" in kinds:
         _check_volume_density(kinds, p, field.n)
         if np.any(np.diff(radii) >= 0.0):
@@ -393,8 +415,13 @@ def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
         coarse, combine_coarse = _volume_ladder(field.n, p, radii[-2:], JACOBI_NODES // 2,
                                                 ANNULUS_NODES // 2)
         shells += [ladder, coarse]
-    means, halves, hits, maxima = _shell_rows(field, x0, quad, np.concatenate(shells),
-                                              k if "M" in kinds else 0)
+        # V at the two deepest radii, whose rounding is bounded from the
+        # absolute means, reads the ladder's first shells (the inner nodes)
+        # and its last (the deepest annulus); the bound reads no other V
+        deep = np.zeros(k + ladder.size + coarse.size, dtype=bool)
+        deep[k:k + JACOBI_NODES] = deep[k + ladder.size - ANNULUS_NODES:k + ladder.size] = True
+    means, halves, magnitudes, hits, maxima = _shell_rows(
+        field, x0, quad, np.concatenate(shells), k if "M" in kinds else 0, deep)
 
     def curve(kind, values, half_values, nhits):
         clipped = int(nhits.sum()) / (nhits.size * quad.size) if nhits.size else 0.0
@@ -410,13 +437,15 @@ def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
         else:
             end = k + ladder.size
             values = combine(means[k:end])
+            deepest = kernel(KernelSpec(p=p), radii[-2:])  # for the gap and its rounding
             fine, coarse = quotients(np.stack([values[-2:], combine_coarse(means[end:])]),
-                                     radii[-2:], p)
+                                     radii[-2:], p, kernel_values=deepest)
             out[kind] = curve(kind, values, combine(halves[k:end]), hits[k:])
             out[kind].quadrature_error = float(np.abs(fine - coarse).max(initial=0.0))
             if radii.size > 1:
                 out[kind].quadrature_error += _quotient_rounding(
-                    field.n, p, radii[-2:], combine(np.abs(means[k:end]))[-2:], float(fine[0]))
+                    field.n, quad.size, deepest, combine(magnitudes[k:end])[-2:],
+                    float(fine[0]))
     return out
 
 
@@ -1026,8 +1055,7 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
     positive weight other than x0 lies on one ray from x0 (directions
     within 1e-9, where the closed form's error, second order in the angle,
     is below rounding): each term then peaks at the same point of the
-    sphere.  Off the ray it is None, and the maximum is sampled.  The ray
-    test and the centre distances are made once per x0, for the x0 last read.
+    sphere.  Off the ray it is None, and the maximum is sampled.
     """
     finite = np.isfinite(centers).all(axis=1)
     if not finite.all():
@@ -1084,9 +1112,7 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
 
         return evaluate
 
-    def centre_distances(x0):
-        """|x0 - c| for every centre, or None when the centres of positive
-        weight other than x0 leave one ray from x0."""
+    def analytic_max(x0, r):
         ray = None
         for w, c in zip(weights, centers):
             a = c - x0
@@ -1097,18 +1123,9 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
                     ray = a
                 elif not np.linalg.norm(a - ray) <= 1e-9:
                     return None
-        return [float(np.linalg.norm(x0 - c)) for c in centers]
-
-    last = [None, None]  # the x0 last read, as bytes, and its centre_distances
-
-    def analytic_max(x0, r):
-        key = np.asarray(x0, dtype=float).tobytes()
-        if last[0] != key:
-            last[:] = key, centre_distances(x0)
-        if last[1] is None:
-            return None
         # summed from the first term, not from 0: one term keeps its floats
-        first, *rest = (w * kernel(spec, r + d) for w, d in zip(weights, last[1]))
+        first, *rest = (w * kernel(spec, r + float(np.linalg.norm(x0 - c)))
+                        for w, c in zip(weights, centers))
         return sum(rest, first)
 
     return ScalarField(n=n, values=values, shells=shells, analytic_max=analytic_max, **meta)
@@ -1271,29 +1288,26 @@ def plus_quadratic_field(base: ScalarField, c: float) -> ScalarField:
 def quadratic_field(a, n: int | None = None) -> ScalarField:
     """Smooth field (1/2) x^T A x (zero density everywhere).
 
-    The values are 0.5 * np.einsum("mi,ij,mj->m", x, A, x).  For a
-    diagonal A (a scalar among them) they are summed from zeros as the
-    column products (x_i a_ii) x_i over the nonzero a_ii in order, which on
-    finite points are einsum's floats: einsum adds the same products in the
-    same order, and its other terms are zeros, which leave a sum from
-    zeros unchanged.  Any other A keeps the einsum, whose order there
-    depends on the shape (at n = 2 it differs for one or two points)."""
+    The values are summed from zeros as the column products (x_i a_ij) x_j
+    over the nonzero a_ij in i-major order: on finite points the floats of
+    0.5 * np.einsum("mi,ij,mj->m", x, A, x), which adds the same products
+    in the same order, its other terms zeros that leave a sum from zeros
+    unchanged.  The one exception seen is einsum's own: at n = 2 with one
+    or two points it sums a non-diagonal A in another order, and the last
+    bit may differ."""
     if np.isscalar(a):
         if n is None:
             raise DomainError("scalar quadratic needs n")
         a = float(a) * np.eye(n)
     a = 0.5 * (np.asarray(a, dtype=float) + np.asarray(a, dtype=float).T)
     n = a.shape[0]
-    diagonal = np.diag(a)
-    columns = None if (a - np.diag(diagonal)).any() else np.flatnonzero(diagonal)
+    terms = [(i, j, a[i, j]) for i, j in zip(*np.nonzero(a))]  # i-major
 
     def values(pts):
         pts = np.asarray(pts, dtype=float)
-        if columns is None:
-            return 0.5 * np.einsum("mi,ij,mj->m", pts, a, pts)
         out = np.zeros(pts.shape[0])
-        for i in columns:
-            out += pts[:, i] * diagonal[i] * pts[:, i]
+        for i, j, aij in terms:
+            out += pts[:, i] * aij * pts[:, j]
         return 0.5 * out
 
     return ScalarField(

@@ -226,16 +226,18 @@ def rp_up_membership(p: float, jet: OneVarJet) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def quotients(values, radii, p: float) -> np.ndarray:
+def quotients(values, radii, p: float, kernel_values=None) -> np.ndarray:
     """Monotone quotients (v_j - v_{j+1}) / (K(r_j) - K(r_{j+1})) of the
     values v_j at adjacent radii r_j; the one place they are computed.
     `values` is the array of the v_j, a stack (..., k) of such curves over
     the same k radii, which shares one kernel evaluation, or a profile, read
     at the radii only after the kernel: a radius where the kernel overflows
     is refused as such, and so is a quotient that is not finite, say one
-    that overflows between two tiny radii (the first in row-major order)."""
+    that overflows between two tiny radii (the first in row-major order).
+    `kernel_values`, if given, is the caller's `kernel(KernelSpec(p=p),
+    radii)`, computed once for this call and others."""
     radii = np.asarray(radii, dtype=float)
-    k = kernel(KernelSpec(p=p), radii)
+    k = kernel(KernelSpec(p=p), radii) if kernel_values is None else kernel_values
     if not all(map(math.isfinite, k.tolist())):
         r = radii[~np.isfinite(k)][0]
         raise DomainError(f"the kernel K_{fmt_param(p)} at radius {r:.6g} overflows")

@@ -5,7 +5,8 @@ is computed at the radii once per curve; every shell row is summed by
 numpy's ``sum(axis=1)``, its leading half summed again on its own; and a
 kernel sum's closed-form maximum makes its ray test and centre distances
 at every radius (``kernel_sum_max``).  The V bracket's rounding term is
-``flow._quotient_rounding``'s.  ``rieszlab.flow.densities`` must return
+``flow._quotient_rounding``'s, read from each shell's plain sum of
+absolute values.  ``rieszlab.flow.densities`` must return
 the same report, curves included, bit for bit.
 """
 
@@ -59,7 +60,7 @@ def plus_quadratic(base: flow.ScalarField, c: float) -> flow.ScalarField:
 def shell_rows(field, x0, quad, radii, maxima):
     evaluate = flow._shell_evaluator(field, x0, quad.points)
     size, half = quad.size, quad.size // 2
-    means, halves = np.empty(radii.size), np.empty(radii.size)
+    means, halves, absolute = np.empty(radii.size), np.empty(radii.size), np.empty(radii.size)
     hits = np.zeros(radii.size, dtype=int)
     tops = []
     step = max(1, flow.SHELL_BLOCK // size)
@@ -81,9 +82,10 @@ def shell_rows(field, x0, quad, radii, maxima):
                                   f"overflows")
         means[rows] = sums / size
         halves[rows] = vals[:, :half].sum(axis=1) / half
+        absolute[rows] = np.abs(vals).sum(axis=1) / size
         tops += [flow._max_from_shell(field, x0, r, row)
                  for r, row in zip(block[:max(0, maxima - lo)], vals)]
-    return means, halves, hits, tops
+    return means, halves, absolute, hits, tops
 
 
 def average_curves(field, kinds, x0, radii, quad, p):
@@ -98,8 +100,9 @@ def average_curves(field, kinds, x0, radii, quad, p):
                                                      flow.JACOBI_NODES // 2,
                                                      flow.ANNULUS_NODES // 2)
         shells += [ladder, coarse]
-    means, halves, hits, maxima = shell_rows(field, x0, quad, np.concatenate(shells),
-                                             k if "M" in kinds else 0)
+    means, halves, absolute, hits, maxima = shell_rows(field, x0, quad,
+                                                       np.concatenate(shells),
+                                                       k if "M" in kinds else 0)
 
     def curve(kind, values, half_values, nhits):
         clipped = int(nhits.sum()) / (nhits.size * quad.size) if nhits.size else 0.0
@@ -122,7 +125,8 @@ def average_curves(field, kinds, x0, radii, quad, p):
             out[kind].quadrature_error = float(np.abs(gap).max(initial=0.0))
             if radii.size > 1:
                 out[kind].quadrature_error += flow._quotient_rounding(
-                    field.n, p, radii[-2:], combine(np.abs(means[k:end]))[-2:], float(fine[0]))
+                    field.n, quad.size, kernel(KernelSpec(p=p), radii[-2:]),
+                    combine(absolute[k:end])[-2:], float(fine[0]))
     return out
 
 

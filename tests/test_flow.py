@@ -868,10 +868,10 @@ def _reference_shells(p, masses):
     return shells
 
 
-def _reference_rows(field, x0, quad, radii, maxima):
+def _reference_rows(field, x0, quad, radii, maxima, absolute=None):
     evaluate = flow._shell_evaluator(field, x0, quad.points)
     step = max(1, flow.SHELL_BLOCK // quad.size)
-    means, halves, hits, tops = [], [], [], []
+    means, halves, absolute, hits, tops = [], [], [], [], []
     for lo in range(0, radii.size, step):
         block = radii[lo:lo + step]
         vals, nclip = flow._clipped(evaluate(block))
@@ -879,10 +879,12 @@ def _reference_rows(field, x0, quad, radii, maxima):
             raise DomainError("all sphere samples hit the singular set")
         means += list(vals.mean(axis=1))
         halves += list(vals[:, :quad.size // 2].mean(axis=1))
+        absolute += list(np.abs(vals).mean(axis=1))
         hits += list(nclip)
         tops += [flow._max_from_shell(field, x0, r, row)
                  for r, row in zip(block[:max(0, maxima - lo)], vals)]
-    return np.array(means), np.array(halves), np.array(hits, dtype=int), tops
+    return (np.array(means), np.array(halves), np.array(absolute), np.array(hits, dtype=int),
+            tops)
 
 
 def _shell_reports(field, p, quad):
@@ -973,7 +975,7 @@ def test_a_shell_through_a_far_centre_keeps_its_hits(monkeypatch, p):
     field = flow.newtonian_potential_field(p, masses, 3)
     radii = np.array([2.0, 1.0])
     vals, _ = flow._clipped(flow._shell_evaluator(field, np.zeros(3), points)(radii))
-    _, _, hits, _ = flow._shell_rows(field, np.zeros(3), quad, radii, 0)
+    _, _, _, hits, _ = flow._shell_rows(field, np.zeros(3), quad, radii, 0)
     reference = _reference_shells(p, masses)(np.zeros(3), points)
     want_vals, want_hits = flow._clipped(reference(radii))
     assert np.array_equal(vals, want_vals) and hits.tolist() == want_hits.tolist()
@@ -1450,6 +1452,24 @@ def test_the_centred_kernel_volume_density_is_within_its_bracket(n):
         assert abs(Fraction(report.theta["V"]) - exact) <= Fraction(report.bracket["V"]), p
 
 
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_a_sign_changing_volume_density_is_within_its_bracket(n, p):
+    # the centred kernel plus c x_1 on antipodal point pairs: the linear
+    # term cancels from each pair, so the volume quotient is still
+    # theta n / (n - p + 2), but the shells change sign and their sums
+    # cancel; at c = 1e9, p = 3 the miss is 1e-11 at n = 4 and 6, beyond
+    # a bound read from the absolute values of the shell means
+    quad = flow.SphereQuad(n, 1024, seed=1)
+    quad.points[1::2] = -quad.points[0::2]
+    kernel = flow.riesz_kernel_field(3.0, p, n)
+    exact = Fraction(3) * n / (n - Fraction(p) + 2)
+    for c in (1e6, 1e9):
+        field = flow.ScalarField(n=n, values=lambda pts, c=c: kernel.values(pts) + c * pts[:, 0])
+        report = flow.densities(field, np.zeros(n), p, quad=quad, kinds=("V",))
+        assert abs(Fraction(report.theta["V"]) - exact) <= Fraction(report.bracket["V"]), c
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_densities_equal_the_plain_reference_bit_for_bit(n):
     # x0: the origin (closed-form M), off the ray of the centres (sampled
@@ -1475,10 +1495,10 @@ def test_densities_equal_the_plain_reference_bit_for_bit(n):
     assert hits[False] and (hits[True] or p < 2.0)  # K(0) = 0 below p = 2
 
 
-# The row sums of `flow._row_sums` and the column products of
-# `flow.quadratic_field` rest on how numpy sums: these pin it, so that a
-# numpy release that changes its pairwise split or its einsum order fails
-# here rather than moving a report's floats.
+# The row sums of `flow._row_sums` and `flow._absolute_sums` and the
+# column products of `flow.quadratic_field` rest on how numpy sums: these
+# pin it, so that a numpy release that changes its pairwise split or its
+# einsum order fails here rather than moving a report's floats.
 
 
 def _wide_rows(rng, k, m):
@@ -1496,6 +1516,7 @@ def test_a_row_sum_is_its_halves_sums_bit_for_bit(m):
         want = v.sum(axis=1), v[:, :m // 2].sum(axis=1)
         assert (want[1] + v[:, m // 2:].sum(axis=1)).tobytes() == want[0].tobytes()
         lead, full = flow._row_sums(v, m // 2)
+        assert flow._absolute_sums(v).tobytes() == np.abs(v).sum(axis=1).tobytes()
     assert full.tobytes() == want[0].tobytes() and lead.tobytes() == want[1].tobytes()
     assert not np.isfinite(want[0][[0, 1, 2, 4]]).any()  # inf, NaN and overflow rows
 
@@ -1506,12 +1527,15 @@ def test_a_broadcast_row_sums_as_its_first_128_values(m):
                        math.inf, -math.inf, math.nan])[:, None]
     rows = np.broadcast_to(column, (column.size, m))
     with np.errstate(over="ignore", invalid="ignore"):
-        want = rows.sum(axis=1), rows[:, :m // 2].sum(axis=1)
+        want = rows.sum(axis=1), rows[:, :m // 2].sum(axis=1), np.abs(rows).sum(axis=1)
         if m >= 256:
             block = rows[:, :128].sum(axis=1)
             assert (block * (m // 128)).tobytes() == want[0].tobytes()
+            assert (np.abs(block) * (m // 128)).tobytes() == want[2].tobytes()
         lead, full = flow._row_sums(rows, m // 2)
+        absolute = flow._absolute_sums(rows)
     assert full.tobytes() == want[0].tobytes() and lead.tobytes() == want[1].tobytes()
+    assert absolute.tobytes() == want[2].tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -1531,4 +1555,9 @@ def test_quadratic_field_equals_the_einsum_bit_for_bit(n):
             pts[m // 2] = -0.0
             pts[-1] = 0.0  # the origin
             want = 0.5 * np.einsum("mi,ij,mj->m", pts, a, pts)
-            assert field.values(pts).tobytes() == want.tobytes()
+            if n == 2 and m <= 2 and np.any(a != np.diag(np.diag(a))):
+                # einsum sums these shapes in another order: the last bit may differ
+                scale = 0.5 * np.einsum("mi,ij,mj->m", np.abs(pts), np.abs(a), np.abs(pts))
+                assert np.all(np.abs(field.values(pts) - want) <= 8 * np.finfo(float).eps * scale)
+            else:
+                assert field.values(pts).tobytes() == want.tobytes()

@@ -277,18 +277,23 @@ def _row_sums(vals: np.ndarray, half: int):
     return lead, lead + vals[:, half:].sum(axis=1)
 
 
-def _absolute_sums(vals: np.ndarray):
-    """numpy's `np.abs(vals).sum(axis=1)` for vals (k, m), by the identities
-    of `_row_sums`: for a power of two m >= 256, a broadcast row's is the
-    absolute value of its first 128 values' sum (rounding is symmetric in
-    sign) times m / 128, and another row's is its halves' sums added, one
-    half's absolute values held at a time."""
-    m = vals.shape[1]
-    if m < 256 or m & (m - 1):
-        return np.abs(vals).sum(axis=1)
+def _absolute_sums(vals: np.ndarray, sums: np.ndarray):
+    """numpy's `np.abs(vals).sum(axis=1)` for vals (k, m) whose row sums
+    are `sums`.  Rounding is symmetric in sign, so a row of one sign (a
+    broadcast row among them) sums its absolute values to |sum| bit for
+    bit; only a row with values of both signs is summed again."""
+    out = np.abs(sums)
     if vals.strides[1] == 0:  # broadcast rows
-        return np.abs(vals[:, :128].sum(axis=1)) * (m // 128)
-    return np.abs(vals[:, :m // 2]).sum(axis=1) + np.abs(vals[:, m // 2:]).sum(axis=1)
+        return out
+    negative = sums < 0.0
+    mixed = np.zeros(sums.size, dtype=bool)
+    if negative.any():
+        mixed |= negative & (vals.max(axis=1) > 0.0)
+    if not negative.all():
+        mixed |= ~negative & (vals.min(axis=1) < 0.0)
+    for i in np.flatnonzero(mixed):
+        out[i] = np.abs(vals[i]).sum()
+    return out
 
 
 def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.ndarray,
@@ -337,7 +342,7 @@ def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.
         marked = np.flatnonzero(absolute[rows]) if absolute is not None else ()
         if len(marked):
             part = slice(marked[0], marked[-1] + 1)
-            magnitudes[rows][part] = _absolute_sums(vals[part]) / size
+            magnitudes[rows][part] = _absolute_sums(vals[part], sums[part]) / size
         tops += [_max_from_shell(field, x0, r, row)
                  for r, row in zip(block[:max(0, maxima - lo)], vals)]
     return means, halves, magnitudes, hits, tops

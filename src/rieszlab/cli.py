@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: charx, verify, table, density, flow, grassmann, radial.
-Reports are JSON (schema 1), or CSV for table alone; identical config +
-seed gives byte-identical output apart from the timestamp, which
+Reports are JSON (schema 1), or CSV for table alone; identical arguments
+and seed give byte-identical output apart from the timestamp, which
 --no-timestamp suppresses.  Exit codes: 0 ok, 2 check failure, 3
-solver/domain error, 4 config error, 141 stdout closed by its reader
+solver/domain error, 4 usage error, 141 stdout closed by its reader
 before the report was written (as a shell reports a writer stopped by
 SIGPIPE).
 """
@@ -433,7 +433,7 @@ def cmd_radial(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser and config handling
+# parser
 # ---------------------------------------------------------------------------
 
 
@@ -447,8 +447,6 @@ def seed(text: str) -> int:
 def _add_common(sub):
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--no-timestamp", action="store_true")
-    sub.add_argument("--config", type=str, default=None,
-                     help="JSON file with defaults for the optional flags; flags override")
 
 
 def _add_family_params(sub):
@@ -556,81 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_parser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    return parser._subparsers._group_actions[0].choices[command]
-
-
-def _explicit_dests(argv: list[str], command: str) -> set:
-    """The destinations argv sets itself, default or not: argv parsed again
-    with every default of its subcommand suppressed."""
-    probe = build_parser()
-    for action in _command_parser(probe, command)._actions:
-        action.default = argparse.SUPPRESS
-    return set(vars(probe.parse_args(argv)))
-
-
-def apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse argv, then fill the values argv does not set from --config.
-    A key must name an optional flag of the command other than --config;
-    explicit flags win over file values, also where they equal the default."""
-    args = parser.parse_args(argv)
-    if not args.config:
-        return args
-    try:
-        with open(args.config) as handle:
-            raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    actions = {action.dest: action for action in _command_parser(parser, args.command)._actions
-               if action.option_strings and action.dest not in ("help", "config")}
-    unknown = [k for k in raw if k.replace("-", "_") not in actions]
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    explicit = _explicit_dests(argv, args.command)
-    for key, value in raw.items():
-        dest = key.replace("-", "_")
-        if dest not in explicit:
-            setattr(args, dest, _config_value(actions[dest], key, value))
-    return args
-
-
-def _config_value(action: argparse.Action, key: str, value):
-    """Convert a config value as argparse converts the flag's strings:
-    through the action's `type` (applied to `str(value)`, so 2.5 is not an
-    int), `nargs` (a list for multi-valued flags) and `choices`."""
-    if action.nargs == 0:  # store_true
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key {key!r} must be true or false")
-        return value
-    many = action.nargs in ("+", "*") or isinstance(action, argparse._AppendAction)
-    if many != isinstance(value, list) or (many and action.nargs == "+" and not value):
-        shape = "a non-empty list" if many else "a single value"
-        raise ConfigError(f"config key {key!r} must be {shape}")
-    convert = action.type or str
-    out = []
-    for item in value if many else [value]:
-        if isinstance(item, (bool, list, dict)) or item is None:
-            raise ConfigError(f"config key {key!r}: bad value {item!r}")
-        try:
-            item = convert(str(item))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r}: bad value {item!r}") from exc
-        if action.choices is not None and item not in action.choices:
-            raise ConfigError(f"config key {key!r}: {item!r} is not one of {list(action.choices)}")
-        out.append(item)
-    return out if many else out[0]
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = apply_config(parser, sys.argv[1:] if argv is None else list(argv))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        args = build_parser().parse_args(argv)
         # a margin that overflows is read as inf or NaN, and the solver
         # judges it; numpy's warnings would only add stderr lines
         with np.errstate(all="ignore"):

@@ -593,8 +593,12 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     the quotients of a curve and of its leading half, over every kind
     (0 for a closed-form M).  The V bracket adds the curve's
     `quadrature_error`: the ladder's truncation, estimated by the
-    half-order ladder, and its rounding.  The kernel is computed at the
-    radii once, for the quotients of every curve and half curve in one
+    half-order ladder, and its rounding.  Only the V bracket covers
+    rounding: the M and S brackets are the quotient gaps alone, so a
+    constant quotient reads bracket 0 while its estimate may be a few
+    ulps off (theta_S = 3.0000000000000027 for the Riesz kernel at
+    theta = 3, p = 2, n = 2).  The kernel is computed at the radii once,
+    for the quotients of every curve and half curve in one
     `radial.quotients` call.  The report keeps the curves as its `curves`
     attribute, which is not a field, so the JSON report leaves them out.
     """

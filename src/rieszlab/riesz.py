@@ -28,7 +28,6 @@ from .errors import DomainError, NumericalError, SolverError
 from .linalg import (
     projector_onto,
     projector_perp,
-    random_unit_vector,
     symmetrize,
     unit_vector,
 )
@@ -134,8 +133,11 @@ def _check_directions(f: Subequation, value: float, tol: float, count: int, seed
     value needs -P_e2 in F up to the membership band, a finite one a
     pencil along e2 that is >= 0 at value - w (unless that is below 1) and
     < 0 at value + w, where w = max(10 tol, 1e-9 |value|)."""
-    rng = np.random.default_rng(seed)
-    e2s = [random_unit_vector(f.n, rng) for _ in range(count)]
+    # one draw of the whole stack is the stream of `count` random_unit_vector
+    # calls, and numpy refuses a count too large for memory up front; each
+    # row is normalised on its own, as axis=1 norms differ in the last bit
+    draws = np.random.default_rng(seed).standard_normal((count, f.n))
+    e2s = [v / np.linalg.norm(v) for v in draws]
     w = max(10.0 * tol, 1e-9 * abs(value))
     ts = [INF] if value == INF else [t for t in (value - w, value + w) if t >= 1.0]
     margins = yield np.array([-projector_onto(e2) if value == INF

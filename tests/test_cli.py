@@ -338,6 +338,14 @@ def test_grassmann_fuzz_exits_cleanly(argv):
         assert code in (3, 4), argv
 
 
+@pytest.mark.parametrize("argv,flags", [
+    (["verify", "p", "--suite", "cone"], ["--n", "3"]),
+    (["verify", "p", "--suite", "cone"], ["--samples", "200"]),
+])
+def test_a_flag_given_at_its_default_changes_nothing(capsys, argv, flags):
+    assert run_json(capsys, *argv, *flags) == run_json(capsys, *argv)
+
+
 @pytest.mark.parametrize("argv,reason", [
     (["density", "newtonian", "--p", "3", "--n", "3", "--center", "1", "0"],
      "center must be 3 finite coordinates"),
@@ -423,11 +431,31 @@ def test_every_flag_is_read_by_its_command():
     ["flow", "riesz", "--p", "3", "--n", "4", "--format", "json"],
     ["grassmann", "g2r3", "--quad", "256"],
     ["radial", "kernel", "--p", "3", "--seed", "1"],
+    ["charx", "sigma-k", "--n", "4", "--k", "2", "--theta", "2"],
+    ["density", "riesz", "--p", "3", "--n", "4", "--k", "2"],
+    ["grassmann", "g2r3", "--n", "3"],
+    ["radial", "kernel", "--p", "3", "--planes", "4"],
 ])
 def test_flags_a_command_does_not_read_are_refused(argv):
     code, out, err = _main([*argv, "--no-timestamp"])
     assert (code, out) == (4, ""), argv
     assert err.startswith("config error:") and err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["charx", "sigma-k", "--n", "4", "--k", "2"],
+    ["verify", "p", "--n", "3"],
+    ["table"],
+    ["density", "riesz", "--p", "3", "--n", "4"],
+    ["flow", "riesz", "--p", "3", "--n", "4"],
+    ["grassmann", "g2r3"],
+    ["radial", "kernel", "--p", "3"],
+], ids=lambda argv: argv[0])
+def test_config_is_an_unknown_flag_to_every_command(argv):
+    # flags are given on the command line only; no command reads a JSON file
+    code, out, err = _main([*argv, "--config", "cfg.json", "--no-timestamp"])
+    assert (code, out) == (4, "")
+    assert err == "config error: unrecognized arguments: --config cfg.json\n"
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -836,6 +864,23 @@ def test_output_is_byte_identical(capsys):
 def test_timestamp_present_by_default(capsys):
     _, out = run(capsys, "charx", "p", "--n", "3")
     assert "timestamp" in out
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["charx", "sigma-k", "--n", "abc", "--k", "2"], "argument --n: invalid int value: 'abc'"),
+    (["charx", "sigma-k", "--n", "4", "--k", "2.5"], "argument --k: invalid int value: '2.5'"),
+    (["charx", "sigma-k", "--n", "True", "--k", "2"], "argument --n: invalid int value: 'True'"),
+    (["charx", "sigma-k", "--n", "4", "5", "--k", "2"], "unrecognized arguments: 5"),
+    (["table", "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'json', 'csv')"),
+    (["charx", "sigma-k", "--n", "4", "--k", "2", "--no-timestamp", "1"],
+     "unrecognized arguments: 1"),
+])
+def test_flag_values_are_typed(capsys, argv, line):
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {line}\n"
 
 
 def test_output_file(tmp_path, capsys):

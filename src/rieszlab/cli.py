@@ -74,39 +74,41 @@ def build_family(name: str, n: int, variant: str | None, args) -> subeq.Subequat
     return f
 
 
+def _log_coord_field(args) -> fl.ScalarField:
+    if args.n % 2:
+        raise DomainError(f"log-coord lives on C^(n/2) and needs an even --n, got {args.n}")
+    return fl.log_modulus_coordinate_field(args.n // 2)
+
+
+def _newtonian_field(args) -> fl.ScalarField:
+    """Mass --theta at the origin and, given --offset, mass --theta2 at
+    --offset on the first axis."""
+    masses = [(args.theta, np.zeros(args.n))]
+    if args.offset is not None:
+        second = np.zeros(args.n)
+        second[0] = args.offset
+        masses.append((args.theta2, second))
+    return fl.newtonian_potential_field(args.p, masses, args.n)
+
+
+_FIELDS = {
+    "riesz": lambda args: fl.riesz_kernel_field(args.theta, args.p, args.n),
+    "radial-perturbed": lambda args: fl.plus_quadratic_field(
+        fl.riesz_kernel_field(args.theta, args.p, args.n), 2.0),
+    "log-coord": _log_coord_field,
+    "partial-kernel": lambda args: fl.partial_kernel_field(args.p, args.m, args.n),
+    "newtonian": _newtonian_field,
+    "smooth": lambda args: fl.quadratic_field(1.0, args.n),
+    "zero": lambda args: fl.zero_field(args.n),
+}
+
+
 def build_field(name: str, args) -> fl.ScalarField:
-    n = args.n
-    if n < 2:
-        raise DomainError(f"fields are averaged over spheres in R^n, n >= 2; got --n {n}")
-    theta = args.theta
-    p = args.p
-    if name == "riesz":
-        return fl.riesz_kernel_field(theta, float(p), n)
-    if name == "radial-perturbed":
-        base = fl.riesz_kernel_field(theta, float(p), n)
-        return fl.plus_quadratic_field(base, 2.0)
-    if name == "log-coord":
-        if n % 2:
-            raise DomainError(f"log-coord lives on C^(n/2) and needs an even --n, got {n}")
-        return fl.log_modulus_coordinate_field(n // 2)
-    if name == "partial-kernel":
-        return fl.partial_kernel_field(float(p), args.m, n)
-    if name == "newtonian":
-        masses = [(theta, np.zeros(n))]
-        if args.offset is not None:
-            second = np.zeros(n)
-            second[0] = args.offset
-            masses.append((args.theta2, second))
-        return fl.newtonian_potential_field(float(p), masses, n)
-    if name == "smooth":
-        return fl.quadratic_field(1.0, n)
-    if name == "two-kernel":
-        a = np.zeros(n)
-        a[0] = 1.0 if args.offset is None else args.offset
-        return fl.newtonian_potential_field(float(p), [(1.0, np.zeros(n)), (1.0, a)], n)
-    if name == "zero":
-        return fl.zero_field(n)
-    raise ConfigError(f"unknown field {name!r}")
+    if name not in _FIELDS:
+        raise ConfigError(f"unknown field {name!r}; known: {sorted(_FIELDS)}")
+    if args.n < 2:
+        raise DomainError(f"fields are averaged over spheres in R^n, n >= 2; got --n {args.n}")
+    return _FIELDS[name](args)
 
 
 _PROFILES = {
@@ -243,13 +245,9 @@ def cmd_verify(args) -> int:
     if "ue" in (args.suite or ()) and not plain_pdelta:
         raise ConfigError("--suite ue applies to the pdelta family, with no --variant "
                           "or --regularize")
-    suites = args.suite
-    if not suites:
-        # the applicable default set: ellipticity only for plain pdelta; the
-        # sandwich suite skips itself when the characteristic is infinite
-        suites = ["positivity", "cone", "invariance", "mp", "sandwich"]
-        if plain_pdelta:
-            suites.append("ue")
+    # the applicable default set, ellipticity last and only for plain pdelta;
+    # the sandwich suite skips itself when the characteristic is infinite
+    suites = args.suite or [s for s in _SUITES if s != "ue"] + (["ue"] if plain_pdelta else [])
     reports = []
     for suite in suites:
         if suite == "positivity":

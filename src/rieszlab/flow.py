@@ -393,6 +393,14 @@ def _quotient_rounding(n: int, size: int, k: np.ndarray, magnitudes: np.ndarray,
                  / gap + 2.0 * eps * abs(q))
 
 
+def _center(field: ScalarField, x0) -> np.ndarray:
+    """x0 as a flat float array, checked to be a point of the field's R^n."""
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.size != field.n or not np.all(np.isfinite(x0)):
+        raise DomainError(f"center must be {field.n} finite coordinates, got {x0.tolist()}")
+    return x0
+
+
 def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
                    quad: SphereQuad | None = None, p: float | None = None) -> dict:
     """kind -> AverageCurve, from one `_shell_rows` sweep after checking
@@ -402,9 +410,7 @@ def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
     for kind in kinds:
         if kind not in ("M", "S", "V"):
             raise DomainError(f"unknown average kind {kind!r}")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.size != field.n or not np.all(np.isfinite(x0)):
-        raise DomainError(f"center must be {field.n} finite coordinates, got {x0.tolist()}")
+    x0 = _center(field, x0)
     radii = np.asarray(radii, dtype=float)
     for r in radii:
         if not 0.0 < r < math.inf:
@@ -442,15 +448,14 @@ def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
         else:
             end = k + ladder.size
             values = combine(means[k:end])
-            deepest = kernel(KernelSpec(p=p), radii[-2:])  # for the gap and its rounding
             fine, coarse = quotients(np.stack([values[-2:], combine_coarse(means[end:])]),
-                                     radii[-2:], p, kernel_values=deepest)
+                                     radii[-2:], p)
             out[kind] = curve(kind, values, combine(halves[k:end]), hits[k:])
             out[kind].quadrature_error = float(np.abs(fine - coarse).max(initial=0.0))
             if radii.size > 1:
                 out[kind].quadrature_error += _quotient_rounding(
-                    field.n, quad.size, deepest, combine(magnitudes[k:end])[-2:],
-                    float(fine[0]))
+                    field.n, quad.size, kernel(KernelSpec(p=p), radii[-2:]),
+                    combine(magnitudes[k:end])[-2:], float(fine[0]))
     return out
 
 
@@ -602,8 +607,7 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     `radial.quotients` call.  The report keeps the curves as its `curves`
     attribute, which is not a field, so the JSON report leaves them out.
     """
-    if math.isinf(p):
-        raise DomainError("no density is defined at p = inf")
+    KernelSpec(p=p)  # the exponent's check, before any shell is evaluated
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     radii = _density_radii(radii)
     curves = average_curves(field, kinds, x0, radii, quad, p)
@@ -704,8 +708,7 @@ def mass_density(field: ScalarField, x0, p: float, radii=None,
     n = field.n
     if n < 3:
         raise DomainError("mass density needs n >= 3")
-    if math.isinf(p):
-        raise DomainError("mass density needs finite p")
+    KernelSpec(p=p)  # the exponent's check, before any shell is evaluated
     k = n - p
     if k < 0:
         raise DomainError("mass density needs p <= n")
@@ -897,15 +900,14 @@ def averages_of_tangent_check(tangent: ScalarField, p: float, radii=None,
     and volume constants live in the universal window [-C theta, 0]
     (volume: >= -(C+1) theta).
     """
-    if math.isinf(p):
-        raise DomainError("needs finite p")
+    spec = KernelSpec(p=p)
     n = tangent.n
     _check_volume_density(kinds, p, n)
     radii = _density_radii(radii)
     defect = flow_invariance_defect(tangent, p, quad=quad or sphere_quad(n))
     worst = 0.0
     note_parts = [f"flow-invariance defect {defect:.2e}"]
-    kvals = np.asarray(kernel(KernelSpec(p=p), radii), dtype=float)
+    kvals = np.asarray(kernel(spec, radii), dtype=float)
     count = 0
     if p != 2.0:
         curves = average_curves(tangent, kinds, np.zeros(n), radii, quad, p)
@@ -967,11 +969,11 @@ def density_decay_check(field: ScalarField, x0, path_points, p: float,
     semicontinuity probe checks limsup theta(path) <= theta(center)
     within brackets.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    x0 = _center(field, x0)
     thetas = []
     norms = []
     for x in path_points:
-        x = np.asarray(x, dtype=float).reshape(-1)
+        x = _center(field, x)
         d = field.distance_to_singular(x)
         if d <= 0.0:
             raise DomainError("path point lies on the singular set")
@@ -1013,6 +1015,7 @@ def holder_estimate(field: ScalarField, x0, rho: float, big_r: float, p: float,
     alpha = 2.0 - p
     if not (0.0 < 3.0 * rho <= big_r):
         raise DomainError("need 0 < 3 rho <= R")
+    x0 = _center(field, x0)
     u0 = field.at(x0)
     if not math.isfinite(u0):
         raise DomainError("field must be finite at the center")
@@ -1030,6 +1033,7 @@ def infinitesimal_holder(field: ScalarField, x0, p: float, radii=None,
         raise DomainError("needs 1 <= p < 2")
     alpha = 2.0 - p
     radii = _density_radii(radii)
+    x0 = _center(field, x0)
     u0 = field.at(x0)
     r = float(radii[-1])
     return float((spherical_max(field, x0, r, quad) - u0) / r**alpha)

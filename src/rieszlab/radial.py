@@ -226,18 +226,16 @@ def rp_up_membership(p: float, jet: OneVarJet) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def quotients(values, radii, p: float, kernel_values=None) -> np.ndarray:
+def quotients(values, radii, p: float) -> np.ndarray:
     """Monotone quotients (v_j - v_{j+1}) / (K(r_j) - K(r_{j+1})) of the
     values v_j at adjacent radii r_j; the one place they are computed.
     `values` is the array of the v_j, a stack (..., k) of such curves over
     the same k radii, which shares one kernel evaluation, or a profile, read
     at the radii only after the kernel: a radius where the kernel overflows
     is refused as such, and so is a quotient that is not finite, say one
-    that overflows between two tiny radii (the first in row-major order).
-    `kernel_values`, if given, is the caller's `kernel(KernelSpec(p=p),
-    radii)`, computed once for this call and others."""
+    that overflows between two tiny radii (the first in row-major order)."""
     radii = np.asarray(radii, dtype=float)
-    k = kernel(KernelSpec(p=p), radii) if kernel_values is None else kernel_values
+    k = kernel(KernelSpec(p=p), radii)
     if not all(map(math.isfinite, k.tolist())):
         r = radii[~np.isfinite(k)][0]
         raise DomainError(f"the kernel K_{fmt_param(p)} at radius {r:.6g} overflows")
@@ -307,8 +305,6 @@ def one_var_density(profile: RadialProfile, p: float, radii) -> tuple[float, flo
     quotient one scale up (quotients decrease as both radii shrink, so
     no extrapolation is attempted).  Only the three deepest radii are read.
     """
-    if math.isinf(p):
-        raise DomainError("no density at p = inf")
     radii = density_radii(radii)[-3:]
     theta, bracket, _ = density_estimate(quotients(profile, radii, p))
     return theta, bracket

@@ -133,16 +133,23 @@ def _check_directions(f: Subequation, value: float, tol: float, count: int, seed
     value needs -P_e2 in F up to the membership band, a finite one a
     pencil along e2 that is >= 0 at value - w (unless that is below 1) and
     < 0 at value + w, where w = max(10 tol, 1e-9 |value|)."""
-    # one draw of the whole stack is the stream of `count` random_unit_vector
-    # calls, and numpy refuses a count too large for memory up front; each
-    # row is normalised on its own, as axis=1 norms differ in the last bit
-    draws = np.random.default_rng(seed).standard_normal((count, f.n))
-    e2s = [v / np.linalg.norm(v) for v in draws]
     w = max(10.0 * tol, 1e-9 * abs(value))
     ts = [INF] if value == INF else [t for t in (value - w, value + w) if t >= 1.0]
-    margins = yield np.array([-projector_onto(e2) if value == INF
-                              else projector_perp(e2) - (t - 1.0) * projector_onto(e2)
-                              for e2 in e2s for t in ts])
+    # one draw of the whole stack is the stream of `count` random_unit_vector
+    # calls; it and the pencils' stack are allocated before any loop over
+    # the rows, so numpy refuses a count too large for memory up front; each
+    # row is normalised on its own, as axis=1 norms differ in the last bit
+    draws = np.random.default_rng(seed).standard_normal((count, f.n))
+    stack = np.empty((count, len(ts), f.n, f.n))
+    e2s = draws / np.fromiter((np.linalg.norm(v) for v in draws), float, count)[:, None]
+    onto = e2s[:, :, None] * e2s[:, None, :]  # the floats of np.outer(e2, e2)
+    if value == INF:
+        np.negative(onto, out=stack[:, 0])
+    else:
+        perp = np.eye(f.n) - onto
+        for j, t in enumerate(ts):
+            np.subtract(perp, (t - 1.0) * onto, out=stack[:, j])
+    margins = yield stack.reshape(-1, f.n, f.n)
     for i, e2 in enumerate(e2s):
         *below, above = margins[i * len(ts):(i + 1) * len(ts)]
         holds = all(_checked(f.name, m) >= 0.0 for m in below)

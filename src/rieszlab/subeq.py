@@ -177,18 +177,10 @@ def _min_2_eig_margin(n, p):
     return _pair(0, 1, p - 1.0)
 
 
-def _dual_min_max_eig_margin(n, p):
-    if p < 1:
-        raise DomainError(f"dual-min-max needs p >= 1, got {p}")
-    return _pair(-1, 0, p - 1.0)
-
-
-def _dual_min_2_eig_margin(n, p):
-    if p < 1:
-        raise DomainError(f"dual-min-2 needs p >= 1, got {p}")
-    if n < 2:
-        raise DomainError("dual-min-2 needs n >= 2")
-    return _pair(-1, -2, p - 1.0)
+def _dual_margin(eig_margin):
+    """The dual's constraint on ascending spectra: -eig_margin(-A), the
+    spectrum of -A being the reversed, negated spectrum of A."""
+    return lambda lams: -eig_margin(-lams[..., ::-1])
 
 
 def _signed_power(t: np.ndarray, q: float) -> np.ndarray:
@@ -295,8 +287,8 @@ _FAMILIES = {
     "min-max": Family(_min_max_eig_margin, ("p",),
                       lambda n, p: float(p) if n > 1 else 1.0),
     "min-2": Family(_min_2_eig_margin, ("p",), lambda n, p: float(p)),
-    "dual-min-max": Family(_dual_min_max_eig_margin, ("p",), None),
-    "dual-min-2": Family(_dual_min_2_eig_margin, ("p",), None),
+    "dual-min-max": Family(lambda n, p: _dual_margin(_min_max_eig_margin(n, p)), ("p",), None),
+    "dual-min-2": Family(lambda n, p: _dual_margin(_min_2_eig_margin(n, p)), ("p",), None),
     "trace-power": Family(_trace_power_eig_margin, ("k", "q"), _trace_power_closed),
     "subaffine": Family(_subaffine_eig_margin, (), lambda n: math.inf if n > 1 else 1.0),
     "largest-convex": Family(_largest_convex_eig_margin, ("p",), lambda n, p: float(p)),
@@ -368,7 +360,7 @@ def dual(f: Subequation) -> Subequation:
     meta = dict(name=f"dual({f.name})", n=f.n, invariance=f.invariance,
                 preferred_direction=f.preferred_direction)
     if f.spectrum is not None:
-        return _spectral(f.spectrum, lambda lams: -f.eig_margin(-lams[..., ::-1]), **meta)
+        return _spectral(f.spectrum, _dual_margin(f.eig_margin), **meta)
     return Subequation(margin=lambda a: -f.margin(-as_matrices(a)), **meta)
 
 

@@ -6,8 +6,10 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -361,11 +363,11 @@ def test_a_flag_given_at_its_default_changes_nothing(capsys, argv, flags):
     (["density", "smooth", "--n", "-1", "--p", "2"], "n >= 2"),
     (["density", "newtonian", "--p", "3", "--n", "3", "--mass", "--radii", "1"],
      "strictly decreasing, at least three"),
-    (["flow", "two-kernel", "--n", "0", "--p", "2.5"], "n >= 2"),
+    (["flow", "newtonian", "--n", "0", "--p", "2.5"], "n >= 2"),
     (["charx", "full-space", "--n", "3"], "contains -Id"),
-    (["density", "two-kernel", "--p", "3", "--n", "4", "--offset", "nan"],
+    (["density", "newtonian", "--p", "3", "--n", "4", "--offset", "nan"],
      "kernel center [nan, 0.0, 0.0, 0.0] is not finite"),
-    (["flow", "two-kernel", "--p", "3", "--n", "4", "--offset", "inf"],
+    (["flow", "newtonian", "--p", "3", "--n", "4", "--offset", "inf"],
      "kernel center [inf, 0.0, 0.0, 0.0] is not finite"),
     (["flow", "radial-perturbed", "--p", "3", "--n", "4", "--conv-tol", "nan"],
      "tol must be finite and > 0, got nan"),
@@ -377,6 +379,8 @@ def test_a_flag_given_at_its_default_changes_nothing(capsys, argv, flags):
     # list built one vector at a time grew until the process was killed
     (["charx", "p", "--n", "3", "--check-directions", "100000000000"],
      "error: out of memory"),
+    # the kernel's exponent check is the density's, made before any shell
+    (["density", "zero", "--p", "inf", "--n", "4"], "error: kernel needs 1 <= p < inf, got inf"),
 ])
 def test_bad_field_inputs_exit_3_with_their_reason(capsys, argv, reason):
     code = cli.main(argv + ["--no-timestamp"])
@@ -414,6 +418,8 @@ def test_every_flag_is_read_by_its_command():
         texts = [source] + [
             inspect.getsource(helper) for helper in (cli.build_family, cli.build_field, cli.emit)
             if f"{helper.__name__}(" in source]
+        if "build_field(" in source:  # each field's builder reads its own flags
+            texts += [inspect.getsource(build) for build in cli._FIELDS.values()]
         read = {dest for text in texts
                 for dest in re.findall(r'(?:\bargs\.|getattr\(args, ")(\w+)', text)}
         if "build_family(" in source:
@@ -536,6 +542,24 @@ def _charx_subprocess(argv):
                           env=env, capture_output=True, text=True)
 
 
+def test_direction_check_too_large_for_a_memory_cap_exits_3_at_once():
+    # the pencils along the directions are one stack, allocated before any
+    # loop over them, so under a 2,000,000 KiB address-space cap numpy
+    # refuses it at once, before the per-direction work of seconds begins
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024,) * 2)
+
+    env = dict(os.environ, PYTHONPATH=str(Path(rieszlab.__file__).parents[1]))
+    start = time.monotonic()
+    result = subprocess.run([sys.executable, "-m", "rieszlab.cli", "charx", "p", "--n", "16",
+                             "--check-directions", "5000000", "--no-timestamp"],
+                            env=env, capture_output=True, text=True, preexec_fn=cap,
+                            timeout=60)
+    assert time.monotonic() - start < 5.0
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith("error: out of memory") and result.stderr.count("\n") == 1
+
+
 def test_charx_residual_above_tolerance_is_a_failed_check():
     # the regularized margin at -P_e is about -1e-300, inside the membership
     # band, so -P_e reads as a member: p = inf against the closed form 8e300
@@ -593,12 +617,16 @@ def test_charx_trace_power_at_tiny_q_refuses_in_one_line():
 @pytest.mark.parametrize("argv,shift,code,err", [
     (["charx", "no-such", "--n", "3"], None, 4, "config error: unknown family 'no-such'; known: "),
     (["density", "no-such", "--p", "3"], None, 4, "config error: unknown field 'no-such'"),
+    # newtonian with its second mass at --offset is the one spelling of two kernels
+    (["density", "two-kernel", "--p", "3", "--n", "4"], None, 4,
+     "config error: unknown field 'two-kernel'; known: ['log-coord', 'newtonian', "
+     "'partial-kernel', 'radial-perturbed', 'riesz', 'smooth', 'zero']"),
     (["radial", "no-such"], None, 4, "config error: unknown profile 'no-such'; known: "),
     # a family outside the closed-form catalog reports no closed_form or residual
     (["charx", "dual-min-max", "--n", "4", "--p", "3"], None, 0, ""),
     # a closed form moved by 1 leaves a residual of about 1: a failed check
     (["charx", "p-convex", "--n", "3", "--p", "2"], 1.0, 2, "check failed: p = "),
-], ids=["family", "field", "profile", "no-closed-form", "residual"])
+], ids=["family", "field", "alias", "profile", "no-closed-form", "residual"])
 def test_unknown_names_and_charx_closed_form_branches(monkeypatch, argv, shift, code, err):
     if shift is not None:
         build = cli.build_family
@@ -1354,13 +1382,13 @@ def test_flow_command_reports_hoelder_fields_only_below_2(capsys, p, holder):
 
 
 def test_potential_flows_below_2_subtract_their_value_at_the_origin(capsys):
-    # one mass at the origin is the kernel field, 0 at the origin; the second
-    # mass of two-kernel is finite there too, and its flow leaves the kernel
+    # one mass at the origin is the kernel field, 0 at the origin; a second
+    # mass at --offset 1 is finite there too, and its flow leaves the kernel
     code, newtonian = run_json(capsys, "flow", "newtonian", "--p", "1.5", "--n", "3")
     assert code == 0
     _, kernel = run_json(capsys, "flow", "riesz", "--p", "1.5", "--n", "3")
     assert newtonian["distances"] == kernel["distances"]
-    code, _ = run_json(capsys, "flow", "two-kernel", "--p", "1.5", "--n", "3")
+    code, _ = run_json(capsys, "flow", "newtonian", "--p", "1.5", "--n", "3", "--offset", "1")
     assert code == 2
 
 

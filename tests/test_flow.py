@@ -157,11 +157,18 @@ _AVERAGE_ROUTES = {
     **{f"curve-{kind}": (lambda u, x0, radii, q, kind=kind:
                          flow.average_curves(u, (kind,), x0, radii, q)[kind]) for kind in "MSV"},
     "spherical_max": lambda u, x0, radii, q: [flow.spherical_max(u, x0, r, q) for r in radii],
+    "infinitesimal_holder": (lambda u, x0, radii, q:
+                             flow.infinitesimal_holder(u, x0, 1.5, radii, q)),
+    # the Hoelder estimate and the decay check (at its centre and at a path
+    # point) take no radius list: only the centre rows apply to them
+    "holder_estimate": lambda u, x0, radii, q: flow.holder_estimate(u, x0, 0.1, 1.0, 1.5, q),
+    "decay-center": (lambda u, x0, radii, q:
+                     flow.density_decay_check(u, x0, [np.full(3, 0.5)], 1.5, q)),
+    "decay-path": (lambda u, x0, radii, q:
+                   flow.density_decay_check(u, np.full(3, 0.5), [x0], 1.5, q)),
 }
-
-
-@pytest.mark.parametrize("route", sorted(_AVERAGE_ROUTES))
-@pytest.mark.parametrize("radii,center,reason", [
+_CENTER_ONLY = ("holder_estimate", "decay-center", "decay-path")
+_BALLS = [
     ([0.8, 0.4, 0.0], [0.0, 0.0, 0.0], "positive and finite"),
     ([0.8, 0.4, -0.2], [0.0, 0.0, 0.0], "positive and finite"),
     ([0.8, math.nan, 0.2], [0.0, 0.0, 0.0], "positive and finite"),
@@ -170,18 +177,28 @@ _AVERAGE_ROUTES = {
     ([0.8, 0.4, 0.2], [0.0, 0.0, 0.0, 0.0], "3 finite coordinates"),
     ([0.8, 0.4, 0.2], [0.0, math.inf, 0.0], "3 finite coordinates"),
     ([0.8, 0.4, 0.2], [math.nan, 0.0, 0.0], "3 finite coordinates"),
-])
+]
+
+
+@pytest.mark.parametrize("radii,center,reason,route", [
+    pytest.param(*ball, route, id=f"radii{i}-center{i}-{ball[2]}-{route}")
+    for i, ball in enumerate(_BALLS) for route in sorted(_AVERAGE_ROUTES)
+    if route not in _CENTER_ONLY or ball[2] == "3 finite coordinates"])
 def test_every_average_route_checks_its_balls(quad3, route, radii, center, reason):
-    # each ball of every route goes through the same checks, whatever the kind
+    # each ball of every route goes through the same checks, whatever the
+    # kind; the field reads every coordinate of its points (the zero field
+    # reads none), so a centre of the wrong length is caught by the check,
+    # not by numpy's broadcasting
+    u = flow.riesz_kernel_field(1.0, 1.5, 3)
     with pytest.raises(DomainError, match=reason):
-        _AVERAGE_ROUTES[route](flow.zero_field(3), np.asarray(center), np.asarray(radii), quad3)
+        _AVERAGE_ROUTES[route](u, np.asarray(center), np.asarray(radii), quad3)
 
 
 def test_two_kernels_on_one_ray_have_a_closed_form_max(capsys):
     # M(r) = K(r) + K(r + 0.5): the shell of radius 0.5 through the second
     # pole made the sampled maximum read as not monotone
     spec = radial.KernelSpec(p=3.0)
-    assert cli.main(["density", "two-kernel", "--n", "4", "--p", "3", "--offset", "0.5",
+    assert cli.main(["density", "newtonian", "--n", "4", "--p", "3", "--offset", "0.5",
                      "--no-timestamp"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["monotone_ok"] is True and rep["monotone_defect"] == 0.0
@@ -209,10 +226,10 @@ def test_two_kernels_on_one_ray_have_a_closed_form_max(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["two-kernel", "--n", "4", "--p", "3", "--offset", "0.5",
+    ["newtonian", "--n", "4", "--p", "3", "--offset", "0.5",
      "--center", "0.01", "-0.02", "0.03", "-0.04"],
     ["newtonian", "--p", "3", "--n", "4", "--offset", "0.7", "--center", "0.1", "0.2", "0", "0"],
-], ids=["two-kernel", "newtonian"])
+], ids=["offset-0.5", "newtonian"])
 def test_a_density_off_the_ray_reads_monotone(capsys, argv):
     # off the ray of centres M is the sampled maximum: its quotients are
     # positive and decrease
@@ -453,20 +470,28 @@ def test_only_non_finite_values_are_clipped():
 
 def test_volume_density_needs_p_below_n_plus_2():
     # the kernel's ball average diverges at p >= n + 2 (no finite V to
-    # sample); the refusal, also at p = NaN, comes before any shell or the
-    # tangent's flow-invariance defect is evaluated
+    # sample); that refusal, and the kernel's own of p outside [1, inf),
+    # NaN included, come before any shell or the tangent's flow-invariance
+    # defect is evaluated
     def values(pts):
         raise NumericalError("evaluated")
 
     u = flow.riesz_kernel_field(1.0, 7.0, 4)
+    raising = flow.ScalarField(n=4, values=values)
     checks = (lambda v, p, kinds: flow.densities(v, np.zeros(4), p, kinds=kinds),
               lambda v, p, kinds: flow.averages_of_tangent_check(v, p, kinds=kinds))
     for check in checks:
-        for v, p in ((u, 7.0), (flow.ScalarField(n=4, values=values), 7.0),
-                     (flow.ScalarField(n=4, values=values), math.nan)):
+        for v in (u, raising):
             with pytest.raises(DomainError, match="p >= n \\+ 2 = 6"):
-                check(v, p, ("M", "S", "V"))
+                check(v, 7.0, ("M", "S", "V"))
+        for p in (math.nan, 0.5, math.inf):
+            for kinds in (("M", "S", "V"), ("M", "S")):
+                with pytest.raises(DomainError, match=f"kernel needs 1 <= p < inf, got {p}"):
+                    check(raising, p, kinds)
         check(u, 7.0, ("M", "S"))
+    for p in (math.nan, 0.5, math.inf):
+        with pytest.raises(DomainError, match=f"kernel needs 1 <= p < inf, got {p}"):
+            flow.mass_density(raising, np.zeros(4), p)
 
 
 def test_density_rejects_infinite_p(quad3):
@@ -583,7 +608,7 @@ def test_volume_average_needs_p_and_decreasing_radii(quad3):
     for p in (5.0, math.nan):
         with pytest.raises(DomainError, match="p >= n \\+ 2 = 5"):
             flow.average_curves(u, ("V",), np.zeros(3), [1.0, 0.5], quad3, p)["V"]
-    with pytest.raises(DomainError, match="got p = nan"):
+    with pytest.raises(DomainError, match="kernel needs 1 <= p < inf, got nan"):
         flow.densities(u, np.zeros(3), math.nan, quad=quad3)
     for kind in "MS":
         flow.average_curves(u, (kind,), np.zeros(3), [0.5, 1.0], quad3)[kind]
@@ -1022,7 +1047,8 @@ def test_mass_density_requires_n_at_least_three():
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda u: flow.mass_density(u, np.zeros(3), math.inf), "mass density needs finite p"),
+    (lambda u: flow.mass_density(u, np.zeros(3), math.inf),
+     "kernel needs 1 <= p < inf, got inf"),
     (lambda u: flow.mass_density(u, np.zeros(3), 3.5), "mass density needs p <= n"),
     (lambda u: flow.tangent_flow(u, math.inf, 0.5), "flow undefined at p = inf"),
     (lambda u: flow.average_curves(u, ("X",), np.zeros(3), [0.5]), "unknown average kind 'X'"),
@@ -1031,7 +1057,8 @@ def test_mass_density_requires_n_at_least_three():
     (lambda u: flow.unit_ball_volume(-1), "dimension must be >= 0"),
     (lambda u: flow.SphereQuad(1), "sphere quadrature needs n >= 2"),
     (lambda u: flow.SphereQuad(3, 4), "quadrature size too small"),
-    (lambda u: flow.averages_of_tangent_check(u, math.inf), "needs finite p"),
+    (lambda u: flow.averages_of_tangent_check(u, math.inf),
+     "kernel needs 1 <= p < inf, got inf"),
     (lambda u: flow.holder_estimate(u, np.ones(3), 0.1, 1.0, 2.0),
      "Hoelder estimates need 1 <= p < 2"),
     (lambda u: flow.holder_estimate(u, np.ones(3), 0.5, 1.0, 1.5), "need 0 < 3 rho <= R"),

@@ -102,14 +102,16 @@ def test_builtin_parameter_validation():
 @pytest.mark.parametrize("family,n,params,message", [
     ("min-max", 3, {"p": 0.5}, "min-max needs p >= 1, got 0.5"),
     ("min-2", 3, {"p": 0.5}, "min-2 needs p >= 1, got 0.5"),
-    ("dual-min-2", 3, {"p": 0.5}, "dual-min-2 needs p >= 1, got 0.5"),
-    ("dual-min-2", 1, {"p": 2.0}, "dual-min-2 needs n >= 2"),
+    # a dual family is refused by the rule of the family it is the dual of
+    ("dual-min-2", 3, {"p": 0.5}, "min-2 needs p >= 1, got 0.5"),
+    ("dual-min-2", 1, {"p": 2.0}, "min-2 needs n >= 2"),
     ("trace-power", 3, {"k": 2, "q": 0.0}, "trace-power needs q > 0, got q=0.0"),
     ("trace-power", 3, {"k": 2, "q": -1.0}, "trace-power needs q > 0, got q=-1.0"),
     ("garding-pdelta", 3, {"delta": 0.0, "k": 1}, "garding-pdelta needs delta > 0, got 0.0"),
     ("garding-pdelta", 3, {"delta": 1.0, "k": 4}, "garding-pdelta needs 1 <= k <= 3, got k=4"),
     ("garding-pdelta", 3, {"delta": 1.0, "k": 0}, "garding-pdelta needs 1 <= k <= 3, got k=0"),
     ("p-convex", 3, {"p": 1.0, "k": 2}, "family 'p-convex' got unknown parameters \\['k'\\]"),
+    ("dual-min-max", 3, {"p": 0.5}, "min-max needs p >= 1, got 0.5"),
 ])
 def test_family_parameter_refusals(family, n, params, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
@@ -184,6 +186,26 @@ def test_dual_min_2_closed_form():
         a = random_sym(seed, n)
         lams = linalg.ordered_eigenvalues(a)
         assert d.margin(a) == pytest.approx(lams[-1] + (p - 1.0) * lams[-2], abs=1e-9)
+
+
+@pytest.mark.parametrize("family,reference", [
+    ("dual-min-max", lambda lams, c: lams[..., -1] + c * lams[..., 0]),
+    ("dual-min-2", lambda lams, c: lams[..., -1] + c * lams[..., -2]),
+], ids=["dual-min-max", "dual-min-2"])
+def test_dual_families_keep_their_hand_indexed_margins_bit_for_bit(family, reference):
+    # the family is built as the dual of min-max or min-2, the reference
+    # indexes the spectrum by hand; on spectra with no zero entry (a zero
+    # term may flip the sign of a zero margin, which no membership test
+    # reads) every float is the same, overflows included
+    rng = np.random.default_rng(11)
+    for n in range(2, 17):
+        for scale in (1e-300, 1.0, 1e300):
+            lams = np.sort(scale * rng.standard_normal((1000, n)), axis=-1)
+            for p in (1.0, 1.5, 3.0, 7.25, 1e300):
+                with np.errstate(over="ignore"):
+                    got = subeq.builtin(family, n, p=p).eig_margin(lams)
+                    want = reference(lams, p - 1.0)
+                assert got.tobytes() == want.tobytes(), (family, n, scale, p)
 
 
 @settings(max_examples=100, deadline=None)

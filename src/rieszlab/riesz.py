@@ -136,19 +136,16 @@ def _check_directions(f: Subequation, value: float, tol: float, count: int, seed
     w = max(10.0 * tol, 1e-9 * abs(value))
     ts = [INF] if value == INF else [t for t in (value - w, value + w) if t >= 1.0]
     # one draw of the whole stack is the stream of `count` random_unit_vector
-    # calls; it and the pencils' stack are allocated before any loop over
-    # the rows, so numpy refuses a count too large for memory up front; each
-    # row is normalised on its own, as axis=1 norms differ in the last bit
+    # calls; it and the pencils' stack are allocated before the rows are
+    # normalised one by one (axis=1 norms differ in the last bit), a loop of
+    # seconds at millions of rows, so numpy refuses a count too large for
+    # memory up front
     draws = np.random.default_rng(seed).standard_normal((count, f.n))
     stack = np.empty((count, len(ts), f.n, f.n))
     e2s = draws / np.fromiter((np.linalg.norm(v) for v in draws), float, count)[:, None]
     onto = e2s[:, :, None] * e2s[:, None, :]  # the floats of np.outer(e2, e2)
-    if value == INF:
-        np.negative(onto, out=stack[:, 0])
-    else:
-        perp = np.eye(f.n) - onto
-        for j, t in enumerate(ts):
-            np.subtract(perp, (t - 1.0) * onto, out=stack[:, j])
+    for j, t in enumerate(ts):
+        stack[:, j] = -onto if t == INF else np.eye(f.n) - onto - (t - 1.0) * onto
     margins = yield stack.reshape(-1, f.n, f.n)
     for i, e2 in enumerate(e2s):
         *below, above = margins[i * len(ts):(i + 1) * len(ts)]

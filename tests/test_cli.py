@@ -227,7 +227,7 @@ def test_charx_fuzz_exits_cleanly_and_matches_closed_forms(argv):
 
 
 _FIELDS = ("riesz", "radial-perturbed", "log-coord", "partial-kernel", "newtonian", "smooth",
-           "two-kernel", "zero")
+           "zero")
 # two draws in three are usable values, one is non-finite, zero, negative or
 # huge; hypothesis tries the first entries of each list most often
 _USABLE = st.sampled_from(["3", "2", "1.5", "1", "0.25"])
@@ -239,7 +239,8 @@ _FIELD_VALUE = st.one_of(_USABLE, _USABLE,
 def field_argv(draw):
     command = draw(st.sampled_from(["density", "flow"]))
     n = draw(st.one_of(st.sampled_from([3, 4, 2]), st.sampled_from(range(-1, 10))))
-    argv = [command, draw(st.sampled_from(_FIELDS)), "--n", str(n),
+    field = draw(st.sampled_from(_FIELDS))
+    argv = [command, field, "--n", str(n),
             "--p", draw(_FIELD_VALUE), "--quad", draw(st.sampled_from(["64", "256", "100"]))]
     for flag in ("theta", "radii", "center", "beta"):
         if (flag, command) in {("center", "flow"), ("beta", "density")} or not draw(st.booleans()):
@@ -251,9 +252,14 @@ def field_argv(draw):
     if command == "density":
         if draw(st.booleans()):
             argv.append("--mass")
+        candidate = None
     else:
-        argv += ["--candidate", draw(st.sampled_from(_FIELDS)),
+        candidate = draw(st.sampled_from(_FIELDS))
+        argv += ["--candidate", candidate,
                  "--metric", draw(st.sampled_from(["sup", "l1", "holder"]))]
+    # the second mass of a newtonian field or candidate sits at --offset
+    if "newtonian" in (field, candidate) and draw(st.booleans()):
+        argv += ["--offset", draw(_FIELD_VALUE)]
     return argv
 
 
@@ -268,7 +274,7 @@ def field_argv(draw):
                "0.5", "nan"])
 @example(argv=["density", "smooth", "--n", "-1", "--p", "2"])
 @example(argv=["density", "smooth", "--n", "3", "--p", "1", "--radii", "3", "1", "1", "--mass"])
-@example(argv=["flow", "two-kernel", "--n", "0", "--p", "2.5"])
+@example(argv=["flow", "newtonian", "--n", "0", "--p", "2.5", "--offset", "1"])
 @example(argv=["density", "riesz", "--p", "3", "--n", "4", "--theta", "-inf"])
 def test_density_and_flow_fuzz_exit_cleanly(argv):
     _exits_cleanly(argv, *_main(argv + ["--no-timestamp"]))
@@ -542,6 +548,10 @@ def _charx_subprocess(argv):
                           env=env, capture_output=True, text=True)
 
 
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
 def test_direction_check_too_large_for_a_memory_cap_exits_3_at_once():
     # the pencils along the directions are one stack, allocated before any
     # loop over them, so under a 2,000,000 KiB address-space cap numpy
@@ -549,7 +559,9 @@ def test_direction_check_too_large_for_a_memory_cap_exits_3_at_once():
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024,) * 2)
 
-    env = dict(os.environ, PYTHONPATH=str(Path(rieszlab.__file__).parents[1]))
+    # one BLAS thread: per-thread buffers of many cores would not map under the cap
+    env = dict(os.environ, PYTHONPATH=str(Path(rieszlab.__file__).parents[1]),
+               **dict.fromkeys(_THREAD_VARS, "1"))
     start = time.monotonic()
     result = subprocess.run([sys.executable, "-m", "rieszlab.cli", "charx", "p", "--n", "16",
                              "--check-directions", "5000000", "--no-timestamp"],

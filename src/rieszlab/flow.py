@@ -1,22 +1,29 @@
 """Scalar fields, spherical/volume averages, tangential flows, densities
 and their cross-relations, plus the built-in example fields.
 
-Averages use a seeded low-discrepancy sphere point set shared across all
-radii of a run.  Sharing the point set makes quotients of exactly
-scale-homogeneous fields exact (the quadrature error cancels), and the
-reported noise bound of M, S and V alike comes from comparing against the
-first half of the sample.
-
 Every average (M, S and V, scalar or curve) comes from one sweep,
-`average_curves` over `_shell_rows`: after checking each radius, it
-evaluates every shell the request needs once, in blocks of at most
-`SHELL_BLOCK` values -- the curve radii for M and S, then the node
-radii behind V (`_volume_ladder`).  Shells come from one evaluator per call,
-`radii -> (k, m)` values `values(x0 + s w)` over the m unit points w, or
-from the field's faster `shells` hook (the kernel sums).  M is the
-field's closed-form max, checked against the sampled maximum of its
-shell, or else that sampled maximum; the kernel sums have a closed form
-when their centres lie on one ray from x0.
+`average_curves` over `_shell_rows`: after checking each radius, it reads
+every shell the request needs once -- the curve radii for M and S, then
+the node radii behind V (`_volume_ladder`).
+
+A kernel sum sum_k w_k K(|x - c_k|) (`riesz`, `newtonian`) has exact
+sphere means: the mean of one term over a sphere depends only on its
+radius and the centre's distance, a 1-D integral in the polar angle
+(`_sphere_means`).  Its S and V read those means, and the half curve is
+the rule with half the nodes, so the noise bound is the rule's error
+estimate.  Sphere points are read only for M, whose closed form on the
+ray of centres is checked against the sampled maximum of the curve
+shells, and which off that ray is the sampled maximum.  A kernel sum
+whose every centre is x0 is constant on each sphere: its shells are one
+column per radius, read in one block.
+
+Any other field is sampled on a seeded low-discrepancy sphere point set
+shared across all radii of a run, in blocks of at most `SHELL_BLOCK`
+values.  Sharing the point set makes quotients of exactly
+scale-homogeneous fields exact (the quadrature error cancels), and the
+noise bound of M, S and V alike comes from comparing against the first
+half of the sample.  M is the field's closed-form max, checked against the
+sampled maximum of its shell, or else that sampled maximum.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ MAX_CLIPPED_FRACTION = 1e-3
 # nodes of the volume ladder in the innermost ball and per annulus
 JACOBI_NODES = 32
 ANNULUS_NODES = 8
-# values per block of sphere shells: bounds their arrays
+# values per block of sampled sphere shells: bounds their arrays (broadcast
+# columns take no memory per point, and are read and clipped as columns)
 SHELL_BLOCK = 1 << 16
 # sphere points per set, 16 times the largest default: 2^20 points at n = 16
 # peak at about 165 MB of RSS while they are drawn (the finished set is 128 MiB)
@@ -50,6 +58,13 @@ QUAD_SIZE_MAX = 1 << 20
 QUAD_BLOCK = 1 << 10
 # relative radius step of the backward difference behind the mass density
 MASS_FD_STEP = 1e-3
+# the polar-angle rule of the exact sphere means (`_sphere_means`): Gauss
+# nodes per panel (the coarse rule takes half), the ratio of the panels
+# graded toward the angle 0 below pi/2, and their smallest edge
+MEAN_NODES = 24
+MEAN_RATIO = 0.2
+MEAN_FLOOR = 1e-18
+MEAN_LEVELS = math.ceil(math.log(0.5 * math.pi / MEAN_FLOOR) / math.log(1.0 / MEAN_RATIO))
 
 
 def unit_ball_volume(k: float) -> float:
@@ -171,6 +186,124 @@ def _volume_ladder(n: int, p: float, radii: np.ndarray, inner: int, per_annulus:
     return shells, combine
 
 
+@lru_cache(maxsize=32)
+def _polar_panels(n: int, p: float):
+    """(angles, log weights, slacks), one row per panel of the polar angle
+    theta (one value per panel for the slacks): the MEAN_NODES Gauss nodes
+    of the fine rule, in increasing order, then the half as many of the
+    coarse rule.  The log weight of a node is that of the rule
+    times sin^(n-2) theta over the integral of sin^(n-2) on (0, pi), so a
+    sum of weights times values is a sphere mean.  Row 0 is (pi/2, pi);
+    row 1 + j is the graded panel (pi/2 r^(j+1), pi/2 r^j), r = MEAN_RATIO,
+    for j < MEAN_LEVELS; row 1 + MEAN_LEVELS + j is the innermost panel
+    (0, pi/2 r^j), j <= MEAN_LEVELS.  Below p = n + 1 a last row holds
+    (0, pi/2) by the Gauss-Jacobi rule for theta^(n-p), whose log weights
+    divide that power out: the panel of a sphere through the pole.
+
+    A log weight is a sum of at most five parts (the log of the rule's
+    weight times the panel's length, or on the last row the logs of pi/2,
+    of the weight and -(n-p) log x; (n-2) log sin theta; the
+    normalization).  Each part is within 2 eps of its magnitude, plus n + 10
+    eps over all of them, and four additions round within 4 eps times the
+    sum of the magnitudes.  So the slack of a panel, 6 times the largest
+    such sum of its fine nodes plus n + 10, bounds in units of eps the
+    rounding of a node's log weight plus the log weight's magnitude, which
+    bounds the rounding of its addition to the kernel's exponent
+    (`_sphere_means`)."""
+    top = 0.5 * math.pi
+    grades = top * MEAN_RATIO ** np.arange(MEAN_LEVELS + 1)
+    lo = np.concatenate([[top], grades[1:], np.zeros(MEAN_LEVELS + 1)])
+    hi = np.concatenate([[math.pi], grades[:-1], grades])
+    x, w = (np.concatenate(parts) for parts in zip(gauss_jacobi(MEAN_NODES, 0.0),
+                                                     gauss_jacobi(MEAN_NODES // 2, 0.0)))
+    angles = lo[:, None] + (hi - lo)[:, None] * x
+    logs = np.log((hi - lo)[:, None] * w)
+    sizes = np.abs(logs)  # the sum of the parts' magnitudes
+    if p < n + 1.0:
+        beta = n - p
+        x, w = (np.concatenate(parts) for parts in zip(gauss_jacobi(MEAN_NODES, beta),
+                                                         gauss_jacobi(MEAN_NODES // 2, beta)))
+        angles = np.vstack([angles, top * x])
+        logs = np.vstack([logs, math.log(top) + np.log(w) - beta * np.log(x)])
+        sizes = np.vstack([sizes, abs(math.log(top)) + np.abs(np.log(w))
+                           + beta * np.abs(np.log(x))])
+    norm = 0.5 * math.log(math.pi) + math.lgamma((n - 1) / 2.0) - math.lgamma(n / 2.0)
+    sines = (n - 2.0) * np.log(np.sin(angles))
+    logs += sines - norm
+    slacks = 6.0 * (sizes + np.abs(sines))[:, :MEAN_NODES].max(axis=1) + 6.0 * abs(norm) + n + 10.0
+    for table in (angles, logs, slacks):
+        table.flags.writeable = False
+    return angles, logs, slacks
+
+
+def _sphere_means(spec: KernelSpec, n: int, weight: float, d: float, radii: np.ndarray):
+    """(fine, coarse, absolute, rounding): the means of weight * K(|x - c|)
+    over the spheres of the given radii about x0, where |x0 - c| = d > 0, by
+    the fine and coarse polar-angle rule, the fine rule's mean of absolute
+    values, and a bound, in units of eps, on the rounding of the fine mean.
+
+    On the sphere of radius r the squared distance to c is q = (r - d)^2 +
+    4 r d sin^2(theta/2), whose kernel has its kink at theta ~ |r - d| /
+    sqrt(r d): the branch points of q^((2-p)/2) are at +-i k, k = 2
+    asinh(|r - d| / (2 sqrt(r d))).  So the panels of `_polar_panels` are
+    graded toward theta = 0 until the innermost is within 2k (at least
+    MEAN_FLOOR), where the integrand is smooth on the panel's scale; a
+    sphere through c (r = d) at p != 2 takes the Gauss-Jacobi panel of the
+    power theta^(n-p) in one.  Each node's w K(sqrt(q)) is multiplied by
+    its weight in log space (`radial.weighted_kernel_of_square`), so a
+    pole's power and a tiny sin^(n-2) theta do not meet as inf times 0;
+    each panel's values are summed in a row, then the panels of a radius
+    in order (`np.add.reduceat`).  The mean over a sphere through c
+    diverges at p >= n + 1: refused.
+
+    The rounding bound takes each node's value as exp(a1 + a2) times the
+    normalized weight, a1 = (2 - p)/2 ln q and a2 its log weight.  Let c =
+    |2 - p|/2 and L the larger |ln q| at the first and last fine node of
+    the panel (q grows with theta, so |a1| <= c L).  q rounds within 7 eps
+    relative, so a1 within c (7 + 3 L) eps, and its addition to a2 within
+    c L eps more; a2 and its own part of that addition within the panel's
+    slack (`_polar_panels`); the exp and the normalization within 4 eps
+    more.  At p = 2 the value is (w/2) ln q e^a2, and the 7 eps absolute
+    of ln q adds 7/2 |w| eps times the sum of the weights e^a2, the rule's
+    mass 1: 4 |w| eps covers it.  The sums add their depth times the
+    absolute mean: `_sum_depth(MEAN_NODES)` in a panel, one per panel
+    after."""
+    gap = np.abs(radii - d)
+    through = (gap == 0.0) & (spec.p != 2.0)
+    if through.any() and not spec.p < n + 1.0:
+        raise DomainError(f"the sphere mean of K_{fmt_param(spec.p)} over the sphere of radius "
+                          f"{radii[through.argmax()]:.6g} through its pole diverges at "
+                          f"p >= n + 1 = {n + 1}")
+    angles, logs, slacks = _polar_panels(n, spec.p)
+    kink = 2.0 * np.arcsinh(gap / (2.0 * np.sqrt(radii * d)))
+    levels = np.ceil(np.log(0.5 * math.pi / np.maximum(2.0 * kink, MEAN_FLOOR))
+                     / math.log(1.0 / MEAN_RATIO))
+    levels = np.where(through, 0, np.clip(levels, 0, MEAN_LEVELS)).astype(int)
+    counts = levels + 2
+    starts = np.cumsum(counts) - counts
+    # the rows of a radius: (pi/2, pi), its graded panels, its innermost
+    position = np.arange(counts.sum()) - np.repeat(starts, counts)
+    inner = np.where(through, 2 * MEAN_LEVELS + 2, 1 + MEAN_LEVELS + levels)
+    rows = np.where(position == np.repeat(counts - 1, counts), np.repeat(inner, counts), position)
+    r = np.repeat(radii, counts)[:, None]
+    q = np.square(np.sin(0.5 * angles[rows]))
+    q *= 4.0 * d * r
+    q += np.square(r - d)
+    ends = np.maximum(q[:, [0, MEAN_NODES - 1]], np.finfo(float).tiny)
+    spread = np.abs(np.log(ends)).max(axis=1)  # L per panel
+    values = weighted_kernel_of_square(spec, weight, q, logs[rows])
+    fine = values[:, :MEAN_NODES]
+    c = 0.5 * abs(2.0 - spec.p)
+    absolute = np.abs(fine).sum(axis=1)
+    panels = np.stack([fine.sum(axis=1), values[:, MEAN_NODES:].sum(axis=1), absolute,
+                       (c * (7.0 + 4.0 * spread) + 4.0 + slacks[rows]) * absolute])
+    out = np.add.reduceat(panels, starts, axis=1)
+    out[3] += (_sum_depth(MEAN_NODES) + counts) * out[2]
+    if c == 0.0:
+        out[3] += 4.0 * abs(weight)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # scalar fields
 # ---------------------------------------------------------------------------
@@ -187,11 +320,18 @@ class ScalarField:
     (x0, r); the maximum is then sampled.
     ``shells(x0, points)``, when set, returns ``radii -> (k, m)`` values,
     row i ``values(x0 + radii[i] * points)`` for the m unit ``points``,
-    faster than ``values``; every sphere average reads its shells through
-    it, at most `SHELL_BLOCK` values per call.  The array it returns may be
+    faster than ``values``; every sampled shell is read through it, at
+    most `SHELL_BLOCK` values per call.  The array it returns may be
     read-only or a broadcast view, and is valid only until the next call,
     which may reuse its memory: its consumers only read it, each before
     they ask for the next.
+    ``means(x0)``, when set, returns ``radii -> (4, k)``: the exact sphere
+    means about x0 at the k radii, the same by a coarser rule (the half
+    curve, whose gap is the noise bound), an upper bound on the means of
+    absolute values and a bound, in units of eps, on the rounding of the
+    means; S and V read them, and the points only M.  It returns None when
+    the field is constant on every sphere about x0, and then its shells
+    must be broadcast columns: they are exact and read in one block.
     """
 
     n: int
@@ -201,6 +341,7 @@ class ScalarField:
     singular_distance: Callable | None = None
     analytic_max: Callable | None = None
     shells: Callable | None = None
+    means: Callable | None = None
 
     def at(self, x) -> float:
         x = np.asarray(x, dtype=float).reshape(1, -1)
@@ -218,9 +359,18 @@ class ScalarField:
         return dist
 
 
+def _broadcast(vals: np.ndarray) -> bool:
+    """Whether the rows of vals (k, m) are columns broadcast over m > 1 points."""
+    return vals.shape[1] > 1 and vals.strides[1] == 0
+
+
 def _clipped(vals: np.ndarray):
     """vals with each non-finite value, a hit on the singular set, set to
-    CLIP_FLOOR, and the number of hits (per row of a 2-D array)."""
+    CLIP_FLOOR, and the number of hits (per row of a 2-D array).  Broadcast
+    rows stay broadcast: their column is clipped, each hit counted m times."""
+    if vals.ndim == 2 and _broadcast(vals):
+        column, hits = _clipped(vals[:, :1])
+        return np.broadcast_to(column, vals.shape), hits * vals.shape[1]
     bad = ~np.isfinite(vals)
     if bad.any():
         vals = np.where(bad, CLIP_FLOOR, vals)
@@ -270,7 +420,7 @@ def _row_sums(vals: np.ndarray, half: int):
     m = vals.shape[1]
     if m < 256 or m & (m - 1):
         return vals[:, :half].sum(axis=1), vals.sum(axis=1)
-    if vals.strides[1] == 0:  # broadcast rows
+    if _broadcast(vals):
         block = vals[:, :128].sum(axis=1)
         return block * (half // 128), block * (m // 128)
     lead = vals[:, :half].sum(axis=1)
@@ -283,7 +433,7 @@ def _absolute_sums(vals: np.ndarray, sums: np.ndarray):
     broadcast row among them) sums its absolute values to |sum| bit for
     bit; only a row with values of both signs is summed again."""
     out = np.abs(sums)
-    if vals.strides[1] == 0:  # broadcast rows
+    if _broadcast(vals):
         return out
     negative = sums < 0.0
     mixed = np.zeros(sums.size, dtype=bool)
@@ -296,35 +446,103 @@ def _absolute_sums(vals: np.ndarray, sums: np.ndarray):
     return out
 
 
+def _refuse_shell(r: float):
+    raise DomainError(f"every sphere sample at radius {r:.6g} is non-finite (float overflow "
+                      f"or the singular set)")
+
+
+def _maxima(field: ScalarField, x0: np.ndarray, radii: np.ndarray, vals: np.ndarray) -> list:
+    """The (M, leading-half M) pairs (`_max_from_shell`) of the sampled
+    shells vals (k, m) at the k radii.  A non-finite value, a hit on the
+    singular set, is read as -inf, so it never stands for a maximum (a
+    CLIP_FLOOR value could exceed every finite one); a shell whose samples
+    are all non-finite is refused.  Broadcast rows are read as their column."""
+    shape = vals.shape
+    if _broadcast(vals):
+        vals = vals[:, :1]
+    finite = np.isfinite(vals)
+    if not finite.all():
+        whole = finite.any(axis=1)
+        if not whole.all():
+            _refuse_shell(radii[whole.argmin()])
+        vals = np.where(finite, vals, -np.inf)
+    vals = np.broadcast_to(vals, shape)
+    return [_max_from_shell(field, x0, r, row) for r, row in zip(radii, vals)]
+
+
+def _sampled_maxima(field: ScalarField, x0: np.ndarray, quad: SphereQuad,
+                    radii: np.ndarray) -> list:
+    """`_maxima` of the sampled shells at the radii, read in blocks of at
+    most SHELL_BLOCK values."""
+    if not radii.size:
+        return []  # the points are not read at all
+    evaluate = _shell_evaluator(field, x0, quad.points)
+    step = max(1, SHELL_BLOCK // quad.size)
+    tops = []
+    for lo in range(0, radii.size, step):
+        block = radii[lo:lo + step]
+        tops += _maxima(field, x0, block, evaluate(block))
+    return tops
+
+
+def _sum_depth(size: int) -> int:
+    """Additions deep of numpy's pairwise sum of `size` values: size/8 + 2
+    up to 128 values (eight running sums), one more for each doubling
+    beyond."""
+    return size // 8 + 2 if size <= 128 else size.bit_length() + 10
+
+
 def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.ndarray,
-                maxima: int, absolute: np.ndarray | None = None):
-    """(means, leading-half means, means of absolute values, hits, maxima)
-    of the sphere shells about x0 of the given radii, evaluated once each
-    in one pass of blocks of at most SHELL_BLOCK values; the maxima are the
-    (M, leading-half M) pairs (`_max_from_shell`) of the first `maxima`
-    shells only, the means of absolute values (`_absolute_sums`) those of
-    the shells marked in the mask `absolute` (and of any shell between two
-    marked ones in a block; 0 elsewhere), and the leading half of the
-    points is the set of half the size.  The row sums come from
-    `_row_sums`: for a power-of-two size of at least 256 (every default)
-    the full sum is the leading-half sum plus the trailing-half sum, bit
-    for bit, so each value is read once for them, and a broadcast row
-    (every term centred) sums its first 128 values only.  A non-finite
-    value makes its row sum non-finite, so the values are scanned and
-    clipped only in a block with a non-finite row sum.  A shell whose row
-    sum still overflows after clipping, or whose samples are all
-    non-finite, is refused."""
+                maxima: int, absolute: np.ndarray | None = None, means_from: int = 0):
+    """(means, leading-half means, means of absolute values, rounding, hits,
+    maxima, depth) of the sphere shells about x0 of the given radii, each
+    read once; the maxima are the (M, leading-half M) pairs (`_maxima`) of
+    the first `maxima` shells only.  A mean is within eps (depth times its
+    mean of absolute values plus its rounding) of the exact sum behind it
+    (`_quotient_rounding`).
+
+    A field with exact means (`ScalarField.means`) takes them in one call
+    for the radii from index `means_from` on (the ones before are read for
+    M only, and their means are NaN): the coarse rule's means stand for the
+    half means, the rounding is the means' own bound, with depth 0, no
+    sample is a hit, and the sampled shells are read for the maxima only
+    (`_sampled_maxima`).
+
+    Otherwise the shells are sampled, in one pass of blocks of at most
+    SHELL_BLOCK values, or in one block when the field's `means` declines
+    x0: its shells are then broadcast columns.  The depth is that of the
+    row sums and the rounding 0.  The means of absolute values
+    (`_absolute_sums`) are those of the shells marked in the mask
+    `absolute` (and of any shell between two marked ones in a block; 0
+    elsewhere), and the leading half of the points is the set of half the
+    size.  The row sums come from `_row_sums`: for a power-of-two size of
+    at least 256 (every default) the full sum is the leading-half sum plus
+    the trailing-half sum, bit for bit, so each value is read once for
+    them, and a broadcast row sums its first 128 values only.  A
+    non-finite value makes its row sum non-finite, so the values are
+    scanned and clipped only in a block with a non-finite row sum
+    (`_clipped`, which keeps broadcast rows broadcast); the maxima read the
+    values before the clip.  A shell whose row sum still overflows after
+    clipping, or whose samples are all non-finite, is refused."""
+    exact = field.means(x0) if field.means is not None else None
+    if exact is not None:
+        rows = np.full((4, radii.size), np.nan)
+        if means_from < radii.size:
+            rows[:, means_from:] = exact(radii[means_from:])
+        return (*rows, np.zeros(radii.size, dtype=int),
+                _sampled_maxima(field, x0, quad, radii[:maxima]), 0)
     evaluate = _shell_evaluator(field, x0, quad.points)
     size, half = quad.size, quad.size // 2
     means, halves = np.empty(radii.size), np.empty(radii.size)
     magnitudes = np.zeros(radii.size)
     hits = np.zeros(radii.size, dtype=int)
     tops = []
-    step = max(1, SHELL_BLOCK // size)
+    step = max(1, radii.size if field.means is not None else SHELL_BLOCK // size)
     for lo in range(0, radii.size, step):
         block = radii[lo:lo + step]
         rows = slice(lo, lo + block.size)
         vals = evaluate(block)
+        top = vals[:max(0, maxima - lo)]
         lead, sums = _row_sums(vals, half)
         if not np.isfinite(sums).all():
             vals, hits[rows] = _clipped(vals)
@@ -333,8 +551,7 @@ def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.
             if refused.any():
                 i = refused.argmax()
                 if np.isfinite(sums[i]):
-                    raise DomainError(f"every sphere sample at radius {block[i]:.6g} is "
-                                      f"non-finite (float overflow or the singular set)")
+                    _refuse_shell(block[i])
                 raise DomainError(f"the sum of the sphere samples at radius {block[i]:.6g} "
                                   f"overflows")
         means[rows] = sums / size
@@ -343,9 +560,8 @@ def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.
         if len(marked):
             part = slice(marked[0], marked[-1] + 1)
             magnitudes[rows][part] = _absolute_sums(vals[part], sums[part]) / size
-        tops += [_max_from_shell(field, x0, r, row)
-                 for r, row in zip(block[:max(0, maxima - lo)], vals)]
-    return means, halves, magnitudes, hits, tops
+        tops += _maxima(field, x0, block[:len(top)], top)
+    return means, halves, magnitudes, np.zeros(radii.size), hits, tops, _sum_depth(size)
 
 
 @dataclass
@@ -367,30 +583,30 @@ class AverageCurve:
         return [(float(r), float(v), q) for r, v, q in zip(self.radii, self.values, quots)]
 
 
-def _quotient_rounding(n: int, size: int, k: np.ndarray, magnitudes: np.ndarray,
-                       q: float) -> float:
+def _quotient_rounding(n: int, depth: int, k: np.ndarray, magnitudes: np.ndarray,
+                       rounding: np.ndarray, q: float) -> float:
     """A bound on the rounding in q = (V_0 - V_1) / (K_0 - K_1), the V
     quotient over the two deepest radii, whose kernel values are k, from
-    the ladder's sums over shells of `size` points.
+    the ladder's sums over shell means, each within eps (depth times its
+    mean of absolute values plus its rounding) of its exact sum
+    (`_shell_rows`).
 
     Each V_i is a `_volume_ladder` sum of products of a weight and a shell
     mean; `magnitudes` is the same ladder of the shells' means of absolute
     values, A_i, which bounds the sum of the absolute terms behind V_i
-    whether or not a shell changes sign (all weights are positive).  A
-    shell mean is numpy's pairwise sum over `size` points, d additions
-    deep (d = size/8 + 2 up to 128 points, one more for each doubling
-    beyond), so within d eps of its mean of absolute values.  A product
-    with its weight is within (n + 4) eps relative: its node t rounds in
-    two operations, which the weight's power t^(n-1) carries n - 1 times,
-    and the weight, the sampled value and the product round in a few more.
-    So V_i is within u A_i, u = (n + 4 + d) eps, each kernel value within
-    eps relative, and the subtraction and division round once each:
-    |dq| <= (u (A_0 + A_1) + eps |q| (|K_0| + |K_1|)) / |K_0 - K_1| + 2 eps |q|."""
+    whether or not a shell changes sign (all weights are positive), and
+    `rounding` the same ladder of the shells' rounding, R_i.  A product with
+    its weight is within (n + 4) eps relative: its node t rounds in two
+    operations, which the weight's power t^(n-1) carries n - 1 times, and
+    the weight, the mean and the product round in a few more.  So V_i is
+    within u A_i + eps R_i, u = (n + 4 + depth) eps, each kernel value
+    within eps relative, and the subtraction and division round once each:
+    |dq| <= (u (A_0 + A_1) + eps (R_0 + R_1) + eps |q| (|K_0| + |K_1|)) / |K_0 - K_1|
+    + 2 eps |q|."""
     eps = np.finfo(float).eps
-    depth = size // 8 + 2 if size <= 128 else size.bit_length() + 10
     gap = abs(float(k[0] - k[1]))
-    return float(((n + 4 + depth) * eps * magnitudes.sum() + eps * abs(q) * np.abs(k).sum())
-                 / gap + 2.0 * eps * abs(q))
+    return float(((n + 4 + depth) * eps * magnitudes.sum() + eps * rounding.sum()
+                  + eps * abs(q) * np.abs(k).sum()) / gap + 2.0 * eps * abs(q))
 
 
 def _center(field: ScalarField, x0) -> np.ndarray:
@@ -404,9 +620,9 @@ def _center(field: ScalarField, x0) -> np.ndarray:
 def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
                    quad: SphereQuad | None = None, p: float | None = None) -> dict:
     """kind -> AverageCurve, from one `_shell_rows` sweep after checking
-    that each radius is positive and finite: M and S share the shell at
-    each radius, and V is the `_volume_ladder` of their means (and half
-    means)."""
+    that each radius is positive and finite: M and S share the shell (or
+    the exact means) at each radius, and V is the `_volume_ladder` of the
+    shells' means (and half means: for exact means, the coarse rule's)."""
     for kind in kinds:
         if kind not in ("M", "S", "V"):
             raise DomainError(f"unknown average kind {kind!r}")
@@ -431,8 +647,9 @@ def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
         # and its last (the deepest annulus); the bound reads no other V
         deep = np.zeros(k + ladder.size + coarse.size, dtype=bool)
         deep[k:k + JACOBI_NODES] = deep[k + ladder.size - ANNULUS_NODES:k + ladder.size] = True
-    means, halves, magnitudes, hits, maxima = _shell_rows(
-        field, x0, quad, np.concatenate(shells), k if "M" in kinds else 0, deep)
+    means, halves, magnitudes, rounding, hits, maxima, depth = _shell_rows(
+        field, x0, quad, np.concatenate(shells), k if "M" in kinds else 0, deep,
+        0 if "S" in kinds else k)
 
     def curve(kind, values, half_values, nhits):
         clipped = int(nhits.sum()) / (nhits.size * quad.size) if nhits.size else 0.0
@@ -454,8 +671,9 @@ def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
             out[kind].quadrature_error = float(np.abs(fine - coarse).max(initial=0.0))
             if radii.size > 1:
                 out[kind].quadrature_error += _quotient_rounding(
-                    field.n, quad.size, kernel(KernelSpec(p=p), radii[-2:]),
-                    combine(magnitudes[k:end])[-2:], float(fine[0]))
+                    field.n, depth, kernel(KernelSpec(p=p), radii[-2:]),
+                    combine(magnitudes[k:end])[-2:], combine(rounding[k:end])[-2:],
+                    float(fine[0]))
     return out
 
 
@@ -480,10 +698,9 @@ def tangent_flow(field: ScalarField, p: float, r: float,
     from the field, which must be finite there.  The closed-form max
     follows the same formula.
     """
+    KernelSpec(p=p)  # the exponent's check, before any evaluation
     if not 0.0 < r < math.inf:
         raise DomainError(f"flow scale must be positive and finite, got {r}")
-    if math.isinf(p):
-        raise DomainError("flow undefined at p = inf")
     n = field.n
     factor = r ** (p - 2.0)
     if p == 2.0:
@@ -530,6 +747,7 @@ def flow_invariance_defect(field: ScalarField, p: float,
                            quad: SphereQuad | None = None) -> float:
     """sup |u_r - u| over the spheres of radius 0.5, 1 and 2, for the
     scales r = 0.5 and 2; 0 for exact fixpoints."""
+    KernelSpec(p=p)  # the exponent's check, before any evaluation
     quad = quad or sphere_quad(field.n, size=256, seed=3)
     shells = [shell * quad.points for shell in (0.5, 1.0, 2.0)]
     base = [_clipped(field.values(pts))[0] for pts in shells]
@@ -593,16 +811,25 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     usually mean the field is not subharmonic for the intended
     constraint or the quadrature is too coarse.
 
-    Each sphere shell is evaluated once: the M and S curves share the
-    shell at each radius, and the noise bound is the largest gap between
-    the quotients of a curve and of its leading half, over every kind
-    (0 for a closed-form M).  The V bracket adds the curve's
+    Each sphere shell is read once: the M and S curves share the shell
+    (or the exact means) at each radius, and the noise bound is the
+    largest gap between the quotients of a curve and of its half curve,
+    over every kind.  For a sampled field the half curve is that of the
+    leading half of the points, and the noise bound estimates the
+    sampling error.  For a field with exact means (a kernel sum,
+    `ScalarField.means`) the S and V half curves are those of the coarse
+    rule, so there the noise bound estimates the rule's error, and the
+    sphere points (`quad`, so `--quad` and `--seed`) reach only M: its
+    closed form on the ray of centres is checked against them, and off
+    that ray M is their sampled maximum, whose leading half still gives
+    its gap.  A closed-form M adds 0.  The V bracket adds the curve's
     `quadrature_error`: the ladder's truncation, estimated by the
-    half-order ladder, and its rounding.  Only the V bracket covers
-    rounding: the M and S brackets are the quotient gaps alone, so a
-    constant quotient reads bracket 0 while its estimate may be a few
-    ulps off (theta_S = 3.0000000000000027 for the Riesz kernel at
-    theta = 3, p = 2, n = 2).  The kernel is computed at the radii once,
+    half-order ladder, and its rounding (for exact means, each mean's own
+    rounding bound, node values included: `_sphere_means`).  Only the V
+    bracket covers rounding: the M and S brackets are the quotient gaps
+    alone, so a constant quotient reads bracket 0 while its estimate may
+    be a few ulps off (theta_S = 3.0000000000000027 for the Riesz kernel
+    at theta = 3, p = 2, n = 2).  The kernel is computed at the radii once,
     for the quotients of every curve and half curve in one
     `radial.quotients` call.  The report keeps the curves as its `curves`
     attribute, which is not a field, so the JSON report leaves them out.
@@ -847,6 +1074,7 @@ def tangent_experiment(field: ScalarField, spec: FlowSpec, candidate: ScalarFiel
     """
     require_tol(tol)
     p = spec.p
+    KernelSpec(p=p)  # the exponent's check, before any evaluation
     if candidate.n != field.n:
         raise DomainError(f"candidate lives on R^{candidate.n}, the field on R^{field.n}")
     if metric == "holder":
@@ -1046,7 +1274,7 @@ def infinitesimal_holder(field: ScalarField, x0, p: float, radii=None,
 
 def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np.ndarray,
                       **meta) -> ScalarField:
-    """The field sum_k w_k K(|x - c_k|) with its `shells` hook.
+    """The field sum_k w_k K(|x - c_k|) with its `shells` and `means` hooks.
 
     For each center the hook computes t = <w, x0 - c> and
     h^2 = |x0 - c - t w|^2 once per (x0, points), h^2 for `QUAD_BLOCK`
@@ -1063,6 +1291,16 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
     sum that starts from zeros; a block of centred terms only is their
     column, broadcast over the m points.  `values` keeps the
     sqrt-and-power route, the reference for the shells.
+
+    The `means` hook sums, in the terms' order from zeros, each term's
+    exact sphere means (`_sphere_means`) at d = |x0 - c| > 0, or its column
+    w K(r) where c = x0 (within 3 eps relative: a power or log, and a
+    product); a term of weight 0 adds nothing.  Each of the T terms it adds
+    rounds within eps times the mean of absolute values of the whole sum,
+    so its rounding bound is the terms' bounds plus T times that mean.  A
+    mean that is not finite (float overflow) is refused.  When every centre
+    is x0 it returns None: each shell is then its column, read through
+    `shells`.
 
     `analytic_max` is sum_k w_k K(r + |x0 - c_k|) when every centre of
     positive weight other than x0 lies on one ray from x0 (directions
@@ -1125,6 +1363,33 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
 
         return evaluate
 
+    def means(x0):
+        offsets = [math.hypot(*(x0 - c)) for c in centers]
+        if not any(offsets):
+            return None  # every term centred: the shells are their columns
+
+        def evaluate(radii):
+            radii = np.asarray(radii, dtype=float)
+            out = np.zeros((4, radii.size))
+            terms = 0
+            for w, d in zip(weights, offsets):
+                if not d:
+                    column = weighted_kernel(spec, w, radii.copy())
+                    out += [column, column, np.abs(column), 3.0 * np.abs(column)]
+                elif w and radii.size:
+                    out += _sphere_means(spec, n, w, d, radii)
+                else:
+                    continue
+                terms += 1
+            out[3] += terms * out[2]
+            bad = ~np.isfinite(out[:3]).all(axis=0)
+            if bad.any():
+                raise DomainError(f"the sphere mean at radius {radii[bad.argmax()]:.6g} is not "
+                                  f"finite (float overflow)")
+            return out
+
+        return evaluate
+
     def analytic_max(x0, r):
         ray = None
         for w, c in zip(weights, centers):
@@ -1141,7 +1406,8 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
                         for w, c in zip(weights, centers))
         return sum(rest, first)
 
-    return ScalarField(n=n, values=values, shells=shells, analytic_max=analytic_max, **meta)
+    return ScalarField(n=n, values=values, shells=shells, means=means, analytic_max=analytic_max,
+                       **meta)
 
 
 def riesz_kernel_field(theta: float, p: float, n: int, center=None) -> ScalarField:

@@ -113,12 +113,16 @@ def weighted_kernel(spec: KernelSpec, weight: float, r: np.ndarray) -> np.ndarra
         return _weighted_kernel(spec, weight, r)
 
 
-def weighted_kernel_of_square(spec: KernelSpec, weight: float, q: np.ndarray) -> np.ndarray:
+def weighted_kernel_of_square(spec: KernelSpec, weight: float, q: np.ndarray,
+                              log_factor: np.ndarray | None = None) -> np.ndarray:
     """weight * kernel(spec, sqrt(q)) for squared distances q >= 0,
     unchecked, computed in place on the float array q, which it returns:
     with L = ln q, w L / 2 at p = 2, else exp(a) with a = (2 - p) L / 2,
     then the normalization and signed weight of `weighted_kernel`.  One
-    log and one exp, no sqrt and no pow.
+    log and one exp, no sqrt and no pow.  Given `log_factor` (an array
+    that broadcasts against q), the result is multiplied by its exp, which
+    for p != 2 is added to a before the exp: a kernel that overflows times
+    a factor that underflows still gives their finite product.
 
     For the q given, the result is within (1 + |a|) eps relative of
     w K(sqrt(q)) (eps = 2^-52; the rounding of a costs about |a| eps), and
@@ -130,8 +134,12 @@ def weighted_kernel_of_square(spec: KernelSpec, weight: float, q: np.ndarray) ->
         np.log(q, out=q)
         if spec.p == 2.0:
             q *= 0.5 * weight
+            if log_factor is not None:
+                q *= np.exp(log_factor)
             return q
         q *= 0.5 * (2.0 - spec.p)
+        if log_factor is not None:
+            q += log_factor
         np.exp(q, out=q)
         return _normalized(spec, weight, q)
 

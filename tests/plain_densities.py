@@ -4,10 +4,15 @@ Every quotient curve is its own ``radial.quotients`` call, so the kernel
 is computed at the radii once per curve; every shell row is summed by
 numpy's ``sum(axis=1)``, its leading half summed again on its own; and a
 kernel sum's closed-form maximum makes its ray test and centre distances
-at every radius (``kernel_sum_max``).  The V bracket's rounding term is
-``flow._quotient_rounding``'s, read from each shell's plain sum of
-absolute values.  ``rieszlab.flow.densities`` must return
-the same report, curves included, bit for bit.
+at every radius (``kernel_sum_max``).  A field with exact means
+(``ScalarField.means``) reads them for S and V, the coarse rule as the
+half means, and samples each of its curve shells on its own for M.  The
+V bracket's rounding term is ``flow._quotient_rounding``'s, read from
+each shell's plain sum of absolute values (or the exact means' and their
+rounding bounds).  M reads each sampled shell with its non-finite samples
+as -inf.
+``rieszlab.flow.densities`` must return the same report, curves
+included, bit for bit.
 """
 
 from __future__ import annotations
@@ -54,10 +59,28 @@ def plus_quadratic(base: flow.ScalarField, c: float) -> flow.ScalarField:
         pts = np.asarray(pts, dtype=float)
         return base.values(pts) + 0.5 * np.einsum("mi,ij,mj->m", pts, a, pts)
 
-    return dataclasses.replace(base, values=values, shells=None, analytic_max=None)
+    return dataclasses.replace(base, values=values, shells=None, means=None, analytic_max=None)
+
+
+def maximum(field, x0, r, vals):
+    """M of the shell vals at radius r, its non-finite samples read as -inf."""
+    if not np.isfinite(vals).any():
+        raise DomainError(f"every sphere sample at radius {r:.6g} is non-finite (float overflow "
+                          f"or the singular set)")
+    return flow._max_from_shell(field, x0, r, np.where(np.isfinite(vals), vals, -np.inf))
+
+
+def sampled_maximum(field, x0, quad, r):
+    """M of one shell, sampled on its own."""
+    return maximum(field, x0, r, flow._shell_evaluator(field, x0, quad.points)([r])[0])
 
 
 def shell_rows(field, x0, quad, radii, maxima):
+    exact = field.means(x0) if field.means is not None else None
+    if exact is not None:
+        means, halves, absolute, rounding = exact(radii)
+        tops = [sampled_maximum(field, x0, quad, r) for r in radii[:maxima]]
+        return means, halves, absolute, rounding, np.zeros(radii.size, dtype=int), tops, 0
     evaluate = flow._shell_evaluator(field, x0, quad.points)
     size, half = quad.size, quad.size // 2
     means, halves, absolute = np.empty(radii.size), np.empty(radii.size), np.empty(radii.size)
@@ -67,7 +90,7 @@ def shell_rows(field, x0, quad, radii, maxima):
     for lo in range(0, radii.size, step):
         block = radii[lo:lo + step]
         rows = slice(lo, lo + block.size)
-        vals = evaluate(block)
+        vals = raw = evaluate(block)
         sums = vals.sum(axis=1)
         if not np.isfinite(sums).all():
             vals, hits[rows] = flow._clipped(vals)
@@ -83,9 +106,9 @@ def shell_rows(field, x0, quad, radii, maxima):
         means[rows] = sums / size
         halves[rows] = vals[:, :half].sum(axis=1) / half
         absolute[rows] = np.abs(vals).sum(axis=1) / size
-        tops += [flow._max_from_shell(field, x0, r, row)
-                 for r, row in zip(block[:max(0, maxima - lo)], vals)]
-    return means, halves, absolute, hits, tops
+        tops += [maximum(field, x0, r, row) for r, row in zip(block[:max(0, maxima - lo)], raw)]
+    depth = size // 8 + 2 if size <= 128 else size.bit_length() + 10  # numpy's pairwise sum
+    return means, halves, absolute, np.zeros(radii.size), hits, tops, depth
 
 
 def average_curves(field, kinds, x0, radii, quad, p):
@@ -100,9 +123,8 @@ def average_curves(field, kinds, x0, radii, quad, p):
                                                      flow.JACOBI_NODES // 2,
                                                      flow.ANNULUS_NODES // 2)
         shells += [ladder, coarse]
-    means, halves, absolute, hits, maxima = shell_rows(field, x0, quad,
-                                                       np.concatenate(shells),
-                                                       k if "M" in kinds else 0)
+    means, halves, absolute, rounding, hits, maxima, depth = shell_rows(
+        field, x0, quad, np.concatenate(shells), k if "M" in kinds else 0)
 
     def curve(kind, values, half_values, nhits):
         clipped = int(nhits.sum()) / (nhits.size * quad.size) if nhits.size else 0.0
@@ -125,8 +147,9 @@ def average_curves(field, kinds, x0, radii, quad, p):
             out[kind].quadrature_error = float(np.abs(gap).max(initial=0.0))
             if radii.size > 1:
                 out[kind].quadrature_error += flow._quotient_rounding(
-                    field.n, quad.size, kernel(KernelSpec(p=p), radii[-2:]),
-                    combine(absolute[k:end])[-2:], float(fine[0]))
+                    field.n, depth, kernel(KernelSpec(p=p), radii[-2:]),
+                    combine(absolute[k:end])[-2:], combine(rounding[k:end])[-2:],
+                    float(fine[0]))
     return out
 
 

@@ -387,6 +387,10 @@ def test_a_flag_given_at_its_default_changes_nothing(capsys, argv, flags):
      "error: out of memory"),
     # the kernel's exponent check is the density's, made before any shell
     (["density", "zero", "--p", "inf", "--n", "4"], "error: kernel needs 1 <= p < inf, got inf"),
+    # and the flow's, made before any evaluation: the factor r^(p - 2) was
+    # NaN, every flowed value clipped, and the sup distance 1e12 exited 2
+    (["flow", "zero", "--p", "nan", "--n", "3", "--candidate", "zero"],
+     "error: kernel needs 1 <= p < inf, got nan"),
 ])
 def test_bad_field_inputs_exit_3_with_their_reason(capsys, argv, reason):
     code = cli.main(argv + ["--no-timestamp"])
@@ -1078,17 +1082,21 @@ def test_density_names_the_shell_whose_values_overflow(capsys):
     assert code == 0 and payload["theta"]["M"] == 1e300
 
 
-@pytest.mark.parametrize("argv,radius", [
-    (["newtonian", "--p", "3", "--n", "3", "--mass", "--theta", "1e304"], "0.125"),
+@pytest.mark.parametrize("argv,message", [
+    (["newtonian", "--p", "3", "--n", "3", "--mass", "--theta", "1e304"],
+     "the sum of the sphere samples at radius 0.125 overflows"),
+    # the second mass's exact mean is -2e308 on the sphere through its pole;
+    # at --theta2 1e306 every mean is finite, and only a sum of 4,096
+    # samples overflowed
     (["newtonian", "--p", "3", "--n", "3", "--theta", "1", "--offset", "0.5", "--theta2",
-      "1e306"], "1"),
-])
-def test_density_refuses_a_shell_sum_that_overflows(capsys, argv, radius):
+      "1e308"], "the sphere mean at radius 0.5 is not finite (float overflow)"),
+], ids=["centred-samples", "exact-mean"])
+def test_density_refuses_a_shell_sum_that_overflows(capsys, argv, message):
     # finite samples whose sum overflows were NaN densities with exit 0
     code = cli.main(["density", *argv, "--no-timestamp"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
-    assert captured.err == f"error: the sum of the sphere samples at radius {radius} overflows\n"
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,6 +10,7 @@ quotient of the exact curve.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ pytest.importorskip("scipy")
 from scipy.integrate import quad  # noqa: E402
 from scipy.special import hyp2f1  # noqa: E402
 
-from rieszlab import cli, flow, radial  # noqa: E402
+from rieszlab import _numerics, cli, flow, radial  # noqa: E402
 
 
 def sphere_mean(n, p, d, t):
@@ -30,8 +31,8 @@ def sphere_mean(n, p, d, t):
 
 def volume_average(n, p, d, r):
     """n r^-n int_0^r t^(n-1) S(t) dt of the kernel centred at distance d."""
-    if d == 0.0:  # S(t) = K(t) = -t^(2-p)
-        return -n * r ** (2.0 - p) / (n + 2.0 - p)
+    if d == 0.0:  # S(t) = K(t) = -t^(2-p), +t^(2-p) below p = 2
+        return (-1.0 if p > 2.0 else 1.0) * n * r ** (2.0 - p) / (n + 2.0 - p)
     integral, _ = quad(lambda t: t ** (n - 1) * sphere_mean(n, p, d, t), 0.0, r,
                        points=[d] if d < r else None, epsabs=0.0, epsrel=1e-13, limit=200)
     return n * r ** -n * integral
@@ -94,3 +95,156 @@ def test_off_centre_sums_stay_within_bracket_and_noise(n, p, d):
     report = flow.densities(field, np.zeros(n), p)
     want = exact_theta_v(n, p, (0.0, d), report.radii)
     assert abs(report.theta["V"] - want) <= report.bracket["V"] + report.noise_bound
+
+
+# The oracle grid of the exact means: n, p on both sides of 2 and of n, and
+# d/r for the shell of radius 1/4 (p <= n, where `newtonian` sums a second
+# mass inside the balls) or of radius 1 (p > n, the second centre outside
+# every ball, where the sum is built with `_kernel_sum_field`).
+GRID_RATIOS = (0.3, 0.999, 1.0, 1.001, 2.0, 5.0)
+
+
+def grid_settings():
+    for n in (3, 4, 6, 8, 12, 16):
+        for p in sorted({1.5, 2.5, n - 0.5, float(n), n + 0.5}):
+            for ratio in GRID_RATIOS:
+                if p <= n or ratio > 1.0:
+                    yield n, p, ratio
+
+
+def grid_field(n, p, ratio):
+    """(field, offset): unit kernels at the origin and at the offset on e1."""
+    d = ratio * (0.25 if p <= n else 1.0)
+    centres = [(1.0, np.zeros(n)), (1.0, d * np.eye(n)[0])]
+    if p <= n:
+        return flow.newtonian_potential_field(p, centres, n), d
+    return flow._kernel_sum_field(n, radial.KernelSpec(p=p), np.ones(2),
+                                  np.stack([c for _, c in centres])), d
+
+
+@pytest.mark.parametrize("n,p,ratio", list(grid_settings()))
+def test_exact_means_reach_the_hypergeometric_means(n, p, ratio):
+    # each mean within 1e-13 (relative) of hyp2f1, or within its gap to the
+    # coarse rule where that is larger
+    field, d = grid_field(n, p, ratio)
+    radii = np.array([1.0, 0.5, 0.25, 0.125, d, 0.9 * d, 1.1 * d])
+    fine, coarse, absolute, _ = field.means(np.zeros(n))(radii)
+    want = np.array([sphere_mean(n, p, 0.0, r) + sphere_mean(n, p, d, r) for r in radii])
+    assert np.all(np.abs(fine - want) <= np.maximum(np.abs(fine - coarse), 1e-13 * np.abs(want)))
+    assert np.all(absolute >= np.abs(fine))
+
+
+@pytest.mark.parametrize("n,p,ratio", list(grid_settings()))
+def test_exact_mean_densities_reach_the_hypergeometric_curve(n, p, ratio):
+    # every S quotient within bracket + noise_bound of the exact curve's,
+    # and theta_V within its own of the exact ball averages'; --quad reaches
+    # M only, so 256 points serve
+    field, d = grid_field(n, p, ratio)
+    report = flow.densities(field, np.zeros(n), p, quad=flow.sphere_quad(n, 256))
+    curve = [sphere_mean(n, p, 0.0, r) + sphere_mean(n, p, d, r) for r in report.radii]
+    want = radial.quotients(curve, report.radii, p)
+    assert np.all(np.abs(report.quotients["S"] - want)
+                  <= report.bracket["S"] + report.noise_bound)
+    assert abs(report.theta["V"] - exact_theta_v(n, p, (0.0, d), report.radii)) <= (
+        report.bracket["V"] + report.noise_bound)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 16])
+@pytest.mark.parametrize("excess", [1.0, 1.5])
+def test_a_sphere_through_a_pole_at_p_from_n_plus_1_is_refused(capsys, n, excess):
+    # the mean over the sphere of radius 1/2 through the kernel's pole
+    # diverges: one line and exit 3, not a NaN or a sampled number
+    centre = ["0.5"] + ["0"] * (n - 1)
+    code = cli.main(["density", "riesz", "--p", str(n + excess), "--n", str(n), "--center",
+                     *centre, "--quad", "256", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (f"error: the sphere mean of K_{n + excess:g} over the sphere of "
+                            f"radius 0.5 through its pole diverges at p >= n + 1 = {n + 1}\n")
+
+
+def log_mean(n, d, t):
+    """Mean of log |x - c| over |x| = t, |c| = d, as the polar-angle
+    integral with weight sin^(n-2) (at n = 2, log max(t, d))."""
+    if n == 2:
+        return np.log(max(t, d))
+    norm, _ = quad(lambda a: np.sin(a) ** (n - 2), 0.0, np.pi, epsabs=0.0, epsrel=1e-13)
+    total, _ = quad(lambda a: 0.5 * np.log((t - d) ** 2 + 4.0 * t * d * np.sin(0.5 * a) ** 2)
+                    * np.sin(a) ** (n - 2), 0.0, np.pi, points=[1e-12, 1e-8, 1e-4, 1e-2],
+                    epsabs=0.0, epsrel=1e-13, limit=400)
+    return total / norm
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+@pytest.mark.parametrize("ratio", GRID_RATIOS)
+def test_exact_means_of_the_log_kernel(n, ratio):
+    # p = 2, whose kernel changes sign at 1: within 1e-12 absolute per unit
+    # of |log|, the means of absolute values bounding the means
+    field = flow.riesz_kernel_field(1.0, 2.0, n, center=0.7 * np.eye(n)[0])
+    radii = np.array([2.0, 0.7 / ratio, 0.35])
+    fine, _, absolute, _ = field.means(np.zeros(n))(radii)
+    want = np.array([log_mean(n, 0.7, r) for r in radii])
+    assert np.all(np.abs(fine - want) <= 1e-12 * np.maximum(1.0, absolute))
+    assert np.all(absolute >= np.abs(fine))
+
+
+def test_the_worst_sampled_setting_reads_exactly_two():
+    # the shell through the second pole at n = 3, p = 3, d = r = 0.5: its
+    # sampled report read 1.97940 in the first S quotient
+    field = flow.newtonian_potential_field(3.0, [(1.0, np.zeros(3)), (1.0, 0.5 * np.eye(3)[0])],
+                                           3)
+    report = flow.densities(field, np.zeros(3), 3.0)
+    assert abs(report.quotients["S"][0] - 2.0) <= 1e-12
+
+
+def exact_rule_mean(monkeypatch, n, p, d, r):
+    """(the float fine mean, its rounding bound, the same rule in 40 digits)
+    of the unit kernel at distance d over the sphere of radius r: the nodes
+    are the float angles of `flow._polar_panels`, and the log weights are
+    those of its float panel edges, Gauss nodes and weights, computed
+    exactly, so only the rounding that the bound covers is left out."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    angles, logs, _ = flow._polar_panels(n, p)
+    top = 0.5 * math.pi
+    grades = top * flow.MEAN_RATIO ** np.arange(flow.MEAN_LEVELS + 1)
+    lo = np.concatenate([[top], grades[1:], np.zeros(flow.MEAN_LEVELS + 1)])
+    hi = np.concatenate([[math.pi], grades[:-1], grades])
+    panels = []  # the log factors of the panels the mean sums
+    kernel_of_square = flow.weighted_kernel_of_square
+    monkeypatch.setattr(flow, "weighted_kernel_of_square", lambda spec, w, q, factor: (
+        panels.extend(factor), kernel_of_square(spec, w, q, factor))[1])
+    fine, _, _, rounding = flow._sphere_means(radial.KernelSpec(p=p), n, 1.0, d, np.array([r]))
+    norm = mp.log(mp.pi) / 2 + mp.loggamma(mp.mpf(n - 1) / 2) - mp.loggamma(mp.mpf(n) / 2)
+    total = mp.mpf(0)
+    for factor in panels:
+        row = next(i for i, logs_i in enumerate(logs) if np.array_equal(logs_i, factor))
+        if row < lo.size:
+            x, w = _numerics.gauss_jacobi(flow.MEAN_NODES, 0.0)
+            weights = [mp.log((mp.mpf(hi[row]) - mp.mpf(lo[row])) * mp.mpf(wi)) for wi in w]
+        else:  # the Gauss-Jacobi panel of theta^(n-p)
+            x, w = _numerics.gauss_jacobi(flow.MEAN_NODES, n - p)
+            weights = [mp.log(mp.mpf(top)) + mp.log(mp.mpf(wi)) - (n - p) * mp.log(mp.mpf(xi))
+                       for xi, wi in zip(x, w)]
+        for theta, log_weight in zip(angles[row, :flow.MEAN_NODES], weights):
+            q = (mp.mpf(r) - mp.mpf(d)) ** 2 + 4 * mp.mpf(r) * mp.mpf(d) * mp.sin(
+                mp.mpf(theta) / 2) ** 2
+            value = mp.log(q) / 2 if p == 2.0 else (-1 if p > 2.0 else 1) * q ** (
+                mp.mpf(2 - p) / 2)
+            total += value * mp.exp(log_weight + (n - 2) * mp.log(mp.sin(mp.mpf(theta))) - norm)
+    return float(fine[0]), float(rounding[0]), total
+
+
+@pytest.mark.parametrize("n,p,d,r", [
+    (16, 16.0, 0.5, 0.5),  # the pole panel, whose log weight and exponent cancel at about 77
+    (3, 3.0, 0.5, 0.5),
+    (3, 3.0, 0.3, 1.0),
+    (4, 5.5, 2.0, 1.0),
+    (8, 2.0, 1.0, 1.001),  # the log kernel, changing sign on the sphere
+    (12, 1.5, 0.999, 1.0),
+], ids=["n16-p16-through", "n3-p3-through", "n3-p3-far", "n4-p5.5-outside", "n8-log",
+        "n12-p1.5-near"])
+def test_an_exact_mean_is_within_its_rounding_bound(monkeypatch, n, p, d, r):
+    fine, rounding, exact = exact_rule_mean(monkeypatch, n, p, d, r)
+    assert abs(fine - exact) <= np.finfo(float).eps * rounding

@@ -494,14 +494,30 @@ def test_volume_density_needs_p_below_n_plus_2():
             flow.mass_density(raising, np.zeros(4), p)
 
 
+@pytest.mark.parametrize("p", [math.nan, 0.5, math.inf])
+def test_the_flow_checks_its_exponent_before_any_evaluation(p):
+    def values(pts):
+        raise AssertionError("evaluated before the exponent's check")
+
+    raising = flow.ScalarField(n=3, values=values)
+    spec = flow.FlowSpec(p=p)
+    for call in (lambda: flow.tangent_experiment(raising, spec, raising),
+                 lambda: flow.tangent_flow(raising, p, 0.5),
+                 lambda: flow.flow_invariance_defect(raising, p)):
+        with pytest.raises(DomainError, match=f"^kernel needs 1 <= p < inf, got {p}$"):
+            call()
+
+
 def test_density_rejects_infinite_p(quad3):
     with pytest.raises(DomainError):
         flow.densities(flow.zero_field(3), np.zeros(3), math.inf, quad=quad3)
 
 
-def _counted(field, x0):
+def _counted(field, x0, means=None):
     """The field with its shell evaluator wrapped to record the radius and
-    size of every sphere shell (row) about x0 it is evaluated on."""
+    size of every sampled sphere shell (row) about x0 it is evaluated on;
+    given a list `means`, its exact means' evaluator is wrapped to record
+    the radii of each call in it."""
     calls = []
 
     def shells(center, points):
@@ -514,12 +530,30 @@ def _counted(field, x0):
 
         return counted
 
-    return dataclasses.replace(field, shells=shells), calls
+    def exact(center):
+        assert np.array_equal(center, x0)
+        evaluate = field.means(center)
+        if evaluate is None:
+            return None
+
+        def counted(radii):
+            means.append([round(float(s), 12) for s in radii])
+            return evaluate(radii)
+
+        return counted
+
+    hooks = {"shells": shells}
+    if means is not None and field.means is not None:
+        hooks["means"] = exact
+    return dataclasses.replace(field, **hooks), calls
 
 
 @pytest.mark.parametrize("field,sampled", [
-    (flow.newtonian_potential_field(3.0, [(1.5, np.zeros(3)), (0.5, np.array([2.5, 0.0, 0.0])),
-                                          (0.5, np.array([0.0, 2.5, 0.0]))], 3), True),
+    # a kernel sum off the ray of its centres, its exact means set aside:
+    # every average sampled
+    (dataclasses.replace(flow.newtonian_potential_field(
+        3.0, [(1.5, np.zeros(3)), (0.5, np.array([2.5, 0.0, 0.0])),
+              (0.5, np.array([0.0, 2.5, 0.0]))], 3), means=None), True),
     (flow.riesz_kernel_field(2.0, 2.5, 3), False),
 ], ids=["sampled-max", "closed-form-max"])
 def test_densities_evaluate_each_shell_once(field, sampled, quad3):
@@ -544,52 +578,82 @@ def test_densities_evaluate_each_shell_once(field, sampled, quad3):
     assert rep.noise_bound == noise
 
 
-@pytest.mark.parametrize("kind,per_radius", [("M", 1), ("S", 1), ("V", None)])
-def test_each_kind_evaluates_only_its_shells(quad3, kind, per_radius):
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact-means"])
+@pytest.mark.parametrize("kind", "MSV")
+def test_each_kind_evaluates_only_its_shells(quad3, kind, exact):
+    # sampled (the exact means set aside), each kind evaluates only its own
+    # shells; with exact means, S and V read them in one call for every
+    # radius of the sweep, and M reads the sphere points only
     x0 = np.zeros(3)
     radii = flow.default_radii()
     field = flow.newtonian_potential_field(3.0, [(1.0, x0), (0.5, np.array([0.3, 0.4, 0.0])),
                                                  (0.5, np.array([0.0, -0.4, 0.2]))], 3)
-    counted, calls = _counted(field, x0)
+    means = []
+    counted, calls = _counted(field if exact else dataclasses.replace(field, means=None), x0,
+                              means)
     flow.average_curves(counted, (kind,), x0, radii, quad3, 3.0)[kind]
-    assert len(calls) == (volume_shells(radii.size) if per_radius is None
-                          else per_radius * radii.size)
+    shells = volume_shells(radii.size) if kind == "V" else radii.size
+    assert len(calls) == (radii.size if kind == "M" else 0 if exact else shells)
     assert len({radius for radius, _ in calls}) == len(calls)
+    assert [len(set(call)) for call in means] == ([shells] if exact and kind != "M" else [])
 
 
-def _ladder(field, x0, quad, p, radii, inner, per_annulus):
-    """The volume ladder over the decreasing radii, from S curves: the
-    inner-node Gauss-Jacobi ball n int_0^r_min (t/r_min)^(n-1) S(t) dt/r_min,
-    then V(b) = (a/b)^n V(a) + n b^-n int_a^b t^(n-1) S(t) dt outwards."""
+def test_exact_means_read_no_sphere_point_for_s_and_v(quad3):
+    # S and V of a kernel sum off its centres come from its exact means in
+    # one call; M's closed form is checked against its curve shells only
+    x0 = np.zeros(3)
+    radii = flow.default_radii()
+    field = flow.newtonian_potential_field(3.0, [(1.0, x0), (0.5, np.array([0.5, 0.0, 0.0]))], 3)
+    for kinds, sampled in ((("M", "S", "V"), radii.size), (("S", "V"), 0)):
+        means, setups = [], []
+        counted, calls = _counted(field, x0, means)
+        counted.shells = lambda *args, shells=counted.shells: setups.append(args) or shells(*args)
+        report = flow.densities(counted, x0, 3.0, quad=quad3, kinds=kinds)
+        assert len(calls) == sampled and len(set(calls)) == sampled
+        assert len(setups) == (1 if sampled else 0)  # no projection onto the points either
+        assert [len(set(call)) for call in means] == [radii.size + volume_shells(radii.size)]
+        assert report.clipped_fraction == 0.0 and report.monotone_ok
+
+
+def _ladder(field, x0, quad, p, radii, inner, per_annulus, curve="values"):
+    """The volume ladder over the decreasing radii, from S curves (their
+    `curve` attribute: values or half values): the inner-node
+    Gauss-Jacobi ball n int_0^r_min (t/r_min)^(n-1) S(t) dt/r_min, then
+    V(b) = (a/b)^n V(a) + n b^-n int_a^b t^(n-1) S(t) dt outwards."""
     n = field.n
     rho, w = _numerics.gauss_jacobi(inner, n + 1.0 - p)
-    s_inner = flow.average_curves(field, ("S",), x0, rho * radii[-1], quad)["S"].values
+    s_inner = getattr(flow.average_curves(field, ("S",), x0, rho * radii[-1], quad)["S"], curve)
     volume = [n * float(np.sum(w * rho ** (p - 2.0) * s_inner))]
     x, v = np.polynomial.legendre.leggauss(per_annulus)
     for a, b in zip(radii[::-1][:-1], radii[::-1][1:]):
         t = a + 0.5 * (b - a) * (x + 1.0)
-        s_annulus = flow.average_curves(field, ("S",), x0, t, quad)["S"].values
+        s_annulus = getattr(flow.average_curves(field, ("S",), x0, t, quad)["S"], curve)
         annulus = n * b ** -n * 0.5 * (b - a) * float(np.sum(v * t ** (n - 1) * s_annulus))
         volume.append((a / b) ** n * volume[-1] + annulus)
     return np.array(volume[::-1])
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact-means"])
 @pytest.mark.parametrize("n,p", [(3, 2.5), (8, 2.5), (4, 5.9)])
-def test_volume_average_is_the_ladder_of_shell_means(n, p):
+def test_volume_average_is_the_ladder_of_shell_means(n, p, exact):
     # V of the innermost ball by the Gauss-Jacobi rule, then each annulus
-    # outwards by Gauss-Legendre, on the whole point set and on its
-    # leading half; the quadrature error is the gap of the deepest
-    # quotient to the half-order ladder on the two deepest radii
+    # outwards by Gauss-Legendre, from the S means and from the half means
+    # (sampled: those of the leading half of the points, the set of half
+    # the size; exact: the coarse rule's); the quadrature error is the gap
+    # of the deepest quotient to the half-order ladder on the two deepest radii
     field = flow._kernel_sum_field(n, radial.KernelSpec(p=p), np.array([1.5, 0.5]),
                                    np.stack([np.zeros(n), 0.3 * np.eye(n)[0]]))
+    field = field if exact else dataclasses.replace(field, means=None)
     quad = flow.sphere_quad(n, 512, seed=1)
     x0 = np.full(n, 0.01)
     radii = np.array([1.0, 0.3, 0.05])
     volume = flow.average_curves(field, ("V",), x0, radii, quad, p)["V"]
-    half_quad = flow.sphere_quad(n, 256, seed=1)
-    for values, q in ((volume.values, quad), (volume.half_values, half_quad)):
-        want = _ladder(field, x0, q, p, radii, flow.JACOBI_NODES, flow.ANNULUS_NODES)
+    for values, curve in ((volume.values, "values"), (volume.half_values, "half_values")):
+        want = _ladder(field, x0, quad, p, radii, flow.JACOBI_NODES, flow.ANNULUS_NODES, curve)
         assert values == pytest.approx(want, rel=1e-13, abs=0.0)
+    if not exact:  # the leading half is the set of half the size, bit for bit
+        half = flow.average_curves(field, ("V",), x0, radii, flow.sphere_quad(n, 256, seed=1), p)
+        assert np.array_equal(volume.half_values, half["V"].values)
     coarse = _ladder(field, x0, quad, p, radii[-2:], flow.JACOBI_NODES // 2,
                      flow.ANNULUS_NODES // 2)
     gap = abs(radial.quotients(volume.values[-2:], radii[-2:], p)[0]
@@ -831,6 +895,7 @@ def test_shell_block_size_does_not_change_a_bit(monkeypatch, field):
 
 
 def test_shell_blocks_hold_at_most_shell_block_values(monkeypatch, quad3):
+    # an off-centre kernel, its exact means set aside: every shell sampled
     field = flow.riesz_kernel_field(1.0, 3.0, 3, center=np.full(3, 0.1))
     hook, sizes = field.shells, []
 
@@ -844,16 +909,88 @@ def test_shell_blocks_hold_at_most_shell_block_values(monkeypatch, quad3):
         return recorded
 
     monkeypatch.setattr(flow, "SHELL_BLOCK", 3 * quad3.size)
-    flow.densities(dataclasses.replace(field, shells=shells), np.zeros(3), 3.0, quad=quad3)
+    flow.densities(dataclasses.replace(field, shells=shells, means=None), np.zeros(3), 3.0,
+                   quad=quad3)
     assert max(sizes) == flow.SHELL_BLOCK
     levels = flow.default_radii().size
     assert sum(sizes) == (levels + volume_shells(levels)) * quad3.size
 
 
+@pytest.mark.parametrize("field", [
+    flow.riesz_kernel_field(3.0, 3.0, 8),
+    flow.newtonian_potential_field(2.5, [(1.0, np.zeros(8)), (0.5, np.zeros(8))], 8),
+], ids=["riesz", "two-masses-at-x0"])
+def test_a_centred_kernel_report_is_one_evaluator_call(field):
+    # every term centred at x0: each shell is one column w K(r) broadcast
+    # over the points, so all 98 radii of the report take one block, not
+    # SHELL_BLOCK // 16384 = 4 radii at a time
+    x0 = np.zeros(8)
+    quad = flow.sphere_quad(8)
+    assert field.means(x0) is None
+    hook, blocks = field.shells, []
+
+    def shells(center, points):
+        evaluate = hook(center, points)
+
+        def recorded(radii):
+            blocks.append(len(radii))
+            return evaluate(radii)
+
+        return recorded
+
+    report = flow.densities(dataclasses.replace(field, shells=shells), x0, 3.0, quad=quad)
+    levels = flow.default_radii().size
+    assert blocks == [levels + volume_shells(levels)] == [98]
+    assert plain.same_floats(report, plain.densities(field, x0, 3.0, quad=quad))
+
+
+def test_clipping_keeps_broadcast_rows_broadcast():
+    column = np.array([[1.0], [-np.inf], [np.nan], [-2e12]])
+    vals, hits = flow._clipped(np.broadcast_to(column, (4, 4096)))
+    assert vals.shape == (4, 4096) and vals.strides[1] == 0
+    assert np.array_equal(vals[:, 0], [1.0, flow.CLIP_FLOOR, flow.CLIP_FLOOR, -2e12])
+    assert hits.tolist() == [0, 4096, 4096, 0]
+
+
+def test_a_centred_overflow_is_refused_in_the_memory_of_a_column():
+    # theta * K(r) is -1e308 at radius 1, whose sum overflows, and -inf
+    # below: the broadcast block of 98 radii is clipped as a column, not as
+    # 98 x 65536 bools and floats (6.4 MB and 51 MB)
+    import tracemalloc
+
+    quad = flow.SphereQuad(3, 1 << 16)
+    field = flow.riesz_kernel_field(1e308, 3.0, 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="sphere samples at radius 1 overflows"):
+            flow.densities(field, np.zeros(3), 3.0, quad=quad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_a_hit_is_never_the_sampled_maximum():
+    # every finite sample of the shell of radius 1/2 about -e1/2 is below
+    # CLIP_FLOOR, and its point e1 hits the pole at the origin: M is the
+    # largest finite sample, not the clipped hit
+    points = flow.sphere_quad(3, 256, seed=1).points.copy()
+    points[0] = np.eye(3)[0]
+    quad = flow.SphereQuad(3, 256, 1)
+    quad.points = points
+    field = flow.plus_quadratic_field(flow.riesz_kernel_field(1e300, 3.0, 3), 2.0)
+    x0 = -0.5 * np.eye(3)[0]
+    curve = flow.average_curves(field, ("M",), x0, [0.5, 0.25], quad)["M"]
+    samples = field.values(x0 + 0.5 * points)
+    assert np.isinf(samples[0]) and np.nanmax(samples[1:]) < -6e299
+    assert curve.values[0] == np.max(samples[1:])
+
+
 # The kernel-sum shell path as it was before the terms were summed in place:
 # a (k, m) array of zeros plus each term in order, every value scanned by
 # `_clipped`, and numpy's `mean` (`_reference_rows` in place of
-# `flow._shell_rows`).  The shell path must keep its floats.  An
+# `flow._shell_rows`).  The shell path must keep its floats; the reports
+# below set the exact means aside, so that every average reads it.  An
 # off-centre term is w K of the squared distance, through the same kernel
 # helper as the shells; test_off_centre_shells_are_accurate pins that
 # helper against `values`.
@@ -893,26 +1030,28 @@ def _reference_shells(p, masses):
     return shells
 
 
-def _reference_rows(field, x0, quad, radii, maxima, absolute=None):
+def _reference_rows(field, x0, quad, radii, maxima, absolute=None, means_from=0):
     evaluate = flow._shell_evaluator(field, x0, quad.points)
     step = max(1, flow.SHELL_BLOCK // quad.size)
     means, halves, absolute, hits, tops = [], [], [], [], []
     for lo in range(0, radii.size, step):
         block = radii[lo:lo + step]
-        vals, nclip = flow._clipped(evaluate(block))
+        raw = evaluate(block)
+        vals, nclip = flow._clipped(raw)
         if np.any(nclip == quad.size):
             raise DomainError("all sphere samples hit the singular set")
         means += list(vals.mean(axis=1))
         halves += list(vals[:, :quad.size // 2].mean(axis=1))
         absolute += list(np.abs(vals).mean(axis=1))
         hits += list(nclip)
-        tops += [flow._max_from_shell(field, x0, r, row)
-                 for r, row in zip(block[:max(0, maxima - lo)], vals)]
-    return (np.array(means), np.array(halves), np.array(absolute), np.array(hits, dtype=int),
-            tops)
+        tops += [flow._max_from_shell(field, x0, r, np.where(np.isfinite(row), row, -np.inf))
+                 for r, row in zip(block[:max(0, maxima - lo)], raw)]
+    return (np.array(means), np.array(halves), np.array(absolute), np.zeros(len(means)),
+            np.array(hits, dtype=int), tops, flow._sum_depth(quad.size))
 
 
 def _shell_reports(field, p, quad):
+    field = dataclasses.replace(field, means=None)
     x0 = np.zeros(field.n)
     radii = [1.0, 0.3, 0.05]
     return pickle.dumps((flow.densities(field, x0, p, quad=quad),
@@ -997,10 +1136,11 @@ def test_a_shell_through_a_far_centre_keeps_its_hits(monkeypatch, p):
     quad = flow.SphereQuad(3, 512, 2)
     quad.points = points
     masses = [(1.0, np.zeros(3)), (1.0, 2.0 * E1)]
-    field = flow.newtonian_potential_field(p, masses, 3)
+    # its exact means set aside, so that S and V read the sampled shells
+    field = dataclasses.replace(flow.newtonian_potential_field(p, masses, 3), means=None)
     radii = np.array([2.0, 1.0])
     vals, _ = flow._clipped(flow._shell_evaluator(field, np.zeros(3), points)(radii))
-    _, _, _, hits, _ = flow._shell_rows(field, np.zeros(3), quad, radii, 0)
+    _, _, _, _, hits, _, _ = flow._shell_rows(field, np.zeros(3), quad, radii, 0)
     reference = _reference_shells(p, masses)(np.zeros(3), points)
     want_vals, want_hits = flow._clipped(reference(radii))
     assert np.array_equal(vals, want_vals) and hits.tolist() == want_hits.tolist()
@@ -1050,7 +1190,7 @@ def test_mass_density_requires_n_at_least_three():
     (lambda u: flow.mass_density(u, np.zeros(3), math.inf),
      "kernel needs 1 <= p < inf, got inf"),
     (lambda u: flow.mass_density(u, np.zeros(3), 3.5), "mass density needs p <= n"),
-    (lambda u: flow.tangent_flow(u, math.inf, 0.5), "flow undefined at p = inf"),
+    (lambda u: flow.tangent_flow(u, math.inf, 0.5), "kernel needs 1 <= p < inf, got inf"),
     (lambda u: flow.average_curves(u, ("X",), np.zeros(3), [0.5]), "unknown average kind 'X'"),
     (lambda u: flow.tangent_experiment(u, flow.FlowSpec(p=3.0, radii=[0.5]), u, metric="l2"),
      "unknown metric 'l2'"),

@@ -13,9 +13,7 @@ radius and the centre's distance, a 1-D integral in the polar angle
 the rule with half the nodes, so the noise bound is the rule's error
 estimate.  Sphere points are read only for M, whose closed form on the
 ray of centres is checked against the sampled maximum of the curve
-shells, and which off that ray is the sampled maximum.  A kernel sum
-whose every centre is x0 is constant on each sphere: its shells are one
-column per radius, read in one block.
+shells, and which off that ray is the sampled maximum.
 
 Any other field is sampled on a seeded low-discrepancy sphere point set
 shared across all radii of a run, in blocks of at most `SHELL_BLOCK`
@@ -47,8 +45,7 @@ MAX_CLIPPED_FRACTION = 1e-3
 # nodes of the volume ladder in the innermost ball and per annulus
 JACOBI_NODES = 32
 ANNULUS_NODES = 8
-# values per block of sampled sphere shells: bounds their arrays (broadcast
-# columns take no memory per point, and are read and clipped as columns)
+# values per block of sampled sphere shells: bounds their arrays
 SHELL_BLOCK = 1 << 16
 # sphere points per set, 16 times the largest default: 2^20 points at n = 16
 # peak at about 165 MB of RSS while they are drawn (the finished set is 128 MiB)
@@ -329,9 +326,7 @@ class ScalarField:
     means about x0 at the k radii, the same by a coarser rule (the half
     curve, whose gap is the noise bound), an upper bound on the means of
     absolute values and a bound, in units of eps, on the rounding of the
-    means; S and V read them, and the points only M.  It returns None when
-    the field is constant on every sphere about x0, and then its shells
-    must be broadcast columns: they are exact and read in one block.
+    means; S and V read them, and the points only M.
     """
 
     n: int
@@ -359,18 +354,9 @@ class ScalarField:
         return dist
 
 
-def _broadcast(vals: np.ndarray) -> bool:
-    """Whether the rows of vals (k, m) are columns broadcast over m > 1 points."""
-    return vals.shape[1] > 1 and vals.strides[1] == 0
-
-
 def _clipped(vals: np.ndarray):
     """vals with each non-finite value, a hit on the singular set, set to
-    CLIP_FLOOR, and the number of hits (per row of a 2-D array).  Broadcast
-    rows stay broadcast: their column is clipped, each hit counted m times."""
-    if vals.ndim == 2 and _broadcast(vals):
-        column, hits = _clipped(vals[:, :1])
-        return np.broadcast_to(column, vals.shape), hits * vals.shape[1]
+    CLIP_FLOOR, and the number of hits (per row of a 2-D array)."""
     bad = ~np.isfinite(vals)
     if bad.any():
         vals = np.where(bad, CLIP_FLOOR, vals)
@@ -405,47 +391,6 @@ def _max_from_shell(field: ScalarField, x0: np.ndarray, r: float, vals: np.ndarr
     return exact, exact
 
 
-def _row_sums(vals: np.ndarray, half: int):
-    """(leading-half sums, full sums) of the rows of vals (k, m), with the
-    floats of numpy's `sum(axis=1)` of each, reading every value once.
-
-    numpy sums a row by pairwise summation: a block of at most 128 values
-    in eight running sums, a longer one split at its midpoint rounded down
-    to a multiple of 8, the halves summed alike and then added.  So for a
-    power of two m >= 256 the full sum is, bit for bit, the leading-half
-    sum plus the trailing-half sum; and a broadcast row, one value
-    repeated, sums to the sum of its first 128 values times m / 128, a
-    power of two, since each level doubles exactly (inf and NaN pass
-    through).  Other m keep numpy's plain sums."""
-    m = vals.shape[1]
-    if m < 256 or m & (m - 1):
-        return vals[:, :half].sum(axis=1), vals.sum(axis=1)
-    if _broadcast(vals):
-        block = vals[:, :128].sum(axis=1)
-        return block * (half // 128), block * (m // 128)
-    lead = vals[:, :half].sum(axis=1)
-    return lead, lead + vals[:, half:].sum(axis=1)
-
-
-def _absolute_sums(vals: np.ndarray, sums: np.ndarray):
-    """numpy's `np.abs(vals).sum(axis=1)` for vals (k, m) whose row sums
-    are `sums`.  Rounding is symmetric in sign, so a row of one sign (a
-    broadcast row among them) sums its absolute values to |sum| bit for
-    bit; only a row with values of both signs is summed again."""
-    out = np.abs(sums)
-    if _broadcast(vals):
-        return out
-    negative = sums < 0.0
-    mixed = np.zeros(sums.size, dtype=bool)
-    if negative.any():
-        mixed |= negative & (vals.max(axis=1) > 0.0)
-    if not negative.all():
-        mixed |= ~negative & (vals.min(axis=1) < 0.0)
-    for i in np.flatnonzero(mixed):
-        out[i] = np.abs(vals[i]).sum()
-    return out
-
-
 def _refuse_shell(r: float):
     raise DomainError(f"every sphere sample at radius {r:.6g} is non-finite (float overflow "
                       f"or the singular set)")
@@ -456,17 +401,13 @@ def _maxima(field: ScalarField, x0: np.ndarray, radii: np.ndarray, vals: np.ndar
     shells vals (k, m) at the k radii.  A non-finite value, a hit on the
     singular set, is read as -inf, so it never stands for a maximum (a
     CLIP_FLOOR value could exceed every finite one); a shell whose samples
-    are all non-finite is refused.  Broadcast rows are read as their column."""
-    shape = vals.shape
-    if _broadcast(vals):
-        vals = vals[:, :1]
+    are all non-finite is refused."""
     finite = np.isfinite(vals)
     if not finite.all():
         whole = finite.any(axis=1)
         if not whole.all():
             _refuse_shell(radii[whole.argmin()])
         vals = np.where(finite, vals, -np.inf)
-    vals = np.broadcast_to(vals, shape)
     return [_max_from_shell(field, x0, r, row) for r, row in zip(radii, vals)]
 
 
@@ -493,7 +434,7 @@ def _sum_depth(size: int) -> int:
 
 
 def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.ndarray,
-                maxima: int, absolute: np.ndarray | None = None, means_from: int = 0):
+                maxima: int, means_from: int = 0):
     """(means, leading-half means, means of absolute values, rounding, hits,
     maxima, depth) of the sphere shells about x0 of the given radii, each
     read once; the maxima are the (M, leading-half M) pairs (`_maxima`) of
@@ -509,44 +450,34 @@ def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.
     (`_sampled_maxima`).
 
     Otherwise the shells are sampled, in one pass of blocks of at most
-    SHELL_BLOCK values, or in one block when the field's `means` declines
-    x0: its shells are then broadcast columns.  The depth is that of the
-    row sums and the rounding 0.  The means of absolute values
-    (`_absolute_sums`) are those of the shells marked in the mask
-    `absolute` (and of any shell between two marked ones in a block; 0
-    elsewhere), and the leading half of the points is the set of half the
-    size.  The row sums come from `_row_sums`: for a power-of-two size of
-    at least 256 (every default) the full sum is the leading-half sum plus
-    the trailing-half sum, bit for bit, so each value is read once for
-    them, and a broadcast row sums its first 128 values only.  A
-    non-finite value makes its row sum non-finite, so the values are
-    scanned and clipped only in a block with a non-finite row sum
-    (`_clipped`, which keeps broadcast rows broadcast); the maxima read the
-    values before the clip.  A shell whose row sum still overflows after
-    clipping, or whose samples are all non-finite, is refused."""
-    exact = field.means(x0) if field.means is not None else None
-    if exact is not None:
+    SHELL_BLOCK values.  The depth is that of numpy's row sums and the
+    rounding 0, and the leading half of the points is the set of half the
+    size.  A non-finite value makes its row sum non-finite, so the values
+    are scanned and clipped only in a block with a non-finite row sum
+    (`_clipped`); the maxima read the values before the clip.  A shell
+    whose row sum still overflows after clipping, or whose samples are all
+    non-finite, is refused."""
+    if field.means is not None:
         rows = np.full((4, radii.size), np.nan)
         if means_from < radii.size:
-            rows[:, means_from:] = exact(radii[means_from:])
+            rows[:, means_from:] = field.means(x0)(radii[means_from:])
         return (*rows, np.zeros(radii.size, dtype=int),
                 _sampled_maxima(field, x0, quad, radii[:maxima]), 0)
     evaluate = _shell_evaluator(field, x0, quad.points)
     size, half = quad.size, quad.size // 2
-    means, halves = np.empty(radii.size), np.empty(radii.size)
-    magnitudes = np.zeros(radii.size)
+    means, halves, magnitudes = np.empty(radii.size), np.empty(radii.size), np.empty(radii.size)
     hits = np.zeros(radii.size, dtype=int)
     tops = []
-    step = max(1, radii.size if field.means is not None else SHELL_BLOCK // size)
+    step = max(1, SHELL_BLOCK // size)
     for lo in range(0, radii.size, step):
         block = radii[lo:lo + step]
         rows = slice(lo, lo + block.size)
         vals = evaluate(block)
         top = vals[:max(0, maxima - lo)]
-        lead, sums = _row_sums(vals, half)
+        sums = vals.sum(axis=1)
         if not np.isfinite(sums).all():
             vals, hits[rows] = _clipped(vals)
-            lead, sums = _row_sums(vals, half)
+            sums = vals.sum(axis=1)
             refused = ~np.isfinite(sums) | (hits[rows] == size)
             if refused.any():
                 i = refused.argmax()
@@ -555,11 +486,8 @@ def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.
                 raise DomainError(f"the sum of the sphere samples at radius {block[i]:.6g} "
                                   f"overflows")
         means[rows] = sums / size
-        halves[rows] = lead / half
-        marked = np.flatnonzero(absolute[rows]) if absolute is not None else ()
-        if len(marked):
-            part = slice(marked[0], marked[-1] + 1)
-            magnitudes[rows][part] = _absolute_sums(vals[part], sums[part]) / size
+        halves[rows] = vals[:, :half].sum(axis=1) / half
+        magnitudes[rows] = np.abs(vals).sum(axis=1) / size
         tops += _maxima(field, x0, block[:len(top)], top)
     return means, halves, magnitudes, np.zeros(radii.size), hits, tops, _sum_depth(size)
 
@@ -633,7 +561,7 @@ def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
             raise DomainError(f"radius must be positive and finite, got {r}")
     quad = quad or sphere_quad(field.n)
     k = radii.size if {"M", "S"} & set(kinds) else 0  # the curve shells lead the sweep
-    shells, deep = [radii[:k]], None
+    shells = [radii[:k]]
     if "V" in kinds:
         _check_volume_density(kinds, p, field.n)
         if np.any(np.diff(radii) >= 0.0):
@@ -642,13 +570,8 @@ def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
         coarse, combine_coarse = _volume_ladder(field.n, p, radii[-2:], JACOBI_NODES // 2,
                                                 ANNULUS_NODES // 2)
         shells += [ladder, coarse]
-        # V at the two deepest radii, whose rounding is bounded from the
-        # absolute means, reads the ladder's first shells (the inner nodes)
-        # and its last (the deepest annulus); the bound reads no other V
-        deep = np.zeros(k + ladder.size + coarse.size, dtype=bool)
-        deep[k:k + JACOBI_NODES] = deep[k + ladder.size - ANNULUS_NODES:k + ladder.size] = True
     means, halves, magnitudes, rounding, hits, maxima, depth = _shell_rows(
-        field, x0, quad, np.concatenate(shells), k if "M" in kinds else 0, deep,
+        field, x0, quad, np.concatenate(shells), k if "M" in kinds else 0,
         0 if "S" in kinds else k)
 
     def curve(kind, values, half_values, nhits):
@@ -828,9 +751,9 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     rounding bound, node values included: `_sphere_means`).  Only the V
     bracket covers rounding: the M and S brackets are the quotient gaps
     alone, so a constant quotient reads bracket 0 while its estimate may
-    be a few ulps off (theta_S = 3.0000000000000027 for the Riesz kernel
-    at theta = 3, p = 2, n = 2).  The kernel is computed at the radii once,
-    for the quotients of every curve and half curve in one
+    be an ulp off (theta_M = theta_S = 3.0000000000000004 for the Riesz
+    kernel at theta = 3, p = 2.5, n = 2).  The kernel is computed at the
+    radii once, for the quotients of every curve and half curve in one
     `radial.quotients` call.  The report keeps the curves as its `curves`
     attribute, which is not a field, so the JSON report leaves them out.
     """
@@ -1289,8 +1212,9 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
     (k, 1) column w K(s) with the floats of `radial.kernel`.  The terms are
     summed in their order into the first full term, with the floats of a
     sum that starts from zeros; a block of centred terms only is their
-    column, broadcast over the m points.  `values` keeps the
-    sqrt-and-power route, the reference for the shells.
+    column, broadcast over the m points.  The densities read these shells
+    for M's sampled maximum only.  `values` keeps the sqrt-and-power
+    route, the reference for the shells.
 
     The `means` hook sums, in the terms' order from zeros, each term's
     exact sphere means (`_sphere_means`) at d = |x0 - c| > 0, or its column
@@ -1298,9 +1222,8 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
     product); a term of weight 0 adds nothing.  Each of the T terms it adds
     rounds within eps times the mean of absolute values of the whole sum,
     so its rounding bound is the terms' bounds plus T times that mean.  A
-    mean that is not finite (float overflow) is refused.  When every centre
-    is x0 it returns None: each shell is then its column, read through
-    `shells`.
+    mean, or its rounding bound, that is not finite (float overflow) is
+    refused.
 
     `analytic_max` is sum_k w_k K(r + |x0 - c_k|) when every centre of
     positive weight other than x0 lies on one ray from x0 (directions
@@ -1365,8 +1288,6 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
 
     def means(x0):
         offsets = [math.hypot(*(x0 - c)) for c in centers]
-        if not any(offsets):
-            return None  # every term centred: the shells are their columns
 
         def evaluate(radii):
             radii = np.asarray(radii, dtype=float)
@@ -1382,10 +1303,14 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
                     continue
                 terms += 1
             out[3] += terms * out[2]
-            bad = ~np.isfinite(out[:3]).all(axis=0)
-            if bad.any():
-                raise DomainError(f"the sphere mean at radius {radii[bad.argmax()]:.6g} is not "
-                                  f"finite (float overflow)")
+            bad = ~np.isfinite(out)
+            if bad[:3].any():
+                i = bad[:3].any(axis=0).argmax()
+                raise DomainError(f"the sphere mean at radius {radii[i]:.6g} is not finite "
+                                  f"(float overflow)")
+            if bad[3].any():
+                raise DomainError(f"the rounding bound of the sphere mean at radius "
+                                  f"{radii[bad[3].argmax()]:.6g} overflows")
             return out
 
         return evaluate

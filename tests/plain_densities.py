@@ -76,9 +76,8 @@ def sampled_maximum(field, x0, quad, r):
 
 
 def shell_rows(field, x0, quad, radii, maxima):
-    exact = field.means(x0) if field.means is not None else None
-    if exact is not None:
-        means, halves, absolute, rounding = exact(radii)
+    if field.means is not None:
+        means, halves, absolute, rounding = field.means(x0)(radii)
         tops = [sampled_maximum(field, x0, quad, r) for r in radii[:maxima]]
         return means, halves, absolute, rounding, np.zeros(radii.size, dtype=int), tops, 0
     evaluate = flow._shell_evaluator(field, x0, quad.points)

@@ -1068,35 +1068,71 @@ def test_density_answers_below_the_clip_floor(capsys):
     assert payload["clipped_fraction"] == 0.0
 
 
+@pytest.mark.parametrize("argv,theta", [
+    (["riesz", "--theta", "1e303", "--p", "3", "--n", "4"], {"M": 1e303, "S": 1e303}),
+    (["riesz", "--theta", "1e300", "--p", "3", "--n", "4"], {"M": 1e300, "S": 1e300}),
+    (["newtonian", "--p", "3", "--n", "3", "--mass", "--theta", "1e304"], None),
+], ids=["centred-1e303", "centred-1e300", "centred-mass"])
+def test_density_answers_where_a_sum_of_samples_overflowed(capsys, argv, theta):
+    # theta K(r) = -1e303 / r: a sum of 4,096 samples overflowed on the
+    # shell of radius 0.000183 (and at --mass --theta 1e304 on that of
+    # radius 0.125), but each mean and its rounding bound are finite
+    code, payload = run_json(capsys, "density", *argv)
+    assert code == 0
+    if theta is None:
+        assert math.isfinite(payload["theta_mass"]) and math.isfinite(payload["bracket"])
+        return
+    assert {kind: payload["theta"][kind] for kind in theta} == theta
+    assert payload["theta"]["V"] == pytest.approx(4.0 / 3.0 * theta["S"], rel=1e-14)
+    assert all(math.isfinite(b) for b in [*payload["bracket"].values(),
+                                          payload["noise_bound"]])
+
+
 def test_density_names_the_shell_whose_values_overflow(capsys):
-    # theta K(r) = -8e304 on the S shell of radius 0.125: every sample is
-    # finite, but their sum overflows to -inf; at theta = 1e300 the sums of
-    # every shell stay finite
-    code = cli.main(["density", "riesz", "--theta", "1e304", "--p", "3", "--n", "4",
+    # the sampled field theta K(r) plus a quadratic is -8e304 on the S
+    # shell of radius 0.125: every sample is finite, but their sum
+    # overflows to -inf; at theta = 1e300 the sums of every shell stay finite
+    code = cli.main(["density", "radial-perturbed", "--theta", "1e304", "--p", "3", "--n", "4",
                      "--no-timestamp"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
     assert captured.err == "error: the sum of the sphere samples at radius 0.125 overflows\n"
-    code, payload = run_json(capsys, "density", "riesz", "--theta", "1e300", "--p", "3",
-                             "--n", "4")
-    assert code == 0 and payload["theta"]["M"] == 1e300
+    code, payload = run_json(capsys, "density", "radial-perturbed", "--theta", "1e300", "--p",
+                             "3", "--n", "4")
+    assert code == 0 and payload["theta"]["M"] == pytest.approx(1e300, rel=1e-14)
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["newtonian", "--p", "3", "--n", "3", "--mass", "--theta", "1e304"],
-     "the sum of the sphere samples at radius 0.125 overflows"),
-    # the second mass's exact mean is -2e308 on the sphere through its pole;
-    # at --theta2 1e306 every mean is finite, and only a sum of 4,096
-    # samples overflowed
+    # theta K(r) = -1e308 / r overflows at radius 1/2: the mean itself does
+    (["riesz", "--theta", "1e308", "--p", "3", "--n", "4"],
+     "the sphere mean at radius 0.5 is not finite (float overflow)"),
+    # theta K(r) = -1e304 / r is -5.5e307 at the innermost V radius: the
+    # mean is finite, its rounding bound 4 |mean| is not
+    (["riesz", "--theta", "1e304", "--p", "3", "--n", "4"],
+     "the rounding bound of the sphere mean at radius 0.000183287 overflows"),
+    (["newtonian", "--p", "3", "--n", "4", "--theta", "1e304", "--offset", "0.5"],
+     "the rounding bound of the sphere mean at radius 0.000183287 overflows"),
+    # at --theta2 1e306 the second mass's mean through its pole, -2e306, is
+    # finite and its rounding bound is not
+    (["newtonian", "--p", "3", "--n", "3", "--theta", "1", "--offset", "0.5", "--theta2",
+      "1e306"], "the rounding bound of the sphere mean at radius 0.5 overflows"),
+    # the second mass's exact mean is -2e308 on the sphere through its pole
     (["newtonian", "--p", "3", "--n", "3", "--theta", "1", "--offset", "0.5", "--theta2",
       "1e308"], "the sphere mean at radius 0.5 is not finite (float overflow)"),
-], ids=["centred-samples", "exact-mean"])
+], ids=["centred-mean", "centred-rounding", "off-centre-rounding", "through-pole-rounding",
+        "exact-mean"])
 def test_density_refuses_a_shell_sum_that_overflows(capsys, argv, message):
-    # finite samples whose sum overflows were NaN densities with exit 0
+    # a rounding bound that overflowed printed a V bracket of inf with exit 0
     code = cli.main(["density", *argv, "--no-timestamp"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
     assert captured.err == f"error: {message}\n"
+
+
+def test_density_reads_the_centred_kernel_density_at_p_2_exactly(capsys):
+    # each centred mean is its column theta K(r), with no rounding of a sum
+    code, payload = run_json(capsys, "density", "riesz", "--theta", "3", "--p", "2", "--n", "2")
+    assert code == 0 and payload["theta"]["S"] == 3.0
 
 
 @pytest.mark.parametrize("argv", [

@@ -533,8 +533,6 @@ def _counted(field, x0, means=None):
     def exact(center):
         assert np.array_equal(center, x0)
         evaluate = field.means(center)
-        if evaluate is None:
-            return None
 
         def counted(radii):
             means.append([round(float(s), 12) for s in radii])
@@ -560,10 +558,15 @@ def test_densities_evaluate_each_shell_once(field, sampled, quad3):
     x0 = np.zeros(3)
     radii = flow.default_radii()
     assert (field.analytic_max(x0, 0.5) is None) is sampled
-    counted, calls = _counted(field, x0)
+    means = []
+    counted, calls = _counted(field, x0, means)
     rep = flow.densities(counted, x0, 3.0, quad=quad3)
-    # M and S share one shell per radius; V adds the shells of its ladders
-    assert len(calls) == radii.size + volume_shells(radii.size) == 98
+    if sampled:  # M and S share one shell per radius; V adds the shells of its ladders
+        assert len(calls) == radii.size + volume_shells(radii.size) == 98
+        assert means == []
+    else:  # the centred kernel's S and V take one means call; M reads its curve shells
+        assert len(calls) == radii.size
+        assert [len(set(call)) for call in means] == [radii.size + volume_shells(radii.size)]
     assert {size for _, size in calls} == {quad3.size}
     assert len({radius for radius, _ in calls}) == len(calls)
 
@@ -678,13 +681,20 @@ def test_volume_average_needs_p_and_decreasing_radii(quad3):
         flow.average_curves(u, (kind,), np.zeros(3), [0.5, 1.0], quad3)[kind]
 
 
-def test_mass_density_evaluates_two_shells_per_radius(quad3):
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact-means"])
+def test_mass_density_evaluates_two_shells_per_radius(quad3, exact):
+    # sampled (the exact means set aside), two shells per radius; with
+    # exact means, the centred kernel's two radii per radius in one call
     x0 = np.zeros(3)
     radii = 0.5 ** np.arange(1, 7)
-    counted, calls = _counted(flow.newtonian_potential_field(3.0, [(1.0, x0)], 3), x0)
+    field = flow.newtonian_potential_field(3.0, [(1.0, x0)], 3)
+    means = []
+    counted, calls = _counted(field if exact else dataclasses.replace(field, means=None), x0,
+                              means)
     flow.mass_density(counted, x0, 3.0, radii=radii, quad=quad3)
-    assert len(calls) == 2 * radii.size
+    assert len(calls) == (0 if exact else 2 * radii.size)
     assert len({radius for radius, _ in calls}) == len(calls)
+    assert [len(set(call)) for call in means] == ([2 * radii.size] if exact else [])
 
 
 @pytest.mark.parametrize("p,field", [
@@ -693,14 +703,17 @@ def test_mass_density_evaluates_two_shells_per_radius(quad3):
 ], ids=["p=3", "p=2"])
 def test_averages_of_tangent_evaluate_each_shell_once(monkeypatch, quad3, p, field):
     # the flow-invariance defect samples its own grid; only the averages count
+    # M reads its curve shells, and S and V the exact means in one call
     monkeypatch.setattr(flow, "flow_invariance_defect", lambda *args, **kwargs: 0.0)
     x0 = np.zeros(3)
     radii = flow.default_radii()
-    counted, calls = _counted(field, x0)
+    means = []
+    counted, calls = _counted(field, x0, means)
     report = flow.averages_of_tangent_check(counted, p, quad=quad3)
     assert report.passed
-    assert len(calls) == radii.size + volume_shells(radii.size)
+    assert len(calls) == radii.size
     assert len({radius for radius, _ in calls}) == len(calls)
+    assert [len(set(call)) for call in means] == [radii.size + volume_shells(radii.size)]
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -861,11 +874,13 @@ def test_curve_csv_evaluates_each_shell_once(tmp_path, quad3):
     x0 = np.zeros(3)
     radii = flow.default_radii()
     field = flow.riesz_kernel_field(1.0, 3.0, 3)
-    counted, calls = _counted(field, x0)
+    means = []
+    counted, calls = _counted(field, x0, means)
     target = tmp_path / "curves.csv"
     cli._write_curve_csv(str(target), counted, x0, radii, quad3, 3.0)
-    # M and S share one shell per radius; V adds the shells of its ladders
-    assert len(calls) == radii.size + volume_shells(radii.size)
+    # M reads one shell per radius; S and V read the exact means in one call
+    assert len(calls) == radii.size
+    assert [len(set(call)) for call in means] == [radii.size + volume_shells(radii.size)]
     rows = [f"{kind},{cli._fmt(r)},{cli._fmt(v)},{cli._fmt(q)}" for kind in "MSV"
             for r, v, q in flow.average_curves(field, (kind,), x0, radii, quad3,
                                                3.0)[kind].to_csv_rows(3.0)]
@@ -920,49 +935,52 @@ def test_shell_blocks_hold_at_most_shell_block_values(monkeypatch, quad3):
     flow.riesz_kernel_field(3.0, 3.0, 8),
     flow.newtonian_potential_field(2.5, [(1.0, np.zeros(8)), (0.5, np.zeros(8))], 8),
 ], ids=["riesz", "two-masses-at-x0"])
-def test_a_centred_kernel_report_is_one_evaluator_call(field):
-    # every term centred at x0: each shell is one column w K(r) broadcast
-    # over the points, so all 98 radii of the report take one block, not
+def test_a_centred_kernel_report_is_one_means_call(field):
+    # every term centred at x0: S and V read the exact means of all 98
+    # radii of the report in one call, and M samples its 6 curve shells,
     # SHELL_BLOCK // 16384 = 4 radii at a time
     x0 = np.zeros(8)
     quad = flow.sphere_quad(8)
-    assert field.means(x0) is None
-    hook, blocks = field.shells, []
-
-    def shells(center, points):
-        evaluate = hook(center, points)
-
-        def recorded(radii):
-            blocks.append(len(radii))
-            return evaluate(radii)
-
-        return recorded
-
-    report = flow.densities(dataclasses.replace(field, shells=shells), x0, 3.0, quad=quad)
+    means = []
+    counted, calls = _counted(field, x0, means)
+    report = flow.densities(counted, x0, 3.0, quad=quad)
     levels = flow.default_radii().size
-    assert blocks == [levels + volume_shells(levels)] == [98]
+    assert [len(set(call)) for call in means] == [levels + volume_shells(levels)] == [98]
+    assert len(calls) == len(set(calls)) == levels
     assert plain.same_floats(report, plain.densities(field, x0, 3.0, quad=quad))
 
 
-def test_clipping_keeps_broadcast_rows_broadcast():
-    column = np.array([[1.0], [-np.inf], [np.nan], [-2e12]])
-    vals, hits = flow._clipped(np.broadcast_to(column, (4, 4096)))
-    assert vals.shape == (4, 4096) and vals.strides[1] == 0
-    assert np.array_equal(vals[:, 0], [1.0, flow.CLIP_FLOOR, flow.CLIP_FLOOR, -2e12])
-    assert hits.tolist() == [0, 4096, 4096, 0]
+@pytest.mark.parametrize("p,masses", [
+    (3.0, [(3.0, np.zeros(8))]),
+    (2.0, [(3.0, np.zeros(8))]),
+    (1.5, [(3.0, np.zeros(8))]),
+    (2.5, [(1.0, np.zeros(8)), (0.5, np.zeros(8)), (0.0, np.zeros(8))]),
+], ids=["riesz-p=3", "riesz-p=2", "riesz-p=1.5", "three-masses-at-x0"])
+def test_a_centred_kernel_s_curve_is_its_weighted_kernels_bit_for_bit(p, masses):
+    # each term's mean is its column w K(r): the S curve is the terms'
+    # weighted kernels at the radii, summed in their order from zeros
+    spec = radial.KernelSpec(p=p)
+    field = flow.newtonian_potential_field(p, masses, 8)
+    radii = flow.default_radii()
+    want = np.zeros(radii.size)
+    for w, _ in masses:
+        want += radial.weighted_kernel(spec, w, radii.copy())
+    curve = flow.average_curves(field, ("S",), np.zeros(8), radii, flow.sphere_quad(8, 256))
+    assert curve["S"].values.tobytes() == want.tobytes()
+    assert curve["S"].half_values.tobytes() == want.tobytes()
 
 
 def test_a_centred_overflow_is_refused_in_the_memory_of_a_column():
-    # theta * K(r) is -1e308 at radius 1, whose sum overflows, and -inf
-    # below: the broadcast block of 98 radii is clipped as a column, not as
-    # 98 x 65536 bools and floats (6.4 MB and 51 MB)
+    # theta * K(r) is -1e308 at radius 1 and overflows at radius 1/2: the
+    # means of the 98 radii, one value each, are refused before any sphere
+    # shell is read
     import tracemalloc
 
     quad = flow.SphereQuad(3, 1 << 16)
     field = flow.riesz_kernel_field(1e308, 3.0, 3)
     tracemalloc.start()
     try:
-        with pytest.raises(DomainError, match="sphere samples at radius 1 overflows"):
+        with pytest.raises(DomainError, match=r"^the sphere mean at radius 0\.5 is not finite"):
             flow.densities(field, np.zeros(3), 3.0, quad=quad)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -1030,7 +1048,7 @@ def _reference_shells(p, masses):
     return shells
 
 
-def _reference_rows(field, x0, quad, radii, maxima, absolute=None, means_from=0):
+def _reference_rows(field, x0, quad, radii, maxima, means_from=0):
     evaluate = flow._shell_evaluator(field, x0, quad.points)
     step = max(1, flow.SHELL_BLOCK // quad.size)
     means, halves, absolute, hits, tops = [], [], [], [], []
@@ -1662,48 +1680,33 @@ def test_densities_equal_the_plain_reference_bit_for_bit(n):
     assert hits[False] and (hits[True] or p < 2.0)  # K(0) = 0 below p = 2
 
 
-# The row sums of `flow._row_sums` and `flow._absolute_sums` and the
-# column products of `flow.quadratic_field` rest on how numpy sums: these
-# pin it, so that a numpy release that changes its pairwise split or its
-# einsum order fails here rather than moving a report's floats.
-
-
-def _wide_rows(rng, k, m):
-    v = rng.standard_normal((k, m)) * np.exp(rng.uniform(-300.0, 300.0, (k, 1)))
+@pytest.mark.parametrize("m", [8, 256, 4096, 65536])
+def test_sampled_shell_rows_are_numpys_row_sums_bit_for_bit(m):
+    # a sampled shell's mean, leading-half mean and mean of absolute values
+    # are numpy's row sums of its clipped values, whether its block of
+    # SHELL_BLOCK values holds all nine shells (m = 8) or one (m = 65536):
+    # rows of wide exponents, of subnormals, of one sign each and with poles
+    rng = np.random.default_rng(m)
+    v = rng.standard_normal((9, m)) * np.exp(rng.uniform(-300.0, 300.0, (9, 1)))
     v[0, 3], v[1, m - 1], v[2, m // 2] = math.inf, math.nan, -math.inf
-    v[3] = 5e-324 * rng.integers(-3, 4, m)  # subnormal
-    v[4] = 1e308  # the sum overflows
-    v[5], v[6] = -np.abs(v[5]), np.abs(v[6])  # one sign each
-    return v
+    v[3] = 5e-324 * rng.integers(-3, 4, m)
+    v[5], v[6] = -np.abs(v[5]), np.abs(v[6])
+    field = flow.ScalarField(n=3, values=None,
+                             shells=lambda x0, points: lambda radii: v[radii.astype(int) - 1])
+    quad = flow.SphereQuad(3, m)
+    means, halves, magnitudes, rounding, hits, tops, depth = flow._shell_rows(
+        field, np.zeros(3), quad, np.arange(1.0, 10.0), 0)
+    clipped = np.where(np.isfinite(v), v, flow.CLIP_FLOOR)
+    assert means.tobytes() == (clipped.sum(axis=1) / m).tobytes()
+    assert halves.tobytes() == (clipped[:, :m // 2].sum(axis=1) / (m // 2)).tobytes()
+    assert magnitudes.tobytes() == (np.abs(clipped).sum(axis=1) / m).tobytes()
+    assert hits.tolist() == [1, 1, 1, 0, 0, 0, 0, 0, 0]
+    assert not rounding.any() and tops == [] and depth == flow._sum_depth(m)
 
 
-@pytest.mark.parametrize("m", [256, 512, 1024, 4096, 16384, 65536])
-def test_a_row_sum_is_its_halves_sums_bit_for_bit(m):
-    v = _wide_rows(np.random.default_rng(m), 9, m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = v.sum(axis=1), v[:, :m // 2].sum(axis=1)
-        assert (want[1] + v[:, m // 2:].sum(axis=1)).tobytes() == want[0].tobytes()
-        lead, full = flow._row_sums(v, m // 2)
-        absolute = flow._absolute_sums(v, want[0])
-        assert absolute.tobytes() == np.abs(v).sum(axis=1).tobytes()
-    assert full.tobytes() == want[0].tobytes() and lead.tobytes() == want[1].tobytes()
-    assert not np.isfinite(want[0][[0, 1, 2, 4]]).any()  # inf, NaN and overflow rows
-
-
-@pytest.mark.parametrize("m", [8, 64, 128, 256, 1024, 4096, 65536])
-def test_a_broadcast_row_sums_as_its_first_128_values(m):
-    column = np.array([1.0 / 3.0, -2.7e-13, 0.0, -0.0, 5e-324, -1e-310, 1e306, -1e308,
-                       math.inf, -math.inf, math.nan])[:, None]
-    rows = np.broadcast_to(column, (column.size, m))
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = rows.sum(axis=1), rows[:, :m // 2].sum(axis=1), np.abs(rows).sum(axis=1)
-        if m >= 256:
-            block = rows[:, :128].sum(axis=1)
-            assert (block * (m // 128)).tobytes() == want[0].tobytes()
-        lead, full = flow._row_sums(rows, m // 2)
-        absolute = flow._absolute_sums(rows, want[0])
-    assert full.tobytes() == want[0].tobytes() and lead.tobytes() == want[1].tobytes()
-    assert absolute.tobytes() == want[2].tobytes()
+# The column products of `flow.quadratic_field` rest on the order in which
+# numpy's einsum adds them: this pins it, so that a numpy release that
+# changes that order fails here rather than moving a report's floats.
 
 
 @pytest.mark.parametrize("n", range(1, 9))

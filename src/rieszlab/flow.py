@@ -13,7 +13,12 @@ radius and the centre's distance, a 1-D integral in the polar angle
 the rule with half the nodes, so the noise bound is the rule's error
 estimate.  Sphere points are read only for M, whose closed form on the
 ray of centres is checked against the sampled maximum of the curve
-shells, and which off that ray is the sampled maximum.
+shells, and which off that ray is the sampled maximum.  Where every
+centre is x0 a shell is one value, read as a (k, 1) column.
+
+M takes the field's closed forms at every curve radius in one call, and
+compares them with the row maxima of each block of sampled shells in one
+vector comparison.
 
 Any other field is sampled on a seeded low-discrepancy sphere point set
 shared across all radii of a run, in blocks of at most `SHELL_BLOCK`
@@ -251,7 +256,10 @@ def _sphere_means(spec: KernelSpec, n: int, weight: float, d: float, radii: np.n
     pole's power and a tiny sin^(n-2) theta do not meet as inf times 0;
     each panel's values are summed in a row, then the panels of a radius
     in order (`np.add.reduceat`).  The mean over a sphere through c
-    diverges at p >= n + 1: refused.
+    diverges at p >= n + 1: refused.  Where q overflows (d or r beyond
+    about 1e154) its rows take q' = q / s^2, s = max(r, d), and add (2 - p)
+    ln s to their log weights, so no finite q moves; at p <= 2 such a mean,
+    which swamps the kernel's own, is refused.
 
     The rounding bound takes each node's value as exp(a1 + a2) times the
     normalized weight, a1 = (2 - p)/2 ln q and a2 its log weight.  Let c =
@@ -262,8 +270,10 @@ def _sphere_means(spec: KernelSpec, n: int, weight: float, d: float, radii: np.n
     slack (`_polar_panels`); the exp and the normalization within 4 eps
     more.  At p = 2 the value is (w/2) ln q e^a2, and the 7 eps absolute
     of ln q adds 7/2 |w| eps times the sum of the weights e^a2, the rule's
-    mass 1: 4 |w| eps covers it.  The sums add their depth times the
-    absolute mean: `_sum_depth(MEAN_NODES)` in a panel, one per panel
+    mass 1: 4 |w| eps covers it.  A row of q' takes L as the larger
+    |ln q'| plus 2 ln s + 1, which also covers the 3 eps more that q'
+    rounds and the rounding of its shift.  The sums add their depth times
+    the absolute mean: `_sum_depth(MEAN_NODES)` in a panel, one per panel
     after."""
     gap = np.abs(radii - d)
     through = (gap == 0.0) & (spec.p != 2.0)
@@ -283,12 +293,25 @@ def _sphere_means(spec: KernelSpec, n: int, weight: float, d: float, radii: np.n
     inner = np.where(through, 2 * MEAN_LEVELS + 2, 1 + MEAN_LEVELS + levels)
     rows = np.where(position == np.repeat(counts - 1, counts), np.repeat(inner, counts), position)
     r = np.repeat(radii, counts)[:, None]
-    q = np.square(np.sin(0.5 * angles[rows]))
-    q *= 4.0 * d * r
-    q += np.square(r - d)
+    logs = logs[rows]
+
+    def square(r, d, rows):  # q on the given rows, for a radius r and a distance d
+        return np.square(np.sin(0.5 * angles[rows])) * (4.0 * d * r) + np.square(r - d)
+
+    with np.errstate(over="ignore"):  # an overflow is read from `far`
+        q = square(r, d, rows)
+    far = np.isinf(q).any(axis=1)
+    if far.any():  # q = s^2 q' overflows, s = max(r, d): (2 - p) ln s joins the log weights
+        if not spec.p > 2.0:
+            raise DomainError(f"the sphere mean of a kernel centre at distance {d:.6g} from x0 "
+                              f"is refused at p <= 2: its squared distance overflows")
+        s = np.maximum(r[far], d)
+        q[far] = square(r[far] / s, d / s, rows[far])
+        logs[far] += (2.0 - spec.p) * np.log(s)
     ends = np.maximum(q[:, [0, MEAN_NODES - 1]], np.finfo(float).tiny)
     spread = np.abs(np.log(ends)).max(axis=1)  # L per panel
-    values = weighted_kernel_of_square(spec, weight, q, logs[rows])
+    spread[far] += 2.0 * np.log(np.maximum(r[far, 0], d)) + 1.0
+    values = weighted_kernel_of_square(spec, weight, q, logs)
     fine = values[:, :MEAN_NODES]
     c = 0.5 * abs(2.0 - spec.p)
     absolute = np.abs(fine).sum(axis=1)
@@ -312,16 +335,19 @@ class ScalarField:
 
     ``values`` maps an (m, n) array of points to m values; a non-finite
     value (-inf, or NaN where a zero weight meets a pole) marks a hit on
-    the singular set.  ``analytic_max(x0, r)``, when set, returns the
-    exact spherical maximum, or None where it has no closed form at
-    (x0, r); the maximum is then sampled.
+    the singular set.  ``analytic_max(x0, radii)``, when set, returns the
+    exact spherical maxima about x0 at a (k,) array of radii as a (k,)
+    array, or None where it has no closed form about x0; the maxima are
+    then sampled.  It is called once per curve, with all its radii.
     ``shells(x0, points)``, when set, returns ``radii -> (k, m)`` values,
     row i ``values(x0 + radii[i] * points)`` for the m unit ``points``,
-    faster than ``values``; every sampled shell is read through it, at
-    most `SHELL_BLOCK` values per call.  The array it returns may be
-    read-only or a broadcast view, and is valid only until the next call,
-    which may reuse its memory: its consumers only read it, each before
-    they ask for the next.
+    faster than ``values``, or a (k, 1) column where the field is constant
+    on every sphere about x0; every sampled shell is read through it, at
+    most `SHELL_BLOCK` values per call.  Only M reads a column, so a field
+    whose shells may be columns has ``means``.  The array it returns may
+    be read-only, and is valid only until the next call, which may reuse
+    its memory: its consumers only read it, each before they ask for the
+    next.
     ``means(x0)``, when set, returns ``radii -> (4, k)``: the exact sphere
     means about x0 at the k radii, the same by a coarser rule (the half
     curve, whose gap is the noise bound), an upper bound on the means of
@@ -376,54 +402,35 @@ def _shell_evaluator(field: ScalarField, x0: np.ndarray, points: np.ndarray) -> 
     return lambda radii: np.stack([field.values(x0[None, :] + s * points) for s in radii])
 
 
-def _max_from_shell(field: ScalarField, x0: np.ndarray, r: float, vals: np.ndarray):
-    """(M, leading-half M) of u about x0 at radius r from the clipped shell
-    values: the field's closed form for both, which the sampled maximum
-    must not exceed, or, where it has none, the maxima of the sample and
-    of its leading half, whose gap the half-set noise bound reads."""
-    exact = None if field.analytic_max is None else field.analytic_max(x0, r)
-    sampled = float(vals.max())
-    if exact is None:
-        return sampled, float(vals[:vals.size // 2].max())
-    exact = float(exact)
-    if sampled > exact + 1e-6 * (1.0 + abs(exact)):
-        raise NumericalError(f"sampled spherical max {sampled} exceeds closed form {exact}")
-    return exact, exact
-
-
 def _refuse_shell(r: float):
     raise DomainError(f"every sphere sample at radius {r:.6g} is non-finite (float overflow "
                       f"or the singular set)")
 
 
-def _maxima(field: ScalarField, x0: np.ndarray, radii: np.ndarray, vals: np.ndarray) -> list:
-    """The (M, leading-half M) pairs (`_max_from_shell`) of the sampled
-    shells vals (k, m) at the k radii.  A non-finite value, a hit on the
-    singular set, is read as -inf, so it never stands for a maximum (a
-    CLIP_FLOOR value could exceed every finite one); a shell whose samples
-    are all non-finite is refused."""
-    finite = np.isfinite(vals)
-    if not finite.all():
-        whole = finite.any(axis=1)
-        if not whole.all():
-            _refuse_shell(radii[whole.argmin()])
-        vals = np.where(finite, vals, -np.inf)
-    return [_max_from_shell(field, x0, r, row) for r, row in zip(radii, vals)]
-
-
-def _sampled_maxima(field: ScalarField, x0: np.ndarray, quad: SphereQuad,
-                    radii: np.ndarray) -> list:
-    """`_maxima` of the sampled shells at the radii, read in blocks of at
-    most SHELL_BLOCK values."""
-    if not radii.size:
-        return []  # the points are not read at all
-    evaluate = _shell_evaluator(field, x0, quad.points)
-    step = max(1, SHELL_BLOCK // quad.size)
-    tops = []
-    for lo in range(0, radii.size, step):
-        block = radii[lo:lo + step]
-        tops += _maxima(field, x0, block, evaluate(block))
-    return tops
+def _maxima(radii: np.ndarray, vals: np.ndarray, exact) -> tuple:
+    """(M, leading-half M) at the k radii from the sampled shells vals, (k,
+    m) rows or (k, 1) columns: the closed forms `exact` for both, which no
+    row maximum may exceed, or, where there are none, the maxima of the
+    rows and of their leading halves, whose gap the half-set noise bound
+    reads.  A non-finite value, a hit on the singular set, is read as -inf,
+    so it never stands for a maximum (a CLIP_FLOOR value could exceed every
+    finite one); the values are scanned for one only where a row maximum is
+    not finite, and a shell whose samples are all non-finite is refused."""
+    tops = vals.max(axis=1)
+    if not np.isfinite(tops).all():
+        vals = np.where(np.isfinite(vals), vals, -np.inf)
+        tops = vals.max(axis=1)
+        empty = tops == -np.inf
+        if empty.any():
+            _refuse_shell(radii[empty.argmax()])
+    if exact is None:
+        return tops, vals[:, :(vals.shape[1] + 1) // 2].max(axis=1)
+    over = tops > exact + 1e-6 * (1.0 + np.abs(exact))
+    if over.any():
+        i = over.argmax()
+        raise NumericalError(f"sampled spherical max {float(tops[i])} exceeds closed form "
+                             f"{float(exact[i])}")
+    return exact, exact
 
 
 def _sum_depth(size: int) -> int:
@@ -437,59 +444,66 @@ def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.
                 maxima: int, means_from: int = 0):
     """(means, leading-half means, means of absolute values, rounding, hits,
     maxima, depth) of the sphere shells about x0 of the given radii, each
-    read once; the maxima are the (M, leading-half M) pairs (`_maxima`) of
-    the first `maxima` shells only.  A mean is within eps (depth times its
-    mean of absolute values plus its rounding) of the exact sum behind it
-    (`_quotient_rounding`).
+    read once; the maxima are the (2, `maxima`) rows of M and leading-half
+    M (`_maxima`) of the first `maxima` shells only, against one call of
+    the field's closed form.  A mean is within eps (depth times its mean of
+    absolute values plus its rounding) of the exact sum behind it
+    (`_quotient_rounding`).  The sampled shells are read in one pass of
+    blocks of at most SHELL_BLOCK values.
 
     A field with exact means (`ScalarField.means`) takes them in one call
     for the radii from index `means_from` on (the ones before are read for
     M only, and their means are NaN): the coarse rule's means stand for the
     half means, the rounding is the means' own bound, with depth 0, no
-    sample is a hit, and the sampled shells are read for the maxima only
-    (`_sampled_maxima`).
+    sample is a hit, and only the shells of M are sampled.
 
-    Otherwise the shells are sampled, in one pass of blocks of at most
-    SHELL_BLOCK values.  The depth is that of numpy's row sums and the
-    rounding 0, and the leading half of the points is the set of half the
-    size.  A non-finite value makes its row sum non-finite, so the values
-    are scanned and clipped only in a block with a non-finite row sum
-    (`_clipped`); the maxima read the values before the clip.  A shell
-    whose row sum still overflows after clipping, or whose samples are all
-    non-finite, is refused."""
-    if field.means is not None:
-        rows = np.full((4, radii.size), np.nan)
+    Otherwise every shell is sampled.  The depth is that of numpy's row
+    sums and the rounding 0, and the leading half of the points is the set
+    of half the size.  A non-finite value makes its row sum non-finite, so
+    the values are scanned and clipped only in a block with a non-finite
+    row sum (`_clipped`); the maxima read the values before the clip.  A
+    shell whose row sum still overflows after clipping, or whose samples
+    are all non-finite, is refused."""
+    size, half = quad.size, quad.size // 2
+    rows = np.full((4, radii.size), np.nan)
+    hits = np.zeros(radii.size, dtype=int)
+    if field.means is None:
+        rows[3], sampled, depth = 0.0, radii, _sum_depth(size)
+    else:
         if means_from < radii.size:
             rows[:, means_from:] = field.means(x0)(radii[means_from:])
-        return (*rows, np.zeros(radii.size, dtype=int),
-                _sampled_maxima(field, x0, quad, radii[:maxima]), 0)
-    evaluate = _shell_evaluator(field, x0, quad.points)
-    size, half = quad.size, quad.size // 2
-    means, halves, magnitudes = np.empty(radii.size), np.empty(radii.size), np.empty(radii.size)
-    hits = np.zeros(radii.size, dtype=int)
-    tops = []
+        sampled, depth = radii[:maxima], 0
+    exact = None
+    if field.analytic_max is not None and maxima:
+        exact = field.analytic_max(x0, radii[:maxima])
+    tops = np.empty((2, maxima))
+    # no sampled shell: the points are not read at all
+    evaluate = _shell_evaluator(field, x0, quad.points) if sampled.size else None
     step = max(1, SHELL_BLOCK // size)
-    for lo in range(0, radii.size, step):
-        block = radii[lo:lo + step]
-        rows = slice(lo, lo + block.size)
+    for lo in range(0, sampled.size, step):
+        block = sampled[lo:lo + step]
         vals = evaluate(block)
         top = vals[:max(0, maxima - lo)]
-        sums = vals.sum(axis=1)
-        if not np.isfinite(sums).all():
-            vals, hits[rows] = _clipped(vals)
+        if field.means is None:
+            span = slice(lo, lo + block.size)
             sums = vals.sum(axis=1)
-            refused = ~np.isfinite(sums) | (hits[rows] == size)
-            if refused.any():
-                i = refused.argmax()
-                if np.isfinite(sums[i]):
-                    _refuse_shell(block[i])
-                raise DomainError(f"the sum of the sphere samples at radius {block[i]:.6g} "
-                                  f"overflows")
-        means[rows] = sums / size
-        halves[rows] = vals[:, :half].sum(axis=1) / half
-        magnitudes[rows] = np.abs(vals).sum(axis=1) / size
-        tops += _maxima(field, x0, block[:len(top)], top)
-    return means, halves, magnitudes, np.zeros(radii.size), hits, tops, _sum_depth(size)
+            if not np.isfinite(sums).all():
+                vals, hits[span] = _clipped(vals)
+                sums = vals.sum(axis=1)
+                refused = ~np.isfinite(sums) | (hits[span] == size)
+                if refused.any():
+                    i = refused.argmax()
+                    if np.isfinite(sums[i]):
+                        _refuse_shell(block[i])
+                    raise DomainError(f"the sum of the sphere samples at radius "
+                                      f"{block[i]:.6g} overflows")
+            rows[0, span] = sums / size
+            rows[1, span] = vals[:, :half].sum(axis=1) / half
+            rows[2, span] = np.abs(vals).sum(axis=1) / size
+        if len(top):
+            tops[:, lo:lo + len(top)] = _maxima(
+                block[:len(top)], top, None if exact is None else exact[lo:lo + len(top)])
+    return (*rows, hits, tops, depth)
 
 
 @dataclass
@@ -581,8 +595,7 @@ def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
     out = {}
     for kind in kinds:
         if kind == "M":
-            values, half_values = np.array(maxima).T
-            out[kind] = AverageCurve(kind, radii, values, half_values=half_values)
+            out[kind] = AverageCurve(kind, radii, maxima[0], half_values=maxima[1])
         elif kind == "S":
             out[kind] = curve(kind, means[:k], halves[:k], hits[:k])
         else:
@@ -652,8 +665,8 @@ def tangent_flow(field: ScalarField, p: float, r: float,
     if field.analytic_max is not None:
         base_max = field.analytic_max
 
-        def analytic(x0, rr):
-            base = base_max(x0 * r, rr * r)
+        def analytic(x0, radii):
+            base = base_max(x0 * r, radii * r)
             return None if base is None else factor * (base - offset)
 
     return ScalarField(
@@ -1201,20 +1214,20 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
 
     For each center the hook computes t = <w, x0 - c> and
     h^2 = |x0 - c - t w|^2 once per (x0, points), h^2 for `QUAD_BLOCK`
-    points at a time, so no (m, n) array is made; the shell of radius s is
-    then at the squared distance q = |x - c|^2 = (s + t)^2 + h^2, O(m) per
-    shell, computed for a block of radii at once in one buffer per
-    off-centre term, reused from call to call, and turned into w K(sqrt(q))
-    in place by one log and one exp
+    points at a time in one reused buffer, so no (m, n) array is made; the
+    shell of radius s is then at the squared distance q = |x - c|^2 =
+    (s + t)^2 + h^2, O(m) per shell, computed for a block of radii at once
+    in one buffer per off-centre term, reused from call to call, and turned
+    into w K(sqrt(q)) in place by one log and one exp
     (`radial.weighted_kernel_of_square`, no sqrt and no pow).  Unlike the
     expanded s^2 + 2 s t + |x0 - c|^2, this keeps its digits when the
     shell passes close to c.  A center at x0 has |x - c| = s exactly: a
     (k, 1) column w K(s) with the floats of `radial.kernel`.  The terms are
     summed in their order into the first full term, with the floats of a
-    sum that starts from zeros; a block of centred terms only is their
-    column, broadcast over the m points.  The densities read these shells
-    for M's sampled maximum only.  `values` keeps the sqrt-and-power
-    route, the reference for the shells.
+    sum that starts from zeros; where every term is centred the hook
+    returns their (k, 1) column.  The densities read these shells for M's
+    sampled maximum only.  `values` keeps the sqrt-and-power route, the
+    reference for the shells.
 
     The `means` hook sums, in the terms' order from zeros, each term's
     exact sphere means (`_sphere_means`) at d = |x0 - c| > 0, or its column
@@ -1229,7 +1242,10 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
     positive weight other than x0 lies on one ray from x0 (directions
     within 1e-9, where the closed form's error, second order in the angle,
     is below rounding): each term then peaks at the same point of the
-    sphere.  Off the ray it is None, and the maximum is sampled.
+    sphere.  Off the ray it is None, and the maximum is sampled.  The ray
+    test and the distances |x0 - c_k| are made once per call, then each
+    term is one `radial.kernel` call on all the radii, summed in the
+    terms' order from the first.
     """
     finite = np.isfinite(centers).all(axis=1)
     if not finite.all():
@@ -1244,6 +1260,7 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
 
     def shells(x0, points):
         projections = []
+        scratch = np.empty((min(QUAD_BLOCK, points.shape[0]), points.shape[1]))  # a - t p
         for c in centers:
             a = x0 - c
             if not a.any():
@@ -1253,7 +1270,9 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
             h2 = np.empty_like(t)
             for lo in range(0, t.size, QUAD_BLOCK):
                 rows = slice(lo, lo + QUAD_BLOCK)
-                perp = a - t[rows, None] * points[rows]
+                perp = scratch[:t[rows].size]
+                np.multiply(t[rows, None], points[rows], out=perp)
+                np.subtract(a, perp, out=perp)
                 np.einsum("ij,ij->i", perp, perp, out=h2[rows])
             projections.append((t, h2))
         buffers = [np.empty((0, points.shape[0])) for _ in centers]
@@ -1280,8 +1299,6 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
                     total = term
                 else:
                     total += term
-            if total.shape[1] < points.shape[0]:  # every term centred: one column
-                return np.broadcast_to(total, (radii.size, points.shape[0]))
             return total
 
         return evaluate
@@ -1315,7 +1332,7 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
 
         return evaluate
 
-    def analytic_max(x0, r):
+    def analytic_max(x0, radii):
         ray = None
         for w, c in zip(weights, centers):
             a = c - x0
@@ -1327,7 +1344,7 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
                 elif not np.linalg.norm(a - ray) <= 1e-9:
                     return None
         # summed from the first term, not from 0: one term keeps its floats
-        first, *rest = (w * kernel(spec, r + float(np.linalg.norm(x0 - c)))
+        first, *rest = (w * kernel(spec, radii + float(np.linalg.norm(x0 - c)))
                         for w, c in zip(weights, centers))
         return sum(rest, first)
 
@@ -1361,9 +1378,8 @@ def log_modulus_coordinate_field(n_complex: int) -> ScalarField:
         pts = np.asarray(pts, dtype=float)
         return np.hypot(pts[:, 0], pts[:, n_complex])
 
-    def analytic_max(x0, r):
-        x0 = np.asarray(x0, dtype=float)
-        return math.log(math.hypot(x0[0], x0[n_complex]) + r)
+    def analytic_max(x0, radii):
+        return np.array([math.log(math.hypot(x0[0], x0[n_complex]) + r) for r in radii])
 
     return ScalarField(
         n=n,
@@ -1387,9 +1403,8 @@ def partial_kernel_field(p: float, m: int, n: int) -> ScalarField:
     def singular_distance(pts):
         return row_norms(np.asarray(pts, dtype=float)[:, :m])
 
-    def analytic_max(x0, r):
-        x0 = np.asarray(x0, dtype=float)
-        return kernel(spec, float(np.linalg.norm(x0[:m])) + r)
+    def analytic_max(x0, radii):
+        return kernel(spec, float(np.linalg.norm(x0[:m])) + radii)
 
     return ScalarField(
         n=n,
@@ -1450,9 +1465,9 @@ def max_of_fields(*fields: ScalarField) -> ScalarField:
     analytic = None
     if all(f.analytic_max is not None for f in fields):
 
-        def analytic(x0, r):
-            maxima = [f.analytic_max(x0, r) for f in fields]
-            return None if any(m is None for m in maxima) else max(maxima)
+        def analytic(x0, radii):
+            maxima = [f.analytic_max(x0, radii) for f in fields]
+            return None if any(m is None for m in maxima) else np.max(maxima, axis=0)
 
     singular = tuple(s for f in fields for s in f.singular_points)
     dists = [f.singular_distance for f in fields if f.singular_distance is not None]
@@ -1526,5 +1541,5 @@ def zero_field(n: int) -> ScalarField:
         n=n,
         values=lambda pts: np.zeros(np.asarray(pts).shape[0]),
         name="zero",
-        analytic_max=lambda x0, r: 0.0,
+        analytic_max=lambda x0, radii: np.zeros(len(radii)),
     )

@@ -33,7 +33,11 @@ def kernel_sum_max(p: float, weights, centers):
     weights = np.asarray(weights, dtype=float)
     centers = np.asarray(centers, dtype=float)
 
-    def analytic_max(x0, r):
+    def analytic_max(x0, radii):
+        maxima = [at_radius(x0, r) for r in radii]
+        return None if any(m is None for m in maxima) else np.array(maxima)
+
+    def at_radius(x0, r):
         ray = None
         for w, c in zip(weights, centers):
             a = c - x0
@@ -63,16 +67,29 @@ def plus_quadratic(base: flow.ScalarField, c: float) -> flow.ScalarField:
 
 
 def maximum(field, x0, r, vals):
-    """M of the shell vals at radius r, its non-finite samples read as -inf."""
+    """(M, leading-half M) of the shell vals at radius r, its non-finite
+    samples read as -inf: the closed form at r alone, which the sampled
+    maximum must not exceed, or else the maxima of the sample and of its
+    leading half."""
     if not np.isfinite(vals).any():
         raise DomainError(f"every sphere sample at radius {r:.6g} is non-finite (float overflow "
                           f"or the singular set)")
-    return flow._max_from_shell(field, x0, r, np.where(np.isfinite(vals), vals, -np.inf))
+    vals = np.where(np.isfinite(vals), vals, -np.inf)
+    sampled = float(vals.max())
+    exact = None if field.analytic_max is None else field.analytic_max(x0, np.array([r]))
+    if exact is None:
+        return sampled, float(vals[:vals.size // 2].max())
+    exact = float(exact[0])
+    if sampled > exact + 1e-6 * (1.0 + abs(exact)):
+        raise NumericalError(f"sampled spherical max {sampled} exceeds closed form {exact}")
+    return exact, exact
 
 
 def sampled_maximum(field, x0, quad, r):
-    """M of one shell, sampled on its own."""
-    return maximum(field, x0, r, flow._shell_evaluator(field, x0, quad.points)([r])[0])
+    """M of one shell, sampled on its own; a (1, 1) column is read as its
+    value at every point."""
+    row = flow._shell_evaluator(field, x0, quad.points)([r])[0]
+    return maximum(field, x0, r, np.broadcast_to(row, quad.size))
 
 
 def shell_rows(field, x0, quad, radii, maxima):

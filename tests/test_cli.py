@@ -1129,6 +1129,29 @@ def test_density_refuses_a_shell_sum_that_overflows(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv,theta", [
+    (["newtonian", "--p", "3", "--n", "4", "--offset", "1e160"], {"M": 1.0, "S": 1.0, "V": 4 / 3}),
+    (["riesz", "--p", "3", "--n", "4", "--center", "1e200", "1e200", "0", "0"],
+     {"M": 0.0, "S": 0.0, "V": 0.0}),
+], ids=["second-mass", "far-centre"])
+def test_density_keeps_a_centre_whose_squared_distance_overflows(capsys, argv, theta):
+    # |x0 - c|^2 overflows beyond 1e154: the mean reads q / max(r, d)^2
+    code, payload = run_json(capsys, "density", *argv)
+    assert code == 0
+    assert (payload["theta"]["M"], payload["theta"]["S"]) == (theta["M"], theta["S"])
+    assert abs(payload["theta"]["V"] - theta["V"]) <= payload["bracket"]["V"]
+
+
+@pytest.mark.parametrize("p", ["2", "1.5"])
+def test_density_refuses_a_centre_whose_squared_distance_overflows_at_p_up_to_2(capsys, p):
+    code = cli.main(["density", "newtonian", "--p", p, "--n", "4", "--offset", "1e160",
+                     "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == ("error: the sphere mean of a kernel centre at distance 1e+160 from "
+                            "x0 is refused at p <= 2: its squared distance overflows\n")
+
+
 def test_density_reads_the_centred_kernel_density_at_p_2_exactly(capsys):
     # each centred mean is its column theta K(r), with no rounding of a sum
     code, payload = run_json(capsys, "density", "riesz", "--theta", "3", "--p", "2", "--n", "2")

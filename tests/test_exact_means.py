@@ -248,3 +248,26 @@ def exact_rule_mean(monkeypatch, n, p, d, r):
 def test_an_exact_mean_is_within_its_rounding_bound(monkeypatch, n, p, d, r):
     fine, rounding, exact = exact_rule_mean(monkeypatch, n, p, d, r)
     assert abs(fine - exact) <= np.finfo(float).eps * rounding
+
+
+@pytest.mark.parametrize("n,p,d,r", [
+    (4, 3.0, 1e160, 1.0),
+    (3, 2.5, 1e200, 0.3),
+    (8, 2.001, 1e300, 1.0),
+    (3, 3.0, 1.0, 1e160),  # the radius, not the centre, beyond 1e154
+    (4, 3.0, 1e154, 5e153),  # q overflows on the panels toward theta = pi only
+], ids=["n4-p3-1e160", "n3-p2.5-1e200", "n8-p2.001-1e300", "n3-p3-radius", "n4-p3-mixed"])
+def test_a_mean_whose_squared_distance_overflows_is_within_its_rounding_bound(n, p, d, r):
+    # such a mean reads q / max(r, d)^2, and its bound covers that rounding
+    fine, _, _, rounding = flow._sphere_means(radial.KernelSpec(p=p), n, 1.0, d, np.array([r]))
+    want = sphere_mean(n, p, d, r)
+    eps = np.finfo(float).eps
+    assert eps * rounding[0] <= 1e-10 * abs(want)
+    assert abs(fine[0] - want) <= eps * (rounding[0] + abs(want))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_a_mean_whose_squared_distance_overflows_is_refused_at_p_up_to_2(p):
+    with pytest.raises(flow.DomainError, match="^the sphere mean of a kernel centre at distance "
+                       "1e\\+160 from x0 is refused at p <= 2: its squared distance overflows$"):
+        flow._sphere_means(radial.KernelSpec(p=p), 4, 1.0, 1e160, np.array([1.0, 0.5]))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -212,14 +213,15 @@ def test_two_kernels_on_one_ray_have_a_closed_form_max(capsys):
     e1 = np.eye(4)[0]
     field = flow.newtonian_potential_field(3.0, [(1.0, np.zeros(4)), (1.0, 0.5 * e1)], 4)
     # beyond both centres on the axis: still one ray, at distances 0.3 and 0.8
-    assert field.analytic_max(-0.3 * e1, 0.2) == (radial.kernel(spec, 0.2 + 0.3)
-                                                  + radial.kernel(spec, 0.2 + 0.8))
+    assert field.analytic_max(-0.3 * e1, np.array([0.2])).tolist() == [
+        radial.kernel(spec, 0.2 + 0.3) + radial.kernel(spec, 0.2 + 0.8)]
     # between the centres, or off the axis, the maximum is sampled
     quad = flow.sphere_quad(4, 1024)
     for x0 in (0.2 * e1, np.array([0.25, 0.1, 0.0, 0.0])):
-        assert field.analytic_max(x0, 0.2) is None
-        assert flow.tangent_flow(field, 3.0, 2.0).analytic_max(x0 / 2.0, 0.1) is None
-        assert flow.max_of_fields(field, flow.zero_field(4)).analytic_max(x0, 0.2) is None
+        assert field.analytic_max(x0, np.array([0.2])) is None
+        assert flow.tangent_flow(field, 3.0, 2.0).analytic_max(x0 / 2.0, np.array([0.1])) is None
+        assert flow.max_of_fields(field, flow.zero_field(4)).analytic_max(
+            x0, np.array([0.2])) is None
         sampled = dataclasses.replace(field, analytic_max=None)
         assert (flow.spherical_max(field, x0, 0.2, quad)
                 == flow.spherical_max(sampled, x0, 0.2, quad))
@@ -247,10 +249,11 @@ def test_a_centre_a_tiny_distance_from_x0_keeps_its_direction():
     e1, e2 = np.eye(3)[:2]
     with np.errstate(divide="raise", invalid="raise"):
         one = flow.riesz_kernel_field(1.0, 3.0, 3, center=1e-200 * e1)
-        assert one.analytic_max(np.zeros(3), 0.5) == radial.kernel(spec, 0.5)
+        assert one.analytic_max(np.zeros(3), np.array([0.5])).tolist() == [
+            radial.kernel(spec, 0.5)]
         for c, on_ray in ((e1, True), (e2, False)):
             field = flow.newtonian_potential_field(3.0, [(1.0, 1e-200 * e1), (1.0, c)], 3)
-            got = field.analytic_max(np.zeros(3), 0.5)
+            got = field.analytic_max(np.zeros(3), np.array([0.5]))
             assert (got is None) is not on_ray
 
 
@@ -259,7 +262,7 @@ def test_spherical_max_always_checks_a_closed_form(quad):
     # a closed form below the field: the sampled shell exposes it with or
     # without a given quadrature
     u = dataclasses.replace(flow.riesz_kernel_field(1.0, 3.0, 3),
-                            analytic_max=lambda x0, r: -10.0)
+                            analytic_max=lambda x0, radii: np.full(radii.size, -10.0))
     with pytest.raises(NumericalError, match="exceeds closed form"):
         flow.spherical_max(u, np.zeros(3), 0.5, quad)
 
@@ -364,7 +367,8 @@ def test_log_flow_matches_the_shifted_formula_bit_for_bit(quad4):
         flowed = flow.tangent_flow(u, 2.0, r, quad4)
         assert np.array_equal(flowed.values(pts), u.values(r * pts) - m_r)
         for x0, rr in ((np.zeros(4), 0.7), (np.array([0.1, 0.0, 0.2, 0.0]), 1.3)):
-            assert flowed.analytic_max(x0, rr) == u.analytic_max(x0 * r, rr * r) - m_r
+            assert np.array_equal(flowed.analytic_max(x0, np.array([rr])),
+                                  u.analytic_max(x0 * r, np.array([rr * r])) - m_r)
 
 
 @pytest.mark.parametrize("radii", [[1.0, math.nan, 0.25], [1.0, 0.5, 0.0], [math.inf, 1.0], []])
@@ -557,7 +561,7 @@ def _counted(field, x0, means=None):
 def test_densities_evaluate_each_shell_once(field, sampled, quad3):
     x0 = np.zeros(3)
     radii = flow.default_radii()
-    assert (field.analytic_max(x0, 0.5) is None) is sampled
+    assert (field.analytic_max(x0, radii) is None) is sampled
     means = []
     counted, calls = _counted(field, x0, means)
     rep = flow.densities(counted, x0, 3.0, quad=quad3)
@@ -683,18 +687,23 @@ def test_volume_average_needs_p_and_decreasing_radii(quad3):
 
 @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact-means"])
 def test_mass_density_evaluates_two_shells_per_radius(quad3, exact):
-    # sampled (the exact means set aside), two shells per radius; with
-    # exact means, the centred kernel's two radii per radius in one call
+    # sampled (the exact means set aside, each column read as its value at
+    # every point), two shells per radius; with exact means, the centred
+    # kernel's two radii per radius in one call
     x0 = np.zeros(3)
     radii = 0.5 ** np.arange(1, 7)
     field = flow.newtonian_potential_field(3.0, [(1.0, x0)], 3)
     means = []
-    counted, calls = _counted(field if exact else dataclasses.replace(field, means=None), x0,
-                              means)
+    sampled = dataclasses.replace(field, means=None, shells=_widened(field.shells))
+    counted, calls = _counted(field if exact else sampled, x0, means)
     flow.mass_density(counted, x0, 3.0, radii=radii, quad=quad3)
     assert len(calls) == (0 if exact else 2 * radii.size)
     assert len({radius for radius, _ in calls}) == len(calls)
     assert [len(set(call)) for call in means] == ([2 * radii.size] if exact else [])
+    if not exact:  # the sampled route reads the values behind the exact means
+        want = flow.mass_density(field, x0, 3.0, radii=radii, quad=quad3).ball_masses
+        assert flow.mass_density(sampled, x0, 3.0, radii=radii,
+                                 quad=quad3).ball_masses == pytest.approx(want, rel=1e-10)
 
 
 @pytest.mark.parametrize("p,field", [
@@ -763,7 +772,7 @@ def test_kernel_sum_shells_keep_their_digits_near_a_center(delta):
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_kernel_sum_shell_about_a_center_is_the_kernel_of_s(p):
-    # |x - c| = s exactly: every point of the shell gets w K(s)
+    # |x - c| = s exactly: the shell is one (1, 1) column, w K(s)
     c = np.array([0.3, -1.2, 0.5, 2.0])
     points = flow.sphere_quad(4, 512, seed=1).points
     spec = radial.KernelSpec(p=p)
@@ -771,10 +780,9 @@ def test_kernel_sum_shell_about_a_center_is_the_kernel_of_s(p):
     double = flow.newtonian_potential_field(p, [(1.7, c), (0.4, c)], 4)
     for s in (1e-3, 0.37, 2.0):
         kernel_s = radial.kernel(spec, s)
-        assert np.array_equal(flow._shell_evaluator(single, c, points)([s])[0],
-                              np.full(points.shape[0], 1.7 * kernel_s))
-        assert np.array_equal(flow._shell_evaluator(double, c, points)([s])[0],
-                              np.full(points.shape[0], 1.7 * kernel_s + 0.4 * kernel_s))
+        assert np.array_equal(flow._shell_evaluator(single, c, points)([s]), [[1.7 * kernel_s]])
+        assert np.array_equal(flow._shell_evaluator(double, c, points)([s]),
+                              [[1.7 * kernel_s + 0.4 * kernel_s]])
 
 
 EPS = np.finfo(float).eps
@@ -950,6 +958,72 @@ def test_a_centred_kernel_report_is_one_means_call(field):
     assert plain.same_floats(report, plain.densities(field, x0, 3.0, quad=quad))
 
 
+def _one_radius_low(field, i):
+    """The field with its closed-form max 1 too low at the i-th radius only."""
+    exact = field.analytic_max
+
+    def lowered(x0, radii):
+        return exact(x0, radii) - (np.arange(radii.size) == i)
+
+    return dataclasses.replace(field, analytic_max=lowered)
+
+
+@pytest.mark.parametrize("shell_block", [flow.SHELL_BLOCK, 1], ids=["one-block", "per-radius"])
+@pytest.mark.parametrize("name", ["centred", "on-ray", "sampled"])
+def test_a_closed_form_too_low_at_one_radius_is_refused_there(monkeypatch, quad3, name,
+                                                              shell_block):
+    # M's check compares every curve radius, in one block or one radius per
+    # block: the closed form too low at the third radius only is caught
+    # there, with that radius's sampled maximum and closed form
+    monkeypatch.setattr(flow, "SHELL_BLOCK", shell_block)
+    x0 = np.zeros(3)
+    field = {"centred": flow.riesz_kernel_field(2.0, 3.0, 3),
+             "on-ray": flow.newtonian_potential_field(3.0, [(1.0, x0), (0.5, 2.5 * E1)], 3),
+             "sampled": flow.plus_quadratic_field(flow.zero_field(3), 2.0)}[name]
+    if name == "sampled":  # the max of |x|^2 over the sphere of radius r is r^2
+        field = dataclasses.replace(field, analytic_max=lambda x0, radii: radii ** 2)
+    radii = flow.default_radii()
+    sampled = float(flow._shell_evaluator(field, x0, quad3.points)(radii[2:3]).max())
+    exact = float(field.analytic_max(x0, radii)[2]) - 1.0
+    message = f"sampled spherical max {sampled} exceeds closed form {exact}"
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        flow.densities(_one_radius_low(field, 2), x0, 3.0, quad=quad3)
+    flow.densities(_one_radius_low(field, radii.size), x0, 3.0, quad=quad3)  # none too low
+
+
+@pytest.mark.parametrize("name,field", [
+    ("riesz-n=8", flow.riesz_kernel_field(3.0, 3.0, 8)),
+    ("two-masses-at-x0", flow.newtonian_potential_field(2.5, [(1.0, np.zeros(8)),
+                                                             (0.5, np.zeros(8))], 8)),
+    ("riesz-n=3", flow.riesz_kernel_field(2.0, 2.5, 3)),
+    ("on-ray", flow.newtonian_potential_field(3.0, [(1.0, np.zeros(3)),
+                                                   (0.5, 2.5 * np.eye(3)[0])], 3)),
+    ("log-coord", flow.log_modulus_coordinate_field(2)),
+], ids=lambda value: value if isinstance(value, str) else "")
+def test_m_takes_one_closed_form_call_and_reads_centred_shells_as_columns(monkeypatch, name,
+                                                                          field):
+    # the closed forms of a report come from one call with every curve
+    # radius; a centred kernel's shells reach M's check as (k, 1) columns,
+    # a sum with a centre off x0 as full rows; the report is the plain one
+    x0 = np.zeros(field.n)
+    quad = flow.sphere_quad(field.n)
+    calls, blocks = [], []
+    exact = field.analytic_max
+    counted = dataclasses.replace(
+        field, analytic_max=lambda x0, radii: calls.append(radii.tolist()) or exact(x0, radii))
+    maxima = flow._maxima
+    monkeypatch.setattr(flow, "_maxima", lambda radii, vals, closed: (
+        blocks.append(vals.shape) or maxima(radii, vals, closed)))
+    report = flow.densities(counted, x0, 3.0, quad=quad)
+    monkeypatch.undo()
+    radii = flow.default_radii()
+    assert calls == [radii.tolist()]
+    centred = name not in ("on-ray", "log-coord")
+    assert {m for _, m in blocks} == {1 if centred else quad.size}
+    assert sum(k for k, _ in blocks) == radii.size
+    assert plain.same_floats(report, plain.densities(field, x0, 3.0, quad=quad))
+
+
 @pytest.mark.parametrize("p,masses", [
     (3.0, [(3.0, np.zeros(8))]),
     (2.0, [(3.0, np.zeros(8))]),
@@ -1008,7 +1082,8 @@ def test_a_hit_is_never_the_sampled_maximum():
 # a (k, m) array of zeros plus each term in order, every value scanned by
 # `_clipped`, and numpy's `mean` (`_reference_rows` in place of
 # `flow._shell_rows`).  The shell path must keep its floats; the reports
-# below set the exact means aside, so that every average reads it.  An
+# below set the exact means aside, so that every average reads it, a
+# centred sum's (k, 1) column as its value at every point (`_widened`).  An
 # off-centre term is w K of the squared distance, through the same kernel
 # helper as the shells; test_off_centre_shells_are_accurate pins that
 # helper against `values`.
@@ -1062,14 +1137,23 @@ def _reference_rows(field, x0, quad, radii, maxima, means_from=0):
         halves += list(vals[:, :quad.size // 2].mean(axis=1))
         absolute += list(np.abs(vals).mean(axis=1))
         hits += list(nclip)
-        tops += [flow._max_from_shell(field, x0, r, np.where(np.isfinite(row), row, -np.inf))
-                 for r, row in zip(block[:max(0, maxima - lo)], raw)]
+        tops += [plain.maximum(field, x0, r, row) for r, row in zip(block[:max(0, maxima - lo)],
+                                                                     raw)]
     return (np.array(means), np.array(halves), np.array(absolute), np.zeros(len(means)),
-            np.array(hits, dtype=int), tops, flow._sum_depth(quad.size))
+            np.array(hits, dtype=int), np.reshape(tops, (-1, 2)).T, flow._sum_depth(quad.size))
+
+
+def _widened(shells):
+    """The shells hook with a (k, 1) column read as its value at each point."""
+    def hook(x0, points):
+        evaluate = shells(x0, points)
+        return lambda radii: np.broadcast_to(evaluate(radii), (len(radii), points.shape[0]))
+
+    return hook
 
 
 def _shell_reports(field, p, quad):
-    field = dataclasses.replace(field, means=None)
+    field = dataclasses.replace(field, means=None, shells=_widened(field.shells))
     x0 = np.zeros(field.n)
     radii = [1.0, 0.3, 0.05]
     return pickle.dumps((flow.densities(field, x0, p, quad=quad),
@@ -1100,6 +1184,9 @@ def test_kernel_sum_shells_keep_the_floats_of_the_zeros_and_mean_path(monkeypatc
     radii = np.array([1.0, 0.3, 0.05])
     rows = field.shells(np.zeros(field.n), quad.points)(radii)
     want = _reference_shells(p, masses)(np.zeros(field.n), quad.points)(radii)
+    centred = not any(np.any(c) for _, c in masses)
+    assert rows.shape == (radii.size, 1 if centred else quad.size)
+    rows = np.broadcast_to(rows, want.shape)
     assert np.array_equal(rows, want) and np.array_equal(np.signbit(rows), np.signbit(want))
     got = _shell_reports(field, p, quad)
     monkeypatch.setattr(flow, "_shell_rows", _reference_rows)
@@ -1404,7 +1491,7 @@ def test_decay_rejects_singular_path_point(quad3):
 
 def test_holder_estimate_constant_field(quad3):
     u = flow.ScalarField(n=3, values=lambda pts: np.full(np.asarray(pts).shape[0], 3.0),
-                         analytic_max=lambda x0, r: 3.0)
+                         analytic_max=lambda x0, radii: np.full(radii.size, 3.0))
     assert flow.holder_estimate(u, np.zeros(3), 0.2, 1.0, 1.5, quad3) == pytest.approx(0.0)
 
 
@@ -1701,7 +1788,7 @@ def test_sampled_shell_rows_are_numpys_row_sums_bit_for_bit(m):
     assert halves.tobytes() == (clipped[:, :m // 2].sum(axis=1) / (m // 2)).tobytes()
     assert magnitudes.tobytes() == (np.abs(clipped).sum(axis=1) / m).tobytes()
     assert hits.tolist() == [1, 1, 1, 0, 0, 0, 0, 0, 0]
-    assert not rounding.any() and tops == [] and depth == flow._sum_depth(m)
+    assert not rounding.any() and tops.shape == (2, 0) and depth == flow._sum_depth(m)
 
 
 # The column products of `flow.quadratic_field` rest on the order in which

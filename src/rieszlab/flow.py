@@ -238,6 +238,25 @@ def _polar_panels(n: int, p: float):
     return angles, logs, slacks
 
 
+def _check_far_centre(spec: KernelSpec, d: float):
+    """Refuse at p <= 2 a centre whose squared distance d^2 overflows."""
+    if not spec.p > 2.0:
+        raise DomainError(f"the sphere mean of a kernel centre at distance {d:.6g} from x0 "
+                          f"is refused at p <= 2: its squared distance overflows")
+
+
+def _offset(spec: KernelSpec, a: np.ndarray) -> tuple:
+    """(a / d, |a / d|^2, d) for the offset a = x0 - c of a kernel centre:
+    d = 1, or where |a|^2 overflows d = |a| (`math.hypot`), kept at p > 2."""
+    with np.errstate(over="ignore"):
+        square = float(a.dot(a))
+    if square < math.inf:
+        return a, square, 1.0
+    d = math.hypot(*a)
+    _check_far_centre(spec, d)
+    return a / d, float((a / d).dot(a / d)), d
+
+
 def _sphere_means(spec: KernelSpec, n: int, weight: float, d: float, radii: np.ndarray):
     """(fine, coarse, absolute, rounding): the means of weight * K(|x - c|)
     over the spheres of the given radii about x0, where |x0 - c| = d > 0, by
@@ -302,9 +321,7 @@ def _sphere_means(spec: KernelSpec, n: int, weight: float, d: float, radii: np.n
         q = square(r, d, rows)
     far = np.isinf(q).any(axis=1)
     if far.any():  # q = s^2 q' overflows, s = max(r, d): (2 - p) ln s joins the log weights
-        if not spec.p > 2.0:
-            raise DomainError(f"the sphere mean of a kernel centre at distance {d:.6g} from x0 "
-                              f"is refused at p <= 2: its squared distance overflows")
+        _check_far_centre(spec, d)
         s = np.maximum(r[far], d)
         q[far] = square(r[far] / s, d / s, rows[far])
         logs[far] += (2.0 - spec.p) * np.log(s)
@@ -340,14 +357,12 @@ class ScalarField:
     array, or None where it has no closed form about x0; the maxima are
     then sampled.  It is called once per curve, with all its radii.
     ``shells(x0, points)``, when set, returns ``radii -> (k, m)`` values,
-    row i ``values(x0 + radii[i] * points)`` for the m unit ``points``,
-    faster than ``values``, or a (k, 1) column where the field is constant
-    on every sphere about x0; every sampled shell is read through it, at
-    most `SHELL_BLOCK` values per call.  Only M reads a column, so a field
-    whose shells may be columns has ``means``.  The array it returns may
-    be read-only, and is valid only until the next call, which may reuse
-    its memory: its consumers only read it, each before they ask for the
-    next.
+    possibly read-only, row i ``values(x0 + radii[i] * points)`` for the m
+    unit ``points``, faster than ``values``, or a (k, 1) column where the
+    field is constant on every sphere about x0; every sampled shell is read
+    through it, at most `SHELL_BLOCK` values per call.  A field with
+    ``means`` reads them for M alone: a column, and rows whose maxima, not
+    every value, hold to rounding.
     ``means(x0)``, when set, returns ``radii -> (4, k)``: the exact sphere
     means about x0 at the k radii, the same by a coarser rule (the half
     curve, whose gap is the noise bound), an upper bound on the means of
@@ -1212,22 +1227,18 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
                       **meta) -> ScalarField:
     """The field sum_k w_k K(|x - c_k|) with its `shells` and `means` hooks.
 
-    For each center the hook computes t = <w, x0 - c> and
-    h^2 = |x0 - c - t w|^2 once per (x0, points), h^2 for `QUAD_BLOCK`
-    points at a time in one reused buffer, so no (m, n) array is made; the
-    shell of radius s is then at the squared distance q = |x - c|^2 =
-    (s + t)^2 + h^2, O(m) per shell, computed for a block of radii at once
-    in one buffer per off-centre term, reused from call to call, and turned
-    into w K(sqrt(q)) in place by one log and one exp
-    (`radial.weighted_kernel_of_square`, no sqrt and no pow).  Unlike the
-    expanded s^2 + 2 s t + |x0 - c|^2, this keeps its digits when the
-    shell passes close to c.  A center at x0 has |x - c| = s exactly: a
-    (k, 1) column w K(s) with the floats of `radial.kernel`.  The terms are
-    summed in their order into the first full term, with the floats of a
-    sum that starts from zeros; where every term is centred the hook
-    returns their (k, 1) column.  The densities read these shells for M's
-    sampled maximum only.  `values` keeps the sqrt-and-power route, the
-    reference for the shells.
+    The `shells` hook, read by M alone, takes 2 t = 2 <w, x0 - c> for the
+    unit points w (one mat-vec) and |x0 - c|^2 per center; the shell of
+    radius s is at q = s (s + 2 t) + |x0 - c|^2, for a block of radii at
+    once, turned into w K(sqrt(q)) in place (`radial.weighted_kernel_of_square`).
+    Near a pole q cancels, but with weights >= 0 and increasing kernels the
+    maximum lies where every term is large and q's few eps of (s + |x0 -
+    c|)^2 are small.  Where |x0 - c|^2 overflows, s and x0 - c are scaled
+    by d = |x0 - c| (`_offset`) and (2 - p) ln d joins the log.  A center at
+    x0 gives a (k, 1) column w K(s).  The terms are summed in order into
+    the first full term, with the floats of a sum from zeros; where every
+    term is centred the hook returns their column.  `values`, by sqrt and
+    power, is the shells' reference.
 
     The `means` hook sums, in the terms' order from zeros, each term's
     exact sphere means (`_sphere_means`) at d = |x0 - c| > 0, or its column
@@ -1242,10 +1253,8 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
     positive weight other than x0 lies on one ray from x0 (directions
     within 1e-9, where the closed form's error, second order in the angle,
     is below rounding): each term then peaks at the same point of the
-    sphere.  Off the ray it is None, and the maximum is sampled.  The ray
-    test and the distances |x0 - c_k| are made once per call, then each
-    term is one `radial.kernel` call on all the radii, summed in the
-    terms' order from the first.
+    sphere.  Off the ray it is None, and the maximum is sampled.  Each term
+    is one `radial.kernel` call on all the radii, summed in order.
     """
     finite = np.isfinite(centers).all(axis=1)
     if not finite.all():
@@ -1259,43 +1268,31 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
         return out
 
     def shells(x0, points):
-        projections = []
-        scratch = np.empty((min(QUAD_BLOCK, points.shape[0]), points.shape[1]))  # a - t p
+        projections = []  # per term: 2 t, |x0 - c|^2, d and (2 - p) ln d (`_offset`); None at x0
         for c in centers:
-            a = x0 - c
-            if not a.any():
+            if not (x0 - c).any():
                 projections.append(None)
                 continue
-            t = points @ a
-            h2 = np.empty_like(t)
-            for lo in range(0, t.size, QUAD_BLOCK):
-                rows = slice(lo, lo + QUAD_BLOCK)
-                perp = scratch[:t[rows].size]
-                np.multiply(t[rows, None], points[rows], out=perp)
-                np.subtract(a, perp, out=perp)
-                np.einsum("ij,ij->i", perp, perp, out=h2[rows])
-            projections.append((t, h2))
-        buffers = [np.empty((0, points.shape[0])) for _ in centers]
+            a, square, scale = _offset(spec, x0 - c)
+            log_factor = None if scale == 1.0 else (2.0 - spec.p) * math.log(scale)
+            projections.append((points @ (2.0 * a), square, scale, log_factor))
 
         def evaluate(radii):
             radii = np.asarray(radii, dtype=float)
             total = None  # a (k, 1) column while every term so far is centred
-            for i, (w, proj) in enumerate(zip(weights, projections)):
+            for w, proj in zip(weights, projections):
                 if proj is None:
                     term = weighted_kernel(spec, w, radii[:, None].copy())
                 else:
-                    t, h2 = proj
-                    if buffers[i].shape[0] < radii.size:
-                        buffers[i] = np.empty((radii.size, t.size))
-                    term = np.add(radii[:, None], t, out=buffers[i][:radii.size])
-                    term *= term
-                    term += h2
-                    weighted_kernel_of_square(spec, w, term)
-                if total is None:
-                    term += 0.0  # the floats of 0 + term: a -0.0 comes out 0.0
-                    total = term
-                elif term.shape[1] > total.shape[1]:
-                    term += total  # b + a has the floats of a + b
+                    t2, square, scale, log_factor = proj
+                    s = radii[:, None] / scale
+                    term = s + t2
+                    term *= s
+                    term += square
+                    weighted_kernel_of_square(spec, w, term, log_factor)
+                if total is None or term.shape[1] > total.shape[1]:
+                    # 0 + term turns a -0.0 into 0.0; b + a has the floats of a + b
+                    term += 0.0 if total is None else total
                     total = term
                 else:
                     total += term
@@ -1343,9 +1340,11 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
                     ray = a
                 elif not np.linalg.norm(a - ray) <= 1e-9:
                     return None
-        # summed from the first term, not from 0: one term keeps its floats
-        first, *rest = (w * kernel(spec, radii + float(np.linalg.norm(x0 - c)))
-                        for w, c in zip(weights, centers))
+        # d |a / d| has the floats of np.linalg.norm where |a|^2 is finite; the
+        # terms are summed from the first, not from 0: one term keeps its floats
+        offsets = (_offset(spec, x0 - c)[1:] for c in centers)
+        first, *rest = (w * kernel(spec, radii + d * math.sqrt(square))
+                        for w, (square, d) in zip(weights, offsets))
         return sum(rest, first)
 
     return ScalarField(n=n, values=values, shells=shells, means=means, analytic_max=analytic_max,

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -754,20 +755,40 @@ def test_kernel_sum_shells_match_values(n):
     assert checked >= 100
 
 
-@pytest.mark.parametrize("delta", [3e-2, -3e-2])
-def test_kernel_sum_shells_keep_their_digits_near_a_center(delta):
-    # a sample point of the shell lies |delta| s from the center; the
-    # expanded s^2 + 2 s t + |x0 - c|^2 cancels there and misses by ~3e-13
+NEAR_A_CENTER = [3e-2, -3e-2, 1e-6, -1e-6]
+
+
+@pytest.mark.parametrize("delta", NEAR_A_CENTER)
+def test_kernel_sum_shell_maxima_keep_their_digits_near_a_center(delta):
+    # a sample point of the shell lies |delta| s from the center, where q =
+    # s (s + 2 t) + |x0 - c|^2 cancels; M reads only the row maximum, where
+    # every term is large and q's rounding is relatively small
     for n in range(2, 9):
         rng = np.random.default_rng(n)
         points = flow.sphere_quad(n, 256, seed=n).points
-        for j in rng.integers(0, points.shape[0], size=4):
-            x0 = rng.normal(size=n)
-            s = float(rng.uniform(0.1, 3.0))
-            field = flow.riesz_kernel_field(1.0, 3.0, n, center=x0 + s * (1.0 + delta) * points[j])
-            want = field.values(x0[None, :] + s * points)
-            got = flow._shell_evaluator(field, x0, points)([s])[0]
-            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        for p in (1.5, 2.0, 3.0):
+            for j in rng.integers(0, points.shape[0], size=4):
+                x0 = rng.normal(size=n)
+                s = float(rng.uniform(0.1, 3.0))
+                field = flow.riesz_kernel_field(1.0, p, n, center=x0 + s * (1.0 + delta) * points[j])
+                want = field.values(x0[None, :] + s * points).max()
+                got = flow._shell_evaluator(field, x0, points)([s])[0].max()
+                assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("delta", NEAR_A_CENTER)
+def test_an_off_ray_density_near_a_center_reads_the_theta_m_of_values(delta):
+    # the shell of the third curve radius passes |delta| r from the second
+    # center, off the ray of the first: M is the sampled maximum
+    quad = flow.sphere_quad(3)
+    r = flow.default_radii()[2]
+    masses = [(1.0, 0.5 * E1), (1.0, r * (1.0 + delta) * quad.points[7])]
+    field = flow.newtonian_potential_field(3.0, masses, 3)
+    assert field.analytic_max(np.zeros(3), flow.default_radii()) is None
+    got = flow.densities(field, np.zeros(3), 3.0, quad=quad).theta["M"]
+    plain_field = dataclasses.replace(field, shells=None)
+    want = flow.densities(plain_field, np.zeros(3), 3.0, quad=quad).theta["M"]
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -1111,9 +1132,7 @@ def _reference_shells(p, masses):
                 if not a.any():
                     out += _reference_term(spec, w, radii)[:, None]
                     continue
-                t = points @ a
-                perp = a[None, :] - t[:, None] * points
-                dist = (radii[:, None] + t) ** 2 + np.einsum("ij,ij->i", perp, perp)
+                dist = radii[:, None] * (radii[:, None] + points @ (2.0 * a)) + a.dot(a)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     out += radial.weighted_kernel_of_square(spec, w, dist)
             return out
@@ -1197,7 +1216,7 @@ def test_kernel_sum_shells_keep_the_floats_of_the_zeros_and_mean_path(monkeypatc
 @pytest.mark.parametrize("shell_block", [flow.SHELL_BLOCK, 1])
 def test_three_centre_shells_keep_the_floats_of_the_zeros_and_mean_path(monkeypatch,
                                                                          shell_block):
-    # two off-centre terms, each summed from its own reused buffer, read in
+    # two off-centre terms, each a fresh array summed in place, read in
     # blocks of many shells and of one
     monkeypatch.setattr(flow, "SHELL_BLOCK", shell_block)
     p, masses, field = _potential(2.5, [(1.5, np.zeros(3)), (0.5, 2.5 * E1),
@@ -1256,6 +1275,37 @@ def test_a_shell_through_a_far_centre_keeps_its_hits(monkeypatch, p):
     field = dataclasses.replace(field, shells=_reference_shells(p, masses))
     assert got == pickle.dumps([flow.average_curves(field, (kind,), np.zeros(3), radii, quad,
                                                     p)[kind] for kind in "MSV"])
+
+
+FAR = 1e160 * np.eye(4)[0]  # |FAR|^2 overflows
+
+
+@pytest.mark.parametrize("p", [2.001, 3.0])
+def test_m_keeps_a_centre_whose_squared_distance_overflows(p):
+    # the closed form takes d from math.hypot and the shells scale the term
+    # by d, as the exact means do: M and S agree, with no overflow warning
+    spec, radii, x0 = radial.KernelSpec(p=p), flow.default_radii(), np.zeros(4)
+    quad = flow.sphere_quad(4)
+    far = flow.riesz_kernel_field(1.0, p, 4, center=FAR)
+    field = flow.newtonian_potential_field(p, [(1.0, x0), (1.0, FAR)], 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = far.shells(x0, quad.points)(radii)
+        closed = field.analytic_max(x0, radii)
+        curves = flow.average_curves(field, ("M", "S"), x0, radii, quad, p)
+    k_far = radial.kernel(spec, 1e160)
+    assert np.all(np.abs(rows - k_far) <= 1e-12 * abs(k_far))
+    assert np.array_equal(closed, radial.kernel(spec, radii) + radial.kernel(spec, radii + 1e160))
+    assert np.all(np.abs(curves["M"].values - curves["S"].values)
+                  <= 1e-12 * np.abs(curves["S"].values))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_m_refuses_a_centre_whose_squared_distance_overflows_at_p_up_to_2(p):
+    field = flow.newtonian_potential_field(p, [(1.0, np.zeros(4)), (1.0, FAR)], 4)
+    with pytest.raises(DomainError, match="^the sphere mean of a kernel centre at distance "
+                       "1e\\+160 from x0 is refused at p <= 2: its squared distance overflows$"):
+        flow.average_curves(field, ("M",), np.zeros(4), flow.default_radii(), None, p)
 
 
 def test_harnack_constants():

@@ -238,11 +238,17 @@ def _polar_panels(n: int, p: float):
     return angles, logs, slacks
 
 
-def _check_far_centre(spec: KernelSpec, d: float):
-    """Refuse at p <= 2 a centre whose squared distance d^2 overflows."""
-    if not spec.p > 2.0:
-        raise DomainError(f"the sphere mean of a kernel centre at distance {d:.6g} from x0 "
-                          f"is refused at p <= 2: its squared distance overflows")
+def _check_far(spec: KernelSpec, d: float, r: float = 0.0):
+    """Refuse at p <= 2 a squared distance that overflows: that of a kernel
+    centre at distance d from x0, or, where the radius r is larger, that of
+    the sphere of radius r about x0."""
+    if spec.p > 2.0:
+        return
+    if r > d:
+        raise DomainError(f"the sphere of radius {r:.6g} about x0 is refused at p <= 2: its "
+                          f"squared distance to a kernel centre overflows")
+    raise DomainError(f"the sphere mean of a kernel centre at distance {d:.6g} from x0 "
+                      f"is refused at p <= 2: its squared distance overflows")
 
 
 def _offset(spec: KernelSpec, a: np.ndarray) -> tuple:
@@ -253,8 +259,42 @@ def _offset(spec: KernelSpec, a: np.ndarray) -> tuple:
     if square < math.inf:
         return a, square, 1.0
     d = math.hypot(*a)
-    _check_far_centre(spec, d)
+    _check_far(spec, d)
     return a / d, float((a / d).dot(a / d)), d
+
+
+def _shell_squares(spec: KernelSpec, radii: np.ndarray, top: float, t2: np.ndarray,
+                   square: float, scale: float, log_factor):
+    """(q, log factor) of an off-centre term's shells (`_kernel_sum_field`):
+    q = s (s + 2 t) + |a|^2 at s = r / scale, for 2 t = `t2` and |a|^2 =
+    `square` (`_offset`).  q is at most (s + |a|)^2, so a block whose
+    largest radius `top` keeps that finite takes q as it is.  In any other
+    block, the rows where q overflows take q / S^2, S = max(s, |a|), and
+    add (2 - p) ln S to their log factor, as `_sphere_means` does, so no
+    finite q moves; at p <= 2 they are refused."""
+
+    def squares(s, t2, square):
+        q = s + t2
+        q *= s
+        q += square
+        return q
+
+    s = radii[:, None] / scale
+    root = math.sqrt(square)
+    reach = top / scale + 2.0 * root
+    if 2.0 * reach * reach < math.inf:
+        return squares(s, t2, square), log_factor
+    with np.errstate(over="ignore"):  # an overflow is read from `far`
+        q = squares(s, t2, square)
+    far = np.isinf(q).any(axis=1)
+    if far.any():
+        _check_far(spec, root * scale, float(radii[far][0]))
+        big = np.maximum(s[far], root)
+        q[far] = squares(s[far] / big, t2 / big, np.square(root / big))
+        factor = np.zeros_like(s)
+        factor[far] = (2.0 - spec.p) * np.log(big)
+        log_factor = factor if log_factor is None else factor + log_factor
+    return q, log_factor
 
 
 def _sphere_means(spec: KernelSpec, n: int, weight: float, d: float, radii: np.ndarray):
@@ -321,7 +361,7 @@ def _sphere_means(spec: KernelSpec, n: int, weight: float, d: float, radii: np.n
         q = square(r, d, rows)
     far = np.isinf(q).any(axis=1)
     if far.any():  # q = s^2 q' overflows, s = max(r, d): (2 - p) ln s joins the log weights
-        _check_far_centre(spec, d)
+        _check_far(spec, d, float(r[far][0, 0]))
         s = np.maximum(r[far], d)
         q[far] = square(r[far] / s, d / s, rows[far])
         logs[far] += (2.0 - spec.p) * np.log(s)
@@ -1234,7 +1274,9 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
     Near a pole q cancels, but with weights >= 0 and increasing kernels the
     maximum lies where every term is large and q's few eps of (s + |x0 -
     c|)^2 are small.  Where |x0 - c|^2 overflows, s and x0 - c are scaled
-    by d = |x0 - c| (`_offset`) and (2 - p) ln d joins the log.  A center at
+    by d = |x0 - c| (`_offset`) and (2 - p) ln d joins the log; where q
+    overflows on s^2 (radii beyond about 1e154), its rows are scaled by
+    max(s, d) likewise (`_shell_squares`).  A center at
     x0 gives a (k, 1) column w K(s).  The terms are summed in order into
     the first full term, with the floats of a sum from zeros; where every
     term is centred the hook returns their column.  `values`, by sqrt and
@@ -1279,16 +1321,13 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
 
         def evaluate(radii):
             radii = np.asarray(radii, dtype=float)
+            top = float(radii.max(initial=0.0))
             total = None  # a (k, 1) column while every term so far is centred
             for w, proj in zip(weights, projections):
                 if proj is None:
                     term = weighted_kernel(spec, w, radii[:, None].copy())
                 else:
-                    t2, square, scale, log_factor = proj
-                    s = radii[:, None] / scale
-                    term = s + t2
-                    term *= s
-                    term += square
+                    term, log_factor = _shell_squares(spec, radii, top, *proj)
                     weighted_kernel_of_square(spec, w, term, log_factor)
                 if total is None or term.shape[1] > total.shape[1]:
                     # 0 + term turns a -0.0 into 0.0; b + a has the floats of a + b

@@ -31,8 +31,8 @@ from .linalg import (
     symmetrize,
     unit_vector,
 )
-from .subeq import (MEMBER_TOL, PropertyReport, Subequation, builtin, require_samples,
-                    require_tol, worst_over_samples)
+from .subeq import (MEMBER_TOL, PropertyReport, Subequation, builtin, ray_margins,
+                    require_samples, require_tol, worst_over_samples)
 
 # The characteristic bracket starts as [1, 64]; its upper end doubles while
 # the margin there is still >= 0.
@@ -278,20 +278,9 @@ def characteristic_pair(f: Subequation, tol: float = DEFAULT_TOL,
 def _boundary_shifts(f: Subequation, a: np.ndarray) -> np.ndarray:
     """Upper ends of the bisection brackets, started at [-10, 10] and halved
     60 times, for the t with A + t Id on the boundary of F, one per matrix
-    of the stack.  A spectral F is bisected on spectra: the spectrum of
-    A + t Id is spectrum(A) + t spectrum(Id), in the same order."""
-    if f.spectrum is not None:
-        lams = f.spectrum(a)
-        spec_id = f.spectrum(np.eye(f.n))
-
-        def margins(t):
-            return f.eig_margin(lams + np.multiply.outer(t, spec_id))
-    else:
-        eye = np.eye(f.n)
-
-        def margins(t):
-            return f.margin(a + t[:, None, None] * eye)
-
+    of the stack, read by ``ray_margins``: a spectral F is bisected on
+    spectra, from one eigensolve."""
+    margins = ray_margins(f, a)
     lo = np.full(len(a), -10.0)
     hi = np.full(len(a), 10.0)
     for _ in range(60):
@@ -338,13 +327,14 @@ def sandwich_check(f: Subequation, p: float, sample_count: int = 1000,
                                   np.trace(odd, axis1=-2, axis2=-1) / math.sqrt(2 * f.n)])
         a[1::2] = odd + (shifts + jitter)[:, None, None] * eye
         m_f = f.margin(a)
-        lower_hit = lower.margin(a) >= 0.0
+        lams = lower.spectrum(a)  # upper's too: both are built-ins
+        lower_hit = lower.eig_margin(lams) >= 0.0
         member = m_f >= 0.0
         hits[0] += int(lower_hit.sum())
         hits[1] += int(member.sum())
         # a bracket end that never moved leaves the shift at exactly -10 or 10
         hits[2] += int(np.count_nonzero(np.abs(shifts) == 10.0))
-        return [np.where(lower_hit, -m_f, 0.0), np.where(member, -upper.margin(a), 0.0)]
+        return [np.where(lower_hit, -m_f, 0.0), np.where(member, -upper.eig_margin(lams), 0.0)]
 
     worst = worst_over_samples(seed, sample_count, f.n, 1, violations)
     return PropertyReport(

@@ -36,9 +36,9 @@ FRAME_TOL = 1e-10
 # transitivity: how far a bound on lambda_max must clear cos_sq_tol to
 # decide a Gram block without the eigensolver
 BOUND_MARGIN = 1e-12
-# The sampling suites evaluate at most this many samples at once, so their
-# memory does not grow with the sample count.  Even, so a block starts on an
-# even sample.
+# A sampling suite's stacked margin read holds at most this many matrices, so
+# its memory does not grow with the sample count.  Even, so a block of one read
+# per sample (the sandwich's) starts on an even sample.
 SAMPLE_BLOCK_ROWS = 1024
 
 
@@ -540,22 +540,43 @@ def worst_case(violations) -> float:
     return float(np.max(violations, initial=0.0)) + 0.0
 
 
+def ray_margins(f: Subequation, a: np.ndarray) -> Callable:
+    """(t, rows) -> the margins of A[rows] + t Id along the identity ray,
+    for an (m, n, n) stack A and t one shift or one per row; t = None reads
+    A[rows] itself, and rows defaults to all.  A spectral F makes one
+    eigensolve, of A with Id appended, here: the spectrum of A + t Id is
+    spectrum(A) + t spectrum(Id), in the same order, so each read is
+    eig_margin on spectra.  Any other F reads the stacked matrices."""
+    if f.spectrum is None:
+        eye = np.eye(f.n)
+        return lambda t=None, rows=slice(None): f.margin(
+            a[rows] if t is None else a[rows] + np.multiply.outer(t, eye))
+    spectra = f.spectrum(np.concatenate([a, np.eye(f.n)[None]]))
+    lams, ray = spectra[:-1], spectra[-1]
+    return lambda t=None, rows=slice(None): f.eig_margin(
+        lams[rows] if t is None else lams[rows] + np.multiply.outer(t, ray))
+
+
 def shift_into(f: Subequation, a: np.ndarray) -> np.ndarray:
     """Return A + t Id with margin >= 0, moving along the identity ray:
     t = 0 for members, otherwise the first of 1, 2, 4, ..., 2^63 that works.
-    A may be a (..., n, n) stack; each matrix gets its own t."""
+    A may be a (..., n, n) stack; each matrix gets its own t.  Each round
+    decides the rows still outside by ``ray_margins``: a spectral F by
+    eig_margin(spectrum(A) + t spectrum(Id)) from one eigensolve of the
+    stack, any other F by the margins of the stacked A + t Id.  The matrices
+    returned are A + t Id either way."""
     a = as_matrices(a)
     stack = a.reshape(-1, *a.shape[-2:])
     out = stack.copy()
-    todo = np.flatnonzero(~(f.margin(stack) >= 0.0))
+    margins = ray_margins(f, stack)
+    todo = np.flatnonzero(~(margins() >= 0.0))
     t = 1.0
     eye = np.eye(f.n)
     for _ in range(64):
         if not todo.size:
             break
-        shifted = stack[todo] + t * eye
-        inside = f.margin(shifted) >= 0.0
-        out[todo[inside]] = shifted[inside]
+        inside = margins(t, todo) >= 0.0
+        out[todo[inside]] = stack[todo[inside]] + t * eye
         todo = todo[~inside]
         t *= 2.0
     if todo.size:
@@ -575,18 +596,23 @@ def require_tol(tol: float) -> None:
         raise DomainError(f"tol must be finite and > 0, got {tol}")
 
 
-def worst_over_samples(seed, sample_count: int, n: int, per_sample: int, violations) -> float:
-    """Worst case of ``violations(g)`` over blocks of at most
-    SAMPLE_BLOCK_ROWS samples, where g is the block's (rows, per_sample, n,
-    n) standard-normal draw from one ``default_rng(seed)``.  Sample i reads
-    the i-th run of per_sample * n * n Gaussians in that stream, so the
-    result does not depend on the block size and a shorter run's samples
-    are a prefix of a longer one's; requires sample_count >= 1."""
+def worst_over_samples(seed, sample_count: int, n: int, per_sample: int, violations,
+                       reads: int = 1) -> float:
+    """Worst case of ``violations(g)`` over blocks of samples, where g is
+    the block's (rows, per_sample, n, n) standard-normal draw from one
+    ``default_rng(seed)``.  A check whose stacked margin read holds
+    ``reads`` matrices per sample draws blocks of max(1, SAMPLE_BLOCK_ROWS
+    // reads) samples, so no read holds more than SAMPLE_BLOCK_ROWS
+    matrices.  Sample i reads the i-th run of per_sample * n * n Gaussians
+    in that stream, so the result does not depend on the block size and a
+    shorter run's samples are a prefix of a longer one's; requires
+    sample_count >= 1."""
     require_samples(sample_count)
     rng = np.random.default_rng(seed)
+    block = max(1, SAMPLE_BLOCK_ROWS // reads)
     return worst_case([worst_case(violations(rng.standard_normal(
-        (min(SAMPLE_BLOCK_ROWS, sample_count - i), per_sample, n, n))))
-        for i in range(0, sample_count, SAMPLE_BLOCK_ROWS)])
+        (min(block, sample_count - i), per_sample, n, n))))
+        for i in range(0, sample_count, block)])
 
 
 def _psd(g: np.ndarray) -> np.ndarray:
@@ -605,13 +631,15 @@ def check_positivity(f: Subequation, sample_count: int = 200, seed=0) -> Propert
 
 
 def check_cone(f: Subequation, sample_count: int = 200, seed=0) -> PropertyReport:
-    """Members stay members under scaling by t >= 0."""
+    """Members stay members under scaling by t >= 0: t = 0, 1/2, 2, 10, all
+    in one stacked margin read."""
+    scales = (0.0, 0.5, 2.0, 10.0)
 
     def violations(g):
         a = shift_into(f, symmetrize(g[:, 0]))
-        return [-f.margin(t * a) for t in (0.0, 0.5, 2.0, 10.0)]
+        return -f.margin(np.multiply.outer(scales, a))
 
-    worst = worst_over_samples(seed, sample_count, f.n, 1, violations)
+    worst = worst_over_samples(seed, sample_count, f.n, 1, violations, len(scales))
     return PropertyReport("cone", sample_count, worst, MEMBER_TOL)
 
 
@@ -662,13 +690,12 @@ def check_st_invariance(f: Subequation, sample_count: int = 100, seed=0) -> Prop
     def violations(g):
         a = symmetrize(g[:, 0])
         rot = invariance_rotation(f, g[:, 1])
-        moved = f.margin(rot @ a @ rot.swapaxes(-1, -2))
-        margins = f.margin(a)
+        moved, margins = f.margin(np.stack([rot @ a @ rot.swapaxes(-1, -2), a]))
         # one norm per sample: a batched norm rounds differently
         scale = np.maximum(1.0 + np.array([np.linalg.norm(x) for x in a]), np.abs(margins))
         return np.abs(moved - margins) / scale
 
-    worst = worst_over_samples(seed, sample_count, f.n, 2, violations)
+    worst = worst_over_samples(seed, sample_count, f.n, 2, violations, 2)
     return PropertyReport("st-invariance", sample_count, worst, 1e-8)
 
 
@@ -683,7 +710,7 @@ def check_uniform_ellipticity(delta: float, n: int, sample_count: int = 1000,
     """Two-sided ellipticity bounds for the operator lam_min + (delta/n) tr.
 
     Checks (delta/n) tr(P) <= F(A+P) - F(A) <= (1 + delta/n) tr(P) on
-    seeded samples with P PSD.
+    seeded samples with P PSD, reading A + P and A in one stacked margin.
     """
     require_samples(sample_count)
     if not math.isfinite(delta) or delta <= 0:
@@ -694,27 +721,27 @@ def check_uniform_ellipticity(delta: float, n: int, sample_count: int = 1000,
     def violations(g):
         a = symmetrize(g[:, 0])
         psd = _psd(g[:, 1])
-        diff = op(a + psd) - op(a)
+        moved, base = op(np.stack([a + psd, a]))
+        diff = moved - base
         tr = np.trace(psd, axis1=-2, axis2=-1)
         return [d * tr - diff, diff - (1.0 + d) * tr]
 
-    worst = worst_over_samples(seed, sample_count, n, 2, violations)
+    worst = worst_over_samples(seed, sample_count, n, 2, violations, 2)
     return PropertyReport("uniform-ellipticity", sample_count, worst, 1e-9,
                           note=f"delta={delta:g}, n={n}")
 
 
 def margin_monotonicity_check(f: Subequation, sample_count: int = 100, seed=0) -> PropertyReport:
     """margin(A + t Id) must be nondecreasing in t = 0, 1/4, 1/2, 1, 2, 4
-    along the identity ray from members; this is what makes the
-    characteristic bisection well posed."""
-    eye = np.eye(f.n)
+    along the identity ray from members, all six in one stacked margin
+    read; this is what makes the characteristic bisection well posed."""
+    shifts = np.multiply.outer((0.0, 0.25, 0.5, 1.0, 2.0, 4.0), np.eye(f.n))[:, None]
 
     def violations(g):
-        a = shift_into(f, symmetrize(g[:, 0]))
-        values = np.array([f.margin(a + t * eye) for t in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)])
+        values = f.margin(shift_into(f, symmetrize(g[:, 0])) + shifts)
         return values[:-1] - values[1:]
 
-    worst = worst_over_samples(seed, sample_count, f.n, 1, violations)
+    worst = worst_over_samples(seed, sample_count, f.n, 1, violations, len(shifts))
     return PropertyReport("margin-monotonicity", sample_count, worst, 1e-9)
 
 

@@ -509,12 +509,22 @@ def traced_peak(fn, *args):
     return rep, peak
 
 
-def test_suite_memory_does_not_grow_with_the_sample_count():
+@pytest.mark.parametrize("check", [
+    subeq.check_positivity, subeq.check_cone, subeq.check_st_invariance,
+    subeq.margin_monotonicity_check, lambda f, count, seed: subeq.check_uniform_ellipticity(
+        2.5, 16, count, seed)], ids=["positivity", "cone", "invariance", "monotonicity", "ue"])
+def test_suite_memory_does_not_grow_with_the_sample_count(check):
+    # a stacked read holds at most SAMPLE_BLOCK_ROWS matrices
     count = 4 * subeq.SAMPLE_BLOCK_ROWS + 3
     f = subeq.builtin("p-convex", 16, p=2.5)
-    rep, peak = traced_peak(subeq.check_positivity, f, count, 0)
+    rep, peak = traced_peak(check, f, count, 0)
     assert rep.passed and rep.sample_count == count
-    assert peak < 16 * 2**20  # about 40 MB with every sample in one stack
+    assert peak < 16 * 2**20  # positivity: about 40 MB with every sample in one stack
+
+
+def test_sandwich_memory_does_not_grow_with_the_sample_count():
+    count = 4 * subeq.SAMPLE_BLOCK_ROWS + 3
+    f = subeq.builtin("p-convex", 16, p=2.5)
     rep, peak = traced_peak(riesz.sandwich_check, f, 2.5, count, 0)
     assert rep.passed and rep.sample_count == count
     assert peak < 8 * 2**20  # about 17 MB with every sample in one stack
@@ -538,6 +548,34 @@ def test_shift_into_gives_up_on_unreachable_samples():
         subeq.shift_into(never, np.zeros((2, 3, 3)))
 
 
+@pytest.mark.parametrize("read,eigensolves", [
+    (lambda f: subeq.check_positivity(f, 10, 0), 2),
+    (lambda f: subeq.check_cone(f, 10, 0), 2),
+    (lambda f: subeq.margin_monotonicity_check(f, 10, 0), 2),
+    (lambda f: subeq.check_st_invariance(f, 10, 0), 1),
+    (lambda f: subeq.check_uniform_ellipticity(0.7, 4, 10, 0), 1),
+    (lambda f: riesz.sandwich_check(f, 2.5, 10, 0), 3),
+], ids=["positivity", "cone", "monotonicity", "invariance", "ue", "sandwich"])
+def test_a_suite_block_makes_few_eigensolves(read, eigensolves, monkeypatch):
+    # one block of 10 samples on a spectral F: shift_into and the boundary
+    # shifts take one spectrum of the block, each check one stacked read
+    calls = []
+    solve = linalg.ordered_eigenvalues
+
+    def counted(a):
+        calls.append(1)
+        return solve(a)
+
+    monkeypatch.setattr(linalg, "ordered_eigenvalues", counted)
+    monkeypatch.setattr(subeq, "ordered_eigenvalues", counted)
+    f = subeq.builtin("p-convex", 4, p=2.5)
+    a = linalg.symmetrize(np.random.default_rng(0).standard_normal((10, 4, 4)))
+    assert not (f.margin(a) >= 0.0).all()  # the cone's shift_into has rows to move
+    calls.clear()
+    read(f)
+    assert len(calls) == eigensolves
+
+
 def counting(f, rows):
     """F with a margin that records how many matrices each read covers."""
     def margin(a):
@@ -547,16 +585,24 @@ def counting(f, rows):
     return dataclasses.replace(f, margin=margin)
 
 
+def matrix_route(f):
+    """F without its spectrum map: every read goes through its margin."""
+    return dataclasses.replace(f, spectrum=None, eig_margin=None)
+
+
 @pytest.mark.parametrize("read,first,last", [
     (lambda f: subeq.check_positivity(f, 10, 0), [10], [10]),
-    (lambda f: subeq.check_cone(f, 10, 0), [10], [10] * 4),
-    (lambda f: subeq.check_st_invariance(f, 10, 0), [10, 10], [10, 10]),
-    (lambda f: subeq.shift_into(f, sym_stack(4, 6, 0) - 4.0 * np.eye(4)), [6], []),
+    (lambda f: subeq.check_cone(f, 10, 0), [40], [40]),
+    (lambda f: subeq.check_st_invariance(f, 10, 0), [20], [20]),
+    (lambda f: subeq.shift_into(matrix_route(f), sym_stack(4, 6, 0) - 4.0 * np.eye(4)),
+     [6], []),
     (lambda f: riesz.sandwich_check(f, 2.5, 10, 0), [10], [10]),
     (lambda f: radial.radial_harmonic_check(f, 1.0, 2.5, [0.5, 1.0]), [8], [8]),
 ], ids=["positivity", "cone", "st-invariance", "shift", "sandwich", "radial-harmonic"])
 def test_checks_read_stacks_through_the_one_margin(read, first, last):
-    # a margin replaced on the object sees every stack the checks evaluate
+    # a margin replaced on the object sees every stack of matrices the checks
+    # evaluate, one stacked read per check; a spectral F's shift_into and
+    # boundary shifts move along spectra, so the shift reads a matrix-route F
     rows = []
     read(counting(subeq.builtin("p-convex", 4, p=2.5), rows))
     assert rows[:len(first)] == first

@@ -1152,6 +1152,27 @@ def test_density_refuses_a_centre_whose_squared_distance_overflows_at_p_up_to_2(
                             "x0 is refused at p <= 2: its squared distance overflows\n")
 
 
+FAR_RADII = ["--offset", "0.5", "--center", "0.01", "-0.02", "0.03", "-0.04",
+             "--radii", "1e160", "1e159", "1e158"]
+
+
+def test_density_keeps_m_at_radii_whose_squared_distance_overflows(capsys):
+    # q = s (s + 2 t) + |x0 - c|^2 overflowed on s^2 beyond 1e154, and M read 0.0
+    code, payload = run_json(capsys, "density", "newtonian", "--p", "3", "--n", "4", *FAR_RADII)
+    assert code == 0
+    theta, bracket = payload["theta"], payload["bracket"]
+    assert abs(theta["M"] - theta["S"]) <= bracket["M"] + payload["noise_bound"]
+
+
+@pytest.mark.parametrize("p", ["2", "1.5"])
+def test_density_refuses_radii_whose_squared_distance_overflows_at_p_up_to_2(capsys, p):
+    code = cli.main(["density", "newtonian", "--p", p, "--n", "4", *FAR_RADII, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == ("error: the sphere of radius 1e+160 about x0 is refused at p <= 2: "
+                            "its squared distance to a kernel centre overflows\n")
+
+
 def test_density_reads_the_centred_kernel_density_at_p_2_exactly(capsys):
     # each centred mean is its column theta K(r), with no rounding of a sum
     code, payload = run_json(capsys, "density", "riesz", "--theta", "3", "--p", "2", "--n", "2")

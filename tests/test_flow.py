@@ -1308,6 +1308,30 @@ def test_m_refuses_a_centre_whose_squared_distance_overflows_at_p_up_to_2(p):
         flow.average_curves(field, ("M",), np.zeros(4), flow.default_radii(), None, p)
 
 
+@pytest.mark.parametrize("p", [2.001, 3.0])
+def test_m_keeps_a_radius_whose_squared_distance_overflows(p):
+    # q = s (s + 2 t) + |x0 - c|^2 overflows on s^2: those rows read q / s^2,
+    # and the rows below 1e154 keep their floats
+    spec, x0, c = radial.KernelSpec(p=p), np.zeros(4), np.array([0.01, -0.02, 0.03, -0.04])
+    points = flow.sphere_quad(4).points
+    shells = flow.riesz_kernel_field(1.0, p, 4, center=c).shells
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = shells(x0, points)(np.array([1e160, 1e150, 1.0]))
+    for r, row in zip((1e160, 1e150), rows):
+        k = radial.kernel(spec, r)
+        assert np.all(np.abs(row - k) <= 1e-12 * abs(k))
+    assert np.array_equal(rows[1:], shells(x0, points)(np.array([1e150, 1.0])))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_m_refuses_a_radius_whose_squared_distance_overflows_at_p_up_to_2(p):
+    field = flow.riesz_kernel_field(1.0, p, 4, center=np.full(4, 0.01))
+    with pytest.raises(DomainError, match="^the sphere of radius 1e\\+160 about x0 is refused "
+                       "at p <= 2: its squared distance to a kernel centre overflows$"):
+        field.shells(np.zeros(4), flow.sphere_quad(4).points)(np.array([1.0, 1e160]))
+
+
 def test_harnack_constants():
     assert flow.harnack_constant(2) == pytest.approx((math.e + 1.0) / (math.e - 1.0), abs=1e-12)
     assert flow.harnack_constant(2) == pytest.approx(2.1640, abs=1e-4)

@@ -73,6 +73,13 @@ def _scramble(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return shift, sv
 
 
+def check_sobol_dim(d: int) -> None:
+    """Refuse a dimension beyond the table of direction numbers."""
+    if not 1 <= d <= SOBOL_MAX_DIM:
+        raise DomainError(f"Sobol direction numbers are tabulated for 1 <= d <= {SOBOL_MAX_DIM}, "
+                          f"got d = {d}")
+
+
 def sobol(d: int, stop: int, seed: int, start: int = 0) -> np.ndarray:
     """Points start..stop-1 of `qmc.Sobol(d, scramble=True, seed=seed)`:
     LMS + digital-shift scrambling from `default_rng(seed)`, Gray-code order.
@@ -80,9 +87,7 @@ def sobol(d: int, stop: int, seed: int, start: int = 0) -> np.ndarray:
     A block starts from the Gray code of its first index, so blocks drawn
     one after another are, bit for bit, the rows of one full-range call;
     the scramble is drawn once per (d, seed)."""
-    if not 1 <= d <= SOBOL_MAX_DIM:
-        raise DomainError(f"Sobol direction numbers are tabulated for 1 <= d <= {SOBOL_MAX_DIM}, "
-                          f"got d = {d}")
+    check_sobol_dim(d)
     shift, sv = _scramble(d, seed)
     # point i is the shift xor the direction numbers at the set bits of the
     # Gray code i ^ (i >> 1); point i >= 1 flips the one at the lowest zero

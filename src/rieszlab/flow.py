@@ -4,21 +4,17 @@ and their cross-relations, plus the built-in example fields.
 Every average (M, S and V, scalar or curve) comes from one sweep,
 `average_curves` over `_shell_rows`: after checking each radius, it reads
 every shell the request needs once -- the curve radii for M and S, then
-the node radii behind V (`_volume_ladder`).
+the node radii behind V (`_volume_ladder`).  M takes the field's closed
+forms at every curve radius in one call.
 
-A kernel sum sum_k w_k K(|x - c_k|) (`riesz`, `newtonian`) has exact
-sphere means: the mean of one term over a sphere depends only on its
-radius and the centre's distance, a 1-D integral in the polar angle
-(`_sphere_means`).  Its S and V read those means, and the half curve is
-the rule with half the nodes, so the noise bound is the rule's error
-estimate.  Sphere points are read only for M, whose closed form on the
-ray of centres is checked against the sampled maximum of the curve
-shells, and which off that ray is the sampled maximum.  Where every
-centre is x0 a shell is one value, read as a (k, 1) column.
-
-M takes the field's closed forms at every curve radius in one call, and
-compares them with the row maxima of each block of sampled shells in one
-vector comparison.
+A kernel sum sum_k w_k K(|x - c_k|) (`riesz`, `newtonian`) reads no sphere
+point.  The mean of one term over a sphere depends only on its radius and
+the centre's distance, a 1-D integral in the polar angle (`_sphere_means`):
+S and V read those means, and the half curve is the rule with half the
+nodes, so the noise bound is the rule's error estimate.  Its maximum is a
+concave one on the span of the centres' offsets, certified at every radius
+(`_kernel_sum_maxima`): the closed form on the ray of centres, checked
+there, and the attained maximum off it, with its gap in the M bracket.
 
 Any other field is sampled on a seeded low-discrepancy sphere point set
 shared across all radii of a run, in blocks of at most `SHELL_BLOCK`
@@ -33,17 +29,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numerics import gauss_jacobi, ndtri, sobol
+from ._numerics import check_sobol_dim, gauss_jacobi, ndtri, sobol
 from .errors import DomainError, NumericalError
 from .linalg import row_norms
 from .radial import (KernelSpec, density_estimate, density_radii, geometric_radii, kernel,
                      kernel_hessian, quotients, weighted_kernel, weighted_kernel_of_square)
-from .subeq import PropertyReport, fmt_param, require_tol
+from .subeq import PropertyReport, fmt_param, integral, require_tol
 
 CLIP_FLOOR = -1e12
 MAX_CLIPPED_FRACTION = 1e-3
@@ -123,16 +119,21 @@ class SphereQuad:
     bit for bit, the set of half the size and the same seed, which gives
     the doubling self-test behind the reported noise bounds.
 
-    The set is drawn into its preallocated array in blocks of at most
-    `QUAD_BLOCK` points, each from its own Sobol index range; every
-    operation is per point, so the floats are those of one full-range draw.
+    The points are drawn on their first read, every input having been
+    checked at construction: a field whose averages are exact builds a set
+    and never pays for it.  The set is drawn into its preallocated array in
+    blocks of at most `QUAD_BLOCK` points, each from its own Sobol index
+    range; every operation is per point, so the floats are those of one
+    full-range draw.
     """
 
     def __init__(self, n: int, size: int | None = None, seed: int = 0):
         if n < 2:
             raise DomainError("sphere quadrature needs n >= 2")
+        check_sobol_dim(n)
         self.n = n
-        self.size = default_quad_size(n) if size is None else int(size)
+        self.size = (default_quad_size(n) if size is None
+                     else integral("sphere quadrature", "size", size))
         if self.size < 8:
             raise DomainError("quadrature size too small")
         if self.size & (self.size - 1):
@@ -141,15 +142,21 @@ class SphereQuad:
         if self.size > QUAD_SIZE_MAX:
             raise DomainError(f"quadrature size must be at most 2^20, 16 times the largest "
                               f"default, got {self.size}")
-        self.seed = int(seed)
-        self.points = np.empty((self.size, n))
+        self.seed = integral("sphere quadrature", "seed", seed)
+        if self.seed < 0:
+            raise DomainError(f"sphere quadrature needs a seed >= 0, got {seed}")
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        points = np.empty((self.size, self.n))
         for start in range(0, self.size, QUAD_BLOCK):
             stop = min(start + QUAD_BLOCK, self.size)
-            u = np.clip(sobol(n, stop, self.seed, start), 1e-15, 1.0 - 1e-15)
+            u = np.clip(sobol(self.n, stop, self.seed, start), 1e-15, 1.0 - 1e-15)
             g = ndtri(u)
             norms = row_norms(g)
             norms[norms == 0.0] = 1.0
-            np.divide(g, norms[:, None], out=self.points[start:stop])
+            np.divide(g, norms[:, None], out=points[start:stop])
+        return points
 
 
 @lru_cache(maxsize=32)
@@ -263,40 +270,6 @@ def _offset(spec: KernelSpec, a: np.ndarray) -> tuple:
     return a / d, float((a / d).dot(a / d)), d
 
 
-def _shell_squares(spec: KernelSpec, radii: np.ndarray, top: float, t2: np.ndarray,
-                   square: float, scale: float, log_factor):
-    """(q, log factor) of an off-centre term's shells (`_kernel_sum_field`):
-    q = s (s + 2 t) + |a|^2 at s = r / scale, for 2 t = `t2` and |a|^2 =
-    `square` (`_offset`).  q is at most (s + |a|)^2, so a block whose
-    largest radius `top` keeps that finite takes q as it is.  In any other
-    block, the rows where q overflows take q / S^2, S = max(s, |a|), and
-    add (2 - p) ln S to their log factor, as `_sphere_means` does, so no
-    finite q moves; at p <= 2 they are refused."""
-
-    def squares(s, t2, square):
-        q = s + t2
-        q *= s
-        q += square
-        return q
-
-    s = radii[:, None] / scale
-    root = math.sqrt(square)
-    reach = top / scale + 2.0 * root
-    if 2.0 * reach * reach < math.inf:
-        return squares(s, t2, square), log_factor
-    with np.errstate(over="ignore"):  # an overflow is read from `far`
-        q = squares(s, t2, square)
-    far = np.isinf(q).any(axis=1)
-    if far.any():
-        _check_far(spec, root * scale, float(radii[far][0]))
-        big = np.maximum(s[far], root)
-        q[far] = squares(s[far] / big, t2 / big, np.square(root / big))
-        factor = np.zeros_like(s)
-        factor[far] = (2.0 - spec.p) * np.log(big)
-        log_factor = factor if log_factor is None else factor + log_factor
-    return q, log_factor
-
-
 def _sphere_means(spec: KernelSpec, n: int, weight: float, d: float, radii: np.ndarray):
     """(fine, coarse, absolute, rounding): the means of weight * K(|x - c|)
     over the spheres of the given radii about x0, where |x0 - c| = d > 0, by
@@ -381,6 +354,141 @@ def _sphere_means(spec: KernelSpec, n: int, weight: float, d: float, radii: np.n
     return out
 
 
+def _ball_argmax(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """argmax over |z| <= 1 of <v, z> - <z, a z> / 2 for stacks of positive
+    semidefinite (m, m) a and m-vectors v: z = (a + lam I)^-1 v at the least
+    lam with |z| <= 1, by Newton steps on 1/|z(lam)| (concave in lam) from
+    eps (tr a + |v|), which keeps the solves regular."""
+    eps = np.finfo(float).eps
+    lam = eps * (np.trace(a, axis1=1, axis2=2) + np.sqrt(np.square(v).sum(axis=1))) + 1e-300
+    lam = lam[:, None, None]
+    for _ in range(60):
+        shifted = a + lam * np.eye(v.shape[1])
+        z = np.linalg.solve(shifted, v[:, :, None])
+        size = np.sqrt(np.square(z).sum(axis=1, keepdims=True))
+        slope = (z * np.linalg.solve(shifted, z)).sum(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):  # v = 0: z = 0, no step
+            step = np.where(size > 1.0, (size - 1.0) * size ** 2 / slope, 0.0)
+        if not (step > eps * lam).any():
+            break
+        lam += step
+    return z[:, :, 0] / np.maximum(1.0, size[:, :, 0])
+
+
+def _kernel_sum_maxima(spec: KernelSpec, weights: np.ndarray, centers: np.ndarray,
+                       x0: np.ndarray) -> Callable:
+    """radii -> (3, k): the maximum of F = sum_j w_j K(|x - c_j|) on each
+    sphere |x - x0| = r, attained to rounding, an upper end and a bound on
+    the rounding of both (`ScalarField.maxima`).
+
+    For x = x0 + r w the squared distances q_j = r^2 + d_j^2 + 2 r d_j <y,
+    b_j> are affine in y = Q^T w, Q an orthonormal basis (Gram-Schmidt) of
+    the a_j = (x0 - c_j) / d_j, d_j = |x0 - c_j|, of the off-centre terms of
+    positive weight, and b_j = Q^T a_j.  As w K(sqrt(q)) is concave in q, F
+    is concave in y, and below m = n columns every |y| <= 1 comes from a
+    unit w: F(y) is a lower end and F(y) + |grad F| - <grad F, y> (the
+    Frank-Wolfe gap) an upper end.  Newton steps from the first term's own
+    maximum (on the ray of centres, the maximum; y = 0 where a pole lies
+    within rounding of it) go to the maximum of F's quadratic model over
+    the ball, halved until F rises by a quarter of the model's rise, until
+    the gap is within the rounding bound or no halving rises; at m = n the
+    lower end is F there projected onto the sphere.  Centred terms add
+    their columns w K(r).  Where (r + d_j)^2 overflows, q / S^2 is read, S
+    = max(r, d_j), as in `_sphere_means` (`_check_far`).
+
+    Rounding: each q is within delta = (4 n + 16) eps (r + d_j)^2 of an
+    exact point's, where dF/dq is at most `lift` times its value; so a term
+    is within dF/dq delta lift and (T + m + 10 + |e|) eps relative (T terms,
+    e its kernel's exponent; eps w more at p = 2), its part of the gap
+    within twice dF/dq (r + d_j)^2 (that eps plus lift - 1), and the sums a
+    few eps more."""
+    eps, p, n = np.finfo(float).eps, spec.p, x0.size
+    columns = [w for w, c in zip(weights, centers) if not (x0 - c).any()]
+    terms = [(w, x0 - c) for w, c in zip(weights, centers) if w and (x0 - c).any()]
+    if terms:
+        w, a = (np.array(part) for part in zip(*terms))
+        d = np.array([math.hypot(*offset) for offset in a])
+        a /= np.abs(a).max(axis=1, keepdims=True)
+        a /= row_norms(a)[:, None]
+        basis = np.empty((0, n))
+        for v in a:
+            v = v - v @ basis.T @ basis
+            v = v - v @ basis.T @ basis  # Gram-Schmidt, twice
+            if v @ v > (n * eps) ** 2:
+                basis = np.vstack([basis, v / math.sqrt(v @ v)])
+        b, count = a @ basis.T, len(columns) + len(w) + len(basis)
+
+    def evaluate(radii):
+        radii = np.asarray(radii, dtype=float)
+        column = np.zeros(radii.size)
+        for weight in columns:
+            column += weighted_kernel(spec, weight, radii.copy())
+        if not terms:
+            return np.stack([column, column, (len(columns) + 3) * eps * np.abs(column)])
+        with np.errstate(over="ignore"):  # an overflow is read from `far`
+            far = np.isinf(np.square(radii[:, None] + d))
+        if far.any():
+            j = far.any(axis=0).argmax()
+            _check_far(spec, float(d[j]), float(radii[far[:, j]][0]))
+        big = np.where(far, np.maximum(radii[:, None], d), 1.0)
+        r, dist, log_factor = radii[:, None] / big, d / big, (2.0 - p) * np.log(big)
+        reach, base, u = np.square(r + dist), np.square(r) + np.square(dist), 2.0 * r * dist
+        u, delta = u[:, :, None] * b, (4 * n + 16) * eps * reach
+
+        def at(y):  # (q, terms, F) at the points y, one per radius
+            q = np.maximum(base + np.einsum("ktm,km->kt", u, y), 0.0)
+            t = weighted_kernel_of_square(spec, w, q.copy(), log_factor)
+            return q, t, column + t.sum(axis=1)
+
+        def slopes(y, q, t, f):  # (gradient, minus d2F/dq2, gap, rounding bound) at y
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dq = (0.5 * w if p == 2.0 else 0.5 * (2.0 - p) * t) / q  # dF/dq
+                grad = np.einsum("kt,ktm->km", dq, u)
+                gap = np.sqrt(np.square(grad).sum(axis=1)) - (grad * y).sum(axis=1)
+                lift = np.where(q > 2.0 * delta, (q / (q - delta)) ** (0.5 * p), np.inf)
+                rel = (count + 10 + np.abs(0.5 * (2.0 - p) * np.log(q) + log_factor)) * eps
+                each = (rel * (np.abs(t) + 2.0 * dq * reach) + (eps * w if p == 2.0 else 0.0)
+                        + dq * (delta * lift + 2.0 * reach * (lift - 1.0)))
+            return grad, 0.5 * p * dq / q, gap, each.sum(axis=1) + eps * (
+                count * np.abs(column) + 2.0 * (np.abs(f) + np.abs(gap)))
+
+        y = np.tile(b[0], (radii.size, 1))
+        q, t, f = at(y)
+        near = ~(np.isfinite(f) & (q > 2.0 * delta).all(axis=1))
+        if near.any():  # a pole within rounding of the start: start at the ball's centre
+            y[near] = 0.0
+            q, t, f = at(y)
+        done = np.zeros(radii.size, dtype=bool)
+        for attempt in range(51):
+            grad, curve, gap, bound = slopes(y, q, t, f)
+            done |= ~(gap > bound)
+            if done.all() or attempt == 50:
+                break
+            hess = np.einsum("kt,ktm,ktl->kml", curve, u, u)  # minus the Hessian
+            step, live = np.zeros_like(y), ~done
+            v = grad + np.einsum("kml,kl->km", hess, y)
+            step[live] = _ball_argmax(hess[live], v[live]) - y[live]
+            rise = ((grad - 0.5 * np.einsum("kml,kl->km", hess, step)) * step).sum(axis=1)
+            length, pending = np.ones(radii.size), ~done
+            while pending.any() and length.min() > 1e-12:
+                trial = y + length[:, None] * step
+                tq, tt, tf = at(trial)
+                take = pending & (tf >= f + 0.25 * length * rise)
+                y[take], q[take], t[take], f[take] = trial[take], tq[take], tt[take], tf[take]
+                pending &= ~take
+                length[pending] *= 0.5
+            done |= pending
+        upper = f + gap
+        if len(basis) == n:  # the sphere alone: its point nearest the ball's maximum
+            size = np.sqrt(np.square(y).sum(axis=1, keepdims=True))
+            y = np.where(size > 0.0, y / np.maximum(size, 1e-300), b[0])
+            q, t, f = at(y)
+            bound = bound + slopes(y, q, t, f)[3]
+        return np.stack([f, upper, bound])
+
+    return evaluate
+
+
 # ---------------------------------------------------------------------------
 # scalar fields
 # ---------------------------------------------------------------------------
@@ -394,20 +502,18 @@ class ScalarField:
     value (-inf, or NaN where a zero weight meets a pole) marks a hit on
     the singular set.  ``analytic_max(x0, radii)``, when set, returns the
     exact spherical maxima about x0 at a (k,) array of radii as a (k,)
-    array, or None where it has no closed form about x0; the maxima are
-    then sampled.  It is called once per curve, with all its radii.
-    ``shells(x0, points)``, when set, returns ``radii -> (k, m)`` values,
-    possibly read-only, row i ``values(x0 + radii[i] * points)`` for the m
-    unit ``points``, faster than ``values``, or a (k, 1) column where the
-    field is constant on every sphere about x0; every sampled shell is read
-    through it, at most `SHELL_BLOCK` values per call.  A field with
-    ``means`` reads them for M alone: a column, and rows whose maxima, not
-    every value, hold to rounding.
-    ``means(x0)``, when set, returns ``radii -> (4, k)``: the exact sphere
-    means about x0 at the k radii, the same by a coarser rule (the half
-    curve, whose gap is the noise bound), an upper bound on the means of
-    absolute values and a bound, in units of eps, on the rounding of the
-    means; S and V read them, and the points only M.
+    array, or None where it has no closed form about x0.  It is called once
+    per curve, with all its radii.
+    ``means(x0)``, when set, and ``maxima(x0)``, which must be set with it,
+    return ``radii -> (4, k)`` and ``radii -> (3, k)``.  The means are the
+    exact sphere means about x0 at the k radii, the same by a coarser rule
+    (the half curve, whose gap is the noise bound), an upper bound on the
+    means of absolute values and a bound, in units of eps, on the rounding
+    of the means.  The maxima are a spherical maximum attained to rounding,
+    an upper end of the maximum and a bound on the rounding of both.  A
+    field with them reads no sphere point: S and V read the means, and M
+    the closed form, which must lie between the two ends, or else the
+    attained maximum.  Any other field samples every average.
     """
 
     n: int
@@ -416,8 +522,8 @@ class ScalarField:
     singular_points: tuple = ()
     singular_distance: Callable | None = None
     analytic_max: Callable | None = None
-    shells: Callable | None = None
     means: Callable | None = None
+    maxima: Callable | None = None
 
     def at(self, x) -> float:
         x = np.asarray(x, dtype=float).reshape(1, -1)
@@ -450,10 +556,7 @@ def _clipped(vals: np.ndarray):
 
 
 def _shell_evaluator(field: ScalarField, x0: np.ndarray, points: np.ndarray) -> Callable:
-    """radii -> (k, m) field values at x0 + s * points, one row per radius s:
-    the field's `shells` hook, or else `values` on each shell's points."""
-    if field.shells is not None:
-        return field.shells(x0, points)
+    """radii -> (k, m) field values at x0 + s * points, one row per radius s."""
     return lambda radii: np.stack([field.values(x0[None, :] + s * points) for s in radii])
 
 
@@ -463,14 +566,14 @@ def _refuse_shell(r: float):
 
 
 def _maxima(radii: np.ndarray, vals: np.ndarray, exact) -> tuple:
-    """(M, leading-half M) at the k radii from the sampled shells vals, (k,
-    m) rows or (k, 1) columns: the closed forms `exact` for both, which no
-    row maximum may exceed, or, where there are none, the maxima of the
-    rows and of their leading halves, whose gap the half-set noise bound
-    reads.  A non-finite value, a hit on the singular set, is read as -inf,
-    so it never stands for a maximum (a CLIP_FLOOR value could exceed every
-    finite one); the values are scanned for one only where a row maximum is
-    not finite, and a shell whose samples are all non-finite is refused."""
+    """(M, leading-half M) at the k radii from the sampled (k, m) shells
+    vals: the closed forms `exact` for both, which no row maximum may
+    exceed, or, where there are none, the maxima of the rows and of their
+    leading halves, whose gap the half-set noise bound reads.  A non-finite
+    value, a hit on the singular set, is read as -inf, so it never stands
+    for a maximum (a CLIP_FLOOR value could exceed every finite one); the
+    values are scanned for one only where a row maximum is not finite, and
+    a shell whose samples are all non-finite is refused."""
     tops = vals.max(axis=1)
     if not np.isfinite(tops).all():
         vals = np.where(np.isfinite(vals), vals, -np.inf)
@@ -479,13 +582,37 @@ def _maxima(radii: np.ndarray, vals: np.ndarray, exact) -> tuple:
         if empty.any():
             _refuse_shell(radii[empty.argmax()])
     if exact is None:
-        return tops, vals[:, :(vals.shape[1] + 1) // 2].max(axis=1)
+        return tops, vals[:, :vals.shape[1] // 2].max(axis=1)
     over = tops > exact + 1e-6 * (1.0 + np.abs(exact))
     if over.any():
         i = over.argmax()
         raise NumericalError(f"sampled spherical max {float(tops[i])} exceeds closed form "
                              f"{float(exact[i])}")
     return exact, exact
+
+
+def _certified(radii: np.ndarray, bounds: np.ndarray, exact) -> np.ndarray:
+    """(M, leading-half M, M's error) from certified maxima (`ScalarField.
+    maxima`): the closed forms `exact`, error 0, which may pass neither end
+    by more than 1e-6 (1 + |M|); else the attained end, with its gap to the
+    upper end plus the rounding.  A maximum that is not finite is refused."""
+    lower, upper, rounding = bounds
+    bad = ~np.isfinite(bounds).all(axis=0)
+    if bad.any():
+        raise DomainError(f"the spherical max at radius {radii[bad.argmax()]:.6g} is not finite")
+    if exact is None:
+        return np.stack([lower, lower, upper - lower + rounding])
+    slack = 1e-6 * (1.0 + np.abs(exact))
+    low, high = lower > exact + slack, exact > upper + slack
+    if low.any():
+        i = low.argmax()
+        raise NumericalError(f"attained spherical max {float(lower[i])} exceeds closed form "
+                             f"{float(exact[i])}")
+    if high.any():
+        i = high.argmax()
+        raise NumericalError(f"closed form {float(exact[i])} exceeds certified max "
+                             f"{float(upper[i])}")
+    return np.stack([exact, exact, np.zeros_like(exact)])
 
 
 def _sum_depth(size: int) -> int:
@@ -499,66 +626,63 @@ def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.
                 maxima: int, means_from: int = 0):
     """(means, leading-half means, means of absolute values, rounding, hits,
     maxima, depth) of the sphere shells about x0 of the given radii, each
-    read once; the maxima are the (2, `maxima`) rows of M and leading-half
-    M (`_maxima`) of the first `maxima` shells only, against one call of
-    the field's closed form.  A mean is within eps (depth times its mean of
+    read once; the maxima are the (3, `maxima`) rows of M, leading-half M
+    and M's error at the first `maxima` radii only, against one call of the
+    field's closed form.  A mean is within eps (depth times its mean of
     absolute values plus its rounding) of the exact sum behind it
-    (`_quotient_rounding`).  The sampled shells are read in one pass of
-    blocks of at most SHELL_BLOCK values.
+    (`_quotient_rounding`).
 
-    A field with exact means (`ScalarField.means`) takes them in one call
-    for the radii from index `means_from` on (the ones before are read for
-    M only, and their means are NaN): the coarse rule's means stand for the
-    half means, the rounding is the means' own bound, with depth 0, no
-    sample is a hit, and only the shells of M are sampled.
-
-    Otherwise every shell is sampled.  The depth is that of numpy's row
-    sums and the rounding 0, and the leading half of the points is the set
-    of half the size.  A non-finite value makes its row sum non-finite, so
-    the values are scanned and clipped only in a block with a non-finite
-    row sum (`_clipped`); the maxima read the values before the clip.  A
-    shell whose row sum still overflows after clipping, or whose samples
-    are all non-finite, is refused."""
-    size, half = quad.size, quad.size // 2
+    A field with exact means (`ScalarField.means`) reads no sphere point:
+    one call gives its means at the radii from index `means_from` on (those
+    before are read for M only, and their means are NaN), the coarse rule
+    standing for the half means, with their own rounding bound, depth 0 and
+    no hit, and one call its maxima (`_certified`).  Otherwise every shell
+    is sampled, in one pass of blocks of at most SHELL_BLOCK values, with
+    the depth of numpy's row sums and rounding 0; the leading half of the
+    points is the set of half the size, and M the sampled maximum
+    (`_maxima`), with error 0.  The values are scanned and clipped
+    (`_clipped`) only in a block with a non-finite row sum, the maxima
+    reading them before the clip; a shell whose row sum still overflows,
+    or whose samples are all non-finite, is refused."""
     rows = np.full((4, radii.size), np.nan)
     hits = np.zeros(radii.size, dtype=int)
-    if field.means is None:
-        rows[3], sampled, depth = 0.0, radii, _sum_depth(size)
-    else:
-        if means_from < radii.size:
-            rows[:, means_from:] = field.means(x0)(radii[means_from:])
-        sampled, depth = radii[:maxima], 0
+    tops = np.zeros((3, maxima))
+    if field.means is not None and means_from < radii.size:
+        rows[:, means_from:] = field.means(x0)(radii[means_from:])
     exact = None
     if field.analytic_max is not None and maxima:
         exact = field.analytic_max(x0, radii[:maxima])
-    tops = np.empty((2, maxima))
-    # no sampled shell: the points are not read at all
-    evaluate = _shell_evaluator(field, x0, quad.points) if sampled.size else None
+    if field.means is not None:
+        if maxima:
+            tops = _certified(radii[:maxima], field.maxima(x0)(radii[:maxima]), exact)
+        return (*rows, hits, tops, 0)
+    size, half = quad.size, quad.size // 2
+    rows[3] = 0.0
+    evaluate = _shell_evaluator(field, x0, quad.points)
     step = max(1, SHELL_BLOCK // size)
-    for lo in range(0, sampled.size, step):
-        block = sampled[lo:lo + step]
+    for lo in range(0, radii.size, step):
+        block = radii[lo:lo + step]
+        span = slice(lo, lo + block.size)
         vals = evaluate(block)
         top = vals[:max(0, maxima - lo)]
-        if field.means is None:
-            span = slice(lo, lo + block.size)
+        sums = vals.sum(axis=1)
+        if not np.isfinite(sums).all():
+            vals, hits[span] = _clipped(vals)
             sums = vals.sum(axis=1)
-            if not np.isfinite(sums).all():
-                vals, hits[span] = _clipped(vals)
-                sums = vals.sum(axis=1)
-                refused = ~np.isfinite(sums) | (hits[span] == size)
-                if refused.any():
-                    i = refused.argmax()
-                    if np.isfinite(sums[i]):
-                        _refuse_shell(block[i])
-                    raise DomainError(f"the sum of the sphere samples at radius "
-                                      f"{block[i]:.6g} overflows")
-            rows[0, span] = sums / size
-            rows[1, span] = vals[:, :half].sum(axis=1) / half
-            rows[2, span] = np.abs(vals).sum(axis=1) / size
+            refused = ~np.isfinite(sums) | (hits[span] == size)
+            if refused.any():
+                i = refused.argmax()
+                if np.isfinite(sums[i]):
+                    _refuse_shell(block[i])
+                raise DomainError(f"the sum of the sphere samples at radius "
+                                  f"{block[i]:.6g} overflows")
+        rows[0, span] = sums / size
+        rows[1, span] = vals[:, :half].sum(axis=1) / half
+        rows[2, span] = np.abs(vals).sum(axis=1) / size
         if len(top):
-            tops[:, lo:lo + len(top)] = _maxima(
+            tops[:2, lo:lo + len(top)] = _maxima(
                 block[:len(top)], top, None if exact is None else exact[lo:lo + len(top)])
-    return (*rows, hits, tops, depth)
+    return (*rows, hits, tops, _sum_depth(size))
 
 
 @dataclass
@@ -567,10 +691,12 @@ class AverageCurve:
     radii: np.ndarray
     values: np.ndarray
     clipped_fraction: float = 0.0
-    # the same curve on the leading half of the points (M: its closed form, if any)
+    # the same curve on the leading half of the points (M: the curve itself
+    # where it is a closed form or certified)
     half_values: np.ndarray | None = None
     # V: the gap of the deepest quotient to the half-order ladder's, plus the
-    # bound on its rounding (`_quotient_rounding`); 0 for M and S
+    # bound on its rounding (`_quotient_rounding`); a certified M: the gaps
+    # and rounding of the two deepest maxima over |K(r_-2) - K(r_-1)|; 0 else
     quadrature_error: float = 0.0
 
     def to_csv_rows(self, p: float):
@@ -651,6 +777,10 @@ def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
     for kind in kinds:
         if kind == "M":
             out[kind] = AverageCurve(kind, radii, maxima[0], half_values=maxima[1])
+            error = maxima[2, -2:].sum()
+            if error and p is not None and radii.size > 1:
+                k0, k1 = kernel(KernelSpec(p=p), radii[-2:])
+                out[kind].quadrature_error = float(error / abs(k0 - k1))
         elif kind == "S":
             out[kind] = curve(kind, means[:k], halves[:k], hits[:k])
         else:
@@ -670,8 +800,9 @@ def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
 
 def spherical_max(field: ScalarField, x0, r: float, quad: SphereQuad | None = None) -> float:
     """Spherical maximum M(u, x0; r): the field's closed form when it has
-    one, checked against the sampled maximum; otherwise the sampled
-    maximum, which is at most the true supremum."""
+    one, checked against its certified maxima or the sampled maximum; else
+    the certified attained maximum, or the sampled one, which is at most
+    the true supremum."""
     return float(average_curves(field, ("M",), x0, [r], quad)["M"].values[0])
 
 
@@ -807,23 +938,22 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     largest gap between the quotients of a curve and of its half curve,
     over every kind.  For a sampled field the half curve is that of the
     leading half of the points, and the noise bound estimates the
-    sampling error.  For a field with exact means (a kernel sum,
-    `ScalarField.means`) the S and V half curves are those of the coarse
-    rule, so there the noise bound estimates the rule's error, and the
-    sphere points (`quad`, so `--quad` and `--seed`) reach only M: its
-    closed form on the ray of centres is checked against them, and off
-    that ray M is their sampled maximum, whose leading half still gives
-    its gap.  A closed-form M adds 0.  The V bracket adds the curve's
-    `quadrature_error`: the ladder's truncation, estimated by the
+    sampling error.  A field with exact means and maxima (a kernel sum,
+    `ScalarField.means`) reads no point, so `quad` (`--quad`, `--seed`)
+    changes none of its reports: its S and V half curves are those of the
+    coarse rule, whose gap estimates the rule's error, and its M, closed
+    form or certified, is its own half curve.  The V bracket adds the
+    curve's `quadrature_error`: the ladder's truncation, estimated by the
     half-order ladder, and its rounding (for exact means, each mean's own
-    rounding bound, node values included: `_sphere_means`).  Only the V
-    bracket covers rounding: the M and S brackets are the quotient gaps
-    alone, so a constant quotient reads bracket 0 while its estimate may
-    be an ulp off (theta_M = theta_S = 3.0000000000000004 for the Riesz
-    kernel at theta = 3, p = 2.5, n = 2).  The kernel is computed at the
-    radii once, for the quotients of every curve and half curve in one
-    `radial.quotients` call.  The report keeps the curves as its `curves`
-    attribute, which is not a field, so the JSON report leaves them out.
+    rounding bound: `_sphere_means`); a certified M off the ray of centres
+    adds its gap and rounding.  The S bracket and a closed-form or sampled
+    M's are the quotient gaps alone, so a constant quotient reads bracket
+    0 while its estimate may be an ulp off (theta_M = theta_S =
+    3.0000000000000004 for the Riesz kernel at theta = 3, p = 2.5, n = 2).
+    The kernel is computed at the radii once, for the quotients of every
+    curve and half curve in one `radial.quotients` call.  The report keeps
+    the curves as its `curves` attribute, which is not a field, so the
+    JSON report leaves them out.
     """
     KernelSpec(p=p)  # the exponent's check, before any shell is evaluated
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -1228,7 +1358,9 @@ def density_decay_check(field: ScalarField, x0, path_points, p: float,
 def holder_estimate(field: ScalarField, x0, rho: float, big_r: float, p: float,
                     quad: SphereQuad | None = None) -> float:
     """Hoelder norm on B_rho from the max average at R: a bound where M has
-    a closed form, and an estimate from the sampled maximum otherwise."""
+    a closed form, one to within its gap where M is certified (a kernel
+    sum off the ray of centres), and an estimate from the sampled maximum
+    otherwise."""
     if not 1.0 <= p < 2.0:
         raise DomainError("Hoelder estimates need 1 <= p < 2")
     alpha = 2.0 - p
@@ -1246,8 +1378,8 @@ def holder_estimate(field: ScalarField, x0, rho: float, big_r: float, p: float,
 def infinitesimal_holder(field: ScalarField, x0, p: float, radii=None,
                          quad: SphereQuad | None = None) -> float:
     """(M(u, x0, r) - u(x0)) / r^alpha at the deepest radius; decreasing in r.
-    A bound where M has a closed form, an estimate from the sampled
-    maximum otherwise."""
+    A bound where M has a closed form, one to within its gap where M is
+    certified, an estimate from the sampled maximum otherwise."""
     if not 1.0 <= p < 2.0:
         raise DomainError("needs 1 <= p < 2")
     alpha = 2.0 - p
@@ -1265,38 +1397,23 @@ def infinitesimal_holder(field: ScalarField, x0, p: float, radii=None,
 
 def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np.ndarray,
                       **meta) -> ScalarField:
-    """The field sum_k w_k K(|x - c_k|) with its `shells` and `means` hooks.
+    """The field sum_k w_k K(|x - c_k|) with its `means` and `maxima` hooks.
 
-    The `shells` hook, read by M alone, takes 2 t = 2 <w, x0 - c> for the
-    unit points w (one mat-vec) and |x0 - c|^2 per center; the shell of
-    radius s is at q = s (s + 2 t) + |x0 - c|^2, for a block of radii at
-    once, turned into w K(sqrt(q)) in place (`radial.weighted_kernel_of_square`).
-    Near a pole q cancels, but with weights >= 0 and increasing kernels the
-    maximum lies where every term is large and q's few eps of (s + |x0 -
-    c|)^2 are small.  Where |x0 - c|^2 overflows, s and x0 - c are scaled
-    by d = |x0 - c| (`_offset`) and (2 - p) ln d joins the log; where q
-    overflows on s^2 (radii beyond about 1e154), its rows are scaled by
-    max(s, d) likewise (`_shell_squares`).  A center at
-    x0 gives a (k, 1) column w K(s).  The terms are summed in order into
-    the first full term, with the floats of a sum from zeros; where every
-    term is centred the hook returns their column.  `values`, by sqrt and
-    power, is the shells' reference.
-
-    The `means` hook sums, in the terms' order from zeros, each term's
-    exact sphere means (`_sphere_means`) at d = |x0 - c| > 0, or its column
-    w K(r) where c = x0 (within 3 eps relative: a power or log, and a
-    product); a term of weight 0 adds nothing.  Each of the T terms it adds
-    rounds within eps times the mean of absolute values of the whole sum,
-    so its rounding bound is the terms' bounds plus T times that mean.  A
-    mean, or its rounding bound, that is not finite (float overflow) is
-    refused.
+    The means sum, in the terms' order from zeros, each term's exact sphere
+    means (`_sphere_means`) at d = |x0 - c| > 0, or its column w K(r) where
+    c = x0 (within 3 eps relative: a power or log, and a product); a term
+    of weight 0 adds nothing.  Each of the T terms it adds rounds within eps
+    times the mean of absolute values of the whole sum, so its rounding
+    bound is the terms' bounds plus T times that mean.  A mean, or its
+    rounding bound, that is not finite (float overflow) is refused.  The
+    maxima are certified (`_kernel_sum_maxima`).
 
     `analytic_max` is sum_k w_k K(r + |x0 - c_k|) when every centre of
     positive weight other than x0 lies on one ray from x0 (directions
     within 1e-9, where the closed form's error, second order in the angle,
     is below rounding): each term then peaks at the same point of the
-    sphere.  Off the ray it is None, and the maximum is sampled.  Each term
-    is one `radial.kernel` call on all the radii, summed in order.
+    sphere.  Off the ray it is None.  Each term is one `radial.kernel` call
+    on all the radii, summed in order.
     """
     finite = np.isfinite(centers).all(axis=1)
     if not finite.all():
@@ -1308,36 +1425,6 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
         for w, c in zip(weights, centers):
             out += weighted_kernel(spec, w, row_norms(pts - c))
         return out
-
-    def shells(x0, points):
-        projections = []  # per term: 2 t, |x0 - c|^2, d and (2 - p) ln d (`_offset`); None at x0
-        for c in centers:
-            if not (x0 - c).any():
-                projections.append(None)
-                continue
-            a, square, scale = _offset(spec, x0 - c)
-            log_factor = None if scale == 1.0 else (2.0 - spec.p) * math.log(scale)
-            projections.append((points @ (2.0 * a), square, scale, log_factor))
-
-        def evaluate(radii):
-            radii = np.asarray(radii, dtype=float)
-            top = float(radii.max(initial=0.0))
-            total = None  # a (k, 1) column while every term so far is centred
-            for w, proj in zip(weights, projections):
-                if proj is None:
-                    term = weighted_kernel(spec, w, radii[:, None].copy())
-                else:
-                    term, log_factor = _shell_squares(spec, radii, top, *proj)
-                    weighted_kernel_of_square(spec, w, term, log_factor)
-                if total is None or term.shape[1] > total.shape[1]:
-                    # 0 + term turns a -0.0 into 0.0; b + a has the floats of a + b
-                    term += 0.0 if total is None else total
-                    total = term
-                else:
-                    total += term
-            return total
-
-        return evaluate
 
     def means(x0):
         offsets = [math.hypot(*(x0 - c)) for c in centers]
@@ -1386,8 +1473,8 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
                         for w, (square, d) in zip(weights, offsets))
         return sum(rest, first)
 
-    return ScalarField(n=n, values=values, shells=shells, means=means, analytic_max=analytic_max,
-                       **meta)
+    return ScalarField(n=n, values=values, means=means, analytic_max=analytic_max,
+                       maxima=partial(_kernel_sum_maxima, spec, weights, centers), **meta)
 
 
 def riesz_kernel_field(theta: float, p: float, n: int, center=None) -> ScalarField:

@@ -138,7 +138,7 @@ def _p_convex_eig_margin(n, p):
     return _fractional_sum(p)
 
 
-def _integral(family: str, name: str, value) -> int:
+def integral(family: str, name: str, value) -> int:
     """An integer parameter as an int; a fractional, non-finite or
     non-numeric value is refused, not truncated."""
     try:
@@ -151,7 +151,7 @@ def _integral(family: str, name: str, value) -> int:
 
 
 def _sigma_k_eig_margin(n, k):
-    k = _integral("sigma-k", "k", k)
+    k = integral("sigma-k", "k", k)
     if not 1 <= k <= n:
         raise DomainError(f"sigma-k needs 1 <= k <= n, got k={k}")
     return lambda lams: elementary_symmetric_all(lams, k).min(axis=-1)
@@ -239,14 +239,14 @@ def _full_space_eig_margin(n):
 
 
 def _garding_det_eig_margin(n, k):
-    k = _integral("garding-det", "k", k)
+    k = integral("garding-det", "k", k)
     if not 1 <= k <= n:
         raise DomainError(f"garding-det needs 1 <= k <= {n}, got k={k}")
     return _branch(k - 1)
 
 
 def _garding_pdelta_eig_margin(n, delta, k):
-    k = _integral("garding-pdelta", "k", k)
+    k = integral("garding-pdelta", "k", k)
     if delta <= 0:
         raise DomainError(f"garding-pdelta needs delta > 0, got {delta}")
     if not 1 <= k <= n:
@@ -256,7 +256,7 @@ def _garding_pdelta_eig_margin(n, delta, k):
 
 def _garding_sum_eig_margin(n, p, k):
     """k-th smallest sum of p eigenvalues."""
-    k = _integral("garding-sum", "k", k)
+    k = integral("garding-sum", "k", k)
     if int(p) != p or not 1 <= p <= n:
         raise DomainError(f"garding-sum needs an integer p in [1, {n}], got p={p}")
     count = math.comb(n, int(p))
@@ -445,12 +445,12 @@ def sample_grassmannian(n: int, p: int, count: int | None = None, seed=0,
     one (count, n, p) draw, one stacked QR factorization with the signs
     of R's diagonal moved into Q, and one orthonormality check for the
     stack."""
-    n, p = _integral("Grassmann sample", "n", n), _integral("Grassmann sample", "p", p)
+    n, p = integral("Grassmann sample", "n", n), integral("Grassmann sample", "p", p)
     if not 1 <= p <= n:
         raise DomainError(f"Grassmannian G(p, R^n) needs 1 <= p <= n, got p={p}, n={n}")
     if count is None:
         count = 512 if n <= 4 else 2048
-    count = _integral("Grassmann sample", "count", count)
+    count = integral("Grassmann sample", "count", count)
     if count < 1:
         raise DomainError(f"Grassmann sample needs count >= 1, got count={count}")
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((count, n, p)))

@@ -6,7 +6,8 @@ numpy's ``sum(axis=1)``, its leading half summed again on its own; and a
 kernel sum's closed-form maximum makes its ray test and centre distances
 at every radius (``kernel_sum_max``).  A field with exact means
 (``ScalarField.means``) reads them for S and V, the coarse rule as the
-half means, and samples each of its curve shells on its own for M.  The
+half means, and its certified maxima for M, the closed form at each
+radius checked on its own against both ends (``certified``).  The
 V bracket's rounding term is ``flow._quotient_rounding``'s, read from
 each shell's plain sum of absolute values (or the exact means' and their
 rounding bounds).  M reads each sampled shell with its non-finite samples
@@ -63,7 +64,7 @@ def plus_quadratic(base: flow.ScalarField, c: float) -> flow.ScalarField:
         pts = np.asarray(pts, dtype=float)
         return base.values(pts) + 0.5 * np.einsum("mi,ij,mj->m", pts, a, pts)
 
-    return dataclasses.replace(base, values=values, shells=None, means=None, analytic_max=None)
+    return dataclasses.replace(base, values=values, means=None, maxima=None, analytic_max=None)
 
 
 def maximum(field, x0, r, vals):
@@ -85,17 +86,34 @@ def maximum(field, x0, r, vals):
     return exact, exact
 
 
-def sampled_maximum(field, x0, quad, r):
-    """M of one shell, sampled on its own; a (1, 1) column is read as its
-    value at every point."""
-    row = flow._shell_evaluator(field, x0, quad.points)([r])[0]
-    return maximum(field, x0, r, np.broadcast_to(row, quad.size))
+def certified(field, x0, radii):
+    """(M, leading-half M, M's error) at each radius from the field's
+    certified maxima (attained, upper end, rounding): the closed form at
+    that radius alone, within 1e-6 (1 + |M|) of both ends, with error 0, or
+    else the attained end, with its gap to the upper end plus the rounding."""
+    exacts = [None if field.analytic_max is None else field.analytic_max(x0, np.array([r]))
+              for r in radii]
+    tops = []
+    for r, exact, (lower, upper, rounding) in zip(radii, exacts, field.maxima(x0)(radii).T):
+        if not np.isfinite([lower, upper, rounding]).all():
+            raise DomainError(f"the spherical max at radius {r:.6g} is not finite")
+        if exact is None:
+            tops.append((lower, lower, upper - lower + rounding))
+            continue
+        exact = float(exact[0])
+        if lower > exact + 1e-6 * (1.0 + abs(exact)):
+            raise NumericalError(f"attained spherical max {float(lower)} exceeds closed form "
+                                 f"{exact}")
+        if exact > upper + 1e-6 * (1.0 + abs(exact)):
+            raise NumericalError(f"closed form {exact} exceeds certified max {float(upper)}")
+        tops.append((exact, exact, 0.0))
+    return tops
 
 
 def shell_rows(field, x0, quad, radii, maxima):
     if field.means is not None:
         means, halves, absolute, rounding = field.means(x0)(radii)
-        tops = [sampled_maximum(field, x0, quad, r) for r in radii[:maxima]]
+        tops = certified(field, x0, radii[:maxima]) if maxima else []
         return means, halves, absolute, rounding, np.zeros(radii.size, dtype=int), tops, 0
     evaluate = flow._shell_evaluator(field, x0, quad.points)
     size, half = quad.size, quad.size // 2
@@ -122,7 +140,8 @@ def shell_rows(field, x0, quad, radii, maxima):
         means[rows] = sums / size
         halves[rows] = vals[:, :half].sum(axis=1) / half
         absolute[rows] = np.abs(vals).sum(axis=1) / size
-        tops += [maximum(field, x0, r, row) for r, row in zip(block[:max(0, maxima - lo)], raw)]
+        tops += [(*maximum(field, x0, r, row), 0.0)
+                 for r, row in zip(block[:max(0, maxima - lo)], raw)]
     depth = size // 8 + 2 if size <= 128 else size.bit_length() + 10  # numpy's pairwise sum
     return means, halves, absolute, np.zeros(radii.size), hits, tops, depth
 
@@ -150,8 +169,12 @@ def average_curves(field, kinds, x0, radii, quad, p):
     out = {}
     for kind in kinds:
         if kind == "M":
-            values, half_values = np.array(maxima).T
+            values, half_values, errors = np.array(maxima).T
             out[kind] = flow.AverageCurve(kind, radii, values, half_values=half_values)
+            if errors[-2:].sum() and p is not None and radii.size > 1:
+                spec = KernelSpec(p=p)
+                out[kind].quadrature_error = float(errors[-2:].sum() / abs(
+                    kernel(spec, radii[-2]) - kernel(spec, radii[-1])))
         elif kind == "S":
             out[kind] = curve(kind, means[:k], halves[:k], hits[:k])
         else:

@@ -1051,6 +1051,72 @@ def test_density_has_a_default_quadrature_up_to_n_16(capsys, n):
     assert abs(payload["theta"]["V"] - exact) <= payload["bracket"]["V"] + 8 * math.ulp(exact)
 
 
+# every README and CI `density` and `flow` command of a kernel sum
+KERNEL_SUM_COMMANDS = [
+    "density riesz --theta 3 --p 3 --n 4", "density newtonian --p 3 --n 3 --mass",
+    "density riesz --p 5 --n 4", "density newtonian --p 3 --n 6 --offset 2.5",
+    "density newtonian --p 3 --n 4 --offset 0.5 --center 0.01 -0.02 0.03 -0.04",
+    "density newtonian --p 3 --n 4 --offset 0.5 --center 0.01 -0.02 0.03 -0.04 --quad 8 "
+    "--seed 9",
+    "density riesz --theta 3 --p 3 --n 12", "density riesz --theta 3 --p 3 --n 16",
+    "density newtonian --p 3 --n 16 --offset 0.5", "density newtonian --p 3 --n 8 --offset 2.5",
+    "density riesz --theta 3 --p 3 --n 8", "density newtonian --p 3 --n 4 --offset 0.5",
+    "density newtonian --n 3 --p 3 --offset 0.5", "density riesz --theta 1 --n 4 --p 5.9",
+    "density riesz --theta 3 --p 3 --n 6", "density riesz --theta 3 --p 2 --n 2",
+    "density riesz --theta 3 --p 2.5 --n 2", "density newtonian --p 3 --n 4 --offset 1e160",
+    "density newtonian --p 1.5 --n 4 --offset 1e150",
+    "density newtonian --p 3 --n 4 --offset 0.5 --center 0.01 -0.02 0.03 -0.04 "
+    "--radii 1e160 1e159 1e158",
+    "density newtonian --p 2.001 --n 4 --offset 1e160",
+    "density newtonian --p 2 --n 2 --offset 1 --center 0.3 0.4",
+    "density riesz --p 4 --n 3 --center 0.5 0 0", "density riesz --theta 1e304 --p 3 --n 4",
+    "density newtonian --p 3 --n 4 --theta 1e304 --offset 0.5",
+    "density newtonian --p 2 --n 4 --offset 1e160",
+    "density newtonian --p 2 --n 4 --offset 0.5 --radii 1e160 1e159 1e158",
+    "flow riesz --p 1.5 --n 3 --candidate riesz",
+    "flow riesz --p 1.5 --n 3 --candidate riesz --metric holder --beta 0.25",
+]
+
+
+@pytest.mark.parametrize("command", KERNEL_SUM_COMMANDS)
+def test_no_kernel_sum_report_reads_a_sphere_point(monkeypatch, capsys, command):
+    # each sphere set is built fresh, so that one drawn by an earlier call
+    # is seen: a density reads none, and a flow only its comparison grid
+    # (256 points, seed 7), not the set of --quad and --seed
+    built = []
+
+    def fresh(*args, **kwargs):
+        built.append(flow.SphereQuad(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(flow, "sphere_quad", fresh)
+    code = cli.main([*command.split(), "--no-timestamp"])
+    capsys.readouterr()
+    assert code in (0, 3)
+    read = [(quad.size, quad.seed) for quad in built if "points" in vars(quad)]
+    assert built and read == ([(256, 7)] if command.startswith("flow") else [])
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["--n", "17"], "error: Sobol direction numbers are tabulated for 1 <= d <= 16, got d = 17\n"),
+    (["--n", "3", "--quad", "2097152"], "error: quadrature size must be at most 2^20, 16 times "
+     "the largest default, got 2097152\n"),
+])
+def test_a_kernel_sum_density_still_refuses_its_sphere_set(monkeypatch, capsys, argv, line):
+    # the set is checked when it is built, though no kernel sum reads it
+    monkeypatch.setattr(flow, "sobol", lambda *args: pytest.fail("drew a point"))
+    code = cli.main(["density", "riesz", "--theta", "3", "--p", "3", *argv, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", line)
+
+
+@pytest.mark.parametrize("extra", [["--quad", "8", "--seed", "9"], ["--seed", "123"],
+                                   ["--quad", "1048576"]])
+def test_quad_and_seed_change_no_kernel_sum_density(capsys, extra):
+    base = "density newtonian --p 3 --n 4 --offset 0.5 --center 0.01 -0.02 0.03 -0.04".split()
+    assert run(capsys, *base, "--no-timestamp") == run(capsys, *base, *extra, "--no-timestamp")
+
+
 def test_density_refuses_n_beyond_the_sobol_table(capsys):
     code = cli.main(["density", "riesz", "--theta", "3", "--p", "3", "--n", "17",
                      "--no-timestamp"])

@@ -9,6 +9,7 @@ noise bound, for kernels that are sampled off centre) of the deepest
 quotient of the exact curve.
 """
 
+import functools
 import json
 import math
 
@@ -271,3 +272,65 @@ def test_a_mean_whose_squared_distance_overflows_is_refused_at_p_up_to_2(p):
     with pytest.raises(flow.DomainError, match="^the sphere mean of a kernel centre at distance "
                        "1e\\+160 from x0 is refused at p <= 2: its squared distance overflows$"):
         flow._sphere_means(radial.KernelSpec(p=p), 4, 1.0, 1e160, np.array([1.0, 0.5]))
+
+
+# The certified maxima of a kernel sum (`ScalarField.maxima`) against the
+# largest of `values` on 2^16 random points of each sphere: it may not
+# exceed the upper end plus the rounding bound, and the two ends lie within
+# 1e-13 relative plus that bound, except where the offsets span R^n and
+# the maximum over their ball lies inside it (the interior case).  The
+# points' norms are 1 within 2 eps, which moves each distance by as much
+# and `values`, a power 2 - p of it, by |2 - p| times that and its own
+# rounding: (4 |2 - p| + 8) eps relative allows for both.
+
+
+@functools.lru_cache(maxsize=2)
+def sphere_points(n):
+    g = np.random.default_rng(n).standard_normal((1 << 16, n))
+    return g / np.linalg.norm(g, axis=1)[:, None]
+
+
+def check_certificate(field, x0, radii, p, interior=False):
+    points = sphere_points(field.n)
+    lower, upper, rounding = field.maxima(x0)(radii)
+    for r, low, up, err in zip(radii, lower, upper, rounding):
+        sampled = float(field.values(x0 + r * points).max())
+        slack = (4.0 * abs(2.0 - p) + 8.0) * np.finfo(float).eps * abs(sampled)
+        assert sampled <= up + err + slack, (r, sampled, up, err)
+        assert low <= up + err
+        if interior:  # on the circle the points are dense enough to reach the attained end
+            assert low <= sampled + 1e-6 * abs(sampled), (r, low, sampled)
+        else:
+            assert up - low <= 1e-13 * abs(up) + err, (r, low, up, err)
+
+
+@pytest.mark.parametrize("n,p,ratio", list(grid_settings()))
+def test_the_certified_max_holds_on_the_oracle_grid(n, p, ratio):
+    # off the ray of the centres (on it, every report checks the closed
+    # form against the certificate), on the sphere through the second
+    # centre's distance and the deepest default one
+    field, d = grid_field(n, p, ratio)
+    check_certificate(field, 0.3 * d * np.eye(n)[1], np.array([d, 1.0 / 32]), p)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_the_certified_max_holds_for_random_kernel_sums(n):
+    rng = np.random.default_rng(1000 + n)
+    for p in sorted({1.5, 2.0, 3.0, float(n)}):
+        k = 2 if n == 2 else int(rng.integers(2, 4))
+        field = flow._kernel_sum_field(n, radial.KernelSpec(p=p), rng.uniform(0.2, 2.0, k),
+                                       rng.normal(scale=0.6, size=(k, n)))
+        check_certificate(field, rng.normal(scale=0.1, size=n), np.array([1.0, 0.125, 1 / 32]), p)
+
+
+def test_the_certified_max_holds_inside_three_masses():
+    # three unit masses around x0 in the plane: the offsets span R^2 and,
+    # on the small spheres, the maximum over their ball lies inside it; the
+    # lower end is still attained on the sphere and the upper end holds
+    angles = 2.0 * math.pi * np.arange(3) / 3.0
+    centres = 0.5 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    field = flow._kernel_sum_field(2, radial.KernelSpec(p=2.0), np.ones(3), centres)
+    radii = flow.default_radii()
+    lower, upper, _ = field.maxima(np.zeros(2))(radii)
+    assert upper[-1] - lower[-1] > 1e-6  # the interior case
+    check_certificate(field, np.zeros(2), radii, 2.0, interior=True)

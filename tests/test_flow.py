@@ -5,6 +5,7 @@ import pickle
 import re
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +70,52 @@ def test_sphere_quad_refuses_more_than_2_to_the_20_points(monkeypatch, size):
 def test_the_quadrature_cap_is_16_times_the_largest_default():
     assert flow.QUAD_SIZE_MAX == 1 << 20 == 16 * max(flow.default_quad_size(n)
                                                       for n in range(2, 17))
+
+
+@pytest.mark.parametrize("args,message", [
+    ((4, 512.5), "sphere quadrature needs an integer size, got size=512.5"),
+    ((4, math.inf), "sphere quadrature needs an integer size, got size=inf"),
+    ((4, 512, -1), "sphere quadrature needs a seed >= 0, got -1"),
+    ((4, 512, 1.5), "sphere quadrature needs an integer seed, got seed=1.5"),
+    ((17, 512), "Sobol direction numbers are tabulated for 1 <= d <= 16, got d = 17"),
+], ids=["fractional-size", "infinite-size", "negative-seed", "fractional-seed", "n=17"])
+def test_sphere_quad_refuses_its_inputs_when_built(monkeypatch, args, message):
+    # each input is checked at construction, before any draw, and a
+    # fractional one is refused rather than truncated
+    monkeypatch.setattr(flow, "sobol", lambda *args: pytest.fail("drew a point"))
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        flow.SphereQuad(*args)
+
+
+def test_sphere_quad_draws_its_points_on_first_read(monkeypatch):
+    draws, sobol = [], flow.sobol
+    monkeypatch.setattr(flow, "sobol", lambda *args: draws.append(args[1:]) or sobol(*args))
+    quad = flow.SphereQuad(4, 4 * flow.QUAD_BLOCK, seed=5)
+    assert draws == [] and "points" not in vars(quad)
+    points = quad.points
+    assert quad.points is points and points.shape == (4 * flow.QUAD_BLOCK, 4)
+    assert draws == [((i + 1) * flow.QUAD_BLOCK, 5, i * flow.QUAD_BLOCK) for i in range(4)]
+
+
+def test_the_density_flow_ops_read_no_default_sphere_set(monkeypatch):
+    # the benchmark's density-flow operations of one seed, each passing its
+    # oracle: their kernel sums read no point of the four default sets, and
+    # their tangent flows only the comparison grid (256 points, seed 7)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    built = []
+
+    def fresh(*args, **kwargs):
+        built.append(flow.SphereQuad(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(flow, "sphere_quad", fresh)
+    for op in workloads.build_density_flow(1, False, None):
+        assert op.check(op.call()) is None, op.label
+    assert {(quad.n, quad.size) for quad in built} >= {(n, flow.default_quad_size(n))
+                                                       for n in (3, 4, 6, 8)}
+    assert {(quad.size, quad.seed) for quad in built if "points" in vars(quad)} == {(256, 7)}
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -216,7 +263,7 @@ def test_two_kernels_on_one_ray_have_a_closed_form_max(capsys):
     # beyond both centres on the axis: still one ray, at distances 0.3 and 0.8
     assert field.analytic_max(-0.3 * e1, np.array([0.2])).tolist() == [
         radial.kernel(spec, 0.2 + 0.3) + radial.kernel(spec, 0.2 + 0.8)]
-    # between the centres, or off the axis, the maximum is sampled
+    # between the centres, or off the axis, the maximum is certified
     quad = flow.sphere_quad(4, 1024)
     for x0 in (0.2 * e1, np.array([0.25, 0.1, 0.0, 0.0])):
         assert field.analytic_max(x0, np.array([0.2])) is None
@@ -234,7 +281,7 @@ def test_two_kernels_on_one_ray_have_a_closed_form_max(capsys):
     ["newtonian", "--p", "3", "--n", "4", "--offset", "0.7", "--center", "0.1", "0.2", "0", "0"],
 ], ids=["offset-0.5", "newtonian"])
 def test_a_density_off_the_ray_reads_monotone(capsys, argv):
-    # off the ray of centres M is the sampled maximum: its quotients are
+    # off the ray of centres M is the certified maximum: its quotients are
     # positive and decrease
     assert cli.main(["density", *argv, "--no-timestamp"]) == 0
     rep = json.loads(capsys.readouterr().out)
@@ -260,12 +307,17 @@ def test_a_centre_a_tiny_distance_from_x0_keeps_its_direction():
 
 @pytest.mark.parametrize("quad", [None, flow.sphere_quad(3, 256)], ids=["default", "given"])
 def test_spherical_max_always_checks_a_closed_form(quad):
-    # a closed form below the field: the sampled shell exposes it with or
-    # without a given quadrature
-    u = dataclasses.replace(flow.riesz_kernel_field(1.0, 3.0, 3),
-                            analytic_max=lambda x0, radii: np.full(radii.size, -10.0))
-    with pytest.raises(NumericalError, match="exceeds closed form"):
-        flow.spherical_max(u, np.zeros(3), 0.5, quad)
+    # a closed form below the field's attained maximum, or above its upper
+    # end: the certificate exposes it with or without a given quadrature
+    field = flow.riesz_kernel_field(1.0, 3.0, 3)
+    attained = float(field.maxima(np.zeros(3))(np.array([0.5]))[0, 0])
+    for closed, message in ((-10.0, f"attained spherical max {attained} exceeds closed "
+                                    f"form -10.0"),
+                            (10.0, f"closed form 10.0 exceeds certified max {attained}")):
+        u = dataclasses.replace(field, analytic_max=lambda x0, radii, c=closed: np.full(
+            radii.size, c))
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+            flow.spherical_max(u, np.zeros(3), 0.5, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -518,36 +570,32 @@ def test_density_rejects_infinite_p(quad3):
         flow.densities(flow.zero_field(3), np.zeros(3), math.inf, quad=quad3)
 
 
-def _counted(field, x0, means=None):
-    """The field with its shell evaluator wrapped to record the radius and
-    size of every sampled sphere shell (row) about x0 it is evaluated on;
-    given a list `means`, its exact means' evaluator is wrapped to record
-    the radii of each call in it."""
+def _counted(field, x0, means=None, maxima=None):
+    """The field with its `values` wrapped to record the radius and size of
+    every sampled sphere shell about x0 it is evaluated on (one call per
+    shell); given lists `means` and `maxima`, its exact means' and
+    certified maxima's evaluators are wrapped to record the radii of each
+    call in them."""
     calls = []
 
-    def shells(center, points):
-        assert np.array_equal(center, x0)
-        evaluate = flow._shell_evaluator(field, center, points)
+    def values(pts):
+        calls.append((round(float(np.linalg.norm(pts[0] - x0)), 12), pts.shape[0]))
+        return field.values(pts)
 
-        def counted(radii):
-            calls.extend((round(float(s), 12), points.shape[0]) for s in radii)
-            return evaluate(radii)
+    def recorded(hook, log):
+        def setup(center):
+            assert np.array_equal(center, x0)
+            evaluate = hook(center)
+            return lambda radii: log.append([round(float(s), 12) for s in radii]) or evaluate(
+                radii)
 
-        return counted
+        return setup
 
-    def exact(center):
-        assert np.array_equal(center, x0)
-        evaluate = field.means(center)
-
-        def counted(radii):
-            means.append([round(float(s), 12) for s in radii])
-            return evaluate(radii)
-
-        return counted
-
-    hooks = {"shells": shells}
-    if means is not None and field.means is not None:
-        hooks["means"] = exact
+    hooks = {"values": values}
+    if field.means is not None:
+        for name, log in (("means", means), ("maxima", maxima)):
+            if log is not None:
+                hooks[name] = recorded(getattr(field, name), log)
     return dataclasses.replace(field, **hooks), calls
 
 
@@ -563,17 +611,18 @@ def test_densities_evaluate_each_shell_once(field, sampled, quad3):
     x0 = np.zeros(3)
     radii = flow.default_radii()
     assert (field.analytic_max(x0, radii) is None) is sampled
-    means = []
-    counted, calls = _counted(field, x0, means)
+    means, maxima = [], []
+    counted, calls = _counted(field, x0, means, maxima)
     rep = flow.densities(counted, x0, 3.0, quad=quad3)
     if sampled:  # M and S share one shell per radius; V adds the shells of its ladders
         assert len(calls) == radii.size + volume_shells(radii.size) == 98
-        assert means == []
-    else:  # the centred kernel's S and V take one means call; M reads its curve shells
-        assert len(calls) == radii.size
+        assert means == maxima == []
+        assert {size for _, size in calls} == {quad3.size}
+        assert len({radius for radius, _ in calls}) == len(calls)
+    else:  # the centred kernel's S and V take one means call, M one maxima call
+        assert calls == []
         assert [len(set(call)) for call in means] == [radii.size + volume_shells(radii.size)]
-    assert {size for _, size in calls} == {quad3.size}
-    assert len({radius for radius, _ in calls}) == len(calls)
+        assert maxima == [radii.tolist()]
 
     # the noise bound is the one the half quadrature gives
     kvals = np.asarray(radial.kernel(radial.KernelSpec(p=3.0), radii), dtype=float)
@@ -591,35 +640,40 @@ def test_densities_evaluate_each_shell_once(field, sampled, quad3):
 def test_each_kind_evaluates_only_its_shells(quad3, kind, exact):
     # sampled (the exact means set aside), each kind evaluates only its own
     # shells; with exact means, S and V read them in one call for every
-    # radius of the sweep, and M reads the sphere points only
+    # radius of the sweep, M its maxima in one call, and no shell is read
     x0 = np.zeros(3)
     radii = flow.default_radii()
     field = flow.newtonian_potential_field(3.0, [(1.0, x0), (0.5, np.array([0.3, 0.4, 0.0])),
                                                  (0.5, np.array([0.0, -0.4, 0.2]))], 3)
-    means = []
+    means, maxima = [], []
     counted, calls = _counted(field if exact else dataclasses.replace(field, means=None), x0,
-                              means)
+                              means, maxima)
     flow.average_curves(counted, (kind,), x0, radii, quad3, 3.0)[kind]
     shells = volume_shells(radii.size) if kind == "V" else radii.size
-    assert len(calls) == (radii.size if kind == "M" else 0 if exact else shells)
+    assert len(calls) == (0 if exact else shells)
     assert len({radius for radius, _ in calls}) == len(calls)
     assert [len(set(call)) for call in means] == ([shells] if exact and kind != "M" else [])
+    assert maxima == ([radii.tolist()] if exact and kind == "M" else [])
 
 
-def test_exact_means_read_no_sphere_point_for_s_and_v(quad3):
-    # S and V of a kernel sum off its centres come from its exact means in
-    # one call; M's closed form is checked against its curve shells only
-    x0 = np.zeros(3)
+@pytest.mark.parametrize("x0", [np.zeros(3), np.array([0.01, -0.02, 0.03])],
+                         ids=["on-ray", "off-ray"])
+def test_exact_means_and_maxima_read_no_sphere_point(x0):
+    # S and V of a kernel sum come from its exact means in one call and M
+    # from its maxima in one call, on the ray of centres and off it: no
+    # shell is evaluated and the sphere set is never drawn
     radii = flow.default_radii()
-    field = flow.newtonian_potential_field(3.0, [(1.0, x0), (0.5, np.array([0.5, 0.0, 0.0]))], 3)
-    for kinds, sampled in ((("M", "S", "V"), radii.size), (("S", "V"), 0)):
-        means, setups = [], []
-        counted, calls = _counted(field, x0, means)
-        counted.shells = lambda *args, shells=counted.shells: setups.append(args) or shells(*args)
-        report = flow.densities(counted, x0, 3.0, quad=quad3, kinds=kinds)
-        assert len(calls) == sampled and len(set(calls)) == sampled
-        assert len(setups) == (1 if sampled else 0)  # no projection onto the points either
-        assert [len(set(call)) for call in means] == [radii.size + volume_shells(radii.size)]
+    field = flow.newtonian_potential_field(3.0, [(1.0, np.zeros(3)),
+                                                 (0.5, np.array([0.5, 0.0, 0.0]))], 3)
+    for kinds in (("M", "S", "V"), ("S", "V"), ("M",)):
+        quad = flow.SphereQuad(3, 2048, seed=4)
+        means, maxima = [], []
+        counted, calls = _counted(field, x0, means, maxima)
+        report = flow.densities(counted, x0, 3.0, quad=quad, kinds=kinds)
+        assert calls == [] and "points" not in vars(quad)
+        assert [len(set(call)) for call in means] == (
+            [radii.size + volume_shells(radii.size)] if "S" in kinds else [])
+        assert maxima == ([radii.tolist()] if "M" in kinds else [])
         assert report.clipped_fraction == 0.0 and report.monotone_ok
 
 
@@ -688,14 +742,13 @@ def test_volume_average_needs_p_and_decreasing_radii(quad3):
 
 @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact-means"])
 def test_mass_density_evaluates_two_shells_per_radius(quad3, exact):
-    # sampled (the exact means set aside, each column read as its value at
-    # every point), two shells per radius; with exact means, the centred
-    # kernel's two radii per radius in one call
+    # sampled (the exact means set aside), two shells per radius; with
+    # exact means, the centred kernel's two radii per radius in one call
     x0 = np.zeros(3)
     radii = 0.5 ** np.arange(1, 7)
     field = flow.newtonian_potential_field(3.0, [(1.0, x0)], 3)
     means = []
-    sampled = dataclasses.replace(field, means=None, shells=_widened(field.shells))
+    sampled = dataclasses.replace(field, means=None)
     counted, calls = _counted(field if exact else sampled, x0, means)
     flow.mass_density(counted, x0, 3.0, radii=radii, quad=quad3)
     assert len(calls) == (0 if exact else 2 * radii.size)
@@ -712,157 +765,55 @@ def test_mass_density_evaluates_two_shells_per_radius(quad3, exact):
     (2.0, flow.newtonian_potential_field(2.0, [(1.0, np.zeros(3))], 3)),
 ], ids=["p=3", "p=2"])
 def test_averages_of_tangent_evaluate_each_shell_once(monkeypatch, quad3, p, field):
-    # the flow-invariance defect samples its own grid; only the averages count
-    # M reads its curve shells, and S and V the exact means in one call
+    # the flow-invariance defect samples its own grid; only the averages count:
+    # M reads its maxima, and S and V the exact means, each in one call
     monkeypatch.setattr(flow, "flow_invariance_defect", lambda *args, **kwargs: 0.0)
     x0 = np.zeros(3)
     radii = flow.default_radii()
-    means = []
-    counted, calls = _counted(field, x0, means)
+    means, maxima = [], []
+    counted, calls = _counted(field, x0, means, maxima)
     report = flow.averages_of_tangent_check(counted, p, quad=quad3)
     assert report.passed
-    assert len(calls) == radii.size
-    assert len({radius for radius, _ in calls}) == len(calls)
+    assert calls == [] and maxima == [radii.tolist()]
     assert [len(set(call)) for call in means] == [radii.size + volume_shells(radii.size)]
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_kernel_sum_shells_match_values(n):
-    # off-center x0, 1-3 centers, shells at least 1e-3 s from every center
-    rng = np.random.default_rng(100 + n)
-    points = flow.sphere_quad(n, 1024, seed=n).points
-    checked = 0
-    for _ in range(8):
-        p = float(rng.choice([1.0, 1.5, 2.0, 2.5, 3.0, float(n)]))
-        k = int(rng.integers(1, 4))
-        weights = rng.uniform(0.5, 3.0, size=k)
-        centers = rng.normal(size=(k, n))
-        x0 = rng.normal(size=n)
-        fields = [flow.riesz_kernel_field(float(weights[0]), p, n, center=centers[0])]
-        if p <= n:
-            fields.append(flow.newtonian_potential_field(p, list(zip(weights, centers)), n))
-        gaps = np.linalg.norm(centers - x0, axis=1)
-        for s in np.geomspace(1e-3, 8.0, 15):
-            if np.any(np.abs(gaps - s) < 1e-3 * s):
-                continue
-            for field in fields:
-                want = field.values(x0[None, :] + s * points)
-                got = flow._shell_evaluator(field, x0, points)([s])[0]
-                # w log d has the absolute error w * (relative error of d)
-                scale = np.abs(want) if p != 2.0 else weights.sum()
-                assert np.all(np.abs(got - want) <= 1e-13 * scale)
-                checked += 1
-    assert checked >= 100
 
 
 NEAR_A_CENTER = [3e-2, -3e-2, 1e-6, -1e-6]
 
 
 @pytest.mark.parametrize("delta", NEAR_A_CENTER)
-def test_kernel_sum_shell_maxima_keep_their_digits_near_a_center(delta):
-    # a sample point of the shell lies |delta| s from the center, where q =
-    # s (s + 2 t) + |x0 - c|^2 cancels; M reads only the row maximum, where
-    # every term is large and q's rounding is relatively small
-    for n in range(2, 9):
-        rng = np.random.default_rng(n)
-        points = flow.sphere_quad(n, 256, seed=n).points
-        for p in (1.5, 2.0, 3.0):
-            for j in rng.integers(0, points.shape[0], size=4):
-                x0 = rng.normal(size=n)
-                s = float(rng.uniform(0.1, 3.0))
-                field = flow.riesz_kernel_field(1.0, p, n, center=x0 + s * (1.0 + delta) * points[j])
-                want = field.values(x0[None, :] + s * points).max()
-                got = flow._shell_evaluator(field, x0, points)([s])[0].max()
-                assert abs(got - want) <= 1e-13 * abs(want)
-
-
-@pytest.mark.parametrize("delta", NEAR_A_CENTER)
-def test_an_off_ray_density_near_a_center_reads_the_theta_m_of_values(delta):
-    # the shell of the third curve radius passes |delta| r from the second
-    # center, off the ray of the first: M is the sampled maximum
+def test_an_off_ray_max_near_a_center_bounds_the_values(delta):
+    # the sphere of the third curve radius passes |delta| r from the second
+    # center, off the ray of the first: at every radius the maximum of
+    # `values` on 2^16 points lies within the certified ends and rounding
     quad = flow.sphere_quad(3)
-    r = flow.default_radii()[2]
-    masses = [(1.0, 0.5 * E1), (1.0, r * (1.0 + delta) * quad.points[7])]
+    radii = flow.default_radii()
+    masses = [(1.0, 0.5 * E1), (1.0, radii[2] * (1.0 + delta) * quad.points[7])]
     field = flow.newtonian_potential_field(3.0, masses, 3)
-    assert field.analytic_max(np.zeros(3), flow.default_radii()) is None
-    got = flow.densities(field, np.zeros(3), 3.0, quad=quad).theta["M"]
-    plain_field = dataclasses.replace(field, shells=None)
-    want = flow.densities(plain_field, np.zeros(3), 3.0, quad=quad).theta["M"]
-    assert abs(got - want) <= 1e-13 * abs(want)
+    assert field.analytic_max(np.zeros(3), radii) is None
+    points = flow.SphereQuad(3, 1 << 16, seed=1).points
+    lower, upper, rounding = field.maxima(np.zeros(3))(radii)
+    for r, low, up, err in zip(radii, lower, upper, rounding):
+        sampled = field.values(r * points).max()
+        assert sampled <= up + err and up - low <= 1e-13 * abs(up) + err
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_kernel_sum_shell_about_a_center_is_the_kernel_of_s(p):
-    # |x - c| = s exactly: the shell is one (1, 1) column, w K(s)
+def test_kernel_sum_max_about_a_center_is_the_kernel_of_s(p):
+    # |x - c| = s exactly: both ends are the column w K(s), summed from zeros
     c = np.array([0.3, -1.2, 0.5, 2.0])
-    points = flow.sphere_quad(4, 512, seed=1).points
     spec = radial.KernelSpec(p=p)
     single = flow.riesz_kernel_field(1.7, p, 4, center=c)
     double = flow.newtonian_potential_field(p, [(1.7, c), (0.4, c)], 4)
-    for s in (1e-3, 0.37, 2.0):
-        kernel_s = radial.kernel(spec, s)
-        assert np.array_equal(flow._shell_evaluator(single, c, points)([s]), [[1.7 * kernel_s]])
-        assert np.array_equal(flow._shell_evaluator(double, c, points)([s]),
-                              [[1.7 * kernel_s + 0.4 * kernel_s]])
+    radii = np.array([1e-3, 0.37, 2.0])
+    kernel_s = radial.kernel(spec, radii)
+    for field, want in ((single, 0.0 + 1.7 * kernel_s), (double, 1.7 * kernel_s + 0.4 * kernel_s)):
+        lower, upper, rounding = field.maxima(c)(radii)
+        assert lower.tobytes() == upper.tobytes() == want.tobytes()
+        assert np.all(rounding <= 8 * EPS * np.abs(want))
 
 
 EPS = np.finfo(float).eps
-# the shells against `values` stay within ACCURACY_C * EPS * (2 + |l|),
-# l = (2 - p) ln(q) / 2 at the squared distance q of each term, relative;
-# at p = 2, l = ln(q) / 2, and the error is absolute, times the weights
-ACCURACY_C = 8.0
-
-
-def _shell_gap(points, p, x0, weights, centers):
-    """ACCURACY_C * EPS * (2 + max |l|) per shell point: l as above."""
-    q = np.stack([np.sum((x0 + points - c) ** 2, axis=1) for c in centers])
-    half_log = 0.5 * np.log(q) * (1.0 if p == 2.0 else 2.0 - p)
-    gap = ACCURACY_C * EPS * (2.0 + np.abs(half_log).max(axis=0))
-    return gap * weights.sum() if p == 2.0 else gap
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_off_centre_shells_are_accurate(n):
-    # x0 at 2g from a centre, shells of radius g: every sample is between g
-    # and 3g from it (and 2g to 4g from a second centre), with coordinates
-    # of size g, so `values` (sqrt and power) is exact to a few eps there
-    rng = np.random.default_rng(300 + n)
-    points = flow.sphere_quad(n, 512, seed=n).points
-    weights = np.array([1.7, 0.6])
-    checked = 0
-    for p in sorted({1.0, 1.5, 2.0, 2.5, 3.0, float(n), n + 1.5}):
-        for g in np.geomspace(1e-4, 1e2, 7):
-            u = rng.normal(size=(3, n))
-            u /= np.linalg.norm(u, axis=1)[:, None]
-            c = g * u[0]
-            x0 = c + 2.0 * g * u[1]
-            centers = np.stack([c, x0 + 3.0 * g * u[2]])
-            cases = [(flow.riesz_kernel_field(weights[0], p, n, center=c), 1)]
-            if p <= n:
-                cases.append((flow.newtonian_potential_field(p, list(zip(weights, centers)), n),
-                              2))
-            for field, k in cases:
-                want = field.values(x0[None, :] + g * points)
-                got = flow._shell_evaluator(field, x0, points)([g])[0]
-                gap = _shell_gap(g * points, p, x0, weights[:k], centers[:k])
-                scale = 1.0 if p == 2.0 else np.abs(want)
-                assert np.all(np.abs(got - want) <= gap * scale), (p, g, k)
-                checked += 1
-    assert checked >= 60
-
-
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.0, 5.5])
-def test_an_off_centre_shell_through_its_centre_takes_the_kernel_at_zero(p):
-    # x0 = 0, c = 2 e1, the sample point e1 on the shell of radius 2: the
-    # squared distance is exactly 0, a -inf hit at p >= 2, K(0) = 0 below
-    n = 4
-    points = flow.sphere_quad(n, 256, seed=3).points.copy()
-    points[7] = np.eye(n)[0]
-    field = flow.riesz_kernel_field(1.3, p, n, center=2.0 * np.eye(n)[0])
-    got = flow._shell_evaluator(field, np.zeros(n), points)([2.0])[0]
-    assert got[7] == (-math.inf if p >= 2.0 else 0.0)
-    assert got[7] == field.values(2.0 * points)[7]
-    assert np.isfinite(np.delete(got, 7)).all()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -879,7 +830,7 @@ def test_a_kernel_center_that_is_not_finite_is_refused(value):
     flow.ScalarField(n=3, values=lambda pts: np.sin(np.asarray(pts)).sum(axis=1)),
 ], ids=["plus-quadratic", "bare"])
 def test_fields_without_the_hook_read_shells_through_values(field, quad3):
-    assert field.shells is None
+    assert field.means is None
     x0 = np.array([0.1, -0.2, 0.05])
     radii = np.array([0.5, 0.25, 0.125])
     curve = flow.average_curves(field, ("S",), x0, radii, quad3)["S"]
@@ -903,12 +854,12 @@ def test_curve_csv_evaluates_each_shell_once(tmp_path, quad3):
     x0 = np.zeros(3)
     radii = flow.default_radii()
     field = flow.riesz_kernel_field(1.0, 3.0, 3)
-    means = []
-    counted, calls = _counted(field, x0, means)
+    means, maxima = [], []
+    counted, calls = _counted(field, x0, means, maxima)
     target = tmp_path / "curves.csv"
     cli._write_curve_csv(str(target), counted, x0, radii, quad3, 3.0)
-    # M reads one shell per radius; S and V read the exact means in one call
-    assert len(calls) == radii.size
+    # M reads the maxima and S and V the exact means, each in one call
+    assert calls == [] and maxima == [radii.tolist()]
     assert [len(set(call)) for call in means] == [radii.size + volume_shells(radii.size)]
     rows = [f"{kind},{cli._fmt(r)},{cli._fmt(v)},{cli._fmt(q)}" for kind in "MSV"
             for r, v, q in flow.average_curves(field, (kind,), x0, radii, quad3,
@@ -941,20 +892,15 @@ def test_shell_block_size_does_not_change_a_bit(monkeypatch, field):
 def test_shell_blocks_hold_at_most_shell_block_values(monkeypatch, quad3):
     # an off-centre kernel, its exact means set aside: every shell sampled
     field = flow.riesz_kernel_field(1.0, 3.0, 3, center=np.full(3, 0.1))
-    hook, sizes = field.shells, []
+    evaluator, sizes = flow._shell_evaluator, []
 
-    def shells(x0, points):
-        evaluate = hook(x0, points)
+    def recorded(field, x0, points):
+        evaluate = evaluator(field, x0, points)
+        return lambda radii: sizes.append(len(radii) * points.shape[0]) or evaluate(radii)
 
-        def recorded(radii):
-            sizes.append(len(radii) * points.shape[0])
-            return evaluate(radii)
-
-        return recorded
-
+    monkeypatch.setattr(flow, "_shell_evaluator", recorded)
     monkeypatch.setattr(flow, "SHELL_BLOCK", 3 * quad3.size)
-    flow.densities(dataclasses.replace(field, shells=shells, means=None), np.zeros(3), 3.0,
-                   quad=quad3)
+    flow.densities(dataclasses.replace(field, means=None), np.zeros(3), 3.0, quad=quad3)
     assert max(sizes) == flow.SHELL_BLOCK
     levels = flow.default_radii().size
     assert sum(sizes) == (levels + volume_shells(levels)) * quad3.size
@@ -966,16 +912,16 @@ def test_shell_blocks_hold_at_most_shell_block_values(monkeypatch, quad3):
 ], ids=["riesz", "two-masses-at-x0"])
 def test_a_centred_kernel_report_is_one_means_call(field):
     # every term centred at x0: S and V read the exact means of all 98
-    # radii of the report in one call, and M samples its 6 curve shells,
-    # SHELL_BLOCK // 16384 = 4 radii at a time
+    # radii of the report in one call, M its maxima of the 6 curve radii in
+    # one call, and no shell is sampled
     x0 = np.zeros(8)
     quad = flow.sphere_quad(8)
-    means = []
-    counted, calls = _counted(field, x0, means)
+    means, maxima = [], []
+    counted, calls = _counted(field, x0, means, maxima)
     report = flow.densities(counted, x0, 3.0, quad=quad)
     levels = flow.default_radii().size
     assert [len(set(call)) for call in means] == [levels + volume_shells(levels)] == [98]
-    assert len(calls) == len(set(calls)) == levels
+    assert calls == [] and maxima == [flow.default_radii().tolist()]
     assert plain.same_floats(report, plain.densities(field, x0, 3.0, quad=quad))
 
 
@@ -995,18 +941,22 @@ def test_a_closed_form_too_low_at_one_radius_is_refused_there(monkeypatch, quad3
                                                               shell_block):
     # M's check compares every curve radius, in one block or one radius per
     # block: the closed form too low at the third radius only is caught
-    # there, with that radius's sampled maximum and closed form
+    # there, with that radius's sampled or certified attained maximum and
+    # closed form
     monkeypatch.setattr(flow, "SHELL_BLOCK", shell_block)
     x0 = np.zeros(3)
     field = {"centred": flow.riesz_kernel_field(2.0, 3.0, 3),
              "on-ray": flow.newtonian_potential_field(3.0, [(1.0, x0), (0.5, 2.5 * E1)], 3),
              "sampled": flow.plus_quadratic_field(flow.zero_field(3), 2.0)}[name]
+    radii = flow.default_radii()
+    exact = float(field.analytic_max(x0, radii)[2]) - 1.0 if name != "sampled" else None
     if name == "sampled":  # the max of |x|^2 over the sphere of radius r is r^2
         field = dataclasses.replace(field, analytic_max=lambda x0, radii: radii ** 2)
-    radii = flow.default_radii()
-    sampled = float(flow._shell_evaluator(field, x0, quad3.points)(radii[2:3]).max())
-    exact = float(field.analytic_max(x0, radii)[2]) - 1.0
-    message = f"sampled spherical max {sampled} exceeds closed form {exact}"
+        sampled = float(flow._shell_evaluator(field, x0, quad3.points)(radii[2:3]).max())
+        message = f"sampled spherical max {sampled} exceeds closed form {radii[2] ** 2 - 1.0}"
+    else:
+        attained = float(field.maxima(x0)(radii)[0, 2])
+        message = f"attained spherical max {attained} exceeds closed form {exact}"
     with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
         flow.densities(_one_radius_low(field, 2), x0, 3.0, quad=quad3)
     flow.densities(_one_radius_low(field, radii.size), x0, 3.0, quad=quad3)  # none too low
@@ -1021,11 +971,10 @@ def test_a_closed_form_too_low_at_one_radius_is_refused_there(monkeypatch, quad3
                                                    (0.5, 2.5 * np.eye(3)[0])], 3)),
     ("log-coord", flow.log_modulus_coordinate_field(2)),
 ], ids=lambda value: value if isinstance(value, str) else "")
-def test_m_takes_one_closed_form_call_and_reads_centred_shells_as_columns(monkeypatch, name,
-                                                                          field):
+def test_m_takes_one_closed_form_call_and_one_check(monkeypatch, name, field):
     # the closed forms of a report come from one call with every curve
-    # radius; a centred kernel's shells reach M's check as (k, 1) columns,
-    # a sum with a centre off x0 as full rows; the report is the plain one
+    # radius, checked by one call of a kernel sum's maxima or against the
+    # sampled shells of any other field; the report is the plain one
     x0 = np.zeros(field.n)
     quad = flow.sphere_quad(field.n)
     calls, blocks = [], []
@@ -1039,9 +988,11 @@ def test_m_takes_one_closed_form_call_and_reads_centred_shells_as_columns(monkey
     monkeypatch.undo()
     radii = flow.default_radii()
     assert calls == [radii.tolist()]
-    centred = name not in ("on-ray", "log-coord")
-    assert {m for _, m in blocks} == {1 if centred else quad.size}
-    assert sum(k for k, _ in blocks) == radii.size
+    if field.maxima is None:
+        assert {m for _, m in blocks} == {quad.size}
+        assert sum(k for k, _ in blocks) == radii.size
+    else:
+        assert blocks == []
     assert plain.same_floats(report, plain.densities(field, x0, 3.0, quad=quad))
 
 
@@ -1099,147 +1050,16 @@ def test_a_hit_is_never_the_sampled_maximum():
     assert curve.values[0] == np.max(samples[1:])
 
 
-# The kernel-sum shell path as it was before the terms were summed in place:
-# a (k, m) array of zeros plus each term in order, every value scanned by
-# `_clipped`, and numpy's `mean` (`_reference_rows` in place of
-# `flow._shell_rows`).  The shell path must keep its floats; the reports
-# below set the exact means aside, so that every average reads it, a
-# centred sum's (k, 1) column as its value at every point (`_widened`).  An
-# off-centre term is w K of the squared distance, through the same kernel
-# helper as the shells; test_off_centre_shells_are_accurate pins that
-# helper against `values`.
-
-
-def _reference_term(spec, weight, r):
-    """weight * K(r), with the kernel's value where r = 0 filled in."""
-    out = np.full(r.shape, 0.0 if spec.p < 2.0 else -np.inf)
-    pos = r > 0.0
-    t = r[pos]
-    vals = np.log(t) if spec.p == 2.0 else t ** (2.0 - spec.p)
-    out[pos] = vals * (-weight if spec.p > 2.0 else weight)
-    return out
-
-
-def _reference_shells(p, masses):
-    spec = radial.KernelSpec(p=p)
-
-    def shells(x0, points):
-        def evaluate(radii):
-            radii = np.asarray(radii, dtype=float)
-            out = np.zeros((radii.size, points.shape[0]))
-            for w, c in masses:
-                a = x0 - np.asarray(c, dtype=float)
-                if not a.any():
-                    out += _reference_term(spec, w, radii)[:, None]
-                    continue
-                dist = radii[:, None] * (radii[:, None] + points @ (2.0 * a)) + a.dot(a)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    out += radial.weighted_kernel_of_square(spec, w, dist)
-            return out
-
-        return evaluate
-
-    return shells
-
-
-def _reference_rows(field, x0, quad, radii, maxima, means_from=0):
-    evaluate = flow._shell_evaluator(field, x0, quad.points)
-    step = max(1, flow.SHELL_BLOCK // quad.size)
-    means, halves, absolute, hits, tops = [], [], [], [], []
-    for lo in range(0, radii.size, step):
-        block = radii[lo:lo + step]
-        raw = evaluate(block)
-        vals, nclip = flow._clipped(raw)
-        if np.any(nclip == quad.size):
-            raise DomainError("all sphere samples hit the singular set")
-        means += list(vals.mean(axis=1))
-        halves += list(vals[:, :quad.size // 2].mean(axis=1))
-        absolute += list(np.abs(vals).mean(axis=1))
-        hits += list(nclip)
-        tops += [plain.maximum(field, x0, r, row) for r, row in zip(block[:max(0, maxima - lo)],
-                                                                     raw)]
-    return (np.array(means), np.array(halves), np.array(absolute), np.zeros(len(means)),
-            np.array(hits, dtype=int), np.reshape(tops, (-1, 2)).T, flow._sum_depth(quad.size))
-
-
-def _widened(shells):
-    """The shells hook with a (k, 1) column read as its value at each point."""
-    def hook(x0, points):
-        evaluate = shells(x0, points)
-        return lambda radii: np.broadcast_to(evaluate(radii), (len(radii), points.shape[0]))
-
-    return hook
-
-
-def _shell_reports(field, p, quad):
-    field = dataclasses.replace(field, means=None, shells=_widened(field.shells))
-    x0 = np.zeros(field.n)
-    radii = [1.0, 0.3, 0.05]
-    return pickle.dumps((flow.densities(field, x0, p, quad=quad),
-                         flow.mass_density(field, x0, p, quad=quad),
-                         [flow.average_curves(field, (kind,), x0, radii, quad, p)[kind]
-                          for kind in "MSV"]))
-
-
 E1 = np.eye(3)[0]
 
 
-def _potential(p, masses):
-    return p, masses, flow.newtonian_potential_field(p, masses, masses[0][1].size)
-
-
-@pytest.mark.parametrize("p,masses,field", [
-    *[(p, [(1.7, np.zeros(3))], flow.riesz_kernel_field(1.7, p, 3)) for p in (1.5, 2.0, 3.0)],
-    *[_potential(2.5, [(1.5, np.zeros(n)), (0.5, np.eye(n)[0] * 2.5)]) for n in (3, 6, 8)],
-    *[_potential(2.5, [(1.5, np.eye(n)[0] * 2.5), (0.5, np.eye(n)[1] * 2.5)]) for n in (3, 6, 8)],
-    _potential(2.5, [(1.5, 2.5 * E1), (0.5, -3.0 * E1)]),
-    _potential(3.0, [(0.0, 2.5 * E1), (0.0, np.zeros(3))]),
-    _potential(2.0, [(0.0, np.zeros(3)), (0.0, 2.5 * E1)]),
-], ids=[*(f"centred-p={p}" for p in (1.5, 2, 3)), *(f"two-centre-n={n}" for n in (3, 6, 8)),
-        *(f"off-ray-n={n}" for n in (3, 6, 8)), "far-only", "zero-weight-far-first", "zero-weight-centred-first"])
-def test_kernel_sum_shells_keep_the_floats_of_the_zeros_and_mean_path(monkeypatch, p, masses,
-                                                                        field):
-    quad = flow.sphere_quad(field.n)
-    radii = np.array([1.0, 0.3, 0.05])
-    rows = field.shells(np.zeros(field.n), quad.points)(radii)
-    want = _reference_shells(p, masses)(np.zeros(field.n), quad.points)(radii)
-    centred = not any(np.any(c) for _, c in masses)
-    assert rows.shape == (radii.size, 1 if centred else quad.size)
-    rows = np.broadcast_to(rows, want.shape)
-    assert np.array_equal(rows, want) and np.array_equal(np.signbit(rows), np.signbit(want))
-    got = _shell_reports(field, p, quad)
-    monkeypatch.setattr(flow, "_shell_rows", _reference_rows)
-    assert got == _shell_reports(dataclasses.replace(field, shells=_reference_shells(p, masses)),
-                                 p, quad)
-
-
-@pytest.mark.parametrize("shell_block", [flow.SHELL_BLOCK, 1])
-def test_three_centre_shells_keep_the_floats_of_the_zeros_and_mean_path(monkeypatch,
-                                                                         shell_block):
-    # two off-centre terms, each a fresh array summed in place, read in
-    # blocks of many shells and of one
-    monkeypatch.setattr(flow, "SHELL_BLOCK", shell_block)
-    p, masses, field = _potential(2.5, [(1.5, np.zeros(3)), (0.5, 2.5 * E1),
-                                        (0.7, -0.4 * np.eye(3)[2])])
-    quad = flow.sphere_quad(3)
-    radii = np.array([1.0, 0.3, 0.05])
-    evaluate = field.shells(np.zeros(3), quad.points)
-    want = _reference_shells(p, masses)(np.zeros(3), quad.points)
-    for block in (radii, radii[:1], radii[1:]):
-        rows = evaluate(block)
-        assert np.array_equal(rows, want(block))
-    got = _shell_reports(field, p, quad)
-    monkeypatch.setattr(flow, "_shell_rows", _reference_rows)
-    assert got == _shell_reports(dataclasses.replace(field, shells=_reference_shells(p, masses)),
-                                 p, quad)
-
-
 def test_a_two_centre_density_peaks_below_a_quarter_of_its_points():
+    # the default set at n = 16 would hold 8 MiB; the report never draws it
     import tracemalloc
 
     e1 = np.eye(16)[0]
     field = flow.newtonian_potential_field(3.0, [(1.0, np.zeros(16)), (1.0, 0.5 * e1)], 16)
-    quad = flow.sphere_quad(16)
+    quad = flow.SphereQuad(16)
     flow.densities(field, np.zeros(16), 3.0, radii=[1.0, 0.5, 0.25], quad=quad)  # imports
     tracemalloc.start()
     try:
@@ -1247,54 +1067,57 @@ def test_a_two_centre_density_peaks_below_a_quarter_of_its_points():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert quad.points.nbytes == 8 * 2**20
-    assert peak <= quad.points.nbytes / 4  # 2.07 times with (m, n) arrays per centre
+    assert "points" not in vars(quad)
+    assert peak <= 8 * quad.size * quad.n / 4
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_a_shell_through_a_far_centre_keeps_its_hits(monkeypatch, p):
+def test_a_shell_through_a_far_centre_keeps_its_hits(p):
     # x0 = 0, c = 2 e1 and the quadrature point e1: the shell of radius 2
-    # meets c, where the distance is exactly 0
+    # meets c, where the distance is exactly 0, a hit at p >= 2 (K(0) = 0
+    # below), and the certified M does not read it
     points = flow.sphere_quad(3, 512, seed=2).points.copy()
     points[5] = E1
     quad = flow.SphereQuad(3, 512, 2)
     quad.points = points
     masses = [(1.0, np.zeros(3)), (1.0, 2.0 * E1)]
-    # its exact means set aside, so that S and V read the sampled shells
-    field = dataclasses.replace(flow.newtonian_potential_field(p, masses, 3), means=None)
+    # its exact means set aside, so that every average reads the sampled shells
+    field = flow.newtonian_potential_field(p, masses, 3)
+    sampled = dataclasses.replace(field, means=None)
     radii = np.array([2.0, 1.0])
-    vals, _ = flow._clipped(flow._shell_evaluator(field, np.zeros(3), points)(radii))
-    _, _, _, _, hits, _, _ = flow._shell_rows(field, np.zeros(3), quad, radii, 0)
-    reference = _reference_shells(p, masses)(np.zeros(3), points)
-    want_vals, want_hits = flow._clipped(reference(radii))
-    assert np.array_equal(vals, want_vals) and hits.tolist() == want_hits.tolist()
+    vals = flow._shell_evaluator(sampled, np.zeros(3), points)(radii)
+    _, _, _, _, hits, tops, _ = flow._shell_rows(sampled, np.zeros(3), quad, radii, 2)
+    assert vals[0, 5] == (radial.kernel(radial.KernelSpec(p=p), 2.0) if p < 2.0 else -math.inf)
     assert hits.tolist() == ([0, 0] if p < 2.0 else [1, 0])
-    got = pickle.dumps([flow.average_curves(field, (kind,), np.zeros(3), radii, quad, p)[kind]
-                        for kind in "MSV"])
-    monkeypatch.setattr(flow, "_shell_rows", _reference_rows)
-    field = dataclasses.replace(field, shells=_reference_shells(p, masses))
-    assert got == pickle.dumps([flow.average_curves(field, (kind,), np.zeros(3), radii, quad,
-                                                    p)[kind] for kind in "MSV"])
+    assert tops[0].tolist() == field.analytic_max(np.zeros(3), radii).tolist()
+    assert flow._shell_rows(field, np.zeros(3), quad, radii, 2)[4].tolist() == [0, 0]
 
 
 FAR = 1e160 * np.eye(4)[0]  # |FAR|^2 overflows
+E4 = np.eye(4)[1]
 
 
 @pytest.mark.parametrize("p", [2.001, 3.0])
 def test_m_keeps_a_centre_whose_squared_distance_overflows(p):
-    # the closed form takes d from math.hypot and the shells scale the term
-    # by d, as the exact means do: M and S agree, with no overflow warning
+    # the closed form takes d from math.hypot and the maxima scale the term
+    # by max(r, d), as the exact means do: M and S agree, with no overflow
+    # warning, on the ray and off it
     spec, radii, x0 = radial.KernelSpec(p=p), flow.default_radii(), np.zeros(4)
     quad = flow.sphere_quad(4)
     far = flow.riesz_kernel_field(1.0, p, 4, center=FAR)
     field = flow.newtonian_potential_field(p, [(1.0, x0), (1.0, FAR)], 4)
+    off = flow.newtonian_potential_field(p, [(1.0, E4), (1.0, FAR)], 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = far.shells(x0, quad.points)(radii)
+        rows = far.maxima(x0)(radii)
         closed = field.analytic_max(x0, radii)
         curves = flow.average_curves(field, ("M", "S"), x0, radii, quad, p)
+        off_rows = off.maxima(x0)(radii)
     k_far = radial.kernel(spec, 1e160)
-    assert np.all(np.abs(rows - k_far) <= 1e-12 * abs(k_far))
+    assert np.all(np.abs(rows[:2] - k_far) <= 1e-12 * abs(k_far))
+    assert off.analytic_max(x0, radii) is None
+    want = radial.kernel(spec, radii + 1.0) + k_far
+    assert np.all(np.abs(off_rows[:2] - want) <= 1e-12 * np.abs(want))
     assert np.array_equal(closed, radial.kernel(spec, radii) + radial.kernel(spec, radii + 1e160))
     assert np.all(np.abs(curves["M"].values - curves["S"].values)
                   <= 1e-12 * np.abs(curves["S"].values))
@@ -1308,20 +1131,37 @@ def test_m_refuses_a_centre_whose_squared_distance_overflows_at_p_up_to_2(p):
         flow.average_curves(field, ("M",), np.zeros(4), flow.default_radii(), None, p)
 
 
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_a_max_whose_first_start_is_a_pole_starts_at_the_centre(p):
+    # x0 midway between two centres: on the sphere through both, the first
+    # term's own maximum is the second centre, a pole, so the ascent starts
+    # at y = 0, and the certificate holds
+    e1 = np.eye(4)[0]
+    field = flow.newtonian_potential_field(p, [(1.0, np.zeros(4)), (1.0, 0.5 * e1)], 4)
+    x0 = 0.25 * e1
+    radii = np.array([0.5, 0.25, 0.125])
+    lower, upper, rounding = field.maxima(x0)(radii)
+    assert np.isfinite(lower).all() and np.all(upper - lower <= 1e-13 * np.abs(upper) + rounding)
+    points = flow.SphereQuad(4, 1 << 14, seed=2).points
+    for r, up, err in zip(radii, upper, rounding):
+        assert field.values(x0 + r * points).max() <= up + err + 1e-14 * abs(up)
+
+
 @pytest.mark.parametrize("p", [2.001, 3.0])
 def test_m_keeps_a_radius_whose_squared_distance_overflows(p):
-    # q = s (s + 2 t) + |x0 - c|^2 overflows on s^2: those rows read q / s^2,
-    # and the rows below 1e154 keep their floats
+    # (r + d)^2 overflows: those radii read q / r^2, and the radii below
+    # 1e154 keep their floats, on the ray of centres and off it
     spec, x0, c = radial.KernelSpec(p=p), np.zeros(4), np.array([0.01, -0.02, 0.03, -0.04])
-    points = flow.sphere_quad(4).points
-    shells = flow.riesz_kernel_field(1.0, p, 4, center=c).shells
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rows = shells(x0, points)(np.array([1e160, 1e150, 1.0]))
-    for r, row in zip((1e160, 1e150), rows):
-        k = radial.kernel(spec, r)
-        assert np.all(np.abs(row - k) <= 1e-12 * abs(k))
-    assert np.array_equal(rows[1:], shells(x0, points)(np.array([1e150, 1.0])))
+    radii = np.array([1e160, 1e150, 1.0])
+    for field in (flow.riesz_kernel_field(1.0, p, 4, center=c),
+                  flow.newtonian_potential_field(p, [(1.0, c), (1.0, -c[::-1])], 4)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = field.maxima(x0)(radii)
+        for r, low, up in zip(radii[:2], *rows[:2]):
+            k = len(field.singular_points) * radial.kernel(spec, r)  # unit weights
+            assert abs(low - k) <= 1e-12 * abs(k) and abs(up - k) <= 1e-12 * abs(k)
+        assert np.array_equal(rows[:, 1:], field.maxima(x0)(radii[1:]))
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0])
@@ -1329,7 +1169,7 @@ def test_m_refuses_a_radius_whose_squared_distance_overflows_at_p_up_to_2(p):
     field = flow.riesz_kernel_field(1.0, p, 4, center=np.full(4, 0.01))
     with pytest.raises(DomainError, match="^the sphere of radius 1e\\+160 about x0 is refused "
                        "at p <= 2: its squared distance to a kernel centre overflows$"):
-        field.shells(np.zeros(4), flow.sphere_quad(4).points)(np.array([1.0, 1e160]))
+        field.maxima(np.zeros(4))(np.array([1.0, 1e160]))
 
 
 def test_harnack_constants():
@@ -1852,8 +1692,8 @@ def test_sampled_shell_rows_are_numpys_row_sums_bit_for_bit(m):
     v[0, 3], v[1, m - 1], v[2, m // 2] = math.inf, math.nan, -math.inf
     v[3] = 5e-324 * rng.integers(-3, 4, m)
     v[5], v[6] = -np.abs(v[5]), np.abs(v[6])
-    field = flow.ScalarField(n=3, values=None,
-                             shells=lambda x0, points: lambda radii: v[radii.astype(int) - 1])
+    field = flow.ScalarField(
+        n=3, values=lambda pts: v[int(round(float(np.linalg.norm(pts[0])))) - 1])
     quad = flow.SphereQuad(3, m)
     means, halves, magnitudes, rounding, hits, tops, depth = flow._shell_rows(
         field, np.zeros(3), quad, np.arange(1.0, 10.0), 0)
@@ -1862,7 +1702,7 @@ def test_sampled_shell_rows_are_numpys_row_sums_bit_for_bit(m):
     assert halves.tobytes() == (clipped[:, :m // 2].sum(axis=1) / (m // 2)).tobytes()
     assert magnitudes.tobytes() == (np.abs(clipped).sum(axis=1) / m).tobytes()
     assert hits.tolist() == [1, 1, 1, 0, 0, 0, 0, 0, 0]
-    assert not rounding.any() and tops.shape == (2, 0) and depth == flow._sum_depth(m)
+    assert not rounding.any() and tops.shape == (3, 0) and depth == flow._sum_depth(m)
 
 
 # The column products of `flow.quadratic_field` rest on the order in which

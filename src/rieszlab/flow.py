@@ -4,8 +4,9 @@ and their cross-relations, plus the built-in example fields.
 Every average (M, S and V, scalar or curve) comes from one sweep,
 `average_curves` over `_shell_rows`: after checking each radius, it reads
 every shell the request needs once -- the curve radii for M and S, then
-the node radii behind V (`_volume_ladder`).  M takes the field's closed
-forms at every curve radius in one call.
+the node radii behind V (`_volume_ladder`).  M has one hook, the field's
+certified maxima (`ScalarField.maxima`), read at every curve radius in one
+call; a closed form is a certificate whose two ends are equal.
 
 A kernel sum sum_k w_k K(|x - c_k|) (`riesz`, `newtonian`) reads no sphere
 point.  The mean of one term over a sphere depends only on its radius and
@@ -13,16 +14,16 @@ the centre's distance, a 1-D integral in the polar angle (`_sphere_means`):
 S and V read those means, and the half curve is the rule with half the
 nodes, so the noise bound is the rule's error estimate.  Its maximum is a
 concave one on the span of the centres' offsets, certified at every radius
-(`_kernel_sum_maxima`): the closed form on the ray of centres, checked
-there, and the attained maximum off it, with its gap in the M bracket.
+(`_kernel_sum_maxima`): the attained maximum, with its gap and rounding in
+the M bracket.
 
 Any other field is sampled on a seeded low-discrepancy sphere point set
 shared across all radii of a run, in blocks of at most `SHELL_BLOCK`
 values.  Sharing the point set makes quotients of exactly
 scale-homogeneous fields exact (the quadrature error cancels), and the
 noise bound of M, S and V alike comes from comparing against the first
-half of the sample.  M is the field's closed-form max, checked against the
-sampled maximum of its shell, or else that sampled maximum.
+half of the sample.  M is the field's certified max, which no sampled
+shell may exceed, or else the sampled maximum of the shell.
 """
 
 from __future__ import annotations
@@ -85,19 +86,21 @@ def harnack_constant(n: int) -> float:
 
 @lru_cache(maxsize=32)
 def harnack_sup_constant(p: float, n: int) -> float:
-    """Best constant in the two-sided max/spherical density comparison."""
+    """Best constant in the two-sided max/spherical density comparison: 1
+    over the grid maximum of lam^(p-2) phi(lam) above p = 2, below it of psi
+    = A lam^(2-p) - expm1(ln A), A = 1 / phi, on log-spaced nodes as well
+    (psi peaks near ((2-p)/n)^(1/(p-1)), below any fixed node as p -> 1).
+    Where no node is positive the peak underflows: C(p, n) is inf."""
     lams = np.linspace(1e-6, 1.0 - 1e-6, 20001)
-    phi = (1.0 - lams) / (1.0 + lams) ** (n - 1)
     if p > 2.0:
-        c = float(np.max(lams ** (p - 2.0) * phi))
+        c = float(np.max(lams ** (p - 2.0) * ((1.0 - lams) / (1.0 + lams) ** (n - 1))))
     elif p < 2.0:
-        psi = 1.0 + (1.0 + lams) ** (n - 1) / (1.0 - lams) * (lams ** (2.0 - p) - 1.0)
-        c = float(np.max(psi))
+        lams = np.concatenate([np.geomspace(np.finfo(float).tiny, lams[-1], 8192), lams])
+        log_a = (n - 1) * np.log1p(lams) - np.log1p(-lams)
+        c = float(np.max(np.exp(log_a) * lams ** (2.0 - p) - np.expm1(log_a)))
     else:
         return 1.0
-    if c <= 0.0:
-        raise NumericalError("comparison constant came out non-positive")
-    return 1.0 / c
+    return 1.0 / c if c > 0.0 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +259,6 @@ def _check_far(spec: KernelSpec, d: float, r: float = 0.0):
                           f"squared distance to a kernel centre overflows")
     raise DomainError(f"the sphere mean of a kernel centre at distance {d:.6g} from x0 "
                       f"is refused at p <= 2: its squared distance overflows")
-
-
-def _offset(spec: KernelSpec, a: np.ndarray) -> tuple:
-    """(a / d, |a / d|^2, d) for the offset a = x0 - c of a kernel centre:
-    d = 1, or where |a|^2 overflows d = |a| (`math.hypot`), kept at p > 2."""
-    with np.errstate(over="ignore"):
-        square = float(a.dot(a))
-    if square < math.inf:
-        return a, square, 1.0
-    d = math.hypot(*a)
-    _check_far(spec, d)
-    return a / d, float((a / d).dot(a / d)), d
 
 
 def _sphere_means(spec: KernelSpec, n: int, weight: float, d: float, radii: np.ndarray):
@@ -500,20 +491,19 @@ class ScalarField:
 
     ``values`` maps an (m, n) array of points to m values; a non-finite
     value (-inf, or NaN where a zero weight meets a pole) marks a hit on
-    the singular set.  ``analytic_max(x0, radii)``, when set, returns the
-    exact spherical maxima about x0 at a (k,) array of radii as a (k,)
-    array, or None where it has no closed form about x0.  It is called once
-    per curve, with all its radii.
-    ``means(x0)``, when set, and ``maxima(x0)``, which must be set with it,
-    return ``radii -> (4, k)`` and ``radii -> (3, k)``.  The means are the
-    exact sphere means about x0 at the k radii, the same by a coarser rule
-    (the half curve, whose gap is the noise bound), an upper bound on the
-    means of absolute values and a bound, in units of eps, on the rounding
-    of the means.  The maxima are a spherical maximum attained to rounding,
-    an upper end of the maximum and a bound on the rounding of both.  A
-    field with them reads no sphere point: S and V read the means, and M
-    the closed form, which must lie between the two ends, or else the
-    attained maximum.  Any other field samples every average.
+    the singular set.  ``maxima(x0)``, when set, is M's one hook: it
+    returns ``radii -> (3, k)``, called once per curve with all its radii,
+    whose rows are the spherical maxima about x0 attained to rounding, an
+    upper end of each and a bound on the rounding of both.  A closed form
+    is a certificate whose two ends are equal and whose rounding is 0
+    (`_closed_form`).  M reads the attained end, with the gap to the upper
+    end plus the rounding as its error; a field without the hook reads the
+    sampled maximum.  ``means(x0)``, when set, needs ``maxima``: it returns
+    ``radii -> (4, k)``, the exact sphere means about x0 at the k radii,
+    the same by a coarser rule (the half curve, whose gap is the noise
+    bound), an upper bound on the means of absolute values and a bound, in
+    units of eps, on the rounding of the means.  A field with both reads no
+    sphere point; any other field samples S and V.
     """
 
     n: int
@@ -521,7 +511,6 @@ class ScalarField:
     name: str = "field"
     singular_points: tuple = ()
     singular_distance: Callable | None = None
-    analytic_max: Callable | None = None
     means: Callable | None = None
     maxima: Callable | None = None
 
@@ -565,15 +554,16 @@ def _refuse_shell(r: float):
                       f"or the singular set)")
 
 
-def _maxima(radii: np.ndarray, vals: np.ndarray, exact) -> tuple:
+def _maxima(radii: np.ndarray, vals: np.ndarray, upper=None) -> tuple:
     """(M, leading-half M) at the k radii from the sampled (k, m) shells
-    vals: the closed forms `exact` for both, which no row maximum may
-    exceed, or, where there are none, the maxima of the rows and of their
-    leading halves, whose gap the half-set noise bound reads.  A non-finite
-    value, a hit on the singular set, is read as -inf, so it never stands
-    for a maximum (a CLIP_FLOOR value could exceed every finite one); the
-    values are scanned for one only where a row maximum is not finite, and
-    a shell whose samples are all non-finite is refused."""
+    vals: the maxima of the rows and of their leading halves, whose gap the
+    half-set noise bound reads.  Given the certified upper ends `upper`
+    (`ScalarField.maxima`), no row maximum may pass one by more than 1e-6
+    (1 + |upper|).  A non-finite value, a hit on the singular set, is read
+    as -inf, so it never stands for a maximum (a CLIP_FLOOR value could
+    exceed every finite one); the values are scanned for one only where a
+    row maximum is not finite, and a shell whose samples are all non-finite
+    is refused."""
     tops = vals.max(axis=1)
     if not np.isfinite(tops).all():
         vals = np.where(np.isfinite(vals), vals, -np.inf)
@@ -581,38 +571,30 @@ def _maxima(radii: np.ndarray, vals: np.ndarray, exact) -> tuple:
         empty = tops == -np.inf
         if empty.any():
             _refuse_shell(radii[empty.argmax()])
-    if exact is None:
-        return tops, vals[:, :vals.shape[1] // 2].max(axis=1)
-    over = tops > exact + 1e-6 * (1.0 + np.abs(exact))
-    if over.any():
-        i = over.argmax()
-        raise NumericalError(f"sampled spherical max {float(tops[i])} exceeds closed form "
-                             f"{float(exact[i])}")
-    return exact, exact
+    if upper is not None:
+        over = tops > upper + 1e-6 * (1.0 + np.abs(upper))
+        if over.any():
+            i = over.argmax()
+            raise NumericalError(f"sampled spherical max {float(tops[i])} exceeds certified "
+                                 f"max {float(upper[i])}")
+    return tops, vals[:, :vals.shape[1] // 2].max(axis=1)
 
 
-def _certified(radii: np.ndarray, bounds: np.ndarray, exact) -> np.ndarray:
+def _certified(radii: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """(M, leading-half M, M's error) from certified maxima (`ScalarField.
-    maxima`): the closed forms `exact`, error 0, which may pass neither end
-    by more than 1e-6 (1 + |M|); else the attained end, with its gap to the
-    upper end plus the rounding.  A maximum that is not finite is refused."""
+    maxima`): the attained end for both, with its gap to the upper end plus
+    the rounding as the error.  A maximum that is not finite is refused."""
     lower, upper, rounding = bounds
     bad = ~np.isfinite(bounds).all(axis=0)
     if bad.any():
         raise DomainError(f"the spherical max at radius {radii[bad.argmax()]:.6g} is not finite")
-    if exact is None:
-        return np.stack([lower, lower, upper - lower + rounding])
-    slack = 1e-6 * (1.0 + np.abs(exact))
-    low, high = lower > exact + slack, exact > upper + slack
-    if low.any():
-        i = low.argmax()
-        raise NumericalError(f"attained spherical max {float(lower[i])} exceeds closed form "
-                             f"{float(exact[i])}")
-    if high.any():
-        i = high.argmax()
-        raise NumericalError(f"closed form {float(exact[i])} exceeds certified max "
-                             f"{float(upper[i])}")
-    return np.stack([exact, exact, np.zeros_like(exact)])
+    return np.stack([lower, lower, upper - lower + rounding])
+
+
+def _closed_form(curve: Callable) -> Callable:
+    """`ScalarField.maxima` of the closed form curve(x0, radii) -> (k,):
+    both ends the closed form, rounding 0."""
+    return lambda x0: lambda radii: np.array([curve(x0, radii)] * 2 + [np.zeros(len(radii))])
 
 
 def _sum_depth(size: int) -> int:
@@ -627,34 +609,34 @@ def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.
     """(means, leading-half means, means of absolute values, rounding, hits,
     maxima, depth) of the sphere shells about x0 of the given radii, each
     read once; the maxima are the (3, `maxima`) rows of M, leading-half M
-    and M's error at the first `maxima` radii only, against one call of the
-    field's closed form.  A mean is within eps (depth times its mean of
-    absolute values plus its rounding) of the exact sum behind it
-    (`_quotient_rounding`).
+    and M's error at the first `maxima` radii only.  A mean is within eps
+    (depth times its mean of absolute values plus its rounding) of the
+    exact sum behind it (`_quotient_rounding`).
 
-    A field with exact means (`ScalarField.means`) reads no sphere point:
-    one call gives its means at the radii from index `means_from` on (those
-    before are read for M only, and their means are NaN), the coarse rule
-    standing for the half means, with their own rounding bound, depth 0 and
-    no hit, and one call its maxima (`_certified`).  Otherwise every shell
-    is sampled, in one pass of blocks of at most SHELL_BLOCK values, with
-    the depth of numpy's row sums and rounding 0; the leading half of the
-    points is the set of half the size, and M the sampled maximum
-    (`_maxima`), with error 0.  The values are scanned and clipped
-    (`_clipped`) only in a block with a non-finite row sum, the maxima
-    reading them before the clip; a shell whose row sum still overflows,
-    or whose samples are all non-finite, is refused."""
+    A field with certified maxima (`ScalarField.maxima`) reads them in one
+    call (`_certified`): M is the attained end, its own half curve, with
+    error upper - attained + rounding.  A field without them reads M as
+    the sampled maximum (`_maxima`), with error 0.  A field with exact
+    means (`ScalarField.means`) reads no sphere point: one call gives its
+    means at the radii from index `means_from` on (those before are read
+    for M only, and their means are NaN), the coarse rule standing for the
+    half means, with their own rounding bound, depth 0 and no hit.
+    Otherwise every shell is sampled, in one pass of blocks of at most
+    SHELL_BLOCK values, with the depth of numpy's row sums and rounding 0;
+    the leading half of the points is the set of half the size, and no
+    sampled M shell may pass a certified upper end.  The values are
+    scanned and clipped (`_clipped`) only in a block with a non-finite row
+    sum, the maxima reading them before the clip; a shell whose row sum
+    still overflows, or whose samples are all non-finite, is refused."""
     rows = np.full((4, radii.size), np.nan)
     hits = np.zeros(radii.size, dtype=int)
-    tops = np.zeros((3, maxima))
     if field.means is not None and means_from < radii.size:
         rows[:, means_from:] = field.means(x0)(radii[means_from:])
-    exact = None
-    if field.analytic_max is not None and maxima:
-        exact = field.analytic_max(x0, radii[:maxima])
+    bounds, tops = None, np.zeros((3, maxima))
+    if field.maxima is not None and maxima:
+        bounds = field.maxima(x0)(radii[:maxima])
+        tops = _certified(radii[:maxima], bounds)
     if field.means is not None:
-        if maxima:
-            tops = _certified(radii[:maxima], field.maxima(x0)(radii[:maxima]), exact)
         return (*rows, hits, tops, 0)
     size, half = quad.size, quad.size // 2
     rows[3] = 0.0
@@ -680,8 +662,10 @@ def _shell_rows(field: ScalarField, x0: np.ndarray, quad: SphereQuad, radii: np.
         rows[1, span] = vals[:, :half].sum(axis=1) / half
         rows[2, span] = np.abs(vals).sum(axis=1) / size
         if len(top):
-            tops[:2, lo:lo + len(top)] = _maxima(
-                block[:len(top)], top, None if exact is None else exact[lo:lo + len(top)])
+            sampled = _maxima(block[:len(top)], top,
+                              None if bounds is None else bounds[1, lo:lo + len(top)])
+            if bounds is None:
+                tops[:2, lo:lo + len(top)] = sampled
     return (*rows, hits, tops, _sum_depth(size))
 
 
@@ -691,12 +675,13 @@ class AverageCurve:
     radii: np.ndarray
     values: np.ndarray
     clipped_fraction: float = 0.0
-    # the same curve on the leading half of the points (M: the curve itself
-    # where it is a closed form or certified)
+    # the same curve on the leading half of the points (a certified M: the
+    # curve itself)
     half_values: np.ndarray | None = None
     # V: the gap of the deepest quotient to the half-order ladder's, plus the
-    # bound on its rounding (`_quotient_rounding`); a certified M: the gaps
-    # and rounding of the two deepest maxima over |K(r_-2) - K(r_-1)|; 0 else
+    # bound on its rounding (`_quotient_rounding`); S: that rounding bound; a
+    # certified M: the gaps and rounding of the two deepest maxima over
+    # |K(r_-2) - K(r_-1)|; 0 else
     quadrature_error: float = 0.0
 
     def to_csv_rows(self, p: float):
@@ -706,29 +691,29 @@ class AverageCurve:
         return [(float(r), float(v), q) for r, v, q in zip(self.radii, self.values, quots)]
 
 
-def _quotient_rounding(n: int, depth: int, k: np.ndarray, magnitudes: np.ndarray,
+def _quotient_rounding(units: int, k: np.ndarray, magnitudes: np.ndarray,
                        rounding: np.ndarray, q: float) -> float:
-    """A bound on the rounding in q = (V_0 - V_1) / (K_0 - K_1), the V
-    quotient over the two deepest radii, whose kernel values are k, from
-    the ladder's sums over shell means, each within eps (depth times its
-    mean of absolute values plus its rounding) of its exact sum
-    (`_shell_rows`).
+    """A bound on the rounding in q = (A_0 - A_1) / (K_0 - K_1), a quotient
+    of averages A_i of shell means over the two deepest radii, whose kernel
+    values are k: each A_i within eps (`units` times `magnitudes`_i, M_i,
+    plus `rounding`_i, R_i) of its exact value.
 
-    Each V_i is a `_volume_ladder` sum of products of a weight and a shell
-    mean; `magnitudes` is the same ladder of the shells' means of absolute
-    values, A_i, which bounds the sum of the absolute terms behind V_i
-    whether or not a shell changes sign (all weights are positive), and
-    `rounding` the same ladder of the shells' rounding, R_i.  A product with
-    its weight is within (n + 4) eps relative: its node t rounds in two
-    operations, which the weight's power t^(n-1) carries n - 1 times, and
-    the weight, the mean and the product round in a few more.  So V_i is
-    within u A_i + eps R_i, u = (n + 4 + depth) eps, each kernel value
-    within eps relative, and the subtraction and division round once each:
-    |dq| <= (u (A_0 + A_1) + eps (R_0 + R_1) + eps |q| (|K_0| + |K_1|)) / |K_0 - K_1|
-    + 2 eps |q|."""
+    For S, A_i is a shell mean, within eps (depth times its mean of
+    absolute values plus its rounding) of its exact sum (`_shell_rows`):
+    `units` is the depth.  For V, A_i is a `_volume_ladder` sum of products
+    of a weight and a shell mean, and M_i and R_i the same ladder of the
+    shells' means of absolute values (which bound the absolute terms behind
+    A_i whatever their signs, all weights being positive) and rounding.  A
+    product with its weight is within (n + 4) eps relative: its node t
+    rounds in two operations, which the weight's power t^(n-1) carries n - 1
+    times, and the weight, the mean and the product round in a few more;
+    so `units` is n + 4 + depth.  With u = units eps, each kernel value
+    within eps relative, and the subtraction and division rounding once
+    each: |dq| <= (u (M_0 + M_1) + eps (R_0 + R_1) + eps |q| (|K_0| + |K_1|))
+    / |K_0 - K_1| + 2 eps |q|."""
     eps = np.finfo(float).eps
     gap = abs(float(k[0] - k[1]))
-    return float(((n + 4 + depth) * eps * magnitudes.sum() + eps * rounding.sum()
+    return float((units * eps * magnitudes.sum() + eps * rounding.sum()
                   + eps * abs(q) * np.abs(k).sum()) / gap + 2.0 * eps * abs(q))
 
 
@@ -783,6 +768,10 @@ def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
                 out[kind].quadrature_error = float(error / abs(k0 - k1))
         elif kind == "S":
             out[kind] = curve(kind, means[:k], halves[:k], hits[:k])
+            if p is not None and radii.size > 1 and radii[-2] != radii[-1]:
+                out[kind].quadrature_error = _quotient_rounding(
+                    depth, kernel(KernelSpec(p=p), radii[-2:]), magnitudes[k - 2:k],
+                    rounding[k - 2:k], float(quotients(means[k - 2:k], radii[-2:], p)[0]))
         else:
             end = k + ladder.size
             values = combine(means[k:end])
@@ -792,17 +781,17 @@ def average_curves(field: ScalarField, kinds: Sequence[str], x0, radii,
             out[kind].quadrature_error = float(np.abs(fine - coarse).max(initial=0.0))
             if radii.size > 1:
                 out[kind].quadrature_error += _quotient_rounding(
-                    field.n, depth, kernel(KernelSpec(p=p), radii[-2:]),
+                    field.n + 4 + depth, kernel(KernelSpec(p=p), radii[-2:]),
                     combine(magnitudes[k:end])[-2:], combine(rounding[k:end])[-2:],
                     float(fine[0]))
     return out
 
 
 def spherical_max(field: ScalarField, x0, r: float, quad: SphereQuad | None = None) -> float:
-    """Spherical maximum M(u, x0; r): the field's closed form when it has
-    one, checked against its certified maxima or the sampled maximum; else
-    the certified attained maximum, or the sampled one, which is at most
-    the true supremum."""
+    """Spherical maximum M(u, x0; r): the attained end of the field's
+    certified maxima (a closed form where it has one), which no sampled
+    shell may pass; else the sampled maximum, which is at most the true
+    supremum."""
     return float(average_curves(field, ("M",), x0, [r], quad)["M"].values[0])
 
 
@@ -817,8 +806,9 @@ def tangent_flow(field: ScalarField, p: float, r: float,
 
     u_r(x) = r^(p-2) (u(rx) - c) with c = 0 for p > 2, c = M(u, r) for
     p = 2, where the factor is exactly 1, and c = u(0) for p < 2, read
-    from the field, which must be finite there.  The closed-form max
-    follows the same formula.
+    from the field, which must be finite there.  Where the field has
+    certified maxima, the flow's follow the same formula: factor times the
+    ends less c, and factor times the rounding.
     """
     KernelSpec(p=p)  # the exponent's check, before any evaluation
     if not 0.0 < r < math.inf:
@@ -847,13 +837,13 @@ def tangent_flow(field: ScalarField, p: float, r: float,
         def sing_dist(pts):
             return base_dist(np.asarray(pts, dtype=float) * r) / r
 
-    analytic = None
-    if field.analytic_max is not None:
-        base_max = field.analytic_max
+    maxima = None
+    if field.maxima is not None:
+        base_max = field.maxima
 
-        def analytic(x0, radii):
-            base = base_max(x0 * r, radii * r)
-            return None if base is None else factor * (base - offset)
+        def maxima(x0):
+            evaluate = base_max(x0 * r)
+            return lambda radii: factor * (evaluate(radii * r) - [[offset], [offset], [0.0]])
 
     return ScalarField(
         n=n,
@@ -861,7 +851,7 @@ def tangent_flow(field: ScalarField, p: float, r: float,
         name=f"flow({field.name},p={fmt_param(p)},r={fmt_param(r)})",
         singular_points=singular,
         singular_distance=sing_dist,
-        analytic_max=analytic,
+        maxima=maxima,
     )
 
 
@@ -941,19 +931,20 @@ def densities(field: ScalarField, x0, p: float, radii=None,
     sampling error.  A field with exact means and maxima (a kernel sum,
     `ScalarField.means`) reads no point, so `quad` (`--quad`, `--seed`)
     changes none of its reports: its S and V half curves are those of the
-    coarse rule, whose gap estimates the rule's error, and its M, closed
-    form or certified, is its own half curve.  The V bracket adds the
-    curve's `quadrature_error`: the ladder's truncation, estimated by the
-    half-order ladder, and its rounding (for exact means, each mean's own
-    rounding bound: `_sphere_means`); a certified M off the ray of centres
-    adds its gap and rounding.  The S bracket and a closed-form or sampled
-    M's are the quotient gaps alone, so a constant quotient reads bracket
-    0 while its estimate may be an ulp off (theta_M = theta_S =
-    3.0000000000000004 for the Riesz kernel at theta = 3, p = 2.5, n = 2).
-    The kernel is computed at the radii once, for the quotients of every
-    curve and half curve in one `radial.quotients` call.  The report keeps
-    the curves as its `curves` attribute, which is not a field, so the
-    JSON report leaves them out.
+    coarse rule, whose gap estimates the rule's error.  A certified M (a
+    closed form too) is its own half curve.  Each bracket adds its curve's
+    `quadrature_error`: for V the ladder's truncation, estimated by the
+    half-order ladder, and for V and S the rounding of the deepest
+    quotient (for exact means, from each mean's own bound: `_sphere_means`);
+    for a certified M its gap and rounding, 0 for a closed form.  So the
+    Riesz kernel at theta = 3, p = 2.5, n = 2 reads theta_M = theta_S =
+    3.0000000000000004 within brackets that cover the ulp.  Where C(p, n)
+    is beyond floats (`harnack_sup_constant`, p -> 1) the note reads inf,
+    and `comparison_upper` is left out, as at p = 1.  The kernel is
+    computed at the radii once, for the quotients of every curve and half
+    curve in one `radial.quotients` call.  The report keeps the curves as
+    its `curves` attribute, which is not a field, so the JSON report leaves
+    them out.
     """
     KernelSpec(p=p)  # the exponent's check, before any shell is evaluated
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -998,10 +989,12 @@ def densities(field: ScalarField, x0, p: float, radii=None,
             lo, hi = (theta["M"], theta["S"]) if p > 2.0 else (theta["S"], theta["M"])
             residuals["comparison_lower"] = max(0.0, lo - hi)
             if p > 1.0:
-                # at p = 1 the upper comparison fails even for linear fields
+                # at p = 1 the upper comparison fails even for linear fields,
+                # and a C(p, n) beyond floats (inf) bounds nothing
                 c = harnack_sup_constant(p, n)
-                residuals["comparison_upper"] = max(0.0, hi - c * lo)
                 notes.append(f"comparison constant C(p,n) = {c:.6g}")
+                if c < math.inf:
+                    residuals["comparison_upper"] = max(0.0, hi - c * lo)
 
     mono_ok = mono_defect <= tol_mono
     if not mono_ok:
@@ -1357,10 +1350,9 @@ def density_decay_check(field: ScalarField, x0, path_points, p: float,
 
 def holder_estimate(field: ScalarField, x0, rho: float, big_r: float, p: float,
                     quad: SphereQuad | None = None) -> float:
-    """Hoelder norm on B_rho from the max average at R: a bound where M has
-    a closed form, one to within its gap where M is certified (a kernel
-    sum off the ray of centres), and an estimate from the sampled maximum
-    otherwise."""
+    """Hoelder norm on B_rho from the max average at R: a bound to within
+    M's gap where M is certified (exact for a closed form), an estimate
+    from the sampled maximum otherwise."""
     if not 1.0 <= p < 2.0:
         raise DomainError("Hoelder estimates need 1 <= p < 2")
     alpha = 2.0 - p
@@ -1378,8 +1370,8 @@ def holder_estimate(field: ScalarField, x0, rho: float, big_r: float, p: float,
 def infinitesimal_holder(field: ScalarField, x0, p: float, radii=None,
                          quad: SphereQuad | None = None) -> float:
     """(M(u, x0, r) - u(x0)) / r^alpha at the deepest radius; decreasing in r.
-    A bound where M has a closed form, one to within its gap where M is
-    certified, an estimate from the sampled maximum otherwise."""
+    A bound to within M's gap where M is certified (exact for a closed
+    form), an estimate from the sampled maximum otherwise."""
     if not 1.0 <= p < 2.0:
         raise DomainError("needs 1 <= p < 2")
     alpha = 2.0 - p
@@ -1406,14 +1398,8 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
     times the mean of absolute values of the whole sum, so its rounding
     bound is the terms' bounds plus T times that mean.  A mean, or its
     rounding bound, that is not finite (float overflow) is refused.  The
-    maxima are certified (`_kernel_sum_maxima`).
-
-    `analytic_max` is sum_k w_k K(r + |x0 - c_k|) when every centre of
-    positive weight other than x0 lies on one ray from x0 (directions
-    within 1e-9, where the closed form's error, second order in the angle,
-    is below rounding): each term then peaks at the same point of the
-    sphere.  Off the ray it is None.  Each term is one `radial.kernel` call
-    on all the radii, summed in order.
+    maxima are certified (`_kernel_sum_maxima`), on the ray of centres as
+    off it: there the certificate's first Newton start is the maximum.
     """
     finite = np.isfinite(centers).all(axis=1)
     if not finite.all():
@@ -1455,25 +1441,7 @@ def _kernel_sum_field(n: int, spec: KernelSpec, weights: np.ndarray, centers: np
 
         return evaluate
 
-    def analytic_max(x0, radii):
-        ray = None
-        for w, c in zip(weights, centers):
-            a = c - x0
-            if w > 0 and a.any():
-                a = a / np.abs(a).max()  # a tiny offset keeps a nonzero norm
-                a = a / np.linalg.norm(a)
-                if ray is None:
-                    ray = a
-                elif not np.linalg.norm(a - ray) <= 1e-9:
-                    return None
-        # d |a / d| has the floats of np.linalg.norm where |a|^2 is finite; the
-        # terms are summed from the first, not from 0: one term keeps its floats
-        offsets = (_offset(spec, x0 - c)[1:] for c in centers)
-        first, *rest = (w * kernel(spec, radii + d * math.sqrt(square))
-                        for w, (square, d) in zip(weights, offsets))
-        return sum(rest, first)
-
-    return ScalarField(n=n, values=values, means=means, analytic_max=analytic_max,
+    return ScalarField(n=n, values=values, means=means,
                        maxima=partial(_kernel_sum_maxima, spec, weights, centers), **meta)
 
 
@@ -1503,15 +1471,13 @@ def log_modulus_coordinate_field(n_complex: int) -> ScalarField:
         pts = np.asarray(pts, dtype=float)
         return np.hypot(pts[:, 0], pts[:, n_complex])
 
-    def analytic_max(x0, radii):
-        return np.array([math.log(math.hypot(x0[0], x0[n_complex]) + r) for r in radii])
-
     return ScalarField(
         n=n,
         values=values,
         name=f"log|z_1| on C^{n_complex}",
         singular_distance=singular_distance,
-        analytic_max=analytic_max,
+        maxima=_closed_form(lambda x0, radii: np.array(
+            [math.log(math.hypot(x0[0], x0[n_complex]) + r) for r in radii])),
     )
 
 
@@ -1528,15 +1494,13 @@ def partial_kernel_field(p: float, m: int, n: int) -> ScalarField:
     def singular_distance(pts):
         return row_norms(np.asarray(pts, dtype=float)[:, :m])
 
-    def analytic_max(x0, radii):
-        return kernel(spec, float(np.linalg.norm(x0[:m])) + radii)
-
     return ScalarField(
         n=n,
         values=values,
         name=f"partial-kernel(p={fmt_param(p)},m={m})",
         singular_distance=singular_distance,
-        analytic_max=analytic_max,
+        maxima=_closed_form(lambda x0, radii: kernel(
+            spec, float(np.linalg.norm(x0[:m])) + radii)),
     )
 
 
@@ -1577,7 +1541,8 @@ def newtonian_potential_field(p: float, masses, n: int) -> ScalarField:
 
 
 def max_of_fields(*fields: ScalarField) -> ScalarField:
-    """Pointwise maximum."""
+    """Pointwise maximum; its certified maxima, where every field has them,
+    the entrywise maximum of the fields' (3, k) rows."""
     if not fields:
         raise DomainError("need at least one field")
     n = fields[0].n
@@ -1587,12 +1552,12 @@ def max_of_fields(*fields: ScalarField) -> ScalarField:
     def values(pts):
         return np.max(np.stack([f.values(pts) for f in fields]), axis=0)
 
-    analytic = None
-    if all(f.analytic_max is not None for f in fields):
+    maxima = None
+    if all(f.maxima is not None for f in fields):
 
-        def analytic(x0, radii):
-            maxima = [f.analytic_max(x0, radii) for f in fields]
-            return None if any(m is None for m in maxima) else np.max(maxima, axis=0)
+        def maxima(x0):
+            parts = [f.maxima(x0) for f in fields]
+            return lambda radii: np.max([part(radii) for part in parts], axis=0)
 
     singular = tuple(s for f in fields for s in f.singular_points)
     dists = [f.singular_distance for f in fields if f.singular_distance is not None]
@@ -1608,7 +1573,7 @@ def max_of_fields(*fields: ScalarField) -> ScalarField:
         name="max(" + ",".join(f.name for f in fields) + ")",
         singular_points=singular,
         singular_distance=sing_dist,
-        analytic_max=analytic,
+        maxima=maxima,
     )
 
 
@@ -1666,5 +1631,5 @@ def zero_field(n: int) -> ScalarField:
         n=n,
         values=lambda pts: np.zeros(np.asarray(pts).shape[0]),
         name="zero",
-        analytic_max=lambda x0, radii: np.zeros(len(radii)),
+        maxima=_closed_form(lambda x0, radii: np.zeros(len(radii))),
     )

@@ -2,16 +2,17 @@
 
 Every quotient curve is its own ``radial.quotients`` call, so the kernel
 is computed at the radii once per curve; every shell row is summed by
-numpy's ``sum(axis=1)``, its leading half summed again on its own; and a
-kernel sum's closed-form maximum makes its ray test and centre distances
-at every radius (``kernel_sum_max``).  A field with exact means
-(``ScalarField.means``) reads them for S and V, the coarse rule as the
-half means, and its certified maxima for M, the closed form at each
-radius checked on its own against both ends (``certified``).  The
-V bracket's rounding term is ``flow._quotient_rounding``'s, read from
+numpy's ``sum(axis=1)``, its leading half summed again on its own.  A
+field with exact means (``ScalarField.means``) reads them for S and V,
+the coarse rule as the half means.  A field with certified maxima
+(``ScalarField.maxima``) reads M at each radius on its own as the
+attained end, with the gap to the upper end plus the rounding as its
+error (``certified``); a sampled field's shell maximum, its non-finite
+samples read as -inf, must not pass that radius's upper end.  The S and
+V brackets' rounding terms are ``flow._quotient_rounding``'s, read from
 each shell's plain sum of absolute values (or the exact means' and their
-rounding bounds).  M reads each sampled shell with its non-finite samples
-as -inf.
+rounding bounds).  ``kernel_sum_max`` is the closed-form maximum of a
+kernel sum on the ray of its centres, an oracle for the certificate.
 ``rieszlab.flow.densities`` must return the same report, curves
 included, bit for bit.
 """
@@ -29,7 +30,9 @@ from rieszlab.radial import KernelSpec, density_estimate, kernel, quotients
 
 
 def kernel_sum_max(p: float, weights, centers):
-    """analytic_max of sum_k w_k K_p(|x - c_k|), set up anew at each radius."""
+    """(x0, radii) -> the maxima of sum_k w_k K_p(|x - c_k|) over the spheres
+    about x0, sum_k w_k K(r + |x0 - c_k|), where every centre of positive
+    weight other than x0 lies on one ray from x0; None off that ray."""
     spec = KernelSpec(p=p)
     weights = np.asarray(weights, dtype=float)
     centers = np.asarray(centers, dtype=float)
@@ -64,62 +67,46 @@ def plus_quadratic(base: flow.ScalarField, c: float) -> flow.ScalarField:
         pts = np.asarray(pts, dtype=float)
         return base.values(pts) + 0.5 * np.einsum("mi,ij,mj->m", pts, a, pts)
 
-    return dataclasses.replace(base, values=values, means=None, maxima=None, analytic_max=None)
+    return dataclasses.replace(base, values=values, means=None, maxima=None)
 
 
-def maximum(field, x0, r, vals):
+def maximum(r, vals, upper):
     """(M, leading-half M) of the shell vals at radius r, its non-finite
-    samples read as -inf: the closed form at r alone, which the sampled
-    maximum must not exceed, or else the maxima of the sample and of its
-    leading half."""
+    samples read as -inf: the maxima of the sample and of its leading half,
+    the first of which must not pass the certified upper end, if any."""
     if not np.isfinite(vals).any():
         raise DomainError(f"every sphere sample at radius {r:.6g} is non-finite (float overflow "
                           f"or the singular set)")
     vals = np.where(np.isfinite(vals), vals, -np.inf)
     sampled = float(vals.max())
-    exact = None if field.analytic_max is None else field.analytic_max(x0, np.array([r]))
-    if exact is None:
-        return sampled, float(vals[:vals.size // 2].max())
-    exact = float(exact[0])
-    if sampled > exact + 1e-6 * (1.0 + abs(exact)):
-        raise NumericalError(f"sampled spherical max {sampled} exceeds closed form {exact}")
-    return exact, exact
+    if upper is not None and sampled > upper + 1e-6 * (1.0 + abs(upper)):
+        raise NumericalError(f"sampled spherical max {sampled} exceeds certified max {upper}")
+    return sampled, float(vals[:vals.size // 2].max())
 
 
-def certified(field, x0, radii):
-    """(M, leading-half M, M's error) at each radius from the field's
-    certified maxima (attained, upper end, rounding): the closed form at
-    that radius alone, within 1e-6 (1 + |M|) of both ends, with error 0, or
-    else the attained end, with its gap to the upper end plus the rounding."""
-    exacts = [None if field.analytic_max is None else field.analytic_max(x0, np.array([r]))
-              for r in radii]
+def certified(radii, bounds):
+    """(M, leading-half M, M's error) at each radius from certified maxima
+    (attained, upper end, rounding): the attained end, with its gap to the
+    upper end plus the rounding."""
     tops = []
-    for r, exact, (lower, upper, rounding) in zip(radii, exacts, field.maxima(x0)(radii).T):
+    for r, (lower, upper, rounding) in zip(radii, bounds.T):
         if not np.isfinite([lower, upper, rounding]).all():
             raise DomainError(f"the spherical max at radius {r:.6g} is not finite")
-        if exact is None:
-            tops.append((lower, lower, upper - lower + rounding))
-            continue
-        exact = float(exact[0])
-        if lower > exact + 1e-6 * (1.0 + abs(exact)):
-            raise NumericalError(f"attained spherical max {float(lower)} exceeds closed form "
-                                 f"{exact}")
-        if exact > upper + 1e-6 * (1.0 + abs(exact)):
-            raise NumericalError(f"closed form {exact} exceeds certified max {float(upper)}")
-        tops.append((exact, exact, 0.0))
+        tops.append((lower, lower, upper - lower + rounding))
     return tops
 
 
 def shell_rows(field, x0, quad, radii, maxima):
     if field.means is not None:
         means, halves, absolute, rounding = field.means(x0)(radii)
-        tops = certified(field, x0, radii[:maxima]) if maxima else []
+    bounds = field.maxima(x0)(radii[:maxima]) if field.maxima is not None and maxima else None
+    tops = [] if bounds is None else certified(radii[:maxima], bounds)
+    if field.means is not None:
         return means, halves, absolute, rounding, np.zeros(radii.size, dtype=int), tops, 0
     evaluate = flow._shell_evaluator(field, x0, quad.points)
     size, half = quad.size, quad.size // 2
     means, halves, absolute = np.empty(radii.size), np.empty(radii.size), np.empty(radii.size)
     hits = np.zeros(radii.size, dtype=int)
-    tops = []
     step = max(1, flow.SHELL_BLOCK // size)
     for lo in range(0, radii.size, step):
         block = radii[lo:lo + step]
@@ -140,8 +127,10 @@ def shell_rows(field, x0, quad, radii, maxima):
         means[rows] = sums / size
         halves[rows] = vals[:, :half].sum(axis=1) / half
         absolute[rows] = np.abs(vals).sum(axis=1) / size
-        tops += [(*maximum(field, x0, r, row), 0.0)
-                 for r, row in zip(block[:max(0, maxima - lo)], raw)]
+        for i, (r, row) in enumerate(zip(block[:max(0, maxima - lo)], raw)):
+            sampled = maximum(r, row, None if bounds is None else float(bounds[1, lo + i]))
+            if bounds is None:
+                tops.append((*sampled, 0.0))
     depth = size // 8 + 2 if size <= 128 else size.bit_length() + 10  # numpy's pairwise sum
     return means, halves, absolute, np.zeros(radii.size), hits, tops, depth
 
@@ -177,6 +166,10 @@ def average_curves(field, kinds, x0, radii, quad, p):
                     kernel(spec, radii[-2]) - kernel(spec, radii[-1])))
         elif kind == "S":
             out[kind] = curve(kind, means[:k], halves[:k], hits[:k])
+            if p is not None and radii.size > 1:
+                out[kind].quadrature_error = flow._quotient_rounding(
+                    depth, kernel(KernelSpec(p=p), radii[-2:]), absolute[k - 2:k],
+                    rounding[k - 2:k], float(quotients(means[k - 2:k], radii[-2:], p)[0]))
         else:
             end = k + ladder.size
             values = combine(means[k:end])
@@ -186,7 +179,7 @@ def average_curves(field, kinds, x0, radii, quad, p):
             out[kind].quadrature_error = float(np.abs(gap).max(initial=0.0))
             if radii.size > 1:
                 out[kind].quadrature_error += flow._quotient_rounding(
-                    field.n, depth, kernel(KernelSpec(p=p), radii[-2:]),
+                    field.n + 4 + depth, kernel(KernelSpec(p=p), radii[-2:]),
                     combine(absolute[k:end])[-2:], combine(rounding[k:end])[-2:],
                     float(fine[0]))
     return out
@@ -225,8 +218,9 @@ def densities(field, x0, p, radii=None, quad=None, kinds=("M", "S", "V")):
             residuals["comparison_lower"] = max(0.0, lo - hi)
             if p > 1.0:
                 c = flow.harnack_sup_constant(p, n)
-                residuals["comparison_upper"] = max(0.0, hi - c * lo)
                 notes.append(f"comparison constant C(p,n) = {c:.6g}")
+                if c < math.inf:
+                    residuals["comparison_upper"] = max(0.0, hi - c * lo)
     mono_ok = mono_defect <= 1e-6 + noise
     if not mono_ok:
         notes.append("not F-subharmonic or quadrature too coarse")

@@ -1230,6 +1230,17 @@ def test_density_keeps_m_at_radii_whose_squared_distance_overflows(capsys):
     assert abs(theta["M"] - theta["S"]) <= bracket["M"] + payload["noise_bound"]
 
 
+@pytest.mark.parametrize("center", [[], FAR_RADII[2:7]], ids=["on-ray", "off-ray"])
+def test_density_reads_s_at_radii_whose_squared_distance_overflows_within_its_bracket(
+        capsys, center):
+    # the S quotient is 2 up to terms of order (0.5 / 1e158)^2; the kernel's
+    # exponent is about 368 there, and the S bracket holds its rounding
+    code, payload = run_json(capsys, "density", "newtonian", "--p", "3", "--n", "4",
+                             *FAR_RADII[:2], *center, *FAR_RADII[7:])
+    assert code == 0
+    assert abs(payload["theta"]["S"] - 2.0) <= payload["bracket"]["S"] + payload["noise_bound"]
+
+
 @pytest.mark.parametrize("p", ["2", "1.5"])
 def test_density_refuses_radii_whose_squared_distance_overflows_at_p_up_to_2(capsys, p):
     code = cli.main(["density", "newtonian", "--p", p, "--n", "4", *FAR_RADII, "--no-timestamp"])
@@ -1237,6 +1248,16 @@ def test_density_refuses_radii_whose_squared_distance_overflows_at_p_up_to_2(cap
     assert (code, captured.out) == (3, "")
     assert captured.err == ("error: the sphere of radius 1e+160 about x0 is refused at p <= 2: "
                             "its squared distance to a kernel centre overflows\n")
+
+
+@pytest.mark.parametrize("p,n", [("1.2", "16"), ("1.05", "10"), ("1.01", "4"), ("1.001", "16")])
+def test_density_answers_where_the_comparison_supremum_lies_below_the_linear_grid(capsys, p, n):
+    # psi's supremum lies below 1e-6; at p = 1.001, n = 16 it underflows and
+    # the upper comparison is left out with a note
+    code, payload = run_json(capsys, "density", "riesz", "--p", p, "--n", n)
+    assert code == 0 and payload["theta"]["S"] == 1.0
+    assert ("comparison_upper" in payload["residuals"]) is (p != "1.001")
+    assert payload["notes"][0].startswith("comparison constant C(p,n) ")
 
 
 def test_density_reads_the_centred_kernel_density_at_p_2_exactly(capsys):

@@ -306,11 +306,18 @@ def check_certificate(field, x0, radii, p, interior=False):
 
 @pytest.mark.parametrize("n,p,ratio", list(grid_settings()))
 def test_the_certified_max_holds_on_the_oracle_grid(n, p, ratio):
-    # off the ray of the centres (on it, every report checks the closed
-    # form against the certificate), on the sphere through the second
-    # centre's distance and the deepest default one
+    # on the ray of the centres, beyond the first, and off it, on the
+    # sphere through the second centre's distance and the deepest default
+    # one; on the ray the maximum is also the closed form
     field, d = grid_field(n, p, ratio)
-    check_certificate(field, 0.3 * d * np.eye(n)[1], np.array([d, 1.0 / 32]), p)
+    radii = np.array([d, 1.0 / 32])
+    check_certificate(field, 0.3 * d * np.eye(n)[1], radii, p)
+    x0 = -0.3 * d * np.eye(n)[0]
+    check_certificate(field, x0, radii, p)
+    lower, upper, rounding = field.maxima(x0)(radii)
+    closed = radial.kernel(radial.KernelSpec(p=p), radii + 0.3 * d) + radial.kernel(
+        radial.KernelSpec(p=p), radii + 1.3 * d)
+    assert np.all(np.abs(lower - closed) <= upper - lower + rounding + 4e-15 * np.abs(closed))
 
 
 @pytest.mark.parametrize("n", range(2, 17))

@@ -243,7 +243,7 @@ def test_every_average_route_checks_its_balls(quad3, route, radii, center, reaso
         _AVERAGE_ROUTES[route](u, np.asarray(center), np.asarray(radii), quad3)
 
 
-def test_two_kernels_on_one_ray_have_a_closed_form_max(capsys):
+def test_two_kernels_on_one_ray_certify_their_closed_form_max(capsys):
     # M(r) = K(r) + K(r + 0.5): the shell of radius 0.5 through the second
     # pole made the sampled maximum read as not monotone
     spec = radial.KernelSpec(p=3.0)
@@ -259,20 +259,29 @@ def test_two_kernels_on_one_ray_have_a_closed_form_max(capsys):
     assert abs(rep["theta"]["M"] - 1.0) <= rep["bracket"]["M"]
 
     e1 = np.eye(4)[0]
-    field = flow.newtonian_potential_field(3.0, [(1.0, np.zeros(4)), (1.0, 0.5 * e1)], 4)
-    # beyond both centres on the axis: still one ray, at distances 0.3 and 0.8
-    assert field.analytic_max(-0.3 * e1, np.array([0.2])).tolist() == [
-        radial.kernel(spec, 0.2 + 0.3) + radial.kernel(spec, 0.2 + 0.8)]
-    # between the centres, or off the axis, the maximum is certified
+    masses = [(1.0, np.zeros(4)), (1.0, 0.5 * e1)]
+    field = flow.newtonian_potential_field(3.0, masses, 4)
+    # beyond both centres on the axis, at distances 0.3 and 0.8, the
+    # certificate holds the closed form within its gap and rounding
+    radii = np.array([0.2, 0.05])
+    closed = plain.kernel_sum_max(3.0, *zip(*masses))(-0.3 * e1, radii)
+    assert closed.tolist() == [radial.kernel(spec, r + 0.3) + radial.kernel(spec, r + 0.8)
+                               for r in radii]
+    lower, upper, rounding = field.maxima(-0.3 * e1)(radii)
+    assert np.all((lower <= closed + rounding) & (closed <= upper + rounding))
+    assert np.all(upper - lower <= 4 * EPS * np.abs(closed))
+    # between the centres, or off the axis, the flow and the max of fields
+    # carry the certificate, and the sampled maximum stays below it
     quad = flow.sphere_quad(4, 1024)
     for x0 in (0.2 * e1, np.array([0.25, 0.1, 0.0, 0.0])):
-        assert field.analytic_max(x0, np.array([0.2])) is None
-        assert flow.tangent_flow(field, 3.0, 2.0).analytic_max(x0 / 2.0, np.array([0.1])) is None
-        assert flow.max_of_fields(field, flow.zero_field(4)).analytic_max(
-            x0, np.array([0.2])) is None
-        sampled = dataclasses.replace(field, analytic_max=None)
-        assert (flow.spherical_max(field, x0, 0.2, quad)
-                == flow.spherical_max(sampled, x0, 0.2, quad))
+        rows = field.maxima(x0)(np.array([0.2]))
+        assert np.array_equal(flow.tangent_flow(field, 3.0, 2.0).maxima(x0 / 2.0)(
+            np.array([0.1])), np.stack([2.0 * rows[0], 2.0 * rows[1], 2.0 * rows[2]]))
+        assert np.array_equal(flow.max_of_fields(field, flow.zero_field(4)).maxima(x0)(
+            np.array([0.2])), np.maximum(rows, 0.0))
+        sampled = dataclasses.replace(field, means=None, maxima=None)
+        assert flow.spherical_max(field, x0, 0.2, quad) == rows[0, 0]
+        assert flow.spherical_max(sampled, x0, 0.2, quad) <= rows[1, 0] + rows[2, 0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -295,29 +304,40 @@ def test_a_centre_a_tiny_distance_from_x0_keeps_its_direction():
     # offset scaled by its largest entry, never from a zero norm
     spec = radial.KernelSpec(p=3.0)
     e1, e2 = np.eye(3)[:2]
+    radii = np.array([0.5])
     with np.errstate(divide="raise", invalid="raise"):
         one = flow.riesz_kernel_field(1.0, 3.0, 3, center=1e-200 * e1)
-        assert one.analytic_max(np.zeros(3), np.array([0.5])).tolist() == [
-            radial.kernel(spec, 0.5)]
-        for c, on_ray in ((e1, True), (e2, False)):
+        lower, upper, rounding = one.maxima(np.zeros(3))(radii)
+        assert lower == upper == radial.kernel(spec, 0.5) and rounding < 1e-13
+        for c in (e1, e2):  # on the ray of the first centre, and off it
             field = flow.newtonian_potential_field(3.0, [(1.0, 1e-200 * e1), (1.0, c)], 3)
-            got = field.analytic_max(np.zeros(3), np.array([0.5]))
-            assert (got is None) is not on_ray
+            lower, upper, rounding = field.maxima(np.zeros(3))(radii)
+            want = radial.kernel(spec, 0.5) + radial.kernel(spec, 1.5)
+            assert abs(lower - want) <= upper - lower + rounding + 4 * EPS * abs(want)
 
 
 @pytest.mark.parametrize("quad", [None, flow.sphere_quad(3, 256)], ids=["default", "given"])
-def test_spherical_max_always_checks_a_closed_form(quad):
-    # a closed form below the field's attained maximum, or above its upper
-    # end: the certificate exposes it with or without a given quadrature
-    field = flow.riesz_kernel_field(1.0, 3.0, 3)
-    attained = float(field.maxima(np.zeros(3))(np.array([0.5]))[0, 0])
-    for closed, message in ((-10.0, f"attained spherical max {attained} exceeds closed "
-                                    f"form -10.0"),
-                            (10.0, f"closed form 10.0 exceeds certified max {attained}")):
-        u = dataclasses.replace(field, analytic_max=lambda x0, radii, c=closed: np.full(
-            radii.size, c))
-        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
-            flow.spherical_max(u, np.zeros(3), 0.5, quad)
+def test_spherical_max_always_checks_a_certificate(quad):
+    # with or without a given quadrature: a sampled shell above the upper
+    # end is refused, and so is a certified maximum that is not finite,
+    # sampled or not; a closed form is both ends, read as is
+    zero = flow.zero_field(3)
+    assert flow.spherical_max(zero, np.zeros(3), 0.5, quad) == 0.0
+    low = dataclasses.replace(zero, maxima=flow._closed_form(
+        lambda x0, radii: np.full(radii.size, -10.0)))
+    with pytest.raises(NumericalError, match="^sampled spherical max 0.0 exceeds certified "
+                                             "max -10.0$"):
+        flow.spherical_max(low, np.zeros(3), 0.5, quad)
+    for field in (zero, flow.riesz_kernel_field(1.0, 3.0, 3)):
+        for end in range(3):
+            def broken(x0, hook=field.maxima, end=end):
+                return lambda radii: hook(x0)(radii) + np.where(np.arange(3) == end, np.nan,
+                                                                0.0)[:, None]
+
+            with pytest.raises(DomainError, match="^the spherical max at radius 0.5 is not "
+                                                  "finite$"):
+                flow.spherical_max(dataclasses.replace(field, maxima=broken), np.zeros(3),
+                                   0.5, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +432,8 @@ def test_flow_below_two_subtracts_the_origin_value_read_from_the_field():
 
 def test_log_flow_matches_the_shifted_formula_bit_for_bit(quad4):
     # at p = 2 the one flow formula r^0 (u(rx) - M(u, r)) is u(rx) - M(u, r)
-    # exactly, for the values and the closed-form max
+    # exactly, for the values and the certified maxima, whose rounding the
+    # factor 1 keeps
     u = flow.riesz_kernel_field(1.5, 2.0, 4)
     pts = 1.5 * quad4.points[:64]
     for r in (0.3, 1.0, 2.5):
@@ -420,8 +441,9 @@ def test_log_flow_matches_the_shifted_formula_bit_for_bit(quad4):
         flowed = flow.tangent_flow(u, 2.0, r, quad4)
         assert np.array_equal(flowed.values(pts), u.values(r * pts) - m_r)
         for x0, rr in ((np.zeros(4), 0.7), (np.array([0.1, 0.0, 0.2, 0.0]), 1.3)):
-            assert np.array_equal(flowed.analytic_max(x0, np.array([rr])),
-                                  u.analytic_max(x0 * r, np.array([rr * r])) - m_r)
+            lower, upper, rounding = u.maxima(x0 * r)(np.array([rr * r]))
+            assert np.array_equal(flowed.maxima(x0)(np.array([rr])),
+                                  np.stack([lower - m_r, upper - m_r, rounding]))
 
 
 @pytest.mark.parametrize("radii", [[1.0, math.nan, 0.25], [1.0, 0.5, 0.0], [math.inf, 1.0], []])
@@ -501,11 +523,30 @@ def test_densities_are_the_radial_estimate_of_each_curve(quad3, quad4, field, p)
         q = radial.quotients(curve.values, radii, p)
         theta, bracket, defect = radial.density_estimate(q)
         assert np.array_equal(rep.quotients[kind], q)
-        # the V bracket adds the ladder's quadrature term
+        # each bracket adds its curve's quadrature term: for S the rounding
+        # of the deepest quotient, for M the certificate's gaps and rounding
+        # (0 for the closed form of log |z_1|)
         assert (rep.theta[kind], rep.bracket[kind]) == (theta, bracket + curve.quadrature_error)
-        assert kind == "V" or curve.quadrature_error == 0.0
+        if kind == "M":
+            lower, upper, rounding = field.maxima(x0)(radii[-2:])
+            k0, k1 = radial.kernel(radial.KernelSpec(p=p), radii[-2:])
+            error = (upper - lower + rounding).sum()
+            assert curve.quadrature_error == (float(error / abs(k0 - k1)) if error else 0.0)
+            assert (curve.quadrature_error == 0.0) is (field.means is None)
+        elif kind == "S":
+            assert 0.0 < curve.quadrature_error < 1e-12
         defects.append(defect)
     assert rep.monotone_defect == max(0.0, *defects)
+
+
+def test_an_s_curve_bounds_the_rounding_of_a_deepest_quotient_where_it_has_one():
+    # the S rounding term reads the quotient over the two deepest radii: a
+    # curve whose deepest radii are equal has none and is read as before
+    u = flow.riesz_kernel_field(1.0, 3.0, 3)
+    for radii, bounded in (([1.0, 0.5, 0.5], False), ([0.25, 0.5, 1.0], True)):
+        curve = flow.average_curves(u, ("S",), np.zeros(3), radii, None, 3.0)["S"]
+        assert np.array_equal(curve.values, radial.kernel(radial.KernelSpec(p=3.0), radii))
+        assert (curve.quadrature_error > 0.0) is bounded
 
 
 def test_density_rejects_heavy_clipping(quad3):
@@ -574,8 +615,8 @@ def _counted(field, x0, means=None, maxima=None):
     """The field with its `values` wrapped to record the radius and size of
     every sampled sphere shell about x0 it is evaluated on (one call per
     shell); given lists `means` and `maxima`, its exact means' and
-    certified maxima's evaluators are wrapped to record the radii of each
-    call in them."""
+    certified maxima's evaluators, where it has them, are wrapped to record
+    the radii of each call in them."""
     calls = []
 
     def values(pts):
@@ -592,25 +633,24 @@ def _counted(field, x0, means=None, maxima=None):
         return setup
 
     hooks = {"values": values}
-    if field.means is not None:
-        for name, log in (("means", means), ("maxima", maxima)):
-            if log is not None:
-                hooks[name] = recorded(getattr(field, name), log)
+    for name, log in (("means", means), ("maxima", maxima)):
+        if log is not None and getattr(field, name) is not None:
+            hooks[name] = recorded(getattr(field, name), log)
     return dataclasses.replace(field, **hooks), calls
 
 
 @pytest.mark.parametrize("field,sampled", [
-    # a kernel sum off the ray of its centres, its exact means set aside:
-    # every average sampled
+    # a kernel sum off the ray of its centres, its exact means and maxima
+    # set aside: every average sampled
     (dataclasses.replace(flow.newtonian_potential_field(
         3.0, [(1.5, np.zeros(3)), (0.5, np.array([2.5, 0.0, 0.0])),
-              (0.5, np.array([0.0, 2.5, 0.0]))], 3), means=None), True),
+              (0.5, np.array([0.0, 2.5, 0.0]))], 3), means=None, maxima=None), True),
     (flow.riesz_kernel_field(2.0, 2.5, 3), False),
-], ids=["sampled-max", "closed-form-max"])
+], ids=["sampled-max", "certified-max"])
 def test_densities_evaluate_each_shell_once(field, sampled, quad3):
     x0 = np.zeros(3)
     radii = flow.default_radii()
-    assert (field.analytic_max(x0, radii) is None) is sampled
+    assert (field.maxima is None) is sampled
     means, maxima = [], []
     counted, calls = _counted(field, x0, means, maxima)
     rep = flow.densities(counted, x0, 3.0, quad=quad3)
@@ -639,8 +679,9 @@ def test_densities_evaluate_each_shell_once(field, sampled, quad3):
 @pytest.mark.parametrize("kind", "MSV")
 def test_each_kind_evaluates_only_its_shells(quad3, kind, exact):
     # sampled (the exact means set aside), each kind evaluates only its own
-    # shells; with exact means, S and V read them in one call for every
-    # radius of the sweep, M its maxima in one call, and no shell is read
+    # shells, M checking its maxima against them; with exact means, S and V
+    # read them in one call for every radius of the sweep and no shell is
+    # read; M reads its maxima in one call either way
     x0 = np.zeros(3)
     radii = flow.default_radii()
     field = flow.newtonian_potential_field(3.0, [(1.0, x0), (0.5, np.array([0.3, 0.4, 0.0])),
@@ -653,7 +694,7 @@ def test_each_kind_evaluates_only_its_shells(quad3, kind, exact):
     assert len(calls) == (0 if exact else shells)
     assert len({radius for radius, _ in calls}) == len(calls)
     assert [len(set(call)) for call in means] == ([shells] if exact and kind != "M" else [])
-    assert maxima == ([radii.tolist()] if exact and kind == "M" else [])
+    assert maxima == ([radii.tolist()] if kind == "M" else [])
 
 
 @pytest.mark.parametrize("x0", [np.zeros(3), np.array([0.01, -0.02, 0.03])],
@@ -790,7 +831,6 @@ def test_an_off_ray_max_near_a_center_bounds_the_values(delta):
     radii = flow.default_radii()
     masses = [(1.0, 0.5 * E1), (1.0, radii[2] * (1.0 + delta) * quad.points[7])]
     field = flow.newtonian_potential_field(3.0, masses, 3)
-    assert field.analytic_max(np.zeros(3), radii) is None
     points = flow.SphereQuad(3, 1 << 16, seed=1).points
     lower, upper, rounding = field.maxima(np.zeros(3))(radii)
     for r, low, up, err in zip(radii, lower, upper, rounding):
@@ -925,41 +965,58 @@ def test_a_centred_kernel_report_is_one_means_call(field):
     assert plain.same_floats(report, plain.densities(field, x0, 3.0, quad=quad))
 
 
-def _one_radius_low(field, i):
-    """The field with its closed-form max 1 too low at the i-th radius only."""
-    exact = field.analytic_max
+def _one_radius_low(field, i, by=1.0):
+    """The field with both ends of its certified maxima `by` too low at the
+    i-th radius only."""
+    hook = field.maxima
 
-    def lowered(x0, radii):
-        return exact(x0, radii) - (np.arange(radii.size) == i)
+    def lowered(x0):
+        return lambda radii: hook(x0)(radii) - by * (np.arange(3) < 2)[:, None] * (
+            np.arange(radii.size) == i)
 
-    return dataclasses.replace(field, analytic_max=lowered)
+    return dataclasses.replace(field, maxima=lowered)
 
 
 @pytest.mark.parametrize("shell_block", [flow.SHELL_BLOCK, 1], ids=["one-block", "per-radius"])
-@pytest.mark.parametrize("name", ["centred", "on-ray", "sampled"])
-def test_a_closed_form_too_low_at_one_radius_is_refused_there(monkeypatch, quad3, name,
+@pytest.mark.parametrize("name", ["sampled", "log-coord"])
+def test_a_certificate_too_low_at_one_radius_is_refused_there(monkeypatch, quad3, quad4, name,
                                                               shell_block):
-    # M's check compares every curve radius, in one block or one radius per
-    # block: the closed form too low at the third radius only is caught
-    # there, with that radius's sampled or certified attained maximum and
-    # closed form
+    # every sampled shell of a field with certified maxima is checked
+    # against its upper end, in one block or one radius per block: the
+    # certificate too low at the third radius only is caught there, with
+    # that radius's sampled maximum and upper end
     monkeypatch.setattr(flow, "SHELL_BLOCK", shell_block)
-    x0 = np.zeros(3)
-    field = {"centred": flow.riesz_kernel_field(2.0, 3.0, 3),
-             "on-ray": flow.newtonian_potential_field(3.0, [(1.0, x0), (0.5, 2.5 * E1)], 3),
-             "sampled": flow.plus_quadratic_field(flow.zero_field(3), 2.0)}[name]
-    radii = flow.default_radii()
-    exact = float(field.analytic_max(x0, radii)[2]) - 1.0 if name != "sampled" else None
-    if name == "sampled":  # the max of |x|^2 over the sphere of radius r is r^2
-        field = dataclasses.replace(field, analytic_max=lambda x0, radii: radii ** 2)
-        sampled = float(flow._shell_evaluator(field, x0, quad3.points)(radii[2:3]).max())
-        message = f"sampled spherical max {sampled} exceeds closed form {radii[2] ** 2 - 1.0}"
-    else:
-        attained = float(field.maxima(x0)(radii)[0, 2])
-        message = f"attained spherical max {attained} exceeds closed form {exact}"
+    field = {"sampled": dataclasses.replace(  # the max of |x|^2 over the radius r sphere is r^2
+                 flow.plus_quadratic_field(flow.zero_field(3), 2.0),
+                 maxima=flow._closed_form(lambda x0, radii: radii ** 2)),
+             "log-coord": flow.log_modulus_coordinate_field(2)}[name]
+    quad = quad3 if field.n == 3 else quad4
+    x0, radii = np.zeros(field.n), flow.default_radii()
+    sampled = float(flow._shell_evaluator(field, x0, quad.points)(radii[2:3]).max())
+    upper = float(field.maxima(x0)(radii)[1, 2]) - 1.0
+    message = f"sampled spherical max {sampled} exceeds certified max {upper}"
     with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
-        flow.densities(_one_radius_low(field, 2), x0, 3.0, quad=quad3)
-    flow.densities(_one_radius_low(field, radii.size), x0, 3.0, quad=quad3)  # none too low
+        flow.densities(_one_radius_low(field, 2), x0, 3.0, quad=quad)
+    flow.densities(_one_radius_low(field, radii.size), x0, 3.0, quad=quad)  # none too low
+    # within the slack of 1e-6 (1 + |M|) the shell passes
+    flow.densities(_one_radius_low(field, 2, 1e-7), x0, 3.0, quad=quad)
+
+
+@pytest.mark.parametrize("name", ["centred", "on-ray", "off-ray"])
+def test_a_kernel_sum_max_is_its_certificate_unchecked_by_any_shell(name):
+    # a kernel sum reads no sphere point: M is the attained end even where
+    # it is far too low, and its error the gap and rounding
+    x0 = {"centred": np.zeros(3), "on-ray": np.zeros(3), "off-ray": np.array([0.0, 0.2, 0.0])}
+    field = {"centred": flow.riesz_kernel_field(2.0, 3.0, 3)}.get(
+        name, flow.newtonian_potential_field(3.0, [(1.0, np.zeros(3)), (0.5, 2.5 * E1)], 3))
+    radii = flow.default_radii()
+    lower, upper, rounding = field.maxima(x0[name])(radii)
+    curve = flow.average_curves(_one_radius_low(field, 2), ("M",), x0[name], radii,
+                                flow.SphereQuad(3, 8), 3.0)["M"]
+    assert np.array_equal(curve.values, lower - (np.arange(radii.size) == 2))
+    assert np.array_equal(curve.half_values, curve.values)
+    k0, k1 = radial.kernel(radial.KernelSpec(p=3.0), radii[-2:])
+    assert curve.quadrature_error == float((upper - lower + rounding)[-2:].sum() / abs(k0 - k1))
 
 
 @pytest.mark.parametrize("name,field", [
@@ -971,24 +1028,22 @@ def test_a_closed_form_too_low_at_one_radius_is_refused_there(monkeypatch, quad3
                                                    (0.5, 2.5 * np.eye(3)[0])], 3)),
     ("log-coord", flow.log_modulus_coordinate_field(2)),
 ], ids=lambda value: value if isinstance(value, str) else "")
-def test_m_takes_one_closed_form_call_and_one_check(monkeypatch, name, field):
-    # the closed forms of a report come from one call with every curve
-    # radius, checked by one call of a kernel sum's maxima or against the
-    # sampled shells of any other field; the report is the plain one
+def test_m_takes_one_maxima_call_and_one_check(monkeypatch, name, field):
+    # the certified maxima of a report come from one call with every curve
+    # radius, checked against the sampled shells of a field without exact
+    # means and by none of a kernel sum; the report is the plain one
     x0 = np.zeros(field.n)
     quad = flow.sphere_quad(field.n)
     calls, blocks = [], []
-    exact = field.analytic_max
-    counted = dataclasses.replace(
-        field, analytic_max=lambda x0, radii: calls.append(radii.tolist()) or exact(x0, radii))
+    counted, _ = _counted(field, x0, maxima=calls)
     maxima = flow._maxima
-    monkeypatch.setattr(flow, "_maxima", lambda radii, vals, closed: (
-        blocks.append(vals.shape) or maxima(radii, vals, closed)))
+    monkeypatch.setattr(flow, "_maxima", lambda radii, vals, upper: (
+        blocks.append(vals.shape) or maxima(radii, vals, upper)))
     report = flow.densities(counted, x0, 3.0, quad=quad)
     monkeypatch.undo()
     radii = flow.default_radii()
     assert calls == [radii.tolist()]
-    if field.maxima is None:
+    if field.means is None:
         assert {m for _, m in blocks} == {quad.size}
         assert sum(k for k, _ in blocks) == radii.size
     else:
@@ -1089,7 +1144,7 @@ def test_a_shell_through_a_far_centre_keeps_its_hits(p):
     _, _, _, _, hits, tops, _ = flow._shell_rows(sampled, np.zeros(3), quad, radii, 2)
     assert vals[0, 5] == (radial.kernel(radial.KernelSpec(p=p), 2.0) if p < 2.0 else -math.inf)
     assert hits.tolist() == ([0, 0] if p < 2.0 else [1, 0])
-    assert tops[0].tolist() == field.analytic_max(np.zeros(3), radii).tolist()
+    assert tops[0].tolist() == field.maxima(np.zeros(3))(radii)[0].tolist()
     assert flow._shell_rows(field, np.zeros(3), quad, radii, 2)[4].tolist() == [0, 0]
 
 
@@ -1099,9 +1154,8 @@ E4 = np.eye(4)[1]
 
 @pytest.mark.parametrize("p", [2.001, 3.0])
 def test_m_keeps_a_centre_whose_squared_distance_overflows(p):
-    # the closed form takes d from math.hypot and the maxima scale the term
-    # by max(r, d), as the exact means do: M and S agree, with no overflow
-    # warning, on the ray and off it
+    # the maxima scale the term by max(r, d), as the exact means do: M and S
+    # agree, with no overflow warning, on the ray and off it
     spec, radii, x0 = radial.KernelSpec(p=p), flow.default_radii(), np.zeros(4)
     quad = flow.sphere_quad(4)
     far = flow.riesz_kernel_field(1.0, p, 4, center=FAR)
@@ -1110,15 +1164,14 @@ def test_m_keeps_a_centre_whose_squared_distance_overflows(p):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = far.maxima(x0)(radii)
-        closed = field.analytic_max(x0, radii)
+        on_rows = field.maxima(x0)(radii)
         curves = flow.average_curves(field, ("M", "S"), x0, radii, quad, p)
         off_rows = off.maxima(x0)(radii)
     k_far = radial.kernel(spec, 1e160)
     assert np.all(np.abs(rows[:2] - k_far) <= 1e-12 * abs(k_far))
-    assert off.analytic_max(x0, radii) is None
-    want = radial.kernel(spec, radii + 1.0) + k_far
-    assert np.all(np.abs(off_rows[:2] - want) <= 1e-12 * np.abs(want))
-    assert np.array_equal(closed, radial.kernel(spec, radii) + radial.kernel(spec, radii + 1e160))
+    for got, want in ((off_rows, radial.kernel(spec, radii + 1.0) + k_far),
+                      (on_rows, radial.kernel(spec, radii) + radial.kernel(spec, radii + 1e160))):
+        assert np.all(np.abs(got[:2] - want) <= 1e-12 * np.abs(want))
     assert np.all(np.abs(curves["M"].values - curves["S"].values)
                   <= 1e-12 * np.abs(curves["S"].values))
 
@@ -1176,6 +1229,36 @@ def test_harnack_constants():
     assert flow.harnack_constant(2) == pytest.approx((math.e + 1.0) / (math.e - 1.0), abs=1e-12)
     assert flow.harnack_constant(2) == pytest.approx(2.1640, abs=1e-4)
     assert flow.harnack_constant(4) > flow.harnack_constant(3) > 1.0
+
+
+def _psi(p, n, lams):
+    """psi(lam) = A lam^(2-p) - (A - 1), A = (1 + lam)^(n-1) / (1 - lam), in
+    rational arithmetic but for the float power lam^(2-p), so that A - 1
+    does not cancel."""
+    out = []
+    for lam in map(Fraction, lams):
+        a = (1 + lam) ** (n - 1) / (1 - lam)
+        out.append(float(a * Fraction(float(lam) ** (2.0 - p)) - (a - 1)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("p,n", [(1.2, 16), (1.05, 10), (1.01, 4), (1.2, 8), (1.5, 3)])
+def test_the_comparison_constant_below_2_is_the_supremum_of_psi(p, n):
+    # psi peaks near lam = ((2 - p)/n)^(1/(p - 1)), below 1e-6 for the first
+    # three settings and between the first two linear nodes at p = 1.2, n = 8:
+    # C(p, n) is 1 over psi's supremum within 0.1%, read about that point
+    peak = ((2.0 - p) / n) ** (1.0 / (p - 1.0))
+    best = _psi(p, n, np.geomspace(peak / 30.0, min(30.0 * peak, 0.9), 400)).max()
+    assert best > 0.0 and abs(flow.harnack_sup_constant(p, n) * best - 1.0) <= 1e-3
+
+
+def test_the_comparison_constant_is_beyond_floats_where_psi_underflows():
+    # at p = 1.001, n = 16 psi peaks near 16^-1000: no float lam reads it
+    assert flow.harnack_sup_constant(1.001, 16) == math.inf
+    report = flow.densities(flow.riesz_kernel_field(1.0, 1.001, 16), np.zeros(16), 1.001,
+                            kinds=("M", "S"))
+    assert "comparison_upper" not in report.residuals
+    assert report.notes == ["comparison constant C(p,n) = inf"]
 
 
 # ---------------------------------------------------------------------------
@@ -1405,7 +1488,7 @@ def test_decay_rejects_singular_path_point(quad3):
 
 def test_holder_estimate_constant_field(quad3):
     u = flow.ScalarField(n=3, values=lambda pts: np.full(np.asarray(pts).shape[0], 3.0),
-                         analytic_max=lambda x0, radii: np.full(radii.size, 3.0))
+                         maxima=flow._closed_form(lambda x0, radii: np.full(radii.size, 3.0)))
     assert flow.holder_estimate(u, np.zeros(3), 0.2, 1.0, 1.5, quad3) == pytest.approx(0.0)
 
 
@@ -1595,8 +1678,8 @@ DENSITY_P = {2: 2.0, 3: 2.5, 4: 3.0, 5: 1.5, 6: 4.0, 7: 3.5, 8: 5.0}
 
 
 def _density_fields(n, p):
-    """(name, field, reference field) pairs: the reference sets its kernel
-    sum's closed-form max up at every radius, and its quadratic by einsum."""
+    """(name, field, reference field) pairs: the reference computes its
+    quadratic by einsum."""
     e = np.eye(n)
     masses = {"riesz": [(1.7, np.zeros(n))],
               "newtonian": [(1.3, np.zeros(n)), (0.6, 2.5 * e[0])],
@@ -1607,9 +1690,7 @@ def _density_fields(n, p):
     for name, pairs in masses.items():
         field = (flow.riesz_kernel_field(pairs[0][0], p, n) if name == "riesz"
                  else flow.newtonian_potential_field(p, pairs, n))
-        weights, centers = zip(*pairs)
-        out.append((name, field, dataclasses.replace(
-            field, analytic_max=plain.kernel_sum_max(p, weights, centers))))
+        out.append((name, field, field))
     riesz = flow.riesz_kernel_field(1.7, p, n)
     out.append(("radial-perturbed", flow.plus_quadratic_field(riesz, 2.0),
                 plain.plus_quadratic(riesz, 2.0)))
@@ -1638,6 +1719,20 @@ def test_the_centred_kernel_volume_density_is_within_its_bracket(n):
         assert abs(Fraction(report.theta["V"]) - exact) <= Fraction(report.bracket["V"]), p
 
 
+@pytest.mark.parametrize("n", range(2, 17))
+def test_the_centred_kernel_m_and_s_densities_are_within_their_brackets(n):
+    # the exact density is theta = 3, compared as a fraction: the M bracket
+    # holds the certificate's rounding, and the S bracket the rounding of
+    # its deepest quotient, where a quotient reads an ulp off 3
+    for p in sorted({1.5, 2.5, 3.0, float(n), n + 1.9}):
+        report = flow.densities(flow.riesz_kernel_field(3.0, p, n), np.zeros(n), p,
+                                kinds=("M", "S"))
+        for kind in "MS":
+            miss = abs(Fraction(report.theta[kind]) - 3)
+            assert miss <= Fraction(report.bracket[kind]) + Fraction(report.noise_bound), (
+                p, kind)
+
+
 @pytest.mark.parametrize("n", [3, 4, 6])
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_a_sign_changing_volume_density_is_within_its_bracket(n, p):
@@ -1658,11 +1753,11 @@ def test_a_sign_changing_volume_density_is_within_its_bracket(n, p):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_densities_equal_the_plain_reference_bit_for_bit(n):
-    # x0: the origin (closed-form M), off the ray of the centres (sampled
-    # M), and -e1/2 with e1 a quadrature point, whose shell of radius 1/2
-    # meets the origin (a clipped hit at p >= 2, too many for 128 points
-    # or fewer); each field is read at the three x0 in turn, then at the
-    # origin again, so a closed form set up for one x0 cannot serve another
+    # x0: the origin (on the ray of the centres), off the ray, and -e1/2
+    # with e1 a quadrature point, whose shell of radius 1/2 meets the origin
+    # (a clipped hit at p >= 2, too many for 128 points or fewer); each
+    # field is read at the three x0 in turn, then at the origin again, so
+    # a certificate set up for one x0 cannot serve another
     p = DENSITY_P[n]
     e1 = np.eye(n)[0]
     off_ray = 0.3 * np.linspace(1.0, -0.5, n)

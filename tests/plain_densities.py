@@ -37,7 +37,7 @@ def kernel_sum_max(p: float, weights, centers):
     weights = np.asarray(weights, dtype=float)
     centers = np.asarray(centers, dtype=float)
 
-    def analytic_max(x0, radii):
+    def closed_form(x0, radii):
         maxima = [at_radius(x0, r) for r in radii]
         return None if any(m is None for m in maxima) else np.array(maxima)
 
@@ -56,7 +56,7 @@ def kernel_sum_max(p: float, weights, centers):
                         for w, c in zip(weights, centers))
         return sum(rest, first)
 
-    return analytic_max
+    return closed_form
 
 
 def plus_quadratic(base: flow.ScalarField, c: float) -> flow.ScalarField:
